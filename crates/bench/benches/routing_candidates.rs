@@ -1,8 +1,11 @@
 //! Criterion micro-benchmarks of candidate generation — the per-packet,
 //! per-switch hot path of the simulator — for every routing mechanism.
+//!
+//! Each cell calls `candidates_into` with one `RouteScratch` and one output
+//! list kept across calls, the allocation-free form the engine uses.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hyperx_routing::{Candidate, MechanismSpec, NetworkView};
+use hyperx_routing::{Candidate, MechanismSpec, NetworkView, RouteScratch};
 use hyperx_topology::{FaultSet, HyperX};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -26,11 +29,12 @@ fn bench_mechanism_candidates(c: &mut Criterion) {
             .collect();
         group.bench_function(spec.name(), |b| {
             let mut out: Vec<Candidate> = Vec::with_capacity(64);
+            let mut scratch = RouteScratch::default();
             b.iter(|| {
                 let mut total = 0usize;
                 for (current, state) in &states {
                     out.clear();
-                    mech.candidates(state, *current, &mut out);
+                    mech.candidates_into(state, *current, &mut scratch, &mut out);
                     total += out.len();
                 }
                 black_box(total)
@@ -59,11 +63,12 @@ fn bench_candidates_under_faults(c: &mut Criterion) {
             .collect();
         group.bench_function(spec.name(), |b| {
             let mut out: Vec<Candidate> = Vec::with_capacity(64);
+            let mut scratch = RouteScratch::default();
             b.iter(|| {
                 let mut total = 0usize;
                 for (current, state) in &states {
                     out.clear();
-                    mech.candidates(state, *current, &mut out);
+                    mech.candidates_into(state, *current, &mut scratch, &mut out);
                     total += out.len();
                 }
                 black_box(total)

@@ -1,15 +1,27 @@
 //! Criterion micro-benchmarks of the simulation engine: cycles per second at
-//! a moderate load for the SurePath mechanisms on the quick topologies.
+//! a moderate load for the SurePath mechanisms on the quick topologies, plus
+//! the paper's 16x16 shape with 16 servers per switch.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use hyperx_routing::MechanismSpec;
 use std::hint::black_box;
 use surepath_core::{Experiment, TrafficSpec};
 
-fn warm_simulator(spec: MechanismSpec, dims: usize) -> hyperx_sim::Simulator {
-    let mut e = match dims {
-        2 => Experiment::quick_2d(spec, TrafficSpec::Uniform),
-        _ => Experiment::quick_3d(spec, TrafficSpec::Uniform),
+/// The topologies of the cycle cells.
+#[derive(Clone, Copy)]
+enum Shape {
+    Quick2d,
+    Quick3d,
+    Paper2d,
+}
+
+fn warm_simulator(spec: MechanismSpec, shape: Shape) -> hyperx_sim::Simulator {
+    let mut e = match shape {
+        Shape::Quick2d => Experiment::quick_2d(spec, TrafficSpec::Uniform),
+        Shape::Quick3d => Experiment::quick_3d(spec, TrafficSpec::Uniform),
+        // 16x16, 16 servers per switch: the engine-bound shape of the
+        // benchmark's `rate-2d-paper` workload.
+        Shape::Paper2d => Experiment::paper_2d(spec, TrafficSpec::Uniform),
     };
     // Fill the network with traffic before measuring per-cycle cost.
     e.sim.warmup_cycles = 500;
@@ -22,15 +34,16 @@ fn warm_simulator(spec: MechanismSpec, dims: usize) -> hyperx_sim::Simulator {
 fn bench_cycles(c: &mut Criterion) {
     let mut group = c.benchmark_group("simulator/cycles_at_load_0.6");
     group.sample_size(10);
-    for (name, spec, dims) in [
-        ("OmniSP_8x8", MechanismSpec::OmniSP, 2usize),
-        ("PolSP_8x8", MechanismSpec::PolSP, 2),
-        ("PolSP_4x4x4", MechanismSpec::PolSP, 3),
-        ("Minimal_8x8", MechanismSpec::Minimal, 2),
+    for (name, spec, shape) in [
+        ("OmniSP_8x8", MechanismSpec::OmniSP, Shape::Quick2d),
+        ("PolSP_8x8", MechanismSpec::PolSP, Shape::Quick2d),
+        ("PolSP_4x4x4", MechanismSpec::PolSP, Shape::Quick3d),
+        ("Minimal_8x8", MechanismSpec::Minimal, Shape::Quick2d),
+        ("OmniSP_16x16_c16", MechanismSpec::OmniSP, Shape::Paper2d),
     ] {
         group.bench_function(name, |b| {
             b.iter_batched_ref(
-                || warm_simulator(spec, dims),
+                || warm_simulator(spec, shape),
                 |sim| {
                     for _ in 0..200 {
                         sim.step();

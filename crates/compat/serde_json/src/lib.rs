@@ -81,6 +81,22 @@ mod tests {
     }
 
     #[test]
+    fn nesting_is_limited_instead_of_overflowing_the_stack() {
+        let deepest = format!("{}{}", "[".repeat(128), "]".repeat(128));
+        assert!(from_str::<Value>(&deepest).is_ok());
+        let objects = format!("{}1{}", "{\"a\":".repeat(128), "}".repeat(128));
+        assert!(from_str::<Value>(&objects).is_ok());
+        for too_deep in [
+            format!("{}{}", "[".repeat(129), "]".repeat(129)),
+            "[".repeat(200_000),
+            "{\"a\":".repeat(200_000),
+        ] {
+            let err = from_str::<Value>(&too_deep).unwrap_err().to_string();
+            assert!(err.contains("recursion limit exceeded"), "{err}");
+        }
+    }
+
+    #[test]
     fn numbers_preserve_integerness() {
         let v: Value =
             from_str("{\"i\":42,\"n\":-3,\"f\":0.5,\"big\":18446744073709551615}").unwrap();

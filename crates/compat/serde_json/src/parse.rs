@@ -1,6 +1,13 @@
 //! A recursive-descent JSON parser producing [`Value`] trees.
+//!
+//! Arrays and objects nest at most `MAX_DEPTH` (128) levels deep (serde_json's
+//! recursion limit), so hostile input gets an error instead of overflowing
+//! the stack.
 
 use serde::{Number, Value};
+
+/// Deepest nesting of arrays and objects a document may use.
+const MAX_DEPTH: usize = 128;
 
 /// A JSON parse / conversion error with position information where available.
 #[derive(Clone, Debug)]
@@ -25,6 +32,7 @@ pub fn parse(input: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -38,6 +46,8 @@ pub fn parse(input: &str) -> Result<Value, Error> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -79,11 +89,23 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::String),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.error("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object, refusing to open more than
+    /// `MAX_DEPTH` of them.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error("recursion limit exceeded"));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Value, Error> {

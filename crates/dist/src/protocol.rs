@@ -222,4 +222,18 @@ mod tests {
         let err = read_message::<Request>(&mut reader).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
+
+    #[test]
+    fn deeply_nested_frame_is_an_error_not_a_stack_overflow() {
+        // One line from a peer must never abort the process.
+        let mut frame = "[".repeat(200_000).into_bytes();
+        frame.push(b'\n');
+        let mut reader = BufReader::new(frame.as_slice());
+        let err = read_message::<Request>(&mut reader).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains("recursion limit exceeded"),
+            "{err}"
+        );
+    }
 }

@@ -5,7 +5,9 @@
 
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 use surepath_dist::{
     read_message, run_worker, serve, write_message, Reply, Request, ServeOptions, WorkerOptions,
 };
@@ -74,6 +76,14 @@ fn local_store_bytes(s: &CampaignSpec, name: &str) -> Vec<u8> {
 }
 
 /// Serves `s` on an ephemeral port with `workers` in-process workers.
+///
+/// Every worker holds its jobs until all `workers` have received one. The
+/// fake jobs are instant, so otherwise the first worker to connect could
+/// drain the grid and the coordinator stop accepting before a worker thread
+/// the host scheduled late dials in; that worker would then exhaust its
+/// reconnect budget against a closed port. Callers keep at least
+/// `workers × 4` jobs (two threads, chunk 4) pending so every worker gets a
+/// batch.
 fn serve_with_workers(
     s: &CampaignSpec,
     store: &std::path::Path,
@@ -83,10 +93,13 @@ fn serve_with_workers(
     let jobs = s.expand().unwrap();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
+    let joined = Arc::new(AtomicUsize::new(0));
     let worker_handles: Vec<_> = (0..workers)
         .map(|i| {
             let addr = addr.clone();
+            let joined = Arc::clone(&joined);
             std::thread::spawn(move || {
+                let first_job = AtomicBool::new(true);
                 run_worker(
                     &addr,
                     &format!("test-worker-{i}"),
@@ -94,7 +107,16 @@ fn serve_with_workers(
                         threads: Some(2),
                         ..WorkerOptions::default()
                     },
-                    fake_result,
+                    |job| {
+                        if first_job.swap(false, Ordering::SeqCst) {
+                            joined.fetch_add(1, Ordering::SeqCst);
+                        }
+                        let deadline = Instant::now() + Duration::from_secs(30);
+                        while joined.load(Ordering::SeqCst) < workers && Instant::now() < deadline {
+                            std::thread::sleep(Duration::from_millis(1));
+                        }
+                        fake_result(job)
+                    },
                 )
             })
         })

@@ -56,20 +56,20 @@ impl RouteAlgorithm for DalRouting {
             return;
         }
         let hx = self.view.hyperx();
+        let cs = hx.coords();
         let net = self.view.network();
-        let cur = hx.switch_coords(current);
-        let dst = hx.switch_coords(state.dest);
         for d in 0..hx.dims() {
-            if cur[d] == dst[d] {
+            let target = cs.coord(state.dest, d);
+            if cs.coord(current, d) == target {
                 continue;
             }
+            let aligned = hx.port_for(current, d, target);
             let may_deroute = state.derouted_dims & (1 << d) == 0;
             for port in hx.dimension_ports(d) {
                 if net.neighbor(current, port).is_none() {
                     continue;
                 }
-                let meaning = hx.port_meaning(current, port);
-                if meaning.value == dst[d] {
+                if port == aligned {
                     out.push(RouteCandidate {
                         port,
                         penalty: OMNI_MINIMAL,
@@ -88,15 +88,12 @@ impl RouteAlgorithm for DalRouting {
 
     fn update(&self, state: &mut PacketState, current: usize, next: usize) {
         state.hops += 1;
-        let hx = self.view.hyperx();
-        let cur = hx.switch_coords(current);
-        let nxt = hx.switch_coords(next);
-        let dst = hx.switch_coords(state.dest);
+        let cs = self.view.hyperx().coords();
         // Exactly one coordinate changes per switch-to-switch hop.
-        let changed = (0..hx.dims())
-            .find(|&d| cur[d] != nxt[d])
+        let changed = (0..cs.dims())
+            .find(|&d| cs.coord(current, d) != cs.coord(next, d))
             .expect("a hop always changes exactly one coordinate");
-        if nxt[changed] == dst[changed] {
+        if cs.coord(next, changed) == cs.coord(state.dest, changed) {
             state.minimal_hops += 1;
         } else {
             state.deroutes += 1;

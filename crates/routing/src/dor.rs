@@ -40,13 +40,13 @@ impl RouteAlgorithm for DimensionOrderedRouting {
             return;
         }
         let hx = self.view.hyperx();
-        let cur = hx.switch_coords(current);
-        let dst = hx.switch_coords(state.dest);
+        let cs = hx.coords();
         // Correct the lowest unaligned dimension; the single valid port is the
         // aligned one, offered only if its link is alive.
         for d in 0..hx.dims() {
-            if cur[d] != dst[d] {
-                let port = hx.port_for(current, d, dst[d]);
+            let target = cs.coord(state.dest, d);
+            if cs.coord(current, d) != target {
+                let port = hx.port_for(current, d, target);
                 if self.view.network().neighbor(current, port).is_some() {
                     out.push(RouteCandidate {
                         port,

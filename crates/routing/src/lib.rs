@@ -81,7 +81,11 @@ pub trait RouteAlgorithm: Send + Sync {
 /// allocating that list per call dominated the low-load profile. Callers on
 /// the hot path hold one `RouteScratch` and pass it down through
 /// [`RoutingMechanism::candidates_into`]; the buffer is cleared, never
-/// shrunk, so steady state performs zero allocations.
+/// shrunk, and the algorithms themselves build no temporary vectors, so
+/// once the scratch and the output list are warm, `candidates_into` and
+/// [`RoutingMechanism::note_hop`] perform zero allocations. The test
+/// `crates/bench/tests/alloc_free_routing.rs` pins this for every
+/// [`MechanismSpec`] and for a warmed simulator's `step`.
 #[derive(Debug, Default)]
 pub struct RouteScratch {
     /// Intermediate route list produced by the base routing algorithm.

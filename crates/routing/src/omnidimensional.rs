@@ -62,21 +62,20 @@ impl RouteAlgorithm for OmnidimensionalRouting {
             return;
         }
         let hx = self.view.hyperx();
+        let cs = hx.coords();
         let net = self.view.network();
-        let cur = hx.switch_coords(current);
-        let dst = hx.switch_coords(state.dest);
         let deroutes_left = state.deroutes < self.deroute_limit;
         for d in 0..hx.dims() {
-            if cur[d] == dst[d] {
+            let target = cs.coord(state.dest, d);
+            if cs.coord(current, d) == target {
                 continue;
             }
+            let aligned = hx.port_for(current, d, target);
             for port in hx.dimension_ports(d) {
                 if net.neighbor(current, port).is_none() {
                     continue;
                 }
-                let meaning = hx.port_meaning(current, port);
-                let minimal = meaning.value == dst[d];
-                if minimal {
+                if port == aligned {
                     out.push(RouteCandidate {
                         port,
                         penalty: OMNI_MINIMAL,

@@ -519,6 +519,17 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_specs_are_errors_not_stack_overflows() {
+        let deep = format!("x = {}", "[".repeat(200_000));
+        let err = spec_from_toml(&deep).unwrap_err();
+        assert!(err.contains("TOML parse error"), "{err}");
+        assert!(err.contains("deeper than 128"), "{err}");
+        let deep_json = format!("{{\"x\": {}", "[".repeat(200_000));
+        let err = spec_from_json(&deep_json).unwrap_err();
+        assert!(err.contains("recursion limit exceeded"), "{err}");
+    }
+
+    #[test]
     fn expansion_is_a_full_cross_product_in_stable_order() {
         let jobs = quick_spec().expand().unwrap();
         assert_eq!(jobs.len(), 2 * 2 * 2 * 3);

@@ -482,6 +482,30 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_line_counts_as_corrupt() {
+        let path = temp_path("deep");
+        let _ = std::fs::remove_file(&path);
+        {
+            let mut store = ResultStore::open(&path).unwrap();
+            store.append_ok(&job(1), Value::Null).unwrap();
+        }
+        {
+            use std::io::Write as _;
+            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+            f.write_all("[".repeat(200_000).as_bytes()).unwrap();
+            f.write_all(b"\n").unwrap();
+        }
+        for store in [
+            ResultStore::open_read_only(&path).unwrap(),
+            ResultStore::open(&path).unwrap(),
+        ] {
+            assert_eq!(store.completed_count(), 1);
+            assert_eq!(store.corrupt_lines, 1);
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn ok_records_shadow_stale_failures() {
         let path = temp_path("shadow");
         let _ = std::fs::remove_file(&path);

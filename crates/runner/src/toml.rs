@@ -14,14 +14,22 @@
 //!
 //! Not supported (clear error instead): literal/multi-line strings, dates,
 //! dotted keys in assignments.
+//!
+//! Arrays and inline tables nest at most `MAX_DEPTH` (128) levels deep, so a
+//! hostile spec gets an error instead of overflowing the stack.
 
 use serde::{Number, Value};
+
+/// Deepest nesting of arrays and inline tables a document may use (the
+/// limit `serde_json` applies to JSON).
+const MAX_DEPTH: usize = 128;
 
 /// Parses a TOML document into an object [`Value`].
 pub fn parse(input: &str) -> Result<Value, String> {
     let mut parser = Parser {
         chars: input.chars().collect(),
         pos: 0,
+        depth: 0,
     };
     let mut root = Vec::new();
     // Path of the table currently being filled; empty = root.
@@ -125,6 +133,8 @@ fn insert_value(
 struct Parser {
     chars: Vec<char>,
     pos: usize,
+    /// Arrays and inline tables currently open.
+    depth: usize,
 }
 
 impl Parser {
@@ -227,12 +237,26 @@ impl Parser {
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
             Some('"') => self.basic_string().map(Value::String),
-            Some('[') => self.array(),
-            Some('{') => self.inline_table(),
+            Some('[') => self.nested(Self::array),
+            Some('{') => self.nested(Self::inline_table),
             Some('t') | Some('f') => self.boolean(),
             Some(c) if c == '-' || c == '+' || c.is_ascii_digit() => self.number(),
             _ => Err(self.error("expected a TOML value")),
         }
+    }
+
+    /// Parses one array or inline table, refusing to open more than
+    /// `MAX_DEPTH` of them.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!(
+                "arrays and inline tables nest deeper than {MAX_DEPTH} levels"
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn boolean(&mut self) -> Result<Value, String> {
@@ -446,6 +470,24 @@ mod tests {
         assert!(parse("a = 1\na = 2").is_err());
         assert!(parse("[t\nkey = 1").is_err());
         assert!(parse("x = 1 y = 2").is_err());
+    }
+
+    #[test]
+    fn nesting_is_limited_instead_of_overflowing_the_stack() {
+        let deepest = format!("x = {}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&deepest).is_ok());
+        let too_deep = format!(
+            "x = {}1{}",
+            "[".repeat(MAX_DEPTH + 1),
+            "]".repeat(MAX_DEPTH + 1)
+        );
+        let err = parse(&too_deep).unwrap_err();
+        assert!(err.contains("deeper than 128"), "{err}");
+        // A hostile document far beyond any stack: an error, not an abort.
+        let hostile = format!("x = {}", "[".repeat(200_000));
+        assert!(parse(&hostile).unwrap_err().contains("deeper than 128"));
+        let tables = format!("x = {}", "{ a = ".repeat(200_000));
+        assert!(parse(&tables).unwrap_err().contains("deeper than 128"));
     }
 
     #[test]

@@ -266,8 +266,10 @@ mod tests {
         let parsed = SimConfig::deserialize(&serde::Value::Object(entries)).unwrap();
         assert_eq!(parsed.partitions, 1);
         // Non-default values round-trip.
-        let mut cfg = SimConfig::default();
-        cfg.partitions = 4;
+        let cfg = SimConfig {
+            partitions: 4,
+            ..SimConfig::default()
+        };
         let parsed = SimConfig::deserialize(&cfg.serialize()).unwrap();
         assert_eq!(parsed, cfg);
     }

@@ -24,7 +24,10 @@
 //! and output staging buffers are flat ring buffers indexed by precomputed
 //! strides (`slot = (switch·num_ports + port)·num_vcs + vc`), per-port
 //! occupancy is a maintained counter instead of a per-request sum over VCs,
-//! and all per-step scratch lives in one reusable [`StepArena`]. The frozen
+//! and all per-step scratch lives in one reusable [`StepArena`]. Each switch
+//! keeps two occupancy bitmasks — non-empty input VCs (bit `port·num_vcs +
+//! vc`) and non-empty staging buffers (bit `port`) — so the allocation and
+//! transmit sweeps visit only occupied slots, in ascending order. The frozen
 //! v4 engine is kept in [`crate::engine_v4`] and the `layout_equivalence`
 //! tests prove the two byte-identical (RNG draw order, metrics bytes,
 //! counters, traces).
@@ -110,8 +113,8 @@ impl ActiveSet {
     fn new(n: usize) -> Self {
         ActiveSet {
             member: vec![false; n],
-            list: Vec::new(),
-            added: Vec::new(),
+            list: Vec::with_capacity(n),
+            added: Vec::with_capacity(n),
         }
     }
 
@@ -211,8 +214,9 @@ impl PacketArena {
 
 /// All per-step scratch of the sequential phases, folded into one reusable
 /// arena: request lists, sort keys, grant counters, routing scratch and the
-/// v2 sampler's output. No allocations at steady state.
-#[derive(Debug, Default)]
+/// v2 sampler's output. Sized to its bounds up front, so no allocations at
+/// steady state.
+#[derive(Debug)]
 struct StepArena {
     /// Requests of the switch being allocated.
     requests: Vec<Request>,
@@ -230,7 +234,29 @@ struct StepArena {
     seg: Vec<usize>,
 }
 
-/// Read-only state shared by all partitions of a parallel transmit.
+impl StepArena {
+    /// Scratch sized for the largest step: one request per input VC of a
+    /// switch, one injector per server, one cut per partition.
+    fn with_bounds(
+        num_ports: usize,
+        num_vcs: usize,
+        num_servers: usize,
+        partitions: usize,
+    ) -> Self {
+        let slots = num_ports * num_vcs;
+        StepArena {
+            requests: Vec::with_capacity(slots),
+            keyed: Vec::with_capacity(slots),
+            out_grants: Vec::with_capacity(num_ports),
+            in_grants: Vec::with_capacity(num_ports),
+            route: RouteScratch::default(),
+            sampled: Vec::with_capacity(num_servers.max(partitions)),
+            seg: Vec::with_capacity(partitions),
+        }
+    }
+}
+
+/// Read-only state shared by all partitions of a transmit sweep.
 struct XmitShared<'a> {
     stg_pkt: &'a [u32],
     stg_vc: &'a [u16],
@@ -241,43 +267,87 @@ struct XmitShared<'a> {
     cap_out: usize,
     num_ports: usize,
     num_vcs: usize,
+    stg_words: usize,
 }
 
-/// One partition's mutable view of a parallel transmit: disjoint slices of
-/// the per-port/per-switch arrays plus a private event buffer.
+/// One partition's mutable view of a transmit sweep: disjoint slices of the
+/// per-port/per-switch arrays plus an event buffer. With one partition the
+/// task covers every switch and its buffer is the event-wheel slot itself.
 struct XmitTask<'a> {
+    /// First switch of the partition.
     sw_base: usize,
-    port_base: usize,
     /// This partition's segment of the transmit active list.
     seg: &'a mut [usize],
     /// Switches retained in `seg[..kept]` after the sweep.
     kept: usize,
     member: &'a mut [bool],
+    stg_mask: &'a mut [u64],
     stg_head: &'a mut [u16],
     stg_len: &'a mut [u16],
     link_busy: &'a mut [u64],
-    staged_count: &'a mut [u32],
     events: Vec<Ev>,
     progress: bool,
+}
+
+impl<'a> XmitTask<'a> {
+    /// Splits the first `n_sw` switches, and the first `seg_len` entries of
+    /// the active segment, off into their own task with event buffer `events`.
+    fn split_front(
+        &mut self,
+        n_sw: usize,
+        seg_len: usize,
+        shared: &XmitShared,
+        events: Vec<Ev>,
+    ) -> XmitTask<'a> {
+        let n_ports = n_sw * shared.num_ports;
+        let (seg, rest) = std::mem::take(&mut self.seg).split_at_mut(seg_len);
+        self.seg = rest;
+        let (member, rest) = std::mem::take(&mut self.member).split_at_mut(n_sw);
+        self.member = rest;
+        let (stg_mask, rest) =
+            std::mem::take(&mut self.stg_mask).split_at_mut(n_sw * shared.stg_words);
+        self.stg_mask = rest;
+        let (stg_head, rest) = std::mem::take(&mut self.stg_head).split_at_mut(n_ports);
+        self.stg_head = rest;
+        let (stg_len, rest) = std::mem::take(&mut self.stg_len).split_at_mut(n_ports);
+        self.stg_len = rest;
+        let (link_busy, rest) = std::mem::take(&mut self.link_busy).split_at_mut(n_ports);
+        self.link_busy = rest;
+        let front = XmitTask {
+            sw_base: self.sw_base,
+            seg,
+            kept: 0,
+            member,
+            stg_mask,
+            stg_head,
+            stg_len,
+            link_busy,
+            events,
+            progress: false,
+        };
+        self.sw_base += n_sw;
+        front
+    }
 }
 
 /// Read-only state shared by all partitions of a parallel candidate prefill.
 struct PrefillShared<'a> {
     in_q: &'a [u32],
     in_head: &'a [u16],
-    in_len: &'a [u16],
+    in_mask: &'a [u64],
     pkt_id: &'a [u64],
     pkt_dst_switch: &'a [u32],
     pkt_state: &'a [PacketState],
     mechanism: &'a dyn RoutingMechanism,
     cycle: u64,
     cap_in: usize,
-    num_ports: usize,
-    num_vcs: usize,
+    slots_per_switch: usize,
+    in_words: usize,
 }
 
 /// One partition's mutable view of a parallel candidate prefill: disjoint
-/// slot-range slices of the cache arrays plus a private routing scratch.
+/// slot-range slices of the cache arrays plus the partition's routing
+/// scratch and recycled cache buffers.
 struct PrefillTask<'a> {
     slot_base: usize,
     /// This partition's segment of the allocation active list.
@@ -285,11 +355,40 @@ struct PrefillTask<'a> {
     cached_for: &'a mut [u64],
     cache_fresh: &'a mut [u64],
     cand_cache: &'a mut [Vec<Candidate>],
+    pool: &'a mut Vec<Vec<Candidate>>,
     route: RouteScratch,
 }
 
 /// Sentinel for "no packet cached" in `cached_for` (packet ids start at 0).
 const NO_PACKET: u64 = u64::MAX;
+
+/// Prepares the candidate cache of a slot for a fill: a slot without a
+/// buffer (never filled, or emptied since) takes a recycled one from `pool`.
+#[inline]
+fn prepare_cache(cache: &mut Vec<Candidate>, pool: &mut Vec<Vec<Candidate>>) {
+    if cache.capacity() == 0 {
+        if let Some(buffer) = pool.pop() {
+            *cache = buffer;
+        }
+    }
+    cache.clear();
+}
+
+/// The indices of the set bits of `words`, ascending (bit `i` of word `w` is
+/// index `64·w + i`).
+#[inline]
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                w * 64 + bit
+            })
+        })
+    })
+}
 
 /// The cycle-level simulator (see the module docs for the v5 layout).
 pub struct Simulator {
@@ -305,6 +404,10 @@ pub struct Simulator {
     cap_in: usize,
     cap_out: usize,
     cap_src: usize,
+    /// Words per switch of `in_mask` (`ceil(num_ports·num_vcs / 64)`).
+    in_words: usize,
+    /// Words per switch of `stg_mask` (`ceil(num_ports / 64)`).
+    stg_words: usize,
     // --- packet storage ---
     pkt: PacketArena,
     // --- input VC state, indexed by `slot = (switch·num_ports + port)·num_vcs + vc` ---
@@ -314,8 +417,16 @@ pub struct Simulator {
     in_len: Vec<u16>,
     /// Granted-but-not-arrived reservations (consumed credits).
     in_flight: Vec<u16>,
+    /// Non-empty input VCs: switch `s` owns words `s·in_words ..`, bit
+    /// `port·num_vcs + vc`. Maintained by `in_push`/`in_pop`.
+    in_mask: Vec<u64>,
     /// Candidate-cache key: the head packet id the cache was computed for.
     cached_for: Vec<u64>,
+    /// Candidate list of each slot's head. A slot that empties gives its
+    /// buffer to its partition's `cache_pools` entry, and the next fill of a
+    /// slot without a buffer takes the most recently returned one — so the
+    /// buffers in use never exceed the peak number of occupied slots, and a
+    /// fill usually writes memory that is still in cache.
     cand_cache: Vec<Vec<Candidate>>,
     /// Cycle stamp (`cycle + 1`) marking a cache entry computed by this
     /// cycle's parallel prefill — the sequential sweep counts it as the miss
@@ -329,6 +440,9 @@ pub struct Simulator {
     stg_ready: Vec<u64>,
     stg_head: Vec<u16>,
     stg_len: Vec<u16>,
+    /// Non-empty staging buffers: switch `s` owns words `s·stg_words ..`,
+    /// bit `port`. Set by grants, cleared by transmits.
+    stg_mask: Vec<u64>,
     link_busy: Vec<u64>,
     /// Occupancy (buffered + in-flight over all VCs) of the *input* port at
     /// this flat location — maintained incrementally so the allocation `Q`
@@ -359,16 +473,12 @@ pub struct Simulator {
     stalled: bool,
     /// Delivered phits since the last batch sample (Figure 10 curve).
     window_delivered_phits: u64,
-    /// Switches with at least one buffered input packet: the only switches
-    /// the allocator needs to visit.
+    /// Switches with at least one buffered input packet (a non-zero
+    /// `in_mask`): the only switches the allocator needs to visit.
     alloc_active: ActiveSet,
-    /// Switches with at least one staged packet: the only switches the
-    /// transmit stage needs to visit.
+    /// Switches with at least one staged packet (a non-zero `stg_mask`):
+    /// the only switches the transmit stage needs to visit.
     xmit_active: ActiveSet,
-    /// Buffered input packets per switch (all ports and VCs).
-    input_occupancy: Vec<u32>,
-    /// Staged output packets per switch (all ports).
-    staged_count: Vec<u32>,
     /// Servers with generation work or source-queue backlog: the only
     /// servers batch mode and rate contract v2 visit. (Rate contract v1
     /// scans every server — its per-server draw order is the frozen
@@ -399,10 +509,13 @@ pub struct Simulator {
     part_bounds: Vec<usize>,
     /// Persistent workers (`partitions - 1`; the caller participates).
     pool: Option<WorkerPool>,
-    /// Reusable per-partition transmit event buffers.
+    /// Reusable transmit event buffers of partitions `1..` (partition 0
+    /// writes straight into the event wheel).
     part_events: Vec<Vec<Ev>>,
     /// Reusable per-partition routing scratch for the candidate prefill.
     part_routes: Vec<RouteScratch>,
+    /// Per-partition stacks of candidate buffers returned by emptied slots.
+    cache_pools: Vec<Vec<Vec<Candidate>>>,
 }
 
 impl Simulator {
@@ -462,6 +575,8 @@ impl Simulator {
         }
         let nslots = num_switches * num_ports * num_vcs;
         let nports = num_switches * num_ports;
+        let in_words = (num_ports * num_vcs).div_ceil(64);
+        let stg_words = num_ports.div_ceil(64);
         let wheel_len = (cfg.packet_length + cfg.link_latency + cfg.crossbar_latency + 4) as usize;
         let counters = MeasuredCounters::new(num_servers);
         let partitions = cfg.partitions.clamp(1, num_switches);
@@ -482,11 +597,14 @@ impl Simulator {
             cap_in,
             cap_out,
             cap_src,
+            in_words,
+            stg_words,
             pkt: PacketArena::default(),
             in_q: vec![0; nslots * cap_in],
             in_head: vec![0; nslots],
             in_len: vec![0; nslots],
             in_flight: vec![0; nslots],
+            in_mask: vec![0; num_switches * in_words],
             cached_for: vec![NO_PACKET; nslots],
             cand_cache: (0..nslots).map(|_| Vec::new()).collect(),
             cache_fresh: vec![0; nslots],
@@ -496,6 +614,7 @@ impl Simulator {
             stg_ready: vec![0; nports * cap_out],
             stg_head: vec![0; nports],
             stg_len: vec![0; nports],
+            stg_mask: vec![0; num_switches * stg_words],
             link_busy: vec![0; nports],
             port_occ: vec![0; nports],
             srv_q: vec![0; num_servers * cap_src],
@@ -518,13 +637,11 @@ impl Simulator {
             window_delivered_phits: 0,
             alloc_active: ActiveSet::new(num_switches),
             xmit_active: ActiveSet::new(num_switches),
-            input_occupancy: vec![0; num_switches],
-            staged_count: vec![0; num_switches],
             server_live: ActiveSet::new(num_servers),
             server_live_dirty: true,
             sampled_at: vec![0; num_servers],
             binomial_cache: None,
-            step: StepArena::default(),
+            step: StepArena::with_bounds(num_ports, num_vcs, num_servers, partitions),
             obs: CounterRegistry::new(),
             tracer: None,
             pool: (partitions > 1).then(|| WorkerPool::new(partitions - 1)),
@@ -532,6 +649,7 @@ impl Simulator {
             part_bounds,
             part_events: (0..partitions).map(|_| Vec::new()).collect(),
             part_routes: (0..partitions).map(|_| RouteScratch::default()).collect(),
+            cache_pools: (0..partitions).map(|_| Vec::new()).collect(),
         }
     }
 
@@ -758,6 +876,14 @@ impl Simulator {
         self.in_q[slot * self.cap_in + self.in_head[slot] as usize] as usize
     }
 
+    /// Word index into `in_mask` and bit of input VC `slot`.
+    #[inline]
+    fn in_mask_bit(&self, slot: usize) -> (usize, u64) {
+        let per_switch = self.num_ports * self.num_vcs;
+        let (switch, local) = (slot / per_switch, slot % per_switch);
+        (switch * self.in_words + local / 64, 1 << (local % 64))
+    }
+
     #[inline]
     fn in_push(&mut self, slot: usize, packet: u32) {
         debug_assert!((self.in_len[slot] as usize) < self.cap_in);
@@ -766,6 +892,10 @@ impl Simulator {
             pos -= self.cap_in;
         }
         self.in_q[slot * self.cap_in + pos] = packet;
+        if self.in_len[slot] == 0 {
+            let (word, bit) = self.in_mask_bit(slot);
+            self.in_mask[word] |= bit;
+        }
         self.in_len[slot] += 1;
     }
 
@@ -775,6 +905,10 @@ impl Simulator {
         let next = self.in_head[slot] as usize + 1;
         self.in_head[slot] = if next == self.cap_in { 0 } else { next as u16 };
         self.in_len[slot] -= 1;
+        if self.in_len[slot] == 0 {
+            let (word, bit) = self.in_mask_bit(slot);
+            self.in_mask[word] &= !bit;
+        }
         packet
     }
 
@@ -783,6 +917,13 @@ impl Simulator {
     fn in_free(&self, slot: usize) -> usize {
         self.cap_in
             .saturating_sub(self.in_len[slot] as usize + self.in_flight[slot] as usize)
+    }
+
+    /// The partition that owns `switch` (partitions are contiguous ranges of
+    /// `part_bounds[1]` switches).
+    #[inline]
+    fn partition_of(&self, switch: usize) -> usize {
+        switch / self.part_bounds[1]
     }
 
     fn wheel_slot(&self, cycle: u64) -> usize {
@@ -803,8 +944,10 @@ impl Simulator {
 
     fn process_events(&mut self) {
         let wheel_slot = self.wheel_slot(self.cycle);
-        let events = std::mem::take(&mut self.wheel[wheel_slot]);
-        for event in events {
+        // Drain the slot's buffer and hand it back: its capacity serves the
+        // next cycle that maps to this slot.
+        let mut events = std::mem::take(&mut self.wheel[wheel_slot]);
+        for &event in &events {
             match event {
                 Ev::Arrival { slot, packet } => {
                     let slot = slot as usize;
@@ -825,7 +968,6 @@ impl Simulator {
                     // `port_occ` counts buffered + in-flight, so an arrival
                     // (in-flight → buffered) leaves it unchanged.
                     self.in_push(slot, packet);
-                    self.input_occupancy[switch] += 1;
                     self.alloc_active.insert(switch);
                     self.progress_this_cycle = true;
                 }
@@ -862,6 +1004,8 @@ impl Simulator {
                 }
             }
         }
+        events.clear();
+        self.wheel[wheel_slot] = events;
     }
 
     fn generate_and_inject(&mut self) {
@@ -1112,108 +1256,117 @@ impl Simulator {
     /// Fills `out` with the requests of `switch`'s head packets, reusing the
     /// per-VC candidate cache (candidate lists are pure functions of the
     /// head packet's routing state, so a blocked head's list is computed
-    /// once, not once per cycle). With `partitions > 1` the cache was
-    /// prefilled in parallel; entries stamped `cache_fresh == cycle + 1`
-    /// count as the misses the sequential engine would have taken inline,
-    /// keeping the hit/miss counters byte-identical for every partition
-    /// count.
+    /// once, not once per cycle). Only the set bits of the switch's
+    /// `in_mask` are visited; ascending bit order is ascending (port, VC)
+    /// order. With `partitions > 1` the cache was prefilled in parallel;
+    /// entries stamped `cache_fresh == cycle + 1` count as the misses the
+    /// sequential engine would have taken inline, keeping the hit/miss
+    /// counters byte-identical for every partition count.
     fn collect_requests_into(&mut self, switch: usize, out: &mut Vec<Request>) {
-        for in_port in 0..self.num_ports {
-            for in_vc in 0..self.num_vcs {
-                let slot = self.slot(switch, in_port, in_vc);
-                if self.in_len[slot] == 0 {
+        let first_slot = self.slot(switch, 0, 0);
+        let words = switch * self.in_words..(switch + 1) * self.in_words;
+        for local in set_bits(&self.in_mask[words]) {
+            let (in_port, in_vc) = (local / self.num_vcs, local % self.num_vcs);
+            let slot = first_slot + local;
+            let head = self.in_front(slot);
+            // Ejection: the packet has reached its destination switch.
+            if self.pkt.dst_switch[head] as usize == switch {
+                let out_port = self.radix
+                    + self
+                        .layout
+                        .server_offset(self.pkt.dst_server[head] as usize);
+                if (self.stg_len[switch * self.num_ports + out_port] as usize) < self.cap_out {
+                    out.push(Request {
+                        in_port,
+                        in_vc,
+                        out_port,
+                        out_vc: 0,
+                        score: self.request_q(switch, out_port, 0) * self.cfg.packet_length,
+                        candidate: None,
+                    });
+                }
+                continue;
+            }
+            let head_id = self.pkt.id[head];
+            // Routing: compute (or reuse) the head's candidate list. The
+            // cache is keyed by packet id and invalidated whenever the
+            // head is popped, and candidate lists are pure functions of
+            // (state, switch), so reuse is observably identical to
+            // recomputation.
+            if self.cache_fresh[slot] == self.cycle + 1 {
+                // Prefilled this cycle: the sequential engine would have
+                // computed it here, so it counts as a miss.
+                debug_assert_eq!(self.cached_for[slot], head_id);
+                self.obs.incr(Counter::CandCacheMisses);
+            } else if self.cached_for[slot] == head_id {
+                self.obs.incr(Counter::CandCacheHits);
+            } else {
+                self.obs.incr(Counter::CandCacheMisses);
+                self.cached_for[slot] = head_id;
+                let state = self.pkt.state[head];
+                let pool = self.partition_of(switch);
+                let cache = &mut self.cand_cache[slot];
+                prepare_cache(cache, &mut self.cache_pools[pool]);
+                self.mechanism
+                    .candidates_into(&state, switch, &mut self.step.route, cache);
+            }
+            // Single request to the best candidate that satisfies flow
+            // control. Candidates are `Copy` and scoring only reads
+            // other arrays, so the cache is consumed in place — no
+            // copy-out scratch.
+            let mut best: Option<Request> = None;
+            for ci in 0..self.cand_cache[slot].len() {
+                let cand = self.cand_cache[slot][ci];
+                // Exact pruning: a score is `Q·packet_length + penalty`
+                // with `Q ≥ 0`, and only a strictly lower score replaces
+                // `best`, so this candidate cannot win.
+                if best
+                    .as_ref()
+                    .is_some_and(|b| cand.penalty as u64 >= b.score)
+                {
                     continue;
                 }
-                let head = self.in_front(slot);
-                // Ejection: the packet has reached its destination switch.
-                if self.pkt.dst_switch[head] as usize == switch {
-                    let out_port = self.radix
-                        + self
-                            .layout
-                            .server_offset(self.pkt.dst_server[head] as usize);
-                    if (self.stg_len[switch * self.num_ports + out_port] as usize) < self.cap_out {
-                        out.push(Request {
-                            in_port,
-                            in_vc,
-                            out_port,
-                            out_vc: 0,
-                            score: self.request_q(switch, out_port, 0) * self.cfg.packet_length,
-                            candidate: None,
-                        });
-                    }
+                let flat = switch * self.num_ports + cand.port;
+                let OutputKind::Network {
+                    next_switch,
+                    next_input_port,
+                } = self.out_kind[flat]
+                else {
+                    continue;
+                };
+                if (self.stg_len[flat] as usize) >= self.cap_out {
                     continue;
                 }
-                let head_id = self.pkt.id[head];
-                // Routing: compute (or reuse) the head's candidate list. The
-                // cache is keyed by packet id and invalidated whenever the
-                // head is popped, and candidate lists are pure functions of
-                // (state, switch), so reuse is observably identical to
-                // recomputation.
-                if self.cache_fresh[slot] == self.cycle + 1 {
-                    // Prefilled this cycle: the sequential engine would have
-                    // computed it here, so it counts as a miss.
-                    debug_assert_eq!(self.cached_for[slot], head_id);
-                    self.obs.incr(Counter::CandCacheMisses);
-                } else if self.cached_for[slot] == head_id {
-                    self.obs.incr(Counter::CandCacheHits);
-                } else {
-                    self.obs.incr(Counter::CandCacheMisses);
-                    self.cached_for[slot] = head_id;
-                    let state = self.pkt.state[head];
-                    let cache = &mut self.cand_cache[slot];
-                    cache.clear();
-                    self.mechanism
-                        .candidates_into(&state, switch, &mut self.step.route, cache);
-                }
-                // Single request to the best candidate that satisfies flow
-                // control. Candidates are `Copy` and scoring only reads
-                // other arrays, so the cache is consumed in place — no
-                // copy-out scratch.
-                let mut best: Option<Request> = None;
-                for ci in 0..self.cand_cache[slot].len() {
-                    let cand = self.cand_cache[slot][ci];
-                    let flat = switch * self.num_ports + cand.port;
-                    let OutputKind::Network {
-                        next_switch,
-                        next_input_port,
-                    } = self.out_kind[flat]
-                    else {
-                        continue;
-                    };
-                    if (self.stg_len[flat] as usize) >= self.cap_out {
+                // Pick the VC of the allowed range with the most free space.
+                let dbase = (next_switch * self.num_ports + next_input_port) * self.num_vcs;
+                let mut chosen: Option<(usize, usize)> = None; // (free, vc)
+                for vc in cand.vcs.iter() {
+                    if vc >= self.num_vcs {
                         continue;
                     }
-                    // Pick the VC of the allowed range with the most free space.
-                    let dbase = (next_switch * self.num_ports + next_input_port) * self.num_vcs;
-                    let mut chosen: Option<(usize, usize)> = None; // (free, vc)
-                    for vc in cand.vcs.iter() {
-                        if vc >= self.num_vcs {
-                            continue;
-                        }
-                        let free = self.in_free(dbase + vc);
-                        if free > 0 && chosen.is_none_or(|(best_free, _)| free > best_free) {
-                            chosen = Some((free, vc));
-                        }
-                    }
-                    let Some((_, vc)) = chosen else {
-                        continue;
-                    };
-                    let score = self.request_q(switch, cand.port, vc) * self.cfg.packet_length
-                        + cand.penalty as u64;
-                    if best.as_ref().is_none_or(|b| score < b.score) {
-                        best = Some(Request {
-                            in_port,
-                            in_vc,
-                            out_port: cand.port,
-                            out_vc: vc,
-                            score,
-                            candidate: Some(cand),
-                        });
+                    let free = self.in_free(dbase + vc);
+                    if free > 0 && chosen.is_none_or(|(best_free, _)| free > best_free) {
+                        chosen = Some((free, vc));
                     }
                 }
-                if let Some(req) = best {
-                    out.push(req);
+                let Some((_, vc)) = chosen else {
+                    continue;
+                };
+                let score = self.request_q(switch, cand.port, vc) * self.cfg.packet_length
+                    + cand.penalty as u64;
+                if best.as_ref().is_none_or(|b| score < b.score) {
+                    best = Some(Request {
+                        in_port,
+                        in_vc,
+                        out_port: cand.port,
+                        out_vc: vc,
+                        score,
+                        candidate: Some(cand),
+                    });
                 }
+            }
+            if let Some(req) = best {
+                out.push(req);
             }
         }
     }
@@ -1285,7 +1438,13 @@ impl Simulator {
             let slot = self.slot(switch, req.in_port, req.in_vc);
             let packet = self.in_pop(slot);
             self.cached_for[slot] = NO_PACKET;
-            self.input_occupancy[switch] -= 1;
+            if self.in_len[slot] == 0 {
+                let buffer = std::mem::take(&mut self.cand_cache[slot]);
+                if buffer.capacity() > 0 {
+                    let pool = self.partition_of(switch);
+                    self.cache_pools[pool].push(buffer);
+                }
+            }
             self.port_occ[switch * self.num_ports + req.in_port] -= 1;
             if let Some(cand) = &req.candidate {
                 if let OutputKind::Network { next_switch, .. } = self.out_kind[flat_out] {
@@ -1318,8 +1477,11 @@ impl Simulator {
             self.stg_pkt[g] = packet as u32;
             self.stg_vc[g] = req.out_vc as u16;
             self.stg_ready[g] = self.cycle + crossbar_time;
+            if self.stg_len[flat_out] == 0 {
+                let port = req.out_port;
+                self.stg_mask[switch * self.stg_words + port / 64] |= 1 << (port % 64);
+            }
             self.stg_len[flat_out] += 1;
-            self.staged_count[switch] += 1;
             self.xmit_active.insert(switch);
             out_grants[req.out_port] += 1;
             in_grants[req.in_port] += 1;
@@ -1379,7 +1541,8 @@ impl Simulator {
             self.collect_requests_into(switch, &mut requests);
             self.apply_grants(switch, &requests);
             self.step.requests = requests;
-            if self.input_occupancy[switch] > 0 {
+            let words = switch * self.in_words..(switch + 1) * self.in_words;
+            if self.in_mask[words].iter().any(|&w| w != 0) {
                 active[keep] = switch;
                 keep += 1;
             } else {
@@ -1415,7 +1578,12 @@ impl Simulator {
             let mut cache_rest: &mut [Vec<Candidate>] = &mut self.cand_cache;
             let mut seg_from = 0;
             let mut sw_base = 0;
-            for (pi, route) in self.part_routes.iter_mut().enumerate() {
+            for (pi, (route, pool)) in self
+                .part_routes
+                .iter_mut()
+                .zip(&mut self.cache_pools)
+                .enumerate()
+            {
                 let sw_end = self.part_bounds[pi + 1];
                 let n_slots = (sw_end - sw_base) * slots_per_switch;
                 let (cached_for, rest) = cached_rest.split_at_mut(n_slots);
@@ -1430,6 +1598,7 @@ impl Simulator {
                     cached_for,
                     cache_fresh,
                     cand_cache,
+                    pool,
                     route: std::mem::take(route),
                 }));
                 seg_from = cuts[pi];
@@ -1438,15 +1607,15 @@ impl Simulator {
             let shared = PrefillShared {
                 in_q: &self.in_q,
                 in_head: &self.in_head,
-                in_len: &self.in_len,
+                in_mask: &self.in_mask,
                 pkt_id: &self.pkt.id,
                 pkt_dst_switch: &self.pkt.dst_switch,
                 pkt_state: &self.pkt.state,
                 mechanism: self.mechanism.as_ref(),
                 cycle: self.cycle,
                 cap_in: self.cap_in,
-                num_ports: self.num_ports,
-                num_vcs: self.num_vcs,
+                slots_per_switch,
+                in_words: self.in_words,
             };
             let body = |t: usize| {
                 let mut task = tasks[t].lock().unwrap();
@@ -1464,187 +1633,109 @@ impl Simulator {
     }
 
     /// Transmit stage: visits only the switches with staged packets, in
-    /// ascending switch order so the event wheel receives arrivals in the
-    /// same order a sequential sweep would schedule them. With
-    /// `partitions > 1` the sweep runs in parallel with per-partition event
-    /// buffers merged in ascending partition order — byte-identical because
-    /// every packet transmitted this cycle arrives at the same future cycle.
+    /// ascending switch order, and within a switch only the set bits of its
+    /// `stg_mask`, in ascending port order — so the event wheel receives
+    /// arrivals in the same order an exhaustive sweep would schedule them.
+    /// The switches split into one task per partition. With one partition
+    /// the task runs inline and pushes straight into the event wheel; with
+    /// more they run on the pool with private event buffers appended in
+    /// ascending partition order, which reproduces the sequential push
+    /// order exactly because every packet transmitted this cycle arrives at
+    /// `cycle + packet_length + link_latency`.
     fn transmit(&mut self) {
         self.xmit_active.merge_added();
         self.obs.add(
             Counter::XmitSwitchVisits,
             self.xmit_active.list.len() as u64,
         );
-        if self.partitions > 1 {
-            if !self.xmit_active.list.is_empty() {
-                self.transmit_parallel();
-            }
+        if self.xmit_active.list.is_empty() {
             return;
         }
+        let arrive = self.cycle + self.cfg.packet_length + self.cfg.link_latency;
+        debug_assert!(arrive - self.cycle < self.wheel.len() as u64);
+        let wheel_slot = self.wheel_slot(arrive);
         let mut active = std::mem::take(&mut self.xmit_active.list);
-        let mut keep = 0;
-        for k in 0..active.len() {
-            let switch = active[k];
-            self.transmit_switch(switch);
-            if self.staged_count[switch] > 0 {
-                active[keep] = switch;
-                keep += 1;
-            } else {
-                self.xmit_active.member[switch] = false;
-            }
-        }
-        active.truncate(keep);
-        self.xmit_active.list = active;
-    }
-
-    /// Puts the ready staged packets of one switch onto their links; the
-    /// sequential (`partitions == 1`) transmit body.
-    fn transmit_switch(&mut self, switch: usize) {
-        let packet_length = self.cfg.packet_length;
-        let link_latency = self.cfg.link_latency;
-        for port in 0..self.num_ports {
-            let flat = switch * self.num_ports + port;
-            if self.link_busy[flat] > self.cycle {
-                continue;
-            }
-            if self.stg_len[flat] == 0 {
-                continue;
-            }
-            let head = self.stg_head[flat] as usize;
-            let g = flat * self.cap_out + head;
-            if self.stg_ready[g] > self.cycle {
-                continue;
-            }
-            let next = head + 1;
-            self.stg_head[flat] = if next == self.cap_out { 0 } else { next as u16 };
-            self.stg_len[flat] -= 1;
-            self.staged_count[switch] -= 1;
-            self.link_busy[flat] = self.cycle + packet_length;
-            let packet = self.stg_pkt[g];
-            let arrive = self.cycle + packet_length + link_latency;
-            match self.out_kind[flat] {
-                OutputKind::Network {
-                    next_switch,
-                    next_input_port,
-                } => {
-                    let dslot = (next_switch * self.num_ports + next_input_port) * self.num_vcs
-                        + self.stg_vc[g] as usize;
-                    self.schedule(
-                        arrive,
-                        Ev::Arrival {
-                            slot: dslot as u32,
-                            packet,
-                        },
-                    );
-                }
-                OutputKind::Ejection { .. } => {
-                    self.schedule(arrive, Ev::Delivery { packet });
-                }
-                OutputKind::Dead => unreachable!("dead ports never receive grants"),
-            }
-            self.progress_this_cycle = true;
-        }
-    }
-
-    /// The parallel transmit sweep: each partition walks its segment of the
-    /// active list against its own slices of the staging/link arrays,
-    /// buffering events privately; buffers are then appended to the event
-    /// wheel in ascending partition order, which — because every packet
-    /// transmitted this cycle arrives at `cycle + packet_length +
-    /// link_latency` — reproduces the sequential push order exactly.
-    fn transmit_parallel(&mut self) {
-        let mut active = std::mem::take(&mut self.xmit_active.list);
-        let num_ports = self.num_ports;
         let mut cuts = std::mem::take(&mut self.step.seg);
         cuts.clear();
         for b in 1..=self.partitions {
             cuts.push(active.partition_point(|&s| s < self.part_bounds[b]));
         }
-        let mut tasks: Vec<Mutex<XmitTask>> = Vec::with_capacity(self.partitions);
-        {
-            let mut active_rest: &mut [usize] = &mut active;
-            let mut member_rest: &mut [bool] = &mut self.xmit_active.member;
-            let mut head_rest: &mut [u16] = &mut self.stg_head;
-            let mut len_rest: &mut [u16] = &mut self.stg_len;
-            let mut busy_rest: &mut [u64] = &mut self.link_busy;
-            let mut count_rest: &mut [u32] = &mut self.staged_count;
+        // Per-partition retained counts (`sampled` doubles as usize scratch).
+        let mut kept = std::mem::take(&mut self.step.sampled);
+        kept.clear();
+        let shared = XmitShared {
+            stg_pkt: &self.stg_pkt,
+            stg_vc: &self.stg_vc,
+            stg_ready: &self.stg_ready,
+            out_kind: &self.out_kind,
+            cycle: self.cycle,
+            packet_length: self.cfg.packet_length,
+            cap_out: self.cap_out,
+            num_ports: self.num_ports,
+            num_vcs: self.num_vcs,
+            stg_words: self.stg_words,
+        };
+        let mut whole = XmitTask {
+            sw_base: 0,
+            seg: &mut active,
+            kept: 0,
+            member: &mut self.xmit_active.member,
+            stg_mask: &mut self.stg_mask,
+            stg_head: &mut self.stg_head,
+            stg_len: &mut self.stg_len,
+            link_busy: &mut self.link_busy,
+            events: std::mem::take(&mut self.wheel[wheel_slot]),
+            progress: false,
+        };
+        let events = if self.partitions == 1 {
+            run_xmit_task(&mut whole, &shared);
+            self.progress_this_cycle |= whole.progress;
+            kept.push(whole.kept);
+            whole.events
+        } else {
+            let mut tasks: Vec<Mutex<XmitTask>> = Vec::with_capacity(self.partitions);
             let mut seg_from = 0;
-            let mut sw_base = 0;
-            for (pi, events) in self.part_events.iter_mut().enumerate() {
-                let sw_end = self.part_bounds[pi + 1];
-                let n_sw = sw_end - sw_base;
-                let (seg, rest) = active_rest.split_at_mut(cuts[pi] - seg_from);
-                active_rest = rest;
-                seg_from = cuts[pi];
-                let (member, rest) = member_rest.split_at_mut(n_sw);
-                member_rest = rest;
-                let (stg_head, rest) = head_rest.split_at_mut(n_sw * num_ports);
-                head_rest = rest;
-                let (stg_len, rest) = len_rest.split_at_mut(n_sw * num_ports);
-                len_rest = rest;
-                let (link_busy, rest) = busy_rest.split_at_mut(n_sw * num_ports);
-                busy_rest = rest;
-                let (staged_count, rest) = count_rest.split_at_mut(n_sw);
-                count_rest = rest;
-                tasks.push(Mutex::new(XmitTask {
-                    sw_base,
-                    port_base: sw_base * num_ports,
-                    seg,
-                    kept: 0,
-                    member,
-                    stg_head,
-                    stg_len,
-                    link_busy,
-                    staged_count,
-                    events: std::mem::take(events),
-                    progress: false,
-                }));
-                sw_base = sw_end;
+            for (pi, (&cut, bounds)) in cuts.iter().zip(self.part_bounds.windows(2)).enumerate() {
+                let buffer = if pi == 0 {
+                    std::mem::take(&mut whole.events)
+                } else {
+                    std::mem::take(&mut self.part_events[pi])
+                };
+                let n_sw = bounds[1] - bounds[0];
+                tasks.push(Mutex::new(whole.split_front(
+                    n_sw,
+                    cut - seg_from,
+                    &shared,
+                    buffer,
+                )));
+                seg_from = cut;
             }
-            let shared = XmitShared {
-                stg_pkt: &self.stg_pkt,
-                stg_vc: &self.stg_vc,
-                stg_ready: &self.stg_ready,
-                out_kind: &self.out_kind,
-                cycle: self.cycle,
-                packet_length: self.cfg.packet_length,
-                cap_out: self.cap_out,
-                num_ports,
-                num_vcs: self.num_vcs,
-            };
-            let body = |t: usize| {
-                let mut task = tasks[t].lock().unwrap();
-                run_xmit_task(&mut task, &shared);
-            };
+            let body = |t: usize| run_xmit_task(&mut tasks[t].lock().unwrap(), &shared);
             self.pool
                 .as_ref()
                 .expect("partitions > 1 without a pool")
                 .run(self.partitions, &body);
-        }
-        // Merge in fixed partition order: events first (all share one wheel
-        // slot), then the retained-switch segments back into one sorted list.
-        let mut kept = std::mem::take(&mut self.step.sampled); // reuse as usize scratch
-        kept.clear();
-        for (pi, cell) in tasks.into_iter().enumerate() {
-            let task = cell.into_inner().unwrap();
-            self.progress_this_cycle |= task.progress;
-            kept.push(task.kept);
-            self.part_events[pi] = task.events;
-        }
-        let arrive = self.cycle + self.cfg.packet_length + self.cfg.link_latency;
-        debug_assert!(arrive - self.cycle < self.wheel.len() as u64);
-        let wheel_slot = self.wheel_slot(arrive);
-        for pi in 0..self.partitions {
-            let events = &mut self.part_events[pi];
-            self.wheel[wheel_slot].extend(events.drain(..));
-        }
-        let mut w = 0;
-        for pi in 0..self.partitions {
-            let seg_from = if pi == 0 { 0 } else { cuts[pi - 1] };
-            for i in 0..kept[pi] {
-                active[w] = active[seg_from + i];
-                w += 1;
+            let mut events = Vec::new();
+            for (pi, cell) in tasks.into_iter().enumerate() {
+                let mut task = cell.into_inner().unwrap();
+                self.progress_this_cycle |= task.progress;
+                kept.push(task.kept);
+                if pi == 0 {
+                    events = task.events;
+                } else {
+                    events.append(&mut task.events);
+                    self.part_events[pi] = task.events;
+                }
             }
+            events
+        };
+        self.wheel[wheel_slot] = events;
+        // Compact the retained switches of every segment into one sorted list.
+        let mut w = 0;
+        for (pi, &n) in kept.iter().enumerate() {
+            let seg_from = if pi == 0 { 0 } else { cuts[pi - 1] };
+            active.copy_within(seg_from..seg_from + n, w);
+            w += n;
         }
         active.truncate(w);
         self.xmit_active.list = active;
@@ -1654,59 +1745,70 @@ impl Simulator {
     }
 }
 
-/// The per-partition transmit body (see [`Simulator::transmit_parallel`]).
-/// All indices into `task` slices are offset by the partition's base; reads
-/// of the staging payload arrays use global flat indices.
+/// The transmit body of one partition (see [`Simulator::transmit`]): puts
+/// the ready staged packets of the partition's active switches onto their
+/// links. Indices into `task` slices are offset by the partition's first
+/// switch; reads of the staging payload arrays use global flat indices.
 fn run_xmit_task(task: &mut XmitTask, shared: &XmitShared) {
+    let (num_ports, words) = (shared.num_ports, shared.stg_words);
     let mut kept = 0;
     for k in 0..task.seg.len() {
         let switch = task.seg[k];
-        for port in 0..shared.num_ports {
-            let flat = switch * shared.num_ports + port;
-            let lf = flat - task.port_base;
-            if task.link_busy[lf] > shared.cycle {
-                continue;
-            }
-            if task.stg_len[lf] == 0 {
-                continue;
-            }
-            let head = task.stg_head[lf] as usize;
-            let g = flat * shared.cap_out + head;
-            if shared.stg_ready[g] > shared.cycle {
-                continue;
-            }
-            let next = head + 1;
-            task.stg_head[lf] = if next == shared.cap_out {
-                0
-            } else {
-                next as u16
-            };
-            task.stg_len[lf] -= 1;
-            task.staged_count[switch - task.sw_base] -= 1;
-            task.link_busy[lf] = shared.cycle + shared.packet_length;
-            let packet = shared.stg_pkt[g];
-            match shared.out_kind[flat] {
-                OutputKind::Network {
-                    next_switch,
-                    next_input_port,
-                } => {
-                    let dslot = (next_switch * shared.num_ports + next_input_port) * shared.num_vcs
-                        + shared.stg_vc[g] as usize;
-                    task.events.push(Ev::Arrival {
-                        slot: dslot as u32,
-                        packet,
-                    });
+        let ls = switch - task.sw_base;
+        for w in ls * words..(ls + 1) * words {
+            let mut bits = task.stg_mask[w];
+            while bits != 0 {
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let port = (w - ls * words) * 64 + bit;
+                let lf = ls * num_ports + port;
+                if task.link_busy[lf] > shared.cycle {
+                    continue;
                 }
-                OutputKind::Ejection { .. } => task.events.push(Ev::Delivery { packet }),
-                OutputKind::Dead => unreachable!("dead ports never receive grants"),
+                let flat = switch * num_ports + port;
+                let head = task.stg_head[lf] as usize;
+                let g = flat * shared.cap_out + head;
+                if shared.stg_ready[g] > shared.cycle {
+                    continue;
+                }
+                let next = head + 1;
+                task.stg_head[lf] = if next == shared.cap_out {
+                    0
+                } else {
+                    next as u16
+                };
+                task.stg_len[lf] -= 1;
+                if task.stg_len[lf] == 0 {
+                    task.stg_mask[w] &= !(1 << bit);
+                }
+                task.link_busy[lf] = shared.cycle + shared.packet_length;
+                let packet = shared.stg_pkt[g];
+                match shared.out_kind[flat] {
+                    OutputKind::Network {
+                        next_switch,
+                        next_input_port,
+                    } => {
+                        let dslot = (next_switch * num_ports + next_input_port) * shared.num_vcs
+                            + shared.stg_vc[g] as usize;
+                        task.events.push(Ev::Arrival {
+                            slot: dslot as u32,
+                            packet,
+                        });
+                    }
+                    OutputKind::Ejection { .. } => task.events.push(Ev::Delivery { packet }),
+                    OutputKind::Dead => unreachable!("dead ports never receive grants"),
+                }
+                task.progress = true;
             }
-            task.progress = true;
         }
-        if task.staged_count[switch - task.sw_base] > 0 {
+        if task.stg_mask[ls * words..(ls + 1) * words]
+            .iter()
+            .any(|&w| w != 0)
+        {
             task.seg[kept] = switch;
             kept += 1;
         } else {
-            task.member[switch - task.sw_base] = false;
+            task.member[ls] = false;
         }
     }
     task.kept = kept;
@@ -1717,34 +1819,29 @@ fn run_xmit_task(task: &mut XmitTask, shared: &XmitShared) {
 /// accounting happens in the sequential sweep via the `cache_fresh` stamp.
 fn run_prefill_task(task: &mut PrefillTask, shared: &PrefillShared) {
     for &switch in task.seg {
-        for port in 0..shared.num_ports {
-            for vc in 0..shared.num_vcs {
-                let slot = (switch * shared.num_ports + port) * shared.num_vcs + vc;
-                if shared.in_len[slot] == 0 {
-                    continue;
-                }
-                let head =
-                    shared.in_q[slot * shared.cap_in + shared.in_head[slot] as usize] as usize;
-                // Ejection heads never consult the candidate cache.
-                if shared.pkt_dst_switch[head] as usize == switch {
-                    continue;
-                }
-                let id = shared.pkt_id[head];
-                let ls = slot - task.slot_base;
-                if task.cached_for[ls] != id {
-                    task.cached_for[ls] = id;
-                    let cache = &mut task.cand_cache[ls];
-                    cache.clear();
-                    shared.mechanism.candidates_into(
-                        &shared.pkt_state[head],
-                        switch,
-                        &mut task.route,
-                        cache,
-                    );
-                    // Stamp: the sequential sweep counts this as the miss a
-                    // sequential engine would have taken at this head.
-                    task.cache_fresh[ls] = shared.cycle + 1;
-                }
+        let words = &shared.in_mask[switch * shared.in_words..(switch + 1) * shared.in_words];
+        for local in set_bits(words) {
+            let slot = switch * shared.slots_per_switch + local;
+            let head = shared.in_q[slot * shared.cap_in + shared.in_head[slot] as usize] as usize;
+            // Ejection heads never consult the candidate cache.
+            if shared.pkt_dst_switch[head] as usize == switch {
+                continue;
+            }
+            let id = shared.pkt_id[head];
+            let ls = slot - task.slot_base;
+            if task.cached_for[ls] != id {
+                task.cached_for[ls] = id;
+                let cache = &mut task.cand_cache[ls];
+                prepare_cache(cache, task.pool);
+                shared.mechanism.candidates_into(
+                    &shared.pkt_state[head],
+                    switch,
+                    &mut task.route,
+                    cache,
+                );
+                // Stamp: the sequential sweep counts this as the miss a
+                // sequential engine would have taken at this head.
+                task.cache_fresh[ls] = shared.cycle + 1;
             }
         }
     }

@@ -245,9 +245,13 @@ mod layout_equivalence {
             for spec in [
                 MechanismSpec::Minimal,
                 MechanismSpec::Valiant,
+                MechanismSpec::OmniWAR,
                 MechanismSpec::Polarized,
                 MechanismSpec::OmniSP,
                 MechanismSpec::PolSP,
+                MechanismSpec::Dal,
+                MechanismSpec::OmniSPTree,
+                MechanismSpec::PolSPTree,
             ] {
                 for load in [0.1, 0.5, 0.9] {
                     let mut cfg = SimConfig::quick(2, 4);
@@ -280,6 +284,50 @@ mod layout_equivalence {
                 }
             }
         }
+    }
+
+    #[test]
+    fn wide_switches_whose_masks_span_several_words_identical() {
+        // A 1-D HyperX of side 34 with 32 servers per switch: 65 ports and
+        // 260 VC slots per switch, so both occupancy masks span several
+        // 64-bit words (every 4x4 case fits in one).
+        let view = Arc::new(NetworkView::healthy(HyperX::regular(1, 34), 0));
+        let mut cfg = SimConfig::quick(32, 4);
+        cfg.warmup_cycles = 60;
+        cfg.measure_cycles = 120;
+        cfg.seed = 8;
+        cfg.rng_contract = RngContract::V2Counting;
+        let layout = ServerLayout::new(view.hyperx(), cfg.servers_per_switch);
+        let mut v5 = Simulator::new(
+            view.clone(),
+            MechanismSpec::OmniSP.build(view.clone(), 4),
+            Box::new(UniformTraffic::new(&layout)),
+            cfg.clone(),
+        );
+        assert_eq!(v5.num_ports, 65);
+        assert!(v5.in_words > 1 && v5.stg_words > 1);
+        let m5 = v5.run_rate(0.9);
+        let mut v4 = SimulatorV4::new(
+            view.clone(),
+            MechanismSpec::OmniSP.build(view.clone(), 4),
+            Box::new(UniformTraffic::new(&layout)),
+            cfg,
+        );
+        let m4 = v4.run_rate(0.9);
+        assert!(m5.delivered_packets > 0);
+        assert_eq!(
+            format!(
+                "{m5:?}|gen={}|del={}",
+                v5.total_generated(),
+                v5.total_delivered()
+            ),
+            format!(
+                "{m4:?}|gen={}|del={}",
+                v4.total_generated(),
+                v4.total_delivered()
+            ),
+        );
+        assert_eq!(v5.obs(), v4.obs(), "counters diverged on a wide switch");
     }
 
     #[test]
@@ -499,6 +547,41 @@ mod partition_invariance {
                 Some(r) => assert_eq!(&bytes, r, "trace stream diverged at P={p}"),
             }
         }
+    }
+
+    #[test]
+    fn wide_switches_invariant_across_partition_counts() {
+        // The multi-word masks of the layout test above, stepped by two
+        // partitions: the split transmit tasks and the parallel prefill
+        // must reproduce P = 1 byte for byte.
+        let view = Arc::new(NetworkView::healthy(HyperX::regular(1, 34), 0));
+        let run = |partitions: usize| {
+            let mut cfg = SimConfig::quick(32, 4);
+            cfg.warmup_cycles = 60;
+            cfg.measure_cycles = 120;
+            cfg.seed = 8;
+            cfg.rng_contract = RngContract::V2Counting;
+            cfg.partitions = partitions;
+            let layout = ServerLayout::new(view.hyperx(), cfg.servers_per_switch);
+            let mut sim = Simulator::new(
+                view.clone(),
+                MechanismSpec::OmniSP.build(view.clone(), 4),
+                Box::new(UniformTraffic::new(&layout)),
+                cfg,
+            );
+            assert_eq!(sim.partitions(), partitions);
+            let m = sim.run_rate(0.9);
+            let bytes = format!(
+                "{m:?}|gen={}|del={}",
+                sim.total_generated(),
+                sim.total_delivered()
+            );
+            (bytes, sim.obs().clone())
+        };
+        let (p1, obs1) = run(1);
+        let (p2, obs2) = run(2);
+        assert_eq!(p1, p2, "wide switches diverged at P=2");
+        assert_eq!(obs1, obs2, "wide-switch counters diverged at P=2");
     }
 
     #[test]

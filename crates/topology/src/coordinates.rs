@@ -70,6 +70,15 @@ impl CoordinateSystem {
         out
     }
 
+    /// Coordinate of switch `id` in dimension `d`, without building the
+    /// whole vector: `(id / stride(d)) % side(d)`.
+    #[inline]
+    pub fn coord(&self, id: usize, d: usize) -> usize {
+        debug_assert!(id < self.num_switches(), "switch id {id} out of range");
+        let stride: usize = self.sides[..d].iter().product();
+        (id / stride) % self.sides[d]
+    }
+
     /// Converts a coordinate vector into its flat switch index.
     ///
     /// # Panics
@@ -90,9 +99,9 @@ impl CoordinateSystem {
     /// Number of coordinates in which `a` and `b` differ. In a healthy HyperX
     /// this equals the graph distance between the two switches.
     pub fn hamming_distance(&self, a: usize, b: usize) -> usize {
-        let ca = self.to_coords(a);
-        let cb = self.to_coords(b);
-        ca.iter().zip(&cb).filter(|(x, y)| x != y).count()
+        (0..self.dims())
+            .filter(|&d| self.coord(a, d) != self.coord(b, d))
+            .count()
     }
 
     /// Returns the switch obtained from `id` by setting dimension `d` to `value`.

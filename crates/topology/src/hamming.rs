@@ -150,7 +150,7 @@ impl HyperX {
     /// # Panics
     /// Panics if `value` equals the switch's own coordinate in `dim`.
     pub fn port_for(&self, s: SwitchId, dim: usize, value: usize) -> PortId {
-        let own = self.coords.to_coords(s)[dim];
+        let own = self.coords.coord(s, dim);
         assert!(
             own != value,
             "switch {s} already has coordinate {value} in dimension {dim}"
@@ -165,7 +165,7 @@ impl HyperX {
             Ok(d) => d - 1,
             Err(d) => d - 1,
         };
-        let own = self.coords.to_coords(s)[dim];
+        let own = self.coords.coord(s, dim);
         let off = p - self.offsets[dim];
         let value = if off < own { off } else { off + 1 };
         PortMeaning { dim, value }

@@ -169,32 +169,27 @@ impl UpDownEscape {
     }
 
     /// The escape candidates offered at `current` for a packet heading to `dest`:
-    /// every live port whose far endpoint strictly reduces the Up/Down distance.
+    /// every live port whose far endpoint strictly reduces the Up/Down distance,
+    /// in port order. Lazy, so the simulator's hot path never allocates here.
     ///
-    /// Returns an empty vector only when `current == dest`.
-    pub fn escape_candidates(
-        &self,
-        net: &Network,
+    /// Yields nothing only when `current == dest`.
+    pub fn escape_candidates<'a>(
+        &'a self,
+        net: &'a Network,
         current: SwitchId,
         dest: SwitchId,
-    ) -> Vec<EscapeCandidate> {
-        if current == dest {
-            return Vec::new();
-        }
+    ) -> impl Iterator<Item = EscapeCandidate> + 'a {
+        // At the destination `here` is 0, so nothing can reduce it.
         let here = self.updown_distance(current, dest);
-        let mut out = Vec::new();
-        for (p, nb) in net.neighbors(current) {
+        net.neighbors(current).filter_map(move |(p, nb)| {
             let there = self.updown_distance(nb.switch, dest);
-            if there < here {
-                out.push(EscapeCandidate {
-                    port: p,
-                    neighbor: nb.switch,
-                    class: self.classes[current][p].expect("live port has a class"),
-                    reduction: here - there,
-                });
-            }
-        }
-        out
+            (there < here).then(|| EscapeCandidate {
+                port: p,
+                neighbor: nb.switch,
+                class: self.classes[current][p].expect("live port has a class"),
+                reduction: here - there,
+            })
+        })
     }
 
     /// Number of links per class, useful for diagnostics and the
@@ -266,7 +261,7 @@ mod tests {
         let s01 = hx.switch_id(&[0, 1]);
         let s03 = hx.switch_id(&[0, 3]);
         assert_eq!(esc.updown_distance(s01, s03), 2);
-        let cands = esc.escape_candidates(hx.network(), s01, s03);
+        let cands: Vec<_> = esc.escape_candidates(hx.network(), s01, s03).collect();
         let direct_port = hx.network().port_towards(s01, s03).unwrap();
         let direct = cands.iter().find(|c| c.port == direct_port).unwrap();
         assert_eq!(direct.class, LinkClass::Horizontal);
@@ -312,7 +307,7 @@ mod tests {
         let esc = UpDownEscape::new(hx.network(), 5);
         for cur in 0..hx.num_switches() {
             for dest in 0..hx.num_switches() {
-                let cands = esc.escape_candidates(hx.network(), cur, dest);
+                let cands: Vec<_> = esc.escape_candidates(hx.network(), cur, dest).collect();
                 if cur == dest {
                     assert!(cands.is_empty());
                 } else {
@@ -347,7 +342,7 @@ mod tests {
         for cur in 0..hx.num_switches() {
             for dest in 0..hx.num_switches() {
                 if cur != dest {
-                    assert!(!esc.escape_candidates(&net, cur, dest).is_empty());
+                    assert!(esc.escape_candidates(&net, cur, dest).next().is_some());
                 }
             }
         }
@@ -373,7 +368,7 @@ mod tests {
         // (0,1) -> (0,3): the direct link is horizontal and reduces by 2.
         let a = hx.switch_id(&[0, 1]);
         let b = hx.switch_id(&[0, 3]);
-        let cands = esc.escape_candidates(hx.network(), a, b);
+        let cands: Vec<_> = esc.escape_candidates(hx.network(), a, b).collect();
         let direct = cands
             .iter()
             .find(|c| c.neighbor == b)

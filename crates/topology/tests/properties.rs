@@ -2,11 +2,11 @@
 
 use hyperx_topology::{
     bfs_distances, diameter_under_fault_sequence, edge_disjoint_paths, shortest_path_count,
-    survivability_under_faults, DistanceHistogram, DistanceMatrix, FaultSet, FaultShape, HyperX,
-    Network, RootPolicy, UpDownEscape,
+    survivability_under_faults, CoordinateSystem, DistanceHistogram, DistanceMatrix, FaultSet,
+    FaultShape, HyperX, Network, RootPolicy, UpDownEscape,
 };
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// Strategy: HyperX sides with 1 to 3 dimensions of side 2..=6, capped in total size.
@@ -101,6 +101,27 @@ proptest! {
     }
 
     #[test]
+    fn coordinate_lookup_and_hamming_distance_agree_with_to_coords(
+        sides in prop::collection::vec(2usize..=9, 1..=4),
+        seed in 0u64..1000,
+    ) {
+        // Random mixed-radix systems, up to 9^4 switches: sample pairs.
+        let cs = CoordinateSystem::new(&sides);
+        let n = cs.num_switches();
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        for _ in 0..64 {
+            let a = rng.gen_range(0..n);
+            let b = rng.gen_range(0..n);
+            let (ca, cb) = (cs.to_coords(a), cs.to_coords(b));
+            for (d, &c) in ca.iter().enumerate() {
+                prop_assert_eq!(cs.coord(a, d), c, "coord({}, {})", a, d);
+            }
+            let differing = ca.iter().zip(&cb).filter(|(x, y)| x != y).count();
+            prop_assert_eq!(cs.hamming_distance(a, b), differing, "({}, {})", a, b);
+        }
+    }
+
+    #[test]
     fn graph_distance_equals_hamming_distance(sides in sides_strategy()) {
         let hx = HyperX::new(&sides);
         let d = DistanceMatrix::compute(hx.network());
@@ -190,7 +211,7 @@ proptest! {
         let esc = UpDownEscape::new(&net, 0);
         for cur in 0..hx.num_switches() {
             for dest in 0..hx.num_switches() {
-                let cands = esc.escape_candidates(&net, cur, dest);
+                let cands: Vec<_> = esc.escape_candidates(&net, cur, dest).collect();
                 if cur == dest {
                     prop_assert!(cands.is_empty());
                 } else {
