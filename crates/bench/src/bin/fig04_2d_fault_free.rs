@@ -15,8 +15,7 @@ use hyperx_bench::{
 };
 use hyperx_routing::MechanismSpec;
 use surepath_core::{
-    format_rate_table, rate_metrics_to_csv, rate_points_from_store, CampaignSpec, TopologySpec,
-    TrafficSpec,
+    format_rate_table, rate_metrics_to_csv, store_points, CampaignSpec, TopologySpec, TrafficSpec,
 };
 
 fn campaign(scale: Scale) -> CampaignSpec {
@@ -43,7 +42,7 @@ fn main() {
     let spec = campaign(opts.scale);
     let store = run_campaigns_to_store(&opts, "fig04", std::slice::from_ref(&spec));
 
-    let points = rate_points_from_store(&store, Some(&spec.name));
+    let points = store_points(&store, &spec.name, "rate");
     let mut all_points = Vec::new();
     for traffic in TrafficSpec::lineup_2d() {
         println!("=== Figure 4 / {} ===", traffic.name());
@@ -52,10 +51,10 @@ fn main() {
             .filter(|p| p.traffic == traffic.name())
             .cloned()
             .collect();
-        println!("{}", format_rate_table(&group));
+        println!("{}", format_rate_table(group.iter().cloned()));
         all_points.extend(group);
     }
     println!("Paper shapes to check: Valiant caps near 0.5 under Uniform; Minimal saturates early");
     println!("under DCR; OmniSP/PolSP match or beat OmniWAR/Polarized everywhere.");
-    opts.maybe_write_csv(&rate_metrics_to_csv(&all_points));
+    opts.maybe_write_csv(&rate_metrics_to_csv(all_points));
 }

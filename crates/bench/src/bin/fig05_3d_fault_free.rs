@@ -11,8 +11,7 @@ use hyperx_bench::{
 };
 use hyperx_routing::MechanismSpec;
 use surepath_core::{
-    format_rate_table, rate_metrics_to_csv, rate_points_from_store, CampaignSpec, TopologySpec,
-    TrafficSpec,
+    format_rate_table, rate_metrics_to_csv, store_points, CampaignSpec, TopologySpec, TrafficSpec,
 };
 
 fn campaign(scale: Scale) -> CampaignSpec {
@@ -39,7 +38,7 @@ fn main() {
     let spec = campaign(opts.scale);
     let store = run_campaigns_to_store(&opts, "fig05", std::slice::from_ref(&spec));
 
-    let points = rate_points_from_store(&store, Some(&spec.name));
+    let points = store_points(&store, &spec.name, "rate");
     let mut all_points = Vec::new();
     for traffic in TrafficSpec::lineup_3d() {
         println!("=== Figure 5 / {} ===", traffic.name());
@@ -48,12 +47,12 @@ fn main() {
             .filter(|p| p.traffic == traffic.name())
             .cloned()
             .collect();
-        println!("{}", format_rate_table(&group));
+        println!("{}", format_rate_table(group.iter().cloned()));
         all_points.extend(group);
     }
     println!("Paper shapes to check: under Regular Permutation to Neighbour, OmniWAR/OmniSP stay");
     println!(
         "near 0.5 while Polarized/PolSP exceed it; SurePath variants lead the other patterns."
     );
-    opts.maybe_write_csv(&rate_metrics_to_csv(&all_points));
+    opts.maybe_write_csv(&rate_metrics_to_csv(all_points));
 }

@@ -14,7 +14,9 @@ use hyperx_bench::{
     fault_steps, replicas, saturation_load, sides_2d, sides_3d, windows, HarnessOptions, Scale,
 };
 use hyperx_routing::MechanismSpec;
-use surepath_core::{replicated_rate_points, CampaignSpec, ResultStore, TopologySpec, TrafficSpec};
+use surepath_core::{
+    csv_half_width, store_points, CampaignSpec, RateMetrics, ResultStore, TopologySpec, TrafficSpec,
+};
 
 const FAULT_SEED: u64 = 20_240_404;
 
@@ -82,13 +84,17 @@ fn render_network(
     // fixed lineups. The table prints the replica mean; the CSV carries the
     // sample size and ±2σ/√n half-widths.
     let mut cells = std::collections::HashMap::new();
-    for point in replicated_rate_points(store, Some(&campaign.name)) {
+    for point in store_points(store, &campaign.name, "rate") {
+        let n = point.runs::<RateMetrics>().len();
+        if n == 0 {
+            continue;
+        }
         let key = (
             point.job.mechanism.clone().unwrap_or_default(),
             point.job.traffic.clone().unwrap_or_default(),
             fault_count(point.job.scenario.as_deref().unwrap_or_default()),
         );
-        cells.insert(key, point);
+        cells.insert(key, (n, point));
     }
     for &traffic in patterns {
         for mechanism in MechanismSpec::surepath_lineup() {
@@ -102,21 +108,22 @@ fn render_network(
                     traffic.key().to_string(),
                     count,
                 );
-                let Some(point) = cells.get(&key) else {
+                let Some((n, point)) = cells.get(&key) else {
                     print!("{:>8}", "-");
                     continue;
                 };
-                print!("{:>8.3}", point.accepted_load.mean);
+                let accepted = point.summary(|m: &RateMetrics| m.accepted_load);
+                let latency = point.summary(|m: &RateMetrics| m.average_latency);
+                print!("{:>8.3}", accepted.mean);
                 csv.push_str(&format!(
-                    "{name},{},{},{count},{},{:.6},{},{:.3},{},{:.5}\n",
+                    "{name},{},{},{count},{n},{:.6},{},{:.3},{},{:.5}\n",
                     mechanism.name(),
                     traffic.name().replace(',', ";"),
-                    point.n,
-                    point.accepted_load.mean,
-                    surepath_core::csv_half_width(&point.accepted_load, 6),
-                    point.average_latency.mean,
-                    surepath_core::csv_half_width(&point.average_latency, 3),
-                    point.jain_generated.mean,
+                    accepted.mean,
+                    csv_half_width(&accepted, 6),
+                    latency.mean,
+                    csv_half_width(&latency, 3),
+                    point.summary(|m: &RateMetrics| m.jain_generated).mean,
                 ));
             }
             println!();

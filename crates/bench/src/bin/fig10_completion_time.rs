@@ -17,8 +17,8 @@ use hyperx_bench::{mechanism_keys, run_campaigns_to_store, sides_3d, HarnessOpti
 use hyperx_routing::MechanismSpec;
 use hyperx_topology::FaultShape;
 use surepath_core::{
-    batch_runs_from_store, batch_samples_csv, completion_ratio, format_batch_table, CampaignSpec,
-    FaultScenario, TopologySpec,
+    batch_samples_csv, completion_ratio, format_batch_table, store_points, BatchMetrics,
+    CampaignSpec, FaultScenario, StorePoint, TopologySpec,
 };
 
 fn campaign(scale: Scale) -> (CampaignSpec, u64) {
@@ -61,20 +61,24 @@ fn main() {
     println!();
 
     let store = run_campaigns_to_store(&opts, "fig10", std::slice::from_ref(&spec));
-    let runs = batch_runs_from_store(&store, Some(&spec.name));
-    print!("{}", format_batch_table(&runs));
+    let points = store_points(&store, &spec.name, "batch");
+    print!("{}", format_batch_table(&points));
     println!();
 
     // Throughput-over-time series (the curve of Figure 10).
-    for run in &runs {
-        println!("accepted load over time for {}:", run.mechanism);
-        for sample in &run.metrics.samples {
+    let runs: Vec<(&StorePoint, BatchMetrics)> = points
+        .iter()
+        .flat_map(|p| p.runs().into_iter().map(move |run| (p, run)))
+        .collect();
+    for (point, run) in &runs {
+        println!("accepted load over time for {}:", point.label);
+        for sample in &run.samples {
             println!("  cycle {:>8}: {:.3}", sample.cycle, sample.accepted_load);
         }
         println!();
     }
 
-    match completion_ratio(&runs, "OmniSP", "PolSP") {
+    match completion_ratio(&points, "OmniSP", "PolSP") {
         Some(ratio) => println!(
             "OmniSP completion time is {ratio:.2}x PolSP's (the paper reports about 2.8x on the \
              full-size network)."
@@ -87,11 +91,11 @@ fn main() {
                 "none".to_string()
             } else {
                 runs.iter()
-                    .map(|r| r.mechanism.as_str())
+                    .map(|(p, _)| p.label.as_str())
                     .collect::<Vec<_>>()
                     .join(", ")
             }
         ),
     }
-    opts.maybe_write_csv(&batch_samples_csv(&runs));
+    opts.maybe_write_csv(&batch_samples_csv(&points));
 }

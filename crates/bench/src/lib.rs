@@ -273,15 +273,15 @@ pub fn render_fault_shape_figure(
     shapes: &[(&str, surepath_core::FaultScenario)],
     csv: &mut String,
 ) {
-    use surepath_core::{csv_half_width, format_mean_hw, FaultScenario};
+    use surepath_core::{csv_half_width, format_mean_hw, FaultScenario, RateMetrics};
     // Index replica-aggregated accepted loads by (mechanism, traffic,
     // scenario) display names.
     let mut accepted = std::collections::HashMap::new();
-    for p in surepath_core::replicated_rate_points(store, Some(campaign)) {
-        accepted.insert(
-            (p.mechanism.clone(), p.traffic.clone(), p.scenario.clone()),
-            p.accepted_load,
-        );
+    for p in surepath_core::store_points(store, campaign, "rate") {
+        if !p.runs::<RateMetrics>().is_empty() {
+            let summary = p.summary(|m: &RateMetrics| m.accepted_load);
+            accepted.insert((p.mechanism, p.traffic, p.scenario), summary);
+        }
     }
     for (shape_name, scenario) in shapes {
         println!("=== {figure} / {shape_name} faults ===");

@@ -8,16 +8,16 @@
 //! This module turns each of those into a runnable study so the claims can be
 //! quantified on the same simulator as the main figures:
 //!
-//! * [`vc_count_study`] — SurePath throughput as a function of its VC budget.
-//! * [`escape_shortcut_study`] — the paper's opportunistic escape versus the
-//!   pure Up*/Down* tree (ablating the shortcuts).
-//! * [`root_placement_study`] — the stressful in-fault root versus the
-//!   [`RootPolicy`] alternatives.
+//! * [`vc_count_study`] — SurePath throughput as a function of its VC budget,
+//!   run live;
+//! * [`ablation_points_from_store`] — any of the three studies (VC budget,
+//!   escape shortcuts, root placement) read back from a campaign store, the
+//!   way the ablation binaries render them.
 
-use crate::experiment::{Experiment, RootPlacement};
-use crate::sweep::SweepPoint;
+use crate::experiment::Experiment;
+use crate::report::store_points;
 use hyperx_routing::MechanismSpec;
-use hyperx_topology::RootPolicy;
+use hyperx_sim::RateMetrics;
 use serde::{Deserialize, Serialize};
 
 /// One measurement of an ablation study: the varied knob, its value and the
@@ -43,31 +43,6 @@ pub struct AblationPoint {
     pub escape_fraction: f64,
 }
 
-impl AblationPoint {
-    fn from_sweep(knob: &str, value: String, p: &SweepPoint) -> Self {
-        AblationPoint {
-            knob: knob.to_string(),
-            value,
-            mechanism: p.mechanism.clone(),
-            offered_load: p.offered_load,
-            replicas: 1,
-            accepted_load: p.metrics.accepted_load,
-            average_latency: p.metrics.average_latency,
-            escape_fraction: p.metrics.escape_fraction,
-        }
-    }
-}
-
-fn probe(experiment: &Experiment, load: f64) -> SweepPoint {
-    SweepPoint {
-        mechanism: experiment.mechanism.name().to_string(),
-        traffic: experiment.traffic.name().to_string(),
-        scenario: experiment.scenario.name(),
-        offered_load: load,
-        metrics: experiment.run_rate(load),
-    }
-}
-
 /// Runs the given SurePath experiment with every VC budget in `vc_counts`
 /// (each must be ≥ 2) at the probe load.
 ///
@@ -84,107 +59,50 @@ pub fn vc_count_study(template: &Experiment, vc_counts: &[usize], load: f64) -> 
         .map(|&vcs| {
             assert!(vcs >= 2, "SurePath needs at least 2 VCs");
             let exp = template.clone().with_num_vcs(vcs);
-            AblationPoint::from_sweep("vcs", vcs.to_string(), &probe(&exp, load))
+            let metrics = exp.run_rate(load);
+            AblationPoint {
+                knob: "vcs".to_string(),
+                value: vcs.to_string(),
+                mechanism: exp.mechanism.name().to_string(),
+                offered_load: load,
+                replicas: 1,
+                accepted_load: metrics.accepted_load,
+                average_latency: metrics.average_latency,
+                escape_fraction: metrics.escape_fraction,
+            }
         })
         .collect()
-}
-
-/// Compares each SurePath configuration with its tree-only (no shortcuts)
-/// counterpart at the probe load: the ablation of §3.2's opportunistic
-/// shortcuts, which the paper credits with lifting the escape subnetwork from
-/// "the marginal throughput of a tree" to a usable fallback.
-pub fn escape_shortcut_study(template: &Experiment, load: f64) -> Vec<AblationPoint> {
-    MechanismSpec::escape_ablation_lineup()
-        .iter()
-        .map(|&mechanism| {
-            let mut exp = template.clone();
-            exp.mechanism = mechanism;
-            let value = if matches!(
-                mechanism,
-                MechanismSpec::OmniSPTree | MechanismSpec::PolSPTree
-            ) {
-                "tree-only".to_string()
-            } else {
-                "opportunistic".to_string()
-            };
-            AblationPoint::from_sweep("escape", value, &probe(&exp, load))
-        })
-        .collect()
-}
-
-/// Compares the paper's stressful root placement (inside the fault region)
-/// against the [`RootPolicy`] alternatives, for the template's mechanism and
-/// scenario, at the probe load.
-pub fn root_placement_study(template: &Experiment, load: f64) -> Vec<AblationPoint> {
-    assert!(
-        template.mechanism.is_surepath(),
-        "the root-placement study only makes sense for SurePath mechanisms"
-    );
-    let mut out = Vec::new();
-    let suggested = template.clone().with_root(RootPlacement::Suggested);
-    out.push(AblationPoint::from_sweep(
-        "root",
-        "suggested(in-fault)".to_string(),
-        &probe(&suggested, load),
-    ));
-    for policy in [
-        RootPolicy::MaxAliveDegree,
-        RootPolicy::MinEccentricity,
-        RootPolicy::MinTotalDistance,
-    ] {
-        let exp = template.clone().with_root(RootPlacement::Policy(policy));
-        out.push(AblationPoint::from_sweep(
-            "root",
-            policy.name(),
-            &probe(&exp, load),
-        ));
-    }
-    out
 }
 
 /// Reconstructs ablation points from a campaign result store (campaign name
 /// + `rate` kind), deriving the varied knob's value from the stored job:
 ///
 /// * `"vcs"` — the job's VC budget;
-/// * `"root"` — the job's root-placement spec (`suggested` is labelled
-///   `suggested(in-fault)`, matching the studies above);
+/// * `"root"` — the job's root-placement spec (`suggested`, the default, is
+///   labelled `suggested(in-fault)`: the paper's stressful root);
 /// * `"escape"` — `tree-only` for the `*-tree` mechanism variants,
 ///   `opportunistic` otherwise.
 ///
-/// Records come back in the store's canonical grid order; failed records
-/// are skipped (re-run the campaign to heal them). `filter` selects which
-/// jobs to render (e.g. one mechanism × traffic section of a study) —
-/// pass `|_| true` for everything.
-///
-/// Replication-aware: records that are replicas of the same grid point
-/// (same job minus the seed) collapse into **one** point whose metrics are
-/// the replica means (NaN-free; non-finite rows only shrink the sample),
-/// with `replicas` recording the sample size.
+/// One point per grid point of the [`store_points`] query, in the store's
+/// canonical grid order: replicas collapse into their replica means
+/// (NaN-free; non-finite rows only shrink the sample), with `replicas`
+/// recording the sample size, and failed records are skipped (re-run the
+/// campaign to heal them). `filter` selects the points to render by their
+/// job (e.g. one mechanism × traffic section of a study) — pass `|_| true`
+/// for everything.
 pub fn ablation_points_from_store(
     store: &surepath_runner::ResultStore,
     campaign: &str,
     knob: &str,
     filter: impl Fn(&surepath_runner::JobSpec) -> bool,
 ) -> Vec<AblationPoint> {
-    let records = store.records_in_order().filter(|r| {
-        r.status == "ok" && r.job.kind == "rate" && r.job.campaign == campaign && filter(&r.job)
-    });
-    surepath_runner::group_replicas(records)
+    store_points(store, campaign, "rate")
         .into_iter()
-        .filter_map(|(_, replicas)| {
-            let runs: Vec<hyperx_sim::RateMetrics> = replicas
-                .iter()
-                .filter_map(|r| serde::Deserialize::deserialize(r.result.as_ref()?).ok())
-                .collect();
-            if runs.is_empty() {
-                return None;
-            }
-            let job = &replicas[0].job;
-            let mechanism_key = job.mechanism.as_deref().unwrap_or_default();
-            let mechanism = match MechanismSpec::parse(mechanism_key) {
-                Some(spec) => spec.name().to_string(),
-                None => mechanism_key.to_string(),
-            };
+        .filter(|p| filter(&p.job))
+        .filter_map(|p| {
+            let runs: Vec<RateMetrics> = p.runs();
+            let first = runs.first()?;
+            let job = &p.job;
             let value = match knob {
                 "vcs" => job.vcs.map_or("default".to_string(), |v| v.to_string()),
                 "root" => match job.root.as_deref() {
@@ -193,7 +111,7 @@ pub fn ablation_points_from_store(
                 },
                 "escape" => {
                     let tree_only = matches!(
-                        MechanismSpec::parse(mechanism_key),
+                        MechanismSpec::parse(job.mechanism.as_deref().unwrap_or_default()),
                         Some(MechanismSpec::OmniSPTree | MechanismSpec::PolSPTree)
                     );
                     if tree_only {
@@ -204,18 +122,18 @@ pub fn ablation_points_from_store(
                 }
                 other => other.to_string(),
             };
-            let mean = |f: fn(&hyperx_sim::RateMetrics) -> f64| -> f64 {
+            let mean = |f: fn(&RateMetrics) -> f64| -> f64 {
                 crate::stats::Summary::of_finite(&runs.iter().map(f).collect::<Vec<_>>()).mean
             };
             Some(AblationPoint {
                 knob: knob.to_string(),
                 value,
-                mechanism,
-                offered_load: job.load.unwrap_or(runs[0].offered_load),
+                offered_load: job.load.unwrap_or(first.offered_load),
                 replicas: runs.len(),
                 accepted_load: mean(|m| m.accepted_load),
                 average_latency: mean(|m| m.average_latency),
                 escape_fraction: mean(|m| m.escape_fraction),
+                mechanism: p.mechanism,
             })
         })
         .collect()
@@ -271,7 +189,6 @@ pub fn ablation_to_csv(points: &[AblationPoint]) -> String {
 mod tests {
     use super::*;
     use crate::experiment::TrafficSpec;
-    use crate::scenario::FaultScenario;
 
     fn tiny_template(mechanism: MechanismSpec) -> Experiment {
         let mut e = Experiment::quick_2d(mechanism, TrafficSpec::Uniform);
@@ -296,35 +213,6 @@ mod tests {
     #[should_panic]
     fn vc_count_study_rejects_ladder_mechanisms() {
         let _ = vc_count_study(&tiny_template(MechanismSpec::Minimal), &[2], 0.3);
-    }
-
-    #[test]
-    fn escape_shortcut_study_covers_all_four_variants() {
-        let points = escape_shortcut_study(&tiny_template(MechanismSpec::OmniSP), 0.3);
-        assert_eq!(points.len(), 4);
-        assert_eq!(points.iter().filter(|p| p.value == "tree-only").count(), 2);
-        assert_eq!(
-            points.iter().filter(|p| p.value == "opportunistic").count(),
-            2
-        );
-        for p in &points {
-            assert!(p.accepted_load > 0.05);
-        }
-    }
-
-    #[test]
-    fn root_placement_study_reports_all_policies() {
-        let template = tiny_template(MechanismSpec::PolSP).with_scenario(FaultScenario::Shape(
-            hyperx_topology::FaultShape::Cross {
-                center: vec![4, 4],
-                margin: 2,
-            },
-        ));
-        let points = root_placement_study(&template, 0.3);
-        assert_eq!(points.len(), 4);
-        assert_eq!(points[0].value, "suggested(in-fault)");
-        assert!(points.iter().all(|p| p.knob == "root"));
-        assert!(points.iter().all(|p| p.accepted_load > 0.05));
     }
 
     #[test]

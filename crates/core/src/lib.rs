@@ -29,8 +29,8 @@ pub mod sweep;
 pub mod tables;
 
 pub use ablation::{
-    ablation_points_from_store, ablation_to_csv, escape_shortcut_study, format_ablation_table,
-    root_placement_study, vc_count_study, AblationPoint,
+    ablation_points_from_store, ablation_to_csv, format_ablation_table, vc_count_study,
+    AblationPoint,
 };
 pub use campaign::{
     job_experiment, run_campaign, run_campaign_traced, run_job, run_job_traced,
@@ -40,14 +40,11 @@ pub use campaign::{
 pub use experiment::{Experiment, RootPlacement, TrafficSpec};
 pub use plot::{throughput_chart, BarChart, BarGroup, LineChart, Series};
 pub use report::{
-    batch_runs_from_store, batch_samples_csv, completion_ratio, csv_half_width, diff_stores,
-    diff_stores_filtered, format_batch_table, format_counters_report, format_manifest_status,
-    format_mean_hw, format_rate_table, format_replicated_batch_table, format_replicated_rate_table,
-    format_store_diff, format_table, format_timings_table, format_trace_report,
-    rate_metrics_to_csv, rate_points_from_store, replicated_batch_points, replicated_rate_points,
-    report_charts, report_csv, report_gnuplot, report_store, store_diff_csv, BatchRun,
-    GnuplotArtifact, MetricDiff, PointDiff, ReplicatedBatchPoint, ReplicatedStorePoint, ReportRow,
-    StoreDiff,
+    batch_samples_csv, completion_ratio, csv_half_width, diff_stores, diff_stores_filtered,
+    format_batch_table, format_counters_report, format_manifest_status, format_mean_hw,
+    format_rate_table, format_store_diff, format_table, format_timings_table, format_trace_report,
+    rate_metrics_to_csv, report_charts, report_csv, report_gnuplot, report_store, store_diff_csv,
+    store_points, GnuplotArtifact, MetricDiff, PointDiff, ReportRow, StoreDiff, StorePoint,
 };
 pub use scenario::FaultScenario;
 pub use stats::{

@@ -1,14 +1,15 @@
 //! Report emitters: aligned text tables and CSV for the benchmark binaries,
 //! and renderers that reconstruct figure output **straight from campaign
-//! result stores** — no re-simulation. `surepath campaign --report` and the
-//! ported figure binaries share these.
+//! result stores** — no re-simulation. Every store renderer reads one
+//! grouped query, [`store_points`], so `surepath campaign --report`, the
+//! charts, `--diff` and the figure binaries label points alike.
 
 use crate::experiment::TrafficSpec;
 use crate::scenario::FaultScenario;
 use crate::stats::Summary;
 use crate::sweep::SweepPoint;
 use hyperx_routing::MechanismSpec;
-use hyperx_sim::{BatchMetrics, Counter, CounterRegistry, RateMetrics};
+use hyperx_sim::{BatchMetrics, Counter, CounterRegistry, LatencyHistogram, RateMetrics};
 use serde::{Deserialize, Serialize};
 use surepath_runner::{
     group_replicas, JobSpec, ResultStore, ShardManifest, StoreRecord, TimingRecord, TraceRecord,
@@ -54,110 +55,182 @@ pub fn format_table(header: &[&str], rows: &[ReportRow]) -> String {
     out
 }
 
-/// Formats sweep points as the table the figure binaries print: one row per
-/// (mechanism, traffic, scenario, load) with the three paper metrics.
-pub fn format_rate_table(points: &[SweepPoint]) -> String {
-    let mut header = vec![
-        "mechanism",
-        "traffic",
-        "scenario",
-        "offered",
-        "accepted",
-        "latency",
-        "jain",
-        "escape%",
-    ];
-    // Percentile columns appear only when at least one point carries a
-    // histogram, so reports of pre-histogram stores render byte-identically.
-    let with_tail = points.iter().any(|p| p.metrics.latency_hist.is_some());
-    if with_tail {
-        header.extend(crate::stats::LATENCY_PERCENTILES.iter().map(|l| l.label));
-        header.push("max");
+/// One grid point of a result store: the records of one (campaign, kind)
+/// that share a point fingerprint (the job minus its seed). A single run is
+/// a group of one; replicas are the other members. This is the one place
+/// that decides how stored records become labelled points — every store
+/// renderer (the report tables and CSV, the charts, the counters, `--diff`,
+/// the ablation tables and the figure binaries) reads [`store_points`].
+#[derive(Clone, Debug)]
+pub struct StorePoint {
+    /// The point fingerprint the records share.
+    pub point: String,
+    /// A representative job (the first record's; only `seed` differs
+    /// between records).
+    pub job: JobSpec,
+    /// Mechanism display name (e.g. `PolSP`).
+    pub mechanism: String,
+    /// Traffic display name.
+    pub traffic: String,
+    /// Scenario display name.
+    pub scenario: String,
+    /// The label every renderer prints: the mechanism, followed in brackets
+    /// by each of sides, concentration, vcs, root, packets per server and
+    /// rng that takes more than one value within the point's (campaign,
+    /// kind) — e.g. `PolSP [4x4 / vcs=2]` — so points that differ only in a
+    /// dimension no column shows never look identical.
+    pub label: String,
+    /// The point's records in store order, failed ones included.
+    pub records: Vec<StoreRecord>,
+}
+
+impl StorePoint {
+    /// The successful records.
+    fn ok_records(&self) -> impl Iterator<Item = &StoreRecord> {
+        self.records.iter().filter(|r| r.status == "ok")
     }
-    let rows: Vec<ReportRow> = points
-        .iter()
-        .map(|p| {
-            let mut values = vec![
-                p.traffic.clone(),
-                p.scenario.clone(),
-                format!("{:.2}", p.offered_load),
-                format!("{:.3}", p.metrics.accepted_load),
-                format!("{:.1}", p.metrics.average_latency),
-                format!("{:.3}", p.metrics.jain_generated),
-                format!("{:.1}", 100.0 * p.metrics.escape_fraction),
-            ];
-            if with_tail {
-                values.extend(latency_percentile_cells(
-                    p.metrics.latency_hist.as_ref(),
-                    p.metrics.max_latency,
-                ));
-            }
-            ReportRow {
-                label: p.mechanism.clone(),
-                values,
-            }
-        })
-        .collect();
-    format_table(&header, &rows)
+
+    /// The successful runs' results parsed as `M` (`RateMetrics`,
+    /// `BatchMetrics`, ...), with their seeds; unparseable results are
+    /// skipped.
+    fn seeded_runs<M: Deserialize>(&self) -> Vec<(u64, M)> {
+        self.ok_records()
+            .filter_map(|r| Some((r.job.seed, M::deserialize(r.result.as_ref()?).ok()?)))
+            .collect()
+    }
+
+    /// The successful runs' results parsed as `M`; unparseable results are
+    /// skipped.
+    pub fn runs<M: Deserialize>(&self) -> Vec<M> {
+        self.seeded_runs().into_iter().map(|(_, m)| m).collect()
+    }
+
+    /// The summary of one metric across the runs (non-finite values
+    /// dropped).
+    pub fn summary<M: Deserialize>(&self, metric: impl Fn(&M) -> f64) -> Summary {
+        Summary::of_finite(&self.runs().iter().map(metric).collect::<Vec<_>>())
+    }
+
+    /// The runs' latency histograms merged by exact count addition (never
+    /// averaged percentiles); `None` when no run carries one.
+    pub fn latency_hist(&self) -> Option<LatencyHistogram> {
+        self.ok_records()
+            .filter_map(|r| result_field::<LatencyHistogram>(r, "latency_hist"))
+            .reduce(|mut merged, hist| {
+                merged.merge(&hist);
+                merged
+            })
+    }
+
+    /// The runs' engine counters merged by exact addition (the distributed
+    /// fold's algebra); `None` when no run carries them.
+    pub fn counters(&self) -> Option<CounterRegistry> {
+        self.ok_records()
+            .filter_map(|r| result_field::<CounterRegistry>(r, "counters"))
+            .reduce(|mut merged, registry| {
+                merged.merge(&registry);
+                merged
+            })
+    }
 }
 
-/// The p50/p99/p99.9/max table cells of one result: a dash for anything
-/// absent (pre-histogram results, or nothing delivered).
-fn latency_percentile_cells(
-    hist: Option<&hyperx_sim::LatencyHistogram>,
-    max_latency: Option<u64>,
-) -> Vec<String> {
-    let mut cells: Vec<String> = crate::stats::LATENCY_PERCENTILES
-        .iter()
-        .map(|level| {
-            hist.and_then(|h| h.value_at_quantile(level.q))
-                // Quantiles report bucket upper bounds (≤ 1/16 above the true
-                // value); never print one beyond the exact observed maximum.
-                .map(|v| max_latency.map_or(v, |m| v.min(m)))
-                .map_or_else(|| "-".to_string(), |v| v.to_string())
-        })
-        .collect();
-    cells.push(max_latency.map_or_else(|| "-".to_string(), |v| v.to_string()));
-    cells
+/// A field of a record's result, parsed.
+fn result_field<T: Deserialize>(record: &StoreRecord, key: &str) -> Option<T> {
+    T::deserialize(record.result.as_ref()?.get(key)?).ok()
 }
 
-/// Serializes sweep points as CSV (with a header line), ready for plotting.
-pub fn rate_metrics_to_csv(points: &[SweepPoint]) -> String {
-    let mut out = String::from(
-        "mechanism,traffic,scenario,offered_load,accepted_load,generated_load,average_latency,latency_p50,latency_p99,latency_p999,max_latency,jain_generated,escape_fraction,average_hops,delivered_packets,stalled\n",
-    );
-    for p in points {
-        let percentile = |q: f64| -> String {
-            p.metrics
-                .latency_hist
-                .as_ref()
-                .and_then(|h| h.value_at_quantile(q))
-                .map(|v| p.metrics.max_latency.map_or(v, |m| v.min(m)))
-                .map_or_else(String::new, |v| v.to_string())
+impl From<&SweepPoint> for StorePoint {
+    /// A live sweep point as a one-run point, so live sweeps render through
+    /// the same tables as stores.
+    fn from(p: &SweepPoint) -> Self {
+        let job = JobSpec {
+            load: Some(p.offered_load),
+            ..JobSpec::default()
         };
-        out.push_str(&format!(
-            "{},{},{},{:.4},{:.6},{:.6},{:.3},{},{},{},{},{:.5},{:.5},{:.3},{},{}\n",
-            p.mechanism,
-            p.traffic.replace(',', ";"),
-            p.scenario.replace(',', ";"),
-            p.offered_load,
-            p.metrics.accepted_load,
-            p.metrics.generated_load,
-            p.metrics.average_latency,
-            percentile(0.50),
-            percentile(0.99),
-            percentile(0.999),
-            p.metrics
-                .max_latency
-                .map_or_else(String::new, |v| v.to_string()),
-            p.metrics.jain_generated,
-            p.metrics.escape_fraction,
-            p.metrics.average_hops,
-            p.metrics.delivered_packets,
-            p.metrics.stalled
-        ));
+        StorePoint {
+            point: String::new(),
+            mechanism: p.mechanism.clone(),
+            traffic: p.traffic.clone(),
+            scenario: p.scenario.clone(),
+            label: p.mechanism.clone(),
+            records: vec![StoreRecord {
+                fp: String::new(),
+                status: "ok".to_string(),
+                job: job.clone(),
+                result: Some(p.metrics.serialize()),
+                error: None,
+            }],
+            job,
+        }
     }
-    out
+}
+
+/// The records of one (campaign, kind) of a store grouped into grid points,
+/// in store (canonical grid) order: the query under every store renderer.
+/// Works alike for stores written with the `replicas` dimension and for old
+/// stores whose seeds were an explicit grid axis.
+pub fn store_points(store: &ResultStore, campaign: &str, kind: &str) -> Vec<StorePoint> {
+    let records: Vec<&StoreRecord> = store
+        .records_in_order()
+        .filter(|r| r.job.campaign == campaign && r.job.kind == kind)
+        .collect();
+    let dimensions: Vec<[String; 6]> = records.iter().map(|r| hidden_dimensions(&r.job)).collect();
+    let varies: Vec<bool> = (0..6)
+        .map(|i| dimensions.iter().any(|d| d[i] != dimensions[0][i]))
+        .collect();
+    group_replicas(records)
+        .into_iter()
+        .map(|(point, records)| {
+            let job = records[0].job.clone();
+            let (mechanism, traffic, scenario) = display_names(&job);
+            let qualifiers: Vec<String> = hidden_dimensions(&job)
+                .into_iter()
+                .zip(&varies)
+                .filter_map(|(value, &varies)| varies.then_some(value))
+                .collect();
+            let label = if qualifiers.is_empty() {
+                mechanism.clone()
+            } else {
+                format!("{mechanism} [{}]", qualifiers.join(" / "))
+            };
+            StorePoint {
+                point,
+                job,
+                mechanism,
+                traffic,
+                scenario,
+                label,
+                records: records.into_iter().cloned().collect(),
+            }
+        })
+        .collect()
+}
+
+/// The dimensions of a job that no report column shows, as label
+/// qualifiers: sides, concentration, vcs, root, packets per server, rng.
+fn hidden_dimensions(job: &JobSpec) -> [String; 6] {
+    let or_default = |value: Option<String>| value.unwrap_or_else(|| "default".to_string());
+    [
+        sides_label(&job.sides),
+        format!("c={}", or_default(job.concentration.map(|c| c.to_string()))),
+        format!("vcs={}", or_default(job.vcs.map(|v| v.to_string()))),
+        format!("root={}", or_default(job.root.clone())),
+        format!(
+            "packets={}",
+            or_default(job.packets_per_server.map(|p| p.to_string()))
+        ),
+        // Absent = contract v1.
+        format!("rng={}", job.rng.as_deref().unwrap_or("v1")),
+    ]
+}
+
+/// `[8, 8, 8]` → `8x8x8`.
+fn sides_label(sides: &[usize]) -> String {
+    sides
+        .iter()
+        .map(|s| s.to_string())
+        .collect::<Vec<_>>()
+        .join("x")
 }
 
 /// The paper-facing display names of a stored job: mechanism, traffic and
@@ -190,122 +263,226 @@ fn display_names(job: &JobSpec) -> (String, String, String) {
     (mechanism, traffic, scenario)
 }
 
-/// Reconstructs the sweep points of a campaign's `rate` jobs from a result
-/// store, in the store's (canonical grid) order. `campaign = None` takes
-/// every rate record. Failed records are skipped — re-run the campaign to
-/// heal them.
-pub fn rate_points_from_store(store: &ResultStore, campaign: Option<&str>) -> Vec<SweepPoint> {
-    store
-        .records_in_order()
-        .filter(|r| {
-            r.status == "ok"
-                && r.job.kind == "rate"
-                && campaign.is_none_or(|name| r.job.campaign == name)
-        })
-        .filter_map(|r| {
-            let metrics: RateMetrics = serde::Deserialize::deserialize(r.result.as_ref()?).ok()?;
-            let (mechanism, traffic, scenario) = display_names(&r.job);
-            Some(SweepPoint {
-                mechanism,
-                traffic,
-                scenario,
-                offered_load: r.job.load.unwrap_or(metrics.offered_load),
-                metrics,
-            })
-        })
-        .collect()
+/// The (campaign, kind) groups of a store, in first-seen store order.
+fn store_groups(store: &ResultStore) -> Vec<(String, String)> {
+    let mut groups: Vec<(String, String)> = Vec::new();
+    for record in store.records_in_order() {
+        let key = (record.job.campaign.clone(), record.job.kind.clone());
+        if !groups.contains(&key) {
+            groups.push(key);
+        }
+    }
+    groups
 }
 
-/// One completion-time (batch) run recovered from a result store.
-#[derive(Clone, Debug)]
-pub struct BatchRun {
-    /// Owning campaign.
-    pub campaign: String,
-    /// Mechanism display name (e.g. `OmniSP`).
-    pub mechanism: String,
-    /// Traffic display name.
-    pub traffic: String,
-    /// Scenario display name.
-    pub scenario: String,
-    /// Random seed of the run.
-    pub seed: u64,
-    /// The stored batch metrics, including the throughput-over-time samples.
-    pub metrics: BatchMetrics,
+/// A rate point's parsed runs with its offered load; `None` when no run
+/// parsed.
+fn rate_runs(p: &StorePoint) -> Option<(f64, Vec<RateMetrics>)> {
+    let runs: Vec<RateMetrics> = p.runs();
+    let first = runs.first()?;
+    Some((p.job.load.unwrap_or(first.offered_load), runs))
 }
 
-/// Reconstructs the batch runs of a campaign from a result store, in the
-/// store's (canonical grid) order.
-pub fn batch_runs_from_store(store: &ResultStore, campaign: Option<&str>) -> Vec<BatchRun> {
-    store
-        .records_in_order()
-        .filter(|r| {
-            r.status == "ok"
-                && r.job.kind == "batch"
-                && campaign.is_none_or(|name| r.job.campaign == name)
+/// Formats rate points as the table the figure binaries and `--report`
+/// print: one row per point with the three paper metrics. While every point
+/// has one run the cells are that run's values; once any point has
+/// replicas, an `n` column appears and every cell is the replica mean
+/// ±2σ/√n. Accepts store points and live [`SweepPoint`]s alike.
+pub fn format_rate_table(points: impl IntoIterator<Item = impl Into<StorePoint>>) -> String {
+    let points: Vec<StorePoint> = points.into_iter().map(Into::into).collect();
+    let rows: Vec<(&StorePoint, f64, Vec<RateMetrics>)> = points
+        .iter()
+        .filter_map(|p| rate_runs(p).map(|(offered, runs)| (p, offered, runs)))
+        .collect();
+    let replicated = rows.iter().any(|(_, _, runs)| runs.len() > 1);
+    let mut header = vec!["mechanism", "traffic", "scenario", "offered"];
+    if replicated {
+        header.push("n");
+    }
+    header.extend(["accepted", "latency", "jain", "escape%"]);
+    // Quantiles come from the runs' merged histogram. Percentile columns
+    // appear only when at least one point carries a histogram, so reports of
+    // pre-histogram stores render byte-identically.
+    let hists: Vec<Option<LatencyHistogram>> =
+        rows.iter().map(|(p, _, _)| p.latency_hist()).collect();
+    let with_tail = hists.iter().any(Option::is_some);
+    if with_tail {
+        header.extend(crate::stats::LATENCY_PERCENTILES.iter().map(|l| l.label));
+        header.push("max");
+    }
+    let rows: Vec<ReportRow> = rows
+        .iter()
+        .zip(&hists)
+        .map(|((p, offered, runs), hist)| {
+            let cell = |metric: fn(&RateMetrics) -> f64, scale: f64, decimals: usize| {
+                if replicated {
+                    let values: Vec<f64> = runs.iter().map(metric).collect();
+                    format_mean_hw(&Summary::of_finite(&values).scaled(scale), decimals)
+                } else {
+                    format!("{:.decimals$}", scale * metric(&runs[0]))
+                }
+            };
+            let mut values = vec![
+                p.traffic.clone(),
+                p.scenario.clone(),
+                format!("{offered:.2}"),
+            ];
+            if replicated {
+                values.push(runs.len().to_string());
+            }
+            values.extend([
+                cell(|m| m.accepted_load, 1.0, 3),
+                cell(|m| m.average_latency, 1.0, 1),
+                cell(|m| m.jain_generated, 1.0, 3),
+                cell(|m| m.escape_fraction, 100.0, 1),
+            ]);
+            if with_tail {
+                let max_latency = runs.iter().filter_map(|m| m.max_latency).max();
+                values.extend(latency_percentile_cells(hist.as_ref(), max_latency));
+            }
+            ReportRow {
+                label: p.label.clone(),
+                values,
+            }
         })
-        .filter_map(|r| {
-            let metrics: BatchMetrics = serde::Deserialize::deserialize(r.result.as_ref()?).ok()?;
-            let (mechanism, traffic, scenario) = display_names(&r.job);
-            Some(BatchRun {
-                campaign: r.job.campaign.clone(),
-                mechanism,
-                traffic,
-                scenario,
-                seed: r.job.seed,
-                metrics,
-            })
-        })
-        .collect()
+        .collect();
+    format_table(&header, &rows)
 }
 
-/// The display label of a batch run: the mechanism alone when that is
-/// unambiguous within `runs` (Figure 10's two-line case), qualified with
-/// traffic, scenario and seed when a campaign has several runs per
-/// mechanism.
-fn batch_run_label(run: &BatchRun, runs: &[BatchRun]) -> String {
-    let ambiguous = runs.iter().filter(|r| r.mechanism == run.mechanism).count() > 1;
-    if ambiguous {
-        format!(
-            "{} [{} / {} / seed {}]",
-            run.mechanism, run.traffic, run.scenario, run.seed
-        )
-    } else {
-        run.mechanism.clone()
+/// The p50/p99/p99.9/max table cells of one point: a dash for anything
+/// absent (pre-histogram results, or nothing delivered).
+fn latency_percentile_cells(
+    hist: Option<&LatencyHistogram>,
+    max_latency: Option<u64>,
+) -> Vec<String> {
+    let mut cells: Vec<String> = crate::stats::LATENCY_PERCENTILES
+        .iter()
+        .map(|level| {
+            hist.and_then(|h| h.value_at_quantile(level.q))
+                // Quantiles report bucket upper bounds (≤ 1/16 above the true
+                // value); never print one beyond the exact observed maximum.
+                .map(|v| max_latency.map_or(v, |m| v.min(m)))
+                .map_or_else(|| "-".to_string(), |v| v.to_string())
+        })
+        .collect();
+    cells.push(max_latency.map_or_else(|| "-".to_string(), |v| v.to_string()));
+    cells
+}
+
+const RATE_CSV_HEADER: &str = "mechanism,traffic,scenario,offered_load,accepted_load,generated_load,average_latency,latency_p50,latency_p99,latency_p999,max_latency,jain_generated,escape_fraction,average_hops,delivered_packets,stalled";
+
+/// Serializes rate points as CSV (with a header line), one line per run,
+/// ready for plotting. Accepts store points and live [`SweepPoint`]s alike.
+pub fn rate_metrics_to_csv(points: impl IntoIterator<Item = impl Into<StorePoint>>) -> String {
+    let mut out = format!("{RATE_CSV_HEADER}\n");
+    for point in points {
+        out.push_str(&rate_csv_lines(&point.into()));
+    }
+    out
+}
+
+/// The CSV lines of one rate point's runs.
+fn rate_csv_lines(p: &StorePoint) -> String {
+    let mut out = String::new();
+    for m in p.runs::<RateMetrics>() {
+        let percentile = |q: f64| -> String {
+            m.latency_hist
+                .as_ref()
+                .and_then(|h| h.value_at_quantile(q))
+                .map(|v| m.max_latency.map_or(v, |max| v.min(max)))
+                .map_or_else(String::new, |v| v.to_string())
+        };
+        out.push_str(&format!(
+            "{},{},{},{:.4},{:.6},{:.6},{:.3},{},{},{},{},{:.5},{:.5},{:.3},{},{}\n",
+            p.label.replace(',', ";"),
+            p.traffic.replace(',', ";"),
+            p.scenario.replace(',', ";"),
+            p.job.load.unwrap_or(m.offered_load),
+            m.accepted_load,
+            m.generated_load,
+            m.average_latency,
+            percentile(0.50),
+            percentile(0.99),
+            percentile(0.999),
+            m.max_latency.map_or_else(String::new, |v| v.to_string()),
+            m.jain_generated,
+            m.escape_fraction,
+            m.average_hops,
+            m.delivered_packets,
+            m.stalled
+        ));
+    }
+    out
+}
+
+/// The display label of a batch entry: the point label alone when no other
+/// entry shares it (Figure 10's two-line case), else qualified with traffic
+/// and scenario — and with the seed when the entry is a single run.
+fn batch_label(p: &StorePoint, sharing: usize, seed: Option<u64>) -> String {
+    match seed {
+        _ if sharing <= 1 => p.label.clone(),
+        Some(seed) => format!("{} [{} / {} / seed {seed}]", p.label, p.traffic, p.scenario),
+        None => format!("{} [{} / {}]", p.label, p.traffic, p.scenario),
     }
 }
 
-/// Formats batch runs as the completion-time lines Figure 10 prints.
-pub fn format_batch_table(runs: &[BatchRun]) -> String {
+/// Formats batch points as the completion-time lines Figure 10 prints. While
+/// every point has one run each line is that run's values; once any point
+/// has replicas, each line is the replica mean ±2σ/√n with its `n` and the
+/// count of stalled replicas. Non-finite per-run values (a stalled run that
+/// delivered nothing) only shrink a summary's sample.
+pub fn format_batch_table(points: &[StorePoint]) -> String {
+    let rows: Vec<(&StorePoint, Vec<(u64, BatchMetrics)>)> = points
+        .iter()
+        .map(|p| (p, p.seeded_runs()))
+        .filter(|(_, runs)| !runs.is_empty())
+        .collect();
+    let replicated = rows.iter().any(|(_, runs)| runs.len() > 1);
     let mut out = String::new();
-    for run in runs {
+    for (p, runs) in &rows {
+        let sharing = rows.iter().filter(|(q, _)| q.label == p.label).count();
         // The percentile suffix appears only for histogram-bearing results,
         // keeping pre-histogram store renders byte-identical.
-        let tail = run
-            .metrics
-            .latency_hist
-            .as_ref()
-            .map(format_latency_tail_suffix)
+        let tail = p
+            .latency_hist()
+            .map(|h| format_latency_tail_suffix(&h))
             .unwrap_or_default();
-        out.push_str(&format!(
-            "{}: completion time {} cycles, {} packets delivered, average latency {:.1} cycles{}{}\n",
-            batch_run_label(run, runs),
-            run.metrics.completion_time,
-            run.metrics.delivered_packets,
-            run.metrics.average_latency,
-            tail,
-            if run.metrics.stalled {
-                " (STALLED)"
-            } else {
-                ""
-            }
-        ));
+        if replicated {
+            let summary = |metric: fn(&BatchMetrics) -> f64| {
+                Summary::of_finite(&runs.iter().map(|(_, m)| metric(m)).collect::<Vec<_>>())
+            };
+            let stalled = runs.iter().filter(|(_, m)| m.stalled).count();
+            out.push_str(&format!(
+                "{}: completion time {} cycles, {} packets delivered, average latency {} cycles{tail} (n={}{})\n",
+                batch_label(p, sharing, None),
+                format_mean_hw(&summary(|m| m.completion_time as f64), 0),
+                format_mean_hw(&summary(|m| m.delivered_packets as f64), 0),
+                format_mean_hw(&summary(|m| m.average_latency), 1),
+                runs.len(),
+                if stalled > 0 {
+                    format!(", {stalled} STALLED")
+                } else {
+                    String::new()
+                }
+            ));
+        } else {
+            let (seed, m) = &runs[0];
+            out.push_str(&format!(
+                "{}: completion time {} cycles, {} packets delivered, average latency {:.1} cycles{tail}{}\n",
+                batch_label(p, sharing, Some(*seed)),
+                m.completion_time,
+                m.delivered_packets,
+                m.average_latency,
+                if m.stalled { " (STALLED)" } else { "" }
+            ));
+        }
     }
     out
 }
 
 /// The `, p50/p99/p99.9 a/b/c` suffix of a batch completion line; empty when
 /// the histogram recorded nothing.
-fn format_latency_tail_suffix(hist: &hyperx_sim::LatencyHistogram) -> String {
+fn format_latency_tail_suffix(hist: &LatencyHistogram) -> String {
     let cells: Vec<String> = crate::stats::LATENCY_PERCENTILES
         .iter()
         .filter_map(|level| hist.value_at_quantile(level.q).map(|v| v.to_string()))
@@ -320,220 +497,45 @@ fn format_latency_tail_suffix(hist: &hyperx_sim::LatencyHistogram) -> String {
     format!(", {} {}", labels.join("/"), cells.join("/"))
 }
 
-/// Serializes the throughput-over-time series of batch runs as CSV
-/// (Figure 10's curve). Every row carries the full run identity — campaign
-/// included — so multi-campaign stores and multi-scenario or multi-seed
-/// campaigns stay separable when plotting.
-pub fn batch_samples_csv(runs: &[BatchRun]) -> String {
+/// Serializes the throughput-over-time series of batch points as CSV
+/// (Figure 10's curve), one block of rows per run. Every row carries the
+/// full run identity — campaign included — so multi-campaign stores and
+/// multi-scenario or multi-seed campaigns stay separable when plotting.
+pub fn batch_samples_csv(points: &[StorePoint]) -> String {
     let mut out = String::from("campaign,mechanism,traffic,scenario,seed,cycle,accepted_load\n");
-    for run in runs {
-        for sample in &run.metrics.samples {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{:.6}\n",
-                run.campaign,
-                run.mechanism,
-                run.traffic.replace(',', ";"),
-                run.scenario.replace(',', ";"),
-                run.seed,
-                sample.cycle,
-                sample.accepted_load
-            ));
+    for p in points {
+        for (seed, run) in p.seeded_runs::<BatchMetrics>() {
+            for sample in &run.samples {
+                out.push_str(&format!(
+                    "{},{},{},{},{seed},{},{:.6}\n",
+                    p.job.campaign,
+                    p.label.replace(',', ";"),
+                    p.traffic.replace(',', ";"),
+                    p.scenario.replace(',', ";"),
+                    sample.cycle,
+                    sample.accepted_load
+                ));
+            }
         }
     }
     out
 }
 
-/// The completion-time ratio between two mechanisms of a batch campaign
-/// (the paper's "OmniSP takes ~2.8x PolSP's time" headline). Returns `None`
-/// when either mechanism has no completed run — e.g. a filtered or renamed
-/// lineup — instead of panicking, so callers can degrade gracefully.
-pub fn completion_ratio(runs: &[BatchRun], numerator: &str, denominator: &str) -> Option<f64> {
-    let find = |name: &str| runs.iter().find(|r| r.mechanism == name);
-    let num = find(numerator)?;
-    let den = find(denominator)?;
-    Some(num.metrics.completion_time as f64 / den.metrics.completion_time.max(1) as f64)
-}
-
-/// One campaign grid point recovered from a store with all of its replicas
-/// aggregated: per-metric mean / std-dev / CI summaries across the replica
-/// seeds (see [`surepath_runner::group_replicas`]).
-#[derive(Clone, Debug)]
-pub struct ReplicatedStorePoint {
-    /// The point fingerprint shared by the replicas.
-    pub point: String,
-    /// A representative job of the point (the first replica's; only its
-    /// `seed` differs between replicas).
-    pub job: JobSpec,
-    /// Mechanism display name.
-    pub mechanism: String,
-    /// Traffic display name.
-    pub traffic: String,
-    /// Scenario display name.
-    pub scenario: String,
-    /// Offered load of the point.
-    pub offered_load: f64,
-    /// Number of successfully parsed replica rows.
-    pub n: usize,
-    /// Accepted-load summary across replicas.
-    pub accepted_load: Summary,
-    /// Latency summary across replicas.
-    pub average_latency: Summary,
-    /// Jain-index summary across replicas.
-    pub jain_generated: Summary,
-    /// Escape-fraction summary across replicas.
-    pub escape_fraction: Summary,
-    /// The replicas' histograms merged by exact count addition (never
-    /// averaged percentiles); `None` when no replica carried one.
-    pub latency_hist: Option<hyperx_sim::LatencyHistogram>,
-    /// Largest latency over all replicas; `None` when nothing was delivered
-    /// or the store predates max-latency tracking.
-    pub max_latency: Option<u64>,
-}
-
-/// Merges per-replica histograms (exact count addition) and takes the max of
-/// per-replica maxima. Both stay `None` when no replica carries them, so
-/// pre-histogram stores keep rendering exactly as before.
-fn merge_replica_tails(
-    hists: impl Iterator<Item = Option<hyperx_sim::LatencyHistogram>>,
-    maxima: impl Iterator<Item = Option<u64>>,
-) -> (Option<hyperx_sim::LatencyHistogram>, Option<u64>) {
-    let mut merged: Option<hyperx_sim::LatencyHistogram> = None;
-    for hist in hists.flatten() {
-        match &mut merged {
-            Some(m) => m.merge(&hist),
-            None => merged = Some(hist),
-        }
-    }
-    (merged, maxima.flatten().max())
-}
-
-/// Reconstructs the `rate` grid points of a campaign from a result store,
-/// one entry per point with its replicas aggregated, in the store's
-/// (canonical grid) order. Works for stores written with the `replicas`
-/// dimension and for old stores whose seeds were an explicit grid axis —
-/// grouping is by point fingerprint either way. Failed records are skipped.
-pub fn replicated_rate_points(
-    store: &ResultStore,
-    campaign: Option<&str>,
-) -> Vec<ReplicatedStorePoint> {
-    let records = store.records_in_order().filter(|r| {
-        r.status == "ok"
-            && r.job.kind == "rate"
-            && campaign.is_none_or(|name| r.job.campaign == name)
-    });
-    group_replicas(records)
-        .into_iter()
-        .filter_map(|(point, replicas)| {
-            let runs: Vec<RateMetrics> = replicas
-                .iter()
-                .filter_map(|r| serde::Deserialize::deserialize(r.result.as_ref()?).ok())
-                .collect();
-            if runs.is_empty() {
-                return None;
-            }
-            let job = replicas[0].job.clone();
-            let (mechanism, traffic, scenario) = display_names(&job);
-            let collect = |f: fn(&RateMetrics) -> f64| -> Summary {
-                Summary::of_finite(&runs.iter().map(f).collect::<Vec<_>>())
-            };
-            let (latency_hist, max_latency) = merge_replica_tails(
-                runs.iter().map(|m| m.latency_hist.clone()),
-                runs.iter().map(|m| m.max_latency),
-            );
-            Some(ReplicatedStorePoint {
-                point,
-                offered_load: job.load.unwrap_or(runs[0].offered_load),
-                mechanism,
-                traffic,
-                scenario,
-                n: runs.len(),
-                accepted_load: collect(|m| m.accepted_load),
-                average_latency: collect(|m| m.average_latency),
-                jain_generated: collect(|m| m.jain_generated),
-                escape_fraction: collect(|m| m.escape_fraction),
-                latency_hist,
-                max_latency,
-                job,
-            })
-        })
-        .collect()
-}
-
-/// One batch (closed-loop) grid point with its replicas aggregated.
-/// Non-finite per-replica values (a stalled run with no delivered packets
-/// has no meaningful latency) are dropped from the summaries, which only
-/// shrinks their `n`; `stalled_replicas` counts how many replicas stalled.
-#[derive(Clone, Debug)]
-pub struct ReplicatedBatchPoint {
-    /// The point fingerprint shared by the replicas.
-    pub point: String,
-    /// A representative job of the point.
-    pub job: JobSpec,
-    /// Mechanism display name.
-    pub mechanism: String,
-    /// Traffic display name.
-    pub traffic: String,
-    /// Scenario display name.
-    pub scenario: String,
-    /// Number of successfully parsed replica rows.
-    pub n: usize,
-    /// Completion-time summary across replicas (cycles).
-    pub completion_time: Summary,
-    /// Delivered-packet summary across replicas.
-    pub delivered_packets: Summary,
-    /// Latency summary across replicas.
-    pub average_latency: Summary,
-    /// How many replicas hit the stall watchdog.
-    pub stalled_replicas: usize,
-    /// The replicas' histograms merged by exact count addition; `None` when
-    /// no replica carried one.
-    pub latency_hist: Option<hyperx_sim::LatencyHistogram>,
-}
-
-/// The batch analogue of [`replicated_rate_points`].
-pub fn replicated_batch_points(
-    store: &ResultStore,
-    campaign: Option<&str>,
-) -> Vec<ReplicatedBatchPoint> {
-    let records = store.records_in_order().filter(|r| {
-        r.status == "ok"
-            && r.job.kind == "batch"
-            && campaign.is_none_or(|name| r.job.campaign == name)
-    });
-    group_replicas(records)
-        .into_iter()
-        .filter_map(|(point, replicas)| {
-            let runs: Vec<BatchMetrics> = replicas
-                .iter()
-                .filter_map(|r| serde::Deserialize::deserialize(r.result.as_ref()?).ok())
-                .collect();
-            if runs.is_empty() {
-                return None;
-            }
-            let job = replicas[0].job.clone();
-            let (mechanism, traffic, scenario) = display_names(&job);
-            let collect = |f: fn(&BatchMetrics) -> f64| -> Summary {
-                Summary::of_finite(&runs.iter().map(f).collect::<Vec<_>>())
-            };
-            Some(ReplicatedBatchPoint {
-                point,
-                mechanism,
-                traffic,
-                scenario,
-                n: runs.len(),
-                completion_time: collect(|m| m.completion_time as f64),
-                delivered_packets: collect(|m| m.delivered_packets as f64),
-                average_latency: collect(|m| m.average_latency),
-                stalled_replicas: runs.iter().filter(|m| m.stalled).count(),
-                latency_hist: merge_replica_tails(
-                    runs.iter().map(|m| m.latency_hist.clone()),
-                    std::iter::empty(),
-                )
-                .0,
-                job,
-            })
-        })
-        .collect()
+/// The mean completion-time ratio between two mechanisms of a batch
+/// campaign (the paper's "OmniSP takes ~2.8x PolSP's time" headline).
+/// Returns `None` when either mechanism has no completed run — e.g. a
+/// filtered or renamed lineup — instead of panicking, so callers can degrade
+/// gracefully.
+pub fn completion_ratio(points: &[StorePoint], numerator: &str, denominator: &str) -> Option<f64> {
+    let mean = |name: &str| {
+        points
+            .iter()
+            .filter(|p| p.mechanism == name)
+            .map(|p| p.summary(|m: &BatchMetrics| m.completion_time as f64))
+            .find(|s| s.n > 0)
+            .map(|s| s.mean)
+    };
+    Some(mean(numerator)? / mean(denominator)?.max(1.0))
 }
 
 /// Renders a replica summary as `mean ±half-width` (the ±2σ/√n CI). A
@@ -564,91 +566,6 @@ pub fn csv_half_width(summary: &Summary, decimals: usize) -> String {
     } else {
         String::new()
     }
-}
-
-/// Formats replicated rate points as a mean ± CI table: the replication-aware
-/// face of [`format_rate_table`], which `--report` uses whenever a campaign
-/// has more than one replica per point.
-pub fn format_replicated_rate_table(points: &[ReplicatedStorePoint]) -> String {
-    let mut header = vec![
-        "mechanism",
-        "traffic",
-        "scenario",
-        "offered",
-        "n",
-        "accepted",
-        "latency",
-        "jain",
-        "escape%",
-    ];
-    // Quantiles come from the replicas' *merged* histogram (exact count
-    // addition), never from averaging per-replica percentiles. Columns are
-    // gated on histogram presence so legacy stores render unchanged.
-    let with_tail = points.iter().any(|p| p.latency_hist.is_some());
-    if with_tail {
-        header.extend(crate::stats::LATENCY_PERCENTILES.iter().map(|l| l.label));
-        header.push("max");
-    }
-    let rows: Vec<ReportRow> = points
-        .iter()
-        .map(|p| {
-            let mut values = vec![
-                p.traffic.clone(),
-                p.scenario.clone(),
-                format!("{:.2}", p.offered_load),
-                p.n.to_string(),
-                format_mean_hw(&p.accepted_load, 3),
-                format_mean_hw(&p.average_latency, 1),
-                format_mean_hw(&p.jain_generated, 3),
-                format_mean_hw(&p.escape_fraction.scaled(100.0), 1),
-            ];
-            if with_tail {
-                values.extend(latency_percentile_cells(
-                    p.latency_hist.as_ref(),
-                    p.max_latency,
-                ));
-            }
-            ReportRow {
-                label: p.mechanism.clone(),
-                values,
-            }
-        })
-        .collect();
-    format_table(&header, &rows)
-}
-
-/// Formats replicated batch points as completion-time lines with mean ± CI,
-/// the replication-aware face of [`format_batch_table`].
-pub fn format_replicated_batch_table(points: &[ReplicatedBatchPoint]) -> String {
-    let mut out = String::new();
-    for p in points {
-        let ambiguous = points.iter().filter(|q| q.mechanism == p.mechanism).count() > 1;
-        let label = if ambiguous {
-            format!("{} [{} / {}]", p.mechanism, p.traffic, p.scenario)
-        } else {
-            p.mechanism.clone()
-        };
-        let tail = p
-            .latency_hist
-            .as_ref()
-            .map(format_latency_tail_suffix)
-            .unwrap_or_default();
-        out.push_str(&format!(
-            "{}: completion time {} cycles, {} packets delivered, average latency {} cycles{} (n={}{})\n",
-            label,
-            format_mean_hw(&p.completion_time, 0),
-            format_mean_hw(&p.delivered_packets, 0),
-            format_mean_hw(&p.average_latency, 1),
-            tail,
-            p.n,
-            if p.stalled_replicas > 0 {
-                format!(", {} STALLED", p.stalled_replicas)
-            } else {
-                String::new()
-            }
-        ));
-    }
-    out
 }
 
 /// One metric of a grid point compared between two stores.
@@ -795,14 +712,7 @@ fn metric_value(record: &StoreRecord, metric: &str) -> Option<f64> {
 /// identical grids sharing a store stay distinguishable row by row.
 fn point_label(job: &JobSpec) -> String {
     let (mechanism, traffic, scenario) = display_names(job);
-    let mut parts = vec![
-        job.campaign.clone(),
-        job.sides
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>()
-            .join("x"),
-    ];
+    let mut parts = vec![job.campaign.clone(), sides_label(&job.sides)];
     for part in [mechanism, traffic, scenario] {
         if !part.is_empty() {
             parts.push(part);
@@ -849,50 +759,42 @@ pub fn diff_stores_filtered(
     candidate: &ResultStore,
     campaign: Option<&str>,
 ) -> StoreDiff {
-    let wanted = |r: &&StoreRecord| campaign.is_none_or(|name| r.job.campaign == name);
-    fn group<'a>(
-        store: &'a ResultStore,
-        campaign: Option<&str>,
-    ) -> Vec<(String, Vec<&'a StoreRecord>)> {
-        group_replicas(
-            store
-                .records_in_order()
-                .filter(|r| r.status == "ok")
-                .filter(|r| campaign.is_none_or(|name| r.job.campaign == name)),
-        )
-    }
-    let baseline_groups = group(baseline, campaign);
-    let candidate_groups = group(candidate, campaign);
-    let candidate_index: std::collections::HashMap<&str, &Vec<&StoreRecord>> = candidate_groups
-        .iter()
-        .map(|(point, replicas)| (point.as_str(), replicas))
-        .collect();
-    // Points for which the candidate store has *any* record, failed
-    // included — distinguishes "the candidate never ran this point" (grid
-    // mismatch, tolerated) from "the candidate ran it and every replica
-    // failed" (a regression).
-    let candidate_attempted: std::collections::HashSet<String> =
-        group_replicas(candidate.records_in_order().filter(wanted))
+    let points = |store: &ResultStore| -> Vec<StorePoint> {
+        store_groups(store)
             .into_iter()
-            .map(|(point, _)| point)
-            .collect();
-    let baseline_points: std::collections::HashSet<&str> = baseline_groups
+            .filter(|(name, _)| campaign.is_none_or(|wanted| name == wanted))
+            .flat_map(|(name, kind)| store_points(store, &name, &kind))
+            .collect()
+    };
+    let has_ok = |p: &&StorePoint| p.ok_records().next().is_some();
+    let baseline_points = points(baseline);
+    let baseline_groups: Vec<&StorePoint> = baseline_points.iter().filter(has_ok).collect();
+    // Every candidate point, failed-only ones included — distinguishes "the
+    // candidate never ran this point" (grid mismatch, tolerated) from "the
+    // candidate ran it and every replica failed" (a regression).
+    let candidate_points = points(candidate);
+    let candidate_attempted: std::collections::HashSet<&str> =
+        candidate_points.iter().map(|p| p.point.as_str()).collect();
+    let candidate_groups: Vec<&StorePoint> = candidate_points.iter().filter(has_ok).collect();
+    let candidate_index: std::collections::HashMap<&str, &StorePoint> = candidate_groups
         .iter()
-        .map(|(point, _)| point.as_str())
+        .map(|p| (p.point.as_str(), *p))
         .collect();
+    let baseline_keys: std::collections::HashSet<&str> =
+        baseline_groups.iter().map(|p| p.point.as_str()).collect();
 
     // Candidate points absent from the baseline, indexed by the *rng-blind*
     // point fingerprint: an unmatched baseline point that shares this key
     // with one of them is the same experiment under a different RNG contract
     // — a warning, not a pair of grid mismatches. (Equal blind keys with
     // unequal plain keys can only mean the `rng` field differs.)
-    let mut candidate_unmatched: Vec<(String, &StoreRecord, bool)> = candidate_groups
+    let mut candidate_unmatched: Vec<(String, &StorePoint, bool)> = candidate_groups
         .iter()
-        .filter(|(point, _)| !baseline_points.contains(point.as_str()))
-        .map(|(_, replicas)| {
+        .filter(|p| !baseline_keys.contains(p.point.as_str()))
+        .map(|p| {
             (
-                surepath_runner::point_fingerprint_ignoring_rng(&replicas[0].job),
-                replicas[0],
+                surepath_runner::point_fingerprint_ignoring_rng(&p.job),
+                *p,
                 false,
             )
         })
@@ -900,14 +802,13 @@ pub fn diff_stores_filtered(
     let rng_name = |job: &JobSpec| job.rng.clone().unwrap_or_else(|| "v1".into());
 
     let mut diff = StoreDiff::default();
-    for (point, baseline_replicas) in &baseline_groups {
-        let Some(candidate_replicas) = candidate_index.get(point.as_str()) else {
-            if candidate_attempted.contains(point.as_str()) {
-                diff.candidate_failed
-                    .push(point_label(&baseline_replicas[0].job));
+    for base in baseline_groups {
+        let job = &base.job;
+        let Some(cand) = candidate_index.get(base.point.as_str()) else {
+            if candidate_attempted.contains(base.point.as_str()) {
+                diff.candidate_failed.push(point_label(job));
             } else {
-                let blind =
-                    surepath_runner::point_fingerprint_ignoring_rng(&baseline_replicas[0].job);
+                let blind = surepath_runner::point_fingerprint_ignoring_rng(job);
                 if let Some((_, peer, consumed)) = candidate_unmatched
                     .iter_mut()
                     .find(|(key, _, consumed)| !*consumed && *key == blind)
@@ -915,8 +816,8 @@ pub fn diff_stores_filtered(
                     *consumed = true;
                     diff.rng_mismatch.push(format!(
                         "{}: baseline rng={}, candidate rng={}",
-                        point_label(&baseline_replicas[0].job),
-                        rng_name(&baseline_replicas[0].job),
+                        point_label(job),
+                        rng_name(job),
                         rng_name(&peer.job),
                     ));
                 } else {
@@ -925,16 +826,14 @@ pub fn diff_stores_filtered(
             }
             continue;
         };
-        let job = &baseline_replicas[0].job;
         let specs = diff_metrics(&job.kind);
         if specs.is_empty() {
             diff.uncompared += 1;
             continue;
         }
-        let summarise = |replicas: &[&StoreRecord], metric: &str| -> Summary {
+        let summarise = |p: &StorePoint, metric: &str| -> Summary {
             Summary::of_finite(
-                &replicas
-                    .iter()
+                &p.ok_records()
                     .filter_map(|r| metric_value(r, metric))
                     .collect::<Vec<_>>(),
             )
@@ -942,8 +841,8 @@ pub fn diff_stores_filtered(
         let metrics = specs
             .iter()
             .map(|&(metric, higher_is_better, decimals)| {
-                let a = summarise(baseline_replicas, metric);
-                let b = summarise(candidate_replicas, metric);
+                let a = summarise(base, metric);
+                let b = summarise(cand, metric);
                 let significant = a.differs_from(&b);
                 let worse = if higher_is_better {
                     b.mean < a.mean
@@ -1180,8 +1079,8 @@ pub fn format_manifest_status(manifest: &ShardManifest, store: &ResultStore) -> 
 }
 
 /// Renders the engine counters of a store as per-campaign tables: one
-/// column per mechanism (first-seen store order), one row per counter slot,
-/// each cell the **exact-addition merge** of every successful record's
+/// column per point label (first-seen store order), one row per counter
+/// slot, each cell the **exact-addition merge** of every successful record's
 /// `counters` field — the same algebra the distributed fold uses, so a
 /// folded store reports identical numbers to a local run. The
 /// `--report --counters` view. Pre-observability records (no `counters`
@@ -1198,36 +1097,32 @@ pub fn format_counters_report(store: &ResultStore) -> String {
         out.push_str(&format!(
             "=== counters: campaign `{campaign}` / kind `{kind}` ===\n"
         ));
-        // Mechanism display names in first-seen order, each with its merge.
-        let mut mechanisms: Vec<String> = Vec::new();
+        // Labels in first-seen order, each with its merge.
+        let mut labels: Vec<String> = Vec::new();
         let mut merged: Vec<CounterRegistry> = Vec::new();
         let mut jobs_with_counters = 0usize;
-        for record in store
-            .records_in_order()
-            .filter(|r| r.status == "ok" && &r.job.campaign == campaign && &r.job.kind == kind)
-        {
-            let Some(counters) = record.result.as_ref().and_then(|v| v.get("counters")) else {
+        for p in store_points(store, campaign, kind) {
+            let Some(registry) = p.counters() else {
                 continue;
             };
-            let Ok(registry) = CounterRegistry::deserialize(counters) else {
-                continue;
-            };
-            jobs_with_counters += 1;
-            let (mechanism, _, _) = display_names(&record.job);
-            match mechanisms.iter().position(|m| m == &mechanism) {
+            jobs_with_counters += p
+                .ok_records()
+                .filter_map(|r| result_field::<CounterRegistry>(r, "counters"))
+                .count();
+            match labels.iter().position(|l| l == &p.label) {
                 Some(i) => merged[i].merge(&registry),
                 None => {
-                    mechanisms.push(mechanism);
+                    labels.push(p.label);
                     merged.push(registry);
                 }
             }
         }
-        if mechanisms.is_empty() {
+        if labels.is_empty() {
             out.push_str("(no counters recorded — store predates the observability schema)\n\n");
             continue;
         }
         let mut header: Vec<&str> = vec!["counter"];
-        header.extend(mechanisms.iter().map(String::as_str));
+        header.extend(labels.iter().map(String::as_str));
         let rows: Vec<ReportRow> = Counter::ALL
             .iter()
             .map(|&counter| ReportRow {
@@ -1370,38 +1265,19 @@ pub fn report_store(store: &ResultStore) -> String {
         return out;
     }
     for (campaign, kind) in &groups {
-        let records: Vec<_> = store
-            .records_in_order()
-            .filter(|r| &r.job.campaign == campaign && &r.job.kind == kind)
-            .collect();
+        let points = store_points(store, campaign, kind);
+        let records: Vec<&StoreRecord> = points.iter().flat_map(|p| &p.records).collect();
         let ok = records.iter().filter(|r| r.status == "ok").count();
         let failed = records.len() - ok;
         out.push_str(&format!(
             "=== campaign `{campaign}` / kind `{kind}`: {ok} ok, {failed} failed ===\n"
         ));
         match kind.as_str() {
-            "rate" => {
-                // Replicated campaigns (any point with > 1 replica) render as
-                // mean ± CI per point; single-run campaigns keep the classic
-                // per-row table, so old stores report byte-identically.
-                let replicated = replicated_rate_points(store, Some(campaign));
-                if replicated.iter().any(|p| p.n > 1) {
-                    out.push_str(&format_replicated_rate_table(&replicated));
-                } else {
-                    let points = rate_points_from_store(store, Some(campaign));
-                    out.push_str(&format_rate_table(&points));
-                }
-            }
+            "rate" => out.push_str(&format_rate_table(points.iter().cloned())),
             "batch" => {
-                let runs = batch_runs_from_store(store, Some(campaign));
-                let replicated = replicated_batch_points(store, Some(campaign));
-                if replicated.iter().any(|p| p.n > 1) {
-                    out.push_str(&format_replicated_batch_table(&replicated));
-                } else {
-                    out.push_str(&format_batch_table(&runs));
-                }
+                out.push_str(&format_batch_table(&points));
                 out.push('\n');
-                out.push_str(&batch_samples_csv(&runs));
+                out.push_str(&batch_samples_csv(&points));
             }
             _ => {
                 out.push_str(&format!(
@@ -1437,31 +1313,19 @@ fn chart_stem(campaign: &str, kind: &str) -> String {
     format!("{}_{}", sanitize(campaign), sanitize(kind))
 }
 
-/// The (campaign, kind) groups of a store, in first-seen store order.
-fn store_groups(store: &ResultStore) -> Vec<(String, String)> {
-    let mut groups: Vec<(String, String)> = Vec::new();
-    for record in store.records_in_order() {
-        let key = (record.job.campaign.clone(), record.job.kind.clone());
-        if !groups.contains(&key) {
-            groups.push(key);
-        }
-    }
-    groups
-}
-
-/// The plottable line series of one (campaign, kind) group: the shared
-/// data-extraction path behind `--plots` (SVG via [`report_charts`]) and
-/// `--gnuplot` (scripts via [`report_gnuplot`]), so the two artifact
-/// families can never drift apart.
 /// One chart series: `(name, (x, y) points, stroke colour override)`. A
 /// `Some` colour pins the series to the cold→hot percentile ramp; `None`
 /// takes the palette by index.
 type ChartSeries = (String, Vec<(f64, f64)>, Option<&'static str>);
 
+/// The plottable line series of one (campaign, kind) group: the shared
+/// data-extraction path behind `--plots` (SVG via [`report_charts`]) and
+/// `--gnuplot` (scripts via [`report_gnuplot`]), so the two artifact
+/// families can never drift apart.
 struct ChartData {
-    /// Artifact stem suffix distinguishing chart variants of one group
-    /// (empty for the primary chart, `_latency` for the percentile variant).
-    stem_suffix: &'static str,
+    /// Artifact stem (campaign/kind, plus `_latency` for the percentile
+    /// variant).
+    stem: String,
     /// Chart title.
     title: String,
     /// X-axis label.
@@ -1479,142 +1343,130 @@ struct ChartData {
 /// tail is hot red (the lithos perf-suite convention).
 const PERCENTILE_COLORS: [&str; 3] = ["#1f77b4", "#ff7f0e", "#d62728"];
 
-/// Extracts the charts of one (campaign, kind) group, empty when the group
-/// has nothing plottable (custom kinds, empty campaigns). Rate campaigns
-/// yield the classic accepted-versus-offered chart plus — whenever the store
-/// carries histograms — a latency-percentile variant with one cold→hot
-/// series triple per configuration.
-fn chart_datas(store: &ResultStore, campaign: &str, kind: &str) -> Vec<ChartData> {
-    match kind {
-        "rate" => {
-            let points = replicated_rate_points(store, Some(campaign));
-            if points.is_empty() {
-                return Vec::new();
-            }
-            // One series per configuration; the qualifier collapses to
-            // the mechanism alone when the campaign has a single
-            // traffic/scenario combination (the figures 4/5 layout). A
-            // campaign spanning several topologies additionally qualifies by
-            // sides — otherwise one series would fold both topologies into a
-            // self-overlapping line.
-            let multi = points
-                .iter()
-                .any(|p| (&p.traffic, &p.scenario) != (&points[0].traffic, &points[0].scenario));
-            let multi_topology = points.iter().any(|p| p.job.sides != points[0].job.sides);
-            let sides_label = |p: &ReplicatedStorePoint| {
-                p.job
-                    .sides
+/// Extracts the charts of every (campaign, kind) group of a store, skipping
+/// groups with nothing plottable (custom kinds, empty campaigns). Rate
+/// campaigns yield the classic accepted-versus-offered chart plus — whenever
+/// the store carries histograms — a latency-percentile variant with one
+/// cold→hot series triple per configuration; batch campaigns yield one
+/// throughput-over-time series per run.
+fn chart_datas(store: &ResultStore) -> Vec<ChartData> {
+    let mut charts = Vec::new();
+    for (campaign, kind) in store_groups(store) {
+        let stem = chart_stem(&campaign, &kind);
+        let points = store_points(store, &campaign, &kind);
+        match kind.as_str() {
+            "rate" => rate_charts(&campaign, stem, &points, &mut charts),
+            "batch" => {
+                let runs: Vec<(&StorePoint, u64, BatchMetrics)> = points
                     .iter()
-                    .map(|s| s.to_string())
-                    .collect::<Vec<_>>()
-                    .join("x")
-            };
-            let series_name = |p: &ReplicatedStorePoint| {
-                let mut name = if multi {
-                    format!("{} / {} / {}", p.mechanism, p.traffic, p.scenario)
-                } else {
-                    p.mechanism.clone()
-                };
-                if multi_topology {
-                    name = format!("{} / {}", sides_label(p), name);
-                }
-                name
-            };
-            let mut order: Vec<String> = Vec::new();
-            let mut by_name: std::collections::HashMap<String, Vec<(f64, f64)>> =
-                std::collections::HashMap::new();
-            for p in &points {
-                let name = series_name(p);
-                if !order.contains(&name) {
-                    order.push(name.clone());
-                }
-                by_name
-                    .entry(name)
-                    .or_default()
-                    .push((p.offered_load, p.accepted_load.mean));
-            }
-            let mut charts = vec![ChartData {
-                stem_suffix: "",
-                title: format!("campaign `{campaign}`"),
-                x_label: "offered load",
-                y_label: "accepted load",
-                unit_y: true,
-                series: order
+                    .flat_map(|p| p.seeded_runs().into_iter().map(move |(s, m)| (p, s, m)))
+                    .collect();
+                let series: Vec<ChartSeries> = runs
                     .iter()
-                    .map(|name| {
-                        let points = by_name.remove(name).expect("grouped above");
-                        (name.clone(), points, None)
-                    })
-                    .collect(),
-            }];
-            // The percentile variant: per configuration, one series per tail
-            // level from the replicas' merged histogram. Only emitted when
-            // the store carries histograms, so legacy stores keep producing
-            // exactly the artifacts they always did.
-            if points.iter().any(|p| p.latency_hist.is_some()) {
-                let mut series = Vec::new();
-                for name in &order {
-                    for (level, color) in crate::stats::LATENCY_PERCENTILES
-                        .iter()
-                        .zip(PERCENTILE_COLORS)
-                    {
-                        let pts: Vec<(f64, f64)> = points
+                    .filter(|(_, _, run)| !run.samples.is_empty())
+                    .map(|(p, seed, run)| {
+                        let sharing = runs.iter().filter(|(q, _, _)| q.label == p.label).count();
+                        let samples = run
+                            .samples
                             .iter()
-                            .filter(|p| &series_name(p) == name)
-                            .filter_map(|p| {
-                                let q = p.latency_hist.as_ref()?.value_at_quantile(level.q)?;
-                                Some((p.offered_load, q as f64))
-                            })
+                            .map(|s| (s.cycle as f64, s.accepted_load))
                             .collect();
-                        if !pts.is_empty() {
-                            series.push((format!("{name} {}", level.label), pts, Some(color)));
-                        }
-                    }
-                }
+                        (batch_label(p, sharing, Some(*seed)), samples, None)
+                    })
+                    .collect();
                 if !series.is_empty() {
                     charts.push(ChartData {
-                        stem_suffix: "_latency",
-                        title: format!("campaign `{campaign}` (latency percentiles)"),
-                        x_label: "offered load",
-                        y_label: "latency (cycles)",
+                        stem,
+                        title: format!("campaign `{campaign}` (throughput over time)"),
+                        x_label: "cycle",
+                        y_label: "accepted load",
                         unit_y: false,
                         series,
                     });
                 }
             }
-            charts
+            // Custom kinds are rendered by their owning binaries.
+            _ => {}
         }
-        "batch" => {
-            let runs = batch_runs_from_store(store, Some(campaign));
-            let series: Vec<ChartSeries> = runs
-                .iter()
-                .filter_map(|run| {
-                    let samples: Vec<(f64, f64)> = run
-                        .metrics
-                        .samples
-                        .iter()
-                        .map(|s| (s.cycle as f64, s.accepted_load))
-                        .collect();
-                    if samples.is_empty() {
-                        return None;
-                    }
-                    Some((batch_run_label(run, &runs), samples, None))
-                })
-                .collect();
-            if series.is_empty() {
-                return Vec::new();
+    }
+    charts
+}
+
+/// The charts of one rate campaign: accepted versus offered load (replica
+/// means), and the latency-percentile variant when histograms exist.
+fn rate_charts(campaign: &str, stem: String, points: &[StorePoint], charts: &mut Vec<ChartData>) {
+    let points: Vec<(&StorePoint, f64)> = points
+        .iter()
+        .filter_map(|p| rate_runs(p).map(|(offered, _)| (p, offered)))
+        .collect();
+    let Some(&(first, _)) = points.first() else {
+        return;
+    };
+    // One series per configuration: the point label, qualified with traffic
+    // and scenario when the campaign has several combinations.
+    let multi = points
+        .iter()
+        .any(|(p, _)| (&p.traffic, &p.scenario) != (&first.traffic, &first.scenario));
+    let series_name = |p: &StorePoint| {
+        if multi {
+            format!("{} / {} / {}", p.label, p.traffic, p.scenario)
+        } else {
+            p.label.clone()
+        }
+    };
+    let mut order: Vec<String> = Vec::new();
+    for (p, _) in &points {
+        let name = series_name(p);
+        if !order.contains(&name) {
+            order.push(name);
+        }
+    }
+    let series_of = |name: &String, y: &dyn Fn(&StorePoint) -> Option<f64>| -> Vec<(f64, f64)> {
+        points
+            .iter()
+            .filter(|(p, _)| &series_name(p) == name)
+            .filter_map(|&(p, offered)| Some((offered, y(p)?)))
+            .collect()
+    };
+    let accepted = |p: &StorePoint| Some(p.summary(|m: &RateMetrics| m.accepted_load).mean);
+    charts.push(ChartData {
+        stem: stem.clone(),
+        title: format!("campaign `{campaign}`"),
+        x_label: "offered load",
+        y_label: "accepted load",
+        unit_y: true,
+        series: order
+            .iter()
+            .map(|name| (name.clone(), series_of(name, &accepted), None))
+            .collect(),
+    });
+    // The percentile variant: per configuration, one series per tail level
+    // from the runs' merged histogram. Only emitted when the store carries
+    // histograms, so legacy stores keep producing exactly the artifacts they
+    // always did.
+    let mut series = Vec::new();
+    for name in &order {
+        for (level, color) in crate::stats::LATENCY_PERCENTILES
+            .iter()
+            .zip(PERCENTILE_COLORS)
+        {
+            let quantile =
+                |p: &StorePoint| Some(p.latency_hist()?.value_at_quantile(level.q)? as f64);
+            let pts = series_of(name, &quantile);
+            if !pts.is_empty() {
+                series.push((format!("{name} {}", level.label), pts, Some(color)));
             }
-            vec![ChartData {
-                stem_suffix: "",
-                title: format!("campaign `{campaign}` (throughput over time)"),
-                x_label: "cycle",
-                y_label: "accepted load",
-                unit_y: false,
-                series,
-            }]
         }
-        // Custom kinds are rendered by their owning binaries.
-        _ => Vec::new(),
+    }
+    if !series.is_empty() {
+        charts.push(ChartData {
+            stem: format!("{stem}_latency"),
+            title: format!("campaign `{campaign}` (latency percentiles)"),
+            x_label: "offered load",
+            y_label: "latency (cycles)",
+            unit_y: false,
+            series,
+        });
     }
 }
 
@@ -1623,7 +1475,7 @@ fn chart_datas(store: &ResultStore, campaign: &str, kind: &str) -> Vec<ChartData
 /// face of [`report_store`] (ROADMAP "Richer reports"):
 ///
 /// * `rate` campaigns become accepted-versus-offered line charts, one
-///   series per (mechanism, traffic, scenario) with replica means;
+///   series per labelled configuration with replica means;
 /// * `batch` campaigns become throughput-over-time line charts, one series
 ///   per run.
 ///
@@ -1632,10 +1484,9 @@ fn chart_datas(store: &ResultStore, campaign: &str, kind: &str) -> Vec<ChartData
 /// to `<dir>/<stem>.svg`.
 pub fn report_charts(store: &ResultStore) -> Vec<(String, String)> {
     use crate::plot::{LineChart, Series};
-    let mut charts = Vec::new();
-    for (campaign, kind) in store_groups(store) {
-        for data in chart_datas(store, &campaign, &kind) {
-            let stem = format!("{}{}", chart_stem(&campaign, &kind), data.stem_suffix);
+    chart_datas(store)
+        .into_iter()
+        .map(|data| {
             let mut chart = LineChart::new(data.title, data.x_label, data.y_label);
             if data.unit_y {
                 chart = chart.with_y_range(0.0, 1.0);
@@ -1647,10 +1498,9 @@ pub fn report_charts(store: &ResultStore) -> Vec<(String, String)> {
                 }
                 chart = chart.with_series(series);
             }
-            charts.push((stem, chart.to_svg()));
-        }
-    }
-    charts
+            (data.stem, chart.to_svg())
+        })
+        .collect()
 }
 
 /// One Gnuplot artifact pair of a store group: `<stem>.gp` (the script) and
@@ -1674,56 +1524,52 @@ pub struct GnuplotArtifact {
 /// byte-identical artifacts.
 pub fn report_gnuplot(store: &ResultStore) -> Vec<GnuplotArtifact> {
     let mut artifacts = Vec::new();
-    for (campaign, kind) in store_groups(store) {
-        for chart in chart_datas(store, &campaign, &kind) {
-            let stem = format!("{}{}", chart_stem(&campaign, &kind), chart.stem_suffix);
-            // Gnuplot titles live inside double quotes; keep names printable.
-            let quote = |s: &str| s.replace('"', "'");
-            let mut data = String::new();
-            for (i, (name, points, _)) in chart.series.iter().enumerate() {
-                if i > 0 {
-                    data.push_str("\n\n");
-                }
-                data.push_str(&format!("# series {i}: {name}\n"));
-                for (x, y) in points {
-                    data.push_str(&format!("{x:.6} {y:.6}\n"));
-                }
+    for chart in chart_datas(store) {
+        let stem = chart.stem;
+        // Gnuplot titles live inside double quotes; keep names printable.
+        let quote = |s: &str| s.replace('"', "'");
+        let mut data = String::new();
+        for (i, (name, points, _)) in chart.series.iter().enumerate() {
+            if i > 0 {
+                data.push_str("\n\n");
             }
-            let mut script = format!(
-                "# Generated by `surepath campaign --report --plots <dir> --gnuplot`.\n\
+            data.push_str(&format!("# series {i}: {name}\n"));
+            for (x, y) in points {
+                data.push_str(&format!("{x:.6} {y:.6}\n"));
+            }
+        }
+        let mut script = format!(
+            "# Generated by `surepath campaign --report --plots <dir> --gnuplot`.\n\
                  # Render with: gnuplot {stem}.gp  (writes {stem}.svg)\n\
                  set title \"{}\"\n\
                  set xlabel \"{}\"\n\
                  set ylabel \"{}\"\n",
-                quote(&chart.title),
-                chart.x_label,
-                chart.y_label
-            );
-            if chart.unit_y {
-                script.push_str("set yrange [0:1]\n");
-            }
-            script.push_str(
-                "set key outside right\nset grid\nset terminal svg size 900,560 dynamic\n",
-            );
-            script.push_str(&format!("set output \"{stem}.svg\"\n"));
-            script.push_str("plot \\\n");
-            for (i, (name, _, color)) in chart.series.iter().enumerate() {
-                let style = match color {
-                    Some(c) => format!("lc rgb \"{c}\" "),
-                    None => String::new(),
-                };
-                script.push_str(&format!(
-                    "  \"{stem}.dat\" index {i} using 1:2 with linespoints {style}title \"{}\"{}\n",
-                    quote(name),
-                    if i + 1 < chart.series.len() {
-                        ", \\"
-                    } else {
-                        ""
-                    }
-                ));
-            }
-            artifacts.push(GnuplotArtifact { stem, script, data });
+            quote(&chart.title),
+            chart.x_label,
+            chart.y_label
+        );
+        if chart.unit_y {
+            script.push_str("set yrange [0:1]\n");
         }
+        script.push_str("set key outside right\nset grid\nset terminal svg size 900,560 dynamic\n");
+        script.push_str(&format!("set output \"{stem}.svg\"\n"));
+        script.push_str("plot \\\n");
+        for (i, (name, _, color)) in chart.series.iter().enumerate() {
+            let style = match color {
+                Some(c) => format!("lc rgb \"{c}\" "),
+                None => String::new(),
+            };
+            script.push_str(&format!(
+                "  \"{stem}.dat\" index {i} using 1:2 with linespoints {style}title \"{}\"{}\n",
+                quote(name),
+                if i + 1 < chart.series.len() {
+                    ", \\"
+                } else {
+                    ""
+                }
+            ));
+        }
+        artifacts.push(GnuplotArtifact { stem, script, data });
     }
     artifacts
 }
@@ -1733,36 +1579,33 @@ pub fn report_gnuplot(store: &ResultStore) -> Vec<GnuplotArtifact> {
 /// row leads with its campaign name, so same-named configurations from
 /// different campaigns sharing a store stay separable.
 pub fn report_csv(store: &ResultStore) -> String {
+    let groups = store_groups(store);
     let mut out = String::new();
-    let mut rate_campaigns: Vec<String> = Vec::new();
-    for record in store.records_in_order() {
-        if record.job.kind == "rate" && !rate_campaigns.contains(&record.job.campaign) {
-            rate_campaigns.push(record.job.campaign.clone());
-        }
-    }
+    let rate_campaigns: Vec<&String> = groups
+        .iter()
+        .filter(|(_, kind)| kind == "rate")
+        .map(|(campaign, _)| campaign)
+        .collect();
     if !rate_campaigns.is_empty() {
-        let mut sections = rate_campaigns.iter().map(|campaign| {
-            (
-                campaign,
-                rate_metrics_to_csv(&rate_points_from_store(store, Some(campaign))),
-            )
-        });
-        if let Some((first_campaign, first_block)) = sections.next() {
-            let header = first_block.lines().next().unwrap_or_default();
-            out.push_str(&format!("campaign,{header}\n"));
-            for line in first_block.lines().skip(1) {
-                out.push_str(&format!("{first_campaign},{line}\n"));
-            }
-            for (campaign, block) in sections {
-                for line in block.lines().skip(1) {
+        out.push_str(&format!("campaign,{RATE_CSV_HEADER}\n"));
+        for campaign in rate_campaigns {
+            for p in store_points(store, campaign, "rate") {
+                for line in rate_csv_lines(&p).lines() {
                     out.push_str(&format!("{campaign},{line}\n"));
                 }
             }
         }
     }
-    let batch_runs = batch_runs_from_store(store, None);
-    if !batch_runs.is_empty() {
-        out.push_str(&batch_samples_csv(&batch_runs));
+    let batch_points: Vec<StorePoint> = groups
+        .iter()
+        .filter(|(_, kind)| kind == "batch")
+        .flat_map(|(campaign, kind)| store_points(store, campaign, kind))
+        .collect();
+    if batch_points
+        .iter()
+        .any(|p| !p.runs::<BatchMetrics>().is_empty())
+    {
+        out.push_str(&batch_samples_csv(&batch_points));
     }
     out
 }
@@ -1770,7 +1613,6 @@ pub fn report_csv(store: &ResultStore) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hyperx_sim::RateMetrics;
 
     fn dummy_point(mechanism: &str, load: f64, accepted: f64) -> SweepPoint {
         SweepPoint {
@@ -1838,43 +1680,71 @@ mod tests {
         assert!(csv.contains("Valiant"));
     }
 
-    use hyperx_sim::{BatchMetrics, ThroughputSample};
-    use surepath_runner::JobSpec;
+    use hyperx_sim::ThroughputSample;
 
-    fn dummy_batch(mechanism: &str, completion: u64) -> BatchRun {
-        BatchRun {
-            campaign: "fig10-test".into(),
-            mechanism: mechanism.to_string(),
-            traffic: "Regular Permutation to Neighbour".into(),
-            scenario: "Star".into(),
-            seed: 1,
-            metrics: BatchMetrics {
-                completion_time: completion,
-                delivered_packets: 1000,
-                samples: vec![
-                    ThroughputSample {
-                        cycle: 500,
-                        accepted_load: 0.4,
-                    },
-                    ThroughputSample {
-                        cycle: completion,
-                        accepted_load: 0.1,
-                    },
-                ],
-                average_latency: 150.0,
-                stalled: false,
-                latency_hist: None,
-            },
+    fn dummy_batch(completion: u64) -> BatchMetrics {
+        BatchMetrics {
+            completion_time: completion,
+            delivered_packets: 1000,
+            samples: vec![
+                ThroughputSample {
+                    cycle: 500,
+                    accepted_load: 0.4,
+                },
+                ThroughputSample {
+                    cycle: completion,
+                    accepted_load: 0.1,
+                },
+            ],
+            average_latency: 150.0,
+            stalled: false,
+            latency_hist: None,
         }
+    }
+
+    /// The points of a `fig10-test` batch store holding one RPN run per
+    /// `(mechanism, scenario, seed, completion time)`.
+    fn batch_points(name: &str, runs: &[(&str, &str, u64, u64)]) -> Vec<StorePoint> {
+        let path = temp_store(name);
+        let _ = std::fs::remove_file(&path);
+        let mut store = ResultStore::open(&path).unwrap();
+        for &(mechanism, scenario, seed, completion) in runs {
+            let job = JobSpec {
+                campaign: "fig10-test".into(),
+                kind: "batch".into(),
+                sides: vec![4, 4, 4],
+                mechanism: Some(mechanism.into()),
+                traffic: Some("rpn".into()),
+                scenario: Some(scenario.into()),
+                packets_per_server: Some(60),
+                seed,
+                ..JobSpec::default()
+            };
+            store
+                .append_ok(
+                    &job,
+                    serde_json::to_value(&dummy_batch(completion)).unwrap(),
+                )
+                .unwrap();
+        }
+        let points = store_points(&store, "fig10-test", "batch");
+        let _ = std::fs::remove_file(&path);
+        points
     }
 
     #[test]
     fn batch_table_and_samples_render_every_run() {
-        let runs = vec![dummy_batch("OmniSP", 2800), dummy_batch("PolSP", 1000)];
-        let table = format_batch_table(&runs);
+        let points = batch_points(
+            "batch-table",
+            &[
+                ("omnisp", "star:2,2,2", 1, 2800),
+                ("polsp", "star:2,2,2", 1, 1000),
+            ],
+        );
+        let table = format_batch_table(&points);
         assert!(table.contains("OmniSP: completion time 2800 cycles"));
         assert!(table.contains("PolSP: completion time 1000 cycles"));
-        let csv = batch_samples_csv(&runs);
+        let csv = batch_samples_csv(&points);
         assert_eq!(csv.lines().count(), 1 + 4, "header + 2 samples per run");
         assert!(
             csv.contains("fig10-test,OmniSP,Regular Permutation to Neighbour,Star,1,500,0.400000")
@@ -1885,11 +1755,14 @@ mod tests {
     fn ambiguous_batch_runs_are_qualified_by_scenario_and_seed() {
         // Two runs of the same mechanism (e.g. a multi-seed campaign) must
         // stay distinguishable in the table and the CSV.
-        let mut healthy = dummy_batch("OmniSP", 900);
-        healthy.scenario = "Healthy".into();
-        healthy.seed = 2;
-        let runs = vec![dummy_batch("OmniSP", 2800), healthy];
-        let table = format_batch_table(&runs);
+        let points = batch_points(
+            "batch-ambiguous",
+            &[
+                ("omnisp", "star:2,2,2", 1, 2800),
+                ("omnisp", "none", 2, 900),
+            ],
+        );
+        let table = format_batch_table(&points);
         assert!(
             table.contains("OmniSP [Regular Permutation to Neighbour / Star / seed 1]:"),
             "{table}"
@@ -1898,21 +1771,26 @@ mod tests {
             table.contains("OmniSP [Regular Permutation to Neighbour / Healthy / seed 2]:"),
             "{table}"
         );
-        let csv = batch_samples_csv(&runs);
+        let csv = batch_samples_csv(&points);
         assert!(csv.contains(",Star,1,"), "{csv}");
         assert!(csv.contains(",Healthy,2,"), "{csv}");
     }
 
     #[test]
     fn completion_ratio_is_graceful_when_a_mechanism_is_missing() {
-        let runs = vec![dummy_batch("OmniSP", 2800), dummy_batch("PolSP", 1000)];
-        let ratio = completion_ratio(&runs, "OmniSP", "PolSP").unwrap();
+        let points = batch_points(
+            "batch-ratio",
+            &[
+                ("omnisp", "star:2,2,2", 1, 2800),
+                ("polsp", "star:2,2,2", 1, 1000),
+            ],
+        );
+        let ratio = completion_ratio(&points, "OmniSP", "PolSP").unwrap();
         assert!((ratio - 2.8).abs() < 1e-9);
 
         // Regression: a filtered or renamed lineup must not panic — the old
         // fig10 binary `.unwrap()`ed this exact lookup.
-        let only_polsp = vec![dummy_batch("PolSP", 1000)];
-        assert_eq!(completion_ratio(&only_polsp, "OmniSP", "PolSP"), None);
+        assert_eq!(completion_ratio(&points[1..], "OmniSP", "PolSP"), None);
         assert_eq!(completion_ratio(&[], "OmniSP", "PolSP"), None);
     }
 
@@ -2116,16 +1994,16 @@ mod tests {
         store
             .append_ok(&rate_job("polsp", 0.3, 2), result(&[1_000], 1_000))
             .unwrap();
-        let points = replicated_rate_points(&store, None);
+        let points = store_points(&store, "replicated", "rate");
         assert_eq!(points.len(), 1);
-        let merged = points[0].latency_hist.as_ref().unwrap();
+        let merged = points[0].latency_hist().unwrap();
         assert_eq!(merged.count(), 4);
         // Merged p50 = 2nd of [10,10,10,1000] = 10; averaging per-replica
         // p50s would have given ~500-ish. Max is the max over replicas.
         assert_eq!(merged.value_at_quantile(0.5), Some(10));
-        assert_eq!(points[0].max_latency, Some(1_000));
-        let table = format_replicated_rate_table(&points);
+        let table = format_rate_table(points);
         assert!(table.contains("p99"), "{table}");
+        assert!(table.lines().last().unwrap().ends_with(" 1000"), "{table}");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -2144,17 +2022,18 @@ mod tests {
             .append_ok(&rate_job("omnisp", 0.3, 1), rate_result(0.69, 82.0))
             .unwrap();
 
-        let points = replicated_rate_points(&store, Some("replicated"));
+        let points = store_points(&store, "replicated", "rate");
         assert_eq!(points.len(), 2);
-        assert_eq!(points[0].n, 3);
+        assert_eq!(points[0].runs::<RateMetrics>().len(), 3);
         assert_eq!(points[0].mechanism, "PolSP");
-        assert!((points[0].accepted_load.mean - 0.71).abs() < 1e-12);
-        assert!(points[0].accepted_load.half_width() > 0.0);
-        assert_eq!(points[1].n, 1);
+        let accepted = points[0].summary(|m: &RateMetrics| m.accepted_load);
+        assert!((accepted.mean - 0.71).abs() < 1e-12);
+        assert!(accepted.half_width() > 0.0);
+        assert_eq!(points[1].runs::<RateMetrics>().len(), 1);
 
-        // The replicated table renders mean ± half-width per point; the full
-        // report picks it automatically for replicated campaigns.
-        let table = format_replicated_rate_table(&points);
+        // Once any point has replicas the table renders mean ± half-width
+        // per point, with an `n` column.
+        let table = format_rate_table(points);
         assert!(table.contains("±"), "{table}");
         assert!(table.contains("0.710"), "{table}");
         let report = report_store(&store);
@@ -2199,8 +2078,8 @@ mod tests {
         // Deterministic: a second extraction is byte-identical.
         assert_eq!(report_gnuplot(&store), artifacts);
 
-        // A second topology splits the series (qualified by sides) instead
-        // of folding into a self-overlapping line.
+        // A second topology splits the series (the label qualifies them by
+        // sides) instead of folding into a self-overlapping line.
         let mut wide = rate_job("polsp", 0.2, 1);
         wide.sides = vec![8, 8];
         store.append_ok(&wide, rate_result(0.72, 85.0)).unwrap();
@@ -2211,8 +2090,8 @@ mod tests {
             "{}",
             split[0].data
         );
-        assert!(split[0].data.contains("4x4 / PolSP"), "{}", split[0].data);
-        assert!(split[0].data.contains("8x8 / PolSP"), "{}", split[0].data);
+        assert!(split[0].data.contains("PolSP [4x4]"), "{}", split[0].data);
+        assert!(split[0].data.contains("PolSP [8x8]"), "{}", split[0].data);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -2378,9 +2257,8 @@ mod tests {
             load: None,
             ..rate_job("omnisp", 0.3, seed)
         };
-        let mut ok = dummy_batch("OmniSP", 1000).metrics;
-        ok.average_latency = 150.0;
-        let mut stalled = dummy_batch("OmniSP", 5000).metrics;
+        let ok = dummy_batch(1000);
+        let mut stalled = dummy_batch(5000);
         stalled.stalled = true;
         stalled.average_latency = f64::NAN; // no packet ever completed
         store
@@ -2390,15 +2268,16 @@ mod tests {
             .append_ok(&batch_job(2), serde_json::to_value(&stalled).unwrap())
             .unwrap();
 
-        let points = replicated_batch_points(&store, Some("batch-rep"));
+        let points = store_points(&store, "batch-rep", "batch");
         assert_eq!(points.len(), 1);
-        assert_eq!(points[0].n, 2);
-        assert_eq!(points[0].stalled_replicas, 1);
-        assert_eq!(points[0].average_latency.n, 1, "NaN latency dropped");
-        assert!(points[0].average_latency.mean.is_finite());
-        assert!(points[0].completion_time.mean.is_finite());
-        let table = format_replicated_batch_table(&points);
-        assert!(table.contains("1 STALLED"), "{table}");
+        assert_eq!(points[0].runs::<BatchMetrics>().len(), 2);
+        let latency = points[0].summary(|m: &BatchMetrics| m.average_latency);
+        assert_eq!(latency.n, 1, "NaN latency dropped");
+        assert!(latency.mean.is_finite());
+        let completion = points[0].summary(|m: &BatchMetrics| m.completion_time as f64);
+        assert!(completion.mean.is_finite());
+        let table = format_batch_table(&points);
+        assert!(table.contains("(n=2, 1 STALLED)"), "{table}");
         assert!(!table.contains("NaN"), "{table}");
         let _ = std::fs::remove_file(&path);
     }
@@ -2568,7 +2447,7 @@ mod tests {
         store
             .append_ok(
                 &batch_job,
-                serde_json::to_value(&dummy_batch("OmniSP", 1500).metrics).unwrap(),
+                serde_json::to_value(&dummy_batch(1500)).unwrap(),
             )
             .unwrap();
 
@@ -2633,7 +2512,7 @@ mod tests {
         store
             .append_ok(
                 &batch_job,
-                serde_json::to_value(&dummy_batch("OmniSP", 1234).metrics).unwrap(),
+                serde_json::to_value(&dummy_batch(1234)).unwrap(),
             )
             .unwrap();
 
@@ -2646,19 +2525,24 @@ mod tests {
             .append_failed(&failed_job, "simulated crash".into())
             .unwrap();
 
-        // Points come back with paper display names and the stored numbers.
-        let points = rate_points_from_store(&store, Some("fig-rate"));
+        // Points come back with paper display names and the stored numbers;
+        // the failed seed joins its point's records but yields no run.
+        let points = store_points(&store, "fig-rate", "rate");
         assert_eq!(points.len(), 1);
+        assert_eq!(points[0].records.len(), 2);
         assert_eq!(points[0].mechanism, "PolSP");
         assert_eq!(points[0].traffic, "Uniform");
         assert_eq!(points[0].scenario, "Healthy");
-        assert_eq!(points[0].metrics.delivered_packets, 4242);
-
-        let runs = batch_runs_from_store(&store, Some("fig10"));
+        let runs: Vec<RateMetrics> = points[0].runs();
         assert_eq!(runs.len(), 1);
-        assert_eq!(runs[0].mechanism, "OmniSP");
-        assert_eq!(runs[0].scenario, "Star");
-        assert_eq!(runs[0].metrics.completion_time, 1234);
+        assert_eq!(runs[0].delivered_packets, 4242);
+
+        let points = store_points(&store, "fig10", "batch");
+        assert_eq!(points.len(), 1);
+        assert_eq!(points[0].mechanism, "OmniSP");
+        assert_eq!(points[0].scenario, "Star");
+        let runs: Vec<BatchMetrics> = points[0].runs();
+        assert_eq!(runs[0].completion_time, 1234);
 
         // The full report covers both campaigns and surfaces the failure.
         let report = report_store(&store);
@@ -2738,6 +2622,60 @@ mod tests {
             .unwrap();
         assert!(grants_row.contains("130"), "{grants_row}");
         assert!(report.contains("merged from 3 job(s)"), "{report}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn points_that_differ_only_in_hidden_dimensions_get_distinct_labels() {
+        // Sides, vcs and root have no column of their own: the label must
+        // tell the eight configurations apart in every renderer, even when
+        // their results are identical.
+        let path = temp_store("hidden-dimensions");
+        let _ = std::fs::remove_file(&path);
+        let mut store = ResultStore::open(&path).unwrap();
+        for sides in [vec![4, 4], vec![8, 8]] {
+            for vcs in [2, 4] {
+                for root in ["suggested", "max-degree"] {
+                    for load in [0.3, 0.6] {
+                        let job = JobSpec {
+                            sides: sides.clone(),
+                            vcs: Some(vcs),
+                            root: Some(root.into()),
+                            ..rate_job("polsp", load, 1)
+                        };
+                        store
+                            .append_ok(&job, rate_result_with_counters(100, 90))
+                            .unwrap();
+                    }
+                }
+            }
+        }
+        let report = report_store(&store);
+        let rows: std::collections::HashSet<&str> = report.lines().skip(3).take(16).collect();
+        assert_eq!(rows.len(), 16, "every table row is distinct:\n{report}");
+        assert!(
+            report.contains("PolSP [8x8 / vcs=4 / root=max-degree]"),
+            "{report}"
+        );
+        let csv = report_csv(&store);
+        let keys: std::collections::HashSet<(&str, &str)> = csv
+            .lines()
+            .skip(1)
+            .map(|line| {
+                let fields: Vec<&str> = line.split(',').collect();
+                (fields[1], fields[4])
+            })
+            .collect();
+        assert_eq!(keys.len(), 16, "one (mechanism, load) per CSV row:\n{csv}");
+        let charts = report_charts(&store);
+        assert_eq!(
+            charts[0].1.matches("<polyline").count(),
+            8,
+            "one series per configuration"
+        );
+        let counters = format_counters_report(&store);
+        let header = counters.lines().nth(1).unwrap();
+        assert_eq!(header.matches("PolSP [").count(), 8, "{counters}");
         let _ = std::fs::remove_file(&path);
     }
 

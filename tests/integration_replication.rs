@@ -12,8 +12,8 @@ use serde::Value;
 use std::path::PathBuf;
 use surepath::cli::{run_campaign_command, CampaignCommand};
 use surepath::core::{
-    diff_stores, format_store_diff, replicated_rate_points, report_store, run_campaign,
-    CampaignSpec, ResultStore, TopologySpec,
+    diff_stores, format_store_diff, report_store, run_campaign, store_points, CampaignSpec,
+    RateMetrics, ResultStore, TopologySpec,
 };
 use surepath::runner::StoreRecord;
 
@@ -83,16 +83,21 @@ fn replicated_report_prints_mean_and_half_width_per_point() {
     run_campaign(&spec, &path, Some(test_threads()), true).unwrap();
 
     let store = ResultStore::open_read_only(&path).unwrap();
-    let points = replicated_rate_points(&store, Some("replication-report"));
+    let points = store_points(&store, "replication-report", "rate");
     assert_eq!(points.len(), 2, "one aggregated point per mechanism");
     for p in &points {
-        assert_eq!(p.n, 3, "all three replicas grouped");
-        assert!(p.accepted_load.mean > 0.05);
+        assert_eq!(
+            p.runs::<RateMetrics>().len(),
+            3,
+            "all three replicas grouped"
+        );
+        let accepted = p.summary(|m: &RateMetrics| m.accepted_load);
+        assert!(accepted.mean > 0.05);
         assert!(
-            p.accepted_load.std_dev > 0.0,
+            accepted.std_dev > 0.0,
             "different seeds give different draws"
         );
-        assert!(p.accepted_load.half_width().is_finite());
+        assert!(accepted.half_width().is_finite());
     }
     let report = report_store(&store);
     assert!(
@@ -204,8 +209,8 @@ fn replicas_resume_and_align_with_legacy_single_seed_stores() {
 
     // And the legacy rows group into the same points as the new replicas.
     let store = ResultStore::open_read_only(&path).unwrap();
-    let points = replicated_rate_points(&store, Some("replication-upgrade"));
+    let points = store_points(&store, "replication-upgrade", "rate");
     assert_eq!(points.len(), 2);
-    assert!(points.iter().all(|p| p.n == 3));
+    assert!(points.iter().all(|p| p.runs::<RateMetrics>().len() == 3));
     let _ = std::fs::remove_file(&path);
 }
