@@ -784,6 +784,24 @@ fn require_stores_exist(paths: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Where `--report` merges several shards for the duration of one report.
+fn report_merge_path() -> std::path::PathBuf {
+    std::env::temp_dir().join(format!(
+        "surepath-report-merge-{}.jsonl",
+        std::process::id()
+    ))
+}
+
+/// A temporary file removed when dropped, so every exit path — `?` returns
+/// included — cleans it up.
+struct TempFile(std::path::PathBuf);
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
 /// What a successfully executed `campaign` subcommand hands back to `main`:
 /// the text to print and the process exit code. Most commands exit 0; a run
 /// stopped by the global deadline exits [`EXIT_DEADLINE`] so schedulers can
@@ -931,8 +949,9 @@ pub fn run_campaign_command(cmd: &CampaignCommand) -> Result<CommandOutput, Stri
             }
             require_stores_exist(&stores)?;
             // With several shards (or an explicit --merge) the report runs
-            // over the merged store; a single shard is read directly.
-            let (store_path, temp_merge) = match (merge, stores.len()) {
+            // over the merged store; a single shard is read directly. A
+            // temporary merge lives exactly as long as `_temp_merge`.
+            let (store_path, _temp_merge) = match (merge, stores.len()) {
                 (Some(out), _) => {
                     let paths: Vec<std::path::PathBuf> =
                         stores.iter().map(std::path::PathBuf::from).collect();
@@ -942,15 +961,12 @@ pub fn run_campaign_command(cmd: &CampaignCommand) -> Result<CommandOutput, Stri
                 }
                 (None, 1) => (std::path::PathBuf::from(&stores[0]), None),
                 (None, _) => {
-                    let tmp = std::env::temp_dir().join(format!(
-                        "surepath-report-merge-{}.jsonl",
-                        std::process::id()
-                    ));
+                    let tmp = TempFile(report_merge_path());
                     let paths: Vec<std::path::PathBuf> =
                         stores.iter().map(std::path::PathBuf::from).collect();
-                    surepath_runner::merge_stores(&tmp, &paths)
+                    surepath_runner::merge_stores(&tmp.0, &paths)
                         .map_err(|e| format!("merge failed: {e}"))?;
-                    (tmp.clone(), Some(tmp))
+                    (tmp.0.clone(), Some(tmp))
                 }
             };
             // Read-only: reporting must work on archived stores without
@@ -1028,9 +1044,6 @@ pub fn run_campaign_command(cmd: &CampaignCommand) -> Result<CommandOutput, Stri
                         ));
                     }
                 }
-            }
-            if let Some(tmp) = temp_merge {
-                let _ = std::fs::remove_file(tmp);
             }
             Ok(CommandOutput::ok(out))
         }
@@ -2064,6 +2077,53 @@ mod tests {
 
         for p in [&spec_path, &shard_a, &shard_b, &merged, &csv] {
             let _ = std::fs::remove_file(p);
+        }
+    }
+
+    #[test]
+    fn report_over_shards_removes_its_temporary_merge_on_failure() {
+        let dir = std::env::temp_dir().join("surepath-cli-report-merge-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let pid = std::process::id();
+        let shards: Vec<std::path::PathBuf> = ["a", "b"]
+            .iter()
+            .map(|s| dir.join(format!("shard-{pid}-{s}.jsonl")))
+            .collect();
+        for (seed, shard) in shards.iter().enumerate() {
+            let _ = std::fs::remove_file(shard);
+            let mut store = surepath_runner::ResultStore::open(shard).unwrap();
+            let job = surepath_runner::JobSpec {
+                campaign: "shards".into(),
+                sides: vec![4, 4],
+                seed: seed as u64 + 1,
+                ..surepath_runner::JobSpec::default()
+            };
+            store
+                .append_ok(&job, serde_json::to_value(&1u64).unwrap())
+                .unwrap();
+        }
+        // The CSV write fails after the merge: the error must not leak the
+        // temporary merged store.
+        let result = run_campaign_command(&CampaignCommand::Report {
+            stores: shards
+                .iter()
+                .map(|p| p.to_string_lossy().into_owned())
+                .collect(),
+            merge: None,
+            csv: Some(dir.join("no-such-dir/x.csv").to_string_lossy().into_owned()),
+            plots: None,
+            gnuplot: false,
+            timings: false,
+            counters: false,
+        });
+        assert!(result.is_err(), "{result:?}");
+        assert!(
+            !report_merge_path().exists(),
+            "temporary merge left at {}",
+            report_merge_path().display()
+        );
+        for shard in &shards {
+            let _ = std::fs::remove_file(shard);
         }
     }
 
