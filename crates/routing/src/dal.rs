@@ -1,5 +1,5 @@
 //! DAL — Dimensionally-Adaptive, Load-balanced routing, the routing
-//! originally proposed for HyperX networks (Ahn et al., SC'09, reference [1]
+//! originally proposed for HyperX networks (Ahn et al., SC'09, reference \[1\]
 //! of the paper).
 //!
 //! DAL is an adaptive routing over the *aligned* dimensions of the packet,

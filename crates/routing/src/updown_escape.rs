@@ -17,7 +17,7 @@ use std::sync::Arc;
 /// Which hops the escape subnetwork is allowed to offer.
 ///
 /// The paper's escape subnetwork is the *opportunistic* one (Up/Down plus
-/// shortcuts); the pure Up*/Down* variant (AutoNet [31] over the BFS levels,
+/// shortcuts); the pure Up*/Down* variant (AutoNet \[31\] over the BFS levels,
 /// no shortcuts) is what §3.2 argues against — "effectively replacing a
 /// deadlock into the marginal throughput of a tree" — and is kept here as the
 /// ablation baseline that quantifies the contribution of the shortcuts.

@@ -170,7 +170,7 @@ where
 }
 
 /// [`run_work_stealing`] with adaptive chunking: workers pull up to
-/// [`JobCostEstimate::chunk_size`] jobs per queue visit (see
+/// `JobCostEstimate::chunk_size` jobs per queue visit (see
 /// [`ChunkOptions`]). Results are still delivered per job; only dispatch
 /// granularity changes, so anything derived from job results — the result
 /// store included — is byte-identical to unchunked execution.

@@ -19,12 +19,12 @@
 //! # Layout (v5)
 //!
 //! Engine state is struct-of-arrays instead of the v4 per-switch structs:
-//! packets live in a [`PacketArena`] (parallel field arrays plus a free list,
+//! packets live in a `PacketArena` (parallel field arrays plus a free list,
 //! `u32` indices instead of owned values move through queues), input VC FIFOs
 //! and output staging buffers are flat ring buffers indexed by precomputed
 //! strides (`slot = (switch·num_ports + port)·num_vcs + vc`), per-port
 //! occupancy is a maintained counter instead of a per-request sum over VCs,
-//! and all per-step scratch lives in one reusable [`StepArena`]. Each switch
+//! and all per-step scratch lives in one reusable `StepArena`. Each switch
 //! keeps two occupancy bitmasks — non-empty input VCs (bit `port·num_vcs +
 //! vc`) and non-empty staging buffers (bit `port`) — so the allocation and
 //! transmit sweeps visit only occupied slots, in ascending order. The frozen

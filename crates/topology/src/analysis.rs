@@ -2,8 +2,8 @@
 //! diversity and distance distributions.
 //!
 //! Section 2 of the paper motivates SurePath with the structural robustness
-//! of Hamming graphs: worst-case faults were characterised in [22] and the
-//! number of surviving paths under failures is calculated in [30]
+//! of Hamming graphs: worst-case faults were characterised in \[22\] and the
+//! number of surviving paths under failures is calculated in \[30\]
 //! (Rottenstreich, *Path diversity and survivability for the HyperX
 //! datacenter topology*). This module provides the graph-theoretic side of
 //! those claims so they can be checked against the topologies actually used
@@ -268,7 +268,7 @@ impl SurvivabilityReport {
     }
 
     /// Mean ratio of surviving shortest paths to healthy shortest paths, over
-    /// pairs that kept their healthy distance (the quantity studied in [30]).
+    /// pairs that kept their healthy distance (the quantity studied in \[30\]).
     pub fn mean_path_retention(&self) -> f64 {
         let same_distance: Vec<_> = self
             .pairs
