@@ -1,11 +1,12 @@
 //! Criterion micro-benchmarks of the simulation engine: cycles per second at
 //! a moderate load for the SurePath mechanisms on the quick topologies, plus
-//! the paper's 16x16 shape with 16 servers per switch.
+//! the paper's 16x16 shape with 16 servers per switch, and closed-loop
+//! cycles on the shape of the benchmark's `batch-3d-star` workload.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use hyperx_routing::MechanismSpec;
 use std::hint::black_box;
-use surepath_core::{Experiment, TrafficSpec};
+use surepath_core::{Experiment, FaultScenario, TrafficSpec};
 
 /// The topologies of the cycle cells.
 #[derive(Clone, Copy)]
@@ -57,6 +58,45 @@ fn bench_cycles(c: &mut Criterion) {
     group.finish();
 }
 
+/// A batch run on `batch-3d-star`'s shape (8x8x8, 8 servers per switch,
+/// RPN, 4 VCs, the Star `cross:1:4,4,4`), stepped past its start so the
+/// network is full of blocked heads.
+fn warm_batch_simulator(spec: MechanismSpec) -> hyperx_sim::Simulator {
+    let star = FaultScenario::parse("cross:1:4,4,4", &[8, 8, 8]).expect("valid scenario");
+    let e = Experiment::paper_3d(spec, TrafficSpec::RegularPermutationToNeighbour)
+        .with_num_vcs(4)
+        .with_scenario(star);
+    let mut sim = e.build_simulator();
+    sim.begin_batch(12);
+    for _ in 0..300 {
+        sim.step();
+    }
+    sim
+}
+
+fn bench_batch_cycles(c: &mut Criterion) {
+    let mut group = c.benchmark_group("simulator/batch_cycles");
+    group.sample_size(10);
+    for (name, spec) in [
+        ("OmniSP_8x8x8_star", MechanismSpec::OmniSP),
+        ("PolSP_8x8x8_star", MechanismSpec::PolSP),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter_batched_ref(
+                || warm_batch_simulator(spec),
+                |sim| {
+                    for _ in 0..200 {
+                        sim.step();
+                    }
+                    black_box(sim.total_delivered())
+                },
+                BatchSize::LargeInput,
+            )
+        });
+    }
+    group.finish();
+}
+
 fn bench_simulator_construction(c: &mut Criterion) {
     let mut group = c.benchmark_group("simulator/construction");
     group.sample_size(10);
@@ -69,5 +109,10 @@ fn bench_simulator_construction(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_cycles, bench_simulator_construction);
+criterion_group!(
+    benches,
+    bench_cycles,
+    bench_batch_cycles,
+    bench_simulator_construction
+);
 criterion_main!(benches);

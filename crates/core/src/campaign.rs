@@ -127,11 +127,35 @@ pub fn job_experiment(job: &JobSpec) -> Result<Experiment, String> {
         None => RootPlacement::Suggested,
         Some(spec) => RootPlacement::parse(spec)?,
     };
+    // Checks for jobs that would otherwise panic when built: every one of
+    // them is rejected by `validate_campaign` before anything runs.
+    let switches: usize = job.sides.iter().product();
+    if let FaultScenario::Random { count, .. } = scenario {
+        let links = switches * job.sides.iter().map(|&k| k - 1).sum::<usize>() / 2;
+        if count > links {
+            return Err(format!("cannot fail {count} links, only {links} exist"));
+        }
+    }
+    if let RootPlacement::Switch(id) = root {
+        if id >= switches {
+            return Err(format!(
+                "escape root switch:{id} out of range: the topology has {switches} switches"
+            ));
+        }
+    }
     let concentration = job.concentration.unwrap_or(job.sides[0]);
     if concentration == 0 {
         return Err("concentration must be at least 1".to_string());
     }
     let num_vcs = job.vcs.unwrap_or_else(|| mechanism.default_num_vcs(dims));
+    let min_vcs = if mechanism.is_surepath() { 2 } else { 1 };
+    if !(min_vcs..=u8::MAX as usize).contains(&num_vcs) {
+        return Err(format!(
+            "{} needs {min_vcs} to {} VCs, got vcs = {num_vcs}",
+            mechanism.name(),
+            u8::MAX
+        ));
+    }
     let mut experiment = Experiment {
         sides: job.sides.clone(),
         concentration,
@@ -628,6 +652,70 @@ mod tests {
             serde_json::to_string(&a).unwrap(),
             serde_json::to_string(&c).unwrap()
         );
+    }
+
+    /// A 4×4, c=2 `omnisp` rate spec with one override, as the bugfix
+    /// cases below need: each used to pass validation and fail every job.
+    fn small_rate_spec(tweak: impl FnOnce(&mut CampaignSpec)) -> CampaignSpec {
+        let mut spec = CampaignSpec {
+            name: "reject".into(),
+            topologies: vec![TopologySpec {
+                sides: vec![4, 4],
+                concentration: Some(2),
+            }],
+            mechanisms: Some(vec!["omnisp".into()]),
+            traffics: Some(vec!["uniform".into()]),
+            scenarios: Some(vec!["none".into()]),
+            loads: Some(vec![0.2]),
+            warmup: Some(50),
+            measure: Some(100),
+            ..CampaignSpec::default()
+        };
+        tweak(&mut spec);
+        spec
+    }
+
+    #[test]
+    fn validation_rejects_more_random_faults_than_links() {
+        let spec = small_rate_spec(|s| s.scenarios = Some(vec!["random:1000:1".into()]));
+        let err = validate_campaign(&spec).unwrap_err();
+        assert!(
+            err.contains("cannot fail 1000 links, only 48 exist"),
+            "{err}"
+        );
+        assert!(err.contains("campaign `reject` job #0"), "{err}");
+        let fits = small_rate_spec(|s| s.scenarios = Some(vec!["random:48:1".into()]));
+        assert!(job_experiment(&fits.expand().unwrap()[0]).is_ok());
+    }
+
+    #[test]
+    fn validation_rejects_surepath_with_one_vc() {
+        let spec = small_rate_spec(|s| s.vcs = Some(1));
+        let err = validate_campaign(&spec).unwrap_err();
+        assert!(
+            err.contains("OmniSP needs 2 to 255 VCs, got vcs = 1"),
+            "{err}"
+        );
+        assert!(err.contains("campaign `reject` job #0"), "{err}");
+        // A Ladder mechanism runs on one VC.
+        let minimal = small_rate_spec(|s| {
+            s.vcs = Some(1);
+            s.mechanisms = Some(vec!["minimal".into()]);
+        });
+        assert!(validate_campaign(&minimal).is_ok());
+    }
+
+    #[test]
+    fn validation_rejects_an_escape_root_outside_the_topology() {
+        let spec = small_rate_spec(|s| s.roots = Some(vec!["switch:99".into()]));
+        let err = validate_campaign(&spec).unwrap_err();
+        assert!(
+            err.contains("escape root switch:99 out of range: the topology has 16 switches"),
+            "{err}"
+        );
+        assert!(err.contains("campaign `reject` job #0"), "{err}");
+        let last = small_rate_spec(|s| s.roots = Some(vec!["switch:15".into()]));
+        assert!(validate_campaign(&last).is_ok());
     }
 
     #[test]

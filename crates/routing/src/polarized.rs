@@ -68,13 +68,16 @@ impl RouteAlgorithm for PolarizedRouting {
             return;
         }
         let net = self.view.network();
-        let d = self.view.distances();
-        let ds_c = d.get(current, state.source) as i32;
-        let dt_c = d.get(current, state.dest) as i32;
+        // Distances are symmetric (links are bidirectional), so the rows of
+        // the source and the destination hold every distance read here.
+        let from_s = self.view.distances().row(state.source);
+        let from_t = self.view.distances().row(state.dest);
+        let ds_c = from_s[current] as i32;
+        let dt_c = from_t[current] as i32;
         let allow_zero_gain = state.hops < self.zero_gain_hop_limit;
         for (port, nb) in net.neighbors(current) {
-            let ds_n = d.get(nb.switch, state.source) as i32;
-            let dt_n = d.get(nb.switch, state.dest) as i32;
+            let ds_n = from_s[nb.switch] as i32;
+            let dt_n = from_t[nb.switch] as i32;
             let delta_s = ds_n - ds_c;
             let delta_t = dt_n - dt_c;
             let delta_mu = delta_s - delta_t;

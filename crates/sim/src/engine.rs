@@ -22,15 +22,17 @@
 //! packets live in a `PacketArena` (parallel field arrays plus a free list,
 //! `u32` indices instead of owned values move through queues), input VC FIFOs
 //! and output staging buffers are flat ring buffers indexed by precomputed
-//! strides (`slot = (switch·num_ports + port)·num_vcs + vc`), per-port
-//! occupancy is a maintained counter instead of a per-request sum over VCs,
-//! and all per-step scratch lives in one reusable `StepArena`. Each switch
-//! keeps two occupancy bitmasks — non-empty input VCs (bit `port·num_vcs +
-//! vc`) and non-empty staging buffers (bit `port`) — so the allocation and
-//! transmit sweeps visit only occupied slots, in ascending order. The frozen
-//! v4 engine is kept in [`crate::engine_v4`] and the `layout_equivalence`
-//! tests prove the two byte-identical (RNG draw order, metrics bytes,
-//! counters, traces).
+//! strides (`slot = (switch·num_ports + port)·num_vcs + vc`), each input VC
+//! keeps one consumed-credit count (`in_used`: buffered plus reserved), a
+//! `u32` table maps every output port to its flat downstream input port,
+//! each input VC caches its head's candidate list as 12-byte entries
+//! resolved against that table, and all per-step scratch lives in one
+//! reusable `StepArena`. Each switch keeps two occupancy bitmasks —
+//! non-empty input VCs (bit `port·num_vcs + vc`) and non-empty staging
+//! buffers (bit `port`) — so the allocation and transmit sweeps visit only
+//! occupied slots, in ascending order. The frozen v4 engine is kept in
+//! [`crate::engine_v4`] and the `layout_equivalence` tests prove the two
+//! byte-identical (RNG draw order, metrics bytes, counters, traces).
 //!
 //! # Parallelism
 //!
@@ -58,9 +60,10 @@ use crate::obs::{Counter, CounterRegistry, PacketTracer, TraceEvent, TraceEventK
 use crate::pool::WorkerPool;
 use crate::rng_contract::{sample_without_replacement, RngContract};
 use crate::server::GenerationMode;
-use crate::switch::OutputKind;
 use crate::traffic::{ServerLayout, TrafficPattern};
-use hyperx_routing::{Candidate, NetworkView, PacketState, RouteScratch, RoutingMechanism};
+use hyperx_routing::{
+    Candidate, CandidateKind, NetworkView, PacketState, RouteScratch, RoutingMechanism, VcRange,
+};
 use rand::distributions::Binomial;
 use rand::Rng;
 use rand::SeedableRng;
@@ -80,14 +83,126 @@ enum Ev {
 /// One output request produced by a head packet.
 #[derive(Debug, Clone, Copy)]
 struct Request {
-    in_port: usize,
-    in_vc: usize,
-    out_port: usize,
-    out_vc: usize,
     /// `Q + P` in phits.
     score: u64,
-    /// The routing candidate behind the request (`None` for ejection).
-    candidate: Option<Candidate>,
+    /// The packed candidate behind the request; an ejection request holds
+    /// an [`EJECT`] entry for its ejection port.
+    entry: CachedCand,
+    in_port: u16,
+    in_vc: u8,
+    out_vc: u8,
+}
+
+/// `down` entry of an ejection port.
+const EJECT: u32 = u32::MAX - 1;
+/// `down` entry of a dead port. Every value below [`EJECT`] is a live link.
+const DEAD: u32 = u32::MAX;
+
+/// A routing candidate packed against the downstream table when its list is
+/// filled: 12 bytes instead of a 32-byte `Candidate`, and scoring reads the
+/// downstream port straight from it.
+#[derive(Debug, Clone, Copy)]
+struct CachedCand {
+    /// Flat downstream input port (`next_switch·num_ports + next_input_port`).
+    down: u32,
+    /// Output port of the current switch.
+    port: u16,
+    /// Penalty in phits.
+    penalty: u16,
+    /// Allowed VCs `vc_lo..vc_hi`, clamped to `num_vcs`.
+    vc_lo: u8,
+    vc_hi: u8,
+    kind: CandidateKind,
+}
+
+const _: () = assert!(std::mem::size_of::<CachedCand>() == 12);
+
+impl CachedCand {
+    fn pack(cand: &Candidate, down: u32, num_vcs: usize) -> Self {
+        debug_assert!(cand.penalty <= u16::MAX as u32, "penalty exceeds u16");
+        CachedCand {
+            down,
+            port: cand.port as u16,
+            penalty: cand.penalty as u16,
+            vc_lo: cand.vcs.lo.min(num_vcs) as u8,
+            vc_hi: cand.vcs.hi.min(num_vcs) as u8,
+            kind: cand.kind,
+        }
+    }
+
+    /// The routing candidate behind the entry (VC range clamped), as
+    /// `note_hop` takes it.
+    fn candidate(&self) -> Candidate {
+        Candidate {
+            port: self.port as usize,
+            vcs: VcRange {
+                lo: self.vc_lo as usize,
+                hi: self.vc_hi as usize,
+            },
+            penalty: self.penalty as u32,
+            kind: self.kind,
+        }
+    }
+}
+
+/// Whether an input VC's cached list belongs to its current head.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum CacheState {
+    /// No list: never filled, or the head was popped since.
+    #[default]
+    Empty,
+    /// The list of the current head.
+    Valid,
+    /// Filled by this cycle's parallel prefill; the sequential sweep counts
+    /// it as the miss a sequential engine would have taken there.
+    Prefilled,
+}
+
+/// The candidate cache of one input VC. The state is reset at every pop, so
+/// a valid list always belongs to the current head.
+#[derive(Debug, Default)]
+struct VcCache {
+    list: Vec<CachedCand>,
+    state: CacheState,
+}
+
+/// Per-partition candidate-fill state: routing scratch, the unpacked list
+/// `candidates_into` writes, and the stack of list buffers returned by
+/// emptied slots.
+#[derive(Debug, Default)]
+struct FillScratch {
+    route: RouteScratch,
+    cands: Vec<Candidate>,
+    pool: Vec<Vec<CachedCand>>,
+}
+
+/// Computes the candidate list of a head at `switch` into `cache`, dropping
+/// candidates whose port is not a live link. `down_row` is the switch's
+/// slice of the downstream table. A slot without a buffer (never filled, or
+/// emptied since) takes the most recently returned one from the pool.
+fn fill_cache(
+    cache: &mut VcCache,
+    fill: &mut FillScratch,
+    mechanism: &dyn RoutingMechanism,
+    state: &PacketState,
+    switch: usize,
+    down_row: &[u32],
+    num_vcs: usize,
+) {
+    if cache.list.capacity() == 0 {
+        if let Some(buffer) = fill.pool.pop() {
+            cache.list = buffer;
+        }
+    }
+    cache.list.clear();
+    fill.cands.clear();
+    mechanism.candidates_into(state, switch, &mut fill.route, &mut fill.cands);
+    for cand in &fill.cands {
+        let down = down_row[cand.port];
+        if down < EJECT {
+            cache.list.push(CachedCand::pack(cand, down, num_vcs));
+        }
+    }
 }
 
 /// A deterministic dirty set of indices (switches, or servers for the
@@ -213,8 +328,8 @@ impl PacketArena {
 }
 
 /// All per-step scratch of the sequential phases, folded into one reusable
-/// arena: request lists, sort keys, grant counters, routing scratch and the
-/// v2 sampler's output. Sized to its bounds up front, so no allocations at
+/// arena: request lists, sort keys, grant counters and the v2 sampler's
+/// output. Sized to its bounds up front, so no allocations at
 /// steady state.
 #[derive(Debug)]
 struct StepArena {
@@ -226,8 +341,6 @@ struct StepArena {
     out_grants: Vec<usize>,
     /// Per-input grants of the switch being allocated.
     in_grants: Vec<usize>,
-    /// Intermediate route lists of candidate computation.
-    route: RouteScratch,
     /// Rate contract v2 scratch: this cycle's sampled injectors.
     sampled: Vec<usize>,
     /// Partition cut points into an active list (parallel phases).
@@ -249,7 +362,6 @@ impl StepArena {
             keyed: Vec::with_capacity(slots),
             out_grants: Vec::with_capacity(num_ports),
             in_grants: Vec::with_capacity(num_ports),
-            route: RouteScratch::default(),
             sampled: Vec::with_capacity(num_servers.max(partitions)),
             seg: Vec::with_capacity(partitions),
         }
@@ -261,7 +373,7 @@ struct XmitShared<'a> {
     stg_pkt: &'a [u32],
     stg_vc: &'a [u16],
     stg_ready: &'a [u64],
-    out_kind: &'a [OutputKind],
+    down: &'a [u32],
     cycle: u64,
     packet_length: u64,
     cap_out: usize,
@@ -335,43 +447,24 @@ struct PrefillShared<'a> {
     in_q: &'a [u32],
     in_head: &'a [u16],
     in_mask: &'a [u64],
-    pkt_id: &'a [u64],
     pkt_dst_switch: &'a [u32],
     pkt_state: &'a [PacketState],
+    down: &'a [u32],
     mechanism: &'a dyn RoutingMechanism,
-    cycle: u64,
     cap_in: usize,
-    slots_per_switch: usize,
+    num_ports: usize,
+    num_vcs: usize,
     in_words: usize,
 }
 
-/// One partition's mutable view of a parallel candidate prefill: disjoint
-/// slot-range slices of the cache arrays plus the partition's routing
-/// scratch and recycled cache buffers.
+/// One partition's mutable view of a parallel candidate prefill: its
+/// slot-range slice of the per-VC caches plus its fill scratch.
 struct PrefillTask<'a> {
     slot_base: usize,
     /// This partition's segment of the allocation active list.
     seg: &'a [usize],
-    cached_for: &'a mut [u64],
-    cache_fresh: &'a mut [u64],
-    cand_cache: &'a mut [Vec<Candidate>],
-    pool: &'a mut Vec<Vec<Candidate>>,
-    route: RouteScratch,
-}
-
-/// Sentinel for "no packet cached" in `cached_for` (packet ids start at 0).
-const NO_PACKET: u64 = u64::MAX;
-
-/// Prepares the candidate cache of a slot for a fill: a slot without a
-/// buffer (never filled, or emptied since) takes a recycled one from `pool`.
-#[inline]
-fn prepare_cache(cache: &mut Vec<Candidate>, pool: &mut Vec<Vec<Candidate>>) {
-    if cache.capacity() == 0 {
-        if let Some(buffer) = pool.pop() {
-            *cache = buffer;
-        }
-    }
-    cache.clear();
+    caches: &'a mut [VcCache],
+    fill: &'a mut FillScratch,
 }
 
 /// The indices of the set bits of `words`, ascending (bit `i` of word `w` is
@@ -415,25 +508,23 @@ pub struct Simulator {
     in_q: Vec<u32>,
     in_head: Vec<u16>,
     in_len: Vec<u16>,
-    /// Granted-but-not-arrived reservations (consumed credits).
-    in_flight: Vec<u16>,
+    /// Consumed credits: buffered plus granted-but-not-arrived packets.
+    /// Injection and grants add one, a pop subtracts one, and an arrival
+    /// leaves it unchanged.
+    in_used: Vec<u16>,
     /// Non-empty input VCs: switch `s` owns words `s·in_words ..`, bit
     /// `port·num_vcs + vc`. Maintained by `in_push`/`in_pop`.
     in_mask: Vec<u64>,
-    /// Candidate-cache key: the head packet id the cache was computed for.
-    cached_for: Vec<u64>,
-    /// Candidate list of each slot's head. A slot that empties gives its
-    /// buffer to its partition's `cache_pools` entry, and the next fill of a
+    /// Candidate cache of each slot's head. A slot that empties gives its
+    /// list buffer to its partition's `fills` pool, and the next fill of a
     /// slot without a buffer takes the most recently returned one — so the
     /// buffers in use never exceed the peak number of occupied slots, and a
     /// fill usually writes memory that is still in cache.
-    cand_cache: Vec<Vec<Candidate>>,
-    /// Cycle stamp (`cycle + 1`) marking a cache entry computed by this
-    /// cycle's parallel prefill — the sequential sweep counts it as the miss
-    /// the v4 engine would have taken inline.
-    cache_fresh: Vec<u64>,
+    vc_cache: Vec<VcCache>,
     // --- output port state, indexed by `flat = switch·num_ports + port` ---
-    out_kind: Vec<OutputKind>,
+    /// Where each output port leads: the flat downstream input port
+    /// `next_switch·num_ports + next_input_port`, or [`EJECT`] / [`DEAD`].
+    down: Vec<u32>,
     /// Staging ring storage: `stg_*[flat·cap_out ..][..cap_out]`.
     stg_pkt: Vec<u32>,
     stg_vc: Vec<u16>,
@@ -444,10 +535,6 @@ pub struct Simulator {
     /// bit `port`. Set by grants, cleared by transmits.
     stg_mask: Vec<u64>,
     link_busy: Vec<u64>,
-    /// Occupancy (buffered + in-flight over all VCs) of the *input* port at
-    /// this flat location — maintained incrementally so the allocation `Q`
-    /// term is O(1) instead of a sum over VCs.
-    port_occ: Vec<u32>,
     // --- server state ---
     /// Source-queue ring storage: `srv_q[server·cap_src ..][..cap_src]`.
     srv_q: Vec<u32>,
@@ -512,10 +599,8 @@ pub struct Simulator {
     /// Reusable transmit event buffers of partitions `1..` (partition 0
     /// writes straight into the event wheel).
     part_events: Vec<Vec<Ev>>,
-    /// Reusable per-partition routing scratch for the candidate prefill.
-    part_routes: Vec<RouteScratch>,
-    /// Per-partition stacks of candidate buffers returned by emptied slots.
-    cache_pools: Vec<Vec<Vec<Candidate>>>,
+    /// Per-partition candidate-fill scratch and recycled list buffers.
+    fills: Vec<FillScratch>,
 }
 
 impl Simulator {
@@ -556,25 +641,24 @@ impl Simulator {
                 && cap_src <= u16::MAX as usize,
             "buffer capacities must fit the ring-index width"
         );
-        let mut out_kind = Vec::with_capacity(num_switches * num_ports);
-        for s in 0..num_switches {
-            for p in 0..radix {
-                out_kind.push(match view.network().neighbor(s, p) {
-                    Some(nb) => OutputKind::Network {
-                        next_switch: nb.switch,
-                        next_input_port: nb.reverse_port,
-                    },
-                    None => OutputKind::Dead,
-                });
-            }
-            for o in 0..cfg.servers_per_switch {
-                out_kind.push(OutputKind::Ejection {
-                    server: layout.server_at(s, o),
-                });
-            }
-        }
         let nslots = num_switches * num_ports * num_vcs;
         let nports = num_switches * num_ports;
+        assert!(
+            num_ports <= u16::MAX as usize
+                && num_vcs <= u8::MAX as usize
+                && nslots < EJECT as usize,
+            "ports, VCs and input slots must fit the packed candidate widths"
+        );
+        let mut down = Vec::with_capacity(nports);
+        for s in 0..num_switches {
+            for p in 0..radix {
+                down.push(match view.network().neighbor(s, p) {
+                    Some(nb) => (nb.switch * num_ports + nb.reverse_port) as u32,
+                    None => DEAD,
+                });
+            }
+            down.extend(std::iter::repeat_n(EJECT, cfg.servers_per_switch));
+        }
         let in_words = (num_ports * num_vcs).div_ceil(64);
         let stg_words = num_ports.div_ceil(64);
         let wheel_len = (cfg.packet_length + cfg.link_latency + cfg.crossbar_latency + 4) as usize;
@@ -603,12 +687,10 @@ impl Simulator {
             in_q: vec![0; nslots * cap_in],
             in_head: vec![0; nslots],
             in_len: vec![0; nslots],
-            in_flight: vec![0; nslots],
+            in_used: vec![0; nslots],
             in_mask: vec![0; num_switches * in_words],
-            cached_for: vec![NO_PACKET; nslots],
-            cand_cache: (0..nslots).map(|_| Vec::new()).collect(),
-            cache_fresh: vec![0; nslots],
-            out_kind,
+            vc_cache: (0..nslots).map(|_| VcCache::default()).collect(),
+            down,
             stg_pkt: vec![0; nports * cap_out],
             stg_vc: vec![0; nports * cap_out],
             stg_ready: vec![0; nports * cap_out],
@@ -616,7 +698,6 @@ impl Simulator {
             stg_len: vec![0; nports],
             stg_mask: vec![0; num_switches * stg_words],
             link_busy: vec![0; nports],
-            port_occ: vec![0; nports],
             srv_q: vec![0; num_servers * cap_src],
             srv_head: vec![0; num_servers],
             srv_len: vec![0; num_servers],
@@ -648,8 +729,7 @@ impl Simulator {
             partitions,
             part_bounds,
             part_events: (0..partitions).map(|_| Vec::new()).collect(),
-            part_routes: (0..partitions).map(|_| RouteScratch::default()).collect(),
-            cache_pools: (0..partitions).map(|_| Vec::new()).collect(),
+            fills: (0..partitions).map(|_| FillScratch::default()).collect(),
         }
     }
 
@@ -748,13 +828,8 @@ impl Simulator {
     /// completion (or a stall). `sample_window` controls the granularity of
     /// the accepted-load curve (Figure 10).
     pub fn run_batch(&mut self, packets_per_server: u64, sample_window: u64) -> BatchMetrics {
-        assert!(packets_per_server > 0 && sample_window > 0);
-        self.generation = GenerationMode::Batch { packets_per_server };
-        for quota in &mut self.srv_quota {
-            *quota = packets_per_server;
-        }
-        self.server_live_dirty = true;
-        self.begin_measurement();
+        assert!(sample_window > 0);
+        self.begin_batch(packets_per_server);
         let expected = packets_per_server * self.layout.num_servers() as u64;
         let mut samples = Vec::new();
         let mut completion = 0u64;
@@ -799,6 +874,20 @@ impl Simulator {
             // over — `begin_measurement` rebuilds the counters anyway.
             latency_hist: Some(std::mem::take(&mut self.counters.latency_hist)),
         }
+    }
+
+    /// Starts a closed-loop run without stepping it: every server gets a
+    /// quota of `packets_per_server` packets and measurement begins.
+    /// [`Simulator::run_batch`] starts with it; stepping by hand afterwards
+    /// drives the same run.
+    pub fn begin_batch(&mut self, packets_per_server: u64) {
+        assert!(packets_per_server > 0);
+        self.generation = GenerationMode::Batch { packets_per_server };
+        for quota in &mut self.srv_quota {
+            *quota = packets_per_server;
+        }
+        self.server_live_dirty = true;
+        self.begin_measurement();
     }
 
     /// Stops generating new packets and runs until everything in flight is
@@ -905,6 +994,7 @@ impl Simulator {
         let next = self.in_head[slot] as usize + 1;
         self.in_head[slot] = if next == self.cap_in { 0 } else { next as u16 };
         self.in_len[slot] -= 1;
+        self.in_used[slot] -= 1;
         if self.in_len[slot] == 0 {
             let (word, bit) = self.in_mask_bit(slot);
             self.in_mask[word] &= !bit;
@@ -915,8 +1005,7 @@ impl Simulator {
     /// Free slots of input ring `slot` under the credit protocol.
     #[inline]
     fn in_free(&self, slot: usize) -> usize {
-        self.cap_in
-            .saturating_sub(self.in_len[slot] as usize + self.in_flight[slot] as usize)
+        self.cap_in.saturating_sub(self.in_used[slot] as usize)
     }
 
     /// The partition that owns `switch` (partitions are contiguous ranges of
@@ -963,10 +1052,12 @@ impl Simulator {
                             escape_hops: self.pkt.escape_hops[p] as u64,
                         });
                     }
-                    debug_assert!(self.in_flight[slot] > 0, "arrival without a reservation");
-                    self.in_flight[slot] -= 1;
-                    // `port_occ` counts buffered + in-flight, so an arrival
-                    // (in-flight → buffered) leaves it unchanged.
+                    // `in_used` counts buffered + reserved packets, so an
+                    // arrival (reserved → buffered) leaves it unchanged.
+                    debug_assert!(
+                        self.in_used[slot] > self.in_len[slot],
+                        "arrival without a reservation"
+                    );
                     self.in_push(slot, packet);
                     self.alloc_active.insert(switch);
                     self.progress_this_cycle = true;
@@ -1216,8 +1307,7 @@ impl Simulator {
         self.srv_head[server] = if next == self.cap_src { 0 } else { next as u16 };
         self.srv_len[server] -= 1;
         self.pkt.injected_at[packet as usize] = self.cycle;
-        self.in_flight[slot] += 1;
-        self.port_occ[sw * self.num_ports + in_port] += 1;
+        self.in_used[slot] += 1;
         self.srv_busy[server] = self.cycle + packet_length;
         let arrive = self.cycle + packet_length + self.cfg.link_latency;
         self.schedule(
@@ -1230,138 +1320,116 @@ impl Simulator {
         self.progress_this_cycle = true;
     }
 
-    /// The `Q` term of the paper's allocation rule, in packets: output staging
-    /// occupancy plus the consumed credits of every VC of the requested port,
-    /// counting the requested VC twice. The all-VC sum is the maintained
-    /// `port_occ` counter — O(1) instead of a per-request VC loop.
-    fn request_q(&self, switch: usize, out_port: usize, out_vc: usize) -> u64 {
-        let flat = switch * self.num_ports + out_port;
-        let staging = self.stg_len[flat] as u64;
-        match self.out_kind[flat] {
-            OutputKind::Network {
-                next_switch,
-                next_input_port,
-            } => {
-                let dflat = next_switch * self.num_ports + next_input_port;
-                let dslot = dflat * self.num_vcs + out_vc;
-                staging
-                    + self.port_occ[dflat] as u64
-                    + (self.in_len[dslot] + self.in_flight[dslot]) as u64
-            }
-            OutputKind::Ejection { .. } => staging * 2,
-            OutputKind::Dead => u64::MAX / 2,
-        }
-    }
-
     /// Fills `out` with the requests of `switch`'s head packets, reusing the
     /// per-VC candidate cache (candidate lists are pure functions of the
     /// head packet's routing state, so a blocked head's list is computed
     /// once, not once per cycle). Only the set bits of the switch's
     /// `in_mask` are visited; ascending bit order is ascending (port, VC)
     /// order. With `partitions > 1` the cache was prefilled in parallel;
-    /// entries stamped `cache_fresh == cycle + 1` count as the misses the
-    /// sequential engine would have taken inline, keeping the hit/miss
-    /// counters byte-identical for every partition count.
+    /// `Prefilled` entries count as the misses the sequential engine would
+    /// have taken inline, keeping the hit/miss counters byte-identical for
+    /// every partition count.
     fn collect_requests_into(&mut self, switch: usize, out: &mut Vec<Request>) {
         let first_slot = self.slot(switch, 0, 0);
+        let first_port = switch * self.num_ports;
         let words = switch * self.in_words..(switch + 1) * self.in_words;
         for local in set_bits(&self.in_mask[words]) {
-            let (in_port, in_vc) = (local / self.num_vcs, local % self.num_vcs);
+            let (in_port, in_vc) = ((local / self.num_vcs) as u16, (local % self.num_vcs) as u8);
             let slot = first_slot + local;
-            let head = self.in_front(slot);
-            // Ejection: the packet has reached its destination switch.
-            if self.pkt.dst_switch[head] as usize == switch {
-                let out_port = self.radix
-                    + self
-                        .layout
-                        .server_offset(self.pkt.dst_server[head] as usize);
-                if (self.stg_len[switch * self.num_ports + out_port] as usize) < self.cap_out {
-                    out.push(Request {
-                        in_port,
-                        in_vc,
-                        out_port,
-                        out_vc: 0,
-                        score: self.request_q(switch, out_port, 0) * self.cfg.packet_length,
-                        candidate: None,
-                    });
+            // Routing: reuse the head's candidate list or compute it. The
+            // cache is reset whenever the head is popped, so a valid list
+            // belongs to the current head and a hit reads no packet state.
+            match self.vc_cache[slot].state {
+                CacheState::Valid => self.obs.incr(Counter::CandCacheHits),
+                CacheState::Prefilled => {
+                    self.obs.incr(Counter::CandCacheMisses);
+                    self.vc_cache[slot].state = CacheState::Valid;
                 }
-                continue;
-            }
-            let head_id = self.pkt.id[head];
-            // Routing: compute (or reuse) the head's candidate list. The
-            // cache is keyed by packet id and invalidated whenever the
-            // head is popped, and candidate lists are pure functions of
-            // (state, switch), so reuse is observably identical to
-            // recomputation.
-            if self.cache_fresh[slot] == self.cycle + 1 {
-                // Prefilled this cycle: the sequential engine would have
-                // computed it here, so it counts as a miss.
-                debug_assert_eq!(self.cached_for[slot], head_id);
-                self.obs.incr(Counter::CandCacheMisses);
-            } else if self.cached_for[slot] == head_id {
-                self.obs.incr(Counter::CandCacheHits);
-            } else {
-                self.obs.incr(Counter::CandCacheMisses);
-                self.cached_for[slot] = head_id;
-                let state = self.pkt.state[head];
-                let pool = self.partition_of(switch);
-                let cache = &mut self.cand_cache[slot];
-                prepare_cache(cache, &mut self.cache_pools[pool]);
-                self.mechanism
-                    .candidates_into(&state, switch, &mut self.step.route, cache);
-            }
-            // Single request to the best candidate that satisfies flow
-            // control. Candidates are `Copy` and scoring only reads
-            // other arrays, so the cache is consumed in place — no
-            // copy-out scratch.
-            let mut best: Option<Request> = None;
-            for ci in 0..self.cand_cache[slot].len() {
-                let cand = self.cand_cache[slot][ci];
-                // Exact pruning: a score is `Q·packet_length + penalty`
-                // with `Q ≥ 0`, and only a strictly lower score replaces
-                // `best`, so this candidate cannot win.
-                if best
-                    .as_ref()
-                    .is_some_and(|b| cand.penalty as u64 >= b.score)
-                {
-                    continue;
-                }
-                let flat = switch * self.num_ports + cand.port;
-                let OutputKind::Network {
-                    next_switch,
-                    next_input_port,
-                } = self.out_kind[flat]
-                else {
-                    continue;
-                };
-                if (self.stg_len[flat] as usize) >= self.cap_out {
-                    continue;
-                }
-                // Pick the VC of the allowed range with the most free space.
-                let dbase = (next_switch * self.num_ports + next_input_port) * self.num_vcs;
-                let mut chosen: Option<(usize, usize)> = None; // (free, vc)
-                for vc in cand.vcs.iter() {
-                    if vc >= self.num_vcs {
+                CacheState::Empty => {
+                    let head = self.in_front(slot);
+                    // Ejection: the packet has reached its destination
+                    // switch. `Q` is the staging occupancy counted twice.
+                    if self.pkt.dst_switch[head] as usize == switch {
+                        let out_port = self.radix
+                            + self
+                                .layout
+                                .server_offset(self.pkt.dst_server[head] as usize);
+                        let staged = self.stg_len[first_port + out_port] as u64;
+                        if (staged as usize) < self.cap_out {
+                            out.push(Request {
+                                score: 2 * staged * self.cfg.packet_length,
+                                entry: CachedCand {
+                                    down: EJECT,
+                                    port: out_port as u16,
+                                    penalty: 0,
+                                    vc_lo: 0,
+                                    vc_hi: 1,
+                                    kind: CandidateKind::Minimal,
+                                },
+                                in_port,
+                                in_vc,
+                                out_vc: 0,
+                            });
+                        }
                         continue;
                     }
-                    let free = self.in_free(dbase + vc);
-                    if free > 0 && chosen.is_none_or(|(best_free, _)| free > best_free) {
-                        chosen = Some((free, vc));
+                    self.obs.incr(Counter::CandCacheMisses);
+                    let pool = self.partition_of(switch);
+                    let down_row = &self.down[first_port..first_port + self.num_ports];
+                    let fill = &mut self.fills[pool];
+                    let cache = &mut self.vc_cache[slot];
+                    fill_cache(
+                        cache,
+                        fill,
+                        self.mechanism.as_ref(),
+                        &self.pkt.state[head],
+                        switch,
+                        down_row,
+                        self.num_vcs,
+                    );
+                    cache.state = CacheState::Valid;
+                }
+            }
+            // Single request to the best candidate that satisfies flow
+            // control, scored by the paper's rule `Q·packet_length + P`.
+            let mut best: Option<Request> = None;
+            for &entry in &self.vc_cache[slot].list {
+                // Exact pruning: `Q ≥ 0`, and only a strictly lower score
+                // replaces `best`, so this candidate cannot win.
+                if best.is_some_and(|b| entry.penalty as u64 >= b.score) {
+                    continue;
+                }
+                let staged = self.stg_len[first_port + entry.port as usize];
+                if staged as usize >= self.cap_out {
+                    continue;
+                }
+                // Pick the VC of the allowed range with the most free space
+                // (the fewest consumed credits; the first on ties).
+                let dbase = entry.down as usize * self.num_vcs;
+                let used = &self.in_used[dbase..dbase + self.num_vcs];
+                let mut chosen: Option<(u16, usize)> = None; // (used, vc)
+                let range = used.iter().enumerate().take(entry.vc_hi as usize);
+                for (vc, &u) in range.skip(entry.vc_lo as usize) {
+                    if (u as usize) < self.cap_in && chosen.is_none_or(|(least, _)| u < least) {
+                        chosen = Some((u, vc));
                     }
                 }
-                let Some((_, vc)) = chosen else {
+                let Some((vc_used, vc)) = chosen else {
                     continue;
                 };
-                let score = self.request_q(switch, cand.port, vc) * self.cfg.packet_length
-                    + cand.penalty as u64;
-                if best.as_ref().is_none_or(|b| score < b.score) {
+                // `Q`, in packets: staging occupancy plus the consumed
+                // credits of every VC of the downstream port, counting the
+                // chosen VC twice.
+                let port_used: u64 = used.iter().map(|&u| u as u64).sum();
+                let q = staged as u64 + port_used + vc_used as u64;
+                let score = q * self.cfg.packet_length + entry.penalty as u64;
+                if best.is_none_or(|b| score < b.score) {
                     best = Some(Request {
+                        score,
+                        entry,
                         in_port,
                         in_vc,
-                        out_port: cand.port,
-                        out_vc: vc,
-                        score,
-                        candidate: Some(cand),
+                        out_vc: vc as u8,
                     });
                 }
             }
@@ -1407,8 +1475,9 @@ impl Simulator {
                 .div_ceil(self.cfg.crossbar_speedup as u64);
         for &(_, _, idx) in &keyed {
             let req = requests[idx];
-            let flat_out = switch * self.num_ports + req.out_port;
-            if out_grants[req.out_port] >= speedup || in_grants[req.in_port] >= speedup {
+            let (in_port, out_port) = (req.in_port as usize, req.entry.port as usize);
+            let flat_out = switch * self.num_ports + out_port;
+            if out_grants[out_port] >= speedup || in_grants[in_port] >= speedup {
                 self.obs.incr(Counter::AllocConflicts);
                 self.trace_block(switch, &req);
                 continue;
@@ -1419,43 +1488,34 @@ impl Simulator {
                 continue;
             }
             // Re-check (and reserve) the downstream slot for network hops.
-            if let OutputKind::Network {
-                next_switch,
-                next_input_port,
-            } = self.out_kind[flat_out]
-            {
-                let dflat = next_switch * self.num_ports + next_input_port;
-                let dslot = dflat * self.num_vcs + req.out_vc;
+            let network = req.entry.down < EJECT;
+            if network {
+                let dslot = req.entry.down as usize * self.num_vcs + req.out_vc as usize;
                 if self.in_free(dslot) == 0 {
                     self.obs.incr(Counter::AllocConflicts);
                     self.trace_block(switch, &req);
                     continue;
                 }
-                self.in_flight[dslot] += 1;
-                self.port_occ[dflat] += 1;
+                self.in_used[dslot] += 1;
             }
             // Commit: move the packet from the input VC to the output staging buffer.
-            let slot = self.slot(switch, req.in_port, req.in_vc);
+            let slot = self.slot(switch, in_port, req.in_vc as usize);
             let packet = self.in_pop(slot);
-            self.cached_for[slot] = NO_PACKET;
-            if self.in_len[slot] == 0 {
-                let buffer = std::mem::take(&mut self.cand_cache[slot]);
-                if buffer.capacity() > 0 {
-                    let pool = self.partition_of(switch);
-                    self.cache_pools[pool].push(buffer);
-                }
+            let pool = self.partition_of(switch);
+            let cache = &mut self.vc_cache[slot];
+            cache.state = CacheState::Empty;
+            if self.in_len[slot] == 0 && cache.list.capacity() > 0 {
+                self.fills[pool].pool.push(std::mem::take(&mut cache.list));
             }
-            self.port_occ[switch * self.num_ports + req.in_port] -= 1;
-            if let Some(cand) = &req.candidate {
-                if let OutputKind::Network { next_switch, .. } = self.out_kind[flat_out] {
-                    let mut state = self.pkt.state[packet];
-                    self.mechanism
-                        .note_hop(&mut state, switch, next_switch, cand);
-                    self.pkt.state[packet] = state;
-                    if cand.enters_escape() {
-                        self.pkt.escape_hops[packet] += 1;
-                        self.obs.incr(Counter::EscapeGrants);
-                    }
+            if network {
+                let next_switch = req.entry.down as usize / self.num_ports;
+                let mut state = self.pkt.state[packet];
+                self.mechanism
+                    .note_hop(&mut state, switch, next_switch, &req.entry.candidate());
+                self.pkt.state[packet] = state;
+                if req.entry.kind.is_escape() {
+                    self.pkt.escape_hops[packet] += 1;
+                    self.obs.incr(Counter::EscapeGrants);
                 }
             }
             self.obs.incr(Counter::AllocGrants);
@@ -1478,13 +1538,12 @@ impl Simulator {
             self.stg_vc[g] = req.out_vc as u16;
             self.stg_ready[g] = self.cycle + crossbar_time;
             if self.stg_len[flat_out] == 0 {
-                let port = req.out_port;
-                self.stg_mask[switch * self.stg_words + port / 64] |= 1 << (port % 64);
+                self.stg_mask[switch * self.stg_words + out_port / 64] |= 1 << (out_port % 64);
             }
             self.stg_len[flat_out] += 1;
             self.xmit_active.insert(switch);
-            out_grants[req.out_port] += 1;
-            in_grants[req.in_port] += 1;
+            out_grants[out_port] += 1;
+            in_grants[in_port] += 1;
             self.progress_this_cycle = true;
         }
         self.step.keyed = keyed;
@@ -1499,7 +1558,7 @@ impl Simulator {
         if self.tracer.is_none() {
             return;
         }
-        let slot = self.slot(switch, req.in_port, req.in_vc);
+        let slot = self.slot(switch, req.in_port as usize, req.in_vc as usize);
         if self.in_len[slot] == 0 {
             return;
         }
@@ -1571,64 +1630,49 @@ impl Simulator {
             );
         }
         let mut tasks: Vec<Mutex<PrefillTask>> = Vec::with_capacity(self.partitions);
+        let active = &self.alloc_active.list;
+        let mut caches_rest: &mut [VcCache] = &mut self.vc_cache;
+        let mut seg_from = 0;
+        for (pi, (fill, bounds)) in self
+            .fills
+            .iter_mut()
+            .zip(self.part_bounds.windows(2))
+            .enumerate()
         {
-            let active = &self.alloc_active.list;
-            let mut cached_rest: &mut [u64] = &mut self.cached_for;
-            let mut fresh_rest: &mut [u64] = &mut self.cache_fresh;
-            let mut cache_rest: &mut [Vec<Candidate>] = &mut self.cand_cache;
-            let mut seg_from = 0;
-            let mut sw_base = 0;
-            for (pi, (route, pool)) in self
-                .part_routes
-                .iter_mut()
-                .zip(&mut self.cache_pools)
-                .enumerate()
-            {
-                let sw_end = self.part_bounds[pi + 1];
-                let n_slots = (sw_end - sw_base) * slots_per_switch;
-                let (cached_for, rest) = cached_rest.split_at_mut(n_slots);
-                cached_rest = rest;
-                let (cache_fresh, rest) = fresh_rest.split_at_mut(n_slots);
-                fresh_rest = rest;
-                let (cand_cache, rest) = cache_rest.split_at_mut(n_slots);
-                cache_rest = rest;
-                tasks.push(Mutex::new(PrefillTask {
-                    slot_base: sw_base * slots_per_switch,
-                    seg: &active[seg_from..cuts[pi]],
-                    cached_for,
-                    cache_fresh,
-                    cand_cache,
-                    pool,
-                    route: std::mem::take(route),
-                }));
-                seg_from = cuts[pi];
-                sw_base = sw_end;
-            }
-            let shared = PrefillShared {
-                in_q: &self.in_q,
-                in_head: &self.in_head,
-                in_mask: &self.in_mask,
-                pkt_id: &self.pkt.id,
-                pkt_dst_switch: &self.pkt.dst_switch,
-                pkt_state: &self.pkt.state,
-                mechanism: self.mechanism.as_ref(),
-                cycle: self.cycle,
-                cap_in: self.cap_in,
-                slots_per_switch,
-                in_words: self.in_words,
-            };
-            let body = |t: usize| {
-                let mut task = tasks[t].lock().unwrap();
-                run_prefill_task(&mut task, &shared);
-            };
-            self.pool
-                .as_ref()
-                .expect("partitions > 1 without a pool")
-                .run(self.partitions, &body);
+            let (caches, rest) =
+                caches_rest.split_at_mut((bounds[1] - bounds[0]) * slots_per_switch);
+            caches_rest = rest;
+            tasks.push(Mutex::new(PrefillTask {
+                slot_base: bounds[0] * slots_per_switch,
+                seg: &active[seg_from..cuts[pi]],
+                caches,
+                fill,
+            }));
+            seg_from = cuts[pi];
         }
-        for (pi, cell) in tasks.into_iter().enumerate() {
-            self.part_routes[pi] = cell.into_inner().unwrap().route;
-        }
+        let shared = PrefillShared {
+            in_q: &self.in_q,
+            in_head: &self.in_head,
+            in_mask: &self.in_mask,
+            pkt_dst_switch: &self.pkt.dst_switch,
+            pkt_state: &self.pkt.state,
+            down: &self.down,
+            mechanism: self.mechanism.as_ref(),
+            cap_in: self.cap_in,
+            num_ports: self.num_ports,
+            num_vcs: self.num_vcs,
+            in_words: self.in_words,
+        };
+        let body = |t: usize| {
+            run_prefill_task(
+                &mut tasks[t].lock().expect("a prefill task panicked"),
+                &shared,
+            )
+        };
+        self.pool
+            .as_ref()
+            .expect("partitions > 1 without a pool")
+            .run(self.partitions, &body);
         self.step.seg = cuts;
     }
 
@@ -1667,7 +1711,7 @@ impl Simulator {
             stg_pkt: &self.stg_pkt,
             stg_vc: &self.stg_vc,
             stg_ready: &self.stg_ready,
-            out_kind: &self.out_kind,
+            down: &self.down,
             cycle: self.cycle,
             packet_length: self.cfg.packet_length,
             cap_out: self.cap_out,
@@ -1783,20 +1827,16 @@ fn run_xmit_task(task: &mut XmitTask, shared: &XmitShared) {
                 }
                 task.link_busy[lf] = shared.cycle + shared.packet_length;
                 let packet = shared.stg_pkt[g];
-                match shared.out_kind[flat] {
-                    OutputKind::Network {
-                        next_switch,
-                        next_input_port,
-                    } => {
-                        let dslot = (next_switch * num_ports + next_input_port) * shared.num_vcs
-                            + shared.stg_vc[g] as usize;
-                        task.events.push(Ev::Arrival {
-                            slot: dslot as u32,
-                            packet,
-                        });
-                    }
-                    OutputKind::Ejection { .. } => task.events.push(Ev::Delivery { packet }),
-                    OutputKind::Dead => unreachable!("dead ports never receive grants"),
+                let down = shared.down[flat];
+                if down < EJECT {
+                    let dslot = down as usize * shared.num_vcs + shared.stg_vc[g] as usize;
+                    task.events.push(Ev::Arrival {
+                        slot: dslot as u32,
+                        packet,
+                    });
+                } else {
+                    debug_assert_eq!(down, EJECT, "dead ports never receive grants");
+                    task.events.push(Ev::Delivery { packet });
                 }
                 task.progress = true;
             }
@@ -1816,33 +1856,34 @@ fn run_xmit_task(task: &mut XmitTask, shared: &XmitShared) {
 
 /// The per-partition candidate-prefill body (see
 /// [`Simulator::prefill_candidates`]). Computes only — the hit/miss
-/// accounting happens in the sequential sweep via the `cache_fresh` stamp.
+/// accounting happens in the sequential sweep, which counts every
+/// `Prefilled` entry as a miss.
 fn run_prefill_task(task: &mut PrefillTask, shared: &PrefillShared) {
+    let slots_per_switch = shared.num_ports * shared.num_vcs;
     for &switch in task.seg {
         let words = &shared.in_mask[switch * shared.in_words..(switch + 1) * shared.in_words];
+        let down_row = &shared.down[switch * shared.num_ports..(switch + 1) * shared.num_ports];
         for local in set_bits(words) {
-            let slot = switch * shared.slots_per_switch + local;
+            let slot = switch * slots_per_switch + local;
+            let cache = &mut task.caches[slot - task.slot_base];
+            if cache.state != CacheState::Empty {
+                continue;
+            }
             let head = shared.in_q[slot * shared.cap_in + shared.in_head[slot] as usize] as usize;
             // Ejection heads never consult the candidate cache.
             if shared.pkt_dst_switch[head] as usize == switch {
                 continue;
             }
-            let id = shared.pkt_id[head];
-            let ls = slot - task.slot_base;
-            if task.cached_for[ls] != id {
-                task.cached_for[ls] = id;
-                let cache = &mut task.cand_cache[ls];
-                prepare_cache(cache, task.pool);
-                shared.mechanism.candidates_into(
-                    &shared.pkt_state[head],
-                    switch,
-                    &mut task.route,
-                    cache,
-                );
-                // Stamp: the sequential sweep counts this as the miss a
-                // sequential engine would have taken at this head.
-                task.cache_fresh[ls] = shared.cycle + 1;
-            }
+            fill_cache(
+                cache,
+                task.fill,
+                shared.mechanism,
+                &shared.pkt_state[head],
+                switch,
+                down_row,
+                shared.num_vcs,
+            );
+            cache.state = CacheState::Prefilled;
         }
     }
 }

@@ -1,7 +1,7 @@
 use super::*;
-use crate::traffic::{RandomServerPermutation, UniformTraffic};
+use crate::traffic::{RandomServerPermutation, RegularPermutationToNeighbour, UniformTraffic};
 use hyperx_routing::MechanismSpec;
-use hyperx_topology::HyperX;
+use hyperx_topology::{FaultSet, FaultShape, HyperX};
 
 fn build_sim(spec: MechanismSpec, load_cfg: SimConfig) -> Simulator {
     let hx = HyperX::regular(2, 4);
@@ -174,6 +174,36 @@ fn out_of_range_load_rejected() {
     let mut sim = build_sim(MechanismSpec::Minimal, cfg);
     let _ = sim.run_rate(1.5);
 }
+
+/// A congested closed-loop case: RPN on a 4×4×4 HyperX with 4 servers per
+/// switch, the cross `cross:1:2,2,2` (margin 1 around switch (2,2,2), also
+/// the escape root) and 12 packets per server. Heads stay blocked for many
+/// cycles, so the candidate cache hits often, and escape hops are granted.
+fn congested_batch_parts(
+    spec: MechanismSpec,
+    partitions: usize,
+) -> (
+    Arc<NetworkView>,
+    Box<dyn RoutingMechanism>,
+    Box<dyn TrafficPattern>,
+    SimConfig,
+) {
+    let hx = HyperX::regular(3, 4);
+    let center = vec![2, 2, 2];
+    let root = hx.switch_id(&center);
+    let faults = FaultSet::from_shape(&FaultShape::Cross { center, margin: 1 }, &hx);
+    let view = Arc::new(NetworkView::with_faults(hx, &faults, root));
+    let mut cfg = SimConfig::quick(4, 4);
+    cfg.seed = 3;
+    cfg.partitions = partitions;
+    let layout = ServerLayout::new(view.hyperx(), cfg.servers_per_switch);
+    let mech = spec.build(view.clone(), cfg.num_vcs);
+    let pattern = Box::new(RegularPermutationToNeighbour::new(layout));
+    (view, mech, pattern, cfg)
+}
+
+/// Packets per server of the congested closed-loop case.
+const CONGESTED_PACKETS: u64 = 12;
 
 /// The determinism contract of the v5 layout refactor: the struct-of-arrays
 /// engine must be **observably identical** to the frozen v4 per-switch-struct
@@ -352,6 +382,46 @@ mod layout_equivalence {
     }
 
     #[test]
+    fn congested_batch_mode_identical() {
+        // Blocked heads: the cache hit path, the pop reset and escape
+        // grants all run many times, and metrics, every counter and the
+        // drain must still match v4.
+        for spec in [MechanismSpec::OmniSP, MechanismSpec::PolSP] {
+            let (view, mech, pattern, cfg) = congested_batch_parts(spec, 1);
+            let mut v5 = Simulator::new(view, mech, pattern, cfg);
+            let m5 = v5.run_batch(CONGESTED_PACKETS, 100);
+            let obs5 = v5.obs().clone();
+            let d5 = v5.drain(100_000);
+            let (view, mech, pattern, cfg) = congested_batch_parts(spec, 1);
+            let mut v4 = SimulatorV4::new(view, mech, pattern, cfg);
+            let m4 = v4.run_batch(CONGESTED_PACKETS, 100);
+            let obs4 = v4.obs().clone();
+            let d4 = v4.drain(100_000);
+            assert!(!m5.stalled && m5.delivered_packets == 64 * 4 * CONGESTED_PACKETS);
+            assert!(
+                obs5.get(Counter::CandCacheHits) > 0,
+                "{spec:?}: no cache hits"
+            );
+            assert!(
+                obs5.get(Counter::EscapeGrants) > 0,
+                "{spec:?}: no escape grants"
+            );
+            assert_eq!(
+                format!(
+                    "{m5:?}|drained={d5}|in_switches={}",
+                    v5.packets_in_switches()
+                ),
+                format!(
+                    "{m4:?}|drained={d4}|in_switches={}",
+                    v4.packets_in_switches()
+                ),
+                "{spec:?} diverged from v4"
+            );
+            assert_eq!(obs5, obs4, "{spec:?} counters diverged from v4");
+        }
+    }
+
+    #[test]
     fn cycle_by_cycle_state_identical_at_low_load() {
         // Beyond end-of-run metrics: the per-cycle observable state
         // (alive, generated, delivered, buffered) must match at every
@@ -525,6 +595,36 @@ mod partition_invariance {
                 None => reference = Some(bytes),
                 Some(r) => assert_eq!(&bytes, r, "batch mode diverged at P={p}"),
             }
+        }
+    }
+
+    #[test]
+    fn congested_batch_mode_invariant() {
+        // The parallel prefill under blocked heads: a prefilled entry must
+        // count as a miss exactly once, and P = 2 must reproduce P = 1's
+        // metrics, counters and drain.
+        for spec in [MechanismSpec::OmniSP, MechanismSpec::PolSP] {
+            let run = |partitions: usize| {
+                let (view, mech, pattern, cfg) = congested_batch_parts(spec, partitions);
+                let mut sim = Simulator::new(view, mech, pattern, cfg);
+                assert_eq!(sim.partitions(), partitions);
+                let m = sim.run_batch(CONGESTED_PACKETS, 100);
+                let obs = sim.obs().clone();
+                let drained = sim.drain(100_000);
+                let bytes = format!(
+                    "{m:?}|drained={drained}|in_switches={}",
+                    sim.packets_in_switches()
+                );
+                (bytes, obs)
+            };
+            let (p1, obs1) = run(1);
+            let (p2, obs2) = run(2);
+            assert!(
+                obs1.get(Counter::CandCacheHits) > 0,
+                "{spec:?}: no cache hits"
+            );
+            assert_eq!(p1, p2, "{spec:?} diverged at P=2");
+            assert_eq!(obs1, obs2, "{spec:?} counters diverged at P=2");
         }
     }
 

@@ -179,10 +179,13 @@ impl UpDownEscape {
         current: SwitchId,
         dest: SwitchId,
     ) -> impl Iterator<Item = EscapeCandidate> + 'a {
-        // At the destination `here` is 0, so nothing can reduce it.
-        let here = self.updown_distance(current, dest);
+        // Up/Down distances are symmetric, so row `dest` holds every
+        // distance read here. At the destination `here` is 0, so nothing
+        // can reduce it.
+        let to_dest = &self.updown[dest * self.n..(dest + 1) * self.n];
+        let here = to_dest[current];
         net.neighbors(current).filter_map(move |(p, nb)| {
-            let there = self.updown_distance(nb.switch, dest);
+            let there = to_dest[nb.switch];
             (there < here).then(|| EscapeCandidate {
                 port: p,
                 neighbor: nb.switch,

@@ -101,6 +101,36 @@ proptest! {
     }
 
     #[test]
+    fn distance_tables_are_symmetric_under_faults(
+        sides in word_boundary_sides_strategy(),
+        fault_count in 0usize..200,
+        seed in 0u64..1000,
+    ) {
+        // Polarized routing reads rows `source` and `dest` of the distance
+        // matrix, and the escape reads row `dest` of the Up/Down table, so
+        // both tables must stay symmetric on faulted networks.
+        let hx = HyperX::new(&sides);
+        let mut net = hx.network().clone();
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        FaultSet::random_connected_sequence(&net, fault_count, &mut rng).apply(&mut net);
+        let n = net.num_switches();
+        let d = DistanceMatrix::compute(&net);
+        let esc = UpDownEscape::new(&net, (seed as usize * 13) % n);
+        for a in 0..n {
+            for b in a + 1..n {
+                prop_assert_eq!(d.get(a, b), d.get(b, a), "d({}, {})", a, b);
+                prop_assert_eq!(
+                    esc.updown_distance(a, b),
+                    esc.updown_distance(b, a),
+                    "ud({}, {})",
+                    a,
+                    b
+                );
+            }
+        }
+    }
+
+    #[test]
     fn coordinate_lookup_and_hamming_distance_agree_with_to_coords(
         sides in prop::collection::vec(2usize..=9, 1..=4),
         seed in 0u64..1000,
