@@ -205,6 +205,8 @@ fn congested_batch_parts(
 /// Packets per server of the congested closed-loop case.
 const CONGESTED_PACKETS: u64 = 12;
 
+mod corpus;
+
 /// The determinism contract of the v5 layout refactor: the struct-of-arrays
 /// engine must be **observably identical** to the frozen v4 per-switch-struct
 /// engine — same RNG draw order, same metrics bytes, same counters, same
