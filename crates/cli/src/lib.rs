@@ -277,8 +277,9 @@ pub fn parse_args(args: &[String]) -> Result<CliConfig, String> {
     Ok(cfg)
 }
 
-/// Builds the [`Experiment`] described by a parsed configuration.
-pub fn build_experiment(cfg: &CliConfig) -> Experiment {
+/// Builds the [`Experiment`] described by a parsed configuration, rejecting
+/// the ones that could not run (see [`Experiment::validate`]).
+pub fn build_experiment(cfg: &CliConfig) -> Result<Experiment, String> {
     let dims = cfg.sides.len();
     let num_vcs = cfg
         .vcs
@@ -298,13 +299,14 @@ pub fn build_experiment(cfg: &CliConfig) -> Experiment {
     if let Some((warmup, measure)) = cfg.windows {
         experiment = experiment.with_windows(warmup, measure);
     }
-    experiment
+    experiment.validate()?;
+    Ok(experiment)
 }
 
 /// Runs the experiment and renders the result as text or JSON.
-pub fn run(cfg: &CliConfig) -> String {
-    let experiment = build_experiment(cfg);
-    match cfg.mode {
+pub fn run(cfg: &CliConfig) -> Result<String, String> {
+    let experiment = build_experiment(cfg)?;
+    Ok(match cfg.mode {
         RunMode::Rate(load) => {
             let metrics = experiment.run_rate(load);
             if cfg.json {
@@ -338,7 +340,7 @@ pub fn run(cfg: &CliConfig) -> String {
                 )
             }
         }
-    }
+    })
 }
 
 /// A parsed `surepath campaign` command line.
@@ -1372,7 +1374,7 @@ mod tests {
         assert_eq!(cfg.mechanism, MechanismSpec::PolSP);
         assert_eq!(cfg.mode, RunMode::Rate(0.5));
         assert_eq!(cfg.scenario, FaultScenario::None);
-        let e = build_experiment(&cfg);
+        let e = build_experiment(&cfg).unwrap();
         assert_eq!(e.num_vcs, 6);
         assert_eq!(e.sides, vec![8, 8, 8]);
     }
@@ -1418,7 +1420,7 @@ mod tests {
             }
             other => panic!("unexpected scenario {other:?}"),
         }
-        let e = build_experiment(&cfg);
+        let e = build_experiment(&cfg).unwrap();
         assert_eq!(e.num_vcs, 4);
         assert_eq!(e.sim.seed, 7);
     }
@@ -1466,6 +1468,35 @@ mod tests {
     }
 
     #[test]
+    fn experiments_that_cannot_be_built_are_errors_not_panics() {
+        // Each parses, and `surepath campaign` rejects the same job.
+        for (extra, message) in [
+            (
+                &["--mechanism", "omnisp", "--vcs", "1", "--load", "0.1"][..],
+                "OmniSP needs 2 to 255 VCs, got vcs = 1",
+            ),
+            (
+                &["--mechanism", "minimal", "--vcs", "300"][..],
+                "Minimal needs 1 to 255 VCs, got vcs = 300",
+            ),
+            (
+                &["--faults", "random:999:1"][..],
+                "cannot fail 999 links, only 48 exist",
+            ),
+            (
+                &["--root", "switch:16"][..],
+                "escape root switch:16 out of range: the topology has 16 switches",
+            ),
+        ] {
+            let mut list = vec!["--sides", "4x4"];
+            list.extend_from_slice(extra);
+            let cfg = parse_args(&args(&list)).unwrap();
+            assert_eq!(build_experiment(&cfg).unwrap_err(), message, "{list:?}");
+            assert_eq!(run(&cfg).unwrap_err(), message, "{list:?}");
+        }
+    }
+
+    #[test]
     fn batch_mode_and_windows_are_parsed() {
         let cfg = parse_args(&args(&[
             "--sides",
@@ -1480,7 +1511,7 @@ mod tests {
         .unwrap();
         assert_eq!(cfg.mode, RunMode::Batch(60));
         assert_eq!(cfg.windows, Some((100, 400)));
-        let e = build_experiment(&cfg);
+        let e = build_experiment(&cfg).unwrap();
         assert_eq!(e.sim.warmup_cycles, 100);
         assert_eq!(e.sim.measure_cycles, 400);
     }
@@ -2384,11 +2415,11 @@ mod tests {
         ]))
         .unwrap();
         cfg.concentration = 4;
-        let text = run(&cfg);
+        let text = run(&cfg).unwrap();
         assert!(text.contains("accepted"));
         assert!(text.contains("PolSP"));
         cfg.json = true;
-        let json = run(&cfg);
+        let json = run(&cfg).unwrap();
         let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
         assert!(parsed["accepted_load"].as_f64().unwrap() > 0.1);
         assert_eq!(parsed["stalled"], serde_json::Value::Bool(false));

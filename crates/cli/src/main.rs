@@ -27,8 +27,8 @@
 //! surepath campaign grid.toml --spawn-local 4           # single-machine fan-out
 //! ```
 //!
-//! Engine perf harness (active-set scheduler vs the frozen full-scan
-//! baseline; writes `BENCH_ENGINE.json`):
+//! Engine perf harness (pinned cells timed, traced and partitioned pairs
+//! byte-checked; writes `BENCH_ENGINE.json`):
 //!
 //! ```text
 //! surepath bench --quick
@@ -86,8 +86,8 @@ fn main() {
         }
         return;
     }
-    match surepath_cli::parse_args(&args) {
-        Ok(cfg) => println!("{}", surepath_cli::run(&cfg)),
+    match surepath_cli::parse_args(&args).and_then(|cfg| surepath_cli::run(&cfg)) {
+        Ok(text) => println!("{text}"),
         Err(message) => {
             eprintln!("{message}");
             std::process::exit(2);

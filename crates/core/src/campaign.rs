@@ -127,35 +127,8 @@ pub fn job_experiment(job: &JobSpec) -> Result<Experiment, String> {
         None => RootPlacement::Suggested,
         Some(spec) => RootPlacement::parse(spec)?,
     };
-    // Checks for jobs that would otherwise panic when built: every one of
-    // them is rejected by `validate_campaign` before anything runs.
-    let switches: usize = job.sides.iter().product();
-    if let FaultScenario::Random { count, .. } = scenario {
-        let links = switches * job.sides.iter().map(|&k| k - 1).sum::<usize>() / 2;
-        if count > links {
-            return Err(format!("cannot fail {count} links, only {links} exist"));
-        }
-    }
-    if let RootPlacement::Switch(id) = root {
-        if id >= switches {
-            return Err(format!(
-                "escape root switch:{id} out of range: the topology has {switches} switches"
-            ));
-        }
-    }
     let concentration = job.concentration.unwrap_or(job.sides[0]);
-    if concentration == 0 {
-        return Err("concentration must be at least 1".to_string());
-    }
     let num_vcs = job.vcs.unwrap_or_else(|| mechanism.default_num_vcs(dims));
-    let min_vcs = if mechanism.is_surepath() { 2 } else { 1 };
-    if !(min_vcs..=u8::MAX as usize).contains(&num_vcs) {
-        return Err(format!(
-            "{} needs {min_vcs} to {} VCs, got vcs = {num_vcs}",
-            mechanism.name(),
-            u8::MAX
-        ));
-    }
     let mut experiment = Experiment {
         sides: job.sides.clone(),
         concentration,
@@ -166,6 +139,9 @@ pub fn job_experiment(job: &JobSpec) -> Result<Experiment, String> {
         root,
         sim: SimConfig::paper_defaults(concentration, num_vcs),
     };
+    // Jobs that would otherwise panic when built are rejected here, and so
+    // by `validate_campaign` before anything runs.
+    experiment.validate()?;
     experiment.sim.servers_per_switch = concentration;
     // An absent `rng` means contract v1: every store written before the
     // contract was versioned ran v1, and re-running its jobs must stay

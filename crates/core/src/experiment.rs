@@ -304,6 +304,40 @@ impl Experiment {
         self
     }
 
+    /// Rejects what would otherwise panic when the experiment is built:
+    /// more random link faults than the topology has links, an escape root
+    /// outside it, no servers per switch, or a VC count outside 1..=255
+    /// (2..=255 for the SurePath mechanisms, which reserve an escape VC).
+    pub fn validate(&self) -> Result<(), String> {
+        let switches: usize = self.sides.iter().product();
+        if let FaultScenario::Random { count, .. } = self.scenario {
+            let links = switches * self.sides.iter().map(|&k| k - 1).sum::<usize>() / 2;
+            if count > links {
+                return Err(format!("cannot fail {count} links, only {links} exist"));
+            }
+        }
+        if let RootPlacement::Switch(id) = self.root {
+            if id >= switches {
+                return Err(format!(
+                    "escape root switch:{id} out of range: the topology has {switches} switches"
+                ));
+            }
+        }
+        if self.concentration == 0 {
+            return Err("concentration must be at least 1".to_string());
+        }
+        let min_vcs = if self.mechanism.is_surepath() { 2 } else { 1 };
+        if !(min_vcs..=u8::MAX as usize).contains(&self.num_vcs) {
+            return Err(format!(
+                "{} needs {min_vcs} to {} VCs, got vcs = {}",
+                self.mechanism.name(),
+                u8::MAX,
+                self.num_vcs
+            ));
+        }
+        Ok(())
+    }
+
     /// Builds the faulty network view this experiment runs on.
     pub fn build_view(&self) -> Arc<NetworkView> {
         let hx = self.topology();
@@ -337,30 +371,13 @@ impl Experiment {
     /// would build ([`Experiment::build_view`]); passing a mismatched view is
     /// a logic error.
     pub fn build_simulator_with_view(&self, view: Arc<NetworkView>) -> Simulator {
-        let (mechanism, pattern, sim_cfg) = self.simulator_parts(&view);
-        Simulator::new(view, mechanism, pattern, sim_cfg)
-    }
-
-    /// The non-view constructor inputs of a simulator over `view`: the
-    /// routing mechanism, the traffic pattern and the completed simulator
-    /// configuration. Shared by [`Experiment::build_simulator_with_view`]
-    /// and harnesses that feed the exact same inputs to an alternative
-    /// engine build (e.g. the bench's frozen v4-layout baseline).
-    pub fn simulator_parts(
-        &self,
-        view: &Arc<NetworkView>,
-    ) -> (
-        Box<dyn hyperx_routing::RoutingMechanism>,
-        Box<dyn TrafficPattern>,
-        SimConfig,
-    ) {
         let mechanism = self.mechanism.build(view.clone(), self.num_vcs);
         let layout = ServerLayout::new(view.hyperx(), self.concentration);
         let pattern = self.traffic.build(&layout, self.sim.seed);
         let mut sim_cfg = self.sim.clone();
         sim_cfg.servers_per_switch = self.concentration;
         sim_cfg.num_vcs = self.num_vcs;
-        (mechanism, pattern, sim_cfg)
+        Simulator::new(view, mechanism, pattern, sim_cfg)
     }
 
     /// Runs the open-loop experiment at the given offered load.

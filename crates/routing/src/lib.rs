@@ -109,12 +109,13 @@ pub trait RoutingMechanism: Send + Sync {
     fn init_packet(&self, source: usize, dest: usize, rng: &mut dyn RngCore) -> PacketState;
 
     /// Appends the candidate output requests for the packet at `current`,
-    /// using caller-provided scratch for the intermediate route list — the
-    /// allocation-free form the simulator's hot loop calls.
+    /// using caller-provided scratch for the intermediate route list, so
+    /// the simulator's hot loop allocates nothing (one-off queries pass
+    /// `&mut RouteScratch::default()`).
     ///
     /// Must be a pure function of `(state, current)`: the simulator caches
-    /// the result per head packet and the A/B scan-equivalence contract
-    /// depends on recomputation yielding identical candidates.
+    /// the result per head packet and reuses it while that packet stays at
+    /// the head of its VC, so recomputing must yield identical candidates.
     fn candidates_into(
         &self,
         state: &PacketState,
@@ -122,13 +123,6 @@ pub trait RoutingMechanism: Send + Sync {
         scratch: &mut RouteScratch,
         out: &mut Vec<Candidate>,
     );
-
-    /// Convenience form of [`RoutingMechanism::candidates_into`] that
-    /// allocates fresh scratch; fine for tests and one-off queries.
-    fn candidates(&self, state: &PacketState, current: usize, out: &mut Vec<Candidate>) {
-        let mut scratch = RouteScratch::default();
-        self.candidates_into(state, current, &mut scratch, out);
-    }
 
     /// Updates per-packet state after the packet takes `cand` from `current` to `next`.
     fn note_hop(&self, state: &mut PacketState, current: usize, next: usize, cand: &Candidate);

@@ -330,6 +330,7 @@ impl std::fmt::Display for MechanismSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RouteScratch;
     use hyperx_topology::HyperX;
     use rand::rngs::mock::StepRng;
 
@@ -367,7 +368,7 @@ mod tests {
         let mut st = mech.init_packet(0, 15, &mut rng);
         st.hops = 2; // Minimal with 4 VCs supports 2 hops (two-per-step).
         let mut out = Vec::new();
-        mech.candidates(&st, 5, &mut out);
+        mech.candidates_into(&st, 5, &mut RouteScratch::default(), &mut out);
         assert!(out.is_empty());
     }
 
@@ -396,7 +397,7 @@ mod tests {
         let mut rng = StepRng::new(7, 1);
         let mut st = mech.init_packet(0, 15, &mut rng);
         let mut out = Vec::new();
-        mech.candidates(&st, 0, &mut out);
+        mech.candidates_into(&st, 0, &mut RouteScratch::default(), &mut out);
         assert!(!out.is_empty());
         assert!(out.iter().all(|c| c.vcs == VcRange::exact(0)));
         // After one hop the VC advances.
@@ -404,7 +405,7 @@ mod tests {
         let next = v.network().neighbor(0, cand.port).unwrap().switch;
         mech.note_hop(&mut st, 0, next, &cand);
         let mut out2 = Vec::new();
-        mech.candidates(&st, next, &mut out2);
+        mech.candidates_into(&st, next, &mut RouteScratch::default(), &mut out2);
         assert!(out2.iter().all(|c| c.vcs == VcRange::exact(1)));
     }
 
@@ -438,7 +439,7 @@ mod tests {
             let mut st = mech.init_packet(0, 15, &mut rng);
             st.in_escape = true;
             let mut out = Vec::new();
-            mech.candidates(&st, 0, &mut out);
+            mech.candidates_into(&st, 0, &mut RouteScratch::default(), &mut out);
             assert!(!out.is_empty());
             assert!(out.iter().all(|c| c.kind != CandidateKind::EscapeShortcut));
         }

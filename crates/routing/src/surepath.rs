@@ -155,6 +155,7 @@ mod tests {
     use super::*;
     use crate::mechanism::MechanismSpec;
     use crate::omnidimensional::OmnidimensionalRouting;
+    use crate::RouteScratch;
     use hyperx_topology::{FaultSet, FaultShape, HyperX, LinkId};
     use rand::rngs::mock::StepRng;
     use rand::SeedableRng;
@@ -181,7 +182,7 @@ mod tests {
         let mut rng = StepRng::new(0, 1);
         let st = mech.init_packet(0, 15, &mut rng);
         let mut out = Vec::new();
-        mech.candidates(&st, 0, &mut out);
+        mech.candidates_into(&st, 0, &mut RouteScratch::default(), &mut out);
         assert!(
             out.iter().any(|c| !c.kind.is_escape()),
             "routing candidates expected"
@@ -208,7 +209,7 @@ mod tests {
         let mut st = mech.init_packet(0, 15, &mut rng);
         st.in_escape = true;
         let mut out = Vec::new();
-        mech.candidates(&st, 5, &mut out);
+        mech.candidates_into(&st, 5, &mut RouteScratch::default(), &mut out);
         assert!(!out.is_empty());
         assert!(out.iter().all(|c| c.kind.is_escape()));
     }
@@ -220,7 +221,7 @@ mod tests {
         let mut rng = StepRng::new(0, 1);
         let mut st = mech.init_packet(0, 15, &mut rng);
         let mut out = Vec::new();
-        mech.candidates(&st, 0, &mut out);
+        mech.candidates_into(&st, 0, &mut RouteScratch::default(), &mut out);
         let esc = out.iter().find(|c| c.kind.is_escape()).unwrap();
         let next = v.network().neighbor(0, esc.port).unwrap().switch;
         mech.note_hop(&mut st, 0, next, esc);
@@ -242,7 +243,7 @@ mod tests {
         let mut st = mech.init_packet(src, dst, &mut rng);
         st.deroutes = 2; // budget m = n = 2 consumed
         let mut out = Vec::new();
-        mech.candidates(&st, src, &mut out);
+        mech.candidates_into(&st, src, &mut RouteScratch::default(), &mut out);
         assert!(
             !out.is_empty(),
             "forced hop must fall back to the escape subnetwork"
@@ -277,7 +278,7 @@ mod tests {
                 let mut hops = 0;
                 while current != dst {
                     let mut out = Vec::new();
-                    mech.candidates(&st, current, &mut out);
+                    mech.candidates_into(&st, current, &mut RouteScratch::default(), &mut out);
                     assert!(!out.is_empty(), "escape stuck at {current} -> {dst}");
                     let best = out.iter().min_by_key(|c| (c.penalty, c.port)).unwrap();
                     let next = v.network().neighbor(current, best.port).unwrap().switch;

@@ -4,7 +4,9 @@ use hyperx_routing::dal::DalRouting;
 use hyperx_routing::minimal::MinimalRouting;
 use hyperx_routing::omnidimensional::OmnidimensionalRouting;
 use hyperx_routing::polarized::PolarizedRouting;
-use hyperx_routing::{Candidate, CandidateKind, MechanismSpec, NetworkView, RouteAlgorithm};
+use hyperx_routing::{
+    Candidate, CandidateKind, MechanismSpec, NetworkView, RouteAlgorithm, RouteScratch,
+};
 use hyperx_topology::{FaultSet, HyperX};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -132,7 +134,7 @@ proptest! {
                 let mut hops = 0usize;
                 while current != dst {
                     let mut cands: Vec<Candidate> = Vec::new();
-                    mech.candidates(&state, current, &mut cands);
+                    mech.candidates_into(&state, current, &mut RouteScratch::default(), &mut cands);
                     prop_assert!(!cands.is_empty(), "{} stuck at {} -> {}", spec, current, dst);
                     let best = cands
                         .iter()
@@ -166,7 +168,7 @@ proptest! {
             let mech = spec.build_default(view.clone());
             let state = mech.init_packet(src, dst, &mut rng);
             let mut cands = Vec::new();
-            mech.candidates(&state, src, &mut cands);
+            mech.candidates_into(&state, src, &mut RouteScratch::default(), &mut cands);
             for c in &cands {
                 prop_assert!(c.vcs.lo < c.vcs.hi);
                 prop_assert!(c.vcs.hi <= mech.num_vcs());
@@ -233,9 +235,9 @@ proptest! {
         let mut state = full.init_packet(src, dst, &mut rng);
         state.in_escape = true;
         let mut full_cands = Vec::new();
-        full.candidates(&state, src, &mut full_cands);
+        full.candidates_into(&state, src, &mut RouteScratch::default(), &mut full_cands);
         let mut tree_cands = Vec::new();
-        tree.candidates(&state, src, &mut tree_cands);
+        tree.candidates_into(&state, src, &mut RouteScratch::default(), &mut tree_cands);
         prop_assert!(!tree_cands.is_empty(), "tree escape must always offer a hop");
         for c in &tree_cands {
             prop_assert!(c.kind != CandidateKind::EscapeShortcut);
@@ -264,7 +266,7 @@ proptest! {
         let mut state = mech.init_packet(src, dst, &mut rng);
         state.in_escape = true;
         let mut cands = Vec::new();
-        mech.candidates(&state, src, &mut cands);
+        mech.candidates_into(&state, src, &mut RouteScratch::default(), &mut cands);
         prop_assert!(!cands.is_empty());
         for c in &cands {
             prop_assert!(c.kind.is_escape());

@@ -18,7 +18,7 @@
 //!
 //! # Layout (v5)
 //!
-//! Engine state is struct-of-arrays instead of the v4 per-switch structs:
+//! Engine state is struct-of-arrays instead of per-switch structs:
 //! packets live in a `PacketArena` (parallel field arrays plus a free list,
 //! `u32` indices instead of owned values move through queues), input VC FIFOs
 //! and output staging buffers are flat ring buffers indexed by precomputed
@@ -30,9 +30,10 @@
 //! reusable `StepArena`. Each switch keeps two occupancy bitmasks —
 //! non-empty input VCs (bit `port·num_vcs + vc`) and non-empty staging
 //! buffers (bit `port`) — so the allocation and transmit sweeps visit only
-//! occupied slots, in ascending order. The frozen v4 engine is kept in
-//! [`crate::engine_v4`] and the `layout_equivalence` tests prove the two
-//! byte-identical (RNG draw order, metrics bytes, counters, traces).
+//! occupied slots, in ascending order. A digest corpus recorded from the
+//! per-switch-struct engine this layout replaced, while both engines ran
+//! (the `corpus` tests, `tests/fixtures/engine_corpus.txt`), pins RNG draw
+//! order, metrics bytes, counters and traces.
 //!
 //! # Parallelism
 //!
@@ -43,7 +44,8 @@
 //! * **allocation** prefills the per-VC candidate caches in parallel
 //!   (candidate lists are pure functions of `(packet state, switch)`, and
 //!   heads cannot change during allocation), then runs the score + grant
-//!   sweep sequentially — RNG tie-break draws stay in the exact v4 order;
+//!   sweep sequentially — RNG tie-break draws stay in ascending switch
+//!   order;
 //! * **transmission** runs fully parallel with per-partition event buffers;
 //!   every transmitted packet arrives at the same future cycle, so appending
 //!   the buffers in ascending partition order reproduces the sequential
@@ -922,9 +924,9 @@ impl Simulator {
     /// staged packets, generation only visits live servers) and, with
     /// `partitions > 1`, steps the candidate prefill and the transmit stage
     /// in parallel across switch partitions. The observable behaviour (RNG
-    /// draw order, metrics, counters, traces, event timing) is identical to
-    /// the sequential v4 engine for every partition count; see the
-    /// `layout_equivalence` and `partition_invariance` tests.
+    /// draw order, metrics, counters, traces, event timing) is identical for
+    /// every partition count and pinned by the digest corpus; see the
+    /// `corpus` and `partition_invariance` tests.
     pub fn step(&mut self) {
         self.progress_this_cycle = false;
         self.process_events();

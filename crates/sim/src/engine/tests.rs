@@ -207,308 +207,11 @@ const CONGESTED_PACKETS: u64 = 12;
 
 mod corpus;
 
-/// The determinism contract of the v5 layout refactor: the struct-of-arrays
-/// engine must be **observably identical** to the frozen v4 per-switch-struct
-/// engine — same RNG draw order, same metrics bytes, same counters, same
-/// trace events — across mechanisms, loads, fault scenarios and seeds. These
-/// tests run both engines on the same configuration and compare serialized
-/// observables byte for byte.
-mod layout_equivalence {
-    use super::*;
-    use crate::engine_v4::SimulatorV4;
-
-    fn make_view(faults: usize) -> Arc<NetworkView> {
-        let hx = HyperX::regular(2, 4);
-        if faults == 0 {
-            Arc::new(NetworkView::healthy(hx, 0))
-        } else {
-            let mut fault_rng = ChaCha8Rng::seed_from_u64(11);
-            let fault_set = hyperx_topology::FaultSet::random_connected_sequence(
-                hx.network(),
-                faults,
-                &mut fault_rng,
-            );
-            Arc::new(NetworkView::with_faults(hx, &fault_set, 0))
-        }
-    }
-
-    fn build_v5(spec: MechanismSpec, cfg: SimConfig, faults: usize) -> Simulator {
-        let view = make_view(faults);
-        let mech = spec.build(view.clone(), cfg.num_vcs);
-        let layout = ServerLayout::new(view.hyperx(), cfg.servers_per_switch);
-        let pattern = Box::new(UniformTraffic::new(&layout));
-        Simulator::new(view, mech, pattern, cfg)
-    }
-
-    fn build_v4(spec: MechanismSpec, cfg: SimConfig, faults: usize) -> SimulatorV4 {
-        let view = make_view(faults);
-        let mech = spec.build(view.clone(), cfg.num_vcs);
-        let layout = ServerLayout::new(view.hyperx(), cfg.servers_per_switch);
-        let pattern = Box::new(UniformTraffic::new(&layout));
-        SimulatorV4::new(view, mech, pattern, cfg)
-    }
-
-    fn rate_bytes_both(
-        spec: MechanismSpec,
-        cfg: SimConfig,
-        faults: usize,
-        load: f64,
-    ) -> (String, String) {
-        let mut v5 = build_v5(spec, cfg.clone(), faults);
-        let m5 = v5.run_rate(load);
-        let a = format!(
-            "{m5:?}|gen={}|del={}",
-            v5.total_generated(),
-            v5.total_delivered()
-        );
-        let mut v4 = build_v4(spec, cfg, faults);
-        let m4 = v4.run_rate(load);
-        let b = format!(
-            "{m4:?}|gen={}|del={}",
-            v4.total_generated(),
-            v4.total_delivered()
-        );
-        (a, b)
-    }
-
-    #[test]
-    fn rate_mode_identical_across_mechanisms_loads_and_contracts() {
-        for contract in [RngContract::V1PerServer, RngContract::V2Counting] {
-            for spec in [
-                MechanismSpec::Minimal,
-                MechanismSpec::Valiant,
-                MechanismSpec::OmniWAR,
-                MechanismSpec::Polarized,
-                MechanismSpec::OmniSP,
-                MechanismSpec::PolSP,
-                MechanismSpec::Dal,
-                MechanismSpec::OmniSPTree,
-                MechanismSpec::PolSPTree,
-            ] {
-                for load in [0.1, 0.5, 0.9] {
-                    let mut cfg = SimConfig::quick(2, 4);
-                    cfg.warmup_cycles = 200;
-                    cfg.measure_cycles = 600;
-                    cfg.seed = 42;
-                    cfg.rng_contract = contract;
-                    let (a, b) = rate_bytes_both(spec, cfg, 0, load);
-                    assert_eq!(a, b, "{spec:?} at load {load} ({contract}) diverged");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn rate_mode_identical_under_faults_across_seeds_and_contracts() {
-        for contract in [RngContract::V1PerServer, RngContract::V2Counting] {
-            for spec in [MechanismSpec::OmniSP, MechanismSpec::PolSP] {
-                for seed in [1u64, 7, 99] {
-                    let mut cfg = SimConfig::quick(2, 4);
-                    cfg.warmup_cycles = 200;
-                    cfg.measure_cycles = 600;
-                    cfg.seed = seed;
-                    cfg.rng_contract = contract;
-                    let (a, b) = rate_bytes_both(spec, cfg, 4, 0.6);
-                    assert_eq!(
-                        a, b,
-                        "{spec:?} seed {seed} ({contract}) diverged under faults"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn wide_switches_whose_masks_span_several_words_identical() {
-        // A 1-D HyperX of side 34 with 32 servers per switch: 65 ports and
-        // 260 VC slots per switch, so both occupancy masks span several
-        // 64-bit words (every 4x4 case fits in one).
-        let view = Arc::new(NetworkView::healthy(HyperX::regular(1, 34), 0));
-        let mut cfg = SimConfig::quick(32, 4);
-        cfg.warmup_cycles = 60;
-        cfg.measure_cycles = 120;
-        cfg.seed = 8;
-        cfg.rng_contract = RngContract::V2Counting;
-        let layout = ServerLayout::new(view.hyperx(), cfg.servers_per_switch);
-        let mut v5 = Simulator::new(
-            view.clone(),
-            MechanismSpec::OmniSP.build(view.clone(), 4),
-            Box::new(UniformTraffic::new(&layout)),
-            cfg.clone(),
-        );
-        assert_eq!(v5.num_ports, 65);
-        assert!(v5.in_words > 1 && v5.stg_words > 1);
-        let m5 = v5.run_rate(0.9);
-        let mut v4 = SimulatorV4::new(
-            view.clone(),
-            MechanismSpec::OmniSP.build(view.clone(), 4),
-            Box::new(UniformTraffic::new(&layout)),
-            cfg,
-        );
-        let m4 = v4.run_rate(0.9);
-        assert!(m5.delivered_packets > 0);
-        assert_eq!(
-            format!(
-                "{m5:?}|gen={}|del={}",
-                v5.total_generated(),
-                v5.total_delivered()
-            ),
-            format!(
-                "{m4:?}|gen={}|del={}",
-                v4.total_generated(),
-                v4.total_delivered()
-            ),
-        );
-        assert_eq!(v5.obs(), v4.obs(), "counters diverged on a wide switch");
-    }
-
-    #[test]
-    fn batch_mode_and_drain_identical() {
-        let mut cfg = SimConfig::quick(2, 4);
-        cfg.seed = 5;
-        let mut v5 = build_v5(MechanismSpec::PolSP, cfg.clone(), 2);
-        let m5 = v5.run_batch(4, 100);
-        let d5 = v5.drain(100_000);
-        let a = format!(
-            "{m5:?}|drained={d5}|in_switches={}",
-            v5.packets_in_switches()
-        );
-        let mut v4 = build_v4(MechanismSpec::PolSP, cfg, 2);
-        let m4 = v4.run_batch(4, 100);
-        let d4 = v4.drain(100_000);
-        let b = format!(
-            "{m4:?}|drained={d4}|in_switches={}",
-            v4.packets_in_switches()
-        );
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn congested_batch_mode_identical() {
-        // Blocked heads: the cache hit path, the pop reset and escape
-        // grants all run many times, and metrics, every counter and the
-        // drain must still match v4.
-        for spec in [MechanismSpec::OmniSP, MechanismSpec::PolSP] {
-            let (view, mech, pattern, cfg) = congested_batch_parts(spec, 1);
-            let mut v5 = Simulator::new(view, mech, pattern, cfg);
-            let m5 = v5.run_batch(CONGESTED_PACKETS, 100);
-            let obs5 = v5.obs().clone();
-            let d5 = v5.drain(100_000);
-            let (view, mech, pattern, cfg) = congested_batch_parts(spec, 1);
-            let mut v4 = SimulatorV4::new(view, mech, pattern, cfg);
-            let m4 = v4.run_batch(CONGESTED_PACKETS, 100);
-            let obs4 = v4.obs().clone();
-            let d4 = v4.drain(100_000);
-            assert!(!m5.stalled && m5.delivered_packets == 64 * 4 * CONGESTED_PACKETS);
-            assert!(
-                obs5.get(Counter::CandCacheHits) > 0,
-                "{spec:?}: no cache hits"
-            );
-            assert!(
-                obs5.get(Counter::EscapeGrants) > 0,
-                "{spec:?}: no escape grants"
-            );
-            assert_eq!(
-                format!(
-                    "{m5:?}|drained={d5}|in_switches={}",
-                    v5.packets_in_switches()
-                ),
-                format!(
-                    "{m4:?}|drained={d4}|in_switches={}",
-                    v4.packets_in_switches()
-                ),
-                "{spec:?} diverged from v4"
-            );
-            assert_eq!(obs5, obs4, "{spec:?} counters diverged from v4");
-        }
-    }
-
-    #[test]
-    fn cycle_by_cycle_state_identical_at_low_load() {
-        // Beyond end-of-run metrics: the per-cycle observable state
-        // (alive, generated, delivered, buffered) must match at every
-        // cycle, under both RNG contracts.
-        for contract in [RngContract::V1PerServer, RngContract::V2Counting] {
-            let mut cfg = SimConfig::quick(2, 4);
-            cfg.seed = 13;
-            cfg.rng_contract = contract;
-            let mut v5 = build_v5(MechanismSpec::OmniSP, cfg.clone(), 3);
-            let mut v4 = build_v4(MechanismSpec::OmniSP, cfg, 3);
-            v5.generation = GenerationMode::Rate { offered_load: 0.2 };
-            v4.generation = GenerationMode::Rate { offered_load: 0.2 };
-            for cycle in 0..2_000 {
-                v5.step();
-                v4.step();
-                assert_eq!(
-                    (
-                        v5.packets_alive(),
-                        v5.total_generated(),
-                        v5.total_delivered(),
-                        v5.packets_in_switches()
-                    ),
-                    (
-                        v4.packets_alive(),
-                        v4.total_generated(),
-                        v4.total_delivered(),
-                        v4.packets_in_switches()
-                    ),
-                    "state diverged at cycle {cycle} ({contract})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn observability_counters_identical() {
-        let mut cfg = SimConfig::quick(2, 4);
-        cfg.warmup_cycles = 100;
-        cfg.measure_cycles = 600;
-        cfg.seed = 4;
-        cfg.rng_contract = RngContract::V2Counting;
-        // Valiant at saturation keeps network heads blocked across cycles,
-        // so the cache hit path (not just the miss path) is exercised on
-        // both engines.
-        let mut v5 = build_v5(MechanismSpec::Valiant, cfg.clone(), 0);
-        let _ = v5.run_rate(1.0);
-        let mut v4 = build_v4(MechanismSpec::Valiant, cfg, 0);
-        let _ = v4.run_rate(1.0);
-        assert_eq!(
-            v5.obs(),
-            v4.obs(),
-            "the layouts must agree on every counter, including cache hit/miss"
-        );
-        assert!(v5.obs().get(Counter::CandCacheHits) > 0);
-    }
-
-    #[test]
-    fn trace_events_identical() {
-        let mut cfg = SimConfig::quick(2, 4);
-        cfg.warmup_cycles = 0;
-        cfg.measure_cycles = 500;
-        cfg.seed = 2;
-        let mut v5 = build_v5(MechanismSpec::OmniSP, cfg.clone(), 0);
-        v5.set_tracer(Some(PacketTracer::with_capacity(1 << 16)));
-        let _ = v5.run_rate(0.3);
-        let t5 = v5.take_tracer().unwrap();
-        let mut v4 = build_v4(MechanismSpec::OmniSP, cfg, 0);
-        v4.set_tracer(Some(PacketTracer::with_capacity(1 << 16)));
-        let _ = v4.run_rate(0.3);
-        let t4 = v4.take_tracer().unwrap();
-        assert_eq!(t5.dropped(), t4.dropped());
-        assert!(!t5.events().is_empty());
-        assert_eq!(
-            format!("{:?}", t5.events()),
-            format!("{:?}", t4.events()),
-            "trace streams diverged between layouts"
-        );
-    }
-}
-
 /// The partition-invariance contract: every observable — metrics bytes,
 /// totals, counters, trace events — is byte-identical for every partition
 /// count `P`, because RNG-drawing phases stay sequential and the parallel
 /// phases merge in fixed global order. `P = 1` is the reference (itself
-/// proven identical to v4 by `layout_equivalence`).
+/// pinned by the digest corpus in `corpus`).
 mod partition_invariance {
     use super::*;
 
@@ -611,6 +314,7 @@ mod partition_invariance {
                 let mut sim = Simulator::new(view, mech, pattern, cfg);
                 assert_eq!(sim.partitions(), partitions);
                 let m = sim.run_batch(CONGESTED_PACKETS, 100);
+                assert!(!m.stalled && m.delivered_packets == 64 * 4 * CONGESTED_PACKETS);
                 let obs = sim.obs().clone();
                 let drained = sim.drain(100_000);
                 let bytes = format!(
@@ -624,6 +328,10 @@ mod partition_invariance {
             assert!(
                 obs1.get(Counter::CandCacheHits) > 0,
                 "{spec:?}: no cache hits"
+            );
+            assert!(
+                obs1.get(Counter::EscapeGrants) > 0,
+                "{spec:?}: no escape grants"
             );
             assert_eq!(p1, p2, "{spec:?} diverged at P=2");
             assert_eq!(obs1, obs2, "{spec:?} counters diverged at P=2");
@@ -653,8 +361,10 @@ mod partition_invariance {
 
     #[test]
     fn wide_switches_invariant_across_partition_counts() {
-        // The multi-word masks of the layout test above, stepped by two
-        // partitions: the split transmit tasks and the parallel prefill
+        // A 1-D HyperX of side 34 with 32 servers per switch: 65 ports and
+        // 260 VC slots per switch, so both occupancy masks span several
+        // 64-bit words (every 4x4 case fits in one). Stepped by two
+        // partitions, the split transmit tasks and the parallel prefill
         // must reproduce P = 1 byte for byte.
         let view = Arc::new(NetworkView::healthy(HyperX::regular(1, 34), 0));
         let run = |partitions: usize| {
@@ -672,6 +382,8 @@ mod partition_invariance {
                 cfg,
             );
             assert_eq!(sim.partitions(), partitions);
+            assert_eq!(sim.num_ports, 65);
+            assert!(sim.in_words > 1 && sim.stg_words > 1);
             let m = sim.run_rate(0.9);
             let bytes = format!(
                 "{m:?}|gen={}|del={}",

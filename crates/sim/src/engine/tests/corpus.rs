@@ -31,13 +31,15 @@
 //! ```
 
 use super::*;
-use crate::engine_v4::SimulatorV4;
 use crate::traffic::{DimensionComplementReverse, NeighbourShift, Transpose};
 use std::collections::BTreeMap;
 use std::fmt::Write;
 
 /// The committed corpus.
-const CORPUS_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/engine_corpus.txt");
+const CORPUS_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/engine_corpus.txt"
+);
 
 /// Every named mechanism, in a fixed order.
 const ALL_MECHANISMS: [MechanismSpec; 10] = [
@@ -233,141 +235,80 @@ impl Case {
         )
     }
 
-    fn build<E: Engine>(&self) -> E {
+    fn build(&self) -> Simulator {
         let view = self.net.view();
         let layout = ServerLayout::new(view.hyperx(), self.cfg.servers_per_switch);
         let mechanism = self.mechanism.build(view.clone(), self.cfg.num_vcs);
         let pattern = self.traffic.build(layout, self.cfg.seed);
-        E::new(view, mechanism, pattern, self.cfg.clone())
+        Simulator::new(view, mechanism, pattern, self.cfg.clone())
     }
 }
 
-/// The engine surface the corpus drives, implemented by both engines so the
-/// recording run can hold them to the same digests.
-trait Engine: Sized {
-    fn new(
-        view: Arc<NetworkView>,
-        mechanism: Box<dyn RoutingMechanism>,
-        pattern: Box<dyn TrafficPattern>,
-        cfg: SimConfig,
-    ) -> Self;
-    fn run_rate(&mut self, load: f64) -> RateMetrics;
-    fn run_batch(&mut self, packets: u64, window: u64) -> BatchMetrics;
-    fn drain(&mut self, max_cycles: u64) -> bool;
-    fn start_rate(&mut self, load: f64);
-    fn step(&mut self);
-    fn state(&self) -> (u64, u64, u64, usize);
-    fn obs(&self) -> &CounterRegistry;
-    fn set_tracer(&mut self, tracer: Option<PacketTracer>);
-    fn take_tracer(&mut self) -> Option<PacketTracer>;
+/// The `counters` digest of `sim`.
+fn counters(sim: &Simulator) -> (&'static str, u64) {
+    ("counters", digest(format_args!("{}", json(sim.obs()))))
 }
-
-macro_rules! impl_engine {
-    ($engine:ty) => {
-        impl Engine for $engine {
-            fn new(
-                view: Arc<NetworkView>,
-                mechanism: Box<dyn RoutingMechanism>,
-                pattern: Box<dyn TrafficPattern>,
-                cfg: SimConfig,
-            ) -> Self {
-                <$engine>::new(view, mechanism, pattern, cfg)
-            }
-            fn run_rate(&mut self, load: f64) -> RateMetrics {
-                <$engine>::run_rate(self, load)
-            }
-            fn run_batch(&mut self, packets: u64, window: u64) -> BatchMetrics {
-                <$engine>::run_batch(self, packets, window)
-            }
-            fn drain(&mut self, max_cycles: u64) -> bool {
-                <$engine>::drain(self, max_cycles)
-            }
-            fn start_rate(&mut self, load: f64) {
-                self.generation = GenerationMode::Rate { offered_load: load };
-            }
-            fn step(&mut self) {
-                <$engine>::step(self)
-            }
-            fn state(&self) -> (u64, u64, u64, usize) {
-                (
-                    self.packets_alive(),
-                    self.total_generated(),
-                    self.total_delivered(),
-                    self.packets_in_switches(),
-                )
-            }
-            fn obs(&self) -> &CounterRegistry {
-                <$engine>::obs(self)
-            }
-            fn set_tracer(&mut self, tracer: Option<PacketTracer>) {
-                <$engine>::set_tracer(self, tracer)
-            }
-            fn take_tracer(&mut self) -> Option<PacketTracer> {
-                <$engine>::take_tracer(self)
-            }
-        }
-    };
-}
-
-impl_engine!(Simulator);
-impl_engine!(SimulatorV4);
 
 /// Runs `sim` as `run` and returns its `metrics` (or `stream`) and
 /// `counters` digests.
-fn observe_run<E: Engine>(sim: &mut E, run: Run) -> Vec<(&'static str, u64)> {
+fn observe_run(sim: &mut Simulator, run: Run) -> Vec<(&'static str, u64)> {
     match run {
         Run::Rate(load) => {
             let metrics = sim.run_rate(load);
-            let (_, generated, delivered, _) = sim.state();
             vec![
                 (
                     "metrics",
                     digest(format_args!(
-                        "{}|gen={generated}|del={delivered}",
-                        json(&metrics)
+                        "{}|gen={}|del={}",
+                        json(&metrics),
+                        sim.total_generated(),
+                        sim.total_delivered()
                     )),
                 ),
-                ("counters", digest(format_args!("{}", json(sim.obs())))),
+                counters(sim),
             ]
         }
         Run::Batch(packets) => {
             let metrics = sim.run_batch(packets, 100);
-            let counters = digest(format_args!("{}", json(sim.obs())));
+            let counters = counters(sim);
             let drained = sim.drain(100_000);
-            let (_, _, _, in_switches) = sim.state();
             vec![
                 (
                     "metrics",
                     digest(format_args!(
-                        "{}|drained={drained}|in_switches={in_switches}",
-                        json(&metrics)
+                        "{}|drained={drained}|in_switches={}",
+                        json(&metrics),
+                        sim.packets_in_switches()
                     )),
                 ),
-                ("counters", counters),
+                counters,
             ]
         }
         Run::Stream { load, cycles } => {
-            sim.start_rate(load);
+            sim.generation = GenerationMode::Rate { offered_load: load };
             let mut stream = Fnv::new();
             for _ in 0..cycles {
                 sim.step();
-                let (alive, generated, delivered, in_switches) = sim.state();
-                write!(stream, "{alive},{generated},{delivered},{in_switches};")
-                    .expect("hashing never fails");
+                write!(
+                    stream,
+                    "{},{},{},{};",
+                    sim.packets_alive(),
+                    sim.total_generated(),
+                    sim.total_delivered(),
+                    sim.packets_in_switches()
+                )
+                .expect("hashing never fails");
             }
-            vec![
-                ("stream", stream.0),
-                ("counters", digest(format_args!("{}", json(sim.obs())))),
-            ]
+            vec![("stream", stream.0), counters(sim)]
         }
     }
 }
 
-/// Every digest of one case on engine `E`, in fixture order.
-fn observe<E: Engine>(case: &Case) -> Vec<(&'static str, u64)> {
-    let mut digests = observe_run(&mut case.build::<E>(), case.run);
+/// Every digest of one case, in fixture order.
+fn observe(case: &Case) -> Vec<(&'static str, u64)> {
+    let mut digests = observe_run(&mut case.build(), case.run);
     if case.trace {
-        let mut sim = case.build::<E>();
+        let mut sim = case.build();
         sim.set_tracer(Some(PacketTracer::with_capacity(1 << 16)));
         observe_run(&mut sim, case.run);
         let tracer = sim.take_tracer().expect("the tracer was installed");
@@ -409,7 +350,13 @@ fn cases() -> Vec<Case> {
         for mechanism in ALL_MECHANISMS {
             for load in [0.1, 0.5, 0.9] {
                 let cfg = config(2, 4, contract, 42, (200, 600));
-                cases.push(Case::new(mechanism, grid, Traffic::Uniform, cfg, Run::Rate(load)));
+                cases.push(Case::new(
+                    mechanism,
+                    grid,
+                    Traffic::Uniform,
+                    cfg,
+                    Run::Rate(load),
+                ));
             }
         }
     }
@@ -419,13 +366,25 @@ fn cases() -> Vec<Case> {
             for seed in [1, 7, 99] {
                 let cfg = config(2, 4, contract, seed, (200, 600));
                 let net = Net::Grid { faults: 4 };
-                cases.push(Case::new(mechanism, net, Traffic::Uniform, cfg, Run::Rate(0.6)));
+                cases.push(Case::new(
+                    mechanism,
+                    net,
+                    Traffic::Uniform,
+                    cfg,
+                    Run::Rate(0.6),
+                ));
             }
         }
     }
     // Multi-word occupancy masks.
     let cfg = config(32, 4, RngContract::V2Counting, 8, (60, 120));
-    cases.push(Case::new(OmniSP, Net::Wide, Traffic::Uniform, cfg, Run::Rate(0.9)));
+    cases.push(Case::new(
+        OmniSP,
+        Net::Wide,
+        Traffic::Uniform,
+        cfg,
+        Run::Rate(0.9),
+    ));
     // A batch run and its drain under link faults.
     let cfg = config(2, 4, RngContract::V2Counting, 5, (1_000, 2_000));
     let net = Net::Grid { faults: 2 };
@@ -451,14 +410,25 @@ fn cases() -> Vec<Case> {
     // Valiant at saturation keeps heads blocked across cycles, so the
     // counters cover the cache hit path as well as the miss path.
     let cfg = config(2, 4, RngContract::V2Counting, 4, (100, 600));
-    cases.push(Case::new(Valiant, grid, Traffic::Uniform, cfg, Run::Rate(1.0)));
+    cases.push(Case::new(
+        Valiant,
+        grid,
+        Traffic::Uniform,
+        cfg,
+        Run::Rate(1.0),
+    ));
     // A traced run from cycle 0.
     let cfg = config(2, 4, RngContract::V2Counting, 2, (0, 500));
     cases.push(Case::new(OmniSP, grid, Traffic::Uniform, cfg, Run::Rate(0.3)).traced());
     // The traffic axis, healthy and faulted, under both contracts.
     for contract in CONTRACTS {
         for faults in [0, 4] {
-            for traffic in [Traffic::Rsp, Traffic::Dcr, Traffic::Transpose, Traffic::Shift] {
+            for traffic in [
+                Traffic::Rsp,
+                Traffic::Dcr,
+                Traffic::Transpose,
+                Traffic::Shift,
+            ] {
                 for mechanism in [Minimal, Dor, OmniSP, PolSP] {
                     let cfg = config(4, 4, contract, 3, (200, 600));
                     let net = Net::Grid { faults };
@@ -482,20 +452,15 @@ fn cases() -> Vec<Case> {
     cases
 }
 
-/// One corpus line: the case name, then `observable=digest` pairs.
-fn render_line(name: &str, digests: &[(&'static str, u64)]) -> String {
-    let mut line = name.to_string();
-    for (observable, digest) in digests {
-        write!(line, " {observable}={digest:016x}").expect("writing to a String");
-    }
-    line
-}
-
-/// The corpus as the SoA engine produces it today.
+/// The corpus as the engine produces it today: one line per case, the
+/// case name followed by `observable=digest` pairs.
 fn render_corpus() -> String {
     let mut out = String::new();
     for case in cases() {
-        out.push_str(&render_line(&case.name(), &observe::<Simulator>(&case)));
+        out.push_str(&case.name());
+        for (observable, digest) in observe(&case) {
+            write!(out, " {observable}={digest:016x}").expect("writing to a String");
+        }
         out.push('\n');
     }
     out
@@ -538,9 +503,9 @@ fn engine_matches_the_digest_corpus() {
         for (observable, digest) in digests {
             match expected.iter().find(|(o, _)| o == observable) {
                 Some((_, want)) if want == digest => {}
-                Some((_, want)) => {
-                    drift.push(format!("{name}: {observable} digest {digest}, committed {want}"))
-                }
+                Some((_, want)) => drift.push(format!(
+                    "{name}: {observable} digest {digest}, committed {want}"
+                )),
                 None => drift.push(format!("{name}: {observable} not in the committed corpus")),
             }
         }
@@ -561,24 +526,5 @@ fn engine_matches_the_digest_corpus() {
 #[test]
 #[ignore = "rewrites the committed corpus; run explicitly after a deliberate engine change"]
 fn regenerate_engine_corpus() {
-    // Recording runs both engines and refuses any case where they differ.
-    let mut out = String::new();
-    let mut diverged = Vec::new();
-    for case in cases() {
-        let soa = observe::<Simulator>(&case);
-        let v4 = observe::<SimulatorV4>(&case);
-        for (s, v) in soa.iter().zip(&v4) {
-            if s != v {
-                diverged.push(format!("{}: {}", case.name(), s.0));
-            }
-        }
-        out.push_str(&render_line(&case.name(), &v4));
-        out.push('\n');
-    }
-    assert!(
-        diverged.is_empty(),
-        "the SoA engine differs from v4:\n  {}",
-        diverged.join("\n  ")
-    );
-    std::fs::write(CORPUS_PATH, out).expect("write the corpus");
+    std::fs::write(CORPUS_PATH, render_corpus()).expect("write the corpus");
 }

@@ -22,28 +22,19 @@
 
 pub mod config;
 pub mod engine;
-/// The frozen v4 engine (pointer-rich layout), compiled only for tests and
-/// the `full-scan` bench feature: the A/B baseline of the v5 SoA engine.
-#[cfg(any(test, feature = "full-scan"))]
-pub mod engine_v4;
 pub mod metrics;
 pub mod obs;
-pub mod packet;
 pub mod pool;
 pub mod rng_contract;
 pub mod server;
-pub mod switch;
 pub mod traffic;
 
 pub use config::SimConfig;
 pub use engine::Simulator;
-#[cfg(any(test, feature = "full-scan"))]
-pub use engine_v4::SimulatorV4;
 pub use metrics::{
     jain_index, BatchMetrics, LatencyHistogram, MeasuredCounters, RateMetrics, ThroughputSample,
 };
 pub use obs::{Counter, CounterRegistry, PacketTracer, TraceEvent, TraceEventKind};
-pub use packet::{Packet, PacketId};
 pub use rng_contract::RngContract;
 pub use server::GenerationMode;
 pub use traffic::{

@@ -7,9 +7,10 @@
 //! and the tracer appends into a preallocated buffer behind a single
 //! `Option` check — neither touches the RNG, the event wheel, or any
 //! scheduling decision, so metrics bytes, store bytes and RNG draw order are
-//! byte-identical with observability enabled or disabled. The A/B tests in
-//! `engine.rs` and `tests/integration_obs.rs` pin this the same way the
-//! `full-scan` scheduler contract is pinned.
+//! byte-identical with observability enabled or disabled. The
+//! `obs_equivalence` tests of the engine and `tests/integration_obs.rs`
+//! pin this, and the engine's digest corpus pins the counters and traces
+//! themselves.
 
 use serde::{Deserialize, Error, Number, Serialize, Value};
 

@@ -1,7 +1,5 @@
-//! Per-server simulation state: packet generation and the injection link.
-
-use crate::packet::Packet;
-use std::collections::VecDeque;
+//! How servers generate packets: open-loop rate mode or closed-loop batch
+//! mode.
 
 /// How a server decides when to generate packets.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -19,56 +17,4 @@ pub enum GenerationMode {
         /// Packets each server must send in total.
         packets_per_server: u64,
     },
-}
-
-/// The state of one server (traffic source + sink).
-#[derive(Debug)]
-pub struct ServerState {
-    /// Packets generated but not yet injected into the switch.
-    pub source_queue: VecDeque<Packet>,
-    /// The injection link is serializing a packet until this cycle.
-    pub injection_busy_until: u64,
-    /// Packets left to generate in batch mode (`u64::MAX` in rate mode).
-    pub remaining_quota: u64,
-}
-
-impl ServerState {
-    /// Creates an idle server with the given batch quota (use `u64::MAX` for rate mode).
-    pub fn new(remaining_quota: u64) -> Self {
-        ServerState {
-            source_queue: VecDeque::new(),
-            injection_busy_until: 0,
-            remaining_quota,
-        }
-    }
-
-    /// Whether the server still has traffic to generate or deliver upstream.
-    pub fn is_drained(&self) -> bool {
-        self.source_queue.is_empty() && self.remaining_quota == 0
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::packet::Packet;
-    use hyperx_routing::PacketState;
-
-    #[test]
-    fn server_drained_only_when_queue_and_quota_empty() {
-        let mut s = ServerState::new(2);
-        assert!(!s.is_drained());
-        s.remaining_quota = 0;
-        assert!(s.is_drained());
-        s.source_queue
-            .push_back(Packet::new(1, 0, 1, 0, 0, PacketState::new(0, 0)));
-        assert!(!s.is_drained());
-    }
-
-    #[test]
-    fn rate_mode_uses_max_quota() {
-        let s = ServerState::new(u64::MAX);
-        assert!(!s.is_drained());
-        assert_eq!(s.injection_busy_until, 0);
-    }
 }

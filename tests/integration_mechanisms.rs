@@ -2,7 +2,7 @@
 //! graph across crates (topology + routing) without the full simulator, and
 //! checking the structural claims of Table 4.
 
-use hyperx_routing::{Candidate, MechanismSpec, NetworkView, RoutingMechanism};
+use hyperx_routing::{Candidate, MechanismSpec, NetworkView, RouteScratch, RoutingMechanism};
 use hyperx_topology::{FaultSet, HyperX};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -27,7 +27,7 @@ fn walk(
             return None;
         }
         let mut cands: Vec<Candidate> = Vec::new();
-        mechanism.candidates(&state, current, &mut cands);
+        mechanism.candidates_into(&state, current, &mut RouteScratch::default(), &mut cands);
         if cands.is_empty() {
             return None;
         }
@@ -165,7 +165,7 @@ fn candidate_vcs_never_exceed_the_mechanism_budget() {
         for src in 0..view.hyperx().num_switches() {
             let state = mech.init_packet(src, (src + 5) % view.hyperx().num_switches(), &mut rng);
             let mut cands = Vec::new();
-            mech.candidates(&state, src, &mut cands);
+            mech.candidates_into(&state, src, &mut RouteScratch::default(), &mut cands);
             for c in &cands {
                 assert!(
                     c.vcs.hi <= budget,
@@ -185,7 +185,7 @@ fn escape_candidates_only_appear_for_surepath() {
         let mech = spec.build_default(view.clone());
         let state = mech.init_packet(0, 15, &mut rng);
         let mut cands = Vec::new();
-        mech.candidates(&state, 0, &mut cands);
+        mech.candidates_into(&state, 0, &mut RouteScratch::default(), &mut cands);
         let has_escape = cands.iter().any(|c| c.kind.is_escape());
         assert_eq!(
             has_escape,
