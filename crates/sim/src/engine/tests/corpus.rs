@@ -440,8 +440,8 @@ fn cases() -> Vec<Case> {
         for cross in [false, true] {
             for mechanism in [Minimal, Dor, OmniSP, PolSP] {
                 let mut cfg = config(4, mechanism.faulty_num_vcs(3), contract, 3, (200, 600));
-                // Mechanisms without an escape path stall under the cross;
-                // a short watchdog ends those runs early.
+                // DOR stalls under the cross; a short watchdog ends that
+                // run early.
                 cfg.watchdog_cycles = 2_000;
                 let net = Net::Cube { cross };
                 let case = Case::new(mechanism, net, Traffic::Rpn, cfg, Run::Batch(4));
