@@ -3,9 +3,11 @@
 //!
 //! Two checks, both with a counting global allocator:
 //!
-//! * every routing mechanism computes candidates (`candidates_into`) and
-//!   updates packet state (`note_hop`) without touching the heap once its
-//!   output list and `RouteScratch` are warm — no coordinate vectors, no
+//! * every routing mechanism computes the routing part of a list
+//!   (`candidates_into`), appends the escape part onto it (`escape_into`, as
+//!   the engine does when a head's routing candidates lose to the escape
+//!   floor) and updates packet state (`note_hop`) without touching the heap
+//!   once its output list is warm — no coordinate vectors, no
 //!   escape-candidate vectors;
 //! * a warmed `Simulator` steps without allocating: per-slot candidate
 //!   caches, request lists, event-wheel buffers and the packet arena all
@@ -19,9 +21,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use hyperx_routing::{
-    Candidate, MechanismSpec, NetworkView, PacketState, RouteScratch, RoutingMechanism,
-};
+use hyperx_routing::{Candidate, MechanismSpec, NetworkView, PacketState, RoutingMechanism};
 use hyperx_sim::{RngContract, ServerLayout, SimConfig, Simulator, UniformTraffic};
 use hyperx_topology::{FaultSet, HyperX};
 use rand::SeedableRng;
@@ -81,22 +81,27 @@ fn faulted_view(sides: &[usize], faults: usize) -> Arc<NetworkView> {
     view
 }
 
-/// One pass of `candidates_into` plus a `note_hop` on the first candidate
-/// over every (current, dest) pair.
+/// One pass of `candidates_into`, an `escape_into` appended onto the same
+/// list, and a `note_hop` on the first candidate over every (current, dest)
+/// pair.
 fn route_every_pair(
     view: &NetworkView,
     mech: &dyn RoutingMechanism,
     states: &[(usize, PacketState)],
-    scratch: &mut RouteScratch,
     out: &mut Vec<Candidate>,
 ) -> usize {
     let mut offered = 0;
     for &(current, state) in states {
         out.clear();
-        mech.candidates_into(&state, current, scratch, out);
+        mech.candidates_into(&state, current, out);
+        mech.escape_into(&state, current, out);
         offered += out.len();
         if let Some(cand) = out.first() {
-            let next = view.network().neighbor(current, cand.port).unwrap().switch;
+            let next = view
+                .network()
+                .neighbor(current, cand.port.into())
+                .unwrap()
+                .switch;
             let mut moved = state;
             mech.note_hop(&mut moved, current, next, cand);
         }
@@ -132,17 +137,17 @@ fn routing_and_engine_steady_state_do_not_allocate() {
             .flat_map(|current| (0..n).map(move |dest| (current, dest)))
             .map(|(current, dest)| (current, mech.init_packet(current, dest, &mut rng)))
             .collect();
-        let mut scratch = RouteScratch::default();
         let mut out = Vec::new();
-        let warm = route_every_pair(&view, mech.as_ref(), &states, &mut scratch, &mut out);
+        let warm = route_every_pair(&view, mech.as_ref(), &states, &mut out);
         assert!(warm > 0, "{spec:?} offered no candidate at all");
         let before = allocations();
-        let offered = route_every_pair(&view, mech.as_ref(), &states, &mut scratch, &mut out);
+        let offered = route_every_pair(&view, mech.as_ref(), &states, &mut out);
         let made = allocations() - before;
         assert_eq!(offered, warm, "{spec:?}: candidates are a pure function");
         assert_eq!(
             made, 0,
-            "{spec:?}: candidates_into + note_hop made {made} allocations on a warm scratch"
+            "{spec:?}: candidates_into + escape_into + note_hop made {made} allocations \
+             on a warm list"
         );
     }
 

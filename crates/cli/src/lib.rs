@@ -241,7 +241,11 @@ pub fn parse_args(args: &[String]) -> Result<CliConfig, String> {
                 cfg.mode = RunMode::Rate(load);
             }
             "--batch" => {
-                cfg.mode = RunMode::Batch(value("--batch")?.parse().map_err(|_| "invalid --batch")?)
+                let packets: u64 = value("--batch")?.parse().map_err(|_| "invalid --batch")?;
+                if packets == 0 {
+                    return Err("--batch must be at least 1 packet per server".to_string());
+                }
+                cfg.mode = RunMode::Batch(packets)
             }
             "--seed" => cfg.seed = value("--seed")?.parse().map_err(|_| "invalid --seed")?,
             "--warmup" => {
@@ -1457,6 +1461,7 @@ mod tests {
         assert!(parse_args(&args(&["--traffic", "nonsense"])).is_err());
         assert!(parse_args(&args(&["--load", "1.5"])).is_err());
         assert!(parse_args(&args(&["--load", "0"])).is_err());
+        assert!(parse_args(&args(&["--batch", "0"])).is_err());
         assert!(
             parse_args(&args(&["--warmup", "10"])).is_err(),
             "warmup without measure"

@@ -695,6 +695,41 @@ mod tests {
     }
 
     #[test]
+    fn validation_rejects_traffic_the_topology_cannot_carry() {
+        for (sides, traffic, message) in [
+            (
+                vec![4, 4],
+                "rpn",
+                "RPN is defined on 3D HyperX networks, got 2 dimension(s)",
+            ),
+            (vec![3, 3, 3], "rpn", "RPN requires an even side, got 3"),
+            (
+                vec![4, 4],
+                "dcr",
+                "so the concentration must equal the side 4, got 2",
+            ),
+            (
+                vec![4, 8],
+                "transpose",
+                "Transpose requires a regular HyperX (all sides equal), got sides [4, 8]",
+            ),
+        ] {
+            let spec = small_rate_spec(|s| {
+                s.topologies[0].sides = sides;
+                s.traffics = Some(vec!["uniform".into(), traffic.into()]);
+            });
+            let err = validate_campaign(&spec).unwrap_err();
+            assert!(err.contains(message), "{err}");
+            assert!(err.contains("campaign `reject` job #1"), "{err}");
+        }
+        let fits = small_rate_spec(|s| {
+            s.topologies[0].concentration = Some(4);
+            s.traffics = Some(vec!["dcr".into(), "transpose".into()]);
+        });
+        assert!(validate_campaign(&fits).is_ok());
+    }
+
+    #[test]
     fn validate_campaign_catches_typos_upfront() {
         let spec = CampaignSpec {
             name: "validate".into(),

@@ -83,6 +83,24 @@ impl TrafficSpec {
         }
     }
 
+    /// Why the pattern cannot run on a HyperX with these `sides` and
+    /// `concentration` servers per switch, if it cannot: the check each
+    /// pattern's constructor panics on.
+    pub fn check(&self, sides: &[usize], concentration: usize) -> Result<(), String> {
+        match self {
+            TrafficSpec::Uniform
+            | TrafficSpec::RandomServerPermutation
+            | TrafficSpec::NeighbourShift => Ok(()),
+            TrafficSpec::DimensionComplementReverse => {
+                DimensionComplementReverse::check(sides, concentration)
+            }
+            TrafficSpec::RegularPermutationToNeighbour => {
+                RegularPermutationToNeighbour::check(sides)
+            }
+            TrafficSpec::Transpose => Transpose::check(sides),
+        }
+    }
+
     /// The canonical parse token of this pattern: the inverse of
     /// [`TrafficSpec::parse`], used when generating campaign specs.
     pub fn key(&self) -> &'static str {
@@ -306,8 +324,9 @@ impl Experiment {
 
     /// Rejects what would otherwise panic when the experiment is built:
     /// more random link faults than the topology has links, an escape root
-    /// outside it, no servers per switch, or a VC count outside 1..=255
-    /// (2..=255 for the SurePath mechanisms, which reserve an escape VC).
+    /// outside it, no servers per switch, a VC count outside 1..=255
+    /// (2..=255 for the SurePath mechanisms, which reserve an escape VC), or
+    /// a traffic pattern the topology cannot carry ([`TrafficSpec::check`]).
     pub fn validate(&self) -> Result<(), String> {
         let switches: usize = self.sides.iter().product();
         if let FaultScenario::Random { count, .. } = self.scenario {
@@ -335,7 +354,7 @@ impl Experiment {
                 self.num_vcs
             ));
         }
-        Ok(())
+        self.traffic.check(&self.sides, self.concentration)
     }
 
     /// Builds the faulty network view this experiment runs on.

@@ -1,6 +1,6 @@
 //! Candidate hops, virtual-channel ranges and per-packet routing state.
 
-use hyperx_topology::{PortId, SwitchId};
+use hyperx_topology::SwitchId;
 use serde::{Deserialize, Serialize};
 
 /// A half-open range `[lo, hi)` of virtual channels a candidate may use.
@@ -8,30 +8,38 @@ use serde::{Deserialize, Serialize};
 /// The simulator's allocator picks the concrete VC inside the range (the one
 /// with the most credits), which models adaptive VC selection among the
 /// routing VCs of SurePath while still supporting the exact-VC requirement of
-/// the Ladder policy (`lo + 1 == hi`).
+/// the Ladder policy (`lo + 1 == hi`). A port has at most 255 VCs, so both
+/// ends fit a byte; the constructors check the narrowing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct VcRange {
     /// First VC of the range.
-    pub lo: usize,
+    pub lo: u8,
     /// One past the last VC of the range.
-    pub hi: usize,
+    pub hi: u8,
 }
 
 impl VcRange {
     /// A single-VC range.
+    ///
+    /// # Panics
+    /// Panics if `vc + 1` does not fit a byte.
     pub fn exact(vc: usize) -> Self {
-        VcRange { lo: vc, hi: vc + 1 }
+        Self::span(vc, vc + 1)
     }
 
     /// A multi-VC range `[lo, hi)`.
+    ///
+    /// # Panics
+    /// Panics if the range is empty or `hi` does not fit a byte.
     pub fn span(lo: usize, hi: usize) -> Self {
         assert!(lo < hi, "empty VC range");
-        VcRange { lo, hi }
+        let hi = u8::try_from(hi).expect("a port has at most 255 VCs");
+        VcRange { lo: lo as u8, hi }
     }
 
     /// Number of VCs in the range.
     pub fn len(&self) -> usize {
-        self.hi - self.lo
+        usize::from(self.hi - self.lo)
     }
 
     /// Whether the range is empty (never true for ranges built with the constructors).
@@ -41,12 +49,12 @@ impl VcRange {
 
     /// Whether `vc` belongs to the range.
     pub fn contains(&self, vc: usize) -> bool {
-        vc >= self.lo && vc < self.hi
+        vc >= usize::from(self.lo) && vc < usize::from(self.hi)
     }
 
     /// Iterates the VCs of the range.
     pub fn iter(&self) -> impl Iterator<Item = usize> {
-        self.lo..self.hi
+        usize::from(self.lo)..usize::from(self.hi)
     }
 }
 
@@ -76,29 +84,27 @@ impl CandidateKind {
     }
 }
 
-/// A next-hop candidate produced by a routing algorithm, before VC assignment.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RouteCandidate {
-    /// Output port of the current switch.
-    pub port: PortId,
-    /// Penalty in phits (paper §3: combined with queue occupancy `Q` as `Q + P`).
-    pub penalty: u32,
-    /// Whether the hop is a deroute (non-minimal).
-    pub deroute: bool,
-}
-
-/// A fully specified output request candidate produced by a routing mechanism.
+/// A next-hop candidate: the one representation routing algorithms write,
+/// mechanisms hand out and the simulator caches per head packet.
+///
+/// Eight bytes: the port fits 16 bits because [`NetworkView`] checks the
+/// radix, penalties are 16-bit constants (see [`crate::penalties`]) and
+/// [`VcRange`] checks its ends.
+///
+/// [`NetworkView`]: crate::NetworkView
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Candidate {
     /// Output port of the current switch.
-    pub port: PortId,
+    pub port: u16,
+    /// Penalty in phits (paper §3: combined with queue occupancy `Q` as `Q + P`).
+    pub penalty: u16,
     /// Virtual channels the packet may occupy at the next switch.
     pub vcs: VcRange,
-    /// Penalty in phits.
-    pub penalty: u32,
     /// Classification of the hop.
     pub kind: CandidateKind,
 }
+
+const _: () = assert!(std::mem::size_of::<Candidate>() == 8);
 
 impl Candidate {
     /// Whether taking this candidate moves (or keeps) the packet onto the escape subnetwork.

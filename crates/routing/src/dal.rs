@@ -17,9 +17,9 @@
 //! it is stuck (and, unlike SurePath, has no escape subnetwork to fall back
 //! to).
 
-use crate::candidate::{PacketState, RouteCandidate};
+use crate::candidate::{Candidate, CandidateKind, PacketState, VcRange};
 use crate::penalties::{OMNI_DEROUTE, OMNI_MINIMAL};
-use crate::view::NetworkView;
+use crate::view::{NetworkView, DEAD_PORT};
 use crate::RouteAlgorithm;
 use rand::RngCore;
 use std::sync::Arc;
@@ -51,35 +51,42 @@ impl RouteAlgorithm for DalRouting {
         PacketState::new(source, dest)
     }
 
-    fn candidates(&self, state: &PacketState, current: usize, out: &mut Vec<RouteCandidate>) {
+    fn candidates(
+        &self,
+        state: &PacketState,
+        current: usize,
+        vcs: VcRange,
+        out: &mut Vec<Candidate>,
+    ) {
         if current == state.dest {
             return;
         }
         let hx = self.view.hyperx();
-        let cs = hx.coords();
-        let net = self.view.network();
-        for d in 0..hx.dims() {
-            let target = cs.coord(state.dest, d);
-            if cs.coord(current, d) == target {
+        let row = self.view.neighbor_row(current);
+        let there = self.view.coord_row(state.dest);
+        for (d, (&own, &target)) in self.view.coord_row(current).iter().zip(there).enumerate() {
+            if own == target {
                 continue;
             }
-            let aligned = hx.port_for(current, d, target);
+            let aligned = hx.dim_port(d, own.into(), target.into());
             let may_deroute = state.derouted_dims & (1 << d) == 0;
             for port in hx.dimension_ports(d) {
-                if net.neighbor(current, port).is_none() {
+                if row[port] == DEAD_PORT {
                     continue;
                 }
                 if port == aligned {
-                    out.push(RouteCandidate {
-                        port,
+                    out.push(Candidate {
+                        port: port as u16,
                         penalty: OMNI_MINIMAL,
-                        deroute: false,
+                        vcs,
+                        kind: CandidateKind::Minimal,
                     });
                 } else if may_deroute {
-                    out.push(RouteCandidate {
-                        port,
+                    out.push(Candidate {
+                        port: port as u16,
                         penalty: OMNI_DEROUTE,
-                        deroute: true,
+                        vcs,
+                        kind: CandidateKind::Deroute,
                     });
                 }
             }
@@ -88,12 +95,12 @@ impl RouteAlgorithm for DalRouting {
 
     fn update(&self, state: &mut PacketState, current: usize, next: usize) {
         state.hops += 1;
-        let cs = self.view.hyperx().coords();
+        let (here, there) = (self.view.coord_row(current), self.view.coord_row(next));
         // Exactly one coordinate changes per switch-to-switch hop.
-        let changed = (0..cs.dims())
-            .find(|&d| cs.coord(current, d) != cs.coord(next, d))
+        let changed = (0..here.len())
+            .find(|&d| here[d] != there[d])
             .expect("a hop always changes exactly one coordinate");
-        if cs.coord(next, changed) == cs.coord(state.dest, changed) {
+        if there[changed] == self.view.coord_row(state.dest)[changed] {
             state.minimal_hops += 1;
         } else {
             state.deroutes += 1;
@@ -126,11 +133,21 @@ mod tests {
         let dst = hx.switch_id(&[3, 2]);
         let st = algo.init(src, dst, &mut rng);
         let mut out = Vec::new();
-        algo.candidates(&st, src, &mut out);
+        algo.candidates(&st, src, VcRange::exact(0), &mut out);
         // Two unaligned dimensions × 3 neighbours each.
         assert_eq!(out.len(), 6);
-        assert_eq!(out.iter().filter(|c| !c.deroute).count(), 2);
-        assert_eq!(out.iter().filter(|c| c.deroute).count(), 4);
+        assert_eq!(
+            out.iter()
+                .filter(|c| c.kind == CandidateKind::Minimal)
+                .count(),
+            2
+        );
+        assert_eq!(
+            out.iter()
+                .filter(|c| c.kind == CandidateKind::Deroute)
+                .count(),
+            4
+        );
     }
 
     #[test]
@@ -148,21 +165,26 @@ mod tests {
         assert_eq!(st.deroutes, 1);
         assert_eq!(st.derouted_dims, 0b01);
         let mut out = Vec::new();
-        algo.candidates(&st, mid, &mut out);
+        algo.candidates(&st, mid, VcRange::exact(0), &mut out);
         // Dimension 0 now only offers its minimal hop; dimension 1 still
         // offers its minimal hop plus 3 deroutes.
         let dim0: Vec<_> = out
             .iter()
-            .filter(|c| hx.port_meaning(mid, c.port).dim == 0)
+            .filter(|c| hx.port_meaning(mid, c.port.into()).dim == 0)
             .collect();
         let dim1: Vec<_> = out
             .iter()
-            .filter(|c| hx.port_meaning(mid, c.port).dim == 1)
+            .filter(|c| hx.port_meaning(mid, c.port.into()).dim == 1)
             .collect();
         assert_eq!(dim0.len(), 1);
-        assert!(!dim0[0].deroute);
+        assert_eq!(dim0[0].kind, CandidateKind::Minimal);
         assert_eq!(dim1.len(), 3);
-        assert_eq!(dim1.iter().filter(|c| c.deroute).count(), 2);
+        assert_eq!(
+            dim1.iter()
+                .filter(|c| c.kind == CandidateKind::Deroute)
+                .count(),
+            2
+        );
     }
 
     #[test]
@@ -175,9 +197,11 @@ mod tests {
         let dst = hx.switch_id(&[1, 0, 3]);
         let st = algo.init(src, dst, &mut rng);
         let mut out = Vec::new();
-        algo.candidates(&st, src, &mut out);
+        algo.candidates(&st, src, VcRange::exact(0), &mut out);
         assert!(!out.is_empty());
-        assert!(out.iter().all(|c| hx.port_meaning(src, c.port).dim == 1));
+        assert!(out
+            .iter()
+            .all(|c| hx.port_meaning(src, c.port.into()).dim == 1));
     }
 
     #[test]
@@ -195,9 +219,9 @@ mod tests {
         let mut st = algo.init(src, dst, &mut rng);
         // First hop: the aligned link is dead, so only deroutes are offered.
         let mut out = Vec::new();
-        algo.candidates(&st, src, &mut out);
+        algo.candidates(&st, src, VcRange::exact(0), &mut out);
         assert!(!out.is_empty());
-        assert!(out.iter().all(|c| c.deroute));
+        assert!(out.iter().all(|c| c.kind == CandidateKind::Deroute));
         // Take the deroute to switch 0, then fault the (0,3) link too: the
         // dimension's deroute is spent and the aligned hop is gone → stuck.
         algo.update(&mut st, src, 0);
@@ -205,7 +229,7 @@ mod tests {
         let v2 = Arc::new(NetworkView::with_faults(HyperX::regular(1, 4), &faults2, 0));
         let algo2 = DalRouting::new(v2);
         let mut out2 = Vec::new();
-        algo2.candidates(&st, 0, &mut out2);
+        algo2.candidates(&st, 0, VcRange::exact(0), &mut out2);
         assert!(
             out2.is_empty(),
             "DAL is stuck once its per-dimension deroute is spent"
@@ -226,11 +250,15 @@ mod tests {
             let mut hops = 0;
             while current != dst {
                 let mut out = Vec::new();
-                algo.candidates(&st, current, &mut out);
+                algo.candidates(&st, current, VcRange::exact(0), &mut out);
                 assert!(!out.is_empty());
                 // Prefer minimal candidates (penalty 0), mimicking a quiet network.
                 let best = out.iter().min_by_key(|c| (c.penalty, c.port)).unwrap();
-                let next = v.network().neighbor(current, best.port).unwrap().switch;
+                let next = v
+                    .network()
+                    .neighbor(current, best.port.into())
+                    .unwrap()
+                    .switch;
                 algo.update(&mut st, current, next);
                 current = next;
                 hops += 1;
@@ -247,7 +275,7 @@ mod tests {
         let mut rng = StepRng::new(0, 1);
         let st = algo.init(9, 9, &mut rng);
         let mut out = Vec::new();
-        algo.candidates(&st, 9, &mut out);
+        algo.candidates(&st, 9, VcRange::exact(0), &mut out);
         assert!(out.is_empty());
     }
 }

@@ -6,9 +6,9 @@
 //! disconnected when just a single link is removed". The implementation keeps
 //! that behaviour — when the required link is dead, there simply is no candidate.
 
-use crate::candidate::{PacketState, RouteCandidate};
+use crate::candidate::{Candidate, CandidateKind, PacketState, VcRange};
 use crate::penalties::SHORTEST_PATH;
-use crate::view::NetworkView;
+use crate::view::{NetworkView, DEAD_PORT};
 use crate::RouteAlgorithm;
 use rand::RngCore;
 use std::sync::Arc;
@@ -35,27 +35,34 @@ impl RouteAlgorithm for DimensionOrderedRouting {
         PacketState::new(source, dest)
     }
 
-    fn candidates(&self, state: &PacketState, current: usize, out: &mut Vec<RouteCandidate>) {
+    fn candidates(
+        &self,
+        state: &PacketState,
+        current: usize,
+        vcs: VcRange,
+        out: &mut Vec<Candidate>,
+    ) {
         if current == state.dest {
             return;
         }
-        let hx = self.view.hyperx();
-        let cs = hx.coords();
+        let here = self.view.coord_row(current);
+        let there = self.view.coord_row(state.dest);
         // Correct the lowest unaligned dimension; the single valid port is the
         // aligned one, offered only if its link is alive.
-        for d in 0..hx.dims() {
-            let target = cs.coord(state.dest, d);
-            if cs.coord(current, d) != target {
-                let port = hx.port_for(current, d, target);
-                if self.view.network().neighbor(current, port).is_some() {
-                    out.push(RouteCandidate {
-                        port,
-                        penalty: SHORTEST_PATH,
-                        deroute: false,
-                    });
-                }
-                return;
-            }
+        let Some(d) = (0..here.len()).find(|&d| here[d] != there[d]) else {
+            return;
+        };
+        let port = self
+            .view
+            .hyperx()
+            .dim_port(d, here[d].into(), there[d].into());
+        if self.view.neighbor_row(current)[port] != DEAD_PORT {
+            out.push(Candidate {
+                port: port as u16,
+                penalty: SHORTEST_PATH,
+                vcs,
+                kind: CandidateKind::Minimal,
+            });
         }
     }
 
@@ -88,7 +95,7 @@ mod tests {
             for dst in 0..v.hyperx().num_switches() {
                 let st = algo.init(src, dst, &mut rng);
                 let mut out = Vec::new();
-                algo.candidates(&st, src, &mut out);
+                algo.candidates(&st, src, VcRange::exact(0), &mut out);
                 if src == dst {
                     assert!(out.is_empty());
                 } else {
@@ -111,8 +118,8 @@ mod tests {
         let mut visited_dims = Vec::new();
         while current != dst {
             let mut out = Vec::new();
-            algo.candidates(&st, current, &mut out);
-            let port = out[0].port;
+            algo.candidates(&st, current, VcRange::exact(0), &mut out);
+            let port = usize::from(out[0].port);
             let meaning = hx.port_meaning(current, port);
             visited_dims.push(meaning.dim);
             current = v.network().neighbor(current, port).unwrap().switch;
@@ -135,7 +142,7 @@ mod tests {
         let mut rng = StepRng::new(0, 1);
         let st = algo.init(a, b, &mut rng);
         let mut out = Vec::new();
-        algo.candidates(&st, a, &mut out);
+        algo.candidates(&st, a, VcRange::exact(0), &mut out);
         assert!(
             out.is_empty(),
             "DOR has no alternative when its unique link dies"

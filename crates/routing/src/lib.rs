@@ -37,11 +37,11 @@ pub mod updown_escape;
 pub mod valiant;
 pub mod view;
 
-pub use candidate::{Candidate, CandidateKind, PacketState, RouteCandidate, VcRange};
+pub use candidate::{Candidate, CandidateKind, PacketState, VcRange};
 pub use mechanism::{LadderMechanism, LadderStep, MechanismSpec};
 pub use surepath::SurePathMechanism;
 pub use updown_escape::{EscapePolicy, EscapeTables};
-pub use view::NetworkView;
+pub use view::{NetworkView, DEAD_PORT};
 
 use rand::RngCore;
 
@@ -60,10 +60,17 @@ pub trait RouteAlgorithm: Send + Sync {
     /// per-packet choices (Valiant's intermediate switch).
     fn init(&self, source: usize, dest: usize, rng: &mut dyn RngCore) -> PacketState;
 
-    /// Appends to `out` the acceptable next hops for the packet at `current`.
+    /// Appends to `out` the acceptable next hops for the packet at `current`,
+    /// each on the VCs `vcs` its mechanism grants. Offers only live ports.
     /// May legitimately produce nothing (e.g. a DOR packet facing a faulty
     /// link, or Omnidimensional out of deroutes with the minimal port dead).
-    fn candidates(&self, state: &PacketState, current: usize, out: &mut Vec<RouteCandidate>);
+    fn candidates(
+        &self,
+        state: &PacketState,
+        current: usize,
+        vcs: VcRange,
+        out: &mut Vec<Candidate>,
+    );
 
     /// Updates per-packet state after the packet moves from `current` to `next`.
     fn update(&self, state: &mut PacketState, current: usize, next: usize);
@@ -71,25 +78,6 @@ pub trait RouteAlgorithm: Send + Sync {
     /// Upper bound on the number of switch-to-switch hops a route may take in
     /// the healthy network; used by the Ladder policy to size its VC ladder.
     fn max_route_hops(&self) -> usize;
-}
-
-/// Reusable scratch space for candidate computation.
-///
-/// Mechanisms wrap a [`RouteAlgorithm`] and need an intermediate
-/// [`RouteCandidate`] list per query; the simulator's allocator asks for
-/// candidates for every head packet of every active switch every cycle, so
-/// allocating that list per call dominated the low-load profile. Callers on
-/// the hot path hold one `RouteScratch` and pass it down through
-/// [`RoutingMechanism::candidates_into`]; the buffer is cleared, never
-/// shrunk, and the algorithms themselves build no temporary vectors, so
-/// once the scratch and the output list are warm, `candidates_into` and
-/// [`RoutingMechanism::note_hop`] perform zero allocations. The test
-/// `crates/bench/tests/alloc_free_routing.rs` pins this for every
-/// [`MechanismSpec`] and for a warmed simulator's `step`.
-#[derive(Debug, Default)]
-pub struct RouteScratch {
-    /// Intermediate route list produced by the base routing algorithm.
-    pub routes: Vec<RouteCandidate>,
 }
 
 /// A routing mechanism: routing algorithm + VC management, the unit the
@@ -108,21 +96,38 @@ pub trait RoutingMechanism: Send + Sync {
     /// Initializes the per-packet routing state.
     fn init_packet(&self, source: usize, dest: usize, rng: &mut dyn RngCore) -> PacketState;
 
-    /// Appends the candidate output requests for the packet at `current`,
-    /// using caller-provided scratch for the intermediate route list, so
-    /// the simulator's hot loop allocates nothing (one-off queries pass
-    /// `&mut RouteScratch::default()`).
+    /// Appends the routing part of the candidate list of the packet at
+    /// `current`: the base algorithm's hops on the VCs the mechanism grants.
     ///
-    /// Must be a pure function of `(state, current)`: the simulator caches
-    /// the result per head packet and reuses it while that packet stays at
-    /// the head of its VC, so recomputing must yield identical candidates.
-    fn candidates_into(
-        &self,
-        state: &PacketState,
-        current: usize,
-        scratch: &mut RouteScratch,
-        out: &mut Vec<Candidate>,
-    );
+    /// A packet's full list is this routing part followed by the escape
+    /// part [`escape_into`](RoutingMechanism::escape_into) appends, and every
+    /// escape candidate costs at least
+    /// [`escape_floor`](RoutingMechanism::escape_floor). The allocator
+    /// relies on that order contract: only a strictly lower `Q + P`
+    /// replaces its best candidate, so it appends the escape part only when
+    /// no routing candidate scored at or below the floor.
+    ///
+    /// Both parts must be pure functions of `(state, current)`: the
+    /// simulator caches them per head packet and reuses them while that
+    /// packet stays at the head of its VC. Neither allocates once `out` is
+    /// warm.
+    fn candidates_into(&self, state: &PacketState, current: usize, out: &mut Vec<Candidate>);
+
+    /// Appends the escape part of the candidate list (SurePath's rule 2),
+    /// which follows the routing part. Mechanisms without an escape
+    /// subnetwork append nothing.
+    fn escape_into(&self, state: &PacketState, current: usize, out: &mut Vec<Candidate>);
+
+    /// The lowest penalty [`escape_into`](RoutingMechanism::escape_into) can
+    /// append, or `None` for mechanisms without an escape subnetwork.
+    fn escape_floor(&self) -> Option<u16>;
+
+    /// Appends the full candidate list, routing part then escape part, for
+    /// callers that want every candidate at once.
+    fn all_candidates_into(&self, state: &PacketState, current: usize, out: &mut Vec<Candidate>) {
+        self.candidates_into(state, current, out);
+        self.escape_into(state, current, out);
+    }
 
     /// Updates per-packet state after the packet takes `cand` from `current` to `next`.
     fn note_hop(&self, state: &mut PacketState, current: usize, next: usize, cand: &Candidate);

@@ -5,7 +5,7 @@
 //! [`MechanismSpec`] factory that builds every named configuration of the
 //! paper, including the SurePath ones defined in [`crate::surepath`].
 
-use crate::candidate::{Candidate, CandidateKind, PacketState, VcRange};
+use crate::candidate::{Candidate, PacketState, VcRange};
 use crate::dal::DalRouting;
 use crate::dor::DimensionOrderedRouting;
 use crate::minimal::MinimalRouting;
@@ -67,7 +67,10 @@ impl LadderMechanism {
         num_vcs: usize,
         step: LadderStep,
     ) -> Self {
-        assert!(num_vcs >= 1, "a ladder needs at least one VC");
+        assert!(
+            (1..=u8::MAX as usize).contains(&num_vcs),
+            "a ladder needs 1 to 255 VCs"
+        );
         LadderMechanism {
             algo,
             display_name: display_name.into(),
@@ -99,29 +102,17 @@ impl RoutingMechanism for LadderMechanism {
         self.algo.init(source, dest, rng)
     }
 
-    fn candidates_into(
-        &self,
-        state: &PacketState,
-        current: usize,
-        scratch: &mut crate::RouteScratch,
-        out: &mut Vec<Candidate>,
-    ) {
-        let Some(vcs) = self.step.vcs_for_hop(state.hops, self.num_vcs) else {
-            // Ladder exhausted: the mechanism can no longer move this packet.
-            return;
-        };
-        scratch.routes.clear();
-        self.algo.candidates(state, current, &mut scratch.routes);
-        out.extend(scratch.routes.iter().map(|r| Candidate {
-            port: r.port,
-            vcs,
-            penalty: r.penalty,
-            kind: if r.deroute {
-                CandidateKind::Deroute
-            } else {
-                CandidateKind::Minimal
-            },
-        }));
+    fn candidates_into(&self, state: &PacketState, current: usize, out: &mut Vec<Candidate>) {
+        // An exhausted ladder can no longer move this packet.
+        if let Some(vcs) = self.step.vcs_for_hop(state.hops, self.num_vcs) {
+            self.algo.candidates(state, current, vcs, out);
+        }
+    }
+
+    fn escape_into(&self, _state: &PacketState, _current: usize, _out: &mut Vec<Candidate>) {}
+
+    fn escape_floor(&self) -> Option<u16> {
+        None
     }
 
     fn note_hop(&self, state: &mut PacketState, current: usize, next: usize, _cand: &Candidate) {
@@ -330,7 +321,7 @@ impl std::fmt::Display for MechanismSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RouteScratch;
+    use crate::CandidateKind;
     use hyperx_topology::HyperX;
     use rand::rngs::mock::StepRng;
 
@@ -368,7 +359,7 @@ mod tests {
         let mut st = mech.init_packet(0, 15, &mut rng);
         st.hops = 2; // Minimal with 4 VCs supports 2 hops (two-per-step).
         let mut out = Vec::new();
-        mech.candidates_into(&st, 5, &mut RouteScratch::default(), &mut out);
+        mech.all_candidates_into(&st, 5, &mut out);
         assert!(out.is_empty());
     }
 
@@ -397,15 +388,15 @@ mod tests {
         let mut rng = StepRng::new(7, 1);
         let mut st = mech.init_packet(0, 15, &mut rng);
         let mut out = Vec::new();
-        mech.candidates_into(&st, 0, &mut RouteScratch::default(), &mut out);
+        mech.all_candidates_into(&st, 0, &mut out);
         assert!(!out.is_empty());
         assert!(out.iter().all(|c| c.vcs == VcRange::exact(0)));
         // After one hop the VC advances.
         let cand = out[0];
-        let next = v.network().neighbor(0, cand.port).unwrap().switch;
+        let next = v.network().neighbor(0, cand.port.into()).unwrap().switch;
         mech.note_hop(&mut st, 0, next, &cand);
         let mut out2 = Vec::new();
-        mech.candidates_into(&st, next, &mut RouteScratch::default(), &mut out2);
+        mech.all_candidates_into(&st, next, &mut out2);
         assert!(out2.iter().all(|c| c.vcs == VcRange::exact(1)));
     }
 
@@ -439,7 +430,7 @@ mod tests {
             let mut st = mech.init_packet(0, 15, &mut rng);
             st.in_escape = true;
             let mut out = Vec::new();
-            mech.candidates_into(&st, 0, &mut RouteScratch::default(), &mut out);
+            mech.all_candidates_into(&st, 0, &mut out);
             assert!(!out.is_empty());
             assert!(out.iter().all(|c| c.kind != CandidateKind::EscapeShortcut));
         }

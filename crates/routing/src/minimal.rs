@@ -6,7 +6,7 @@
 //! non-minimal paths, which is why the paper uses it as the robust but
 //! low-performance baseline.
 
-use crate::candidate::{PacketState, RouteCandidate};
+use crate::candidate::{Candidate, CandidateKind, PacketState, VcRange};
 use crate::penalties::SHORTEST_PATH;
 use crate::view::NetworkView;
 use crate::RouteAlgorithm;
@@ -25,21 +25,25 @@ impl MinimalRouting {
         MinimalRouting { view }
     }
 
-    /// Appends every alive port of `current` that gets strictly closer to `target`.
+    /// Appends every alive port of `current` that gets strictly closer to
+    /// `target`, as a penalty-free minimal hop on `vcs`.
     pub(crate) fn minimal_ports(
         view: &NetworkView,
         current: usize,
         target: usize,
-        penalty: u32,
-        out: &mut Vec<RouteCandidate>,
+        vcs: VcRange,
+        out: &mut Vec<Candidate>,
     ) {
-        let here = view.distance(current, target);
-        for (port, nb) in view.network().neighbors(current) {
-            if view.distance(nb.switch, target) < here {
-                out.push(RouteCandidate {
+        // Distances are symmetric, so row `target` holds every distance read here.
+        let to_target = view.distances().row(target);
+        let here = to_target[current];
+        for (port, nb) in view.live_ports(current) {
+            if to_target[nb] < here {
+                out.push(Candidate {
                     port,
-                    penalty,
-                    deroute: false,
+                    penalty: SHORTEST_PATH,
+                    vcs,
+                    kind: CandidateKind::Minimal,
                 });
             }
         }
@@ -55,11 +59,17 @@ impl RouteAlgorithm for MinimalRouting {
         PacketState::new(source, dest)
     }
 
-    fn candidates(&self, state: &PacketState, current: usize, out: &mut Vec<RouteCandidate>) {
+    fn candidates(
+        &self,
+        state: &PacketState,
+        current: usize,
+        vcs: VcRange,
+        out: &mut Vec<Candidate>,
+    ) {
         if current == state.dest {
             return;
         }
-        Self::minimal_ports(&self.view, current, state.dest, SHORTEST_PATH, out);
+        Self::minimal_ports(&self.view, current, state.dest, vcs, out);
     }
 
     fn update(&self, state: &mut PacketState, _current: usize, _next: usize) {
@@ -91,16 +101,16 @@ mod tests {
             for dst in 0..v.hyperx().num_switches() {
                 let st = algo.init(src, dst, &mut rng);
                 let mut out = Vec::new();
-                algo.candidates(&st, src, &mut out);
+                algo.candidates(&st, src, VcRange::exact(0), &mut out);
                 if src == dst {
                     assert!(out.is_empty());
                     continue;
                 }
                 assert!(!out.is_empty());
                 for c in &out {
-                    let nb = v.network().neighbor(src, c.port).unwrap();
+                    let nb = v.network().neighbor(src, c.port.into()).unwrap();
                     assert!(v.distance(nb.switch, dst) < v.distance(src, dst));
-                    assert!(!c.deroute);
+                    assert!(c.kind == CandidateKind::Minimal);
                     assert_eq!(c.penalty, 0);
                 }
             }
@@ -119,7 +129,7 @@ mod tests {
         let dst = hx.switch_id(&[1, 2, 0]);
         let st = algo.init(src, dst, &mut rng);
         let mut out = Vec::new();
-        algo.candidates(&st, src, &mut out);
+        algo.candidates(&st, src, VcRange::exact(0), &mut out);
         assert_eq!(out.len(), 2);
     }
 
@@ -142,7 +152,7 @@ mod tests {
                 }
                 let st = algo.init(src, dst, &mut rng);
                 let mut out = Vec::new();
-                algo.candidates(&st, src, &mut out);
+                algo.candidates(&st, src, VcRange::exact(0), &mut out);
                 assert!(
                     !out.is_empty(),
                     "minimal routing must always progress in a connected network"
@@ -163,8 +173,12 @@ mod tests {
         let mut hops = 0;
         while current != dst {
             let mut out = Vec::new();
-            algo.candidates(&st, current, &mut out);
-            let next = v.network().neighbor(current, out[0].port).unwrap().switch;
+            algo.candidates(&st, current, VcRange::exact(0), &mut out);
+            let next = v
+                .network()
+                .neighbor(current, out[0].port.into())
+                .unwrap()
+                .switch;
             algo.update(&mut st, current, next);
             current = next;
             hops += 1;

@@ -12,9 +12,9 @@
 //! Omnidimensional never leaves that row, which caps its throughput at 0.5
 //! under that pattern.
 
-use crate::candidate::{PacketState, RouteCandidate};
+use crate::candidate::{Candidate, CandidateKind, PacketState, VcRange};
 use crate::penalties::{OMNI_DEROUTE, OMNI_MINIMAL};
-use crate::view::NetworkView;
+use crate::view::{NetworkView, DEAD_PORT};
 use crate::RouteAlgorithm;
 use rand::RngCore;
 use std::sync::Arc;
@@ -57,35 +57,42 @@ impl RouteAlgorithm for OmnidimensionalRouting {
         PacketState::new(source, dest)
     }
 
-    fn candidates(&self, state: &PacketState, current: usize, out: &mut Vec<RouteCandidate>) {
+    fn candidates(
+        &self,
+        state: &PacketState,
+        current: usize,
+        vcs: VcRange,
+        out: &mut Vec<Candidate>,
+    ) {
         if current == state.dest {
             return;
         }
         let hx = self.view.hyperx();
-        let cs = hx.coords();
-        let net = self.view.network();
+        let row = self.view.neighbor_row(current);
+        let there = self.view.coord_row(state.dest);
         let deroutes_left = state.deroutes < self.deroute_limit;
-        for d in 0..hx.dims() {
-            let target = cs.coord(state.dest, d);
-            if cs.coord(current, d) == target {
+        for (d, (&own, &target)) in self.view.coord_row(current).iter().zip(there).enumerate() {
+            if own == target {
                 continue;
             }
-            let aligned = hx.port_for(current, d, target);
+            let aligned = hx.dim_port(d, own.into(), target.into());
             for port in hx.dimension_ports(d) {
-                if net.neighbor(current, port).is_none() {
+                if row[port] == DEAD_PORT {
                     continue;
                 }
                 if port == aligned {
-                    out.push(RouteCandidate {
-                        port,
+                    out.push(Candidate {
+                        port: port as u16,
                         penalty: OMNI_MINIMAL,
-                        deroute: false,
+                        vcs,
+                        kind: CandidateKind::Minimal,
                     });
                 } else if deroutes_left {
-                    out.push(RouteCandidate {
-                        port,
+                    out.push(Candidate {
+                        port: port as u16,
                         penalty: OMNI_DEROUTE,
-                        deroute: true,
+                        vcs,
+                        kind: CandidateKind::Deroute,
                     });
                 }
             }
@@ -94,9 +101,13 @@ impl RouteAlgorithm for OmnidimensionalRouting {
 
     fn update(&self, state: &mut PacketState, current: usize, next: usize) {
         state.hops += 1;
-        let cs = self.view.hyperx().coords();
+        let to_dest = self.view.coord_row(state.dest);
+        let hamming = |s: usize| {
+            let row = self.view.coord_row(s);
+            row.iter().zip(to_dest).filter(|(a, b)| a != b).count()
+        };
         // A hop is minimal iff it reduced the Hamming distance to the destination.
-        if cs.hamming_distance(next, state.dest) < cs.hamming_distance(current, state.dest) {
+        if hamming(next) < hamming(current) {
             state.minimal_hops += 1;
         } else {
             state.deroutes += 1;
@@ -128,17 +139,28 @@ mod tests {
         let dst = hx.switch_id(&[2, 0, 3]);
         let st = algo.init(src, dst, &mut rng);
         let mut out = Vec::new();
-        algo.candidates(&st, src, &mut out);
+        algo.candidates(&st, src, VcRange::exact(0), &mut out);
         // Two unaligned dimensions, each with (side − 1) = 3 candidates.
         assert_eq!(out.len(), 6);
         for c in &out {
-            let dim = hx.port_meaning(src, c.port).dim;
+            let dim = hx.port_meaning(src, c.port.into()).dim;
             assert!(dim == 0 || dim == 2, "never moves in an aligned dimension");
         }
         // Exactly one minimal candidate per unaligned dimension.
-        assert_eq!(out.iter().filter(|c| !c.deroute).count(), 2);
-        assert!(out.iter().filter(|c| !c.deroute).all(|c| c.penalty == 0));
-        assert!(out.iter().filter(|c| c.deroute).all(|c| c.penalty == 64));
+        assert_eq!(
+            out.iter()
+                .filter(|c| c.kind == CandidateKind::Minimal)
+                .count(),
+            2
+        );
+        assert!(out
+            .iter()
+            .filter(|c| c.kind == CandidateKind::Minimal)
+            .all(|c| c.penalty == 0));
+        assert!(out
+            .iter()
+            .filter(|c| c.kind == CandidateKind::Deroute)
+            .all(|c| c.penalty == 64));
     }
 
     #[test]
@@ -153,9 +175,11 @@ mod tests {
         let dst = hx.switch_id(&[3, 6, 5]);
         let st = algo.init(src, dst, &mut rng);
         let mut out = Vec::new();
-        algo.candidates(&st, src, &mut out);
+        algo.candidates(&st, src, VcRange::exact(0), &mut out);
         assert_eq!(out.len(), 7);
-        assert!(out.iter().all(|c| hx.port_meaning(src, c.port).dim == 1));
+        assert!(out
+            .iter()
+            .all(|c| hx.port_meaning(src, c.port.into()).dim == 1));
     }
 
     #[test]
@@ -169,10 +193,10 @@ mod tests {
         let mut st = algo.init(src, dst, &mut rng);
         st.deroutes = algo.deroute_limit();
         let mut out = Vec::new();
-        algo.candidates(&st, src, &mut out);
+        algo.candidates(&st, src, VcRange::exact(0), &mut out);
         assert!(!out.is_empty());
         assert!(
-            out.iter().all(|c| !c.deroute),
+            out.iter().all(|c| c.kind == CandidateKind::Minimal),
             "budget exhausted: only minimal hops remain"
         );
     }
@@ -214,7 +238,7 @@ mod tests {
         let mut st = algo.init(src, dst, &mut rng);
         st.deroutes = algo.deroute_limit();
         let mut out = Vec::new();
-        algo.candidates(&st, src, &mut out);
+        algo.candidates(&st, src, VcRange::exact(0), &mut out);
         assert!(out.is_empty());
     }
 
@@ -234,7 +258,7 @@ mod tests {
         let mut rng = StepRng::new(0, 1);
         let st = algo.init(5, 5, &mut rng);
         let mut out = Vec::new();
-        algo.candidates(&st, 5, &mut out);
+        algo.candidates(&st, 5, VcRange::exact(0), &mut out);
         assert!(out.is_empty());
     }
 }

@@ -5,38 +5,40 @@
 //! below are quoted verbatim from the paper; it notes that "there are large
 //! regions of similar performance, so the specific values have little
 //! importance".
+//!
+//! Every penalty is a `u16`, the width [`crate::Candidate`] stores.
 
 /// Omnidimensional routing: minimal (aligned) hop.
-pub const OMNI_MINIMAL: u32 = 0;
+pub const OMNI_MINIMAL: u16 = 0;
 /// Omnidimensional routing: deroute (non-minimal hop).
-pub const OMNI_DEROUTE: u32 = 64;
+pub const OMNI_DEROUTE: u16 = 64;
 
 /// Polarized routing: candidate with the best possible weight gain (Δµ = 2).
-pub const POLARIZED_BEST: u32 = 0;
+pub const POLARIZED_BEST: u16 = 0;
 /// Polarized routing: candidate with Δµ one less than the best (Δµ = 1).
-pub const POLARIZED_MID: u32 = 64;
+pub const POLARIZED_MID: u16 = 64;
 /// Polarized routing: candidate with Δµ two less than the best (Δµ = 0).
-pub const POLARIZED_LOW: u32 = 80;
+pub const POLARIZED_LOW: u16 = 80;
 
 /// Escape subnetwork: Up hop towards the root (most penalized, to avoid
 /// congesting the root).
-pub const ESCAPE_UP: u32 = 112;
+pub const ESCAPE_UP: u16 = 112;
 /// Escape subnetwork: Down hop away from the root.
-pub const ESCAPE_DOWN: u32 = 96;
+pub const ESCAPE_DOWN: u16 = 96;
 /// Escape subnetwork: opportunistic shortcut reducing the Up/Down distance by 1.
-pub const ESCAPE_SHORTCUT_1: u32 = 80;
+pub const ESCAPE_SHORTCUT_1: u16 = 80;
 /// Escape subnetwork: opportunistic shortcut reducing the Up/Down distance by 2.
-pub const ESCAPE_SHORTCUT_2: u32 = 64;
+pub const ESCAPE_SHORTCUT_2: u16 = 64;
 /// Escape subnetwork: opportunistic shortcut reducing the Up/Down distance by 3 or more.
-pub const ESCAPE_SHORTCUT_3: u32 = 48;
+pub const ESCAPE_SHORTCUT_3: u16 = 48;
 
 /// Minimal / Valiant / DOR hops carry no penalty.
-pub const SHORTEST_PATH: u32 = 0;
+pub const SHORTEST_PATH: u16 = 0;
 
 /// Penalty of an opportunistic escape shortcut as a function of its Up/Down
 /// distance reduction (paper §3.2: 80, 64 or 48 phits for reductions of 1, 2
 /// and ≥ 3 respectively).
-pub fn escape_shortcut_penalty(reduction: u16) -> u32 {
+pub fn escape_shortcut_penalty(reduction: u16) -> u16 {
     match reduction {
         0 => unreachable!("a shortcut candidate always reduces the Up/Down distance"),
         1 => ESCAPE_SHORTCUT_1,
@@ -46,7 +48,7 @@ pub fn escape_shortcut_penalty(reduction: u16) -> u32 {
 }
 
 /// Penalty of a Polarized candidate as a function of its weight gain Δµ ∈ {0, 1, 2}.
-pub fn polarized_penalty(delta_mu: i8) -> u32 {
+pub fn polarized_penalty(delta_mu: i8) -> u16 {
     match delta_mu {
         2 => POLARIZED_BEST,
         1 => POLARIZED_MID,

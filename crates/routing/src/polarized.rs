@@ -11,7 +11,7 @@
 //! working after failures (the tables are simply recomputed), which is one of
 //! the reasons the paper pairs it with SurePath.
 
-use crate::candidate::{PacketState, RouteCandidate};
+use crate::candidate::{Candidate, CandidateKind, PacketState, VcRange};
 use crate::penalties::polarized_penalty;
 use crate::view::NetworkView;
 use crate::RouteAlgorithm;
@@ -63,11 +63,16 @@ impl RouteAlgorithm for PolarizedRouting {
         st
     }
 
-    fn candidates(&self, state: &PacketState, current: usize, out: &mut Vec<RouteCandidate>) {
+    fn candidates(
+        &self,
+        state: &PacketState,
+        current: usize,
+        vcs: VcRange,
+        out: &mut Vec<Candidate>,
+    ) {
         if current == state.dest {
             return;
         }
-        let net = self.view.network();
         // Distances are symmetric (links are bidirectional), so the rows of
         // the source and the destination hold every distance read here.
         let from_s = self.view.distances().row(state.source);
@@ -75,9 +80,9 @@ impl RouteAlgorithm for PolarizedRouting {
         let ds_c = from_s[current] as i32;
         let dt_c = from_t[current] as i32;
         let allow_zero_gain = state.hops < self.zero_gain_hop_limit;
-        for (port, nb) in net.neighbors(current) {
-            let ds_n = from_s[nb.switch] as i32;
-            let dt_n = from_t[nb.switch] as i32;
+        for (port, nb) in self.view.live_ports(current) {
+            let ds_n = from_s[nb] as i32;
+            let dt_n = from_t[nb] as i32;
             let delta_s = ds_n - ds_c;
             let delta_t = dt_n - dt_c;
             let delta_mu = delta_s - delta_t;
@@ -104,10 +109,15 @@ impl RouteAlgorithm for PolarizedRouting {
                     continue;
                 }
             }
-            out.push(RouteCandidate {
+            out.push(Candidate {
                 port,
                 penalty: polarized_penalty(delta_mu as i8),
-                deroute: dt_n >= dt_c,
+                vcs,
+                kind: if dt_n >= dt_c {
+                    CandidateKind::Deroute
+                } else {
+                    CandidateKind::Minimal
+                },
             });
         }
     }
@@ -160,10 +170,10 @@ mod tests {
                 }
                 let st = algo.init(src, dst, &mut rng);
                 let mut out = Vec::new();
-                algo.candidates(&st, src, &mut out);
+                algo.candidates(&st, src, VcRange::exact(0), &mut out);
                 assert!(!out.is_empty(), "polarized offers something at the source");
                 for c in &out {
-                    let nb = v.network().neighbor(src, c.port).unwrap().switch;
+                    let nb = v.network().neighbor(src, c.port.into()).unwrap().switch;
                     assert!(mu(&v, src, dst, nb) >= mu(&v, src, dst, src));
                 }
             }
@@ -182,9 +192,12 @@ mod tests {
         let dst = hx.switch_id(&[1, 0]);
         let st = algo.init(src, dst, &mut rng);
         let mut out = Vec::new();
-        algo.candidates(&st, src, &mut out);
+        algo.candidates(&st, src, VcRange::exact(0), &mut out);
         let direct_port = v.network().port_towards(src, dst).unwrap();
-        let direct = out.iter().find(|c| c.port == direct_port).unwrap();
+        let direct = out
+            .iter()
+            .find(|c| usize::from(c.port) == direct_port)
+            .unwrap();
         assert_eq!(direct.penalty, 0);
     }
 
@@ -201,9 +214,9 @@ mod tests {
         let dst = hx.switch_id(&[1, 0, 0]);
         let st = algo.init(src, dst, &mut rng);
         let mut out = Vec::new();
-        algo.candidates(&st, src, &mut out);
+        algo.candidates(&st, src, VcRange::exact(0), &mut out);
         let out_of_row = out.iter().any(|c| {
-            let dim = hx.port_meaning(src, c.port).dim;
+            let dim = hx.port_meaning(src, c.port.into()).dim;
             dim != 0
         });
         assert!(
@@ -223,7 +236,7 @@ mod tests {
             let mut hops = 0usize;
             while current != dst {
                 let mut out = Vec::new();
-                algo.candidates(&st, current, &mut out);
+                algo.candidates(&st, current, VcRange::exact(0), &mut out);
                 assert!(!out.is_empty(), "stuck at {current} heading to {dst}");
                 // Follow the best (lowest penalty) candidate; break ties the way
                 // an uncongested allocator would not care about, preferring
@@ -231,11 +244,15 @@ mod tests {
                 let best = out
                     .iter()
                     .min_by_key(|c| {
-                        let nb = v.network().neighbor(current, c.port).unwrap().switch;
+                        let nb = v.network().neighbor(current, c.port.into()).unwrap().switch;
                         (c.penalty, v.distance(nb, dst), c.port)
                     })
                     .unwrap();
-                let next = v.network().neighbor(current, best.port).unwrap().switch;
+                let next = v
+                    .network()
+                    .neighbor(current, best.port.into())
+                    .unwrap()
+                    .switch;
                 algo.update(&mut st, current, next);
                 current = next;
                 hops += 1;
@@ -283,7 +300,7 @@ mod tests {
                 }
                 let st = algo.init(src, dst, &mut rng);
                 let mut out = Vec::new();
-                algo.candidates(&st, src, &mut out);
+                algo.candidates(&st, src, VcRange::exact(0), &mut out);
                 assert!(
                     !out.is_empty(),
                     "polarized should offer candidates at the source of a connected network"
@@ -302,10 +319,10 @@ mod tests {
         let dst = hx.switch_id(&[1, 0]);
         let st = algo.init(src, dst, &mut rng);
         let mut out = Vec::new();
-        algo.candidates(&st, src, &mut out);
+        algo.candidates(&st, src, VcRange::exact(0), &mut out);
         // With the zero-gain hops disabled only strictly-improving candidates remain.
         for c in &out {
-            let nb = v.network().neighbor(src, c.port).unwrap().switch;
+            let nb = v.network().neighbor(src, c.port.into()).unwrap().switch;
             assert!(mu(&v, src, dst, nb) > mu(&v, src, dst, src));
         }
     }

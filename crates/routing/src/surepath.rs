@@ -16,8 +16,15 @@
 //! progress as long as the network is connected. The escape subnetwork's
 //! monotonically decreasing Up/Down distance provides deadlock freedom with a
 //! single escape VC.
+//!
+//! Rule 1 is [`RoutingMechanism::candidates_into`] and rule 2 is
+//! [`RoutingMechanism::escape_into`], whose candidates all cost at least
+//! [`EscapeTables::floor`]: 48 phits with shortcuts, 96 without. The
+//! simulator builds the escape part of a head's list only when no routing
+//! candidate scored at or below that floor, since none of it could win
+//! otherwise.
 
-use crate::candidate::{Candidate, CandidateKind, PacketState, VcRange};
+use crate::candidate::{Candidate, PacketState, VcRange};
 use crate::updown_escape::{EscapePolicy, EscapeTables};
 use crate::view::NetworkView;
 use crate::{RouteAlgorithm, RoutingMechanism};
@@ -30,6 +37,7 @@ pub struct SurePathMechanism {
     escape: EscapeTables,
     display_name: String,
     num_vcs: usize,
+    routing_vcs: VcRange,
 }
 
 impl SurePathMechanism {
@@ -76,12 +84,13 @@ impl SurePathMechanism {
             escape,
             display_name: display_name.into(),
             num_vcs,
+            routing_vcs: VcRange::span(0, num_vcs - 1),
         }
     }
 
     /// The VCs available to the base routing algorithm.
     pub fn routing_vcs(&self) -> VcRange {
-        VcRange::span(0, self.num_vcs - 1)
+        self.routing_vcs
     }
 
     /// The root of the escape subnetwork.
@@ -112,31 +121,21 @@ impl RoutingMechanism for SurePathMechanism {
         self.algo.init(source, dest, rng)
     }
 
-    fn candidates_into(
-        &self,
-        state: &PacketState,
-        current: usize,
-        scratch: &mut crate::RouteScratch,
-        out: &mut Vec<Candidate>,
-    ) {
+    fn candidates_into(&self, state: &PacketState, current: usize, out: &mut Vec<Candidate>) {
+        // Rule 1: only packets still on `CRout` get the routing algorithm's hops.
         if !state.in_escape {
-            scratch.routes.clear();
-            self.algo.candidates(state, current, &mut scratch.routes);
-            let vcs = self.routing_vcs();
-            out.extend(scratch.routes.iter().map(|r| Candidate {
-                port: r.port,
-                vcs,
-                penalty: r.penalty,
-                kind: if r.deroute {
-                    CandidateKind::Deroute
-                } else {
-                    CandidateKind::Minimal
-                },
-            }));
+            self.algo.candidates(state, current, self.routing_vcs, out);
         }
+    }
+
+    fn escape_into(&self, state: &PacketState, current: usize, out: &mut Vec<Candidate>) {
         // Rule 2: the escape subnetwork is always available (and is the only
         // option once the packet has entered it).
         self.escape.candidates(current, state.dest, out);
+    }
+
+    fn escape_floor(&self) -> Option<u16> {
+        Some(self.escape.floor())
     }
 
     fn note_hop(&self, state: &mut PacketState, current: usize, next: usize, cand: &Candidate) {
@@ -155,7 +154,6 @@ mod tests {
     use super::*;
     use crate::mechanism::MechanismSpec;
     use crate::omnidimensional::OmnidimensionalRouting;
-    use crate::RouteScratch;
     use hyperx_topology::{FaultSet, FaultShape, HyperX, LinkId};
     use rand::rngs::mock::StepRng;
     use rand::SeedableRng;
@@ -182,7 +180,7 @@ mod tests {
         let mut rng = StepRng::new(0, 1);
         let st = mech.init_packet(0, 15, &mut rng);
         let mut out = Vec::new();
-        mech.candidates_into(&st, 0, &mut RouteScratch::default(), &mut out);
+        mech.all_candidates_into(&st, 0, &mut out);
         assert!(
             out.iter().any(|c| !c.kind.is_escape()),
             "routing candidates expected"
@@ -209,7 +207,7 @@ mod tests {
         let mut st = mech.init_packet(0, 15, &mut rng);
         st.in_escape = true;
         let mut out = Vec::new();
-        mech.candidates_into(&st, 5, &mut RouteScratch::default(), &mut out);
+        mech.all_candidates_into(&st, 5, &mut out);
         assert!(!out.is_empty());
         assert!(out.iter().all(|c| c.kind.is_escape()));
     }
@@ -221,9 +219,9 @@ mod tests {
         let mut rng = StepRng::new(0, 1);
         let mut st = mech.init_packet(0, 15, &mut rng);
         let mut out = Vec::new();
-        mech.candidates_into(&st, 0, &mut RouteScratch::default(), &mut out);
+        mech.all_candidates_into(&st, 0, &mut out);
         let esc = out.iter().find(|c| c.kind.is_escape()).unwrap();
-        let next = v.network().neighbor(0, esc.port).unwrap().switch;
+        let next = v.network().neighbor(0, esc.port.into()).unwrap().switch;
         mech.note_hop(&mut st, 0, next, esc);
         assert!(st.in_escape);
         assert_eq!(st.hops, 1);
@@ -243,7 +241,7 @@ mod tests {
         let mut st = mech.init_packet(src, dst, &mut rng);
         st.deroutes = 2; // budget m = n = 2 consumed
         let mut out = Vec::new();
-        mech.candidates_into(&st, src, &mut RouteScratch::default(), &mut out);
+        mech.all_candidates_into(&st, src, &mut out);
         assert!(
             !out.is_empty(),
             "forced hop must fall back to the escape subnetwork"
@@ -278,10 +276,14 @@ mod tests {
                 let mut hops = 0;
                 while current != dst {
                     let mut out = Vec::new();
-                    mech.candidates_into(&st, current, &mut RouteScratch::default(), &mut out);
+                    mech.all_candidates_into(&st, current, &mut out);
                     assert!(!out.is_empty(), "escape stuck at {current} -> {dst}");
                     let best = out.iter().min_by_key(|c| (c.penalty, c.port)).unwrap();
-                    let next = v.network().neighbor(current, best.port).unwrap().switch;
+                    let next = v
+                        .network()
+                        .neighbor(current, best.port.into())
+                        .unwrap()
+                        .switch;
                     mech.note_hop(&mut st, current, next, best);
                     current = next;
                     hops += 1;

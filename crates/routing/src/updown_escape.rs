@@ -8,8 +8,8 @@
 //! 48 phits depending on how much Up/Down distance they save).
 
 use crate::candidate::{Candidate, CandidateKind, VcRange};
-use crate::penalties::{escape_shortcut_penalty, ESCAPE_DOWN, ESCAPE_UP};
-use crate::view::NetworkView;
+use crate::penalties::{escape_shortcut_penalty, ESCAPE_DOWN, ESCAPE_SHORTCUT_3, ESCAPE_UP};
+use crate::view::{NetworkView, DEAD_PORT};
 use hyperx_topology::LinkClass;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -51,7 +51,8 @@ impl EscapePolicy {
 #[derive(Clone, Debug)]
 pub struct EscapeTables {
     view: Arc<NetworkView>,
-    escape_vc: usize,
+    /// The escape VC, as the range every escape candidate carries.
+    vcs: VcRange,
     policy: EscapePolicy,
 }
 
@@ -71,14 +72,24 @@ impl EscapeTables {
         let _ = view.escape_required();
         EscapeTables {
             view,
-            escape_vc,
+            vcs: VcRange::exact(escape_vc),
             policy,
         }
     }
 
     /// The VC the escape subnetwork uses.
     pub fn escape_vc(&self) -> usize {
-        self.escape_vc
+        self.vcs.lo.into()
+    }
+
+    /// The lowest penalty [`candidates`](EscapeTables::candidates) can
+    /// offer: a shortcut saving three or more hops, or a Down hop when
+    /// shortcuts are off.
+    pub fn floor(&self) -> u16 {
+        match self.policy {
+            EscapePolicy::Opportunistic => ESCAPE_SHORTCUT_3,
+            EscapePolicy::TreeOnly => ESCAPE_DOWN,
+        }
     }
 
     /// The candidate policy in force.
@@ -91,11 +102,26 @@ impl EscapeTables {
         self.view.escape_required().root()
     }
 
-    /// Appends the escape candidates for a packet at `current` heading to `dest`.
+    /// Appends the escape candidates for a packet at `current` heading to
+    /// `dest`: every live port whose far switch strictly reduces the Up/Down
+    /// distance, in port order.
     pub fn candidates(&self, current: usize, dest: usize, out: &mut Vec<Candidate>) {
         let escape = self.view.escape_required();
-        for c in escape.escape_candidates(self.view.network(), current, dest) {
-            let (penalty, kind) = match c.class {
+        // Up/Down distances are symmetric, so row `dest` holds every
+        // distance read here. At the destination `here` is 0, so nothing
+        // can reduce it.
+        let to_dest = escape.updown_row(dest);
+        let here = to_dest[current];
+        let classes = escape.class_row(current);
+        for (port, &nb) in self.view.neighbor_row(current).iter().enumerate() {
+            if nb == DEAD_PORT {
+                continue;
+            }
+            let there = to_dest[nb as usize];
+            if there >= here {
+                continue;
+            }
+            let (penalty, kind) = match classes[port].expect("live port has a class") {
                 LinkClass::Up => (ESCAPE_UP, CandidateKind::EscapeUp),
                 LinkClass::Down => (ESCAPE_DOWN, CandidateKind::EscapeDown),
                 LinkClass::Horizontal => {
@@ -103,15 +129,15 @@ impl EscapeTables {
                         continue;
                     }
                     (
-                        escape_shortcut_penalty(c.reduction),
+                        escape_shortcut_penalty(here - there),
                         CandidateKind::EscapeShortcut,
                     )
                 }
             };
             out.push(Candidate {
-                port: c.port,
-                vcs: VcRange::exact(self.escape_vc),
+                port: port as u16,
                 penalty,
+                vcs: self.vcs,
                 kind,
             });
         }
@@ -153,14 +179,20 @@ mod tests {
         let mut out = Vec::new();
         t.candidates(a, b, &mut out);
         let direct_port = view.network().port_towards(a, b).unwrap();
-        let direct = out.iter().find(|c| c.port == direct_port).unwrap();
+        let direct = out
+            .iter()
+            .find(|c| usize::from(c.port) == direct_port)
+            .unwrap();
         assert_eq!(direct.penalty, 64);
         assert_eq!(direct.kind, CandidateKind::EscapeShortcut);
         let root_port = view
             .network()
             .port_towards(a, hx.switch_id(&[0, 0]))
             .unwrap();
-        let up = out.iter().find(|c| c.port == root_port).unwrap();
+        let up = out
+            .iter()
+            .find(|c| usize::from(c.port) == root_port)
+            .unwrap();
         assert_eq!(up.penalty, 112);
         assert_eq!(up.kind, CandidateKind::EscapeUp);
     }

@@ -6,9 +6,8 @@
 //! cost of doubling the average path length, which caps throughput around 0.5
 //! on benign patterns — exactly the behaviour Figures 4 and 5 of the paper show.
 
-use crate::candidate::{PacketState, RouteCandidate};
+use crate::candidate::{Candidate, PacketState, VcRange};
 use crate::minimal::MinimalRouting;
-use crate::penalties::SHORTEST_PATH;
 use crate::view::NetworkView;
 use crate::RouteAlgorithm;
 use rand::RngCore;
@@ -43,7 +42,13 @@ impl RouteAlgorithm for ValiantRouting {
         st
     }
 
-    fn candidates(&self, state: &PacketState, current: usize, out: &mut Vec<RouteCandidate>) {
+    fn candidates(
+        &self,
+        state: &PacketState,
+        current: usize,
+        vcs: VcRange,
+        out: &mut Vec<Candidate>,
+    ) {
         let target = state.current_target();
         if current == target {
             // Phase-1 target reached but `update` not yet applied (can only
@@ -51,10 +56,10 @@ impl RouteAlgorithm for ValiantRouting {
             if current == state.dest {
                 return;
             }
-            MinimalRouting::minimal_ports(&self.view, current, state.dest, SHORTEST_PATH, out);
+            MinimalRouting::minimal_ports(&self.view, current, state.dest, vcs, out);
             return;
         }
-        MinimalRouting::minimal_ports(&self.view, current, target, SHORTEST_PATH, out);
+        MinimalRouting::minimal_ports(&self.view, current, target, vcs, out);
     }
 
     fn update(&self, state: &mut PacketState, _current: usize, next: usize) {
@@ -124,9 +129,13 @@ mod tests {
             let mut hops = 0;
             while current != dst {
                 let mut out = Vec::new();
-                algo.candidates(&st, current, &mut out);
+                algo.candidates(&st, current, VcRange::exact(0), &mut out);
                 assert!(!out.is_empty(), "valiant must always progress");
-                let next = v.network().neighbor(current, out[0].port).unwrap().switch;
+                let next = v
+                    .network()
+                    .neighbor(current, out[0].port.into())
+                    .unwrap()
+                    .switch;
                 algo.update(&mut st, current, next);
                 current = next;
                 if current == intermediate {
@@ -151,7 +160,7 @@ mod tests {
         let mut rng = StepRng::new(3, 0);
         let st = algo.init(3, 3, &mut rng);
         let mut out = Vec::new();
-        algo.candidates(&st, 3, &mut out);
+        algo.candidates(&st, 3, VcRange::exact(0), &mut out);
         assert!(out.is_empty());
     }
 

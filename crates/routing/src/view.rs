@@ -5,8 +5,15 @@
 //! Whenever the set of alive links changes (a failure or a repair), a new
 //! `NetworkView` is built; this mirrors the paper's model in which routing
 //! tables are recomputed by BFS "at boot time, upgrade or failure".
+//!
+//! The view also flattens what the routing algorithms read per hop into
+//! rows built once: each port's neighbor switch (with a [`DEAD_PORT`]
+//! sentinel) and each switch's coordinates.
 
 use hyperx_topology::{DistanceMatrix, FaultSet, HyperX, Network, SwitchId, UpDownEscape};
+
+/// [`NetworkView::neighbor_row`] entry of a dead port.
+pub const DEAD_PORT: u32 = u32::MAX;
 
 /// Immutable snapshot of the network used to build routing tables.
 #[derive(Clone, Debug)]
@@ -15,6 +22,12 @@ pub struct NetworkView {
     distances: DistanceMatrix,
     escape: Option<UpDownEscape>,
     escape_root: SwitchId,
+    /// `neighbors[s·radix + p]`: the switch behind port `p` of `s`, or
+    /// [`DEAD_PORT`].
+    neighbors: Vec<u32>,
+    /// `coords[s·dims + d]`: the coordinate of `s` in dimension `d`.
+    coords: Vec<u16>,
+    radix: usize,
 }
 
 impl NetworkView {
@@ -31,10 +44,29 @@ impl NetworkView {
     }
 
     fn from_hyperx(hyperx: HyperX, escape_root: SwitchId) -> Self {
+        let n = hyperx.num_switches();
+        assert!(escape_root < n, "escape root out of range");
+        let radix = hyperx.switch_radix();
+        // Candidates carry 16-bit ports (and so, through the radix, 16-bit
+        // coordinates); neighbor rows carry 32-bit switch ids.
         assert!(
-            escape_root < hyperx.num_switches(),
-            "escape root out of range"
+            u16::try_from(radix).is_ok(),
+            "switch radix {radix} does not fit a 16-bit candidate port"
         );
+        assert!(
+            n < DEAD_PORT as usize,
+            "{n} switches do not fit a 32-bit id"
+        );
+        let net = hyperx.network();
+        let neighbors = (0..n)
+            .flat_map(|s| {
+                (0..radix).map(move |p| net.neighbor(s, p).map_or(DEAD_PORT, |nb| nb.switch as u32))
+            })
+            .collect();
+        let coords = (0..n)
+            .flat_map(|s| hyperx.switch_coords(s))
+            .map(|c| c as u16)
+            .collect();
         let distances = DistanceMatrix::compute(hyperx.network());
         let escape = if distances.is_connected() {
             Some(UpDownEscape::new(hyperx.network(), escape_root))
@@ -46,6 +78,9 @@ impl NetworkView {
             distances,
             escape,
             escape_root,
+            neighbors,
+            coords,
+            radix,
         }
     }
 
@@ -101,6 +136,30 @@ impl NetworkView {
     /// Number of dimensions of the HyperX.
     pub fn dims(&self) -> usize {
         self.hyperx.dims()
+    }
+
+    /// The switch behind each port of `s`, indexed by port: [`DEAD_PORT`]
+    /// for a dead link.
+    #[inline]
+    pub fn neighbor_row(&self, s: SwitchId) -> &[u32] {
+        &self.neighbors[s * self.radix..(s + 1) * self.radix]
+    }
+
+    /// The live ports of `s` with the switch behind each, in port order.
+    #[inline]
+    pub fn live_ports(&self, s: SwitchId) -> impl Iterator<Item = (u16, SwitchId)> + '_ {
+        self.neighbor_row(s)
+            .iter()
+            .enumerate()
+            .filter(|&(_, &nb)| nb != DEAD_PORT)
+            .map(|(p, &nb)| (p as u16, nb as SwitchId))
+    }
+
+    /// The coordinates of `s`, indexed by dimension.
+    #[inline]
+    pub fn coord_row(&self, s: SwitchId) -> &[u16] {
+        let dims = self.dims();
+        &self.coords[s * dims..(s + 1) * dims]
     }
 }
 

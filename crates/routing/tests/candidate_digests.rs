@@ -101,12 +101,7 @@ fn full_list(
     out: &mut Vec<Candidate>,
 ) {
     out.clear();
-    mech.candidates_into(
-        state,
-        current,
-        &mut hyperx_routing::RouteScratch::default(),
-        out,
-    );
+    mech.all_candidates_into(state, current, out);
 }
 
 /// The state `name` of a packet at `current` heading to `dest`.

@@ -5,7 +5,7 @@ use hyperx_routing::minimal::MinimalRouting;
 use hyperx_routing::omnidimensional::OmnidimensionalRouting;
 use hyperx_routing::polarized::PolarizedRouting;
 use hyperx_routing::{
-    Candidate, CandidateKind, MechanismSpec, NetworkView, RouteAlgorithm, RouteScratch,
+    Candidate, CandidateKind, MechanismSpec, NetworkView, RouteAlgorithm, VcRange,
 };
 use hyperx_topology::{FaultSet, HyperX};
 use proptest::prelude::*;
@@ -44,10 +44,10 @@ proptest! {
                 if src == dst { continue; }
                 let st = algo.init(src, dst, &mut rng);
                 let mut out = Vec::new();
-                algo.candidates(&st, src, &mut out);
+                algo.candidates(&st, src, VcRange::exact(0), &mut out);
                 prop_assert!(!out.is_empty());
                 for c in &out {
-                    let nb = view.network().neighbor(src, c.port).unwrap().switch;
+                    let nb = view.network().neighbor(src, c.port.into()).unwrap().switch;
                     prop_assert!(view.distance(nb, dst) < view.distance(src, dst));
                 }
             }
@@ -69,16 +69,16 @@ proptest! {
             if src == dst { continue; }
             let st = algo.init(src, dst, &mut rng);
             let mut out = Vec::new();
-            algo.candidates(&st, src, &mut out);
+            algo.candidates(&st, src, VcRange::exact(0), &mut out);
             let src_c = hx.switch_coords(src);
             let dst_c = hx.switch_coords(dst);
             for c in &out {
-                let dim = hx.port_meaning(src, c.port).dim;
+                let dim = hx.port_meaning(src, c.port.into()).dim;
                 prop_assert!(src_c[dim] != dst_c[dim], "moved in an aligned dimension");
             }
             // Exactly one minimal candidate per unaligned dimension in a healthy network.
             let unaligned = (0..hx.dims()).filter(|&d| src_c[d] != dst_c[d]).count();
-            prop_assert_eq!(out.iter().filter(|c| !c.deroute).count(), unaligned);
+            prop_assert_eq!(out.iter().filter(|c| c.kind == CandidateKind::Minimal).count(), unaligned);
         }
     }
 
@@ -104,9 +104,9 @@ proptest! {
             if current == dst { continue; }
             let mu = |c: usize| view.distance(c, src) as i32 - view.distance(c, dst) as i32;
             let mut out = Vec::new();
-            algo.candidates(&st, current, &mut out);
+            algo.candidates(&st, current, VcRange::exact(0), &mut out);
             for c in &out {
-                let nb = view.network().neighbor(current, c.port).unwrap().switch;
+                let nb = view.network().neighbor(current, c.port.into()).unwrap().switch;
                 prop_assert!(mu(nb) >= mu(current));
             }
         }
@@ -134,16 +134,16 @@ proptest! {
                 let mut hops = 0usize;
                 while current != dst {
                     let mut cands: Vec<Candidate> = Vec::new();
-                    mech.candidates_into(&state, current, &mut RouteScratch::default(), &mut cands);
+                    mech.all_candidates_into(&state, current, &mut cands);
                     prop_assert!(!cands.is_empty(), "{} stuck at {} -> {}", spec, current, dst);
                     let best = cands
                         .iter()
                         .min_by_key(|c| {
-                            let nb = view.network().neighbor(current, c.port).unwrap().switch;
+                            let nb = view.network().neighbor(current, c.port.into()).unwrap().switch;
                             (c.penalty, view.distance(nb, dst), c.port)
                         })
                         .unwrap();
-                    let next = view.network().neighbor(current, best.port).unwrap().switch;
+                    let next = view.network().neighbor(current, best.port.into()).unwrap().switch;
                     mech.note_hop(&mut state, current, next, best);
                     current = next;
                     hops += 1;
@@ -168,16 +168,16 @@ proptest! {
             let mech = spec.build_default(view.clone());
             let state = mech.init_packet(src, dst, &mut rng);
             let mut cands = Vec::new();
-            mech.candidates_into(&state, src, &mut RouteScratch::default(), &mut cands);
+            mech.all_candidates_into(&state, src, &mut cands);
             for c in &cands {
                 prop_assert!(c.vcs.lo < c.vcs.hi);
-                prop_assert!(c.vcs.hi <= mech.num_vcs());
+                prop_assert!(usize::from(c.vcs.hi) <= mech.num_vcs());
                 // Every offered port must be alive.
-                prop_assert!(view.network().neighbor(src, c.port).is_some());
+                prop_assert!(view.network().neighbor(src, c.port.into()).is_some());
                 // Escape candidates only from SurePath mechanisms.
                 if c.kind.is_escape() {
                     prop_assert!(spec.is_surepath());
-                    prop_assert_eq!(c.vcs.lo, mech.escape_vc().unwrap());
+                    prop_assert_eq!(usize::from(c.vcs.lo), mech.escape_vc().unwrap());
                 }
             }
         }
@@ -205,11 +205,11 @@ proptest! {
             let mut hops = 0usize;
             while current != dst {
                 let mut out = Vec::new();
-                algo.candidates(&st, current, &mut out);
+                algo.candidates(&st, current, VcRange::exact(0), &mut out);
                 prop_assert!(!out.is_empty(), "DAL stuck at {} -> {}", current, dst);
                 // Pick pseudo-randomly among candidates to exercise deroutes too.
                 let pick = &out[(seed as usize + hops) % out.len()];
-                let next = view.network().neighbor(current, pick.port).unwrap().switch;
+                let next = view.network().neighbor(current, pick.port.into()).unwrap().switch;
                 algo.update(&mut st, current, next);
                 current = next;
                 hops += 1;
@@ -235,9 +235,9 @@ proptest! {
         let mut state = full.init_packet(src, dst, &mut rng);
         state.in_escape = true;
         let mut full_cands = Vec::new();
-        full.candidates_into(&state, src, &mut RouteScratch::default(), &mut full_cands);
+        full.all_candidates_into(&state, src, &mut full_cands);
         let mut tree_cands = Vec::new();
-        tree.candidates_into(&state, src, &mut RouteScratch::default(), &mut tree_cands);
+        tree.all_candidates_into(&state, src, &mut tree_cands);
         prop_assert!(!tree_cands.is_empty(), "tree escape must always offer a hop");
         for c in &tree_cands {
             prop_assert!(c.kind != CandidateKind::EscapeShortcut);
@@ -247,6 +247,50 @@ proptest! {
             full_cands.iter().filter(|c| c.kind != CandidateKind::EscapeShortcut).count(),
             tree_cands.len()
         );
+    }
+
+    #[test]
+    fn escape_candidates_never_cost_less_than_the_escape_floor(
+        sides in sides_strategy(),
+        faults in 0usize..15,
+        seed in 0u64..500,
+    ) {
+        // The allocator skips a head's escape part while a routing candidate
+        // scores at or below `escape_floor()`; that is exact only if no
+        // escape candidate costs less, under either escape policy.
+        let view = faulty_view(&sides, faults, seed);
+        let n = view.hyperx().num_switches();
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut routing = Vec::new();
+        let mut escape = Vec::new();
+        for spec in MechanismSpec::escape_ablation_lineup() {
+            let mech = spec.build(view.clone(), 4);
+            let floor = mech.escape_floor().expect("SurePath has an escape part");
+            for current in 0..n {
+                for dest in 0..n {
+                    let state = mech.init_packet(current, dest, &mut rng);
+                    routing.clear();
+                    mech.candidates_into(&state, current, &mut routing);
+                    prop_assert!(routing.iter().all(|c| !c.kind.is_escape()));
+                    escape.clear();
+                    mech.escape_into(&state, current, &mut escape);
+                    for c in &escape {
+                        prop_assert!(c.kind.is_escape());
+                        prop_assert!(
+                            c.penalty >= floor,
+                            "{} offered {:?} below its floor {}", spec, c, floor
+                        );
+                    }
+                }
+            }
+        }
+        // Ladder mechanisms have no escape part at all.
+        let ladder = MechanismSpec::Polarized.build(view.clone(), 4);
+        prop_assert_eq!(ladder.escape_floor(), None);
+        let state = ladder.init_packet(0, n - 1, &mut rng);
+        escape.clear();
+        ladder.escape_into(&state, 0, &mut escape);
+        prop_assert!(escape.is_empty());
     }
 
     #[test]
@@ -266,11 +310,11 @@ proptest! {
         let mut state = mech.init_packet(src, dst, &mut rng);
         state.in_escape = true;
         let mut cands = Vec::new();
-        mech.candidates_into(&state, src, &mut RouteScratch::default(), &mut cands);
+        mech.all_candidates_into(&state, src, &mut cands);
         prop_assert!(!cands.is_empty());
         for c in &cands {
             prop_assert!(c.kind.is_escape());
-            let nb = view.network().neighbor(src, c.port).unwrap().switch;
+            let nb = view.network().neighbor(src, c.port.into()).unwrap().switch;
             prop_assert!(escape.updown_distance(nb, dst) < escape.updown_distance(src, dst));
         }
     }

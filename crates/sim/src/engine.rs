@@ -25,9 +25,10 @@
 //! strides (`slot = (switch·num_ports + port)·num_vcs + vc`), each input VC
 //! keeps one consumed-credit count (`in_used`: buffered plus reserved), a
 //! `u32` table maps every output port to its flat downstream input port,
-//! each input VC caches its head's candidate list as 12-byte entries
-//! resolved against that table, and all per-step scratch lives in one
-//! reusable `StepArena`. Each switch keeps two occupancy bitmasks —
+//! each input VC caches its head's candidate list as the 8-byte
+//! [`Candidate`]s the routing algorithm wrote there (the escape part appended
+//! only when it can win), and all per-step scratch lives in one reusable
+//! `StepArena`. Each switch keeps two occupancy bitmasks —
 //! non-empty input VCs (bit `port·num_vcs + vc`) and non-empty staging
 //! buffers (bit `port`) — so the allocation and transmit sweeps visit only
 //! occupied slots, in ascending order. A digest corpus recorded from the
@@ -64,7 +65,7 @@ use crate::rng_contract::{sample_without_replacement, RngContract};
 use crate::server::GenerationMode;
 use crate::traffic::{ServerLayout, TrafficPattern};
 use hyperx_routing::{
-    Candidate, CandidateKind, NetworkView, PacketState, RouteScratch, RoutingMechanism, VcRange,
+    Candidate, CandidateKind, NetworkView, PacketState, RoutingMechanism, VcRange,
 };
 use rand::distributions::Binomial;
 use rand::Rng;
@@ -87,9 +88,11 @@ enum Ev {
 struct Request {
     /// `Q + P` in phits.
     score: u64,
-    /// The packed candidate behind the request; an ejection request holds
-    /// an [`EJECT`] entry for its ejection port.
-    entry: CachedCand,
+    /// The candidate behind the request; an ejection request holds a
+    /// penalty-free candidate for its ejection port.
+    cand: Candidate,
+    /// `down` entry of the candidate's port.
+    down: u32,
     in_port: u16,
     in_vc: u8,
     out_vc: u8,
@@ -99,53 +102,6 @@ struct Request {
 const EJECT: u32 = u32::MAX - 1;
 /// `down` entry of a dead port. Every value below [`EJECT`] is a live link.
 const DEAD: u32 = u32::MAX;
-
-/// A routing candidate packed against the downstream table when its list is
-/// filled: 12 bytes instead of a 32-byte `Candidate`, and scoring reads the
-/// downstream port straight from it.
-#[derive(Debug, Clone, Copy)]
-struct CachedCand {
-    /// Flat downstream input port (`next_switch·num_ports + next_input_port`).
-    down: u32,
-    /// Output port of the current switch.
-    port: u16,
-    /// Penalty in phits.
-    penalty: u16,
-    /// Allowed VCs `vc_lo..vc_hi`, clamped to `num_vcs`.
-    vc_lo: u8,
-    vc_hi: u8,
-    kind: CandidateKind,
-}
-
-const _: () = assert!(std::mem::size_of::<CachedCand>() == 12);
-
-impl CachedCand {
-    fn pack(cand: &Candidate, down: u32, num_vcs: usize) -> Self {
-        debug_assert!(cand.penalty <= u16::MAX as u32, "penalty exceeds u16");
-        CachedCand {
-            down,
-            port: cand.port as u16,
-            penalty: cand.penalty as u16,
-            vc_lo: cand.vcs.lo.min(num_vcs) as u8,
-            vc_hi: cand.vcs.hi.min(num_vcs) as u8,
-            kind: cand.kind,
-        }
-    }
-
-    /// The routing candidate behind the entry (VC range clamped), as
-    /// `note_hop` takes it.
-    fn candidate(&self) -> Candidate {
-        Candidate {
-            port: self.port as usize,
-            vcs: VcRange {
-                lo: self.vc_lo as usize,
-                hi: self.vc_hi as usize,
-            },
-            penalty: self.penalty as u32,
-            kind: self.kind,
-        }
-    }
-}
 
 /// Whether an input VC's cached list belongs to its current head.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -164,47 +120,36 @@ enum CacheState {
 /// a valid list always belongs to the current head.
 #[derive(Debug, Default)]
 struct VcCache {
-    list: Vec<CachedCand>,
+    /// The head's routing part, then (once appended) its escape part.
+    list: Vec<Candidate>,
     state: CacheState,
+    /// The escape floor while the head's escape part is not in `list` yet.
+    escape_pending: Option<u16>,
 }
 
-/// Per-partition candidate-fill state: routing scratch, the unpacked list
-/// `candidates_into` writes, and the stack of list buffers returned by
-/// emptied slots.
-#[derive(Debug, Default)]
-struct FillScratch {
-    route: RouteScratch,
-    cands: Vec<Candidate>,
-    pool: Vec<Vec<CachedCand>>,
-}
+/// Candidate-list buffers returned by emptied slots, one stack per partition.
+type ListPool = Vec<Vec<Candidate>>;
 
-/// Computes the candidate list of a head at `switch` into `cache`, dropping
-/// candidates whose port is not a live link. `down_row` is the switch's
-/// slice of the downstream table. A slot without a buffer (never filled, or
-/// emptied since) takes the most recently returned one from the pool.
+/// Computes the routing part of a head's candidate list at `switch` into
+/// `cache`, leaving its escape part (floor `escape_floor`) pending. A slot
+/// without a buffer (never filled, or emptied since) takes the most
+/// recently returned one from `pool`.
 fn fill_cache(
     cache: &mut VcCache,
-    fill: &mut FillScratch,
+    pool: &mut ListPool,
     mechanism: &dyn RoutingMechanism,
+    escape_floor: Option<u16>,
     state: &PacketState,
     switch: usize,
-    down_row: &[u32],
-    num_vcs: usize,
 ) {
     if cache.list.capacity() == 0 {
-        if let Some(buffer) = fill.pool.pop() {
+        if let Some(buffer) = pool.pop() {
             cache.list = buffer;
         }
     }
     cache.list.clear();
-    fill.cands.clear();
-    mechanism.candidates_into(state, switch, &mut fill.route, &mut fill.cands);
-    for cand in &fill.cands {
-        let down = down_row[cand.port];
-        if down < EJECT {
-            cache.list.push(CachedCand::pack(cand, down, num_vcs));
-        }
-    }
+    mechanism.candidates_into(state, switch, &mut cache.list);
+    cache.escape_pending = escape_floor;
 }
 
 /// A deterministic dirty set of indices (switches, or servers for the
@@ -451,8 +396,8 @@ struct PrefillShared<'a> {
     in_mask: &'a [u64],
     pkt_dst_switch: &'a [u32],
     pkt_state: &'a [PacketState],
-    down: &'a [u32],
     mechanism: &'a dyn RoutingMechanism,
+    escape_floor: Option<u16>,
     cap_in: usize,
     num_ports: usize,
     num_vcs: usize,
@@ -460,13 +405,13 @@ struct PrefillShared<'a> {
 }
 
 /// One partition's mutable view of a parallel candidate prefill: its
-/// slot-range slice of the per-VC caches plus its fill scratch.
+/// slot-range slice of the per-VC caches plus its list-buffer pool.
 struct PrefillTask<'a> {
     slot_base: usize,
     /// This partition's segment of the allocation active list.
     seg: &'a [usize],
     caches: &'a mut [VcCache],
-    fill: &'a mut FillScratch,
+    pool: &'a mut ListPool,
 }
 
 /// The indices of the set bits of `words`, ascending (bit `i` of word `w` is
@@ -490,6 +435,8 @@ pub struct Simulator {
     cfg: SimConfig,
     view: Arc<NetworkView>,
     mechanism: Box<dyn RoutingMechanism>,
+    /// The mechanism's escape floor (see [`RoutingMechanism::escape_floor`]).
+    escape_floor: Option<u16>,
     pattern: Box<dyn TrafficPattern>,
     layout: ServerLayout,
     // --- geometry (cached off cfg/topology; fixed after `new`) ---
@@ -518,7 +465,7 @@ pub struct Simulator {
     /// `port·num_vcs + vc`. Maintained by `in_push`/`in_pop`.
     in_mask: Vec<u64>,
     /// Candidate cache of each slot's head. A slot that empties gives its
-    /// list buffer to its partition's `fills` pool, and the next fill of a
+    /// list buffer to its partition's pool in `pools`, and the next fill of a
     /// slot without a buffer takes the most recently returned one — so the
     /// buffers in use never exceed the peak number of occupied slots, and a
     /// fill usually writes memory that is still in cache.
@@ -601,8 +548,8 @@ pub struct Simulator {
     /// Reusable transmit event buffers of partitions `1..` (partition 0
     /// writes straight into the event wheel).
     part_events: Vec<Vec<Ev>>,
-    /// Per-partition candidate-fill scratch and recycled list buffers.
-    fills: Vec<FillScratch>,
+    /// Per-partition recycled candidate-list buffers.
+    pools: Vec<ListPool>,
 }
 
 impl Simulator {
@@ -674,6 +621,7 @@ impl Simulator {
             rng: ChaCha8Rng::seed_from_u64(cfg.seed),
             cfg,
             view,
+            escape_floor: mechanism.escape_floor(),
             mechanism,
             pattern,
             layout,
@@ -731,7 +679,7 @@ impl Simulator {
             partitions,
             part_bounds,
             part_events: (0..partitions).map(|_| Vec::new()).collect(),
-            fills: (0..partitions).map(|_| FillScratch::default()).collect(),
+            pools: (0..partitions).map(|_| ListPool::new()).collect(),
         }
     }
 
@@ -1360,14 +1308,13 @@ impl Simulator {
                         if (staged as usize) < self.cap_out {
                             out.push(Request {
                                 score: 2 * staged * self.cfg.packet_length,
-                                entry: CachedCand {
-                                    down: EJECT,
+                                cand: Candidate {
                                     port: out_port as u16,
                                     penalty: 0,
-                                    vc_lo: 0,
-                                    vc_hi: 1,
+                                    vcs: VcRange::exact(0),
                                     kind: CandidateKind::Minimal,
                                 },
+                                down: EJECT,
                                 in_port,
                                 in_vc,
                                 out_vc: 0,
@@ -1377,68 +1324,101 @@ impl Simulator {
                     }
                     self.obs.incr(Counter::CandCacheMisses);
                     let pool = self.partition_of(switch);
-                    let down_row = &self.down[first_port..first_port + self.num_ports];
-                    let fill = &mut self.fills[pool];
-                    let cache = &mut self.vc_cache[slot];
                     fill_cache(
-                        cache,
-                        fill,
+                        &mut self.vc_cache[slot],
+                        &mut self.pools[pool],
                         self.mechanism.as_ref(),
+                        self.escape_floor,
                         &self.pkt.state[head],
                         switch,
-                        down_row,
-                        self.num_vcs,
                     );
-                    cache.state = CacheState::Valid;
+                    self.vc_cache[slot].state = CacheState::Valid;
                 }
             }
             // Single request to the best candidate that satisfies flow
-            // control, scored by the paper's rule `Q·packet_length + P`.
-            let mut best: Option<Request> = None;
-            for &entry in &self.vc_cache[slot].list {
-                // Exact pruning: `Q ≥ 0`, and only a strictly lower score
-                // replaces `best`, so this candidate cannot win.
-                if best.is_some_and(|b| entry.penalty as u64 >= b.score) {
-                    continue;
-                }
-                let staged = self.stg_len[first_port + entry.port as usize];
-                if staged as usize >= self.cap_out {
-                    continue;
-                }
-                // Pick the VC of the allowed range with the most free space
-                // (the fewest consumed credits; the first on ties).
-                let dbase = entry.down as usize * self.num_vcs;
-                let used = &self.in_used[dbase..dbase + self.num_vcs];
-                let mut chosen: Option<(u16, usize)> = None; // (used, vc)
-                let range = used.iter().enumerate().take(entry.vc_hi as usize);
-                for (vc, &u) in range.skip(entry.vc_lo as usize) {
-                    if (u as usize) < self.cap_in && chosen.is_none_or(|(least, _)| u < least) {
-                        chosen = Some((u, vc));
-                    }
-                }
-                let Some((vc_used, vc)) = chosen else {
-                    continue;
-                };
-                // `Q`, in packets: staging occupancy plus the consumed
-                // credits of every VC of the downstream port, counting the
-                // chosen VC twice.
-                let port_used: u64 = used.iter().map(|&u| u as u64).sum();
-                let q = staged as u64 + port_used + vc_used as u64;
-                let score = q * self.cfg.packet_length + entry.penalty as u64;
-                if best.is_none_or(|b| score < b.score) {
-                    best = Some(Request {
-                        score,
-                        entry,
-                        in_port,
-                        in_vc,
-                        out_vc: vc as u8,
-                    });
+            // control.
+            let list = &self.vc_cache[slot].list;
+            let mut best = self.best_request(list, first_port, in_port, in_vc, None);
+            // The escape part follows the routing part and costs at least
+            // the floor, and only a strictly lower score replaces `best`:
+            // it can change the request only when no routing candidate
+            // scored at or below the floor, so only then is it built (at
+            // most once per head).
+            if let Some(floor) = self.vc_cache[slot].escape_pending {
+                if best.is_none_or(|b| b.score > u64::from(floor)) {
+                    let head = self.in_front(slot);
+                    let cache = &mut self.vc_cache[slot];
+                    let routing_len = cache.list.len();
+                    self.mechanism
+                        .escape_into(&self.pkt.state[head], switch, &mut cache.list);
+                    cache.escape_pending = None;
+                    let escape = &self.vc_cache[slot].list[routing_len..];
+                    best = self.best_request(escape, first_port, in_port, in_vc, best);
                 }
             }
             if let Some(req) = best {
                 out.push(req);
             }
         }
+    }
+
+    /// Scores `list` by the paper's rule `Q·packet_length + P` and returns
+    /// the better of `best` and the lowest-scoring candidate that satisfies
+    /// flow control; only a strictly lower score replaces `best`.
+    #[inline]
+    fn best_request(
+        &self,
+        list: &[Candidate],
+        first_port: usize,
+        in_port: u16,
+        in_vc: u8,
+        mut best: Option<Request>,
+    ) -> Option<Request> {
+        for &cand in list {
+            // Exact pruning: `Q ≥ 0`, and only a strictly lower score
+            // replaces `best`, so this candidate cannot win.
+            if best.is_some_and(|b| u64::from(cand.penalty) >= b.score) {
+                continue;
+            }
+            let flat = first_port + usize::from(cand.port);
+            let staged = self.stg_len[flat];
+            if staged as usize >= self.cap_out {
+                continue;
+            }
+            let down = self.down[flat];
+            debug_assert!(down < EJECT, "routing algorithms offer only live ports");
+            // Pick the VC of the allowed range with the most free space
+            // (the fewest consumed credits; the first on ties).
+            let dbase = down as usize * self.num_vcs;
+            let used = &self.in_used[dbase..dbase + self.num_vcs];
+            let mut chosen: Option<(u16, usize)> = None; // (used, vc)
+            let range = used.iter().enumerate().take(cand.vcs.hi.into());
+            for (vc, &u) in range.skip(cand.vcs.lo.into()) {
+                if (u as usize) < self.cap_in && chosen.is_none_or(|(least, _)| u < least) {
+                    chosen = Some((u, vc));
+                }
+            }
+            let Some((vc_used, vc)) = chosen else {
+                continue;
+            };
+            // `Q`, in packets: staging occupancy plus the consumed
+            // credits of every VC of the downstream port, counting the
+            // chosen VC twice.
+            let port_used: u64 = used.iter().map(|&u| u as u64).sum();
+            let q = staged as u64 + port_used + vc_used as u64;
+            let score = q * self.cfg.packet_length + u64::from(cand.penalty);
+            if best.is_none_or(|b| score < b.score) {
+                best = Some(Request {
+                    score,
+                    cand,
+                    down,
+                    in_port,
+                    in_vc,
+                    out_vc: vc as u8,
+                });
+            }
+        }
+        best
     }
 
     /// Applies the allocation rule to `requests`: random tie-break, then
@@ -1477,7 +1457,7 @@ impl Simulator {
                 .div_ceil(self.cfg.crossbar_speedup as u64);
         for &(_, _, idx) in &keyed {
             let req = requests[idx];
-            let (in_port, out_port) = (req.in_port as usize, req.entry.port as usize);
+            let (in_port, out_port) = (req.in_port as usize, req.cand.port as usize);
             let flat_out = switch * self.num_ports + out_port;
             if out_grants[out_port] >= speedup || in_grants[in_port] >= speedup {
                 self.obs.incr(Counter::AllocConflicts);
@@ -1490,9 +1470,9 @@ impl Simulator {
                 continue;
             }
             // Re-check (and reserve) the downstream slot for network hops.
-            let network = req.entry.down < EJECT;
+            let network = req.down < EJECT;
             if network {
-                let dslot = req.entry.down as usize * self.num_vcs + req.out_vc as usize;
+                let dslot = req.down as usize * self.num_vcs + req.out_vc as usize;
                 if self.in_free(dslot) == 0 {
                     self.obs.incr(Counter::AllocConflicts);
                     self.trace_block(switch, &req);
@@ -1507,15 +1487,15 @@ impl Simulator {
             let cache = &mut self.vc_cache[slot];
             cache.state = CacheState::Empty;
             if self.in_len[slot] == 0 && cache.list.capacity() > 0 {
-                self.fills[pool].pool.push(std::mem::take(&mut cache.list));
+                self.pools[pool].push(std::mem::take(&mut cache.list));
             }
             if network {
-                let next_switch = req.entry.down as usize / self.num_ports;
+                let next_switch = req.down as usize / self.num_ports;
                 let mut state = self.pkt.state[packet];
                 self.mechanism
-                    .note_hop(&mut state, switch, next_switch, &req.entry.candidate());
+                    .note_hop(&mut state, switch, next_switch, &req.cand);
                 self.pkt.state[packet] = state;
-                if req.entry.kind.is_escape() {
+                if req.cand.kind.is_escape() {
                     self.pkt.escape_hops[packet] += 1;
                     self.obs.incr(Counter::EscapeGrants);
                 }
@@ -1614,8 +1594,9 @@ impl Simulator {
         self.alloc_active.list = active;
     }
 
-    /// Computes the candidate lists of every non-ejection head packet, in
-    /// parallel across switch partitions. Sound because heads cannot change
+    /// Computes the routing part of the candidate list of every
+    /// non-ejection head packet, in parallel across switch partitions (the
+    /// sequential sweep appends escape parts where they can win). Sound because heads cannot change
     /// during allocation (a grant pops only the granting switch's own
     /// inputs; arrivals happened earlier in `process_events`) and candidate
     /// lists are pure functions of `(packet state, switch)` — no RNG, no
@@ -1635,8 +1616,8 @@ impl Simulator {
         let active = &self.alloc_active.list;
         let mut caches_rest: &mut [VcCache] = &mut self.vc_cache;
         let mut seg_from = 0;
-        for (pi, (fill, bounds)) in self
-            .fills
+        for (pi, (pool, bounds)) in self
+            .pools
             .iter_mut()
             .zip(self.part_bounds.windows(2))
             .enumerate()
@@ -1648,7 +1629,7 @@ impl Simulator {
                 slot_base: bounds[0] * slots_per_switch,
                 seg: &active[seg_from..cuts[pi]],
                 caches,
-                fill,
+                pool,
             }));
             seg_from = cuts[pi];
         }
@@ -1658,8 +1639,8 @@ impl Simulator {
             in_mask: &self.in_mask,
             pkt_dst_switch: &self.pkt.dst_switch,
             pkt_state: &self.pkt.state,
-            down: &self.down,
             mechanism: self.mechanism.as_ref(),
+            escape_floor: self.escape_floor,
             cap_in: self.cap_in,
             num_ports: self.num_ports,
             num_vcs: self.num_vcs,
@@ -1864,7 +1845,6 @@ fn run_prefill_task(task: &mut PrefillTask, shared: &PrefillShared) {
     let slots_per_switch = shared.num_ports * shared.num_vcs;
     for &switch in task.seg {
         let words = &shared.in_mask[switch * shared.in_words..(switch + 1) * shared.in_words];
-        let down_row = &shared.down[switch * shared.num_ports..(switch + 1) * shared.num_ports];
         for local in set_bits(words) {
             let slot = switch * slots_per_switch + local;
             let cache = &mut task.caches[slot - task.slot_base];
@@ -1878,12 +1858,11 @@ fn run_prefill_task(task: &mut PrefillTask, shared: &PrefillShared) {
             }
             fill_cache(
                 cache,
-                task.fill,
+                task.pool,
                 shared.mechanism,
+                shared.escape_floor,
                 &shared.pkt_state[head],
                 switch,
-                down_row,
-                shared.num_vcs,
             );
             cache.state = CacheState::Prefilled;
         }

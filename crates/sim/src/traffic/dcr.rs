@@ -21,30 +21,41 @@ pub struct DimensionComplementReverse {
 }
 
 impl DimensionComplementReverse {
+    /// Why the pattern cannot run on a HyperX with these `sides` and
+    /// `concentration` servers per switch, if it cannot:
+    /// * regular sides are required (all dimensions the same side), as in the paper;
+    /// * only 2D and 3D networks are supported;
+    /// * 2D networks require `concentration == side` (the server coordinate
+    ///   acts as the third reversed dimension).
+    pub fn check(sides: &[usize], concentration: usize) -> Result<(), String> {
+        let side = sides[0];
+        if sides.iter().any(|&k| k != side) {
+            return Err(format!(
+                "DCR requires a regular HyperX (all sides equal), got sides {sides:?}"
+            ));
+        }
+        if !(2..=3).contains(&sides.len()) {
+            return Err(format!(
+                "DCR is defined for 2D and 3D HyperX networks, got {} dimension(s)",
+                sides.len()
+            ));
+        }
+        if sides.len() == 2 && concentration != side {
+            return Err(format!(
+                "the 2D DCR variant uses the server offset as a third coordinate, \
+                 so the concentration must equal the side {side}, got {concentration}"
+            ));
+        }
+        Ok(())
+    }
+
     /// Builds the pattern.
     ///
     /// # Panics
-    /// * 2D networks require `concentration == side` (the server coordinate
-    ///   acts as the third reversed dimension).
-    /// * Regular sides are required (all dimensions the same side), as in the paper.
+    /// Panics where [`DimensionComplementReverse::check`] fails.
     pub fn new(layout: ServerLayout) -> Self {
-        let dims = layout.coords().dims();
-        let side = layout.coords().side(0);
-        assert!(
-            layout.coords().sides().iter().all(|&k| k == side),
-            "DCR requires a regular HyperX (all sides equal)"
-        );
-        assert!(
-            dims == 2 || dims == 3,
-            "DCR is defined for 2D and 3D HyperX networks"
-        );
-        if dims == 2 {
-            assert_eq!(
-                layout.concentration(),
-                side,
-                "the 2D DCR variant uses the server offset as a third coordinate, \
-                 so the concentration must equal the side"
-            );
+        if let Err(e) = Self::check(layout.coords().sides(), layout.concentration()) {
+            panic!("{e}");
         }
         DimensionComplementReverse { layout }
     }

@@ -27,17 +27,26 @@ pub struct Transpose {
 }
 
 impl Transpose {
+    /// Why the pattern cannot run on a HyperX with these `sides`, if it
+    /// cannot: unless the HyperX is regular (all sides equal), the reversed
+    /// coordinate vector may be out of range.
+    pub fn check(sides: &[usize]) -> Result<(), String> {
+        if sides.iter().any(|&k| k != sides[0]) {
+            return Err(format!(
+                "Transpose requires a regular HyperX (all sides equal), got sides {sides:?}"
+            ));
+        }
+        Ok(())
+    }
+
     /// Builds the pattern.
     ///
     /// # Panics
-    /// Panics unless the HyperX is regular (all sides equal), otherwise the
-    /// reversed coordinate vector may be out of range.
+    /// Panics where [`Transpose::check`] fails.
     pub fn new(layout: ServerLayout) -> Self {
-        let side = layout.coords().side(0);
-        assert!(
-            layout.coords().sides().iter().all(|&k| k == side),
-            "Transpose requires a regular HyperX (all sides equal)"
-        );
+        if let Err(e) = Self::check(layout.coords().sides()) {
+            panic!("{e}");
+        }
         Transpose { layout }
     }
 }

@@ -29,20 +29,36 @@ pub struct RegularPermutationToNeighbour {
 }
 
 impl RegularPermutationToNeighbour {
+    /// Why the pattern cannot run on a HyperX with these `sides`, if it
+    /// cannot: the construction needs `K₂³` blocks, so a 3D regular HyperX
+    /// with an even side.
+    pub fn check(sides: &[usize]) -> Result<(), String> {
+        if sides.len() != 3 {
+            return Err(format!(
+                "RPN is defined on 3D HyperX networks, got {} dimension(s)",
+                sides.len()
+            ));
+        }
+        if sides.iter().any(|&k| k != sides[0]) {
+            return Err(format!(
+                "RPN requires a regular HyperX, got sides {sides:?}"
+            ));
+        }
+        if !sides[0].is_multiple_of(2) {
+            return Err(format!("RPN requires an even side, got {}", sides[0]));
+        }
+        Ok(())
+    }
+
     /// Builds the pattern.
     ///
     /// # Panics
-    /// Panics unless the network is a 3D regular HyperX with an even side of
-    /// at least 2 (the construction needs `K₂³` blocks).
+    /// Panics where [`RegularPermutationToNeighbour::check`] fails.
     pub fn new(layout: ServerLayout) -> Self {
+        if let Err(e) = Self::check(layout.coords().sides()) {
+            panic!("{e}");
+        }
         let cs = layout.coords();
-        assert_eq!(cs.dims(), 3, "RPN is defined on 3D HyperX networks");
-        let k = cs.side(0);
-        assert!(
-            cs.sides().iter().all(|&s| s == k),
-            "RPN requires a regular HyperX"
-        );
-        assert!(k >= 2 && k.is_multiple_of(2), "RPN requires an even side");
 
         // Position of each vertex in the Hamiltonian cycle.
         let mut position = [0usize; 8];

@@ -158,6 +158,14 @@ impl HyperX {
         Self::port_index(&self.offsets, own, dim, value)
     }
 
+    /// [`HyperX::port_for`] from the switch's own coordinate `own` in `dim`
+    /// instead of its id: the port of dimension `dim` reaching coordinate
+    /// `value` (`value != own`).
+    #[inline]
+    pub fn dim_port(&self, dim: usize, own: usize, value: usize) -> PortId {
+        Self::port_index(&self.offsets, own, dim, value)
+    }
+
     /// The dimension and target coordinate value of port `p` of switch `s`.
     pub fn port_meaning(&self, s: SwitchId, p: PortId) -> PortMeaning {
         let dim = match self.offsets.binary_search(&p) {

@@ -55,8 +55,11 @@ pub struct EscapeCandidate {
 pub struct UpDownEscape {
     root: SwitchId,
     levels: Vec<u16>,
-    /// `classes[s][p]`: class of the live link at port `p` of switch `s`.
-    classes: Vec<Vec<Option<LinkClass>>>,
+    /// `classes[s·stride + p]`: class of the live link at port `p` of
+    /// switch `s`, `None` for a dead port (or one the switch lacks).
+    classes: Vec<Option<LinkClass>>,
+    /// Ports per switch row of `classes` (the network's largest port count).
+    stride: usize,
     /// Flat `n × n` matrix of Up/Down distances.
     updown: Vec<u16>,
     n: usize,
@@ -76,18 +79,16 @@ impl UpDownEscape {
             "the escape subnetwork requires a connected network"
         );
 
-        let mut classes = vec![Vec::new(); n];
-        for s in 0..n {
-            classes[s] = (0..net.ports(s))
-                .map(|p| {
-                    net.neighbor(s, p)
-                        .map(|nb| match levels[nb.switch].cmp(&levels[s]) {
-                            std::cmp::Ordering::Less => LinkClass::Up,
-                            std::cmp::Ordering::Greater => LinkClass::Down,
-                            std::cmp::Ordering::Equal => LinkClass::Horizontal,
-                        })
-                })
-                .collect();
+        let stride = net.max_ports();
+        let mut classes = vec![None; n * stride];
+        for (s, row) in classes.chunks_exact_mut(stride.max(1)).take(n).enumerate() {
+            for (p, nb) in net.neighbors(s) {
+                row[p] = Some(match levels[nb.switch].cmp(&levels[s]) {
+                    std::cmp::Ordering::Less => LinkClass::Up,
+                    std::cmp::Ordering::Greater => LinkClass::Down,
+                    std::cmp::Ordering::Equal => LinkClass::Horizontal,
+                });
+            }
         }
 
         let updown = Self::compute_updown_distances(net, &levels);
@@ -95,6 +96,7 @@ impl UpDownEscape {
             root,
             levels,
             classes,
+            stride,
             updown,
             n,
         }
@@ -159,13 +161,27 @@ impl UpDownEscape {
 
     /// Class of the live link at port `p` of switch `s`, or `None` for dead ports.
     pub fn link_class(&self, s: SwitchId, p: PortId) -> Option<LinkClass> {
-        self.classes[s][p]
+        self.class_row(s)[p]
+    }
+
+    /// The link class of every port of switch `s`, indexed by port (`None`
+    /// for dead ports).
+    #[inline]
+    pub fn class_row(&self, s: SwitchId) -> &[Option<LinkClass>] {
+        &self.classes[s * self.stride..(s + 1) * self.stride]
     }
 
     /// Up/Down distance between two switches.
     #[inline]
     pub fn updown_distance(&self, a: SwitchId, b: SwitchId) -> u16 {
         self.updown[a * self.n + b]
+    }
+
+    /// Up/Down distances from every switch to `dest`, indexed by switch
+    /// (the distances are symmetric, so this is also row `dest`).
+    #[inline]
+    pub fn updown_row(&self, dest: SwitchId) -> &[u16] {
+        &self.updown[dest * self.n..(dest + 1) * self.n]
     }
 
     /// The escape candidates offered at `current` for a packet heading to `dest`:
@@ -182,14 +198,15 @@ impl UpDownEscape {
         // Up/Down distances are symmetric, so row `dest` holds every
         // distance read here. At the destination `here` is 0, so nothing
         // can reduce it.
-        let to_dest = &self.updown[dest * self.n..(dest + 1) * self.n];
+        let to_dest = self.updown_row(dest);
         let here = to_dest[current];
+        let classes = self.class_row(current);
         net.neighbors(current).filter_map(move |(p, nb)| {
             let there = to_dest[nb.switch];
             (there < here).then(|| EscapeCandidate {
                 port: p,
                 neighbor: nb.switch,
-                class: self.classes[current][p].expect("live port has a class"),
+                class: classes[p].expect("live port has a class"),
                 reduction: here - there,
             })
         })
@@ -202,7 +219,7 @@ impl UpDownEscape {
         for s in 0..self.n {
             for (p, nb) in net.neighbors(s) {
                 if s < nb.switch {
-                    match self.classes[s][p].unwrap() {
+                    match self.link_class(s, p).unwrap() {
                         LinkClass::Up | LinkClass::Down => census.updown += 1,
                         LinkClass::Horizontal => census.horizontal += 1,
                     }

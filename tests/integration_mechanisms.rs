@@ -2,7 +2,7 @@
 //! graph across crates (topology + routing) without the full simulator, and
 //! checking the structural claims of Table 4.
 
-use hyperx_routing::{Candidate, MechanismSpec, NetworkView, RouteScratch, RoutingMechanism};
+use hyperx_routing::{Candidate, MechanismSpec, NetworkView, RoutingMechanism};
 use hyperx_topology::{FaultSet, HyperX};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -27,18 +27,26 @@ fn walk(
             return None;
         }
         let mut cands: Vec<Candidate> = Vec::new();
-        mechanism.candidates_into(&state, current, &mut RouteScratch::default(), &mut cands);
+        mechanism.all_candidates_into(&state, current, &mut cands);
         if cands.is_empty() {
             return None;
         }
         let best = cands
             .iter()
             .min_by_key(|c| {
-                let nb = view.network().neighbor(current, c.port).unwrap().switch;
+                let nb = view
+                    .network()
+                    .neighbor(current, c.port.into())
+                    .unwrap()
+                    .switch;
                 (c.penalty, view.distance(nb, dst), c.port)
             })
             .unwrap();
-        let next = view.network().neighbor(current, best.port).unwrap().switch;
+        let next = view
+            .network()
+            .neighbor(current, best.port.into())
+            .unwrap()
+            .switch;
         mechanism.note_hop(&mut state, current, next, best);
         current = next;
         hops += 1;
@@ -165,10 +173,10 @@ fn candidate_vcs_never_exceed_the_mechanism_budget() {
         for src in 0..view.hyperx().num_switches() {
             let state = mech.init_packet(src, (src + 5) % view.hyperx().num_switches(), &mut rng);
             let mut cands = Vec::new();
-            mech.candidates_into(&state, src, &mut RouteScratch::default(), &mut cands);
+            mech.all_candidates_into(&state, src, &mut cands);
             for c in &cands {
                 assert!(
-                    c.vcs.hi <= budget,
+                    usize::from(c.vcs.hi) <= budget,
                     "{spec} offered VC range {:?} beyond its {budget} VCs",
                     c.vcs
                 );
@@ -185,7 +193,7 @@ fn escape_candidates_only_appear_for_surepath() {
         let mech = spec.build_default(view.clone());
         let state = mech.init_packet(0, 15, &mut rng);
         let mut cands = Vec::new();
-        mech.candidates_into(&state, 0, &mut RouteScratch::default(), &mut cands);
+        mech.all_candidates_into(&state, 0, &mut cands);
         let has_escape = cands.iter().any(|c| c.kind.is_escape());
         assert_eq!(
             has_escape,
