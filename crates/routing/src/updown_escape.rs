@@ -9,7 +9,7 @@
 
 use crate::candidate::{Candidate, CandidateKind, VcRange};
 use crate::penalties::{escape_shortcut_penalty, ESCAPE_DOWN, ESCAPE_SHORTCUT_3, ESCAPE_UP};
-use crate::view::{NetworkView, DEAD_PORT};
+use crate::view::NetworkView;
 use hyperx_topology::LinkClass;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -103,25 +103,14 @@ impl EscapeTables {
     }
 
     /// Appends the escape candidates for a packet at `current` heading to
-    /// `dest`: every live port whose far switch strictly reduces the Up/Down
-    /// distance, in port order.
+    /// `dest`: the hops of [`UpDownEscape::escape_candidates`], in port
+    /// order, priced by link class (shortcuts are dropped under
+    /// [`EscapePolicy::TreeOnly`]).
+    ///
+    /// [`UpDownEscape::escape_candidates`]: hyperx_topology::UpDownEscape::escape_candidates
     pub fn candidates(&self, current: usize, dest: usize, out: &mut Vec<Candidate>) {
-        let escape = self.view.escape_required();
-        // Up/Down distances are symmetric, so row `dest` holds every
-        // distance read here. At the destination `here` is 0, so nothing
-        // can reduce it.
-        let to_dest = escape.updown_row(dest);
-        let here = to_dest[current];
-        let classes = escape.class_row(current);
-        for (port, &nb) in self.view.neighbor_row(current).iter().enumerate() {
-            if nb == DEAD_PORT {
-                continue;
-            }
-            let there = to_dest[nb as usize];
-            if there >= here {
-                continue;
-            }
-            let (penalty, kind) = match classes[port].expect("live port has a class") {
+        for c in self.view.escape_required().escape_candidates(current, dest) {
+            let (penalty, kind) = match c.class {
                 LinkClass::Up => (ESCAPE_UP, CandidateKind::EscapeUp),
                 LinkClass::Down => (ESCAPE_DOWN, CandidateKind::EscapeDown),
                 LinkClass::Horizontal => {
@@ -129,13 +118,13 @@ impl EscapeTables {
                         continue;
                     }
                     (
-                        escape_shortcut_penalty(here - there),
+                        escape_shortcut_penalty(c.reduction),
                         CandidateKind::EscapeShortcut,
                     )
                 }
             };
             out.push(Candidate {
-                port: port as u16,
+                port: c.port as u16,
                 penalty,
                 vcs: self.vcs,
                 kind,

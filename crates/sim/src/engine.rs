@@ -123,22 +123,21 @@ struct VcCache {
     /// The head's routing part, then (once appended) its escape part.
     list: Vec<Candidate>,
     state: CacheState,
-    /// The escape floor while the head's escape part is not in `list` yet.
-    escape_pending: Option<u16>,
+    /// Whether the head's escape part is not in `list` yet.
+    escape_pending: bool,
 }
 
 /// Candidate-list buffers returned by emptied slots, one stack per partition.
 type ListPool = Vec<Vec<Candidate>>;
 
 /// Computes the routing part of a head's candidate list at `switch` into
-/// `cache`, leaving its escape part (floor `escape_floor`) pending. A slot
-/// without a buffer (never filled, or emptied since) takes the most
-/// recently returned one from `pool`.
+/// `cache`, leaving its escape part pending. A slot without a buffer (never
+/// filled, or emptied since) takes the most recently returned one from
+/// `pool`.
 fn fill_cache(
     cache: &mut VcCache,
     pool: &mut ListPool,
     mechanism: &dyn RoutingMechanism,
-    escape_floor: Option<u16>,
     state: &PacketState,
     switch: usize,
 ) {
@@ -149,7 +148,7 @@ fn fill_cache(
     }
     cache.list.clear();
     mechanism.candidates_into(state, switch, &mut cache.list);
-    cache.escape_pending = escape_floor;
+    cache.escape_pending = true;
 }
 
 /// A deterministic dirty set of indices (switches, or servers for the
@@ -397,7 +396,6 @@ struct PrefillShared<'a> {
     pkt_dst_switch: &'a [u32],
     pkt_state: &'a [PacketState],
     mechanism: &'a dyn RoutingMechanism,
-    escape_floor: Option<u16>,
     cap_in: usize,
     num_ports: usize,
     num_vcs: usize,
@@ -1328,7 +1326,6 @@ impl Simulator {
                         &mut self.vc_cache[slot],
                         &mut self.pools[pool],
                         self.mechanism.as_ref(),
-                        self.escape_floor,
                         &self.pkt.state[head],
                         switch,
                     );
@@ -1344,17 +1341,19 @@ impl Simulator {
             // it can change the request only when no routing candidate
             // scored at or below the floor, so only then is it built (at
             // most once per head).
-            if let Some(floor) = self.vc_cache[slot].escape_pending {
-                if best.is_none_or(|b| b.score > u64::from(floor)) {
-                    let head = self.in_front(slot);
-                    let cache = &mut self.vc_cache[slot];
-                    let routing_len = cache.list.len();
-                    self.mechanism
-                        .escape_into(&self.pkt.state[head], switch, &mut cache.list);
-                    cache.escape_pending = None;
-                    let escape = &self.vc_cache[slot].list[routing_len..];
-                    best = self.best_request(escape, first_port, in_port, in_vc, best);
-                }
+            if self.vc_cache[slot].escape_pending
+                && self
+                    .escape_floor
+                    .is_some_and(|f| best.is_none_or(|b| b.score > u64::from(f)))
+            {
+                let head = self.in_front(slot);
+                let cache = &mut self.vc_cache[slot];
+                let routing_len = cache.list.len();
+                self.mechanism
+                    .escape_into(&self.pkt.state[head], switch, &mut cache.list);
+                cache.escape_pending = false;
+                let escape = &self.vc_cache[slot].list[routing_len..];
+                best = self.best_request(escape, first_port, in_port, in_vc, best);
             }
             if let Some(req) = best {
                 out.push(req);
@@ -1640,7 +1639,6 @@ impl Simulator {
             pkt_dst_switch: &self.pkt.dst_switch,
             pkt_state: &self.pkt.state,
             mechanism: self.mechanism.as_ref(),
-            escape_floor: self.escape_floor,
             cap_in: self.cap_in,
             num_ports: self.num_ports,
             num_vcs: self.num_vcs,
@@ -1860,7 +1858,6 @@ fn run_prefill_task(task: &mut PrefillTask, shared: &PrefillShared) {
                 cache,
                 task.pool,
                 shared.mechanism,
-                shared.escape_floor,
                 &shared.pkt_state[head],
                 switch,
             );

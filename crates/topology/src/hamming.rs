@@ -150,19 +150,21 @@ impl HyperX {
     /// # Panics
     /// Panics if `value` equals the switch's own coordinate in `dim`.
     pub fn port_for(&self, s: SwitchId, dim: usize, value: usize) -> PortId {
-        let own = self.coords.coord(s, dim);
-        assert!(
-            own != value,
-            "switch {s} already has coordinate {value} in dimension {dim}"
-        );
-        Self::port_index(&self.offsets, own, dim, value)
+        self.dim_port(dim, self.coords.coord(s, dim), value)
     }
 
     /// [`HyperX::port_for`] from the switch's own coordinate `own` in `dim`
     /// instead of its id: the port of dimension `dim` reaching coordinate
-    /// `value` (`value != own`).
+    /// `value`.
+    ///
+    /// # Panics
+    /// Panics if `value == own`.
     #[inline]
     pub fn dim_port(&self, dim: usize, own: usize, value: usize) -> PortId {
+        assert!(
+            own != value,
+            "the switch already has coordinate {value} in dimension {dim}"
+        );
         Self::port_index(&self.offsets, own, dim, value)
     }
 

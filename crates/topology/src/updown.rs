@@ -43,7 +43,8 @@ pub struct EscapeCandidate {
     pub reduction: u16,
 }
 
-/// The escape subnetwork: levels, link classes and all-pairs Up/Down distances.
+/// The escape subnetwork: levels, each port's far switch and link class, and
+/// all-pairs Up/Down distances.
 ///
 /// Rebuild the structure (with [`UpDownEscape::new`]) whenever the set of
 /// alive links changes. The construction is one BFS from the root (levels
@@ -55,10 +56,10 @@ pub struct EscapeCandidate {
 pub struct UpDownEscape {
     root: SwitchId,
     levels: Vec<u16>,
-    /// `classes[s·stride + p]`: class of the live link at port `p` of
-    /// switch `s`, `None` for a dead port (or one the switch lacks).
-    classes: Vec<Option<LinkClass>>,
-    /// Ports per switch row of `classes` (the network's largest port count).
+    /// `links[s·stride + p]`: the switch behind port `p` of switch `s` and
+    /// the link's class, `None` for a dead port (or one the switch lacks).
+    links: Vec<Option<(u32, LinkClass)>>,
+    /// Ports per switch row of `links` (the network's largest port count).
     stride: usize,
     /// Flat `n × n` matrix of Up/Down distances.
     updown: Vec<u16>,
@@ -79,15 +80,20 @@ impl UpDownEscape {
             "the escape subnetwork requires a connected network"
         );
 
+        assert!(
+            u32::try_from(n).is_ok(),
+            "{n} switches do not fit a 32-bit id"
+        );
         let stride = net.max_ports();
-        let mut classes = vec![None; n * stride];
-        for (s, row) in classes.chunks_exact_mut(stride.max(1)).take(n).enumerate() {
+        let mut links = vec![None; n * stride];
+        for (s, row) in links.chunks_exact_mut(stride.max(1)).take(n).enumerate() {
             for (p, nb) in net.neighbors(s) {
-                row[p] = Some(match levels[nb.switch].cmp(&levels[s]) {
+                let class = match levels[nb.switch].cmp(&levels[s]) {
                     std::cmp::Ordering::Less => LinkClass::Up,
                     std::cmp::Ordering::Greater => LinkClass::Down,
                     std::cmp::Ordering::Equal => LinkClass::Horizontal,
-                });
+                };
+                row[p] = Some((nb.switch as u32, class));
             }
         }
 
@@ -95,7 +101,7 @@ impl UpDownEscape {
         UpDownEscape {
             root,
             levels,
-            classes,
+            links,
             stride,
             updown,
             n,
@@ -161,14 +167,7 @@ impl UpDownEscape {
 
     /// Class of the live link at port `p` of switch `s`, or `None` for dead ports.
     pub fn link_class(&self, s: SwitchId, p: PortId) -> Option<LinkClass> {
-        self.class_row(s)[p]
-    }
-
-    /// The link class of every port of switch `s`, indexed by port (`None`
-    /// for dead ports).
-    #[inline]
-    pub fn class_row(&self, s: SwitchId) -> &[Option<LinkClass>] {
-        &self.classes[s * self.stride..(s + 1) * self.stride]
+        self.links[s * self.stride + p].map(|(_, class)| class)
     }
 
     /// Up/Down distance between two switches.
@@ -177,36 +176,30 @@ impl UpDownEscape {
         self.updown[a * self.n + b]
     }
 
-    /// Up/Down distances from every switch to `dest`, indexed by switch
-    /// (the distances are symmetric, so this is also row `dest`).
-    #[inline]
-    pub fn updown_row(&self, dest: SwitchId) -> &[u16] {
-        &self.updown[dest * self.n..(dest + 1) * self.n]
-    }
-
     /// The escape candidates offered at `current` for a packet heading to `dest`:
     /// every live port whose far endpoint strictly reduces the Up/Down distance,
     /// in port order. Lazy, so the simulator's hot path never allocates here.
     ///
     /// Yields nothing only when `current == dest`.
-    pub fn escape_candidates<'a>(
-        &'a self,
-        net: &'a Network,
+    #[inline]
+    pub fn escape_candidates(
+        &self,
         current: SwitchId,
         dest: SwitchId,
-    ) -> impl Iterator<Item = EscapeCandidate> + 'a {
+    ) -> impl Iterator<Item = EscapeCandidate> + '_ {
         // Up/Down distances are symmetric, so row `dest` holds every
         // distance read here. At the destination `here` is 0, so nothing
         // can reduce it.
-        let to_dest = self.updown_row(dest);
+        let to_dest = &self.updown[dest * self.n..(dest + 1) * self.n];
         let here = to_dest[current];
-        let classes = self.class_row(current);
-        net.neighbors(current).filter_map(move |(p, nb)| {
-            let there = to_dest[nb.switch];
+        let row = &self.links[current * self.stride..(current + 1) * self.stride];
+        row.iter().enumerate().filter_map(move |(port, link)| {
+            let (neighbor, class) = (*link)?;
+            let there = to_dest[neighbor as usize];
             (there < here).then(|| EscapeCandidate {
-                port: p,
-                neighbor: nb.switch,
-                class: classes[p].expect("live port has a class"),
+                port,
+                neighbor: neighbor as SwitchId,
+                class,
                 reduction: here - there,
             })
         })
@@ -281,7 +274,7 @@ mod tests {
         let s01 = hx.switch_id(&[0, 1]);
         let s03 = hx.switch_id(&[0, 3]);
         assert_eq!(esc.updown_distance(s01, s03), 2);
-        let cands: Vec<_> = esc.escape_candidates(hx.network(), s01, s03).collect();
+        let cands: Vec<_> = esc.escape_candidates(s01, s03).collect();
         let direct_port = hx.network().port_towards(s01, s03).unwrap();
         let direct = cands.iter().find(|c| c.port == direct_port).unwrap();
         assert_eq!(direct.class, LinkClass::Horizontal);
@@ -327,7 +320,7 @@ mod tests {
         let esc = UpDownEscape::new(hx.network(), 5);
         for cur in 0..hx.num_switches() {
             for dest in 0..hx.num_switches() {
-                let cands: Vec<_> = esc.escape_candidates(hx.network(), cur, dest).collect();
+                let cands: Vec<_> = esc.escape_candidates(cur, dest).collect();
                 if cur == dest {
                     assert!(cands.is_empty());
                 } else {
@@ -362,7 +355,7 @@ mod tests {
         for cur in 0..hx.num_switches() {
             for dest in 0..hx.num_switches() {
                 if cur != dest {
-                    assert!(esc.escape_candidates(&net, cur, dest).next().is_some());
+                    assert!(esc.escape_candidates(cur, dest).next().is_some());
                 }
             }
         }
@@ -388,7 +381,7 @@ mod tests {
         // (0,1) -> (0,3): the direct link is horizontal and reduces by 2.
         let a = hx.switch_id(&[0, 1]);
         let b = hx.switch_id(&[0, 3]);
-        let cands: Vec<_> = esc.escape_candidates(hx.network(), a, b).collect();
+        let cands: Vec<_> = esc.escape_candidates(a, b).collect();
         let direct = cands
             .iter()
             .find(|c| c.neighbor == b)

@@ -241,7 +241,7 @@ proptest! {
         let esc = UpDownEscape::new(&net, 0);
         for cur in 0..hx.num_switches() {
             for dest in 0..hx.num_switches() {
-                let cands: Vec<_> = esc.escape_candidates(&net, cur, dest).collect();
+                let cands: Vec<_> = esc.escape_candidates(cur, dest).collect();
                 if cur == dest {
                     prop_assert!(cands.is_empty());
                 } else {

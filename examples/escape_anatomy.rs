@@ -34,7 +34,7 @@ fn describe(hx: &HyperX, net: &Network, esc: &UpDownEscape, title: &str) {
         "  Up/Down distance from (0,1) to (0,3): {}",
         esc.updown_distance(a, b)
     );
-    for c in esc.escape_candidates(net, a, b) {
+    for c in esc.escape_candidates(a, b) {
         let class = match c.class {
             LinkClass::Up => "Up",
             LinkClass::Down => "Down",
