@@ -167,7 +167,7 @@ impl UpDownEscape {
 
     /// Class of the live link at port `p` of switch `s`, or `None` for dead ports.
     pub fn link_class(&self, s: SwitchId, p: PortId) -> Option<LinkClass> {
-        self.links[s * self.stride + p].map(|(_, class)| class)
+        self.links[s * self.stride..(s + 1) * self.stride][p].map(|(_, class)| class)
     }
 
     /// Up/Down distance between two switches.
