@@ -2,11 +2,11 @@
 //!
 //! Runs a **pinned micro-campaign matrix** (mechanism × offered load ×
 //! topology size) through the cycle-level engine and reports cycles/sec,
-//! packets/sec and the p99 latency per cell, plus three paired matrices:
-//! RNG contract v1 against v2, the engine with and without the packet
-//! tracer, and 1/2/4 intra-simulation partitions. Paired runs share a seed,
-//! and the tracer and partition pairs must produce byte-identical metrics,
-//! so every bench run re-checks those two contracts under timing.
+//! packets/sec and the p99 latency per cell, plus two paired matrices:
+//! RNG contract v1 against v2, and the engine with and without the packet
+//! tracer. Paired runs share a seed, and the tracer pairs must produce
+//! byte-identical metrics, so every bench run re-checks the
+//! zero-perturbation contract under timing.
 //!
 //! The report serializes to `BENCH_ENGINE.json` in a stable schema
 //! ([`BENCH_SCHEMA`]) so successive PRs accumulate a perf trajectory:
@@ -36,8 +36,10 @@ use surepath_core::{Experiment, FaultScenario, RootPlacement, SimConfig, Traffic
 /// matrices were timed against: a main cell carries one `timing`, an RNG
 /// cell its `v1` and `v2` timings, and the summary loses the layout
 /// speedups and identity flags (the engine's digest corpus in `hyperx-sim`
-/// pins what those identity flags checked).
-pub const BENCH_SCHEMA: &str = "surepath-bench-engine/v6";
+/// pins what those identity flags checked). v7 drops the `partition_cells`
+/// matrix and the `partition_*` summary fields with intra-simulation
+/// partitioning itself: the engine steps every run sequentially.
+pub const BENCH_SCHEMA: &str = "surepath-bench-engine/v7";
 
 /// Loads at or below this value count as "low load" in the summary (the
 /// regime active-set scheduling targets: most of the network is idle).
@@ -52,16 +54,6 @@ pub struct BenchCell {
     pub sides: Vec<usize>,
     /// Offered load in phits/cycle/server.
     pub load: f64,
-}
-
-/// One cell of the partition-scaling matrix: a [`BenchCell`] pinned to an
-/// intra-simulation partition count.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PartitionBenchCell {
-    /// The rate-mode point.
-    pub cell: BenchCell,
-    /// `SimConfig::partitions` of the run.
-    pub partitions: usize,
 }
 
 /// The pinned matrix plus the simulation windows of a bench run.
@@ -83,10 +75,6 @@ pub struct BenchMatrix {
     /// engine's counters (always on) against the same run with the packet
     /// tracer attached. Pinned like `cells`.
     pub obs_cells: Vec<BenchCell>,
-    /// The partition-scaling cells: one rate-mode point on the largest
-    /// pinned topology, timed at 1, 2 and 4 intra-simulation partitions.
-    /// Every partition count must byte-match the P=1 metrics.
-    pub partition_cells: Vec<PartitionBenchCell>,
 }
 
 impl BenchMatrix {
@@ -132,25 +120,6 @@ impl BenchMatrix {
         // headline — also the mechanism with the most counter traffic) and
         // spans the size x load grid, like the RNG cells.
         let obs_cells = rng_cells.clone();
-        // The partition sweep pins one point — the largest topology at a
-        // mid load, so the parallel phases have real work — and exists to
-        // track the scaling trajectory and the byte-identity gate, not to
-        // re-sweep the grid.
-        let largest = sizes
-            .iter()
-            .max_by_key(|sides| sides.iter().product::<usize>() * sides[0])
-            .expect("pinned matrix has sizes");
-        let partition_cells = [1usize, 2, 4]
-            .iter()
-            .map(|&partitions| PartitionBenchCell {
-                cell: BenchCell {
-                    mechanism: MechanismSpec::PolSP,
-                    sides: largest.to_vec(),
-                    load: 0.3,
-                },
-                partitions,
-            })
-            .collect();
         BenchMatrix {
             mode: if quick { "quick" } else { "full" },
             warmup_cycles: warmup,
@@ -158,13 +127,11 @@ impl BenchMatrix {
             cells,
             rng_cells,
             obs_cells,
-            partition_cells,
         }
     }
 
     /// The side lengths of the largest topology in the matrix (by server
-    /// count): the cell the RNG-contract and partition-scaling acceptance
-    /// gates key on.
+    /// count): the cells the RNG-contract acceptance gate keys on.
     pub fn largest_sides(&self) -> Vec<usize> {
         self.cells
             .iter()
@@ -270,32 +237,6 @@ pub struct ObsCellResult {
     pub metrics_identical: bool,
 }
 
-/// One completed partition-scaling cell: the engine over the same
-/// rate-mode point at a fixed partition count. The engine's determinism
-/// contract makes the metrics byte-identical for every partition count, so
-/// each cell is also a gate: `metrics_identical` compares against the P=1
-/// run of the same sweep.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct PartitionCellResult {
-    /// Mechanism display name.
-    pub mechanism: String,
-    /// HyperX sides.
-    pub sides: Vec<usize>,
-    /// Offered load.
-    pub load: f64,
-    /// Simulated cycles per run (warmup + measurement).
-    pub cycles: u64,
-    /// Intra-simulation partition count of this run.
-    pub partitions: usize,
-    /// Engine timing at this partition count.
-    pub timing: EngineTiming,
-    /// `timing.cycles_per_sec` over the P=1 cell's — the scaling win
-    /// (1.0 for the P=1 cell itself).
-    pub speedup_vs_p1: f64,
-    /// Whether this run's metrics byte-match the P=1 run (they must).
-    pub metrics_identical: bool,
-}
-
 /// Aggregates of a bench run.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct BenchSummary {
@@ -330,17 +271,6 @@ pub struct BenchSummary {
     /// Whether every observability cell's plain and traced runs agreed byte
     /// for byte.
     pub all_obs_metrics_identical: bool,
-    /// Partition-scaling cells in the matrix.
-    pub partition_cells: usize,
-    /// Partition-scaling cells that ran to completion.
-    pub partition_completed: usize,
-    /// `speedup_vs_p1` of the P=4 cell (0.0 when it did not run). The
-    /// scaling acceptance gate — ≥ 2× — applies only when
-    /// `available_parallelism` ≥ 4; on smaller hosts the number documents
-    /// the (expected ~1×) single-core behaviour.
-    pub partition_speedup_p4: f64,
-    /// Whether every partition count's metrics byte-matched the P=1 run.
-    pub all_partition_metrics_identical: bool,
 }
 
 /// The full JSON report of a bench run.
@@ -356,8 +286,8 @@ pub struct BenchReport {
     pub measure_cycles: u64,
     /// Timed repetitions per run of a cell (best is reported).
     pub repeat: usize,
-    /// `std::thread::available_parallelism()` of the host — the context the
-    /// partition-scaling numbers (and their gate) must be read in.
+    /// `std::thread::available_parallelism()` of the host — context for
+    /// reading the timings (every run is single-threaded).
     pub available_parallelism: usize,
     /// Per-cell results, matrix order.
     pub cells: Vec<CellResult>,
@@ -365,8 +295,6 @@ pub struct BenchReport {
     pub rng_cells: Vec<RngCellResult>,
     /// Per-cell observability-overhead results, matrix order.
     pub obs_cells: Vec<ObsCellResult>,
-    /// Per-cell partition-scaling results, matrix order.
-    pub partition_cells: Vec<PartitionCellResult>,
     /// Aggregates.
     pub summary: BenchSummary,
 }
@@ -469,8 +397,8 @@ fn sides_key(sides: &[usize]) -> String {
         .join("x")
 }
 
-/// Runs the whole matrix — the main cells, the RNG-contract cells, the
-/// observability pairs, then the partition-scaling sweep — calling
+/// Runs the whole matrix — the main cells, the RNG-contract cells, then
+/// the observability pairs — calling
 /// `progress(done, total, line)` after each completed cell with a one-line
 /// summary of it.
 pub fn run_engine_bench(
@@ -478,10 +406,7 @@ pub fn run_engine_bench(
     repeat: usize,
     mut progress: impl FnMut(usize, usize, &str),
 ) -> BenchReport {
-    let total = matrix.cells.len()
-        + matrix.rng_cells.len()
-        + matrix.obs_cells.len()
-        + matrix.partition_cells.len();
+    let total = matrix.cells.len() + matrix.rng_cells.len() + matrix.obs_cells.len();
     let mut done = 0;
     let mut cells = Vec::with_capacity(matrix.cells.len());
     for cell in &matrix.cells {
@@ -610,64 +535,6 @@ pub fn run_engine_bench(
         );
         obs_cells.push(result);
     }
-    let mut partition_cells = Vec::with_capacity(matrix.partition_cells.len());
-    // The P=1 run anchors both comparisons: every other partition count's
-    // speedup and byte-identity are judged against it.
-    let mut p1: Option<(EngineTiming, String)> = None;
-    for pcell in &matrix.partition_cells {
-        let baseline = p1.clone();
-        let outcome = std::panic::catch_unwind(|| {
-            let mut experiment = cell_experiment(
-                &pcell.cell,
-                matrix.warmup_cycles,
-                matrix.measure_cycles,
-                RngContract::V2Counting,
-            );
-            experiment.sim.partitions = pcell.partitions;
-            // Partition dispatch overhead is per cycle; a best-of-3 floor
-            // keeps the quick-mode scaling ratios meaningful.
-            let run = time_engine(&experiment, pcell.cell.load, false, repeat.max(3));
-            let (speedup_vs_p1, metrics_identical) = match &baseline {
-                Some((p1_timing, p1_json)) => (
-                    run.timing.cycles_per_sec / p1_timing.cycles_per_sec.max(1e-9),
-                    run.metrics_json == *p1_json,
-                ),
-                // The first (P=1) cell is its own reference.
-                None => (1.0, true),
-            };
-            (
-                PartitionCellResult {
-                    mechanism: pcell.cell.mechanism.name().to_string(),
-                    sides: pcell.cell.sides.clone(),
-                    load: pcell.cell.load,
-                    cycles: run.cycles,
-                    partitions: pcell.partitions,
-                    timing: run.timing,
-                    speedup_vs_p1,
-                    metrics_identical,
-                },
-                run.metrics_json,
-            )
-        });
-        let Ok((result, json)) = outcome else {
-            continue;
-        };
-        if p1.is_none() {
-            p1 = Some((result.timing.clone(), json));
-        }
-        done += 1;
-        progress(
-            done,
-            total,
-            &progress_line(
-                &format!("{} [P={}]", result.mechanism, result.partitions),
-                &result.sides,
-                result.load,
-                &format!("{:.2}x", result.speedup_vs_p1),
-            ),
-        );
-        partition_cells.push(result);
-    }
     let geomean = |values: &[f64]| -> f64 {
         if values.is_empty() {
             return 0.0;
@@ -703,13 +570,6 @@ pub fn run_engine_bench(
                 .collect::<Vec<_>>(),
         ),
         all_obs_metrics_identical: obs_cells.iter().all(|c| c.metrics_identical),
-        partition_cells: matrix.partition_cells.len(),
-        partition_completed: partition_cells.len(),
-        partition_speedup_p4: partition_cells
-            .iter()
-            .find(|c| c.partitions == 4)
-            .map_or(0.0, |c| c.speedup_vs_p1),
-        all_partition_metrics_identical: partition_cells.iter().all(|c| c.metrics_identical),
     };
     BenchReport {
         schema: BENCH_SCHEMA.to_string(),
@@ -721,7 +581,6 @@ pub fn run_engine_bench(
         cells,
         rng_cells,
         obs_cells,
-        partition_cells,
         summary,
     }
 }
@@ -827,47 +686,6 @@ pub fn format_bench_report(report: &BenchReport) -> String {
             );
         }
     }
-    if !report.partition_cells.is_empty() {
-        let part_header = [
-            "mechanism",
-            "sides",
-            "load",
-            "P",
-            "Mcyc/s",
-            "vs P=1",
-            "identical",
-        ];
-        let part_rows: Vec<ReportRow> = report
-            .partition_cells
-            .iter()
-            .map(|c| ReportRow {
-                label: c.mechanism.clone(),
-                values: vec![
-                    sides_key(&c.sides),
-                    format!("{:.2}", c.load),
-                    c.partitions.to_string(),
-                    format!("{:.3}", c.timing.cycles_per_sec / 1e6),
-                    format!("{:.2}x", c.speedup_vs_p1),
-                    if c.metrics_identical { "yes" } else { "NO" }.to_string(),
-                ],
-            })
-            .collect();
-        out.push_str("\nPartition scaling cells (largest pinned topology):\n");
-        out.push_str(&format_table(&part_header, &part_rows));
-        out.push_str(&format!(
-            "partition P=4 speedup {:.2}x over {} cells ({} hardware threads; \
-             the >=2x gate applies at >=4)\n",
-            report.summary.partition_speedup_p4,
-            report.summary.partition_completed,
-            report.available_parallelism,
-        ));
-        if !report.summary.all_partition_metrics_identical {
-            out.push_str(
-                "WARNING: partitioned metrics diverged from P=1 — \
-                 the partition-invariance contract is broken\n",
-            );
-        }
-    }
     out
 }
 
@@ -906,35 +724,17 @@ mod tests {
             "every obs cell has a main-matrix baseline cell"
         );
         assert_eq!(quick.largest_sides(), vec![8, 8]);
-        // The partition sweep pins P = 1, 2, 4 on the largest topology.
-        assert_eq!(
-            quick
-                .partition_cells
-                .iter()
-                .map(|c| c.partitions)
-                .collect::<Vec<_>>(),
-            vec![1, 2, 4]
-        );
-        assert!(quick
-            .partition_cells
-            .iter()
-            .all(|c| c.cell.sides == quick.largest_sides()));
         let full = BenchMatrix::pinned(false);
         assert_eq!(full.mode, "full");
         assert!(full.measure_cycles > quick.measure_cycles);
         assert_eq!(full.largest_sides(), vec![16, 16]);
-        assert!(full
-            .partition_cells
-            .iter()
-            .all(|c| c.cell.sides == vec![16, 16]));
     }
 
     #[test]
     fn tiny_bench_run_reports_identical_metrics_and_parses_back() {
-        // A minimal matrix — one cell per sub-matrix (two for partitions):
-        // the report must round-trip through its JSON schema, the traced
-        // run must byte-match the plain one, and every partition count
-        // must byte-match P=1.
+        // A minimal matrix — one cell per sub-matrix: the report must
+        // round-trip through its JSON schema, and the traced run must
+        // byte-match the plain one.
         let cell = BenchCell {
             mechanism: MechanismSpec::PolSP,
             sides: vec![4, 4],
@@ -946,29 +746,18 @@ mod tests {
             measure_cycles: 200,
             cells: vec![cell.clone()],
             rng_cells: vec![cell.clone()],
-            obs_cells: vec![cell.clone()],
-            partition_cells: vec![
-                PartitionBenchCell {
-                    cell: cell.clone(),
-                    partitions: 1,
-                },
-                PartitionBenchCell {
-                    cell,
-                    partitions: 2,
-                },
-            ],
+            obs_cells: vec![cell],
         };
         let mut lines = Vec::new();
         let report = run_engine_bench(&matrix, 1, |done, total, line| {
-            assert_eq!(total, 5);
+            assert_eq!(total, 3);
             assert_eq!(done, lines.len() + 1);
             lines.push(line.to_string());
         });
-        assert_eq!(lines.len(), 5);
+        assert_eq!(lines.len(), 3);
         assert!(lines[0].starts_with("PolSP 4x4 load 0.10: "), "{lines:?}");
         assert!(lines[1].contains("[rng v1→v2]"), "{lines:?}");
         assert!(lines[2].contains("[obs trace]"), "{lines:?}");
-        assert!(lines[4].contains("[P=2]"), "{lines:?}");
         assert_eq!(report.schema, BENCH_SCHEMA);
         assert!(report.available_parallelism >= 1);
         assert_eq!(report.summary.cells, 1);
@@ -996,22 +785,11 @@ mod tests {
         assert!(report.obs_cells[0].traced_vs_plain > 0.0);
         assert!(report.summary.obs_plain_vs_baseline > 0.0);
         assert!(report.summary.obs_traced_vs_plain > 0.0);
-        // The partition sweep: P=2 byte-matches P=1 (the invariance gate),
-        // and the P=4 summary slot reports 0 because P=4 did not run here.
-        assert_eq!(report.summary.partition_cells, 2);
-        assert_eq!(report.summary.partition_completed, 2);
-        assert!(report.summary.all_partition_metrics_identical);
-        assert!(report
-            .partition_cells
-            .iter()
-            .all(|c| c.metrics_identical && c.timing.cycles_per_sec > 0.0));
-        assert_eq!(report.summary.partition_speedup_p4, 0.0);
         let json = serde_json::to_string_pretty(&report).unwrap();
         let parsed: BenchReport = serde_json::from_str(&json).unwrap();
         assert_eq!(parsed.cells.len(), 1);
         assert_eq!(parsed.rng_cells.len(), 1);
         assert_eq!(parsed.obs_cells.len(), 1);
-        assert_eq!(parsed.partition_cells.len(), 2);
         assert_eq!(parsed.summary.completed, 1);
         let table = format_bench_report(&report);
         assert!(table.contains("PolSP"), "{table}");
@@ -1020,8 +798,6 @@ mod tests {
         assert!(table.contains("rng geomean speedup"), "{table}");
         assert!(table.contains("Observability overhead cells"), "{table}");
         assert!(table.contains("traced vs plain"), "{table}");
-        assert!(table.contains("Partition scaling cells"), "{table}");
-        assert!(table.contains("hardware threads"), "{table}");
     }
 
     #[test]
@@ -1046,7 +822,6 @@ mod tests {
             ],
             rng_cells: vec![],
             obs_cells: vec![],
-            partition_cells: vec![],
         };
         let report = run_engine_bench(&matrix, 1, |_, _, _| {});
         assert_eq!(report.summary.cells, 2);

@@ -69,7 +69,7 @@ impl Default for CliConfig {
 /// The usage string of the `campaign` subcommand.
 pub const CAMPAIGN_USAGE: &str = "usage: surepath campaign <spec.toml|spec.json> [options]
        surepath campaign <spec> --serve <addr> | --spawn-local <n> [options]
-       surepath campaign --worker <addr> [--threads N] [--partitions N]
+       surepath campaign --worker <addr> [--threads N]
                          [--reconnect-retries N] [--backoff-ms N] [--quiet]
        surepath campaign --report <store.jsonl>... [--merge <out.jsonl>] [--csv <out.csv>]
                          [--plots <dir> [--gnuplot]] [--timings]
@@ -86,9 +86,9 @@ pub const CAMPAIGN_USAGE: &str = "usage: surepath campaign <spec.toml|spec.json>
   Run options:
   --store PATH         result store (default: <spec>.results.jsonl)
   --threads N          worker threads (default: all cores)
-  --partitions N       intra-simulation engine partitions per job (default:
-                       the spec's `partitions`, else 1); run tuning only —
-                       results are byte-identical for every value
+  --partitions N       deprecated and ignored: the engine steps each job
+                       sequentially (prints a warning, as does the spec's
+                       `partitions` key)
   --quiet              suppress per-job progress on stderr
   --dry-run            expand and validate the grid, run nothing
   --trace              also record packet lifecycles (inject/grant/hop/
@@ -356,10 +356,6 @@ pub struct CampaignCliConfig {
     pub store: Option<String>,
     /// Worker threads (`None` = all cores).
     pub threads: Option<usize>,
-    /// Intra-simulation engine partitions per job (`--partitions`; `None` =
-    /// the spec's `partitions` field, else 1). Run tuning only — the store
-    /// bytes are identical for every value.
-    pub partitions: Option<usize>,
     /// Suppress per-job progress output.
     pub quiet: bool,
     /// Validate and expand only; run nothing.
@@ -391,10 +387,6 @@ pub enum CampaignCommand {
         /// split the machine's cores across the workers). Only meaningful
         /// with `spawn_local` — the coordinator itself executes nothing.
         threads: Option<usize>,
-        /// Engine partitions per job on each spawned worker
-        /// (`--partitions`). Run tuning only; forwarded to the forked
-        /// worker processes.
-        partitions: Option<usize>,
         /// Lease duration in seconds before a job is re-offered.
         lease_secs: u64,
         /// Static fingerprint-prefix shard count (`None` = default).
@@ -413,9 +405,6 @@ pub enum CampaignCommand {
         addr: String,
         /// Executor threads on this worker (`None` = all cores).
         threads: Option<usize>,
-        /// Intra-simulation engine partitions per job (`None` = 1). Run
-        /// tuning only — result bytes are identical for every value.
-        partitions: Option<usize>,
         /// Consecutive failed reconnect attempts before giving up
         /// (`--reconnect-retries`; `None` = the policy default).
         reconnect_retries: Option<usize>,
@@ -486,7 +475,6 @@ pub fn parse_campaign_args(args: &[String]) -> Result<CampaignCommand, String> {
     let mut positionals: Vec<String> = Vec::new();
     let mut store = None;
     let mut threads = None;
-    let mut partitions = None;
     let mut quiet = false;
     let mut dry_run = false;
     let mut report = false;
@@ -524,7 +512,10 @@ pub fn parse_campaign_args(args: &[String]) -> Result<CampaignCommand, String> {
         match arg.as_str() {
             "--store" => store = Some(value("--store")?),
             "--threads" => threads = Some(positive("--threads", value("--threads")?)?),
-            "--partitions" => partitions = Some(positive("--partitions", value("--partitions")?)?),
+            "--partitions" => {
+                positive("--partitions", value("--partitions")?)?;
+                warn_partitions_ignored();
+            }
             "--quiet" => quiet = true,
             "--dry-run" => dry_run = true,
             "--report" => report = true,
@@ -587,15 +578,14 @@ pub fn parse_campaign_args(args: &[String]) -> Result<CampaignCommand, String> {
             || !positionals.is_empty()
         {
             return Err(
-                "--worker only combines with --threads, --partitions, --reconnect-retries, \
-                 --backoff-ms and --quiet"
+                "--worker only combines with --threads, --reconnect-retries, --backoff-ms \
+                 and --quiet"
                     .to_string(),
             );
         }
         return Ok(CampaignCommand::Worker {
             addr,
             threads,
-            partitions,
             reconnect_retries,
             backoff_ms,
             quiet,
@@ -623,10 +613,10 @@ pub fn parse_campaign_args(args: &[String]) -> Result<CampaignCommand, String> {
                     .to_string(),
             );
         }
-        if (threads.is_some() || partitions.is_some()) && spawn_local.is_none() {
+        if threads.is_some() && spawn_local.is_none() {
             return Err(
-                "--threads/--partitions belong to workers; the coordinator executes nothing \
-                 (use them with --worker or --spawn-local)"
+                "--threads belongs to workers; the coordinator executes nothing \
+                 (use it with --worker or --spawn-local)"
                     .to_string(),
             );
         }
@@ -644,7 +634,6 @@ pub fn parse_campaign_args(args: &[String]) -> Result<CampaignCommand, String> {
             addr,
             spawn_local,
             threads,
-            partitions,
             lease_secs: lease_secs.unwrap_or(60),
             shards,
             chunk,
@@ -659,7 +648,6 @@ pub fn parse_campaign_args(args: &[String]) -> Result<CampaignCommand, String> {
         if report
             || store.is_some()
             || threads.is_some()
-            || partitions.is_some()
             || dry_run
             || quiet
             || timings
@@ -689,8 +677,7 @@ pub fn parse_campaign_args(args: &[String]) -> Result<CampaignCommand, String> {
         return Err("--campaign only applies to --diff".to_string());
     }
     if report {
-        if store.is_some() || threads.is_some() || partitions.is_some() || dry_run || quiet || trace
-        {
+        if store.is_some() || threads.is_some() || dry_run || quiet || trace {
             return Err(
                 "--report only combines with --merge, --csv, --plots, --gnuplot, --timings \
                  and --counters"
@@ -728,14 +715,7 @@ pub fn parse_campaign_args(args: &[String]) -> Result<CampaignCommand, String> {
         return Err("--plots only applies to --report".to_string());
     }
     if let Some(output) = merge {
-        if store.is_some()
-            || threads.is_some()
-            || partitions.is_some()
-            || dry_run
-            || csv.is_some()
-            || quiet
-            || trace
-        {
+        if store.is_some() || threads.is_some() || dry_run || csv.is_some() || quiet || trace {
             return Err("--merge (without --report) only takes input stores".to_string());
         }
         if positionals.is_empty() {
@@ -763,11 +743,22 @@ pub fn parse_campaign_args(args: &[String]) -> Result<CampaignCommand, String> {
             .ok_or_else(|| format!("missing spec file\n{CAMPAIGN_USAGE}"))?,
         store,
         threads,
-        partitions,
         quiet,
         dry_run,
         trace,
     }))
+}
+
+/// Warns, once per process, that the `partitions` spec key and the
+/// `--partitions` flag are ignored.
+fn warn_partitions_ignored() {
+    static WARNED: std::sync::Once = std::sync::Once::new();
+    WARNED.call_once(|| {
+        eprintln!(
+            "warning: `partitions` / `--partitions` is deprecated and ignored: the engine \
+             steps each job sequentially, and results are unchanged"
+        );
+    });
 }
 
 /// Whether a path names a store *sidecar* (timings/manifest/trace) rather
@@ -841,7 +832,6 @@ pub fn run_campaign_command(cmd: &CampaignCommand) -> Result<CommandOutput, Stri
             addr,
             spawn_local,
             threads,
-            partitions,
             lease_secs,
             shards,
             chunk,
@@ -853,7 +843,6 @@ pub fn run_campaign_command(cmd: &CampaignCommand) -> Result<CommandOutput, Stri
             addr,
             *spawn_local,
             *threads,
-            *partitions,
             *lease_secs,
             *shards,
             *chunk,
@@ -864,7 +853,6 @@ pub fn run_campaign_command(cmd: &CampaignCommand) -> Result<CommandOutput, Stri
         CampaignCommand::Worker {
             addr,
             threads,
-            partitions,
             reconnect_retries,
             backoff_ms,
             quiet,
@@ -875,13 +863,12 @@ pub fn run_campaign_command(cmd: &CampaignCommand) -> Result<CommandOutput, Stri
                 reconnect_retries.unwrap_or(defaults.retries),
                 backoff_ms.unwrap_or(defaults.initial_backoff.as_millis() as u64),
             );
-            // Partitions and the view cache tune execution only: the result
-            // bytes a worker folds into the coordinator's store are
-            // byte-identical for every setting.
+            // The view cache tunes execution only: the result bytes a worker
+            // folds into the coordinator's store are identical either way.
             let views = surepath_core::ViewCache::new();
             let tuning = surepath_core::RunTuning {
-                partitions: partitions.unwrap_or(1),
                 views: Some(&views),
+                ..surepath_core::RunTuning::default()
             };
             let outcome = surepath_dist::run_worker(
                 addr,
@@ -1102,6 +1089,15 @@ fn default_worker_id() -> String {
     format!("{host}:{}", std::process::id())
 }
 
+/// Loads a campaign spec, warning if it sets the ignored `partitions` key.
+fn load_spec(path: &str) -> Result<surepath_runner::CampaignSpec, String> {
+    let spec = surepath_runner::load_spec_file(std::path::Path::new(path))?;
+    if spec.partitions.is_some() {
+        warn_partitions_ignored();
+    }
+    Ok(spec)
+}
+
 /// The `--serve` / `--spawn-local` path: validate + expand the spec, bind,
 /// optionally fork local worker processes, then coordinate until the grid
 /// is drained and the store is finalized.
@@ -1112,21 +1108,19 @@ fn run_serve(
     addr: &str,
     spawn_local: Option<usize>,
     worker_threads: Option<usize>,
-    worker_partitions: Option<usize>,
     lease_secs: u64,
     shards: Option<usize>,
     chunk: Option<usize>,
     metrics_addr: Option<&str>,
     quiet: bool,
 ) -> Result<String, String> {
-    let spec = surepath_runner::load_spec_file(std::path::Path::new(spec_path))?;
+    let spec = load_spec(spec_path)?;
     surepath_core::validate_campaign(&spec)?;
     let jobs = spec.expand()?;
     let store_path = CampaignCliConfig {
         spec_path: spec_path.to_string(),
         store: store.map(str::to_string),
         threads: None,
-        partitions: None,
         quiet,
         dry_run: false,
         trace: false,
@@ -1167,22 +1161,13 @@ fn run_serve(
         // every one of them.
         let threads_each =
             worker_threads.unwrap_or_else(|| (surepath_runner::default_threads() / n).max(1));
-        // Workers inherit the engine partition count from --partitions or
-        // the spec's `partitions` field (run tuning: the folded store is
-        // byte-identical either way).
-        let partitions_each = worker_partitions.or(spec.partitions);
         for _ in 0..n {
-            let mut command = std::process::Command::new(&exe);
-            command
+            let child = std::process::Command::new(&exe)
                 .arg("campaign")
                 .arg("--worker")
                 .arg(local_addr.to_string())
                 .arg("--threads")
-                .arg(threads_each.to_string());
-            if let Some(partitions) = partitions_each {
-                command.arg("--partitions").arg(partitions.to_string());
-            }
-            let child = command
+                .arg(threads_each.to_string())
                 .arg("--quiet")
                 .spawn()
                 .map_err(|e| format!("cannot spawn local worker: {e}"))?;
@@ -1235,7 +1220,7 @@ fn run_serve(
 /// Runs the `campaign` subcommand, returning the summary to print and the
 /// exit code ([`EXIT_DEADLINE`] when the global deadline cut the run short).
 pub fn run_campaign_cli(cfg: &CampaignCliConfig) -> Result<CommandOutput, String> {
-    let spec = surepath_runner::load_spec_file(std::path::Path::new(&cfg.spec_path))?;
+    let spec = load_spec(&cfg.spec_path)?;
     if cfg.dry_run {
         // The run path below validates on its own; only the dry run needs
         // the expansion here (for the counts).
@@ -1261,12 +1246,6 @@ pub fn run_campaign_cli(cfg: &CampaignCliConfig) -> Result<CommandOutput, String
         )));
     }
     let store_path = cfg.store_path();
-    // --partitions overrides the spec's run-tuning field; either way the
-    // store bytes are independent of the value.
-    let mut spec = spec;
-    if cfg.partitions.is_some() {
-        spec.partitions = cfg.partitions;
-    }
     let outcome = if cfg.trace {
         surepath_core::run_campaign_traced(&spec, &store_path, cfg.threads, cfg.quiet)
     } else {
@@ -1682,7 +1661,6 @@ mod tests {
                 addr: "0.0.0.0:7777".into(),
                 spawn_local: None,
                 threads: None,
-                partitions: None,
                 lease_secs: 60,
                 shards: None,
                 chunk: None,
@@ -1711,7 +1689,6 @@ mod tests {
                 addr: "127.0.0.1:0".into(),
                 spawn_local: Some(3),
                 threads: None,
-                partitions: None,
                 lease_secs: 5,
                 shards: Some(4),
                 chunk: Some(2),
@@ -1724,7 +1701,6 @@ mod tests {
             CampaignCommand::Worker {
                 addr: "host:7777".into(),
                 threads: Some(2),
-                partitions: None,
                 reconnect_retries: None,
                 backoff_ms: None,
                 quiet: false,
@@ -1744,7 +1720,6 @@ mod tests {
             CampaignCommand::Worker {
                 addr: "host:7777".into(),
                 threads: None,
-                partitions: None,
                 reconnect_retries: Some(3),
                 backoff_ms: Some(250),
                 quiet: false,
@@ -1887,7 +1862,6 @@ mod tests {
         let output = run_campaign_command(&CampaignCommand::Worker {
             addr,
             threads: Some(2),
-            partitions: Some(2),
             reconnect_retries: None,
             backoff_ms: None,
             quiet: true,
@@ -1970,7 +1944,6 @@ mod tests {
                 spec_path: spec_path.to_string_lossy().into_owned(),
                 store: Some(store.to_string_lossy().into_owned()),
                 threads: Some(2),
-                partitions: None,
                 quiet: true,
                 dry_run: false,
                 trace: false,
@@ -2016,7 +1989,6 @@ mod tests {
             spec_path: spec_path.to_string_lossy().into_owned(),
             store: None,
             threads: None,
-            partitions: None,
             quiet: true,
             dry_run: true,
             trace: false,
@@ -2068,7 +2040,6 @@ mod tests {
                 spec_path: spec_path.to_string_lossy().into_owned(),
                 store: Some(shard.to_string_lossy().into_owned()),
                 threads: Some(2),
-                partitions: None,
                 quiet: true,
                 dry_run: false,
                 trace: false,
@@ -2191,7 +2162,6 @@ mod tests {
             spec_path: spec_path.to_string_lossy().into_owned(),
             store: Some(store_path.to_string_lossy().into_owned()),
             threads: Some(2),
-            partitions: None,
             quiet: true,
             dry_run: false,
             trace: false,
@@ -2302,7 +2272,6 @@ mod tests {
                 spec_path: spec_path.to_string_lossy().into_owned(),
                 store: Some(store.to_string_lossy().into_owned()),
                 threads: Some(1),
-                partitions: None,
                 quiet: true,
                 dry_run: false,
                 trace,

@@ -27,8 +27,8 @@
 //! surepath campaign grid.toml --spawn-local 4           # single-machine fan-out
 //! ```
 //!
-//! Engine perf harness (pinned cells timed, traced and partitioned pairs
-//! byte-checked; writes `BENCH_ENGINE.json`):
+//! Engine perf harness (pinned cells timed, traced pairs byte-checked;
+//! writes `BENCH_ENGINE.json`):
 //!
 //! ```text
 //! surepath bench --quick

@@ -1,7 +1,7 @@
-//! Experiments whose traffic pattern the topology cannot carry, and
-//! `--batch 0`, are refused up front: a single run exits 2 with a message
-//! instead of panicking, and a campaign exits 2 naming the job before any
-//! job runs.
+//! Experiments whose traffic pattern the topology cannot carry, switches
+//! too wide for the engine, and `--batch 0` are refused up front: a single
+//! run exits 2 with a message instead of panicking, and a campaign exits 2
+//! naming the job before any job runs.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -58,6 +58,25 @@ fn single_runs_exit_2_with_a_message() {
             &["--sides", "4x4", "--batch", "0"][..],
             "--batch must be at least 1 packet per server",
         ),
+        (
+            &[
+                "--sides",
+                "4x4",
+                "--concentration",
+                "70000",
+                "--mechanism",
+                "minimal",
+                "--vcs",
+                "4",
+                "--load",
+                "0.1",
+                "--warmup",
+                "1",
+                "--measure",
+                "1",
+            ][..],
+            "a switch with 70006 ports (radix plus concentration) does not fit",
+        ),
     ] {
         let output = surepath(args);
         assert_eq!(
@@ -108,5 +127,40 @@ sides = [4, 4]
         err.contains("RPN is defined on 3D HyperX networks"),
         "{err}"
     );
+    assert!(!store.exists(), "no job ran, so no store was written");
+}
+
+#[test]
+fn campaigns_reject_switches_too_wide_for_the_engine() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let spec = dir.join("too_wide.toml");
+    let store = dir.join("too_wide.results.jsonl");
+    let _ = std::fs::remove_file(&store);
+    std::fs::write(
+        &spec,
+        r#"name = "too-wide"
+mechanisms = ["minimal"]
+loads = [0.1]
+vcs = 4
+warmup = 1
+measure = 1
+
+[[topologies]]
+sides = [4, 4]
+concentration = 70000
+"#,
+    )
+    .unwrap();
+    let output = surepath(&[
+        "campaign",
+        spec.to_str().unwrap(),
+        "--quiet",
+        "--store",
+        store.to_str().unwrap(),
+    ]);
+    let err = stderr(&output);
+    assert_eq!(output.status.code(), Some(2), "{err}");
+    assert!(err.contains("campaign `too-wide` job #0"), "{err}");
+    assert!(err.contains("16-bit port index"), "{err}");
     assert!(!store.exists(), "no job ran, so no store was written");
 }

@@ -173,11 +173,7 @@ fn run_job_inner(
     tracer: Option<PacketTracer>,
     tuning: &RunTuning<'_>,
 ) -> Result<(Value, Option<PacketTracer>), String> {
-    let mut experiment = job_experiment(job)?;
-    // Partitions are run tuning, never part of the job: the engine's
-    // byte-identity contract makes the result bytes independent of the
-    // value, so it stays out of fingerprints and stores.
-    experiment.sim.partitions = tuning.partitions.max(1);
+    let experiment = job_experiment(job)?;
     let view = match tuning.views {
         Some(cache) => cache.get_or_build(view_cache_key(job), || experiment.build_view()),
         None => experiment.build_view(),
@@ -228,15 +224,16 @@ pub fn run_job(job: &JobSpec) -> Result<Value, String> {
 /// these enter fingerprints or stores.
 #[derive(Default)]
 pub struct RunTuning<'a> {
-    /// Intra-simulation partition count ([`SimConfig::partitions`]);
-    /// `0` and `1` both mean sequential.
+    /// Deprecated and ignored: the engine always steps sequentially. The
+    /// field stays only for code that still sets it, and goes once nothing
+    /// does.
     pub partitions: usize,
     /// Shared view cache; `None` builds each job's view from scratch.
     pub views: Option<&'a ViewCache>,
 }
 
-/// [`run_job`] with explicit execution tuning (partition count, shared view
-/// cache). Results are byte-identical to [`run_job`] for every tuning.
+/// [`run_job`] with explicit execution tuning (a shared view cache).
+/// Results are byte-identical to [`run_job`] for every tuning.
 pub fn run_job_tuned(job: &JobSpec, tuning: &RunTuning<'_>) -> Result<Value, String> {
     run_job_inner(job, None, tuning)
         .map(|(value, _)| value)
@@ -334,13 +331,10 @@ pub fn run_campaign(
 ) -> std::io::Result<CampaignOutcome> {
     validate_campaign(spec)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
-    // One view cache and one partition count for the whole campaign:
-    // `spec.partitions` is run tuning (see `CampaignSpec`), so the store
-    // bytes are identical whatever value it holds.
     let views = ViewCache::new();
     let tuning = RunTuning {
-        partitions: spec.partitions.unwrap_or(1),
         views: Some(&views),
+        ..RunTuning::default()
     };
     surepath_runner::run_campaign(spec, store_path, threads, quiet, |job| {
         run_job_tuned(job, &tuning)
@@ -363,8 +357,8 @@ pub fn run_campaign_traced(
     let log = Mutex::new(TraceLog::open(&trace_path(store_path))?);
     let views = ViewCache::new();
     let tuning = RunTuning {
-        partitions: spec.partitions.unwrap_or(1),
         views: Some(&views),
+        ..RunTuning::default()
     };
     surepath_runner::run_campaign(spec, store_path, threads, quiet, |job| {
         let (value, records) = run_job_traced_tuned(job, PacketTracer::DEFAULT_CAPACITY, &tuning)?;
@@ -553,28 +547,27 @@ mod tests {
     #[test]
     fn tuned_runs_are_byte_identical_and_share_views() {
         // The tuning knobs change how a job runs, never what it computes:
-        // every partition count over a shared view cache must reproduce the
-        // untuned bytes exactly. This is the store-level face of the
-        // engine's partition-invariance contract.
+        // runs over a shared view cache must reproduce the untuned bytes
+        // exactly, the second time through as well.
         let plain = run_job(&tiny_job()).unwrap();
         let plain_batch = run_job(&tiny_batch_job()).unwrap();
         let views = ViewCache::new();
-        for partitions in [1, 2, 4] {
-            let tuning = RunTuning {
-                partitions,
-                views: Some(&views),
-            };
+        let tuning = RunTuning {
+            views: Some(&views),
+            ..RunTuning::default()
+        };
+        for round in 0..2 {
             let tuned = run_job_tuned(&tiny_job(), &tuning).unwrap();
             assert_eq!(
                 serde_json::to_string(&plain).unwrap(),
                 serde_json::to_string(&tuned).unwrap(),
-                "rate job at {partitions} partitions"
+                "rate job, round {round}"
             );
             let tuned_batch = run_job_tuned(&tiny_batch_job(), &tuning).unwrap();
             assert_eq!(
                 serde_json::to_string(&plain_batch).unwrap(),
                 serde_json::to_string(&tuned_batch).unwrap(),
-                "batch job at {partitions} partitions"
+                "batch job, round {round}"
             );
         }
         // Both jobs share sides/scenario/root, so one view served all runs.
@@ -692,6 +685,21 @@ mod tests {
         assert!(err.contains("campaign `reject` job #0"), "{err}");
         let last = small_rate_spec(|s| s.roots = Some(vec!["switch:15".into()]));
         assert!(validate_campaign(&last).is_ok());
+    }
+
+    #[test]
+    fn validation_rejects_switches_too_wide_for_the_engine() {
+        // A 4x4 switch has radix 6, so 65529 servers fill the 16-bit port
+        // index exactly and one more overflows it.
+        let spec = small_rate_spec(|s| s.topologies[0].concentration = Some(65_530));
+        let err = validate_campaign(&spec).unwrap_err();
+        assert!(
+            err.contains("a switch with 65536 ports (radix plus concentration) does not fit"),
+            "{err}"
+        );
+        assert!(err.contains("campaign `reject` job #0"), "{err}");
+        let widest = small_rate_spec(|s| s.topologies[0].concentration = Some(65_529));
+        assert!(validate_campaign(&widest).is_ok());
     }
 
     #[test]

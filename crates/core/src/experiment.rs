@@ -325,8 +325,10 @@ impl Experiment {
     /// Rejects what would otherwise panic when the experiment is built:
     /// more random link faults than the topology has links, an escape root
     /// outside it, no servers per switch, a VC count outside 1..=255
-    /// (2..=255 for the SurePath mechanisms, which reserve an escape VC), or
-    /// a traffic pattern the topology cannot carry ([`TrafficSpec::check`]).
+    /// (2..=255 for the SurePath mechanisms, which reserve an escape VC),
+    /// switches too wide for the engine ([`Simulator::check_widths`]: radix
+    /// plus concentration must fit a `u16`), or a traffic pattern the
+    /// topology cannot carry ([`TrafficSpec::check`]).
     pub fn validate(&self) -> Result<(), String> {
         let switches: usize = self.sides.iter().product();
         if let FaultScenario::Random { count, .. } = self.scenario {
@@ -354,6 +356,12 @@ impl Experiment {
                 self.num_vcs
             ));
         }
+        let radix: usize = self.sides.iter().map(|&k| k.saturating_sub(1)).sum();
+        Simulator::check_widths(
+            switches,
+            radix.saturating_add(self.concentration),
+            self.num_vcs,
+        )?;
         self.traffic.check(&self.sides, self.concentration)
     }
 

@@ -94,11 +94,10 @@ pub struct CampaignSpec {
     /// `SUREPATH_DEADLINE_SECS` environment variable overrides this field.
     /// Not a grid dimension — it never enters [`JobSpec`]s or fingerprints.
     pub deadline_secs: Option<u64>,
-    /// Intra-simulation partition count of the engine (`SimConfig::
-    /// partitions`): how many contiguous switch ranges each simulation steps
-    /// in parallel. Run tuning only — results are byte-identical for every
-    /// value, so it never enters [`JobSpec`]s or fingerprints, and stores
-    /// written at different partition counts compare equal byte for byte.
+    /// Deprecated and ignored: the engine no longer steps a simulation in
+    /// partitions. Old specs that set it still parse (`0` is still
+    /// rejected), and the `surepath` CLI warns about it. It never enters
+    /// [`JobSpec`]s or fingerprints.
     pub partitions: Option<usize>,
 }
 
@@ -717,8 +716,8 @@ mod tests {
         let err = s.validate().unwrap_err();
         assert!(err.contains("`partitions` must be at least 1"), "{err}");
 
-        // Partitions are run tuning: the expanded jobs (and therefore the
-        // fingerprints and store bytes) are identical for every value.
+        // The ignored key never reaches the expanded jobs, so fingerprints
+        // and store bytes are identical for every value.
         let mut p1 = quick_spec();
         p1.partitions = Some(1);
         let mut p4 = quick_spec();

@@ -1,7 +1,6 @@
 //! Simulation configuration (Table 2 of the paper).
 
 use crate::rng_contract::RngContract;
-use serde::{Deserialize, Error, Serialize, Value};
 
 /// Parameters of the cycle-level simulation.
 ///
@@ -43,99 +42,10 @@ pub struct SimConfig {
     /// counting sampler); pin [`RngContract::V1PerServer`] to reproduce
     /// fixtures and stores produced before the contract was versioned.
     pub rng_contract: RngContract,
-    /// Switch partitions the engine steps in parallel inside each cycle
-    /// (1 = fully sequential; clamped to the switch count). **Run tuning
-    /// only**: results are byte-identical for every value, so it never
-    /// enters job fingerprints or stores.
+    /// Deprecated and ignored: the engine always steps sequentially. The
+    /// field stays only for code that still sets it, and goes once nothing
+    /// does.
     pub partitions: usize,
-}
-
-// Manual serde impls: `partitions` must round-trip while keeping legacy
-// payloads byte-stable in both directions — a config with `partitions == 1`
-// serializes without the field (so v4-era fixtures don't change), and a
-// payload without the field (or without `rng_contract`) deserializes to the
-// behaviour it actually ran under (sequential, contract v1). The vendored
-// derive can't express either default, hence the hand-rolled impls; keep the
-// field order identical to the declaration above.
-impl Serialize for SimConfig {
-    fn serialize(&self) -> Value {
-        let mut entries = vec![
-            ("packet_length".to_string(), self.packet_length.serialize()),
-            (
-                "input_buffer_packets".to_string(),
-                self.input_buffer_packets.serialize(),
-            ),
-            (
-                "output_buffer_packets".to_string(),
-                self.output_buffer_packets.serialize(),
-            ),
-            (
-                "source_queue_packets".to_string(),
-                self.source_queue_packets.serialize(),
-            ),
-            ("link_latency".to_string(), self.link_latency.serialize()),
-            (
-                "crossbar_latency".to_string(),
-                self.crossbar_latency.serialize(),
-            ),
-            (
-                "crossbar_speedup".to_string(),
-                self.crossbar_speedup.serialize(),
-            ),
-            (
-                "servers_per_switch".to_string(),
-                self.servers_per_switch.serialize(),
-            ),
-            ("num_vcs".to_string(), self.num_vcs.serialize()),
-            ("warmup_cycles".to_string(), self.warmup_cycles.serialize()),
-            (
-                "measure_cycles".to_string(),
-                self.measure_cycles.serialize(),
-            ),
-            ("seed".to_string(), self.seed.serialize()),
-            (
-                "watchdog_cycles".to_string(),
-                self.watchdog_cycles.serialize(),
-            ),
-            ("rng_contract".to_string(), self.rng_contract.serialize()),
-        ];
-        if self.partitions != 1 {
-            entries.push(("partitions".to_string(), self.partitions.serialize()));
-        }
-        Value::Object(entries)
-    }
-}
-
-impl Deserialize for SimConfig {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        let Value::Object(entries) = value else {
-            return Err(Error::type_mismatch("object", value));
-        };
-        let optional = |name: &'static str| entries.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-        Ok(SimConfig {
-            packet_length: serde::de_field(value, "packet_length")?,
-            input_buffer_packets: serde::de_field(value, "input_buffer_packets")?,
-            output_buffer_packets: serde::de_field(value, "output_buffer_packets")?,
-            source_queue_packets: serde::de_field(value, "source_queue_packets")?,
-            link_latency: serde::de_field(value, "link_latency")?,
-            crossbar_latency: serde::de_field(value, "crossbar_latency")?,
-            crossbar_speedup: serde::de_field(value, "crossbar_speedup")?,
-            servers_per_switch: serde::de_field(value, "servers_per_switch")?,
-            num_vcs: serde::de_field(value, "num_vcs")?,
-            warmup_cycles: serde::de_field(value, "warmup_cycles")?,
-            measure_cycles: serde::de_field(value, "measure_cycles")?,
-            seed: serde::de_field(value, "seed")?,
-            watchdog_cycles: serde::de_field(value, "watchdog_cycles")?,
-            rng_contract: match optional("rng_contract") {
-                Some(v) => RngContract::deserialize(v)?,
-                None => RngContract::V1PerServer,
-            },
-            partitions: match optional("partitions") {
-                Some(v) => usize::deserialize(v)?,
-                None => 1,
-            },
-        })
-    }
 }
 
 impl SimConfig {
@@ -198,7 +108,6 @@ impl SimConfig {
         assert!(self.servers_per_switch > 0, "switches need servers");
         assert!(self.num_vcs > 0, "at least one VC is required");
         assert!(self.watchdog_cycles > 0, "the watchdog must be armed");
-        assert!(self.partitions > 0, "at least one switch partition");
     }
 }
 
@@ -237,79 +146,9 @@ mod tests {
     }
 
     #[test]
-    fn rng_contract_defaults_v2_new_v1_for_legacy_payloads() {
+    fn rng_contract_defaults_to_v2() {
         assert_eq!(SimConfig::default().rng_contract, RngContract::V2Counting);
-        // A config serialized before the contract was versioned carries no
-        // `rng_contract` field and must deserialize as v1 — the contract it
-        // actually ran under.
-        let serde::Value::Object(entries) = SimConfig::default().serialize() else {
-            panic!("SimConfig must serialize as an object");
-        };
-        let legacy: Vec<_> = entries
-            .into_iter()
-            .filter(|(k, _)| k != "rng_contract")
-            .collect();
-        let parsed = SimConfig::deserialize(&serde::Value::Object(legacy)).unwrap();
-        assert_eq!(parsed.rng_contract, RngContract::V1PerServer);
-    }
-
-    #[test]
-    fn partitions_default_1_omitted_when_1_and_round_trips_otherwise() {
-        // Legacy payloads (no `partitions` field) parse as sequential.
-        let serde::Value::Object(entries) = SimConfig::default().serialize() else {
-            panic!("SimConfig must serialize as an object");
-        };
-        assert!(
-            entries.iter().all(|(k, _)| k != "partitions"),
-            "partitions == 1 must not be serialized (legacy byte stability)"
-        );
-        let parsed = SimConfig::deserialize(&serde::Value::Object(entries)).unwrap();
-        assert_eq!(parsed.partitions, 1);
-        // Non-default values round-trip.
-        let cfg = SimConfig {
-            partitions: 4,
-            ..SimConfig::default()
-        };
-        let parsed = SimConfig::deserialize(&cfg.serialize()).unwrap();
-        assert_eq!(parsed, cfg);
-    }
-
-    #[test]
-    fn serialization_field_order_is_stable() {
-        // Stores hash serialized configs; the field order is part of the
-        // byte contract.
-        let serde::Value::Object(entries) = SimConfig::default().serialize() else {
-            panic!("SimConfig must serialize as an object");
-        };
-        let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(
-            keys,
-            [
-                "packet_length",
-                "input_buffer_packets",
-                "output_buffer_packets",
-                "source_queue_packets",
-                "link_latency",
-                "crossbar_latency",
-                "crossbar_speedup",
-                "servers_per_switch",
-                "num_vcs",
-                "warmup_cycles",
-                "measure_cycles",
-                "seed",
-                "watchdog_cycles",
-                "rng_contract",
-            ]
-        );
-    }
-
-    #[test]
-    #[should_panic]
-    #[allow(clippy::field_reassign_with_default)]
-    fn zero_partitions_rejected() {
-        let mut c = SimConfig::default();
-        c.partitions = 0;
-        c.validate();
+        assert_eq!(SimConfig::quick(8, 4).rng_contract, RngContract::V2Counting);
     }
 
     #[test]

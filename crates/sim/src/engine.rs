@@ -1,5 +1,4 @@
-//! The cycle-level simulation engine (v5: data-oriented storage with
-//! deterministic intra-simulation parallelism).
+//! The cycle-level simulation engine.
 //!
 //! The simulator is packet-granular with phit-accurate timing:
 //!
@@ -16,7 +15,7 @@
 //!   and releasing it when the packet arrives, which is what a credit-based
 //!   VCT implementation guarantees.
 //!
-//! # Layout (v5)
+//! # Layout
 //!
 //! Engine state is struct-of-arrays instead of per-switch structs:
 //! packets live in a `PacketArena` (parallel field arrays plus a free list,
@@ -36,31 +35,12 @@
 //! (the `corpus` tests, `tests/fixtures/engine_corpus.txt`), pins RNG draw
 //! order, metrics bytes, counters and traces.
 //!
-//! # Parallelism
-//!
-//! With `SimConfig::partitions = P > 1` the engine splits switches into `P`
-//! contiguous ranges and steps the two data-parallel phase parts on a
-//! persistent [`WorkerPool`] with a cycle barrier:
-//!
-//! * **allocation** prefills the per-VC candidate caches in parallel
-//!   (candidate lists are pure functions of `(packet state, switch)`, and
-//!   heads cannot change during allocation), then runs the score + grant
-//!   sweep sequentially — RNG tie-break draws stay in ascending switch
-//!   order;
-//! * **transmission** runs fully parallel with per-partition event buffers;
-//!   every transmitted packet arrives at the same future cycle, so appending
-//!   the buffers in ascending partition order reproduces the sequential
-//!   event-wheel order exactly.
-//!
-//! Everything else (event processing, generation/injection, grants) is
-//! sequential, so RNG draw order, metrics bytes, counters and store bytes
-//! are byte-identical for every `P` — enforced by the `partition_invariance`
-//! tests here, the integration suite, and `surepath bench`.
+//! Every phase runs sequentially on the calling thread. Campaigns get their
+//! parallelism from running whole jobs side by side.
 
 use crate::config::SimConfig;
 use crate::metrics::{BatchMetrics, MeasuredCounters, RateMetrics, ThroughputSample};
 use crate::obs::{Counter, CounterRegistry, PacketTracer, TraceEvent, TraceEventKind};
-use crate::pool::WorkerPool;
 use crate::rng_contract::{sample_without_replacement, RngContract};
 use crate::server::GenerationMode;
 use crate::traffic::{ServerLayout, TrafficPattern};
@@ -71,7 +51,7 @@ use rand::distributions::Binomial;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// A timed event travelling between switches or towards a server. Compact:
 /// packets are arena indices, the input VC is a precomputed flat slot.
@@ -103,52 +83,17 @@ const EJECT: u32 = u32::MAX - 1;
 /// `down` entry of a dead port. Every value below [`EJECT`] is a live link.
 const DEAD: u32 = u32::MAX;
 
-/// Whether an input VC's cached list belongs to its current head.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-enum CacheState {
-    /// No list: never filled, or the head was popped since.
-    #[default]
-    Empty,
-    /// The list of the current head.
-    Valid,
-    /// Filled by this cycle's parallel prefill; the sequential sweep counts
-    /// it as the miss a sequential engine would have taken there.
-    Prefilled,
-}
-
-/// The candidate cache of one input VC. The state is reset at every pop, so
+/// The candidate cache of one input VC. `valid` is cleared at every pop, so
 /// a valid list always belongs to the current head.
 #[derive(Debug, Default)]
 struct VcCache {
     /// The head's routing part, then (once appended) its escape part.
     list: Vec<Candidate>,
-    state: CacheState,
+    /// Whether `list` belongs to the current head (false: never filled, or
+    /// the head was popped since).
+    valid: bool,
     /// Whether the head's escape part is not in `list` yet.
     escape_pending: bool,
-}
-
-/// Candidate-list buffers returned by emptied slots, one stack per partition.
-type ListPool = Vec<Vec<Candidate>>;
-
-/// Computes the routing part of a head's candidate list at `switch` into
-/// `cache`, leaving its escape part pending. A slot without a buffer (never
-/// filled, or emptied since) takes the most recently returned one from
-/// `pool`.
-fn fill_cache(
-    cache: &mut VcCache,
-    pool: &mut ListPool,
-    mechanism: &dyn RoutingMechanism,
-    state: &PacketState,
-    switch: usize,
-) {
-    if cache.list.capacity() == 0 {
-        if let Some(buffer) = pool.pop() {
-            cache.list = buffer;
-        }
-    }
-    cache.list.clear();
-    mechanism.candidates_into(state, switch, &mut cache.list);
-    cache.escape_pending = true;
 }
 
 /// A deterministic dirty set of indices (switches, or servers for the
@@ -273,10 +218,9 @@ impl PacketArena {
     }
 }
 
-/// All per-step scratch of the sequential phases, folded into one reusable
-/// arena: request lists, sort keys, grant counters and the v2 sampler's
-/// output. Sized to its bounds up front, so no allocations at
-/// steady state.
+/// All per-step scratch, folded into one reusable arena: request lists,
+/// sort keys, grant counters and the v2 sampler's output. Sized to its
+/// bounds up front, so no allocations at steady state.
 #[derive(Debug)]
 struct StepArena {
     /// Requests of the switch being allocated.
@@ -289,127 +233,21 @@ struct StepArena {
     in_grants: Vec<usize>,
     /// Rate contract v2 scratch: this cycle's sampled injectors.
     sampled: Vec<usize>,
-    /// Partition cut points into an active list (parallel phases).
-    seg: Vec<usize>,
 }
 
 impl StepArena {
     /// Scratch sized for the largest step: one request per input VC of a
-    /// switch, one injector per server, one cut per partition.
-    fn with_bounds(
-        num_ports: usize,
-        num_vcs: usize,
-        num_servers: usize,
-        partitions: usize,
-    ) -> Self {
+    /// switch, one injector per server.
+    fn with_bounds(num_ports: usize, num_vcs: usize, num_servers: usize) -> Self {
         let slots = num_ports * num_vcs;
         StepArena {
             requests: Vec::with_capacity(slots),
             keyed: Vec::with_capacity(slots),
             out_grants: Vec::with_capacity(num_ports),
             in_grants: Vec::with_capacity(num_ports),
-            sampled: Vec::with_capacity(num_servers.max(partitions)),
-            seg: Vec::with_capacity(partitions),
+            sampled: Vec::with_capacity(num_servers),
         }
     }
-}
-
-/// Read-only state shared by all partitions of a transmit sweep.
-struct XmitShared<'a> {
-    stg_pkt: &'a [u32],
-    stg_vc: &'a [u16],
-    stg_ready: &'a [u64],
-    down: &'a [u32],
-    cycle: u64,
-    packet_length: u64,
-    cap_out: usize,
-    num_ports: usize,
-    num_vcs: usize,
-    stg_words: usize,
-}
-
-/// One partition's mutable view of a transmit sweep: disjoint slices of the
-/// per-port/per-switch arrays plus an event buffer. With one partition the
-/// task covers every switch and its buffer is the event-wheel slot itself.
-struct XmitTask<'a> {
-    /// First switch of the partition.
-    sw_base: usize,
-    /// This partition's segment of the transmit active list.
-    seg: &'a mut [usize],
-    /// Switches retained in `seg[..kept]` after the sweep.
-    kept: usize,
-    member: &'a mut [bool],
-    stg_mask: &'a mut [u64],
-    stg_head: &'a mut [u16],
-    stg_len: &'a mut [u16],
-    link_busy: &'a mut [u64],
-    events: Vec<Ev>,
-    progress: bool,
-}
-
-impl<'a> XmitTask<'a> {
-    /// Splits the first `n_sw` switches, and the first `seg_len` entries of
-    /// the active segment, off into their own task with event buffer `events`.
-    fn split_front(
-        &mut self,
-        n_sw: usize,
-        seg_len: usize,
-        shared: &XmitShared,
-        events: Vec<Ev>,
-    ) -> XmitTask<'a> {
-        let n_ports = n_sw * shared.num_ports;
-        let (seg, rest) = std::mem::take(&mut self.seg).split_at_mut(seg_len);
-        self.seg = rest;
-        let (member, rest) = std::mem::take(&mut self.member).split_at_mut(n_sw);
-        self.member = rest;
-        let (stg_mask, rest) =
-            std::mem::take(&mut self.stg_mask).split_at_mut(n_sw * shared.stg_words);
-        self.stg_mask = rest;
-        let (stg_head, rest) = std::mem::take(&mut self.stg_head).split_at_mut(n_ports);
-        self.stg_head = rest;
-        let (stg_len, rest) = std::mem::take(&mut self.stg_len).split_at_mut(n_ports);
-        self.stg_len = rest;
-        let (link_busy, rest) = std::mem::take(&mut self.link_busy).split_at_mut(n_ports);
-        self.link_busy = rest;
-        let front = XmitTask {
-            sw_base: self.sw_base,
-            seg,
-            kept: 0,
-            member,
-            stg_mask,
-            stg_head,
-            stg_len,
-            link_busy,
-            events,
-            progress: false,
-        };
-        self.sw_base += n_sw;
-        front
-    }
-}
-
-/// Read-only state shared by all partitions of a parallel candidate prefill.
-struct PrefillShared<'a> {
-    in_q: &'a [u32],
-    in_head: &'a [u16],
-    in_mask: &'a [u64],
-    pkt_dst_switch: &'a [u32],
-    pkt_state: &'a [PacketState],
-    mechanism: &'a dyn RoutingMechanism,
-    cap_in: usize,
-    num_ports: usize,
-    num_vcs: usize,
-    in_words: usize,
-}
-
-/// One partition's mutable view of a parallel candidate prefill: its
-/// slot-range slice of the per-VC caches plus its list-buffer pool.
-struct PrefillTask<'a> {
-    slot_base: usize,
-    /// This partition's segment of the allocation active list.
-    seg: &'a [usize],
-    caches: &'a mut [VcCache],
-    pool: &'a mut ListPool,
 }
 
 /// The indices of the set bits of `words`, ascending (bit `i` of word `w` is
@@ -462,12 +300,14 @@ pub struct Simulator {
     /// Non-empty input VCs: switch `s` owns words `s·in_words ..`, bit
     /// `port·num_vcs + vc`. Maintained by `in_push`/`in_pop`.
     in_mask: Vec<u64>,
-    /// Candidate cache of each slot's head. A slot that empties gives its
-    /// list buffer to its partition's pool in `pools`, and the next fill of a
-    /// slot without a buffer takes the most recently returned one — so the
-    /// buffers in use never exceed the peak number of occupied slots, and a
-    /// fill usually writes memory that is still in cache.
+    /// Candidate cache of each slot's head. A slot that empties pushes its
+    /// list buffer onto `spare_lists`, and the next fill of a slot without a
+    /// buffer pops the most recently returned one — so the buffers in use
+    /// never exceed the peak number of occupied slots, and a fill usually
+    /// writes memory that is still in cache.
     vc_cache: Vec<VcCache>,
+    /// Candidate-list buffers returned by emptied slots.
+    spare_lists: Vec<Vec<Candidate>>,
     // --- output port state, indexed by `flat = switch·num_ports + port` ---
     /// Where each output port leads: the flat downstream input port
     /// `next_switch·num_ports + next_input_port`, or [`EJECT`] / [`DEAD`].
@@ -527,7 +367,7 @@ pub struct Simulator {
     /// Rate contract v2: the counting sampler, rebuilt when the per-trial
     /// probability changes (i.e. when the offered load changes).
     binomial_cache: Option<(f64, Binomial)>,
-    /// All sequential-phase scratch, folded into one arena.
+    /// All per-step scratch, folded into one arena.
     step: StepArena,
     /// Fixed-slot observability counters: plain `u64` adds on the hot path,
     /// never fed back into any scheduling decision (zero-perturbation).
@@ -535,19 +375,6 @@ pub struct Simulator {
     /// Optional packet-lifecycle tracer. `None` reduces every hook to one
     /// branch; enabling it must not change RNG draws or metrics bytes.
     tracer: Option<PacketTracer>,
-    // --- partitioning ---
-    /// Contiguous switch partitions stepped in parallel (1 = sequential).
-    partitions: usize,
-    /// Partition boundaries: partition `p` owns switches
-    /// `part_bounds[p] .. part_bounds[p + 1]`.
-    part_bounds: Vec<usize>,
-    /// Persistent workers (`partitions - 1`; the caller participates).
-    pool: Option<WorkerPool>,
-    /// Reusable transmit event buffers of partitions `1..` (partition 0
-    /// writes straight into the event wheel).
-    part_events: Vec<Vec<Ev>>,
-    /// Per-partition recycled candidate-list buffers.
-    pools: Vec<ListPool>,
 }
 
 impl Simulator {
@@ -555,7 +382,9 @@ impl Simulator {
     /// traffic pattern.
     ///
     /// # Panics
-    /// Panics if the mechanism's VC count disagrees with the configuration.
+    /// Panics if the mechanism's VC count disagrees with the configuration,
+    /// or if the switches do not fit the packed widths
+    /// ([`Simulator::check_widths`]).
     pub fn new(
         view: Arc<NetworkView>,
         mechanism: Box<dyn RoutingMechanism>,
@@ -588,14 +417,11 @@ impl Simulator {
                 && cap_src <= u16::MAX as usize,
             "buffer capacities must fit the ring-index width"
         );
+        if let Err(e) = Self::check_widths(num_switches, num_ports, num_vcs) {
+            panic!("{e}");
+        }
         let nslots = num_switches * num_ports * num_vcs;
         let nports = num_switches * num_ports;
-        assert!(
-            num_ports <= u16::MAX as usize
-                && num_vcs <= u8::MAX as usize
-                && nslots < EJECT as usize,
-            "ports, VCs and input slots must fit the packed candidate widths"
-        );
         let mut down = Vec::with_capacity(nports);
         for s in 0..num_switches {
             for p in 0..radix {
@@ -610,11 +436,6 @@ impl Simulator {
         let stg_words = num_ports.div_ceil(64);
         let wheel_len = (cfg.packet_length + cfg.link_latency + cfg.crossbar_latency + 4) as usize;
         let counters = MeasuredCounters::new(num_servers);
-        let partitions = cfg.partitions.clamp(1, num_switches);
-        let chunk = num_switches.div_ceil(partitions);
-        let part_bounds: Vec<usize> = (0..=partitions)
-            .map(|p| (p * chunk).min(num_switches))
-            .collect();
         Simulator {
             rng: ChaCha8Rng::seed_from_u64(cfg.seed),
             cfg,
@@ -638,6 +459,7 @@ impl Simulator {
             in_used: vec![0; nslots],
             in_mask: vec![0; num_switches * in_words],
             vc_cache: (0..nslots).map(|_| VcCache::default()).collect(),
+            spare_lists: Vec::new(),
             down,
             stg_pkt: vec![0; nports * cap_out],
             stg_vc: vec![0; nports * cap_out],
@@ -670,15 +492,46 @@ impl Simulator {
             server_live_dirty: true,
             sampled_at: vec![0; num_servers],
             binomial_cache: None,
-            step: StepArena::with_bounds(num_ports, num_vcs, num_servers, partitions),
+            step: StepArena::with_bounds(num_ports, num_vcs, num_servers),
             obs: CounterRegistry::new(),
             tracer: None,
-            pool: (partitions > 1).then(|| WorkerPool::new(partitions - 1)),
-            partitions,
-            part_bounds,
-            part_events: (0..partitions).map(|_| Vec::new()).collect(),
-            pools: (0..partitions).map(|_| ListPool::new()).collect(),
         }
+    }
+
+    /// Checks that `num_switches` switches of `num_ports` ports (radix plus
+    /// concentration) with `num_vcs` VCs per port fit the engine's packed
+    /// widths: a candidate holds its port in a `u16` and its VC range in
+    /// `u8`s, and every input VC slot must be a `u32` below the `down`
+    /// sentinels. [`Simulator::new`] panics where this returns an error, so
+    /// experiment validation calls it first.
+    pub fn check_widths(
+        num_switches: usize,
+        num_ports: usize,
+        num_vcs: usize,
+    ) -> Result<(), String> {
+        if num_ports > usize::from(u16::MAX) {
+            return Err(format!(
+                "a switch with {num_ports} ports (radix plus concentration) does not fit \
+                 the engine's 16-bit port index (at most {})",
+                u16::MAX
+            ));
+        }
+        if num_vcs > usize::from(u8::MAX) {
+            return Err(format!(
+                "{num_vcs} VCs per port do not fit the engine's 8-bit VC index (at most {})",
+                u8::MAX
+            ));
+        }
+        let slots = num_switches
+            .checked_mul(num_ports)
+            .and_then(|n| n.checked_mul(num_vcs));
+        if slots.is_none_or(|n| n >= EJECT as usize) {
+            return Err(format!(
+                "{num_switches} switches x {num_ports} ports x {num_vcs} VCs do not fit \
+                 the engine's 32-bit input VC index"
+            ));
+        }
+        Ok(())
     }
 
     /// Current simulation cycle.
@@ -709,12 +562,6 @@ impl Simulator {
     /// Whether the stall watchdog has fired.
     pub fn stalled(&self) -> bool {
         self.stalled
-    }
-
-    /// The number of switch partitions stepped in parallel (1 = sequential;
-    /// clamped to the switch count).
-    pub fn partitions(&self) -> usize {
-        self.partitions
     }
 
     /// Sum of packets buffered inside switches (inputs + staging), used by
@@ -865,14 +712,12 @@ impl Simulator {
 
     /// Advances the simulation by one cycle.
     ///
-    /// The scheduler is **active-set based** (allocation only visits switches
+    /// The scheduler is **active-set based**: allocation only visits switches
     /// with buffered input packets, transmission only visits switches with
-    /// staged packets, generation only visits live servers) and, with
-    /// `partitions > 1`, steps the candidate prefill and the transmit stage
-    /// in parallel across switch partitions. The observable behaviour (RNG
-    /// draw order, metrics, counters, traces, event timing) is identical for
-    /// every partition count and pinned by the digest corpus; see the
-    /// `corpus` and `partition_invariance` tests.
+    /// staged packets, and generation only visits live servers, each in
+    /// ascending order — the order an exhaustive scan would take. The
+    /// observable behaviour (RNG draw order, metrics, counters, traces,
+    /// event timing) is pinned by the digest corpus; see the `corpus` tests.
     pub fn step(&mut self) {
         self.progress_this_cycle = false;
         self.process_events();
@@ -954,13 +799,6 @@ impl Simulator {
     #[inline]
     fn in_free(&self, slot: usize) -> usize {
         self.cap_in.saturating_sub(self.in_used[slot] as usize)
-    }
-
-    /// The partition that owns `switch` (partitions are contiguous ranges of
-    /// `part_bounds[1]` switches).
-    #[inline]
-    fn partition_of(&self, switch: usize) -> usize {
-        switch / self.part_bounds[1]
     }
 
     fn wheel_slot(&self, cycle: u64) -> usize {
@@ -1273,10 +1111,7 @@ impl Simulator {
     /// head packet's routing state, so a blocked head's list is computed
     /// once, not once per cycle). Only the set bits of the switch's
     /// `in_mask` are visited; ascending bit order is ascending (port, VC)
-    /// order. With `partitions > 1` the cache was prefilled in parallel;
-    /// `Prefilled` entries count as the misses the sequential engine would
-    /// have taken inline, keeping the hit/miss counters byte-identical for
-    /// every partition count.
+    /// order.
     fn collect_requests_into(&mut self, switch: usize, out: &mut Vec<Request>) {
         let first_slot = self.slot(switch, 0, 0);
         let first_port = switch * self.num_ports;
@@ -1287,50 +1122,50 @@ impl Simulator {
             // Routing: reuse the head's candidate list or compute it. The
             // cache is reset whenever the head is popped, so a valid list
             // belongs to the current head and a hit reads no packet state.
-            match self.vc_cache[slot].state {
-                CacheState::Valid => self.obs.incr(Counter::CandCacheHits),
-                CacheState::Prefilled => {
-                    self.obs.incr(Counter::CandCacheMisses);
-                    self.vc_cache[slot].state = CacheState::Valid;
-                }
-                CacheState::Empty => {
-                    let head = self.in_front(slot);
-                    // Ejection: the packet has reached its destination
-                    // switch. `Q` is the staging occupancy counted twice.
-                    if self.pkt.dst_switch[head] as usize == switch {
-                        let out_port = self.radix
-                            + self
-                                .layout
-                                .server_offset(self.pkt.dst_server[head] as usize);
-                        let staged = self.stg_len[first_port + out_port] as u64;
-                        if (staged as usize) < self.cap_out {
-                            out.push(Request {
-                                score: 2 * staged * self.cfg.packet_length,
-                                cand: Candidate {
-                                    port: out_port as u16,
-                                    penalty: 0,
-                                    vcs: VcRange::exact(0),
-                                    kind: CandidateKind::Minimal,
-                                },
-                                down: EJECT,
-                                in_port,
-                                in_vc,
-                                out_vc: 0,
-                            });
-                        }
-                        continue;
+            if self.vc_cache[slot].valid {
+                self.obs.incr(Counter::CandCacheHits);
+            } else {
+                let head = self.in_front(slot);
+                // Ejection: the packet has reached its destination
+                // switch. `Q` is the staging occupancy counted twice.
+                if self.pkt.dst_switch[head] as usize == switch {
+                    let out_port = self.radix
+                        + self
+                            .layout
+                            .server_offset(self.pkt.dst_server[head] as usize);
+                    let staged = self.stg_len[first_port + out_port] as u64;
+                    if (staged as usize) < self.cap_out {
+                        out.push(Request {
+                            score: 2 * staged * self.cfg.packet_length,
+                            cand: Candidate {
+                                port: out_port as u16,
+                                penalty: 0,
+                                vcs: VcRange::exact(0),
+                                kind: CandidateKind::Minimal,
+                            },
+                            down: EJECT,
+                            in_port,
+                            in_vc,
+                            out_vc: 0,
+                        });
                     }
-                    self.obs.incr(Counter::CandCacheMisses);
-                    let pool = self.partition_of(switch);
-                    fill_cache(
-                        &mut self.vc_cache[slot],
-                        &mut self.pools[pool],
-                        self.mechanism.as_ref(),
-                        &self.pkt.state[head],
-                        switch,
-                    );
-                    self.vc_cache[slot].state = CacheState::Valid;
+                    continue;
                 }
+                self.obs.incr(Counter::CandCacheMisses);
+                // Compute the routing part and leave the escape part
+                // pending. A slot without a buffer (never filled, or
+                // emptied since) takes the most recently returned one.
+                let cache = &mut self.vc_cache[slot];
+                if cache.list.capacity() == 0 {
+                    if let Some(buffer) = self.spare_lists.pop() {
+                        cache.list = buffer;
+                    }
+                }
+                cache.list.clear();
+                self.mechanism
+                    .candidates_into(&self.pkt.state[head], switch, &mut cache.list);
+                cache.valid = true;
+                cache.escape_pending = true;
             }
             // Single request to the best candidate that satisfies flow
             // control.
@@ -1422,8 +1257,8 @@ impl Simulator {
 
     /// Applies the allocation rule to `requests`: random tie-break, then
     /// lowest score first, up to `crossbar_speedup` grants per output and
-    /// input port. Always sequential — the RNG draws here are the draw-order
-    /// contract — and allocation-free at steady state.
+    /// input port. The RNG draws here are part of the draw-order contract.
+    /// Allocation-free at steady state.
     fn apply_grants(&mut self, switch: usize, requests: &[Request]) {
         if requests.is_empty() {
             return;
@@ -1482,11 +1317,10 @@ impl Simulator {
             // Commit: move the packet from the input VC to the output staging buffer.
             let slot = self.slot(switch, in_port, req.in_vc as usize);
             let packet = self.in_pop(slot);
-            let pool = self.partition_of(switch);
             let cache = &mut self.vc_cache[slot];
-            cache.state = CacheState::Empty;
+            cache.valid = false;
             if self.in_len[slot] == 0 && cache.list.capacity() > 0 {
-                self.pools[pool].push(std::mem::take(&mut cache.list));
+                self.spare_lists.push(std::mem::take(&mut cache.list));
             }
             if network {
                 let next_switch = req.down as usize / self.num_ports;
@@ -1559,19 +1393,14 @@ impl Simulator {
 
     /// Allocation stage: visits only the switches with buffered input
     /// packets, in ascending switch order (the same order the exhaustive
-    /// scan grants in, so the RNG tie-break sequence is identical). With
-    /// `partitions > 1` the pure candidate computation runs in parallel
-    /// first; the score + grant sweep is always sequential. Switches whose
-    /// inputs drained are dropped from the active set.
+    /// scan grants in, so the RNG tie-break sequence is identical), and
+    /// drops the switches whose inputs drained from the active set.
     fn allocate(&mut self) {
         self.alloc_active.merge_added();
         self.obs.add(
             Counter::AllocSwitchVisits,
             self.alloc_active.list.len() as u64,
         );
-        if self.partitions > 1 && !self.alloc_active.list.is_empty() {
-            self.prefill_candidates();
-        }
         let mut active = std::mem::take(&mut self.alloc_active.list);
         let mut keep = 0;
         for k in 0..active.len() {
@@ -1593,80 +1422,14 @@ impl Simulator {
         self.alloc_active.list = active;
     }
 
-    /// Computes the routing part of the candidate list of every
-    /// non-ejection head packet, in parallel across switch partitions (the
-    /// sequential sweep appends escape parts where they can win). Sound because heads cannot change
-    /// during allocation (a grant pops only the granting switch's own
-    /// inputs; arrivals happened earlier in `process_events`) and candidate
-    /// lists are pure functions of `(packet state, switch)` — no RNG, no
-    /// counters, no scheduling state is touched.
-    fn prefill_candidates(&mut self) {
-        let slots_per_switch = self.num_ports * self.num_vcs;
-        let mut cuts = std::mem::take(&mut self.step.seg);
-        cuts.clear();
-        for b in 1..=self.partitions {
-            cuts.push(
-                self.alloc_active
-                    .list
-                    .partition_point(|&s| s < self.part_bounds[b]),
-            );
-        }
-        let mut tasks: Vec<Mutex<PrefillTask>> = Vec::with_capacity(self.partitions);
-        let active = &self.alloc_active.list;
-        let mut caches_rest: &mut [VcCache] = &mut self.vc_cache;
-        let mut seg_from = 0;
-        for (pi, (pool, bounds)) in self
-            .pools
-            .iter_mut()
-            .zip(self.part_bounds.windows(2))
-            .enumerate()
-        {
-            let (caches, rest) =
-                caches_rest.split_at_mut((bounds[1] - bounds[0]) * slots_per_switch);
-            caches_rest = rest;
-            tasks.push(Mutex::new(PrefillTask {
-                slot_base: bounds[0] * slots_per_switch,
-                seg: &active[seg_from..cuts[pi]],
-                caches,
-                pool,
-            }));
-            seg_from = cuts[pi];
-        }
-        let shared = PrefillShared {
-            in_q: &self.in_q,
-            in_head: &self.in_head,
-            in_mask: &self.in_mask,
-            pkt_dst_switch: &self.pkt.dst_switch,
-            pkt_state: &self.pkt.state,
-            mechanism: self.mechanism.as_ref(),
-            cap_in: self.cap_in,
-            num_ports: self.num_ports,
-            num_vcs: self.num_vcs,
-            in_words: self.in_words,
-        };
-        let body = |t: usize| {
-            run_prefill_task(
-                &mut tasks[t].lock().expect("a prefill task panicked"),
-                &shared,
-            )
-        };
-        self.pool
-            .as_ref()
-            .expect("partitions > 1 without a pool")
-            .run(self.partitions, &body);
-        self.step.seg = cuts;
-    }
-
-    /// Transmit stage: visits only the switches with staged packets, in
-    /// ascending switch order, and within a switch only the set bits of its
-    /// `stg_mask`, in ascending port order — so the event wheel receives
-    /// arrivals in the same order an exhaustive sweep would schedule them.
-    /// The switches split into one task per partition. With one partition
-    /// the task runs inline and pushes straight into the event wheel; with
-    /// more they run on the pool with private event buffers appended in
-    /// ascending partition order, which reproduces the sequential push
-    /// order exactly because every packet transmitted this cycle arrives at
-    /// `cycle + packet_length + link_latency`.
+    /// Transmit stage: puts the ready staged packets onto their links.
+    /// Visits only the switches with staged packets, in ascending switch
+    /// order, and within a switch only the set bits of its `stg_mask`, in
+    /// ascending port order — so the event wheel receives arrivals in the
+    /// order an exhaustive sweep would schedule them. Every packet sent this
+    /// cycle lands at `cycle + packet_length + link_latency`, so all of them
+    /// go into one wheel slot. Switches left without staged packets drop
+    /// out of the active set.
     fn transmit(&mut self) {
         self.xmit_active.merge_added();
         self.obs.add(
@@ -1676,193 +1439,63 @@ impl Simulator {
         if self.xmit_active.list.is_empty() {
             return;
         }
-        let arrive = self.cycle + self.cfg.packet_length + self.cfg.link_latency;
-        debug_assert!(arrive - self.cycle < self.wheel.len() as u64);
+        let (cycle, packet_length) = (self.cycle, self.cfg.packet_length);
+        let arrive = cycle + packet_length + self.cfg.link_latency;
+        debug_assert!(arrive - cycle < self.wheel.len() as u64);
         let wheel_slot = self.wheel_slot(arrive);
+        let mut events = std::mem::take(&mut self.wheel[wheel_slot]);
         let mut active = std::mem::take(&mut self.xmit_active.list);
-        let mut cuts = std::mem::take(&mut self.step.seg);
-        cuts.clear();
-        for b in 1..=self.partitions {
-            cuts.push(active.partition_point(|&s| s < self.part_bounds[b]));
-        }
-        // Per-partition retained counts (`sampled` doubles as usize scratch).
-        let mut kept = std::mem::take(&mut self.step.sampled);
-        kept.clear();
-        let shared = XmitShared {
-            stg_pkt: &self.stg_pkt,
-            stg_vc: &self.stg_vc,
-            stg_ready: &self.stg_ready,
-            down: &self.down,
-            cycle: self.cycle,
-            packet_length: self.cfg.packet_length,
-            cap_out: self.cap_out,
-            num_ports: self.num_ports,
-            num_vcs: self.num_vcs,
-            stg_words: self.stg_words,
-        };
-        let mut whole = XmitTask {
-            sw_base: 0,
-            seg: &mut active,
-            kept: 0,
-            member: &mut self.xmit_active.member,
-            stg_mask: &mut self.stg_mask,
-            stg_head: &mut self.stg_head,
-            stg_len: &mut self.stg_len,
-            link_busy: &mut self.link_busy,
-            events: std::mem::take(&mut self.wheel[wheel_slot]),
-            progress: false,
-        };
-        let events = if self.partitions == 1 {
-            run_xmit_task(&mut whole, &shared);
-            self.progress_this_cycle |= whole.progress;
-            kept.push(whole.kept);
-            whole.events
-        } else {
-            let mut tasks: Vec<Mutex<XmitTask>> = Vec::with_capacity(self.partitions);
-            let mut seg_from = 0;
-            for (pi, (&cut, bounds)) in cuts.iter().zip(self.part_bounds.windows(2)).enumerate() {
-                let buffer = if pi == 0 {
-                    std::mem::take(&mut whole.events)
-                } else {
-                    std::mem::take(&mut self.part_events[pi])
-                };
-                let n_sw = bounds[1] - bounds[0];
-                tasks.push(Mutex::new(whole.split_front(
-                    n_sw,
-                    cut - seg_from,
-                    &shared,
-                    buffer,
-                )));
-                seg_from = cut;
-            }
-            let body = |t: usize| run_xmit_task(&mut tasks[t].lock().unwrap(), &shared);
-            self.pool
-                .as_ref()
-                .expect("partitions > 1 without a pool")
-                .run(self.partitions, &body);
-            let mut events = Vec::new();
-            for (pi, cell) in tasks.into_iter().enumerate() {
-                let mut task = cell.into_inner().unwrap();
-                self.progress_this_cycle |= task.progress;
-                kept.push(task.kept);
-                if pi == 0 {
-                    events = task.events;
-                } else {
-                    events.append(&mut task.events);
-                    self.part_events[pi] = task.events;
+        let (num_ports, words, cap_out) = (self.num_ports, self.stg_words, self.cap_out);
+        let mut keep = 0;
+        for k in 0..active.len() {
+            let switch = active[k];
+            let switch_words = switch * words..(switch + 1) * words;
+            for w in switch_words.clone() {
+                let mut bits = self.stg_mask[w];
+                while bits != 0 {
+                    let bit = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let flat = switch * num_ports + (w - switch_words.start) * 64 + bit;
+                    if self.link_busy[flat] > cycle {
+                        continue;
+                    }
+                    let head = self.stg_head[flat] as usize;
+                    let g = flat * cap_out + head;
+                    if self.stg_ready[g] > cycle {
+                        continue;
+                    }
+                    let next = head + 1;
+                    self.stg_head[flat] = if next == cap_out { 0 } else { next as u16 };
+                    self.stg_len[flat] -= 1;
+                    if self.stg_len[flat] == 0 {
+                        self.stg_mask[w] &= !(1 << bit);
+                    }
+                    self.link_busy[flat] = cycle + packet_length;
+                    let packet = self.stg_pkt[g];
+                    let down = self.down[flat];
+                    if down < EJECT {
+                        let dslot = down as usize * self.num_vcs + self.stg_vc[g] as usize;
+                        events.push(Ev::Arrival {
+                            slot: dslot as u32,
+                            packet,
+                        });
+                    } else {
+                        debug_assert_eq!(down, EJECT, "dead ports never receive grants");
+                        events.push(Ev::Delivery { packet });
+                    }
+                    self.progress_this_cycle = true;
                 }
             }
-            events
-        };
-        self.wheel[wheel_slot] = events;
-        // Compact the retained switches of every segment into one sorted list.
-        let mut w = 0;
-        for (pi, &n) in kept.iter().enumerate() {
-            let seg_from = if pi == 0 { 0 } else { cuts[pi - 1] };
-            active.copy_within(seg_from..seg_from + n, w);
-            w += n;
+            if self.stg_mask[switch_words].iter().any(|&w| w != 0) {
+                active[keep] = switch;
+                keep += 1;
+            } else {
+                self.xmit_active.member[switch] = false;
+            }
         }
-        active.truncate(w);
+        active.truncate(keep);
         self.xmit_active.list = active;
-        kept.clear();
-        self.step.sampled = kept;
-        self.step.seg = cuts;
-    }
-}
-
-/// The transmit body of one partition (see [`Simulator::transmit`]): puts
-/// the ready staged packets of the partition's active switches onto their
-/// links. Indices into `task` slices are offset by the partition's first
-/// switch; reads of the staging payload arrays use global flat indices.
-fn run_xmit_task(task: &mut XmitTask, shared: &XmitShared) {
-    let (num_ports, words) = (shared.num_ports, shared.stg_words);
-    let mut kept = 0;
-    for k in 0..task.seg.len() {
-        let switch = task.seg[k];
-        let ls = switch - task.sw_base;
-        for w in ls * words..(ls + 1) * words {
-            let mut bits = task.stg_mask[w];
-            while bits != 0 {
-                let bit = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let port = (w - ls * words) * 64 + bit;
-                let lf = ls * num_ports + port;
-                if task.link_busy[lf] > shared.cycle {
-                    continue;
-                }
-                let flat = switch * num_ports + port;
-                let head = task.stg_head[lf] as usize;
-                let g = flat * shared.cap_out + head;
-                if shared.stg_ready[g] > shared.cycle {
-                    continue;
-                }
-                let next = head + 1;
-                task.stg_head[lf] = if next == shared.cap_out {
-                    0
-                } else {
-                    next as u16
-                };
-                task.stg_len[lf] -= 1;
-                if task.stg_len[lf] == 0 {
-                    task.stg_mask[w] &= !(1 << bit);
-                }
-                task.link_busy[lf] = shared.cycle + shared.packet_length;
-                let packet = shared.stg_pkt[g];
-                let down = shared.down[flat];
-                if down < EJECT {
-                    let dslot = down as usize * shared.num_vcs + shared.stg_vc[g] as usize;
-                    task.events.push(Ev::Arrival {
-                        slot: dslot as u32,
-                        packet,
-                    });
-                } else {
-                    debug_assert_eq!(down, EJECT, "dead ports never receive grants");
-                    task.events.push(Ev::Delivery { packet });
-                }
-                task.progress = true;
-            }
-        }
-        if task.stg_mask[ls * words..(ls + 1) * words]
-            .iter()
-            .any(|&w| w != 0)
-        {
-            task.seg[kept] = switch;
-            kept += 1;
-        } else {
-            task.member[ls] = false;
-        }
-    }
-    task.kept = kept;
-}
-
-/// The per-partition candidate-prefill body (see
-/// [`Simulator::prefill_candidates`]). Computes only — the hit/miss
-/// accounting happens in the sequential sweep, which counts every
-/// `Prefilled` entry as a miss.
-fn run_prefill_task(task: &mut PrefillTask, shared: &PrefillShared) {
-    let slots_per_switch = shared.num_ports * shared.num_vcs;
-    for &switch in task.seg {
-        let words = &shared.in_mask[switch * shared.in_words..(switch + 1) * shared.in_words];
-        for local in set_bits(words) {
-            let slot = switch * slots_per_switch + local;
-            let cache = &mut task.caches[slot - task.slot_base];
-            if cache.state != CacheState::Empty {
-                continue;
-            }
-            let head = shared.in_q[slot * shared.cap_in + shared.in_head[slot] as usize] as usize;
-            // Ejection heads never consult the candidate cache.
-            if shared.pkt_dst_switch[head] as usize == switch {
-                continue;
-            }
-            fill_cache(
-                cache,
-                task.pool,
-                shared.mechanism,
-                &shared.pkt_state[head],
-                switch,
-            );
-            cache.state = CacheState::Prefilled;
-        }
+        self.wheel[wheel_slot] = events;
     }
 }
 

@@ -179,15 +179,7 @@ fn out_of_range_load_rejected() {
 /// switch, the cross `cross:1:2,2,2` (margin 1 around switch (2,2,2), also
 /// the escape root) and 12 packets per server. Heads stay blocked for many
 /// cycles, so the candidate cache hits often, and escape hops are granted.
-fn congested_batch_parts(
-    spec: MechanismSpec,
-    partitions: usize,
-) -> (
-    Arc<NetworkView>,
-    Box<dyn RoutingMechanism>,
-    Box<dyn TrafficPattern>,
-    SimConfig,
-) {
+fn congested_batch_sim(spec: MechanismSpec) -> Simulator {
     let hx = HyperX::regular(3, 4);
     let center = vec![2, 2, 2];
     let root = hx.switch_id(&center);
@@ -195,11 +187,10 @@ fn congested_batch_parts(
     let view = Arc::new(NetworkView::with_faults(hx, &faults, root));
     let mut cfg = SimConfig::quick(4, 4);
     cfg.seed = 3;
-    cfg.partitions = partitions;
     let layout = ServerLayout::new(view.hyperx(), cfg.servers_per_switch);
     let mech = spec.build(view.clone(), cfg.num_vcs);
     let pattern = Box::new(RegularPermutationToNeighbour::new(layout));
-    (view, mech, pattern, cfg)
+    Simulator::new(view, mech, pattern, cfg)
 }
 
 /// Packets per server of the congested closed-loop case.
@@ -207,204 +198,72 @@ const CONGESTED_PACKETS: u64 = 12;
 
 mod corpus;
 
-/// The partition-invariance contract: every observable — metrics bytes,
-/// totals, counters, trace events — is byte-identical for every partition
-/// count `P`, because RNG-drawing phases stay sequential and the parallel
-/// phases merge in fixed global order. `P = 1` is the reference (itself
-/// pinned by the digest corpus in `corpus`).
-mod partition_invariance {
-    use super::*;
-
-    const PARTITIONS: [usize; 5] = [1, 2, 3, 4, 7];
-
-    fn build_p(
-        spec: MechanismSpec,
-        mut cfg: SimConfig,
-        faults: usize,
-        partitions: usize,
-    ) -> Simulator {
-        cfg.partitions = partitions;
-        let hx = HyperX::regular(2, 4);
-        let view = if faults == 0 {
-            Arc::new(NetworkView::healthy(hx, 0))
-        } else {
-            let mut fault_rng = ChaCha8Rng::seed_from_u64(11);
-            let fault_set = hyperx_topology::FaultSet::random_connected_sequence(
-                hx.network(),
-                faults,
-                &mut fault_rng,
-            );
-            Arc::new(NetworkView::with_faults(hx, &fault_set, 0))
-        };
-        let mech = spec.build(view.clone(), cfg.num_vcs);
-        let layout = ServerLayout::new(view.hyperx(), cfg.servers_per_switch);
-        let pattern = Box::new(UniformTraffic::new(&layout));
-        Simulator::new(view, mech, pattern, cfg)
+#[test]
+fn congested_batch_completes_with_cache_hits_and_escape_grants() {
+    // Blocked heads must reuse their cached lists, escape hops must be
+    // granted, and every packet must still arrive without a stall.
+    for spec in [MechanismSpec::OmniSP, MechanismSpec::PolSP] {
+        let mut sim = congested_batch_sim(spec);
+        let m = sim.run_batch(CONGESTED_PACKETS, 100);
+        assert!(!m.stalled, "{spec:?} stalled");
+        assert_eq!(m.delivered_packets, 64 * 4 * CONGESTED_PACKETS, "{spec:?}");
+        assert!(
+            sim.obs().get(Counter::CandCacheHits) > 0,
+            "{spec:?}: no cache hits"
+        );
+        assert!(
+            sim.obs().get(Counter::EscapeGrants) > 0,
+            "{spec:?}: no escape grants"
+        );
+        assert!(sim.drain(100_000), "{spec:?} did not drain");
+        assert_eq!(sim.packets_in_switches(), 0, "{spec:?}");
     }
+}
 
-    #[test]
-    fn rate_metrics_and_counters_invariant_across_partition_counts() {
-        for contract in [RngContract::V1PerServer, RngContract::V2Counting] {
-            for (spec, faults, load) in [
-                (MechanismSpec::OmniSP, 3, 0.6),
-                (MechanismSpec::PolSP, 0, 0.9),
-            ] {
-                let mut cfg = SimConfig::quick(2, 4);
-                cfg.warmup_cycles = 200;
-                cfg.measure_cycles = 600;
-                cfg.seed = 42;
-                cfg.rng_contract = contract;
-                let mut reference: Option<(String, CounterRegistry)> = None;
-                for p in PARTITIONS {
-                    let mut sim = build_p(spec, cfg.clone(), faults, p);
-                    assert_eq!(sim.partitions(), p);
-                    let m = sim.run_rate(load);
-                    let bytes = format!(
-                        "{m:?}|gen={}|del={}",
-                        sim.total_generated(),
-                        sim.total_delivered()
-                    );
-                    let obs = sim.obs().clone();
-                    match &reference {
-                        None => reference = Some((bytes, obs)),
-                        Some((ref_bytes, ref_obs)) => {
-                            assert_eq!(
-                                &bytes, ref_bytes,
-                                "{spec:?} ({contract}) diverged at P={p}"
-                            );
-                            assert_eq!(
-                                &obs, ref_obs,
-                                "{spec:?} ({contract}) counters diverged at P={p}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
+#[test]
+fn wide_switches_keep_multi_word_masks_in_step() {
+    // A 1-D HyperX of side 34 with 32 servers per switch: 65 ports and
+    // 260 VC slots per switch, so both occupancy masks span several 64-bit
+    // words (every 4x4 case fits in one). After a saturated run, a mask bit
+    // must be set exactly where its buffer holds packets.
+    let view = Arc::new(NetworkView::healthy(HyperX::regular(1, 34), 0));
+    let mut cfg = SimConfig::quick(32, 4);
+    cfg.warmup_cycles = 60;
+    cfg.measure_cycles = 120;
+    cfg.seed = 8;
+    cfg.rng_contract = RngContract::V2Counting;
+    let layout = ServerLayout::new(view.hyperx(), cfg.servers_per_switch);
+    let mut sim = Simulator::new(
+        view.clone(),
+        MechanismSpec::OmniSP.build(view.clone(), 4),
+        Box::new(UniformTraffic::new(&layout)),
+        cfg,
+    );
+    assert_eq!(sim.num_ports, 65);
+    assert!(sim.in_words > 1 && sim.stg_words > 1);
+    let m = sim.run_rate(0.9);
+    assert!(!m.stalled);
+    assert!(m.delivered_packets > 0);
+    assert!(
+        sim.packets_in_switches() > 0,
+        "a saturated run leaves packets buffered"
+    );
+    for slot in 0..sim.in_len.len() {
+        let (word, bit) = sim.in_mask_bit(slot);
+        assert_eq!(
+            sim.in_mask[word] & bit != 0,
+            sim.in_len[slot] > 0,
+            "input slot {slot}"
+        );
     }
-
-    #[test]
-    fn batch_mode_and_drain_invariant() {
-        let mut reference: Option<String> = None;
-        for p in PARTITIONS {
-            let mut cfg = SimConfig::quick(2, 4);
-            cfg.seed = 5;
-            let mut sim = build_p(MechanismSpec::PolSP, cfg, 2, p);
-            let m = sim.run_batch(4, 100);
-            let drained = sim.drain(100_000);
-            let bytes = format!(
-                "{m:?}|drained={drained}|in_switches={}",
-                sim.packets_in_switches()
-            );
-            match &reference {
-                None => reference = Some(bytes),
-                Some(r) => assert_eq!(&bytes, r, "batch mode diverged at P={p}"),
-            }
-        }
-    }
-
-    #[test]
-    fn congested_batch_mode_invariant() {
-        // The parallel prefill under blocked heads: a prefilled entry must
-        // count as a miss exactly once, and P = 2 must reproduce P = 1's
-        // metrics, counters and drain.
-        for spec in [MechanismSpec::OmniSP, MechanismSpec::PolSP] {
-            let run = |partitions: usize| {
-                let (view, mech, pattern, cfg) = congested_batch_parts(spec, partitions);
-                let mut sim = Simulator::new(view, mech, pattern, cfg);
-                assert_eq!(sim.partitions(), partitions);
-                let m = sim.run_batch(CONGESTED_PACKETS, 100);
-                assert!(!m.stalled && m.delivered_packets == 64 * 4 * CONGESTED_PACKETS);
-                let obs = sim.obs().clone();
-                let drained = sim.drain(100_000);
-                let bytes = format!(
-                    "{m:?}|drained={drained}|in_switches={}",
-                    sim.packets_in_switches()
-                );
-                (bytes, obs)
-            };
-            let (p1, obs1) = run(1);
-            let (p2, obs2) = run(2);
-            assert!(
-                obs1.get(Counter::CandCacheHits) > 0,
-                "{spec:?}: no cache hits"
-            );
-            assert!(
-                obs1.get(Counter::EscapeGrants) > 0,
-                "{spec:?}: no escape grants"
-            );
-            assert_eq!(p1, p2, "{spec:?} diverged at P=2");
-            assert_eq!(obs1, obs2, "{spec:?} counters diverged at P=2");
-        }
-    }
-
-    #[test]
-    fn trace_events_invariant() {
-        let mut reference: Option<String> = None;
-        for p in [1usize, 4] {
-            let mut cfg = SimConfig::quick(2, 4);
-            cfg.warmup_cycles = 0;
-            cfg.measure_cycles = 500;
-            cfg.seed = 2;
-            let mut sim = build_p(MechanismSpec::OmniSP, cfg, 3, p);
-            sim.set_tracer(Some(PacketTracer::with_capacity(1 << 16)));
-            let _ = sim.run_rate(0.4);
-            let tracer = sim.take_tracer().unwrap();
-            assert!(!tracer.events().is_empty());
-            let bytes = format!("dropped={}|{:?}", tracer.dropped(), tracer.events());
-            match &reference {
-                None => reference = Some(bytes),
-                Some(r) => assert_eq!(&bytes, r, "trace stream diverged at P={p}"),
-            }
-        }
-    }
-
-    #[test]
-    fn wide_switches_invariant_across_partition_counts() {
-        // A 1-D HyperX of side 34 with 32 servers per switch: 65 ports and
-        // 260 VC slots per switch, so both occupancy masks span several
-        // 64-bit words (every 4x4 case fits in one). Stepped by two
-        // partitions, the split transmit tasks and the parallel prefill
-        // must reproduce P = 1 byte for byte.
-        let view = Arc::new(NetworkView::healthy(HyperX::regular(1, 34), 0));
-        let run = |partitions: usize| {
-            let mut cfg = SimConfig::quick(32, 4);
-            cfg.warmup_cycles = 60;
-            cfg.measure_cycles = 120;
-            cfg.seed = 8;
-            cfg.rng_contract = RngContract::V2Counting;
-            cfg.partitions = partitions;
-            let layout = ServerLayout::new(view.hyperx(), cfg.servers_per_switch);
-            let mut sim = Simulator::new(
-                view.clone(),
-                MechanismSpec::OmniSP.build(view.clone(), 4),
-                Box::new(UniformTraffic::new(&layout)),
-                cfg,
-            );
-            assert_eq!(sim.partitions(), partitions);
-            assert_eq!(sim.num_ports, 65);
-            assert!(sim.in_words > 1 && sim.stg_words > 1);
-            let m = sim.run_rate(0.9);
-            let bytes = format!(
-                "{m:?}|gen={}|del={}",
-                sim.total_generated(),
-                sim.total_delivered()
-            );
-            (bytes, sim.obs().clone())
-        };
-        let (p1, obs1) = run(1);
-        let (p2, obs2) = run(2);
-        assert_eq!(p1, p2, "wide switches diverged at P=2");
-        assert_eq!(obs1, obs2, "wide-switch counters diverged at P=2");
-    }
-
-    #[test]
-    fn partitions_clamp_to_switch_count() {
-        // 16 switches: asking for more partitions than switches must clamp,
-        // not panic or leave empty partitions behind.
-        let cfg = SimConfig::quick(2, 4);
-        let sim = build_p(MechanismSpec::Minimal, cfg, 0, 64);
-        assert_eq!(sim.partitions(), 16);
+    for flat in 0..sim.stg_len.len() {
+        let (switch, port) = (flat / sim.num_ports, flat % sim.num_ports);
+        let word = sim.stg_mask[switch * sim.stg_words + port / 64];
+        assert_eq!(
+            word & (1 << (port % 64)) != 0,
+            sim.stg_len[flat] > 0,
+            "port {flat}"
+        );
     }
 }
 

@@ -389,7 +389,7 @@ fn cases() -> Vec<Case> {
     let cfg = config(2, 4, RngContract::V2Counting, 5, (1_000, 2_000));
     let net = Net::Grid { faults: 2 };
     cases.push(Case::new(PolSP, net, Traffic::Uniform, cfg, Run::Batch(4)));
-    // The congested closed-loop case of `congested_batch_parts`: blocked
+    // The congested closed-loop case of `congested_batch_sim`: blocked
     // heads hit the candidate cache, and escape hops are granted.
     for mechanism in [OmniSP, PolSP] {
         let cfg = config(4, 4, RngContract::V2Counting, 3, (1_000, 2_000));

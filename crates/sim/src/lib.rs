@@ -24,7 +24,6 @@ pub mod config;
 pub mod engine;
 pub mod metrics;
 pub mod obs;
-pub mod pool;
 pub mod rng_contract;
 pub mod server;
 pub mod traffic;
