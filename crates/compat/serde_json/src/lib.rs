@@ -118,4 +118,57 @@ mod tests {
         let back: Value = from_str(&text).unwrap();
         assert_eq!(back, original);
     }
+
+    #[test]
+    fn strings_print_with_the_same_escapes() {
+        let text = to_string(&Value::String(
+            "a\u{1}b\"c\\d\ne\rf\tg\u{8}h\u{c}i\u{1f}é日".to_string(),
+        ))
+        .unwrap();
+        assert_eq!(
+            text,
+            "\"a\\u0001b\\\"c\\\\d\\ne\\rf\\tg\\bh\\fi\\u001fé日\""
+        );
+        let numbers = to_string(&serde::Value::Array(vec![
+            Value::Number(Number::Int(-3)),
+            Value::Number(Number::UInt(7)),
+            Value::Number(Number::Float(2.0)),
+            Value::Number(Number::Float(0.1)),
+            Value::Number(Number::Float(1e20)),
+            Value::Number(Number::Float(f64::NAN)),
+        ]))
+        .unwrap();
+        assert_eq!(numbers, "[-3,7,2.0,0.1,100000000000000000000,null]");
+    }
+
+    #[test]
+    fn a_high_surrogate_needs_a_low_one() {
+        let pair: Value = from_str("\"\\ud83d\\ude00\"").unwrap();
+        assert_eq!(pair.as_str(), Some("\u{1f600}"));
+        // Not a pair: an error, never a wrapped code point.
+        for bad in ["\"\\ud800\\u0041\"", "\"\\ud800\\ud800\"", "\"\\ud800x\""] {
+            assert!(from_str::<Value>(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn a_mebibyte_string_parses_in_linear_time() {
+        // Runs of ASCII and multi-byte text between escapes, 1 MiB in all.
+        // A parser that revalidates the rest of the input per character
+        // needs minutes here, even optimized; a linear one milliseconds.
+        let mut original = String::new();
+        while original.len() < 1 << 20 {
+            original.push_str("plain ascii run, then é and 日本 \"quoted\" back\\slash\n");
+        }
+        let text = to_string(&Value::String(original.clone())).unwrap();
+        let started = std::time::Instant::now();
+        let back: Value = from_str(&text).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(back.as_str(), Some(original.as_str()));
+        assert_eq!(to_string(&back).unwrap(), text, "round-trips byte for byte");
+        assert!(
+            elapsed < std::time::Duration::from_secs(2),
+            "parsing 1 MiB took {elapsed:?}"
+        );
+    }
 }

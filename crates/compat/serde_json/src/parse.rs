@@ -30,6 +30,7 @@ impl std::error::Error for Error {}
 /// Parses a complete JSON document (rejecting trailing garbage).
 pub fn parse(input: &str) -> Result<Value, Error> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
         depth: 0,
@@ -44,6 +45,8 @@ pub fn parse(input: &str) -> Result<Value, Error> {
 }
 
 struct Parser<'a> {
+    /// The document; `bytes` is the same text as bytes.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects currently open.
@@ -183,13 +186,16 @@ impl<'a> Parser<'a> {
                         Some(b'u') => {
                             self.pos += 1;
                             let cp = self.hex4()?;
-                            // Handle UTF-16 surrogate pairs.
+                            // Handle UTF-16 surrogate pairs; a high surrogate
+                            // must be followed by a low one.
                             let c = if (0xD800..0xDC00).contains(&cp) {
                                 if self.bytes[self.pos..].starts_with(b"\\u") {
                                     self.pos += 2;
                                     let low = self.hex4()?;
-                                    let combined = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
-                                    char::from_u32(combined)
+                                    (0xDC00..0xE000)
+                                        .contains(&low)
+                                        .then(|| 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00))
+                                        .and_then(char::from_u32)
                                 } else {
                                     None
                                 }
@@ -204,13 +210,14 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 encoded char.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.error("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or backslash
+                    // in one step: both are ASCII, so the run ends on a char
+                    // boundary of the (already valid UTF-8) input.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }

@@ -1,6 +1,7 @@
 //! Deterministic JSON text output.
 
 use serde::{Number, Value};
+use std::fmt::Write as _;
 
 /// Compact one-line JSON.
 pub fn write_compact(value: &Value) -> String {
@@ -70,43 +71,49 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
+// Numbers and escapes are formatted straight into `out` (writing to a
+// `String` cannot fail), never through a temporary string.
 fn write_number(out: &mut String, n: &Number) {
-    match *n {
-        Number::Int(v) => out.push_str(&v.to_string()),
-        Number::UInt(v) => out.push_str(&v.to_string()),
-        Number::Float(v) => {
-            if v.is_finite() {
-                // Rust's Display for f64 is shortest-round-trip, so output is
-                // deterministic and reparses to the same value. Keep a `.0`
-                // marker for integral floats so the text stays a float.
-                if v.fract() == 0.0 && v.abs() < 1e15 {
-                    out.push_str(&format!("{v:.1}"));
-                } else {
-                    out.push_str(&v.to_string());
-                }
-            } else {
-                out.push_str("null");
-            }
+    let _ = match *n {
+        Number::Int(v) => write!(out, "{v}"),
+        Number::UInt(v) => write!(out, "{v}"),
+        // Rust's Display for f64 is shortest-round-trip, so output is
+        // deterministic and reparses to the same value. Keep a `.0` marker
+        // for integral floats so the text stays a float.
+        Number::Float(v) if v.is_finite() && v.fract() == 0.0 && v.abs() < 1e15 => {
+            write!(out, "{v:.1}")
         }
-    }
+        Number::Float(v) if v.is_finite() => write!(out, "{v}"),
+        Number::Float(_) => write!(out, "null"),
+    };
 }
 
+/// Writes `s` quoted, copying each run between escapes in one step: every
+/// character that needs an escape is ASCII, so runs end on char boundaries.
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        let short = match byte {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0x08 => Some("\\b"),
+            0x0c => Some("\\f"),
+            0x00..=0x1f => None,
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        match short {
+            Some(escape) => out.push_str(escape),
+            None => {
+                let _ = write!(out, "\\u{byte:04x}");
             }
-            c => out.push(c),
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }

@@ -170,15 +170,12 @@ impl From<&SweepPoint> for StorePoint {
 /// Works alike for stores written with the `replicas` dimension and for old
 /// stores whose seeds were an explicit grid axis.
 pub fn store_points(store: &ResultStore, campaign: &str, kind: &str) -> Vec<StorePoint> {
-    let records: Vec<&StoreRecord> = store
-        .records_in_order()
-        .filter(|r| r.job.campaign == campaign && r.job.kind == kind)
-        .collect();
+    let records: Vec<StoreRecord> = store.records_of(campaign, kind).collect();
     let dimensions: Vec<[String; 6]> = records.iter().map(|r| hidden_dimensions(&r.job)).collect();
     let varies: Vec<bool> = (0..6)
         .map(|i| dimensions.iter().any(|d| d[i] != dimensions[0][i]))
         .collect();
-    group_replicas(records)
+    group_replicas(&records)
         .into_iter()
         .map(|(point, records)| {
             let job = records[0].job.clone();
@@ -261,18 +258,6 @@ fn display_names(job: &JobSpec) -> (String, String, String) {
         },
     };
     (mechanism, traffic, scenario)
-}
-
-/// The (campaign, kind) groups of a store, in first-seen store order.
-fn store_groups(store: &ResultStore) -> Vec<(String, String)> {
-    let mut groups: Vec<(String, String)> = Vec::new();
-    for record in store.records_in_order() {
-        let key = (record.job.campaign.clone(), record.job.kind.clone());
-        if !groups.contains(&key) {
-            groups.push(key);
-        }
-    }
-    groups
 }
 
 /// A rate point's parsed runs with its offered load; `None` when no run
@@ -760,7 +745,8 @@ pub fn diff_stores_filtered(
     campaign: Option<&str>,
 ) -> StoreDiff {
     let points = |store: &ResultStore| -> Vec<StorePoint> {
-        store_groups(store)
+        store
+            .groups()
             .into_iter()
             .filter(|(name, _)| campaign.is_none_or(|wanted| name == wanted))
             .flat_map(|(name, kind)| store_points(store, &name, &kind))
@@ -1088,7 +1074,7 @@ pub fn format_manifest_status(manifest: &ShardManifest, store: &ResultStore) -> 
 /// skipped with a note.
 pub fn format_counters_report(store: &ResultStore) -> String {
     let mut out = String::new();
-    let groups = store_groups(store);
+    let groups = store.groups();
     if groups.is_empty() {
         out.push_str("store is empty\n");
         return out;
@@ -1158,11 +1144,8 @@ pub fn format_trace_report(records: &[TraceRecord], store: Option<&ResultStore>)
     for fp in fps {
         let job: Vec<&TraceRecord> = records.iter().filter(|r| r.fp == fp).collect();
         let label = store
-            .and_then(|s| {
-                s.records_in_order()
-                    .find(|r| r.fp == fp)
-                    .map(|r| format!("`{}`", r.job.label()))
-            })
+            .and_then(|s| s.record(fp))
+            .map(|r| format!("`{}`", r.job.label()))
             .unwrap_or_else(|| format!("fp {fp}"));
         out.push_str(&format!("=== trace: job {label} ===\n"));
 
@@ -1259,7 +1242,7 @@ pub fn format_trace_report(records: &[TraceRecord], store: Option<&ResultStore>)
 /// store, no simulation.
 pub fn report_store(store: &ResultStore) -> String {
     let mut out = String::new();
-    let groups = store_groups(store);
+    let groups = store.groups();
     if groups.is_empty() {
         out.push_str("store is empty\n");
         return out;
@@ -1351,7 +1334,7 @@ const PERCENTILE_COLORS: [&str; 3] = ["#1f77b4", "#ff7f0e", "#d62728"];
 /// throughput-over-time series per run.
 fn chart_datas(store: &ResultStore) -> Vec<ChartData> {
     let mut charts = Vec::new();
-    for (campaign, kind) in store_groups(store) {
+    for (campaign, kind) in store.groups() {
         let stem = chart_stem(&campaign, &kind);
         let points = store_points(store, &campaign, &kind);
         match kind.as_str() {
@@ -1579,7 +1562,7 @@ pub fn report_gnuplot(store: &ResultStore) -> Vec<GnuplotArtifact> {
 /// row leads with its campaign name, so same-named configurations from
 /// different campaigns sharing a store stay separable.
 pub fn report_csv(store: &ResultStore) -> String {
-    let groups = store_groups(store);
+    let groups = store.groups();
     let mut out = String::new();
     let rate_campaigns: Vec<&String> = groups
         .iter()

@@ -21,12 +21,17 @@
 //! its deadline) has its jobs re-offered; duplicate deliveries — a slow
 //! worker finishing after its lease was re-offered and re-run — are folded
 //! idempotently (results are deterministic functions of the job, so both
-//! copies carry the same bytes; `ok` is never downgraded).
+//! copies carry the same bytes; `ok` is never downgraded). A restarted
+//! coordinator whose predecessor left work behind keeps serving, for a few
+//! seconds after the grid drains, until the workers named in the manifest
+//! have heard `Drained`, so none is left redialing a finished campaign.
 
-use crate::protocol::{write_message, Reply, Request, DRAIN_LINGER_MILLIS, WAIT_BACKOFF_MILLIS};
+use crate::protocol::{
+    write_frame, write_message, Reply, Request, DRAIN_LINGER_MILLIS, WAIT_BACKOFF_MILLIS,
+};
 use crate::session::{campaign_fingerprint, session_nonce};
 use std::collections::{HashMap, HashSet};
-use std::io::BufReader;
+use std::io::{BufReader, BufWriter, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -36,6 +41,20 @@ use surepath_runner::{
     job_fingerprint, log_info, log_warn, manifest_path, queue::shard_of_fingerprint, timings_path,
     JobSpec, ResultStore, ShardManifest, ShardQueues, StoreRecord, TimingRecord, TimingsLog,
 };
+
+/// One pending job with the identity the coordinator computed for it once,
+/// at serve start: its fingerprint and its shard.
+struct PendingJob {
+    job: JobSpec,
+    fp: String,
+    shard: usize,
+}
+
+/// How long a coordinator that drained the grid keeps serving for workers
+/// it still owes a `Drained` (see [`Shared::owed`]): the default reconnect
+/// backoff ceiling (2 s) plus its largest jitter (1 s), so a worker in
+/// its reconnect loop dials at least once within it.
+const OWED_DRAIN_GRACE: Duration = Duration::from_secs(3);
 
 /// Tuning knobs of [`serve`].
 #[derive(Clone, Debug)]
@@ -110,9 +129,20 @@ impl ServeOutcome {
 /// Everything the per-connection handler threads share.
 struct Shared {
     /// The pending jobs (not complete in the store at serve start).
-    pending: Vec<JobSpec>,
+    pending: Vec<PendingJob>,
     /// Fingerprint → index into `pending`.
     by_fp: HashMap<String, usize>,
+    /// Fingerprints of the grid's jobs that were complete in the store at
+    /// serve start: a worker may still deliver one (a result whose ack a
+    /// crashed coordinator never sent), and the copy is dropped like any
+    /// other duplicate.
+    complete: HashSet<String>,
+    /// Workers named in the manifest of an earlier serve of this store
+    /// that have not been told `Drained` yet. When that serve died with
+    /// work pending, they are in their reconnect loops; finishing before
+    /// they dial again would leave them redialing a coordinator that is
+    /// gone until their retry budget runs out.
+    owed: HashSet<String>,
     /// Shard queues + leases over `pending` indices. Leases are keyed by
     /// *connection name* (`worker#N`), not worker id: a reconnecting
     /// worker's new leases must never be released by its dead connection's
@@ -159,9 +189,8 @@ impl Shared {
     fn reclaim_connection(&mut self, worker: &str, conn: &str, home_shard: usize) -> usize {
         let released = self.queues.release_worker(conn);
         for &idx in &released {
-            let fp = job_fingerprint(&self.pending[idx]);
-            let shard = shard_of_fingerprint(&fp, self.queues.shards());
-            let _ = self.manifest.record_reclaimed(&fp, shard, worker);
+            let job = &self.pending[idx];
+            let _ = self.manifest.record_reclaimed(&job.fp, job.shard, worker);
         }
         self.reoffered += released.len();
         // The home-shard slot is freed exactly once per connection: a dead
@@ -350,7 +379,7 @@ fn handle_connection(
         Ok(s) => s,
         Err(_) => return,
     });
-    let mut writer = stream;
+    let mut writer = BufWriter::new(stream);
 
     // Campaign completion does not end the conversation instantly: a worker
     // sleeping through a Wait backoff still deserves its final `Drained`
@@ -536,13 +565,14 @@ fn handle_connection(
                         }
                     }
                 } else {
+                    let state = &mut *shared;
                     let mut jobs = Vec::with_capacity(fresh.len());
-                    for idx in &fresh {
-                        let job = shared.pending[*idx].clone();
-                        let fp = job_fingerprint(&job);
-                        let job_shard = shard_of_fingerprint(&fp, shared.queues.shards());
-                        let _ = shared.manifest.record_assigned(&fp, job_shard, &worker);
-                        jobs.push(job);
+                    for idx in fresh {
+                        let pending = &state.pending[idx];
+                        let _ = state
+                            .manifest
+                            .record_assigned(&pending.fp, pending.shard, &worker);
+                        jobs.push(pending.job.clone());
                     }
                     Reply::Assign { jobs }
                 }
@@ -576,13 +606,21 @@ fn handle_connection(
             }
         };
         let done = matches!(reply, Reply::Drained);
-        if write_message(&mut writer, &reply).is_err() {
+        // A client that runs ahead has its replies queued while another of
+        // its complete requests is already buffered; they go out together,
+        // in one write, once none is.
+        let sent = write_frame(&mut writer, &reply).and_then(|()| {
+            if done || !reader.buffer().contains(&b'\n') {
+                writer.flush()
+            } else {
+                Ok(())
+            }
+        });
+        if sent.is_err() || done {
             let mut shared = shared.lock().expect("coordinator state");
-            shared.reclaim_connection(&worker, &conn, shard);
-            return;
-        }
-        if done {
-            let mut shared = shared.lock().expect("coordinator state");
+            if sent.is_ok() {
+                shared.owed.remove(&worker);
+            }
             shared.reclaim_connection(&worker, &conn, shard);
             return;
         }
@@ -592,22 +630,35 @@ fn handle_connection(
 /// Folds one delivered record into store + manifest + timings. Duplicate
 /// and stale deliveries (lease expired, job re-offered and already
 /// delivered by someone else) are dropped idempotently.
+///
+/// Trust nothing, but check once: the record's fingerprint must name a
+/// pending job of the grid and its job must be that job, which is the
+/// fingerprint check without fingerprinting the job again. Only a record
+/// that fails it is fingerprinted: to say which check it failed, or to
+/// drop it as a duplicate when it is a grid job that was complete at serve
+/// start. Status, result and error are then normalised as `append_ok` and
+/// `append_failed` write them, and the record goes to the store as it is.
 fn fold_delivery(
     shared: &mut Shared,
     worker: &str,
-    record: StoreRecord,
+    mut record: StoreRecord,
     millis: u64,
 ) -> Result<(), String> {
-    // Trust nothing: the fingerprint must match the job it claims to be.
-    let fp = job_fingerprint(&record.job);
-    if fp != record.fp {
-        return Err(format!(
-            "record fingerprint {} does not match its job ({fp})",
-            record.fp
-        ));
-    }
-    let Some(&idx) = shared.by_fp.get(&fp) else {
-        return Err(format!("job {fp} is not part of this campaign's grid"));
+    let idx = match shared.by_fp.get(&record.fp) {
+        Some(&idx) if shared.pending[idx].job == record.job => idx,
+        _ => {
+            let fp = job_fingerprint(&record.job);
+            return if fp != record.fp {
+                Err(format!(
+                    "record fingerprint {} does not match its job ({fp})",
+                    record.fp
+                ))
+            } else if shared.complete.contains(&fp) {
+                Ok(())
+            } else {
+                Err(format!("job {fp} is not part of this campaign's grid"))
+            };
+        }
     };
     shared.queues.complete(idx);
     if shared.delivered[idx] {
@@ -616,22 +667,28 @@ fn fold_delivery(
         return Ok(());
     }
     let ok = record.status == "ok";
-    let append = if ok {
-        shared
-            .store
-            .append_ok(&record.job, record.result.unwrap_or(serde::Value::Null))
+    if ok {
+        record.result.get_or_insert(serde::Value::Null);
+        record.error = None;
     } else {
-        shared.store.append_failed(
-            &record.job,
-            record.error.unwrap_or_else(|| "unknown error".to_string()),
-        )
-    };
-    append.map_err(|e| format!("cannot persist result: {e}"))?;
-    let shard = shard_of_fingerprint(&fp, shared.queues.shards());
-    let _ = shared.manifest.record_done(&fp, shard, worker);
+        record.status = "failed".to_string();
+        record.result = None;
+        record
+            .error
+            .get_or_insert_with(|| "unknown error".to_string());
+    }
+    shared
+        .store
+        .append_record(record)
+        .map_err(|e| format!("cannot persist result: {e}"))?;
+    let pending = &shared.pending[idx];
+    let label = pending.job.label();
+    let _ = shared
+        .manifest
+        .record_done(&pending.fp, pending.shard, worker);
     let _ = shared.timings.append(&TimingRecord {
-        fp,
-        label: record.job.label(),
+        fp: pending.fp.clone(),
+        label: label.clone(),
         millis,
         worker: worker.to_string(),
     });
@@ -643,11 +700,10 @@ fn fold_delivery(
     if !shared.quiet {
         log_info!(
             "dist",
-            "[{}/{}] {}  {} (worker `{worker}`, {millis} ms)",
+            "[{}/{}] {}  {label} (worker `{worker}`, {millis} ms)",
             shared.delivered_count,
             shared.pending.len(),
             if ok { "done" } else { "FAILED" },
-            record.job.label()
         );
     }
     Ok(())
@@ -673,21 +729,41 @@ pub fn serve(
     let manifest = ShardManifest::open(&manifest_path(store_path))?;
     let timings = TimingsLog::open(&timings_path(store_path))?;
 
+    // Each job is fingerprinted once, here: the resume filter, the shard
+    // queues, `by_fp`, the manifest rows, the campaign fingerprint and the
+    // final rewrite all read these.
+    let fps: Vec<String> = jobs.iter().map(job_fingerprint).collect();
+    let mut queues = ShardQueues::new(opts.shards.max(1), opts.lease);
     // Only unfinished fingerprints are (re-)offered — the resume contract.
-    let pending: Vec<JobSpec> = jobs
-        .iter()
-        .filter(|job| !store.is_complete(&job_fingerprint(job)))
-        .cloned()
-        .collect();
+    let mut pending: Vec<PendingJob> = Vec::new();
+    let mut complete = HashSet::new();
+    for (job, fp) in jobs.iter().zip(&fps) {
+        if store.is_complete(fp) {
+            complete.insert(fp.clone());
+        } else {
+            pending.push(PendingJob {
+                job: job.clone(),
+                fp: fp.clone(),
+                shard: shard_of_fingerprint(fp, queues.shards()),
+            });
+        }
+    }
     let skipped = jobs.len() - pending.len();
     let total = jobs.len();
 
-    let mut queues = ShardQueues::new(opts.shards.max(1), opts.lease);
-    let mut by_fp = HashMap::new();
+    // Workers of an earlier serve of this store, if it left work behind.
+    let owed: HashSet<String> = if pending.is_empty() {
+        HashSet::new()
+    } else {
+        manifest
+            .records_in_order()
+            .map(|record| record.worker.clone())
+            .collect()
+    };
+    let mut by_fp = HashMap::with_capacity(pending.len());
     for (idx, job) in pending.iter().enumerate() {
-        let fp = job_fingerprint(job);
-        queues.push(shard_of_fingerprint(&fp, queues.shards()), idx);
-        by_fp.insert(fp, idx);
+        queues.push(job.shard, idx);
+        by_fp.insert(job.fp.clone(), idx);
     }
 
     let pending_len = pending.len();
@@ -696,6 +772,8 @@ pub fn serve(
         delivered: vec![false; pending_len],
         pending,
         by_fp,
+        complete,
+        owed,
         queues,
         store,
         manifest,
@@ -764,7 +842,7 @@ pub fn serve(
     // of this serve: every Welcome quotes them, so a reconnecting worker can
     // tell "coordinator restarted, same campaign" from "different campaign".
     let session = session_nonce();
-    let fingerprint = campaign_fingerprint(campaign, jobs);
+    let fingerprint = campaign_fingerprint(campaign, &fps);
     let chunk = opts.chunk.max(1);
     listener.set_nonblocking(true)?;
     // The accept loop runs on its own thread so the main thread can watch
@@ -803,12 +881,17 @@ pub fn serve(
         }
     });
 
-    // Wait for the grid to drain (or the stop hook to trip).
+    // Wait for the grid to drain (or the stop hook to trip), then, for at
+    // most `OWED_DRAIN_GRACE`, for the owed workers to hear `Drained`.
+    let mut drained_at: Option<Instant> = None;
     loop {
         {
             let shared = shared.lock().expect("coordinator state");
             if shared.is_over() {
-                break;
+                let since = *drained_at.get_or_insert_with(Instant::now);
+                if shared.stopped || shared.owed.is_empty() || since.elapsed() >= OWED_DRAIN_GRACE {
+                    break;
+                }
             }
         }
         std::thread::sleep(Duration::from_millis(10));
@@ -825,21 +908,21 @@ pub fn serve(
         // fall back to working through the lock.
         Err(arc) => {
             let guard = arc.lock().expect("coordinator state");
-            return finalize_locked(guard, jobs, total, skipped);
+            return finalize_locked(guard, &fps, total, skipped);
         }
     };
-    shared.store.finalize(jobs)?;
+    shared.store.finalize_by_fingerprint(&fps)?;
     Ok(outcome_of(&shared, total, skipped))
 }
 
 /// The finalize path when a handler thread still shares the state.
 fn finalize_locked(
     mut guard: std::sync::MutexGuard<'_, Shared>,
-    jobs: &[JobSpec],
+    fps: &[String],
     total: usize,
     skipped: usize,
 ) -> std::io::Result<ServeOutcome> {
-    guard.store.finalize(jobs)?;
+    guard.store.finalize_by_fingerprint(fps)?;
     Ok(outcome_of(&guard, total, skipped))
 }
 

@@ -3,18 +3,29 @@
 //! One JSON document per line over a plain TCP stream (`std::net` only — the
 //! build environment has no crates.io, and a length-prefixed binary framing
 //! would buy nothing for messages this small). The conversation is entirely
-//! **worker-driven**: the worker introduces itself, then alternates between
-//! asking for jobs and streaming results back; the coordinator only ever
-//! replies. That keeps the coordinator's per-connection state machine
+//! **worker-driven**: the worker introduces itself, then asks for jobs and
+//! streams results back; the coordinator only ever replies, exactly once
+//! per request. That keeps the coordinator's per-connection state machine
 //! trivial — read one request, answer it — and means a dead worker is
 //! detected exactly where it matters, on the blocking read of its next
 //! request.
 //!
+//! Replies come back **in request order**, and the coordinator queues the
+//! replies to requests that arrive together and sends them in one write,
+//! once no complete request is waiting. The worker keeps one request in
+//! flight: its job threads run from a local queue, so they never wait on
+//! the network, and every reply, `Drained` included, reaches the worker
+//! before its next request leaves. A request written behind an unanswered
+//! one could fail after the coordinator answered the first with `Drained`,
+//! and take that answer down with the connection; on a link that drops
+//! connections, such a worker would then look for a coordinator that has
+//! already finished. Every frame goes out in one write.
+//!
 //! Messages are the vendored serde's externally tagged enum encoding, e.g.
 //! `{"Fetch":{"max":8}}` and `"Drained"`. Results travel as full
 //! [`StoreRecord`]s — the same JSON the store writes — so the coordinator
-//! folds them in without re-deriving anything, and the final store is
-//! byte-identical to a local run's.
+//! folds them in after one check, and the final store is byte-identical to
+//! a local run's.
 
 use serde::{Deserialize, Serialize};
 use std::io::{BufRead, Write};
@@ -94,12 +105,14 @@ pub enum Reply {
         jobs: Vec<JobSpec>,
     },
     /// Answer to `Fetch`: nothing to hand out right now, but leased jobs
-    /// are still in flight elsewhere — ask again after `millis`.
+    /// are still in flight elsewhere — ask again after `millis`. Also the
+    /// acknowledgement of a `Deliver` (with `millis` 0).
     Wait {
         /// Suggested back-off before the next `Fetch`.
         millis: u64,
     },
-    /// Answer to `Fetch`: the grid is drained; the worker can exit.
+    /// Answer to `Fetch` or `Deliver`: the grid is drained; the worker can
+    /// exit.
     Drained,
     /// The request violated the protocol (first message not `Hello`, a
     /// record for a job that was never part of the grid, …).
@@ -109,21 +122,40 @@ pub enum Reply {
     },
 }
 
-/// Writes one message as a JSON line and flushes it.
+/// Writes one message as a JSON line and flushes it. The line and its
+/// newline go out in one `write_all`, so on an unbuffered socket a frame
+/// is one write, never a body and a separate newline.
 pub fn write_message<T: Serialize>(writer: &mut impl Write, message: &T) -> std::io::Result<()> {
-    let line = serde_json::to_string(message).expect("protocol message serializes");
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
+    write_frame(writer, message)?;
     writer.flush()
 }
 
+/// [`write_message`] without the flush: the coordinator queues replies in a
+/// buffered writer and flushes once no complete request is waiting.
+pub(crate) fn write_frame<T: Serialize>(
+    writer: &mut impl Write,
+    message: &T,
+) -> std::io::Result<()> {
+    let mut line = serde_json::to_string(message).expect("protocol message serializes");
+    line.push('\n');
+    writer.write_all(line.as_bytes())
+}
+
 /// Reads one message line. `Ok(None)` is a clean EOF (the peer hung up
-/// between messages); a parse failure is an error (the peer is not speaking
-/// the protocol).
+/// between messages). A line cut off before its newline is an
+/// `UnexpectedEof` error — the peer died mid-frame, a transport failure
+/// like any other — while a complete line that does not parse is
+/// `InvalidData` (the peer is not speaking the protocol).
 pub fn read_message<T: Deserialize>(reader: &mut impl BufRead) -> std::io::Result<Option<T>> {
     let mut line = String::new();
     if reader.read_line(&mut line)? == 0 {
         return Ok(None);
+    }
+    if !line.ends_with('\n') {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            format!("connection closed mid-frame after {} byte(s)", line.len()),
+        ));
     }
     serde_json::from_str(line.trim_end())
         .map(Some)
@@ -221,6 +253,18 @@ mod tests {
         let mut reader = BufReader::new(b"not json at all\n".as_slice());
         let err = read_message::<Request>(&mut reader).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn a_frame_cut_before_its_newline_is_a_transport_error() {
+        let mut frame = Vec::new();
+        write_message(&mut frame, &Reply::Wait { millis: 5 }).unwrap();
+        frame.pop();
+        for cut in [frame.len() / 2, frame.len()] {
+            let mut reader = BufReader::new(&frame[..cut]);
+            let err = read_message::<Reply>(&mut reader).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err}");
+        }
     }
 
     #[test]

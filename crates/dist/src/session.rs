@@ -22,18 +22,19 @@ use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::time::Duration;
 use surepath_runner::fingerprint::fnv1a64;
-use surepath_runner::{job_fingerprint, JobSpec};
 
 /// The stable identity of a campaign grid: FNV-1a over the campaign name
-/// and the *sorted* set of job fingerprints. Sorting makes the value a
+/// and the *sorted* set of its job fingerprints. Sorting makes the value a
 /// function of the grid as a set — the same jobs always fingerprint
-/// identically, however the spec happened to enumerate them.
-pub fn campaign_fingerprint(campaign: &str, jobs: &[JobSpec]) -> String {
-    let mut fps: Vec<String> = jobs.iter().map(job_fingerprint).collect();
+/// identically, however the spec happened to enumerate them. Takes the
+/// fingerprints ([`surepath_runner::job_fingerprint`]) because the
+/// coordinator computes each job's once.
+pub fn campaign_fingerprint(campaign: &str, fingerprints: &[String]) -> String {
+    let mut fps: Vec<&str> = fingerprints.iter().map(String::as_str).collect();
     fps.sort_unstable();
     let mut material = String::with_capacity(campaign.len() + 1 + fps.len() * 17);
     material.push_str(campaign);
-    for fp in &fps {
+    for fp in fps {
         material.push('\n');
         material.push_str(fp);
     }
@@ -134,6 +135,7 @@ impl ReconnectPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use surepath_runner::{job_fingerprint, JobSpec};
 
     fn job(seed: u64) -> JobSpec {
         JobSpec {
@@ -148,8 +150,11 @@ mod tests {
 
     #[test]
     fn campaign_fingerprint_is_order_blind_and_content_sensitive() {
-        let jobs = vec![job(1), job(2), job(3)];
-        let reversed: Vec<JobSpec> = jobs.iter().rev().cloned().collect();
+        let jobs: Vec<String> = [job(1), job(2), job(3)]
+            .iter()
+            .map(job_fingerprint)
+            .collect();
+        let reversed: Vec<String> = jobs.iter().rev().cloned().collect();
         let fp = campaign_fingerprint("c", &jobs);
         assert_eq!(fp, campaign_fingerprint("c", &reversed), "order-blind");
         assert_ne!(fp, campaign_fingerprint("d", &jobs), "name-sensitive");

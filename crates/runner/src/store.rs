@@ -19,6 +19,23 @@
 //! record contents are deterministic, two runs of the same spec produce
 //! **byte-identical** stores, whatever the thread scheduling was.
 //!
+//! # Lines, not trees
+//!
+//! In memory the store holds, per fingerprint, the record's status, its
+//! (campaign, kind) and its **canonical line**: the record serialized once,
+//! when it is appended or loaded. No parsed record is kept. `finalize`
+//! streams the kept lines to the temp file in canonical order, re-serializing
+//! nothing, and readers ([`ResultStore::record`],
+//! [`ResultStore::records_in_order`] and friends, behind `--report`,
+//! `--diff`, `--merge` and the figure binaries) parse lines on demand. A
+//! parsed result tree takes several times the memory of its line, which is
+//! why a coordinator folding thousands of results keeps lines only.
+//!
+//! A loaded line is kept in its re-serialized form. For a line this store
+//! wrote, that is the line itself; for one that does not re-serialize to
+//! itself — written before a job field existed, say — it is exactly what a
+//! rewrite has always produced in its place.
+//!
 //! # Schema versioning
 //!
 //! The record line layout above is [`STORE_SCHEMA_VERSION`] and evolves
@@ -29,8 +46,10 @@
 //! serializes as `{"v":1,"b":[[bucket,count],...]}` and readers reject
 //! unknown `"v"` values instead of misdecoding. Both rules together mean a
 //! store written before a field existed still loads, reports and diffs
-//! exactly as it always did, while rewriting *never* reorders or rewrites
-//! old records' bytes.
+//! exactly as it always did. Rewriting never reorders a campaign's records,
+//! but it does write each record's re-serialized line: a line written before
+//! a nullable job field existed gains that field as `null` (the first golden
+//! batch line without `"root":null` comes back 12 bytes longer).
 //!
 //! The engine-counter field (schema 1 rev "observability") follows both
 //! rules: an `ok` result may carry a `counters` key — the sparse
@@ -74,79 +93,117 @@ pub struct StoreRecord {
     pub error: Option<String>,
 }
 
-/// The indexed contents of a store file: records by fingerprint, first-seen
-/// order, and the corrupt-line tally.
-type IndexedRecords = (HashMap<String, StoreRecord>, Vec<String>, usize);
+/// A kept record's status, as `finalize` orders records: `ok` first, then
+/// `failed`; a line with any other status stays outside the grid order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Status {
+    Ok,
+    Failed,
+    Other,
+}
+
+impl Status {
+    fn of(status: &str) -> Status {
+        match status {
+            "ok" => Status::Ok,
+            "failed" => Status::Failed,
+            _ => Status::Other,
+        }
+    }
+}
+
+/// One kept record: its status, its (campaign, kind) group and its
+/// canonical line, newline included — the exact bytes `finalize` writes.
+#[derive(Debug)]
+struct Entry {
+    status: Status,
+    /// Index into [`ResultStore::groups`].
+    group: u32,
+    line: Box<str>,
+}
+
+/// Parses a kept line. Every kept line is a record serialized by this
+/// module, so it always parses.
+fn parse_line(line: &str) -> StoreRecord {
+    serde_json::from_str(line).expect("a kept store line parses")
+}
 
 /// An append-only, fingerprint-indexed JSONL result store.
+///
+/// The store keeps each fingerprint's status and canonical line — never a
+/// parsed record — and readers parse lines on demand (see the module docs).
 #[derive(Debug)]
 pub struct ResultStore {
     path: PathBuf,
     /// `None` for read-only stores (see [`ResultStore::open_read_only`]).
-    writer: Option<BufWriter<File>>,
-    /// fingerprint → record, last-writer-wins (an `ok` overwrites a stale
-    /// `failed` from an earlier run).
-    records: HashMap<String, StoreRecord>,
-    /// Fingerprints in first-seen (file) order, so consumers that render
-    /// reports can iterate deterministically. In a finalized store this is
-    /// the canonical grid order.
-    order: Vec<String>,
+    writer: Option<File>,
+    /// One entry per fingerprint, in first-seen (file) order, so readers
+    /// iterate deterministically. In a finalized store this is the
+    /// canonical grid order.
+    entries: Vec<Entry>,
+    /// fingerprint → index into `entries`. Last writer wins, except that
+    /// on reopen an `ok` line is never replaced by a later non-`ok` one.
+    index: HashMap<String, usize>,
+    /// The distinct (campaign, kind) pairs the entries belong to.
+    groups: Vec<(String, String)>,
     /// Lines that could not be parsed when reopening (corruption tally).
     pub corrupt_lines: usize,
 }
 
 impl ResultStore {
-    fn index(path: &Path, tolerate_missing: bool) -> std::io::Result<IndexedRecords> {
-        let mut records = HashMap::new();
-        let mut order: Vec<String> = Vec::new();
-        let mut corrupt_lines = 0;
-        match std::fs::read_to_string(path) {
-            Ok(existing) => {
-                for line in existing.lines() {
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    match serde_json::from_str::<StoreRecord>(line) {
-                        Ok(record) => {
-                            // `ok` beats `failed`; otherwise last wins.
-                            let keep_old =
-                                records.get(&record.fp).is_some_and(|old: &StoreRecord| {
-                                    old.status == "ok" && record.status != "ok"
-                                });
-                            if !keep_old {
-                                if !records.contains_key(&record.fp) {
-                                    order.push(record.fp.clone());
-                                }
-                                records.insert(record.fp.clone(), record);
-                            }
-                        }
-                        Err(_) => corrupt_lines += 1,
-                    }
-                }
+    /// Indexes the store file at `path`, without a write handle.
+    fn load(path: &Path, tolerate_missing: bool) -> std::io::Result<Self> {
+        let mut store = ResultStore {
+            path: path.to_path_buf(),
+            writer: None,
+            entries: Vec::new(),
+            index: HashMap::new(),
+            groups: Vec::new(),
+            corrupt_lines: 0,
+        };
+        let existing = match std::fs::read_to_string(path) {
+            Ok(existing) => existing,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound && tolerate_missing => {
+                return Ok(store)
             }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound && tolerate_missing => {}
             Err(e) => return Err(e),
+        };
+        for line in existing.lines() {
+            if line.trim().is_empty() {
+                continue;
+            }
+            let Ok(record) = serde_json::from_str::<StoreRecord>(line) else {
+                store.corrupt_lines += 1;
+                continue;
+            };
+            // `ok` beats `failed`; otherwise last wins.
+            let keep_old = store
+                .index
+                .get(&record.fp)
+                .is_some_and(|&i| store.entries[i].status == Status::Ok && record.status != "ok");
+            if !keep_old {
+                // The kept line is the record re-serialized: for a line
+                // written by this store that is the line itself, and for
+                // one written before a field existed it is what `finalize`
+                // has always written in its place.
+                let entry = store.entry_for(&record);
+                store.keep(record.fp, entry);
+            }
         }
-        Ok((records, order, corrupt_lines))
+        Ok(store)
     }
 
     /// Opens (or creates) the store at `path` for appending, indexing
     /// existing records.
     pub fn open(path: &Path) -> std::io::Result<Self> {
-        let (records, order, corrupt_lines) = Self::index(path, true)?;
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent)?;
             }
         }
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(ResultStore {
-            path: path.to_path_buf(),
-            writer: Some(BufWriter::new(file)),
-            records,
-            order,
-            corrupt_lines,
-        })
+        let mut store = Self::load(path, true)?;
+        store.writer = Some(OpenOptions::new().create(true).append(true).open(path)?);
+        Ok(store)
     }
 
     /// Opens the store at `path` read-only: no file is created, no write
@@ -154,43 +211,116 @@ impl ResultStore {
     /// and a missing file is an error rather than an empty store. Appending
     /// or finalizing a read-only store fails.
     pub fn open_read_only(path: &Path) -> std::io::Result<Self> {
-        let (records, order, corrupt_lines) = Self::index(path, false)?;
-        Ok(ResultStore {
-            path: path.to_path_buf(),
-            writer: None,
-            records,
-            order,
-            corrupt_lines,
-        })
+        Self::load(path, false)
+    }
+
+    /// The entry that keeps `record`: its status, group and serialized
+    /// line.
+    fn entry_for(&mut self, record: &StoreRecord) -> Entry {
+        let mut line = serde_json::to_string(record).expect("record serializes");
+        line.push('\n');
+        let job = &record.job;
+        let group = match self
+            .groups
+            .iter()
+            .position(|(campaign, kind)| *campaign == job.campaign && *kind == job.kind)
+        {
+            Some(group) => group,
+            None => {
+                self.groups.push((job.campaign.clone(), job.kind.clone()));
+                self.groups.len() - 1
+            }
+        };
+        Entry {
+            status: Status::of(&record.status),
+            group: group as u32,
+            line: line.into_boxed_str(),
+        }
+    }
+
+    /// Keeps `entry` under `fp`, replacing any earlier entry in place.
+    fn keep(&mut self, fp: String, entry: Entry) {
+        match self.index.get(&fp) {
+            Some(&slot) => self.entries[slot] = entry,
+            None => {
+                self.index.insert(fp, self.entries.len());
+                self.entries.push(entry);
+            }
+        }
+    }
+
+    fn read_only_error() -> std::io::Error {
+        std::io::Error::new(
+            std::io::ErrorKind::PermissionDenied,
+            "store was opened read-only",
+        )
     }
 
     /// Whether a job with this fingerprint already completed successfully.
     pub fn is_complete(&self, fingerprint: &str) -> bool {
-        self.records
+        self.index
             .get(fingerprint)
-            .is_some_and(|r| r.status == "ok")
+            .is_some_and(|&i| self.entries[i].status == Status::Ok)
     }
 
     /// Number of successfully completed records.
     pub fn completed_count(&self) -> usize {
-        self.records.values().filter(|r| r.status == "ok").count()
+        self.entries
+            .iter()
+            .filter(|e| e.status == Status::Ok)
+            .count()
     }
 
-    /// The record for a fingerprint, if any.
-    pub fn record(&self, fingerprint: &str) -> Option<&StoreRecord> {
-        self.records.get(fingerprint)
+    /// The record for a fingerprint, if any, parsed from its line.
+    pub fn record(&self, fingerprint: &str) -> Option<StoreRecord> {
+        self.index
+            .get(fingerprint)
+            .map(|&i| parse_line(&self.entries[i].line))
     }
 
-    /// All indexed records (unordered).
-    pub fn records(&self) -> impl Iterator<Item = &StoreRecord> {
-        self.records.values()
+    /// All records, parsed on demand, in no promised order.
+    pub fn records(&self) -> impl Iterator<Item = StoreRecord> + '_ {
+        self.records_in_order()
     }
 
-    /// All indexed records in first-seen (file) order — the canonical grid
-    /// order for a finalized store. Report renderers must use this (not
-    /// [`ResultStore::records`]) so their output is deterministic.
-    pub fn records_in_order(&self) -> impl Iterator<Item = &StoreRecord> {
-        self.order.iter().filter_map(|fp| self.records.get(fp))
+    /// All records in first-seen (file) order — the canonical grid order
+    /// for a finalized store — parsed on demand. Report renderers must use
+    /// this (not [`ResultStore::records`]) so their output is
+    /// deterministic.
+    pub fn records_in_order(&self) -> impl Iterator<Item = StoreRecord> + '_ {
+        self.entries.iter().map(|e| parse_line(&e.line))
+    }
+
+    /// The (campaign, kind) pairs of the records, in first-seen (file)
+    /// order. Reads no line.
+    pub fn groups(&self) -> Vec<(String, String)> {
+        let mut seen = vec![false; self.groups.len()];
+        let mut groups = Vec::new();
+        for entry in &self.entries {
+            let group = entry.group as usize;
+            if !std::mem::replace(&mut seen[group], true) {
+                groups.push(self.groups[group].clone());
+            }
+        }
+        groups
+    }
+
+    /// The records of one (campaign, kind) in [`ResultStore::records_in_order`]
+    /// order, parsed on demand; lines of other groups are not read.
+    pub fn records_of<'a>(
+        &'a self,
+        campaign: &str,
+        kind: &str,
+    ) -> impl Iterator<Item = StoreRecord> + 'a {
+        let group = self
+            .groups
+            .iter()
+            .position(|(c, k)| c == campaign && k == kind)
+            .map(|g| g as u32);
+        self.entries
+            .iter()
+            .filter(move |e| Some(e.group) == group)
+            .map(|e| parse_line(&e.line))
     }
 
     /// The store's path.
@@ -198,28 +328,30 @@ impl ResultStore {
         &self.path
     }
 
-    fn append(&mut self, record: StoreRecord) -> std::io::Result<()> {
-        let Some(writer) = &mut self.writer else {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::PermissionDenied,
-                "store was opened read-only",
-            ));
-        };
-        let line = serde_json::to_string(&record).expect("record serializes");
-        writer.write_all(line.as_bytes())?;
-        writer.write_all(b"\n")?;
-        // Flush per record: an interrupted campaign must keep what finished.
-        writer.flush()?;
-        if !self.records.contains_key(&record.fp) {
-            self.order.push(record.fp.clone());
+    /// Streams one record to disk and keeps its line. The caller vouches
+    /// that `record.fp` is the fingerprint of `record.job` and that status,
+    /// result and error are normalised as [`ResultStore::append_ok`] and
+    /// [`ResultStore::append_failed`] write them; the coordinator checks a
+    /// delivered record against its grid once and appends it through here
+    /// without fingerprinting the job again.
+    pub fn append_record(&mut self, record: StoreRecord) -> std::io::Result<()> {
+        if self.writer.is_none() {
+            return Err(Self::read_only_error());
         }
-        self.records.insert(record.fp.clone(), record);
+        let entry = self.entry_for(&record);
+        // One write per record, straight to the file: an interrupted
+        // campaign keeps what finished.
+        self.writer
+            .as_mut()
+            .expect("checked above")
+            .write_all(entry.line.as_bytes())?;
+        self.keep(record.fp, entry);
         Ok(())
     }
 
     /// Streams one successful result to disk.
     pub fn append_ok(&mut self, job: &JobSpec, result: Value) -> std::io::Result<()> {
-        self.append(StoreRecord {
+        self.append_record(StoreRecord {
             fp: job_fingerprint(job),
             status: "ok".to_string(),
             job: job.clone(),
@@ -231,7 +363,7 @@ impl ResultStore {
     /// Streams one failure to disk. Failed jobs are *not* treated as
     /// complete: a later run retries them.
     pub fn append_failed(&mut self, job: &JobSpec, error: String) -> std::io::Result<()> {
-        self.append(StoreRecord {
+        self.append_record(StoreRecord {
             fp: job_fingerprint(job),
             status: "failed".to_string(),
             job: job.clone(),
@@ -245,20 +377,27 @@ impl ResultStore {
     /// duplicates and corruption. Atomic (temp file + rename). Makes
     /// completed campaign stores byte-identical across runs.
     pub fn finalize(&mut self, jobs: &[JobSpec]) -> std::io::Result<()> {
+        let fingerprints: Vec<String> = jobs.iter().map(job_fingerprint).collect();
+        self.finalize_by_fingerprint(&fingerprints)
+    }
+
+    /// [`ResultStore::finalize`] for a grid given by its jobs' fingerprints,
+    /// in grid order, for callers that already hold them.
+    ///
+    /// The kept lines stream to the temp file as they are: nothing is
+    /// re-serialized and the store's text is never built in one string.
+    pub fn finalize_by_fingerprint(&mut self, fingerprints: &[String]) -> std::io::Result<()> {
         if self.writer.is_none() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::PermissionDenied,
-                "store was opened read-only",
-            ));
+            return Err(Self::read_only_error());
         }
-        let mut ordered: Vec<&StoreRecord> = Vec::new();
-        let mut listed = std::collections::HashSet::new();
-        for status in ["ok", "failed"] {
-            for job in jobs {
-                let fp = job_fingerprint(job);
-                if let Some(record) = self.records.get(&fp) {
-                    if record.status == status && listed.insert(fp) {
-                        ordered.push(record);
+        let mut order: Vec<usize> = Vec::with_capacity(self.entries.len());
+        let mut listed = vec![false; self.entries.len()];
+        for status in [Status::Ok, Status::Failed] {
+            for fp in fingerprints {
+                if let Some(&i) = self.index.get(fp) {
+                    if self.entries[i].status == status && !std::mem::replace(&mut listed[i], true)
+                    {
+                        order.push(i);
                     }
                 }
             }
@@ -269,32 +408,44 @@ impl ResultStore {
         // a campaign that already finalized, that is its own canonical grid
         // order, so finalizing campaign B never scrambles campaign A's
         // report order.
-        let mut extras: Vec<&StoreRecord> = self
-            .order
-            .iter()
-            .filter_map(|fp| self.records.get(fp))
-            .filter(|r| !listed.contains(&r.fp))
-            .collect();
-        extras.sort_by_key(|r| (r.job.campaign.clone(), r.job.kind.clone()));
-        ordered.extend(extras);
+        let mut extras: Vec<usize> = (0..self.entries.len()).filter(|&i| !listed[i]).collect();
+        extras.sort_by(|&a, &b| {
+            self.groups[self.entries[a].group as usize]
+                .cmp(&self.groups[self.entries[b].group as usize])
+        });
+        order.extend(extras);
 
-        let canonical_order: Vec<String> = ordered.iter().map(|r| r.fp.clone()).collect();
-
-        let mut text = String::new();
-        for record in &ordered {
-            text.push_str(&serde_json::to_string(record).expect("record serializes"));
-            text.push('\n');
-        }
         let tmp = self.path.with_extension("jsonl.tmp");
-        std::fs::write(&tmp, text)?;
+        let mut out = BufWriter::new(File::create(&tmp)?);
+        for &i in &order {
+            out.write_all(self.entries[i].line.as_bytes())?;
+        }
+        out.into_inner().map_err(|e| e.into_error())?;
         std::fs::rename(&tmp, &self.path)?;
-        self.order = canonical_order;
+
+        // Iteration follows the file from here on.
+        let mut position = vec![0; order.len()];
+        for (new, &old) in order.iter().enumerate() {
+            position[old] = new;
+        }
+        let mut slots: Vec<Option<Entry>> = std::mem::take(&mut self.entries)
+            .into_iter()
+            .map(Some)
+            .collect();
+        self.entries = order
+            .iter()
+            .map(|&old| slots[old].take().expect("each entry is ordered once"))
+            .collect();
+        for slot in self.index.values_mut() {
+            *slot = position[*slot];
+        }
         // Reopen the append handle on the renamed file.
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.path)?;
-        self.writer = Some(BufWriter::new(file));
+        self.writer = Some(
+            OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(&self.path)?,
+        );
         Ok(())
     }
 }
@@ -369,44 +520,46 @@ fn job_sort_key(job: &JobSpec) -> impl Ord + '_ {
 /// a canonical, report-friendly order that does not depend on shard listing
 /// order, so merging the same shards always produces identical bytes.
 pub fn merge_stores(output: &Path, inputs: &[PathBuf]) -> std::io::Result<MergeSummary> {
-    let mut merged: HashMap<String, StoreRecord> = HashMap::new();
+    // fingerprint → (whether ok, job, kept line): the job orders the merged
+    // store, the line is written as it is.
+    let mut merged: HashMap<String, (bool, JobSpec, Box<str>)> = HashMap::new();
     let mut read = 0;
     let mut duplicates = 0;
     for input in inputs {
         let shard = ResultStore::open_read_only(input)?;
-        for record in shard.records_in_order() {
+        for entry in shard.entries {
+            let record = parse_line(&entry.line);
+            let ok = entry.status == Status::Ok;
             read += 1;
             let keep_old = merged
                 .get(&record.fp)
-                .is_some_and(|old| !(old.status != "ok" && record.status == "ok"));
+                .is_some_and(|(old_ok, _, _)| *old_ok || !ok);
             if keep_old {
                 duplicates += 1;
             } else {
                 if merged.contains_key(&record.fp) {
                     duplicates += 1;
                 }
-                merged.insert(record.fp.clone(), record.clone());
+                merged.insert(record.fp, (ok, record.job, entry.line));
             }
         }
     }
-    let mut ordered: Vec<&StoreRecord> = merged.values().collect();
-    ordered.sort_by(|a, b| {
-        job_sort_key(&a.job)
-            .cmp(&job_sort_key(&b.job))
-            .then(a.fp.cmp(&b.fp))
-    });
-    let mut text = String::new();
-    for record in &ordered {
-        text.push_str(&serde_json::to_string(record).expect("record serializes"));
-        text.push('\n');
-    }
+    let mut ordered: Vec<(&String, &JobSpec, &str)> = merged
+        .iter()
+        .map(|(fp, (_, job, line))| (fp, job, &**line))
+        .collect();
+    ordered.sort_by(|a, b| job_sort_key(a.1).cmp(&job_sort_key(b.1)).then(a.0.cmp(b.0)));
     if let Some(parent) = output.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)?;
         }
     }
     let tmp = output.with_extension("jsonl.tmp");
-    std::fs::write(&tmp, text)?;
+    let mut out = BufWriter::new(File::create(&tmp)?);
+    for (_, _, line) in &ordered {
+        out.write_all(line.as_bytes())?;
+    }
+    out.into_inner().map_err(|e| e.into_error())?;
     std::fs::rename(&tmp, output)?;
     Ok(MergeSummary {
         read,
@@ -693,6 +846,80 @@ mod tests {
         store.finalize(&[job(1)]).unwrap();
         let reopened = ResultStore::open(&path).unwrap();
         assert_eq!(reopened.completed_count(), 2);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_line_without_a_nullable_field_finalizes_to_its_reserialized_bytes() {
+        // The first golden batch line, as a store written before the job's
+        // `root` field existed would hold it: finalize writes the line as
+        // the record re-serializes, `"root":null` included — the bytes a
+        // rewrite has always produced.
+        let golden = include_str!("../../../tests/fixtures/golden_store.jsonl")
+            .lines()
+            .next()
+            .unwrap();
+        let legacy = golden.replacen("\"root\":null,", "", 1);
+        assert_eq!(legacy.len() + 12, golden.len());
+        let path = temp_path("legacy-line");
+        let _ = std::fs::remove_file(&path);
+        std::fs::write(&path, format!("{legacy}\n")).unwrap();
+        let mut store = ResultStore::open(&path).unwrap();
+        assert_eq!(store.corrupt_lines, 0);
+        let record = store.records_in_order().next().unwrap();
+        assert!(store.is_complete(&record.fp));
+        store.finalize(&[record.job]).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            format!("{golden}\n")
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_shared_store_keeps_the_other_campaigns_lines_in_order() {
+        // Campaigns `c` and `a` finalize first; when `b` finalizes, their
+        // lines follow b's grid as extras, grouped by (campaign, kind) and
+        // otherwise in the order their own finalize left them.
+        let path = temp_path("shared-bytes");
+        let _ = std::fs::remove_file(&path);
+        let job_in = |campaign: &str, seed: u64| JobSpec {
+            campaign: campaign.into(),
+            ..job(seed)
+        };
+        let grid = |campaign: &str| -> Vec<JobSpec> {
+            (1..=3).map(|seed| job_in(campaign, seed)).collect()
+        };
+        let mut store = ResultStore::open(&path).unwrap();
+        for campaign in ["c", "a"] {
+            for j in grid(campaign).iter().rev() {
+                store
+                    .append_ok(j, serde_json::to_value(&j.seed).unwrap())
+                    .unwrap();
+            }
+            store.finalize(&grid(campaign)).unwrap();
+        }
+        let before = std::fs::read_to_string(&path).unwrap();
+        let of = |text: &str, campaign: &str| -> Vec<String> {
+            text.lines()
+                .filter(|line| line.contains(&format!("\"campaign\":\"{campaign}\"")))
+                .map(str::to_string)
+                .collect()
+        };
+        for j in grid("b").iter().rev() {
+            store.append_failed(j, "flaky".into()).unwrap();
+        }
+        store.finalize(&grid("b")).unwrap();
+        let after = std::fs::read_to_string(&path).unwrap();
+        let expected: Vec<String> = [of(&after, "b"), of(&before, "a"), of(&before, "c")].concat();
+        assert_eq!(after.lines().collect::<Vec<_>>(), expected);
+        assert_eq!(
+            store
+                .records_in_order()
+                .map(|r| r.job.campaign)
+                .collect::<Vec<_>>(),
+            ["b", "b", "b", "a", "a", "a", "c", "c", "c"]
+        );
         let _ = std::fs::remove_file(&path);
     }
 

@@ -139,7 +139,7 @@ fn diff_against_itself_is_clean_and_a_degraded_candidate_regresses() {
     // throughput, far outside the replica CIs.
     {
         let mut degraded = ResultStore::open(&degraded_path).unwrap();
-        let mut records: Vec<StoreRecord> = store.records_in_order().cloned().collect();
+        let mut records: Vec<StoreRecord> = store.records_in_order().collect();
         for record in &mut records {
             if record.job.mechanism.as_deref() == Some("polsp") {
                 let result = record.result.as_mut().unwrap();
