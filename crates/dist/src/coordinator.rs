@@ -21,17 +21,15 @@
 //! its deadline) has its jobs re-offered; duplicate deliveries — a slow
 //! worker finishing after its lease was re-offered and re-run — are folded
 //! idempotently (results are deterministic functions of the job, so both
-//! copies carry the same bytes; `ok` is never downgraded). A restarted
-//! coordinator whose predecessor left work behind keeps serving, for a few
-//! seconds after the grid drains, until the workers named in the manifest
-//! have heard `Drained`, so none is left redialing a finished campaign.
+//! copies carry the same bytes; `ok` is never downgraded). A coordinator
+//! restarted after a crash keeps accepting for a grace period after the
+//! grid drains, so the workers of its predecessor, which are still in their
+//! reconnect loops, hear `Drained` instead of a refused connection.
 
-use crate::protocol::{
-    write_frame, write_message, Reply, Request, DRAIN_LINGER_MILLIS, WAIT_BACKOFF_MILLIS,
-};
-use crate::session::{campaign_fingerprint, session_nonce};
+use crate::protocol::{write_message, Reply, Request, DRAIN_LINGER_MILLIS, WAIT_BACKOFF_MILLIS};
+use crate::session::{campaign_fingerprint, session_nonce, ReconnectPolicy};
 use std::collections::{HashMap, HashSet};
-use std::io::{BufReader, BufWriter, Write as _};
+use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -49,12 +47,6 @@ struct PendingJob {
     fp: String,
     shard: usize,
 }
-
-/// How long a coordinator that drained the grid keeps serving for workers
-/// it still owes a `Drained` (see [`Shared::owed`]): the default reconnect
-/// backoff ceiling (2 s) plus its largest jitter (1 s), so a worker in
-/// its reconnect loop dials at least once within it.
-const OWED_DRAIN_GRACE: Duration = Duration::from_secs(3);
 
 /// Tuning knobs of [`serve`].
 #[derive(Clone, Debug)]
@@ -132,17 +124,6 @@ struct Shared {
     pending: Vec<PendingJob>,
     /// Fingerprint → index into `pending`.
     by_fp: HashMap<String, usize>,
-    /// Fingerprints of the grid's jobs that were complete in the store at
-    /// serve start: a worker may still deliver one (a result whose ack a
-    /// crashed coordinator never sent), and the copy is dropped like any
-    /// other duplicate.
-    complete: HashSet<String>,
-    /// Workers named in the manifest of an earlier serve of this store
-    /// that have not been told `Drained` yet. When that serve died with
-    /// work pending, they are in their reconnect loops; finishing before
-    /// they dial again would leave them redialing a coordinator that is
-    /// gone until their retry budget runs out.
-    owed: HashSet<String>,
     /// Shard queues + leases over `pending` indices. Leases are keyed by
     /// *connection name* (`worker#N`), not worker id: a reconnecting
     /// worker's new leases must never be released by its dead connection's
@@ -379,7 +360,7 @@ fn handle_connection(
         Ok(s) => s,
         Err(_) => return,
     });
-    let mut writer = BufWriter::new(stream);
+    let mut writer = stream;
 
     // Campaign completion does not end the conversation instantly: a worker
     // sleeping through a Wait backoff still deserves its final `Drained`
@@ -606,21 +587,13 @@ fn handle_connection(
             }
         };
         let done = matches!(reply, Reply::Drained);
-        // A client that runs ahead has its replies queued while another of
-        // its complete requests is already buffered; they go out together,
-        // in one write, once none is.
-        let sent = write_frame(&mut writer, &reply).and_then(|()| {
-            if done || !reader.buffer().contains(&b'\n') {
-                writer.flush()
-            } else {
-                Ok(())
-            }
-        });
-        if sent.is_err() || done {
+        if write_message(&mut writer, &reply).is_err() {
             let mut shared = shared.lock().expect("coordinator state");
-            if sent.is_ok() {
-                shared.owed.remove(&worker);
-            }
+            shared.reclaim_connection(&worker, &conn, shard);
+            return;
+        }
+        if done {
+            let mut shared = shared.lock().expect("coordinator state");
             shared.reclaim_connection(&worker, &conn, shard);
             return;
         }
@@ -634,30 +607,27 @@ fn handle_connection(
 /// Trust nothing, but check once: the record's fingerprint must name a
 /// pending job of the grid and its job must be that job, which is the
 /// fingerprint check without fingerprinting the job again. Only a record
-/// that fails it is fingerprinted: to say which check it failed, or to
-/// drop it as a duplicate when it is a grid job that was complete at serve
-/// start. Status, result and error are then normalised as `append_ok` and
-/// `append_failed` write them, and the record goes to the store as it is.
+/// that fails it is fingerprinted, to say which check it failed. The store
+/// normalises status, result and error as it does for every record
+/// ([`ResultStore::append_delivered`]).
 fn fold_delivery(
     shared: &mut Shared,
     worker: &str,
-    mut record: StoreRecord,
+    record: StoreRecord,
     millis: u64,
 ) -> Result<(), String> {
     let idx = match shared.by_fp.get(&record.fp) {
         Some(&idx) if shared.pending[idx].job == record.job => idx,
         _ => {
             let fp = job_fingerprint(&record.job);
-            return if fp != record.fp {
-                Err(format!(
+            return Err(if fp != record.fp {
+                format!(
                     "record fingerprint {} does not match its job ({fp})",
                     record.fp
-                ))
-            } else if shared.complete.contains(&fp) {
-                Ok(())
+                )
             } else {
-                Err(format!("job {fp} is not part of this campaign's grid"))
-            };
+                format!("job {fp} is not part of this campaign's grid")
+            });
         }
     };
     shared.queues.complete(idx);
@@ -667,19 +637,9 @@ fn fold_delivery(
         return Ok(());
     }
     let ok = record.status == "ok";
-    if ok {
-        record.result.get_or_insert(serde::Value::Null);
-        record.error = None;
-    } else {
-        record.status = "failed".to_string();
-        record.result = None;
-        record
-            .error
-            .get_or_insert_with(|| "unknown error".to_string());
-    }
     shared
         .store
-        .append_record(record)
+        .append_delivered(record)
         .map_err(|e| format!("cannot persist result: {e}"))?;
     let pending = &shared.pending[idx];
     let label = pending.job.label();
@@ -716,8 +676,12 @@ fn fold_delivery(
 ///
 /// Already-complete fingerprints are skipped (resume), assignments and
 /// deliveries are journalled to `<store>.manifest.jsonl`, and per-job
-/// wall-clock goes to `<store>.timings.jsonl`. The caller is responsible
-/// for having validated the jobs (the coordinator never executes one).
+/// wall-clock goes to `<store>.timings.jsonl`. When the manifest already
+/// names jobs of this grid and some are still pending, an earlier serve
+/// crashed: this one then keeps accepting, and answering `Drained`, for
+/// [`ReconnectPolicy::longest_delay`] of the default policy after the grid
+/// drains. The caller is responsible for having validated the jobs (the
+/// coordinator never executes one).
 pub fn serve(
     listener: TcpListener,
     campaign: &str,
@@ -735,45 +699,40 @@ pub fn serve(
     let fps: Vec<String> = jobs.iter().map(job_fingerprint).collect();
     let mut queues = ShardQueues::new(opts.shards.max(1), opts.lease);
     // Only unfinished fingerprints are (re-)offered — the resume contract.
-    let mut pending: Vec<PendingJob> = Vec::new();
-    let mut complete = HashSet::new();
-    for (job, fp) in jobs.iter().zip(&fps) {
-        if store.is_complete(fp) {
-            complete.insert(fp.clone());
-        } else {
-            pending.push(PendingJob {
-                job: job.clone(),
-                fp: fp.clone(),
-                shard: shard_of_fingerprint(fp, queues.shards()),
-            });
-        }
-    }
+    let pending: Vec<PendingJob> = jobs
+        .iter()
+        .zip(&fps)
+        .filter(|(_, fp)| !store.is_complete(fp))
+        .map(|(job, fp)| PendingJob {
+            job: job.clone(),
+            fp: fp.clone(),
+            shard: shard_of_fingerprint(fp, queues.shards()),
+        })
+        .collect();
     let skipped = jobs.len() - pending.len();
     let total = jobs.len();
 
-    // Workers of an earlier serve of this store, if it left work behind.
-    let owed: HashSet<String> = if pending.is_empty() {
-        HashSet::new()
-    } else {
-        manifest
-            .records_in_order()
-            .map(|record| record.worker.clone())
-            .collect()
-    };
     let mut by_fp = HashMap::with_capacity(pending.len());
     for (idx, job) in pending.iter().enumerate() {
         queues.push(job.shard, idx);
         by_fp.insert(job.fp.clone(), idx);
     }
 
+    // An earlier serve of this store worked on this grid and left jobs
+    // pending: it crashed (or was stopped), and its workers may still be
+    // redialing.
+    let restarted = !pending.is_empty() && {
+        let grid: HashSet<&str> = fps.iter().map(String::as_str).collect();
+        manifest
+            .records_in_order()
+            .any(|record| grid.contains(record.fp.as_str()))
+    };
     let pending_len = pending.len();
     let shard_count = queues.shards();
     let shared = Arc::new(Mutex::new(Shared {
         delivered: vec![false; pending_len],
         pending,
         by_fp,
-        complete,
-        owed,
         queues,
         store,
         manifest,
@@ -881,17 +840,27 @@ pub fn serve(
         }
     });
 
-    // Wait for the grid to drain (or the stop hook to trip), then, for at
-    // most `OWED_DRAIN_GRACE`, for the owed workers to hear `Drained`.
+    // Wait for the grid to drain (or the stop hook to trip). A restarted
+    // coordinator then keeps accepting for one grace: a worker of its
+    // predecessor that dialed after it returned would redial a closed port
+    // until its retry budget ran out. The manifest cannot name every such
+    // worker (one welcomed but never given a job has no row), so the grace
+    // is not cut short; it is the longest sleep between two dials on the
+    // default reconnect policy.
+    let grace = if restarted {
+        ReconnectPolicy::default().longest_delay()
+    } else {
+        Duration::ZERO
+    };
     let mut drained_at: Option<Instant> = None;
     loop {
         {
             let shared = shared.lock().expect("coordinator state");
-            if shared.is_over() {
-                let since = *drained_at.get_or_insert_with(Instant::now);
-                if shared.stopped || shared.owed.is_empty() || since.elapsed() >= OWED_DRAIN_GRACE {
-                    break;
-                }
+            if shared.stopped
+                || (shared.is_done()
+                    && drained_at.get_or_insert_with(Instant::now).elapsed() >= grace)
+            {
+                break;
             }
         }
         std::thread::sleep(Duration::from_millis(10));

@@ -15,12 +15,11 @@
 //!   so fast workers drain slow workers' tails; journals every assignment
 //!   to the `<store>.manifest.jsonl` sidecar; leases expire and lost
 //!   workers' jobs are re-offered;
-//! * [`worker`] — [`run_worker`]: keeps its job threads for the whole
-//!   connection (the runner executor's panic isolation included), fetches
-//!   ahead and streams store-format records back with per-job
-//!   wall-clock; transport failures send it through
-//!   [`session::ReconnectPolicy`]'s backoff loop and it resumes the
-//!   campaign (the fingerprint in `Welcome` gates resumption).
+//! * [`worker`] — [`run_worker`]: pulls batches, runs them on the runner's
+//!   work-stealing executor (panic isolation included), streams
+//!   store-format records back with per-job wall-clock; transport failures
+//!   send it through [`session::ReconnectPolicy`]'s backoff loop and it
+//!   resumes the campaign (the fingerprint in `Welcome` gates resumption).
 //!
 //! Two supporting modules: [`session`] (campaign fingerprint, session
 //! nonce, reconnect policy) and [`faultnet`] (seeded socket fault

@@ -10,16 +10,14 @@
 //! detected exactly where it matters, on the blocking read of its next
 //! request.
 //!
-//! Replies come back **in request order**, and the coordinator queues the
-//! replies to requests that arrive together and sends them in one write,
-//! once no complete request is waiting. The worker keeps one request in
-//! flight: its job threads run from a local queue, so they never wait on
-//! the network, and every reply, `Drained` included, reaches the worker
-//! before its next request leaves. A request written behind an unanswered
-//! one could fail after the coordinator answered the first with `Drained`,
-//! and take that answer down with the connection; on a link that drops
-//! connections, such a worker would then look for a coordinator that has
-//! already finished. Every frame goes out in one write.
+//! Replies come back **in request order**, and every frame goes out in one
+//! write. The worker keeps one request in flight: it writes the next
+//! request only once the last one is answered, so every reply, `Drained`
+//! included, reaches it before its next request leaves. A request written
+//! behind an unanswered one could fail after the coordinator answered the
+//! first with `Drained`, and take that answer down with the connection; on
+//! a link that drops connections, such a worker would then look for a
+//! coordinator that has already finished.
 //!
 //! Messages are the vendored serde's externally tagged enum encoding, e.g.
 //! `{"Fetch":{"max":8}}` and `"Drained"`. Results travel as full
@@ -126,19 +124,10 @@ pub enum Reply {
 /// newline go out in one `write_all`, so on an unbuffered socket a frame
 /// is one write, never a body and a separate newline.
 pub fn write_message<T: Serialize>(writer: &mut impl Write, message: &T) -> std::io::Result<()> {
-    write_frame(writer, message)?;
-    writer.flush()
-}
-
-/// [`write_message`] without the flush: the coordinator queues replies in a
-/// buffered writer and flushes once no complete request is waiting.
-pub(crate) fn write_frame<T: Serialize>(
-    writer: &mut impl Write,
-    message: &T,
-) -> std::io::Result<()> {
     let mut line = serde_json::to_string(message).expect("protocol message serializes");
     line.push('\n');
-    writer.write_all(line.as_bytes())
+    writer.write_all(line.as_bytes())?;
+    writer.flush()
 }
 
 /// Reads one message line. `Ok(None)` is a clean EOF (the peer hung up

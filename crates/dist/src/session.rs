@@ -110,6 +110,13 @@ impl ReconnectPolicy {
         }
     }
 
+    /// The longest delay [`ReconnectPolicy::delay`] returns: the backoff
+    /// ceiling plus its largest jitter, half the ceiling. A worker in its
+    /// reconnect loop dials at least once in any window this long.
+    pub fn longest_delay(&self) -> Duration {
+        self.max_backoff + self.max_backoff / 2
+    }
+
     /// The delay before reconnect `attempt` (1-based): exponential from
     /// `initial_backoff`, capped at `max_backoff`, plus a deterministic
     /// jitter in `[0, step/2]` drawn from ChaCha8 keyed by the worker id
@@ -199,6 +206,12 @@ mod tests {
         // The cap holds whatever the attempt number.
         let late = policy.delay(30, "w");
         assert!(late <= Duration::from_secs(3), "{late:?}");
+        assert_eq!(policy.longest_delay(), Duration::from_secs(3));
+        for attempt in 1..40 {
+            for worker in ["w", "other-worker", "host:1234"] {
+                assert!(policy.delay(attempt, worker) <= policy.longest_delay());
+            }
+        }
         // Deterministic per (worker, attempt); distinct across workers.
         assert_eq!(policy.delay(2, "w"), policy.delay(2, "w"));
         assert_ne!(policy.delay(2, "w"), policy.delay(2, "other-worker"));
@@ -210,5 +223,6 @@ mod tests {
         assert_eq!(policy.retries, 3);
         assert_eq!(policy.initial_backoff, Duration::from_secs(5));
         assert_eq!(policy.max_backoff, Duration::from_secs(5));
+        assert_eq!(policy.longest_delay(), Duration::from_millis(7_500));
     }
 }

@@ -1,48 +1,35 @@
-//! The campaign worker: pull jobs over TCP onto job threads that live as
-//! long as the campaign, stream store-format results back.
+//! The campaign worker: pull job batches over TCP, run them on the local
+//! work-stealing executor, stream store-format results back.
 //!
 //! The worker is domain-agnostic like the runner: the caller supplies the
 //! closure that turns one [`JobSpec`] into one JSON result (the CLI and the
 //! figure binaries pass `surepath_core::run_job`). Panics inside the
-//! closure are caught by the runner executor's isolation
-//! ([`surepath_runner::run_isolated`]) and delivered as `failed` records —
+//! closure are caught by the executor and delivered as `failed` records —
 //! exactly the semantics of a local campaign — so one crashing simulation
 //! costs one grid cell, not a worker.
 //!
-//! The worker runs `threads` job threads for the whole campaign, across
-//! reconnects; they take jobs from one queue that the connection refills,
-//! so they never wait on the network. The connection itself keeps one
-//! request in flight (see [`crate::protocol`]): each result goes out as
-//! soon as the request before it is answered, and the next `Fetch` goes
-//! out while jobs are still running.
-//!
 //! The worker also survives the *coordinator* failing: any transport error
-//! mid-campaign (EOF, reset, broken pipe, a reply cut mid-frame) sends it
-//! into a reconnect loop driven by [`ReconnectPolicy`] — capped exponential
-//! backoff with deterministic jitter — where it re-dials, re-Hellos with
-//! its stable `worker_id`, and resumes. The campaign fingerprint in
-//! `Welcome` gates resumption: a restarted coordinator serving the *same*
-//! grid is resumed silently, while a different campaign on the same address
-//! aborts loudly instead of folding foreign results. A lost connection
-//! drops the jobs still queued: re-Hello reclaims the dead connection's
-//! leases and the coordinator re-offers them. The jobs still running
-//! finish, and their results, with any the coordinator had not answered,
-//! go out on the next connection. Duplicate deliveries fold idempotently,
-//! so the finished store stays byte-identical to a local run across any
-//! kill/restart sequence. A `Drained` reply — to a `Fetch` or to a
-//! delivery — ends the campaign.
+//! mid-campaign (EOF, reset, broken pipe) sends it into a reconnect loop
+//! driven by [`ReconnectPolicy`] — capped exponential backoff with
+//! deterministic jitter — where it re-dials, re-Hellos with its stable
+//! `worker_id`, and resumes. The campaign fingerprint in `Welcome` gates
+//! resumption: a restarted coordinator serving the *same* grid is resumed
+//! silently, while a different campaign on the same address aborts loudly
+//! instead of folding foreign results. Batches interrupted mid-delivery are
+//! re-offered by the coordinator (re-Hello reclaims the dead connection's
+//! leases), and duplicate deliveries fold idempotently, so the finished
+//! store stays byte-identical to a local run across any kill/restart
+//! sequence.
 
-use crate::protocol::{read_message, write_message, Reply, Request, WAIT_BACKOFF_MILLIS};
+use crate::protocol::{read_message, write_message, Reply, Request};
 use crate::session::{is_transient, ReconnectPolicy};
 use serde::Value;
-use std::collections::VecDeque;
 use std::io::BufReader;
 use std::net::TcpStream;
-use std::sync::mpsc;
-use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 use surepath_runner::{
-    job_fingerprint, log_debug, log_info, log_warn, run_isolated, JobOutcome, JobSpec, StoreRecord,
+    job_fingerprint, log_debug, log_info, log_warn, run_work_stealing, JobOutcome, JobSpec,
+    StoreRecord,
 };
 
 /// Tuning knobs of [`run_worker`].
@@ -50,10 +37,8 @@ use surepath_runner::{
 pub struct WorkerOptions {
     /// Executor threads on this worker (`None` = all cores).
     pub threads: Option<usize>,
-    /// Jobs requested per `Fetch` when the worker holds none (`None` = 2x
-    /// the thread count, so the job threads always have a next job while
-    /// results stream out); a refill while jobs are running asks for at
-    /// most one per thread.
+    /// Jobs requested per `Fetch` (`None` = 2x the thread count, so the
+    /// executor always has a next job while results stream out).
     pub chunk: Option<usize>,
     /// How long to keep retrying the initial connection (the coordinator
     /// may still be binding, or a `--spawn-local` parent may win the race).
@@ -122,79 +107,32 @@ fn connect_with_retry(addr: &str, retry_for: Duration) -> std::io::Result<TcpStr
 /// Builds the store-format record for one executed job — the same record a
 /// local campaign would append, so the coordinator's store stays
 /// byte-identical to a local run's.
-fn record_for(job: JobSpec, outcome: JobOutcome<Result<Value, String>>) -> StoreRecord {
-    let fp = job_fingerprint(&job);
-    let (status, result, error) = match outcome {
-        JobOutcome::Completed(Ok(result)) => ("ok", Some(result), None),
-        JobOutcome::Completed(Err(error)) => ("failed", None, Some(error)),
-        JobOutcome::Panicked(message) => ("failed", None, Some(format!("panic: {message}"))),
-    };
-    StoreRecord {
-        fp,
-        status: status.to_string(),
-        job,
-        result,
-        error,
+fn record_for(job: &JobSpec, outcome: JobOutcome<Result<Value, String>>) -> StoreRecord {
+    let fp = job_fingerprint(job);
+    match outcome {
+        JobOutcome::Completed(Ok(result)) => StoreRecord {
+            fp,
+            status: "ok".to_string(),
+            job: job.clone(),
+            result: Some(result),
+            error: None,
+        },
+        JobOutcome::Completed(Err(error)) => StoreRecord {
+            fp,
+            status: "failed".to_string(),
+            job: job.clone(),
+            result: None,
+            error: Some(error),
+        },
+        JobOutcome::Panicked(message) => StoreRecord {
+            fp,
+            status: "failed".to_string(),
+            job: job.clone(),
+            result: None,
+            error: Some(format!("panic: {message}")),
+        },
     }
 }
-
-/// The jobs a session has been assigned and no job thread has started yet.
-/// Job threads block on [`JobQueue::pop`]; closing the queue releases them.
-struct JobQueue {
-    state: Mutex<(VecDeque<JobSpec>, bool)>,
-    ready: Condvar,
-}
-
-impl JobQueue {
-    fn new() -> Self {
-        JobQueue {
-            state: Mutex::new((VecDeque::new(), false)),
-            ready: Condvar::new(),
-        }
-    }
-
-    fn push(&self, jobs: Vec<JobSpec>) {
-        self.state.lock().expect("job queue").0.extend(jobs);
-        self.ready.notify_all();
-    }
-
-    /// The next job, blocking while none is queued; `None` once closed.
-    fn pop(&self) -> Option<JobSpec> {
-        let mut state = self.state.lock().expect("job queue");
-        loop {
-            if state.1 {
-                return None;
-            }
-            if let Some(job) = state.0.pop_front() {
-                return Some(job);
-            }
-            state = self.ready.wait(state).expect("job queue");
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.state.lock().expect("job queue").0.len()
-    }
-
-    /// Drops the queued jobs; returns how many there were.
-    fn clear(&self) -> usize {
-        let mut state = self.state.lock().expect("job queue");
-        let dropped = state.0.len();
-        state.0.clear();
-        dropped
-    }
-
-    /// Stops handing out jobs for good: queued ones are dropped, running
-    /// ones finish.
-    fn close(&self) {
-        self.state.lock().expect("job queue").1 = true;
-        self.ready.notify_all();
-    }
-}
-
-/// A job a job thread finished: the job, its outcome and its wall-clock
-/// milliseconds.
-type Finished = (JobSpec, JobOutcome<Result<Value, String>>, u64);
 
 /// Per-campaign state that survives reconnects.
 struct Session {
@@ -208,34 +146,16 @@ struct Session {
     /// `Welcome` must match — a mismatch means the address now serves a
     /// different campaign and the worker must abort, not resume.
     fingerprint: Option<String>,
-    /// Results not yet delivered, with their wall-clock milliseconds. They
-    /// outlive a lost connection and go out on the next one.
-    unsent: VecDeque<(StoreRecord, u64)>,
-    /// Jobs fetched whose results have not come back from the job threads.
-    in_hand: usize,
-}
-
-impl Session {
-    /// Counts a finished job and queues its record for delivery.
-    fn finish(&mut self, (job, outcome, millis): Finished) {
-        let record = record_for(job, outcome);
-        self.executed += 1;
-        if record.status != "ok" {
-            self.failed += 1;
-        }
-        self.in_hand = self.in_hand.saturating_sub(1);
-        self.unsent.push_back((record, millis));
-    }
 }
 
 /// Runs a worker against the coordinator at `addr` until the campaign is
 /// drained. `worker_id` names this worker in leases, manifests and timing
 /// records — it must be unique among concurrent workers (host + pid is the
-/// CLI's choice). Fetched jobs run on `opts.threads` job threads that last
-/// as long as the campaign; results stream back one by one as they finish.
-/// Transport failures trigger the reconnect loop described in the module
-/// docs; only a non-transient error, a campaign-fingerprint mismatch, or an
-/// exhausted [`ReconnectPolicy`] make the worker give up.
+/// CLI's choice). Each fetched batch runs on the runner's work-stealing
+/// executor with `opts.threads` workers; results stream back one by one as
+/// they finish. Transport failures trigger the reconnect loop described in
+/// the module docs; only a non-transient error, a campaign-fingerprint
+/// mismatch, or an exhausted [`ReconnectPolicy`] make the worker give up.
 pub fn run_worker<F>(
     addr: &str,
     worker_id: &str,
@@ -247,348 +167,254 @@ where
 {
     let threads = opts
         .threads
-        .unwrap_or_else(surepath_runner::default_threads)
-        .max(1);
+        .unwrap_or_else(surepath_runner::default_threads);
     let chunk = opts.chunk.unwrap_or(threads.saturating_mul(2).max(1));
-    // The job threads live as long as the campaign, across reconnects, and
-    // take jobs from `queue`; this thread talks to the coordinator.
-    let queue = JobQueue::new();
-    let (results, inbox) = mpsc::channel::<Finished>();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let results = results.clone();
-            let queue = &queue;
-            let job_fn = &job_fn;
-            scope.spawn(move || {
-                while let Some(job) = queue.pop() {
-                    let started = Instant::now();
-                    let outcome = run_isolated(|| job_fn(&job));
-                    let millis = started.elapsed().as_millis() as u64;
-                    if results.send((job, outcome, millis)).is_err() {
-                        return;
-                    }
-                }
-            });
-        }
-        drop(results);
-        let link = Link {
-            addr,
-            worker_id,
-            opts,
-            threads,
-            chunk,
-            queue: &queue,
-            inbox: &inbox,
-        };
-        let outcome = link.run();
-        // Release the job threads: running jobs finish, queued ones drop.
-        queue.close();
-        outcome
-    })
-}
+    let mut session = Session {
+        executed: 0,
+        failed: 0,
+        reconnects: 0,
+        nonce: None,
+        fingerprint: None,
+    };
+    let mut attempt = 0usize;
 
-/// What a worker's connections share for the whole campaign.
-struct Link<'a> {
-    addr: &'a str,
-    worker_id: &'a str,
-    opts: &'a WorkerOptions,
-    threads: usize,
-    chunk: usize,
-    queue: &'a JobQueue,
-    inbox: &'a mpsc::Receiver<Finished>,
-}
-
-impl Link<'_> {
-    /// Runs sessions until the campaign drains, reconnecting after each
-    /// transport failure as described in the module docs.
-    fn run(&self) -> std::io::Result<WorkerOutcome> {
-        let (worker_id, opts) = (self.worker_id, self.opts);
-        let mut session = Session {
-            executed: 0,
-            failed: 0,
-            reconnects: 0,
-            nonce: None,
-            fingerprint: None,
-            unsent: VecDeque::new(),
-            in_hand: 0,
-        };
-        let mut attempt = 0usize;
-        loop {
-            let welcomed_before = session.nonce.is_some();
-            let reconnects_before = session.reconnects;
-            let result = self.session(&mut session);
-            // The lost connection's leases go back to the coordinator, so
-            // the jobs no thread has started are not this worker's to run.
-            session.in_hand = session.in_hand.saturating_sub(self.queue.clear());
-            match result {
-                Ok(()) => {
-                    if !opts.quiet {
-                        log_info!(
-                            &format!("worker {worker_id}"),
-                            "drained: {} executed, {} failed",
-                            session.executed,
-                            session.failed
-                        );
-                    }
-                    return Ok(WorkerOutcome {
-                        executed: session.executed,
-                        failed: session.failed,
-                        reconnects: session.reconnects,
-                    });
+    loop {
+        let welcomed_before = session.nonce.is_some();
+        let reconnects_before = session.reconnects;
+        match run_session(addr, worker_id, opts, &job_fn, threads, chunk, &mut session) {
+            Ok(()) => {
+                if !opts.quiet {
+                    log_info!(
+                        &format!("worker {worker_id}"),
+                        "drained: {} executed, {} failed",
+                        session.executed,
+                        session.failed
+                    );
                 }
-                Err(e) if is_transient(e.kind()) => {
-                    // A session that got as far as a Welcome proves the link
-                    // works: reset the counter so only *consecutive* failed
-                    // attempts count against the retry budget.
-                    let welcomed = session.reconnects > reconnects_before
-                        || (!welcomed_before && session.nonce.is_some());
-                    if welcomed {
-                        attempt = 0;
-                    }
-                    attempt += 1;
-                    if attempt > opts.reconnect.retries {
-                        return Err(std::io::Error::new(
-                            e.kind(),
-                            format!(
-                                "giving up after {} reconnect attempt(s): {e}",
-                                opts.reconnect.retries
-                            ),
-                        ));
-                    }
-                    let delay = opts.reconnect.delay(attempt, worker_id);
-                    if !opts.quiet {
-                        log_warn!(
-                            &format!("worker {worker_id}"),
-                            "connection lost ({e}); reconnect attempt {attempt}/{} in {delay:?}",
-                            opts.reconnect.retries
-                        );
-                    }
-                    std::thread::sleep(delay);
-                }
-                Err(e) => return Err(e),
+                return Ok(WorkerOutcome {
+                    executed: session.executed,
+                    failed: session.failed,
+                    reconnects: session.reconnects,
+                });
             }
+            Err(e) if is_transient(e.kind()) => {
+                // A session that got as far as a Welcome proves the link
+                // works: reset the counter so only *consecutive* failed
+                // attempts count against the retry budget.
+                let welcomed = session.reconnects > reconnects_before
+                    || (!welcomed_before && session.nonce.is_some());
+                if welcomed {
+                    attempt = 0;
+                }
+                attempt += 1;
+                if attempt > opts.reconnect.retries {
+                    return Err(std::io::Error::new(
+                        e.kind(),
+                        format!(
+                            "giving up after {} reconnect attempt(s): {e}",
+                            opts.reconnect.retries
+                        ),
+                    ));
+                }
+                let delay = opts.reconnect.delay(attempt, worker_id);
+                if !opts.quiet {
+                    log_warn!(
+                        &format!("worker {worker_id}"),
+                        "connection lost ({e}); reconnect attempt {attempt}/{} in {delay:?}",
+                        opts.reconnect.retries
+                    );
+                }
+                std::thread::sleep(delay);
+            }
+            Err(e) => return Err(e),
         }
     }
+}
 
-    /// One connection's worth of campaign work: dial, handshake, then run
-    /// the session ([`Pipe::serve`]) until `Drained`. `Ok(())` means the
-    /// campaign drained; any transport error bubbles up for
-    /// [`Link::run`]'s reconnect loop.
-    fn session(&self, session: &mut Session) -> std::io::Result<()> {
-        let (addr, worker_id, opts) = (self.addr, self.worker_id, self.opts);
-        let reconnecting = session.nonce.is_some();
-        let retry_for = if reconnecting {
-            Duration::ZERO
-        } else {
-            opts.connect_retry
-        };
-        let stream = connect_with_retry(addr, retry_for)?;
-        let _ = stream.set_nodelay(true);
-        let mut reader = BufReader::new(stream.try_clone()?);
-        let mut writer = stream;
+/// One connection's worth of campaign work: dial, handshake, then fetch /
+/// execute / deliver until `Drained`. `Ok(())` means the campaign drained;
+/// any transport error bubbles up for [`run_worker`]'s reconnect loop.
+#[allow(clippy::too_many_arguments)]
+fn run_session<F>(
+    addr: &str,
+    worker_id: &str,
+    opts: &WorkerOptions,
+    job_fn: &F,
+    threads: usize,
+    chunk: usize,
+    session: &mut Session,
+) -> std::io::Result<()>
+where
+    F: Fn(&JobSpec) -> Result<Value, String> + Sync,
+{
+    let reconnecting = session.nonce.is_some();
+    let retry_for = if reconnecting {
+        Duration::ZERO
+    } else {
+        opts.connect_retry
+    };
+    let stream = connect_with_retry(addr, retry_for)?;
+    let _ = stream.set_nodelay(true);
+    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut writer = stream;
 
-        write_message(
-            &mut writer,
-            &Request::Hello {
-                worker: worker_id.to_string(),
-                session: session.nonce.clone(),
-            },
-        )?;
-        let welcome: Reply = read_message(&mut reader)?.ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "coordinator hung up during handshake",
-            )
-        })?;
-        let campaign = match welcome {
-            Reply::Welcome {
-                campaign,
-                session: nonce,
-                fingerprint,
-                ..
-            } => {
-                // The fingerprint is the resume gate: same grid resumes, a
-                // different grid on the same address is a fatal mix-up.
-                if let Some(expected) = &session.fingerprint {
-                    if expected != &fingerprint {
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            format!(
-                                "coordinator at {addr} now serves a different campaign \
-                                 (fingerprint {fingerprint}, expected {expected}); aborting"
-                            ),
-                        ));
-                    }
+    write_message(
+        &mut writer,
+        &Request::Hello {
+            worker: worker_id.to_string(),
+            session: session.nonce.clone(),
+        },
+    )?;
+    let welcome: Reply = read_message(&mut reader)?.ok_or_else(|| {
+        std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "coordinator hung up during handshake",
+        )
+    })?;
+    let campaign = match welcome {
+        Reply::Welcome {
+            campaign,
+            session: nonce,
+            fingerprint,
+            ..
+        } => {
+            // The fingerprint is the resume gate: same grid resumes, a
+            // different grid on the same address is a fatal mix-up.
+            if let Some(expected) = &session.fingerprint {
+                if expected != &fingerprint {
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        format!(
+                            "coordinator at {addr} now serves a different campaign \
+                             (fingerprint {fingerprint}, expected {expected}); aborting"
+                        ),
+                    ));
                 }
-                session.fingerprint = Some(fingerprint);
-                if reconnecting {
-                    session.reconnects += 1;
-                    if !opts.quiet {
-                        log_info!(
-                            &format!("worker {worker_id}"),
-                            "reconnected, resuming `{campaign}`"
-                        );
-                    }
-                }
-                session.nonce = Some(nonce);
-                campaign
             }
-            other => {
+            session.fingerprint = Some(fingerprint);
+            if reconnecting {
+                session.reconnects += 1;
+                if !opts.quiet {
+                    log_info!(
+                        &format!("worker {worker_id}"),
+                        "reconnected, resuming `{campaign}`"
+                    );
+                }
+            }
+            session.nonce = Some(nonce);
+            campaign
+        }
+        other => {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("expected Welcome, got {other:?}"),
+            ))
+        }
+    };
+
+    let mut drained = false;
+    while !drained {
+        write_message(&mut writer, &Request::Fetch { max: chunk })?;
+        let reply: Reply = match read_message(&mut reader)? {
+            Some(reply) => reply,
+            // The coordinator hung up without Drained: it (or the network)
+            // died. Surface as a transport error — the reconnect loop will
+            // re-dial; a half-finished campaign must never look drained.
+            None => {
                 return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("expected Welcome, got {other:?}"),
+                    std::io::ErrorKind::UnexpectedEof,
+                    "coordinator hung up before draining the campaign",
                 ))
             }
         };
-
-        let target = format!("worker {worker_id}");
-        let log = (!opts.quiet).then_some((target.as_str(), campaign.as_str()));
-        let pipe = Pipe {
-            reader: &mut reader,
-            writer: &mut writer,
-            queue: self.queue,
-            inbox: self.inbox,
-        };
-        pipe.serve(self.threads, self.chunk, session, log)
-    }
-}
-
-/// One session's ends: the connection, the job queue it refills and the
-/// results its job threads send back.
-struct Pipe<'a> {
-    reader: &'a mut BufReader<TcpStream>,
-    writer: &'a mut TcpStream,
-    queue: &'a JobQueue,
-    inbox: &'a mpsc::Receiver<Finished>,
-}
-
-impl Pipe<'_> {
-    /// Writes one request and reads its reply.
-    fn exchange(&mut self, request: &Request) -> std::io::Result<Reply> {
-        write_message(self.writer, request)?;
-        read_message::<Reply>(self.reader)?.ok_or_else(|| {
-            // The coordinator hung up without Drained: it (or the network)
-            // died. A half-finished campaign must never look drained; the
-            // reconnect loop re-dials.
-            std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "coordinator hung up before draining the campaign",
-            )
-        })
-    }
-
-    /// Runs the session until `Drained`.
-    ///
-    /// The job threads never wait on the network: they run from the local
-    /// queue while this thread talks to the coordinator, one request at a
-    /// time. A finished job's result goes out as soon as the request before
-    /// it is answered. The next `Fetch` goes out, ahead of any waiting
-    /// result (though never twice in a row while results wait), once fewer
-    /// jobs are queued than half the job threads (rounded up), so the
-    /// refill arrives while jobs are still running;
-    /// it asks for `chunk` jobs when none is in hand and for `threads` when
-    /// some are still running, so one worker does not lease what idle
-    /// workers could start. With one request in flight every reply,
-    /// `Drained` included, reaches the worker before its next request
-    /// leaves: a connection that fails on that request cannot take the
-    /// answer to the one before down with it.
-    fn serve(
-        mut self,
-        threads: usize,
-        chunk: usize,
-        session: &mut Session,
-        log: Option<(&str, &str)>,
-    ) -> std::io::Result<()> {
-        // When a `Wait` reply asked to back off, the time of the next `Fetch`.
-        let mut refetch_at: Option<Instant> = None;
-        // Whether the last request was a `Fetch`: a waiting result goes out
-        // before the next one, so refills never starve deliveries.
-        let mut fetched = false;
-        loop {
-            while let Ok(done) = self.inbox.try_recv() {
-                session.finish(done);
-            }
-            let backing_off = refetch_at.is_some_and(|at| Instant::now() < at);
-            let refill = !backing_off && self.queue.len() < threads.div_ceil(2);
-            let request = if refill && (session.unsent.is_empty() || !fetched) {
-                refetch_at = None;
-                let max = if session.in_hand == 0 {
-                    chunk
-                } else {
-                    threads.min(chunk)
-                };
-                Request::Fetch { max }
-            } else if let Some((record, millis)) = session.unsent.pop_front() {
-                Request::Deliver { record, millis }
-            } else {
-                // Nothing to send: wait for a job to finish, or for the
-                // backoff to end.
-                let waited = match refetch_at.filter(|_| backing_off) {
-                    Some(at) => self
-                        .inbox
-                        .recv_timeout(at.saturating_duration_since(Instant::now())),
-                    None => self
-                        .inbox
-                        .recv()
-                        .map_err(|_| mpsc::RecvTimeoutError::Disconnected),
-                };
-                match waited {
-                    Ok(done) => session.finish(done),
-                    Err(mpsc::RecvTimeoutError::Timeout) => {}
-                    Err(mpsc::RecvTimeoutError::Disconnected) => {
-                        return Err(std::io::Error::other("the session's job threads exited"))
-                    }
+        match reply {
+            Reply::Assign { jobs } => {
+                if !opts.quiet {
+                    log_debug!(
+                        &format!("worker {worker_id}"),
+                        "{} job(s) of campaign `{campaign}`",
+                        jobs.len()
+                    );
                 }
-                continue;
-            };
-            fetched = matches!(request, Request::Fetch { .. });
-            let reply = match self.exchange(&request) {
-                Ok(reply) => reply,
-                Err(e) => {
-                    // The coordinator may never have seen this result: it
-                    // goes out again on the next connection (a duplicate
-                    // folds idempotently).
-                    if let Request::Deliver { record, millis } = request {
-                        session.unsent.push_front((record, millis));
-                    }
+                // Results stream back from the executor's consumer callback
+                // as they finish; a delivery failure stops the pool (the
+                // batch's leases are reclaimed when this worker re-Hellos).
+                let mut io_error: Option<std::io::Error> = None;
+                let executed = &mut session.executed;
+                let failed = &mut session.failed;
+                run_work_stealing(
+                    &jobs,
+                    threads,
+                    |_, job| {
+                        let started = Instant::now();
+                        let result = job_fn(job);
+                        (result, started.elapsed().as_millis() as u64)
+                    },
+                    |idx, outcome| {
+                        let (outcome, millis) = match outcome {
+                            JobOutcome::Completed((result, millis)) => {
+                                (JobOutcome::Completed(result), millis)
+                            }
+                            JobOutcome::Panicked(message) => (JobOutcome::Panicked(message), 0),
+                        };
+                        let record = record_for(&jobs[idx], outcome);
+                        *executed += 1;
+                        if record.status != "ok" {
+                            *failed += 1;
+                        }
+                        let sent = write_message(&mut writer, &Request::Deliver { record, millis });
+                        match sent.and_then(|()| read_message::<Reply>(&mut reader)) {
+                            Ok(Some(Reply::Drained)) => {
+                                drained = true;
+                                false
+                            }
+                            Ok(Some(Reply::ProtocolError { message })) => {
+                                io_error = Some(std::io::Error::new(
+                                    std::io::ErrorKind::InvalidData,
+                                    message,
+                                ));
+                                false
+                            }
+                            Ok(Some(_)) => true,
+                            Ok(None) => {
+                                // EOF instead of a delivery ack: the
+                                // coordinator is gone mid-batch.
+                                io_error = Some(std::io::Error::new(
+                                    std::io::ErrorKind::UnexpectedEof,
+                                    "coordinator hung up mid-delivery",
+                                ));
+                                false
+                            }
+                            Err(e) => {
+                                io_error = Some(e);
+                                false
+                            }
+                        }
+                    },
+                );
+                if let Some(e) = io_error {
                     return Err(e);
                 }
-            };
-            match reply {
-                // An ack or a refill: either way the campaign is over.
-                Reply::Drained => return Ok(()),
-                Reply::Assign { jobs } => {
-                    if let Some((target, campaign)) = log {
-                        log_debug!(target, "{} job(s) of campaign `{campaign}`", jobs.len());
-                    }
-                    if jobs.is_empty() {
-                        refetch_at =
-                            Some(Instant::now() + Duration::from_millis(WAIT_BACKOFF_MILLIS));
-                    }
-                    session.in_hand += jobs.len();
-                    self.queue.push(jobs);
-                }
-                Reply::Wait { millis } => {
-                    if fetched {
-                        refetch_at =
-                            Some(Instant::now() + Duration::from_millis(millis.min(1_000)));
-                    }
-                }
-                Reply::ProtocolError { message } => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        message,
-                    ))
-                }
-                Reply::Welcome { .. } => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        "unexpected second Welcome",
-                    ))
-                }
+            }
+            Reply::Wait { millis } => {
+                std::thread::sleep(Duration::from_millis(millis.min(1_000)));
+            }
+            Reply::Drained => drained = true,
+            Reply::ProtocolError { message } => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    message,
+                ))
+            }
+            Reply::Welcome { .. } => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    "unexpected second Welcome",
+                ))
             }
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! End-to-end tests of the coordinator/worker fan-out with a fake
 //! deterministic workload: the determinism contract (a distributed store is
 //! byte-identical to a local run's, for any worker count and join order),
-//! resume, lease expiry and worker loss.
+//! resume, lease expiry, worker loss, and a restarted coordinator's grace.
 
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -9,7 +9,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use surepath_dist::{
-    read_message, run_worker, serve, write_message, Reply, Request, ServeOptions, WorkerOptions,
+    read_message, run_worker, serve, write_message, ReconnectPolicy, Reply, Request, ServeOptions,
+    WorkerOptions,
 };
 use surepath_runner::{
     job_fingerprint, manifest_path, run_campaign_with, CampaignSpec, JobSpec, ResultStore,
@@ -713,5 +714,174 @@ fn garbage_frames_get_a_protocol_error_naming_the_line() {
         local_store_bytes(&s, "dist-garbage-local"),
         "a babbling client must not perturb the final bytes"
     );
+    clean(&path);
+}
+
+/// Deliveries are input from outside the coordinator: a record whose job
+/// is not the one its fingerprint names, or a job outside the grid, gets
+/// a `ProtocolError` and never reaches the store.
+#[test]
+fn forged_deliveries_are_rejected_and_never_stored() {
+    let s = spec("dist-forged");
+    let path = temp_store("dist-forged");
+    clean(&path);
+    let jobs = s.expand().unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let server = {
+        let (name, jobs, path) = (s.name.clone(), jobs.clone(), path.clone());
+        std::thread::spawn(move || serve(listener, &name, &jobs, &path, &quiet_opts()))
+    };
+
+    let stream = TcpStream::connect(&addr).unwrap();
+    let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    write_message(
+        &mut writer,
+        &Request::Hello {
+            worker: "forger".into(),
+            session: None,
+        },
+    )
+    .unwrap();
+    let _: Reply = read_message(&mut reader).unwrap().unwrap();
+    write_message(&mut writer, &Request::Fetch { max: 1 }).unwrap();
+    let leased = match read_message::<Reply>(&mut reader).unwrap().unwrap() {
+        Reply::Assign { jobs } => jobs.into_iter().next().unwrap(),
+        other => panic!("expected an assignment, got {other:?}"),
+    };
+    let outside = JobSpec {
+        seed: 99,
+        ..leased.clone()
+    };
+    let record = |fp: String, job: &JobSpec| surepath_runner::StoreRecord {
+        fp,
+        status: "ok".into(),
+        job: job.clone(),
+        result: Some(fake_result(job).unwrap()),
+        error: None,
+    };
+    let forgeries = [
+        // The leased job's fingerprint on another job.
+        (
+            record(job_fingerprint(&leased), &outside),
+            "does not match its job",
+        ),
+        // The leased job under a fingerprint that names nothing.
+        (
+            record("0000000000000000".into(), &leased),
+            "does not match its job",
+        ),
+        // An honest record of a job outside the grid.
+        (
+            record(job_fingerprint(&outside), &outside),
+            "is not part of this campaign's grid",
+        ),
+    ];
+    for (record, expected) in forgeries {
+        write_message(&mut writer, &Request::Deliver { record, millis: 1 }).unwrap();
+        match read_message::<Reply>(&mut reader).unwrap().unwrap() {
+            Reply::ProtocolError { message } => assert!(message.contains(expected), "{message}"),
+            other => panic!("expected ProtocolError, got {other:?}"),
+        }
+    }
+    // Hanging up releases the lease at once.
+    drop((reader, writer));
+
+    let finisher = run_worker(&addr, "finisher", &WorkerOptions::default(), fake_result);
+    let outcome = server.join().unwrap().unwrap();
+    finisher.unwrap();
+    assert!(outcome.is_complete(), "{outcome:?}");
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        local_store_bytes(&s, "dist-forged-local"),
+        "no forged record may reach the store"
+    );
+    clean(&path);
+}
+
+/// Serves `s` on an empty store whose manifest already names `fp` for
+/// `worker`: the manifest of an earlier serve that died with the whole grid
+/// pending when `fp` is a job of `s`, or one of another campaign sharing
+/// the store when it is not. Returns the address, the serve thread and the
+/// store path.
+fn serve_after_an_earlier_serve(
+    s: &CampaignSpec,
+    fp: &str,
+    worker: &str,
+) -> (
+    String,
+    std::thread::JoinHandle<surepath_dist::ServeOutcome>,
+    PathBuf,
+) {
+    let path = temp_store(&s.name);
+    clean(&path);
+    ShardManifest::open(&manifest_path(&path))
+        .unwrap()
+        .record_assigned(fp, 0, worker)
+        .unwrap();
+    let jobs = s.expand().unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let (campaign, store) = (s.name.clone(), path.clone());
+    let server = std::thread::spawn(move || {
+        serve(listener, &campaign, &jobs, &store, &quiet_opts()).unwrap()
+    });
+    (addr, server, path)
+}
+
+/// Drains the grid on `addr` with one worker; returns once it has heard
+/// `Drained`.
+fn drain_with_one_worker(addr: &str) -> Instant {
+    let outcome = run_worker(addr, "survivor", &WorkerOptions::default(), fake_result).unwrap();
+    assert_eq!(outcome.executed, 24);
+    Instant::now()
+}
+
+#[test]
+fn a_restarted_serve_tells_a_late_worker_the_campaign_is_drained() {
+    let s = spec("dist-restart-late");
+    let fp = job_fingerprint(&s.expand().unwrap()[0]);
+    let (addr, server, path) = serve_after_an_earlier_serve(&s, &fp, "crashed-run");
+    let drained = drain_with_one_worker(&addr);
+    // A worker the manifest does not name (welcomed by the crashed serve,
+    // say, but never given a job) dials after the drain. One dial, no
+    // retry window to speak of: the coordinator must still be there.
+    let late = run_worker(
+        &addr,
+        "late",
+        &WorkerOptions {
+            connect_retry: Duration::from_millis(200),
+            ..WorkerOptions::default()
+        },
+        fake_result,
+    )
+    .unwrap();
+    assert_eq!(late.executed, 0);
+    let outcome = server.join().unwrap();
+    let waited = drained.elapsed();
+    let grace = ReconnectPolicy::default().longest_delay();
+    assert!(waited >= grace - Duration::from_millis(500), "{waited:?}");
+    assert!(waited < grace + Duration::from_secs(2), "{waited:?}");
+    assert!(outcome.is_complete(), "{outcome:?}");
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        local_store_bytes(&s, "dist-restart-late-local")
+    );
+    clean(&path);
+}
+
+#[test]
+fn a_serve_after_another_campaign_returns_when_the_grid_drains() {
+    let s = spec("dist-restart-other");
+    let (addr, server, path) = serve_after_an_earlier_serve(&s, "ffffffffffffffff", "elsewhere");
+    let drained = drain_with_one_worker(&addr);
+    let outcome = server.join().unwrap();
+    assert!(
+        drained.elapsed() < Duration::from_secs(1),
+        "{:?}",
+        drained.elapsed()
+    );
+    assert!(outcome.is_complete(), "{outcome:?}");
     clean(&path);
 }

@@ -108,9 +108,8 @@ fn a_reply_cut_mid_frame_makes_the_worker_dial_again() {
     );
 }
 
-/// The campaign ends on the ack of a delivery, answered after a `Wait{0}`
-/// refill, and the coordinator hangs up at once: the worker is done, so it
-/// returns without dialing again.
+/// The campaign ends on the ack of a delivery and the coordinator hangs up
+/// at once: the worker is done, so it returns without dialing again.
 #[test]
 fn a_drained_ack_ends_the_session_at_once() {
     let (addr, coordinator) = scripted_coordinator(Duration::from_millis(500), |_, stream| {

@@ -65,17 +65,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs one job under the executor's panic isolation: a panic becomes
-/// [`JobOutcome::Panicked`] carrying its message, so one crashing job costs
-/// one result, not the thread that ran it. Every executor thread runs its
-/// jobs through here, and so do the distributed worker's job threads.
-pub fn run_isolated<T>(job: impl FnOnce() -> T) -> JobOutcome<T> {
-    match catch_unwind(AssertUnwindSafe(job)) {
-        Ok(value) => JobOutcome::Completed(value),
-        Err(payload) => JobOutcome::Panicked(panic_message(payload)),
-    }
-}
-
 /// Adaptive chunk sizing for very cheap jobs.
 ///
 /// A campaign of tiny jobs (fig01-style quick cells that simulate for a few
@@ -269,7 +258,11 @@ pub fn run_work_stealing_chunked<I, T, F, C>(
                     }
                     for &idx in &chunk {
                         let started = Instant::now();
-                        let outcome = run_isolated(|| worker(idx, &items_ref[idx]));
+                        let outcome =
+                            match catch_unwind(AssertUnwindSafe(|| worker(idx, &items_ref[idx]))) {
+                                Ok(value) => JobOutcome::Completed(value),
+                                Err(payload) => JobOutcome::Panicked(panic_message(payload)),
+                            };
                         estimate.record(started.elapsed().as_secs_f64() * 1_000.0);
                         if sender.send((idx, outcome)).is_err() {
                             // Consumer hung up; nothing useful left to do

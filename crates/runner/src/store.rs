@@ -328,13 +328,24 @@ impl ResultStore {
         &self.path
     }
 
-    /// Streams one record to disk and keeps its line. The caller vouches
-    /// that `record.fp` is the fingerprint of `record.job` and that status,
-    /// result and error are normalised as [`ResultStore::append_ok`] and
-    /// [`ResultStore::append_failed`] write them; the coordinator checks a
-    /// delivered record against its grid once and appends it through here
-    /// without fingerprinting the job again.
-    pub fn append_record(&mut self, record: StoreRecord) -> std::io::Result<()> {
+    /// Streams a record whose fingerprint the caller already holds to disk,
+    /// normalised as every record is written: an `ok` record carries its
+    /// result (`null` if it has none) and no error; any other becomes
+    /// `failed`, with no result and its error (`unknown error` if it has
+    /// none). The caller vouches that `record.fp` is the fingerprint of
+    /// `record.job`: the coordinator checks a delivered record against its
+    /// grid's fingerprints and appends it without hashing the job again.
+    pub fn append_delivered(&mut self, mut record: StoreRecord) -> std::io::Result<()> {
+        if record.status == "ok" {
+            record.result.get_or_insert(Value::Null);
+            record.error = None;
+        } else {
+            record.status = "failed".to_string();
+            record.result = None;
+            record
+                .error
+                .get_or_insert_with(|| "unknown error".to_string());
+        }
         if self.writer.is_none() {
             return Err(Self::read_only_error());
         }
@@ -351,7 +362,7 @@ impl ResultStore {
 
     /// Streams one successful result to disk.
     pub fn append_ok(&mut self, job: &JobSpec, result: Value) -> std::io::Result<()> {
-        self.append_record(StoreRecord {
+        self.append_delivered(StoreRecord {
             fp: job_fingerprint(job),
             status: "ok".to_string(),
             job: job.clone(),
@@ -363,7 +374,7 @@ impl ResultStore {
     /// Streams one failure to disk. Failed jobs are *not* treated as
     /// complete: a later run retries them.
     pub fn append_failed(&mut self, job: &JobSpec, error: String) -> std::io::Result<()> {
-        self.append_record(StoreRecord {
+        self.append_delivered(StoreRecord {
             fp: job_fingerprint(job),
             status: "failed".to_string(),
             job: job.clone(),
