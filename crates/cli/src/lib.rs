@@ -1186,16 +1186,9 @@ fn run_serve(
         chunk: chunk.unwrap_or(opts.chunk),
         ..opts
     };
-    let outcome = surepath_dist::serve(listener, &spec.name, &jobs, &store_path, &opts)
-        .map_err(|e| format!("distributed campaign failed: {e}"))?;
-
-    let mut worker_failures = 0;
-    for mut child in children {
-        match child.wait() {
-            Ok(status) if status.success() => {}
-            _ => worker_failures += 1,
-        }
-    }
+    let served = surepath_dist::serve(listener, &spec.name, &jobs, &store_path, &opts);
+    let worker_failures = reap_workers(children);
+    let outcome = served.map_err(|e| format!("distributed campaign failed: {e}"))?;
     let mut summary = format!(
         "distributed campaign `{}`: {} jobs total, {} skipped (already complete), {} executed, \
          {} failed, {} worker(s), {} re-offered\nresults: {}\nmanifest: {}",
@@ -1215,6 +1208,41 @@ fn run_serve(
         ));
     }
     Ok(summary)
+}
+
+/// Waits for spawned workers once `serve` has returned, and counts those
+/// that exited nonzero. A worker still running after
+/// [`DRAIN_LINGER_MILLIS`](surepath_dist::protocol::DRAIN_LINGER_MILLIS)
+/// has nothing left to deliver (one that dialed after the grid drained
+/// would redial a closed port until its reconnect budget ran out), so it is
+/// stopped, and not counted.
+fn reap_workers(mut children: Vec<std::process::Child>) -> usize {
+    let linger = std::time::Duration::from_millis(surepath_dist::protocol::DRAIN_LINGER_MILLIS);
+    let deadline = std::time::Instant::now() + linger;
+    let mut failures = 0;
+    loop {
+        let late = std::time::Instant::now() >= deadline;
+        children.retain_mut(|child| match child.try_wait() {
+            Ok(Some(status)) => {
+                failures += usize::from(!status.success());
+                false
+            }
+            Ok(None) if late => {
+                let _ = child.kill();
+                let _ = child.wait();
+                false
+            }
+            Ok(None) => true,
+            Err(_) => {
+                failures += 1;
+                false
+            }
+        });
+        if children.is_empty() {
+            return failures;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
 }
 
 /// Runs the `campaign` subcommand, returning the summary to print and the

@@ -25,6 +25,13 @@
 //! restarted after a crash keeps accepting for a grace period after the
 //! grid drains, so the workers of its predecessor, which are still in their
 //! reconnect loops, hear `Drained` instead of a refused connection.
+//!
+//! A `Fetch` that finds nothing to hand out is answered at once when its
+//! connection still holds leases (that worker asks again after its next
+//! delivery). From a connection that holds none, it is held for up to
+//! [`WAIT_BACKOFF_MILLIS`], until a lease reclaim gives it work or the
+//! grid drains, so an idle worker hears `Drained` the moment the last
+//! result lands instead of after a backoff.
 
 use crate::protocol::{write_message, Reply, Request, DRAIN_LINGER_MILLIS, WAIT_BACKOFF_MILLIS};
 use crate::session::{campaign_fingerprint, session_nonce, ReconnectPolicy};
@@ -33,7 +40,7 @@ use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use surepath_runner::{
     job_fingerprint, log_info, log_warn, manifest_path, queue::shard_of_fingerprint, timings_path,
@@ -198,6 +205,30 @@ impl Shared {
     }
 }
 
+/// The shared state and the signal that it changed in a way a held `Fetch`
+/// or the serving thread waits for: leases came back to the queues, the
+/// grid drained, or the stop hook tripped.
+struct State {
+    shared: Mutex<Shared>,
+    changed: Condvar,
+}
+
+impl State {
+    fn lock(&self) -> MutexGuard<'_, Shared> {
+        self.shared.lock().expect("coordinator state")
+    }
+
+    /// [`Shared::reclaim_connection`], waking held fetches when leases came
+    /// back.
+    fn reclaim(&self, worker: &str, conn: &str, home_shard: usize) -> usize {
+        let released = self.lock().reclaim_connection(worker, conn, home_shard);
+        if released > 0 {
+            self.changed.notify_all();
+        }
+        released
+    }
+}
+
 /// Renders one Prometheus-style text snapshot of fleet state: overall job
 /// accounting, per-shard queue depth and outstanding leases, worker
 /// liveness, reconnects and lease reclaims. Read-only — the metrics thread
@@ -351,7 +382,7 @@ fn handle_connection(
     campaign: &str,
     fingerprint: &str,
     session: &str,
-    shared: &Mutex<Shared>,
+    state: &State,
     chunk: usize,
 ) {
     let _ = stream.set_nodelay(true);
@@ -363,14 +394,14 @@ fn handle_connection(
     let mut writer = stream;
 
     // Campaign completion does not end the conversation instantly: a worker
-    // sleeping through a Wait backoff still deserves its final `Drained`
-    // instead of a closed socket, so the handler lingers for a grace period
-    // after it first observes completion ([`DRAIN_LINGER_MILLIS`], sized
-    // against the workers' [`WAIT_BACKOFF_MILLIS`]) and only then stops
-    // waiting for silent peers.
+    // between two requests (or sleeping through a backoff another
+    // coordinator quoted) still deserves its final `Drained` instead of a
+    // closed socket, so the handler lingers for a grace period after it
+    // first observes completion ([`DRAIN_LINGER_MILLIS`]) and only then
+    // stops waiting for silent peers.
     let mut done_at: Option<Instant> = None;
-    let mut keep_waiting = move |shared: &Mutex<Shared>| -> bool {
-        if !shared.lock().expect("coordinator state").is_over() {
+    let mut keep_waiting = move |state: &State| -> bool {
+        if !state.lock().is_over() {
             return true;
         }
         done_at.get_or_insert_with(Instant::now).elapsed()
@@ -378,7 +409,7 @@ fn handle_connection(
     };
 
     // First message must be Hello; it names the worker for leases/manifest.
-    let (worker, resumed_session) = match read_request_polling(&mut reader, || keep_waiting(shared))
+    let (worker, resumed_session) = match read_request_polling(&mut reader, || keep_waiting(state))
     {
         ReadOutcome::Request(request) => match *request {
             Request::Hello { worker, session } => (worker, session),
@@ -403,7 +434,7 @@ fn handle_connection(
     // re-Hello reclaim safe: releasing `worker#3` can never touch the
     // leases `worker#4` (the same worker, reconnected) holds.
     let (conn, shard) = {
-        let mut shared = shared.lock().expect("coordinator state");
+        let mut shared = state.lock();
         shared.connections += 1;
         let conn = format!("{worker}#{}", shared.connections);
         // A previous connection still speaking for this worker id is dead
@@ -411,12 +442,15 @@ fn handle_connection(
         // leases now instead of waiting for EOF detection or lease expiry.
         if let Some((old_conn, old_shard)) = shared.live_conns.get(&worker).cloned() {
             let released = shared.reclaim_connection(&worker, &old_conn, old_shard);
-            if released > 0 && !shared.quiet {
-                log_warn!(
-                    "dist",
-                    "worker `{worker}` re-introduced itself; reclaimed {released} \
-                     lease(s) from its previous connection"
-                );
+            if released > 0 {
+                state.changed.notify_all();
+                if !shared.quiet {
+                    log_warn!(
+                        "dist",
+                        "worker `{worker}` re-introduced itself; reclaimed {released} \
+                         lease(s) from its previous connection"
+                    );
+                }
             }
         }
         let shard = shared.least_loaded_shard();
@@ -455,22 +489,21 @@ fn handle_connection(
     )
     .is_err()
     {
-        let mut shared = shared.lock().expect("coordinator state");
-        shared.reclaim_connection(&worker, &conn, shard);
+        state.reclaim(&worker, &conn, shard);
         return;
     }
+    let quiet = state.lock().quiet;
 
     loop {
-        let request = match read_request_polling(&mut reader, || keep_waiting(shared)) {
+        let request = match read_request_polling(&mut reader, || keep_waiting(state)) {
             ReadOutcome::Request(request) => *request,
             // A complete but unparseable line: the peer is alive but not
             // speaking the protocol. Name the offending frame, then close —
             // its leases re-offer like any other lost connection.
             ReadOutcome::Malformed(line) => {
                 let _ = write_message(&mut writer, &malformed_reply(&line));
-                let mut shared = shared.lock().expect("coordinator state");
-                let released = shared.reclaim_connection(&worker, &conn, shard);
-                if !shared.quiet {
+                let released = state.reclaim(&worker, &conn, shard);
+                if !quiet {
                     log_warn!(
                         "dist",
                         "worker `{worker}` sent a malformed frame; closing \
@@ -484,9 +517,8 @@ fn handle_connection(
             // immediately instead of waiting for the deadline; on
             // completion there are no leases left to release.
             ReadOutcome::Disconnected => {
-                let mut shared = shared.lock().expect("coordinator state");
-                let released = shared.reclaim_connection(&worker, &conn, shard);
-                if released > 0 && !shared.quiet {
+                let released = state.reclaim(&worker, &conn, shard);
+                if released > 0 && !quiet {
                     log_warn!(
                         "dist",
                         "worker `{worker}` lost; re-offering {released} job(s)"
@@ -499,73 +531,31 @@ fn handle_connection(
         // behaves like a killed process — connections sever without a
         // goodbye, so workers exercise their real reconnect path instead of
         // receiving a polite `Drained` no crashed process could send.
-        {
-            let mut shared = shared.lock().expect("coordinator state");
-            if shared.stopped {
-                shared.reclaim_connection(&worker, &conn, shard);
-                return;
-            }
+        if state.lock().stopped {
+            state.reclaim(&worker, &conn, shard);
+            return;
         }
         let reply = match request {
             Request::Hello { .. } => Reply::ProtocolError {
                 message: "duplicate Hello".into(),
             },
             Request::Fetch { max } => {
-                let mut shared = shared.lock().expect("coordinator state");
-                let now = Instant::now();
-                let reaped = shared.queues.reap_expired(now);
-                shared.reoffered += reaped;
-                if reaped > 0 && !shared.quiet {
-                    log_warn!("dist", "{reaped} lease(s) expired; re-offering");
-                }
-                // Both sides bound the batch: the worker's appetite and the
-                // coordinator's `--chunk` cap (small chunks keep expensive
-                // tails spread across workers).
-                let taken = shared
-                    .queues
-                    .pop_for(&conn, shard, max.clamp(1, chunk), now);
-                // A re-queued copy of a job that was meanwhile delivered by
-                // its original (slow) worker must not run again: release the
-                // fresh lease and drop it here.
-                let mut fresh = Vec::with_capacity(taken.len());
-                for idx in taken {
-                    if shared.delivered[idx] {
-                        shared.queues.complete(idx);
-                    } else {
-                        fresh.push(idx);
-                    }
-                }
-                if fresh.is_empty() {
-                    if shared.is_done() {
-                        Reply::Drained
-                    } else {
-                        // Everything is leased out elsewhere (or the dropped
-                        // duplicates emptied the batch): back off briefly.
-                        Reply::Wait {
-                            millis: WAIT_BACKOFF_MILLIS,
-                        }
-                    }
-                } else {
-                    let state = &mut *shared;
-                    let mut jobs = Vec::with_capacity(fresh.len());
-                    for idx in fresh {
-                        let pending = &state.pending[idx];
-                        let _ = state
-                            .manifest
-                            .record_assigned(&pending.fp, pending.shard, &worker);
-                        jobs.push(pending.job.clone());
-                    }
-                    Reply::Assign { jobs }
+                match answer_fetch(state, &worker, &conn, shard, max.clamp(1, chunk), quiet) {
+                    Some(reply) => reply,
+                    None => return,
                 }
             }
             Request::Deliver { record, millis } => {
-                let mut shared = shared.lock().expect("coordinator state");
+                let mut shared = state.lock();
                 match fold_delivery(&mut shared, &worker, record, millis) {
                     Ok(()) => {
                         if let Some(budget) = shared.stop_budget {
                             if shared.delivered_count >= budget {
                                 shared.stopped = true;
                             }
+                        }
+                        if shared.is_over() {
+                            state.changed.notify_all();
                         }
                         if shared.stopped {
                             // The delivery that tripped the budget is safely
@@ -587,16 +577,81 @@ fn handle_connection(
             }
         };
         let done = matches!(reply, Reply::Drained);
-        if write_message(&mut writer, &reply).is_err() {
-            let mut shared = shared.lock().expect("coordinator state");
-            shared.reclaim_connection(&worker, &conn, shard);
+        if write_message(&mut writer, &reply).is_err() || done {
+            state.reclaim(&worker, &conn, shard);
             return;
         }
-        if done {
-            let mut shared = shared.lock().expect("coordinator state");
-            shared.reclaim_connection(&worker, &conn, shard);
-            return;
+    }
+}
+
+/// Answers one `Fetch` of up to `max` jobs from connection `conn`: `Assign`
+/// when jobs are queued, `Drained` once the grid is, and otherwise `Wait`
+/// — at once for a connection that holds leases, after holding the request
+/// for up to [`WAIT_BACKOFF_MILLIS`] for one that holds none. `None` means
+/// the stop hook tripped: the connection is severed without a reply.
+fn answer_fetch(
+    state: &State,
+    worker: &str,
+    conn: &str,
+    shard: usize,
+    max: usize,
+    quiet: bool,
+) -> Option<Reply> {
+    let deadline = Instant::now() + Duration::from_millis(WAIT_BACKOFF_MILLIS);
+    let mut shared = state.lock();
+    loop {
+        // Crash emulation, as for any request: a stop that trips while the
+        // fetch is held severs it too.
+        if shared.stopped {
+            shared.reclaim_connection(worker, conn, shard);
+            return None;
         }
+        let now = Instant::now();
+        let reaped = shared.queues.reap_expired(now);
+        if reaped > 0 {
+            shared.reoffered += reaped;
+            state.changed.notify_all();
+            if !quiet {
+                log_warn!("dist", "{reaped} lease(s) expired; re-offering");
+            }
+        }
+        // Both sides bound the batch: the worker's appetite and the
+        // coordinator's `--chunk` cap (small chunks keep expensive tails
+        // spread across workers).
+        let taken = shared.queues.pop_for(conn, shard, max, now);
+        // A re-queued copy of a job that was meanwhile delivered by its
+        // original (slow) worker must not run again: release the fresh lease
+        // and drop it here.
+        let fields = &mut *shared;
+        let mut jobs = Vec::with_capacity(taken.len());
+        for idx in taken {
+            if fields.delivered[idx] {
+                fields.queues.complete(idx);
+                continue;
+            }
+            let pending = &fields.pending[idx];
+            let _ = fields
+                .manifest
+                .record_assigned(&pending.fp, pending.shard, worker);
+            jobs.push(pending.job.clone());
+        }
+        if !jobs.is_empty() {
+            return Some(Reply::Assign { jobs });
+        }
+        if shared.is_done() {
+            return Some(Reply::Drained);
+        }
+        // Everything is leased out elsewhere. A worker still holding leases
+        // asks again after its next delivery; one holding none is held until
+        // there is something to say, or the backoff passes.
+        if now >= deadline || shared.queues.holds_lease(conn) {
+            return Some(Reply::Wait { millis: 0 });
+        }
+        shared = state
+            .changed
+            .wait_timeout(shared, deadline - now)
+            .expect("coordinator state")
+            .0;
     }
 }
 
@@ -729,7 +784,7 @@ pub fn serve(
     };
     let pending_len = pending.len();
     let shard_count = queues.shards();
-    let shared = Arc::new(Mutex::new(Shared {
+    let shared = Mutex::new(Shared {
         delivered: vec![false; pending_len],
         pending,
         by_fp,
@@ -748,7 +803,11 @@ pub fn serve(
         stop_budget: opts.stop_after_deliveries,
         stopped: false,
         quiet: opts.quiet,
-    }));
+    });
+    let state = Arc::new(State {
+        shared,
+        changed: Condvar::new(),
+    });
     if !opts.quiet && skipped > 0 {
         log_info!(
             "dist",
@@ -771,16 +830,13 @@ pub fn serve(
                 );
             }
             metrics_listener.set_nonblocking(true)?;
-            let metrics_shared = Arc::clone(&shared);
+            let metrics_state = Arc::clone(&state);
             let metrics_stop = Arc::clone(&stop);
             Some(std::thread::spawn(move || {
                 while !metrics_stop.load(Ordering::SeqCst) {
                     match metrics_listener.accept() {
                         Ok((stream, _)) => {
-                            let body = {
-                                let shared = metrics_shared.lock().expect("coordinator state");
-                                render_metrics(&shared)
-                            };
+                            let body = render_metrics(&metrics_state.lock());
                             answer_metrics_request(stream, &body);
                         }
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -794,7 +850,7 @@ pub fn serve(
         None => None,
     };
 
-    let accept_shared = Arc::clone(&shared);
+    let accept_state = Arc::clone(&state);
     let accept_stop = Arc::clone(&stop);
     let campaign_name = campaign.to_string();
     // The session nonce and campaign fingerprint are fixed for the lifetime
@@ -814,19 +870,12 @@ pub fn serve(
                 Ok((stream, _)) => {
                     // Blocking I/O per connection from here on.
                     let _ = stream.set_nonblocking(false);
-                    let shared = Arc::clone(&accept_shared);
+                    let state = Arc::clone(&accept_state);
                     let campaign = campaign_name.clone();
                     let session = session.clone();
                     let fingerprint = fingerprint.clone();
                     handlers.push(std::thread::spawn(move || {
-                        handle_connection(
-                            stream,
-                            &campaign,
-                            &fingerprint,
-                            &session,
-                            &shared,
-                            chunk,
-                        );
+                        handle_connection(stream, &campaign, &fingerprint, &session, &state, chunk);
                     }));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -853,17 +902,23 @@ pub fn serve(
         Duration::ZERO
     };
     let mut drained_at: Option<Instant> = None;
-    loop {
-        {
-            let shared = shared.lock().expect("coordinator state");
-            if shared.stopped
-                || (shared.is_done()
-                    && drained_at.get_or_insert_with(Instant::now).elapsed() >= grace)
-            {
-                break;
-            }
+    {
+        let mut shared = state.lock();
+        while !shared.stopped {
+            shared = if shared.is_done() {
+                let drained = drained_at.get_or_insert_with(Instant::now).elapsed();
+                if drained >= grace {
+                    break;
+                }
+                state
+                    .changed
+                    .wait_timeout(shared, grace - drained)
+                    .expect("coordinator state")
+                    .0
+            } else {
+                state.changed.wait(shared).expect("coordinator state")
+            };
         }
-        std::thread::sleep(Duration::from_millis(10));
     }
     stop.store(true, Ordering::SeqCst);
     let _ = acceptor.join();
@@ -871,12 +926,12 @@ pub fn serve(
         let _ = handle.join();
     }
 
-    let mut shared = match Arc::try_unwrap(shared) {
-        Ok(mutex) => mutex.into_inner().expect("coordinator state"),
+    let mut shared = match Arc::try_unwrap(state) {
+        Ok(state) => state.shared.into_inner().expect("coordinator state"),
         // A handler thread still holds a reference (it is about to exit) —
         // fall back to working through the lock.
         Err(arc) => {
-            let guard = arc.lock().expect("coordinator state");
+            let guard = arc.lock();
             return finalize_locked(guard, &fps, total, skipped);
         }
     };
@@ -886,7 +941,7 @@ pub fn serve(
 
 /// The finalize path when a handler thread still shares the state.
 fn finalize_locked(
-    mut guard: std::sync::MutexGuard<'_, Shared>,
+    mut guard: MutexGuard<'_, Shared>,
     fps: &[String],
     total: usize,
     skipped: usize,

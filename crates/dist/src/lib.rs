@@ -15,11 +15,12 @@
 //!   so fast workers drain slow workers' tails; journals every assignment
 //!   to the `<store>.manifest.jsonl` sidecar; leases expire and lost
 //!   workers' jobs are re-offered;
-//! * [`worker`] — [`run_worker`]: pulls batches, runs them on the runner's
-//!   work-stealing executor (panic isolation included), streams
-//!   store-format records back with per-job wall-clock; transport failures
-//!   send it through [`session::ReconnectPolicy`]'s backoff loop and it
-//!   resumes the campaign (the fingerprint in `Welcome` gates resumption).
+//! * [`worker`] — [`run_worker`]: pulls jobs, runs them on one pool of the
+//!   runner's work-stealing executor that lasts the whole campaign (panic
+//!   isolation included), streams store-format records back with per-job
+//!   wall-clock; transport failures send it through
+//!   [`session::ReconnectPolicy`]'s backoff loop and it resumes the
+//!   campaign (the fingerprint in `Welcome` gates resumption).
 //!
 //! Two supporting modules: [`session`] (campaign fingerprint, session
 //! nonce, reconnect policy) and [`faultnet`] (seeded socket fault

@@ -29,17 +29,19 @@ use serde::{Deserialize, Serialize};
 use std::io::{BufRead, Write};
 use surepath_runner::{JobSpec, StoreRecord};
 
-/// How long a worker backs off after a `Wait` reply before its next
-/// `Fetch`, in milliseconds. The coordinator quotes this value in `Wait`
-/// replies; [`DRAIN_LINGER_MILLIS`] is derived from it — change them
-/// together.
+/// The longest the coordinator holds a `Fetch` it has nothing to answer
+/// with, in milliseconds. Only the `Fetch` of a connection that holds no
+/// lease is held; it is answered as soon as a lease reclaim gives it work
+/// or the grid drains, and with `Wait` once the hold runs out.
+/// [`DRAIN_LINGER_MILLIS`] is derived from it — change them together.
 pub const WAIT_BACKOFF_MILLIS: u64 = 100;
 
 /// How long the coordinator keeps a silent connection open after the
-/// campaign completes, so a worker sleeping through a `Wait` backoff still
-/// gets its final `Drained` instead of a closed socket. Must comfortably
-/// exceed [`WAIT_BACKOFF_MILLIS`] (10x here): a worker that slept the full
-/// backoff plus scheduling noise must still find the connection alive.
+/// campaign completes, so a worker between two requests still gets its
+/// final `Drained` instead of a closed socket. Must comfortably exceed
+/// [`WAIT_BACKOFF_MILLIS`] (10x here). `surepath campaign --spawn-local`
+/// also gives its spawned workers this long to exit once the coordinator
+/// has returned, then stops them.
 pub const DRAIN_LINGER_MILLIS: u64 = WAIT_BACKOFF_MILLIS * 10;
 
 /// What a worker sends to the coordinator.
@@ -63,7 +65,8 @@ pub enum Request {
     },
     /// Ask for up to `max` jobs.
     Fetch {
-        /// Upper bound on the batch size (the worker's appetite).
+        /// Upper bound on the batch size: the worker's `chunk` less the
+        /// jobs it already holds.
         max: usize,
     },
     /// Deliver one finished job, in store-record form, plus its wall-clock
@@ -103,10 +106,13 @@ pub enum Reply {
         jobs: Vec<JobSpec>,
     },
     /// Answer to `Fetch`: nothing to hand out right now, but leased jobs
-    /// are still in flight elsewhere — ask again after `millis`. Also the
-    /// acknowledgement of a `Deliver` (with `millis` 0).
+    /// are still in flight — ask again. The coordinator has already waited
+    /// (up to [`WAIT_BACKOFF_MILLIS`]) for a connection holding no lease;
+    /// one holding leases asks again after its next delivery. Also the
+    /// acknowledgement of a `Deliver`.
     Wait {
-        /// Suggested back-off before the next `Fetch`.
+        /// How long to wait before asking again; this coordinator always
+        /// quotes 0.
         millis: u64,
     },
     /// Answer to `Fetch` or `Deliver`: the grid is drained; the worker can

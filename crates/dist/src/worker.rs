@@ -1,5 +1,5 @@
-//! The campaign worker: pull job batches over TCP, run them on the local
-//! work-stealing executor, stream store-format results back.
+//! The campaign worker: pull jobs over TCP, run them on one pool of the
+//! runner's work-stealing executor, stream store-format results back.
 //!
 //! The worker is domain-agnostic like the runner: the caller supplies the
 //! closure that turns one [`JobSpec`] into one JSON result (the CLI and the
@@ -8,6 +8,17 @@
 //! exactly the semantics of a local campaign — so one crashing simulation
 //! costs one grid cell, not a worker.
 //!
+//! The pool's job threads live for the whole campaign, reconnects
+//! included, and the worker keeps them fed: it holds at most `chunk` jobs
+//! (fetched and not yet delivered), delivers each result as it finishes,
+//! and asks for `chunk − held` more as soon as fewer than `threads` fetched
+//! jobs wait unstarted, so a job thread that finishes one job finds the
+//! next already queued. It keeps one request in flight (see
+//! [`crate::protocol`]). After a `Wait` it asks again only once it has
+//! delivered a result or holds no job: the coordinator answers a
+//! connection that holds leases at once, and holds the `Fetch` of one that
+//! holds none until it has work, the grid drains, or the backoff passes.
+//!
 //! The worker also survives the *coordinator* failing: any transport error
 //! mid-campaign (EOF, reset, broken pipe) sends it into a reconnect loop
 //! driven by [`ReconnectPolicy`] — capped exponential backoff with
@@ -15,11 +26,12 @@
 //! `worker_id`, and resumes. The campaign fingerprint in `Welcome` gates
 //! resumption: a restarted coordinator serving the *same* grid is resumed
 //! silently, while a different campaign on the same address aborts loudly
-//! instead of folding foreign results. Batches interrupted mid-delivery are
-//! re-offered by the coordinator (re-Hello reclaims the dead connection's
-//! leases), and duplicate deliveries fold idempotently, so the finished
-//! store stays byte-identical to a local run across any kill/restart
-//! sequence.
+//! instead of folding foreign results. A lost connection takes its work
+//! with it: the worker drops that connection's unstarted jobs and the
+//! results of its jobs still running, and the coordinator re-offers their
+//! leases when the worker re-Hellos. Duplicate deliveries fold
+//! idempotently, so the finished store stays byte-identical to a local run
+//! across any kill/restart sequence.
 
 use crate::protocol::{read_message, write_message, Reply, Request};
 use crate::session::{is_transient, ReconnectPolicy};
@@ -28,8 +40,8 @@ use std::io::BufReader;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 use surepath_runner::{
-    job_fingerprint, log_debug, log_info, log_warn, run_work_stealing, JobOutcome, JobSpec,
-    StoreRecord,
+    job_fingerprint, log_info, log_warn, with_pool, ChunkOptions, JobOutcome, JobSpec, Pool,
+    PoolEvent, StoreRecord,
 };
 
 /// Tuning knobs of [`run_worker`].
@@ -37,15 +49,17 @@ use surepath_runner::{
 pub struct WorkerOptions {
     /// Executor threads on this worker (`None` = all cores).
     pub threads: Option<usize>,
-    /// Jobs requested per `Fetch` (`None` = 2x the thread count, so the
-    /// executor always has a next job while results stream out).
+    /// The most jobs the worker holds at once, fetched and not yet
+    /// delivered (`None` = 2x the thread count, so every job thread has a
+    /// next job queued while results stream out).
     pub chunk: Option<usize>,
-    /// How long to keep retrying the initial connection (the coordinator
-    /// may still be binding, or a `--spawn-local` parent may win the race).
+    /// How long the first dial keeps retrying (the coordinator may still be
+    /// binding, or a `--spawn-local` parent may win the race). Later dials
+    /// go once each, after their [`ReconnectPolicy`] backoff.
     pub connect_retry: Duration,
     /// The re-dial plan after a transport failure mid-campaign.
     pub reconnect: ReconnectPolicy,
-    /// Suppress per-batch progress output.
+    /// Suppress progress output (reconnects and the final tally).
     pub quiet: bool,
 }
 
@@ -139,6 +153,10 @@ struct Session {
     executed: usize,
     failed: usize,
     reconnects: usize,
+    /// Connections dialed so far. Every fed job carries the number of the
+    /// connection that fetched it, so a result of a lost connection is
+    /// recognised and dropped.
+    connection: usize,
     /// The session nonce from the last `Welcome` (sent back in the next
     /// `Hello` so both sides can log resume-vs-restart).
     nonce: Option<String>,
@@ -148,14 +166,19 @@ struct Session {
     fingerprint: Option<String>,
 }
 
+/// The worker's job pool: each job with the connection that fetched it,
+/// each result with the job's wall-clock milliseconds.
+type JobPool<'q> = Pool<'q, (usize, JobSpec), (Result<Value, String>, u64)>;
+
 /// Runs a worker against the coordinator at `addr` until the campaign is
 /// drained. `worker_id` names this worker in leases, manifests and timing
 /// records — it must be unique among concurrent workers (host + pid is the
-/// CLI's choice). Each fetched batch runs on the runner's work-stealing
-/// executor with `opts.threads` workers; results stream back one by one as
-/// they finish. Transport failures trigger the reconnect loop described in
-/// the module docs; only a non-transient error, a campaign-fingerprint
-/// mismatch, or an exhausted [`ReconnectPolicy`] make the worker give up.
+/// CLI's choice). Jobs run on one pool of the runner's work-stealing
+/// executor with `opts.threads` job threads, kept for the whole campaign;
+/// results stream back one by one as they finish. Transport failures
+/// trigger the reconnect loop described in the module docs; only a
+/// non-transient error, a campaign-fingerprint mismatch, or an exhausted
+/// [`ReconnectPolicy`] make the worker give up.
 pub fn run_worker<F>(
     addr: &str,
     worker_id: &str,
@@ -167,21 +190,42 @@ where
 {
     let threads = opts
         .threads
-        .unwrap_or_else(surepath_runner::default_threads);
-    let chunk = opts.chunk.unwrap_or(threads.saturating_mul(2).max(1));
+        .unwrap_or_else(surepath_runner::default_threads)
+        .max(1);
+    let chunk = opts.chunk.unwrap_or(threads.saturating_mul(2)).max(1);
+    let run = |(_, job): &(usize, JobSpec)| {
+        let started = Instant::now();
+        let result = job_fn(job);
+        (result, started.elapsed().as_millis() as u64)
+    };
+    with_pool(threads, &ChunkOptions::unchunked(), run, |pool| {
+        work_until_drained(addr, worker_id, opts, pool, threads, chunk)
+    })
+}
+
+/// [`run_worker`]'s reconnect loop over its pool: one [`run_session`] per
+/// connection until the campaign drains or the worker gives up.
+fn work_until_drained(
+    addr: &str,
+    worker_id: &str,
+    opts: &WorkerOptions,
+    pool: &JobPool<'_>,
+    threads: usize,
+    chunk: usize,
+) -> std::io::Result<WorkerOutcome> {
     let mut session = Session {
         executed: 0,
         failed: 0,
         reconnects: 0,
+        connection: 0,
         nonce: None,
         fingerprint: None,
     };
     let mut attempt = 0usize;
-
     loop {
         let welcomed_before = session.nonce.is_some();
         let reconnects_before = session.reconnects;
-        match run_session(addr, worker_id, opts, &job_fn, threads, chunk, &mut session) {
+        match run_session(addr, worker_id, opts, pool, threads, chunk, &mut session) {
             Ok(()) => {
                 if !opts.quiet {
                     log_info!(
@@ -231,33 +275,32 @@ where
     }
 }
 
-/// One connection's worth of campaign work: dial, handshake, then fetch /
-/// execute / deliver until `Drained`. `Ok(())` means the campaign drained;
-/// any transport error bubbles up for [`run_worker`]'s reconnect loop.
+/// One connection's worth of campaign work: dial, handshake, then stream
+/// jobs until `Drained`. `Ok(())` means the campaign drained; any transport
+/// error bubbles up for [`run_worker`]'s reconnect loop, after the
+/// connection's unstarted jobs are dropped.
 #[allow(clippy::too_many_arguments)]
-fn run_session<F>(
+fn run_session(
     addr: &str,
     worker_id: &str,
     opts: &WorkerOptions,
-    job_fn: &F,
+    pool: &JobPool<'_>,
     threads: usize,
     chunk: usize,
     session: &mut Session,
-) -> std::io::Result<()>
-where
-    F: Fn(&JobSpec) -> Result<Value, String> + Sync,
-{
-    let reconnecting = session.nonce.is_some();
-    let retry_for = if reconnecting {
-        Duration::ZERO
-    } else {
+) -> std::io::Result<()> {
+    let retry_for = if session.connection == 0 {
         opts.connect_retry
+    } else {
+        Duration::ZERO
     };
+    session.connection += 1;
     let stream = connect_with_retry(addr, retry_for)?;
     let _ = stream.set_nodelay(true);
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
 
+    let reconnecting = session.nonce.is_some();
     write_message(
         &mut writer,
         &Request::Hello {
@@ -271,7 +314,7 @@ where
             "coordinator hung up during handshake",
         )
     })?;
-    let campaign = match welcome {
+    match welcome {
         Reply::Welcome {
             campaign,
             session: nonce,
@@ -302,7 +345,6 @@ where
                 }
             }
             session.nonce = Some(nonce);
-            campaign
         }
         other => {
             return Err(std::io::Error::new(
@@ -310,111 +352,110 @@ where
                 format!("expected Welcome, got {other:?}"),
             ))
         }
-    };
+    }
 
-    let mut drained = false;
-    while !drained {
-        write_message(&mut writer, &Request::Fetch { max: chunk })?;
-        let reply: Reply = match read_message(&mut reader)? {
-            Some(reply) => reply,
-            // The coordinator hung up without Drained: it (or the network)
-            // died. Surface as a transport error — the reconnect loop will
-            // re-dial; a half-finished campaign must never look drained.
+    let streamed = stream_jobs(&mut reader, &mut writer, pool, threads, chunk, session);
+    if streamed.is_err() {
+        // The coordinator re-offers this connection's leases when the worker
+        // re-Hellos; its jobs still queued here would run for nothing.
+        pool.drop_unstarted();
+    }
+    streamed
+}
+
+/// Fetches, runs and delivers jobs over one connection until `Drained`,
+/// one request in flight.
+fn stream_jobs(
+    reader: &mut BufReader<TcpStream>,
+    writer: &mut TcpStream,
+    pool: &JobPool<'_>,
+    threads: usize,
+    chunk: usize,
+    session: &mut Session,
+) -> std::io::Result<()> {
+    let connection = session.connection;
+    // Jobs fetched on this connection and not yet delivered.
+    let mut held = 0usize;
+    // A `Wait` answered a fetch while jobs were held: ask again only after
+    // the next delivery.
+    let mut waiting = false;
+    loop {
+        if !waiting && held < chunk && pool.unstarted() < threads {
+            match exchange(reader, writer, &Request::Fetch { max: chunk - held })? {
+                Reply::Assign { jobs } => {
+                    held += jobs.len();
+                    pool.feed(jobs.into_iter().map(|job| (connection, job)));
+                }
+                Reply::Wait { millis } if held == 0 => {
+                    std::thread::sleep(Duration::from_millis(millis.min(1_000)));
+                }
+                Reply::Wait { .. } => waiting = true,
+                Reply::Drained => return Ok(()),
+                other => return Err(unexpected(other)),
+            }
+            continue;
+        }
+        let ((fetched_on, job), (outcome, millis)) = match pool.next() {
+            Some(PoolEvent::Finished(item, JobOutcome::Completed((result, millis)))) => {
+                (item, (JobOutcome::Completed(result), millis))
+            }
+            Some(PoolEvent::Finished(item, JobOutcome::Panicked(message))) => {
+                (item, (JobOutcome::Panicked(message), 0))
+            }
+            // A job thread took a job: the refill condition may hold now.
+            Some(PoolEvent::Started) => continue,
             None => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "coordinator hung up before draining the campaign",
-                ))
+                return Err(std::io::Error::other("the job pool stopped"));
             }
         };
-        match reply {
-            Reply::Assign { jobs } => {
-                if !opts.quiet {
-                    log_debug!(
-                        &format!("worker {worker_id}"),
-                        "{} job(s) of campaign `{campaign}`",
-                        jobs.len()
-                    );
-                }
-                // Results stream back from the executor's consumer callback
-                // as they finish; a delivery failure stops the pool (the
-                // batch's leases are reclaimed when this worker re-Hellos).
-                let mut io_error: Option<std::io::Error> = None;
-                let executed = &mut session.executed;
-                let failed = &mut session.failed;
-                run_work_stealing(
-                    &jobs,
-                    threads,
-                    |_, job| {
-                        let started = Instant::now();
-                        let result = job_fn(job);
-                        (result, started.elapsed().as_millis() as u64)
-                    },
-                    |idx, outcome| {
-                        let (outcome, millis) = match outcome {
-                            JobOutcome::Completed((result, millis)) => {
-                                (JobOutcome::Completed(result), millis)
-                            }
-                            JobOutcome::Panicked(message) => (JobOutcome::Panicked(message), 0),
-                        };
-                        let record = record_for(&jobs[idx], outcome);
-                        *executed += 1;
-                        if record.status != "ok" {
-                            *failed += 1;
-                        }
-                        let sent = write_message(&mut writer, &Request::Deliver { record, millis });
-                        match sent.and_then(|()| read_message::<Reply>(&mut reader)) {
-                            Ok(Some(Reply::Drained)) => {
-                                drained = true;
-                                false
-                            }
-                            Ok(Some(Reply::ProtocolError { message })) => {
-                                io_error = Some(std::io::Error::new(
-                                    std::io::ErrorKind::InvalidData,
-                                    message,
-                                ));
-                                false
-                            }
-                            Ok(Some(_)) => true,
-                            Ok(None) => {
-                                // EOF instead of a delivery ack: the
-                                // coordinator is gone mid-batch.
-                                io_error = Some(std::io::Error::new(
-                                    std::io::ErrorKind::UnexpectedEof,
-                                    "coordinator hung up mid-delivery",
-                                ));
-                                false
-                            }
-                            Err(e) => {
-                                io_error = Some(e);
-                                false
-                            }
-                        }
-                    },
-                );
-                if let Some(e) = io_error {
-                    return Err(e);
-                }
-            }
-            Reply::Wait { millis } => {
-                std::thread::sleep(Duration::from_millis(millis.min(1_000)));
-            }
-            Reply::Drained => drained = true,
-            Reply::ProtocolError { message } => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    message,
-                ))
-            }
-            Reply::Welcome { .. } => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    "unexpected second Welcome",
-                ))
-            }
+        session.executed += 1;
+        if !matches!(outcome, JobOutcome::Completed(Ok(_))) {
+            session.failed += 1;
+        }
+        if fetched_on != connection {
+            // Fetched on a lost connection: its lease went back to the
+            // coordinator at the re-Hello.
+            continue;
+        }
+        held -= 1;
+        waiting = false;
+        let record = record_for(&job, outcome);
+        match exchange(reader, writer, &Request::Deliver { record, millis })? {
+            Reply::Drained => return Ok(()),
+            Reply::Wait { .. } => {}
+            other => return Err(unexpected(other)),
         }
     }
-    Ok(())
+}
+
+/// Writes one request and reads its reply. EOF instead of a reply means the
+/// coordinator (or the network) died: a transport error, so the reconnect
+/// loop re-dials, and a half-finished campaign never looks drained. A
+/// `ProtocolError` reply is an `InvalidData` error.
+fn exchange(
+    reader: &mut BufReader<TcpStream>,
+    writer: &mut TcpStream,
+    request: &Request,
+) -> std::io::Result<Reply> {
+    write_message(writer, request)?;
+    match read_message(reader)? {
+        Some(Reply::ProtocolError { message }) => Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            message,
+        )),
+        Some(reply) => Ok(reply),
+        None => Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "coordinator hung up before draining the campaign",
+        )),
+    }
+}
+
+fn unexpected(reply: Reply) -> std::io::Error {
+    std::io::Error::new(
+        std::io::ErrorKind::InvalidData,
+        format!("unexpected reply {reply:?}"),
+    )
 }
 
 #[cfg(test)]

@@ -1,13 +1,15 @@
 //! End-to-end tests of the coordinator/worker fan-out with a fake
 //! deterministic workload: the determinism contract (a distributed store is
 //! byte-identical to a local run's, for any worker count and join order),
-//! resume, lease expiry, worker loss, and a restarted coordinator's grace.
+//! resume, lease expiry, worker loss, a restarted coordinator's grace, and
+//! which `Fetch` the coordinator holds.
 
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use surepath_dist::protocol::WAIT_BACKOFF_MILLIS;
 use surepath_dist::{
     read_message, run_worker, serve, write_message, ReconnectPolicy, Reply, Request, ServeOptions,
     WorkerOptions,
@@ -883,5 +885,152 @@ fn a_serve_after_another_campaign_returns_when_the_grid_drains() {
         drained.elapsed()
     );
     assert!(outcome.is_complete(), "{outcome:?}");
+    clean(&path);
+}
+
+/// Says `Hello` as `worker` on a fresh connection to `addr` and reads the
+/// `Welcome`.
+fn hello(addr: &str, worker: &str) -> (std::io::BufReader<TcpStream>, TcpStream) {
+    let stream = TcpStream::connect(addr).unwrap();
+    let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let hello = Request::Hello {
+        worker: worker.into(),
+        session: None,
+    };
+    write_message(&mut writer, &hello).unwrap();
+    assert!(matches!(
+        read_message::<Reply>(&mut reader).unwrap(),
+        Some(Reply::Welcome { .. })
+    ));
+    (reader, writer)
+}
+
+fn ask(
+    reader: &mut std::io::BufReader<TcpStream>,
+    writer: &mut TcpStream,
+    request: &Request,
+) -> Reply {
+    write_message(writer, request).unwrap();
+    read_message(reader).unwrap().unwrap()
+}
+
+fn delivery(job: &JobSpec) -> Request {
+    Request::Deliver {
+        record: surepath_runner::StoreRecord {
+            fp: job_fingerprint(job),
+            status: "ok".into(),
+            job: job.clone(),
+            result: Some(fake_result(job).unwrap()),
+            error: None,
+        },
+        millis: 1,
+    }
+}
+
+/// Serves `name` with a chunk cap of the whole grid, so one `Fetch` can
+/// lease every job.
+fn serve_whole_grid_chunks(
+    name: &str,
+) -> (
+    String,
+    Vec<JobSpec>,
+    std::thread::JoinHandle<surepath_dist::ServeOutcome>,
+    PathBuf,
+) {
+    let s = spec(name);
+    let path = temp_store(name);
+    clean(&path);
+    let jobs = s.expand().unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let opts = ServeOptions {
+        chunk: jobs.len(),
+        quiet: true,
+        ..ServeOptions::default()
+    };
+    let server = {
+        let (jobs, path) = (jobs.clone(), path.clone());
+        std::thread::spawn(move || serve(listener, &s.name, &jobs, &path, &opts).unwrap())
+    };
+    (addr, jobs, server, path)
+}
+
+/// One client leases the whole grid; another, holding no lease, asks for
+/// work. Its `Fetch` gets no reply while the first runs the jobs, and
+/// `Drained` the moment the last result lands, not after a backoff.
+#[test]
+fn an_idle_fetch_is_held_and_answered_drained_when_the_grid_drains() {
+    let (addr, jobs, server, path) = serve_whole_grid_chunks("dist-held-fetch");
+    let (mut reader, mut writer) = hello(&addr, "holder");
+    let leased = match ask(&mut reader, &mut writer, &Request::Fetch { max: 24 }) {
+        Reply::Assign { jobs } => jobs,
+        other => panic!("expected an assignment, got {other:?}"),
+    };
+    assert_eq!(leased.len(), jobs.len());
+    for job in &leased[1..] {
+        assert_eq!(
+            ask(&mut reader, &mut writer, &delivery(job)),
+            Reply::Wait { millis: 0 }
+        );
+    }
+
+    let (mut idle_reader, mut idle_writer) = hello(&addr, "idle");
+    write_message(&mut idle_writer, &Request::Fetch { max: 4 }).unwrap();
+    let stream = idle_reader.get_ref();
+    stream
+        .set_read_timeout(Some(Duration::from_millis(30)))
+        .unwrap();
+    let early = stream.peek(&mut [0u8; 1]);
+    assert!(
+        matches!(&early, Err(e) if e.kind() == std::io::ErrorKind::WouldBlock
+            || e.kind() == std::io::ErrorKind::TimedOut),
+        "the idle Fetch was answered while jobs were still leased: {early:?}"
+    );
+    stream.set_read_timeout(None).unwrap();
+
+    let last = Instant::now();
+    assert_eq!(
+        ask(&mut reader, &mut writer, &delivery(&leased[0])),
+        Reply::Drained
+    );
+    let reply: Reply = read_message(&mut idle_reader).unwrap().unwrap();
+    let after_last = last.elapsed();
+    assert_eq!(reply, Reply::Drained);
+    assert!(
+        after_last < Duration::from_millis(WAIT_BACKOFF_MILLIS / 2),
+        "Drained came {after_last:?} after the last delivery"
+    );
+    assert!(server.join().unwrap().is_complete());
+    clean(&path);
+}
+
+/// A `Fetch` from a connection that still holds a lease is answered at
+/// once, even with nothing to hand out: that worker asks again after its
+/// next delivery, and holding the request would hold up its results.
+#[test]
+fn a_fetch_from_a_connection_holding_leases_is_answered_at_once() {
+    let (addr, jobs, server, path) = serve_whole_grid_chunks("dist-held-lease");
+    let (mut reader, mut writer) = hello(&addr, "holder");
+    let leased = match ask(&mut reader, &mut writer, &Request::Fetch { max: 24 }) {
+        Reply::Assign { jobs } => jobs,
+        other => panic!("expected an assignment, got {other:?}"),
+    };
+    assert_eq!(leased.len(), jobs.len());
+    let mut fastest = Duration::MAX;
+    for _ in 0..5 {
+        let asked = Instant::now();
+        let reply = ask(&mut reader, &mut writer, &Request::Fetch { max: 4 });
+        fastest = fastest.min(asked.elapsed());
+        assert!(matches!(reply, Reply::Wait { .. }), "{reply:?}");
+    }
+    assert!(
+        fastest < Duration::from_millis(WAIT_BACKOFF_MILLIS / 2),
+        "the fastest answer took {fastest:?}"
+    );
+    for job in &leased {
+        let _ = ask(&mut reader, &mut writer, &delivery(job));
+    }
+    assert!(server.join().unwrap().is_complete());
     clean(&path);
 }

@@ -1,14 +1,18 @@
 //! The worker's side of the wire, against scripted coordinators: a reply
 //! cut mid-frame, a campaign that ends on a `Drained` ack, a
-//! `ProtocolError` answering a delivery, and one request in flight.
+//! `ProtocolError` answering a delivery, one request in flight, a refill
+//! that overlaps the running job, one job pool across reconnects, and a
+//! lost connection's work staying lost.
 
+use std::collections::HashSet;
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 use surepath_dist::{
-    read_message, run_worker, write_message, ReconnectPolicy, Reply, Request, WorkerOptions,
+    is_transient, read_message, run_worker, write_message, ReconnectPolicy, Reply, Request,
+    WorkerOptions,
 };
 use surepath_runner::JobSpec;
 
@@ -257,4 +261,211 @@ fn the_worker_keeps_one_request_in_flight() {
     assert_eq!(delivered.load(Ordering::SeqCst), JOBS as usize);
     let max = max_outstanding.load(Ordering::SeqCst);
     assert_eq!(max, 1, "{max} requests were in flight at once");
+}
+
+fn next_request(reader: &mut BufReader<TcpStream>) -> Option<Request> {
+    read_message::<Request>(reader).ok().flatten()
+}
+
+/// Waits (up to five seconds) until `flag` is set.
+fn wait_for(flag: &AtomicBool) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !flag.load(Ordering::SeqCst) && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// The worker asks for its next job while its only fetched job still runs,
+/// so the job thread finds the next job queued when it finishes.
+#[test]
+fn the_refill_fetch_goes_out_while_the_last_job_runs() {
+    let finished = Arc::new(AtomicBool::new(false));
+    let refilled_while_running = Arc::new(AtomicBool::new(false));
+    let (job_done, seen) = (Arc::clone(&finished), Arc::clone(&refilled_while_running));
+    let (addr, coordinator) = scripted_coordinator(Duration::from_millis(500), move |_, stream| {
+        let (mut reader, mut writer) = split(stream);
+        expect_hello(&mut reader);
+        write_message(&mut writer, &welcome()).unwrap();
+        assert!(matches!(
+            next_request(&mut reader),
+            Some(Request::Fetch { max: 2 })
+        ));
+        let jobs = vec![job(1)];
+        write_message(&mut writer, &Reply::Assign { jobs }).unwrap();
+        match next_request(&mut reader) {
+            Some(Request::Fetch { max: 1 }) => {
+                seen.store(!job_done.load(Ordering::SeqCst), Ordering::SeqCst);
+            }
+            other => panic!("expected the refill Fetch, got {other:?}"),
+        }
+        write_message(&mut writer, &Reply::Wait { millis: 0 }).unwrap();
+        assert!(matches!(
+            next_request(&mut reader),
+            Some(Request::Deliver { .. })
+        ));
+        write_message(&mut writer, &Reply::Drained).unwrap();
+    });
+    let (release, job_done) = (Arc::clone(&refilled_while_running), Arc::clone(&finished));
+    let outcome = run_worker(&addr, "refill", &options(1, 2, 0), move |job| {
+        wait_for(&release);
+        job_done.store(true, Ordering::SeqCst);
+        instant_job(job)
+    })
+    .unwrap();
+    assert_eq!(outcome.executed, 1);
+    assert_eq!(coordinator.join().unwrap(), 1);
+    assert!(refilled_while_running.load(Ordering::SeqCst));
+}
+
+/// Three assignments over two connections run on one pool of two job
+/// threads: the pool lasts the whole campaign, reconnect included.
+#[test]
+fn one_job_pool_serves_every_assignment_and_the_reconnect() {
+    let (addr, coordinator) = scripted_coordinator(Duration::from_millis(500), |conn, stream| {
+        let (mut reader, mut writer) = split(stream);
+        expect_hello(&mut reader);
+        write_message(&mut writer, &welcome()).unwrap();
+        // The first connection makes two assignments, the second one.
+        let planned = if conn == 0 { 2 } else { 1 };
+        let mut assigns = 0;
+        let mut delivered = 0;
+        while let Some(request) = next_request(&mut reader) {
+            let reply = match request {
+                Request::Fetch { max } if assigns < planned => {
+                    assigns += 1;
+                    let first = 10 * (conn as u64 + 1) + 2 * assigns as u64;
+                    Reply::Assign {
+                        jobs: (first..first + max as u64).map(job).collect(),
+                    }
+                }
+                Request::Fetch { .. } => Reply::Wait { millis: 0 },
+                // The first delivery after the first connection's second
+                // assignment is cut off: no reply, the socket closes.
+                Request::Deliver { .. } if conn == 0 && assigns == 2 => return,
+                Request::Deliver { .. } => {
+                    delivered += 1;
+                    if conn == 1 && delivered == 2 {
+                        Reply::Drained
+                    } else {
+                        Reply::Wait { millis: 0 }
+                    }
+                }
+                Request::Hello { .. } => panic!("duplicate Hello"),
+            };
+            let last = reply == Reply::Drained;
+            write_message(&mut writer, &reply).unwrap();
+            if last {
+                return;
+            }
+        }
+    });
+    let threads = Mutex::new(HashSet::new());
+    let outcome = run_worker(&addr, "one-pool", &options(2, 2, 3), |job| {
+        threads.lock().unwrap().insert(std::thread::current().id());
+        std::thread::sleep(Duration::from_millis(2));
+        instant_job(job)
+    })
+    .unwrap();
+    assert_eq!(coordinator.join().unwrap(), 2);
+    assert_eq!(outcome.reconnects, 1);
+    let seen = threads.lock().unwrap().len();
+    assert!(seen <= 2, "jobs ran on {seen} threads");
+}
+
+/// After a cut, a result of the dead connection's running job is dropped:
+/// the new connection hears only of jobs it assigned, and a job assigned
+/// again runs again and is delivered once.
+#[test]
+fn a_lost_connections_results_are_not_delivered_on_the_next() {
+    let release = Arc::new(AtomicBool::new(false));
+    let stale_done = Arc::new(AtomicBool::new(false));
+    let delivered = Arc::new(Mutex::new(Vec::new()));
+    let (reconnected, seen) = (Arc::clone(&release), Arc::clone(&delivered));
+    let (addr, coordinator) =
+        scripted_coordinator(Duration::from_millis(500), move |conn, stream| {
+            let (mut reader, mut writer) = split(stream);
+            expect_hello(&mut reader);
+            if conn == 1 {
+                // Only now may the first connection's job finish.
+                reconnected.store(true, Ordering::SeqCst);
+            }
+            write_message(&mut writer, &welcome()).unwrap();
+            if conn == 0 {
+                assert!(matches!(
+                    next_request(&mut reader),
+                    Some(Request::Fetch { .. })
+                ));
+                let jobs = vec![job(1)];
+                write_message(&mut writer, &Reply::Assign { jobs }).unwrap();
+                // The refill, sent while job 1 runs: cut the connection.
+                match next_request(&mut reader) {
+                    Some(Request::Fetch { .. }) => return,
+                    other => panic!("expected the refill Fetch, got {other:?}"),
+                }
+            }
+            let mut assigned = false;
+            while let Some(request) = next_request(&mut reader) {
+                let reply = match request {
+                    Request::Fetch { .. } if !assigned => {
+                        assigned = true;
+                        Reply::Assign {
+                            jobs: vec![job(3), job(1)],
+                        }
+                    }
+                    Request::Fetch { .. } => Reply::Wait { millis: 0 },
+                    Request::Deliver { record, .. } => {
+                        let mut seen = seen.lock().unwrap();
+                        seen.push(record.job.seed);
+                        if seen.len() == 2 {
+                            Reply::Drained
+                        } else {
+                            Reply::Wait { millis: 0 }
+                        }
+                    }
+                    Request::Hello { .. } => panic!("duplicate Hello"),
+                };
+                let last = reply == Reply::Drained;
+                write_message(&mut writer, &reply).unwrap();
+                if last {
+                    return;
+                }
+            }
+        });
+    let (gate, first_copy_done) = (Arc::clone(&release), Arc::clone(&stale_done));
+    let outcome = run_worker(&addr, "cut", &options(1, 2, 3), move |job| {
+        if job.seed == 1 && !first_copy_done.load(Ordering::SeqCst) {
+            // The copy fetched on the first connection: it runs across the
+            // cut and finishes only after the worker reconnected.
+            wait_for(&gate);
+            first_copy_done.store(true, Ordering::SeqCst);
+        }
+        instant_job(job)
+    })
+    .unwrap();
+    assert_eq!(coordinator.join().unwrap(), 2);
+    assert_eq!(outcome.reconnects, 1);
+    assert!(stale_done.load(Ordering::SeqCst));
+    // Job 1's first copy finished before job 3 started (one job thread), so
+    // a stale delivery would have come first.
+    assert_eq!(*delivered.lock().unwrap(), vec![3, 1]);
+}
+
+/// Only the first dial waits out `connect_retry`; the reconnect attempts
+/// after it dial once each, after their backoff.
+#[test]
+fn only_the_first_dial_waits_for_the_coordinator() {
+    let opts = WorkerOptions {
+        threads: Some(1),
+        chunk: None,
+        connect_retry: Duration::from_secs(2),
+        reconnect: ReconnectPolicy::with(2, 10),
+        quiet: true,
+    };
+    let started = Instant::now();
+    let err = run_worker("127.0.0.1:1", "refused", &opts, instant_job).unwrap_err();
+    let elapsed = started.elapsed();
+    assert!(is_transient(err.kind()), "{err}");
+    assert!(err.to_string().contains("giving up"), "{err}");
+    assert!(elapsed >= Duration::from_secs(2), "{elapsed:?}");
+    assert!(elapsed < Duration::from_secs(4), "{elapsed:?}");
 }

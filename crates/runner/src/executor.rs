@@ -6,26 +6,31 @@
 //! concurrent cycle-level simulations. This executor instead runs a bounded
 //! worker pool:
 //!
-//! * jobs are distributed round-robin into **per-worker deques**;
+//! * jobs are fed round-robin into **per-worker deques**;
 //! * each worker pops from the *front* of its own deque and, when empty,
 //!   **steals from the back** of a sibling's deque, so uneven job costs
 //!   (e.g. high-load saturation points next to cheap low-load points)
 //!   still keep every core busy;
+//! * a worker that finds every deque empty **waits for more work** until
+//!   the feed is closed, so one pool can serve a consumer that learns of
+//!   its jobs over time (a distributed worker fetching from its
+//!   coordinator) as well as a fixed list ([`run_work_stealing`] feeds
+//!   every item and closes at once);
 //! * every job runs under `catch_unwind`, so one panicking simulation is
 //!   reported as a failed job instead of killing the whole campaign;
-//! * results are delivered to a single consumer callback as they finish,
-//!   which is what lets the store stream records to disk mid-campaign.
+//! * results are delivered to a single consumer as they finish, which is
+//!   what lets the store stream records to disk mid-campaign.
 //!
 //! Determinism note: job *results* must depend only on the job (the
 //! simulator is seeded per job), never on scheduling. The executor makes no
-//! ordering promises between `on_complete` calls; callers that need a
-//! canonical order (the JSONL store does) re-order afterwards.
+//! ordering promises between results; callers that need a canonical order
+//! (the JSONL store does) re-order afterwards.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// What happened to one job.
@@ -102,6 +107,16 @@ impl Default for ChunkOptions {
     }
 }
 
+impl ChunkOptions {
+    /// One job per queue visit: no chunking.
+    pub fn unchunked() -> Self {
+        ChunkOptions {
+            max_chunk: 1,
+            ..ChunkOptions::default()
+        }
+    }
+}
+
 /// EWMA weight of each new per-job sample.
 const ESTIMATE_ALPHA: f64 = 0.2;
 
@@ -139,6 +154,251 @@ impl JobCostEstimate {
     }
 }
 
+/// What a pool reports to its consumer (see [`with_pool`]).
+#[derive(Debug)]
+pub enum PoolEvent<I, T> {
+    /// A job thread took items off the deques, so [`Pool::unstarted`] fell.
+    Started,
+    /// One item ran; it comes back with its outcome.
+    Finished(I, JobOutcome<T>),
+}
+
+/// Whether the feed is still open, and where the next fed item goes.
+struct FeedState {
+    next: usize,
+    closed: bool,
+}
+
+/// Locks a pool mutex. No update of the deques or the feed state can stop
+/// halfway, so a poisoned lock still guards valid data; recovering it
+/// keeps [`Release`] from panicking while a consumer unwinds.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The per-worker deques of a pool and the feed that fills them.
+struct Queues<I> {
+    deques: Vec<Mutex<VecDeque<I>>>,
+    /// Items fed and not yet taken by a job thread. Raised before an item
+    /// is pushed and lowered after it is taken, so it never underflows.
+    unstarted: AtomicUsize,
+    /// Held while items are pushed and while an idle job thread looks for
+    /// work before it waits on `fed`: a feed can never slip between a
+    /// worker's last look and its wait.
+    feed: Mutex<FeedState>,
+    fed: Condvar,
+}
+
+impl<I> Queues<I> {
+    fn new(threads: usize) -> Self {
+        Queues {
+            deques: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
+            unstarted: AtomicUsize::new(0),
+            feed: Mutex::new(FeedState {
+                next: 0,
+                closed: false,
+            }),
+            fed: Condvar::new(),
+        }
+    }
+
+    fn push(&self, items: impl IntoIterator<Item = I>) {
+        let mut feed = lock(&self.feed);
+        for item in items {
+            self.unstarted.fetch_add(1, Ordering::SeqCst);
+            lock(&self.deques[feed.next]).push_back(item);
+            feed.next = (feed.next + 1) % self.deques.len();
+        }
+        self.fed.notify_all();
+    }
+
+    fn close(&self) {
+        lock(&self.feed).closed = true;
+        self.fed.notify_all();
+    }
+
+    fn drop_unstarted(&self) -> usize {
+        let mut dropped = 0;
+        for deque in &self.deques {
+            let mut deque = lock(deque);
+            dropped += deque.len();
+            deque.clear();
+        }
+        self.unstarted.fetch_sub(dropped, Ordering::SeqCst);
+        dropped
+    }
+
+    /// Moves up to `want` items into `chunk` for job thread `own`, waiting
+    /// while the deques are empty and the feed is open. Returns false once
+    /// they are empty and the feed is closed.
+    fn take(&self, own: usize, want: usize, chunk: &mut Vec<I>) -> bool {
+        if self.try_take(own, want, chunk) {
+            return true;
+        }
+        let mut feed = lock(&self.feed);
+        loop {
+            if self.try_take(own, want, chunk) {
+                return true;
+            }
+            if feed.closed {
+                return false;
+            }
+            feed = self.fed.wait(feed).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    fn try_take(&self, own: usize, want: usize, chunk: &mut Vec<I>) -> bool {
+        // Own deque first (front: cache-friendly FIFO of the fed share)…
+        {
+            let mut deque = lock(&self.deques[own]);
+            let n = want.min(deque.len());
+            chunk.extend(deque.drain(..n));
+        }
+        // …then steal from the back of a sibling's deque, preferring the most
+        // loaded one. Every deque is attempted: a single measured victim can
+        // be drained by other thieves between the measurement and the steal.
+        if chunk.is_empty() {
+            let mut victims: Vec<usize> = (0..self.deques.len()).filter(|&w| w != own).collect();
+            victims.sort_by_key(|&w| std::cmp::Reverse(lock(&self.deques[w]).len()));
+            for w in victims {
+                let mut deque = lock(&self.deques[w]);
+                while chunk.len() < want {
+                    match deque.pop_back() {
+                        Some(item) => chunk.push(item),
+                        None => break,
+                    }
+                }
+                if !chunk.is_empty() {
+                    break;
+                }
+            }
+        }
+        self.unstarted.fetch_sub(chunk.len(), Ordering::SeqCst);
+        !chunk.is_empty()
+    }
+}
+
+/// The consumer's side of a running pool: it feeds items in and reads
+/// events out. See [`with_pool`].
+pub struct Pool<'q, I, T> {
+    queues: &'q Queues<I>,
+    events: mpsc::Receiver<PoolEvent<I, T>>,
+}
+
+impl<I, T> Pool<'_, I, T> {
+    /// Hands `items` to the job threads, round-robin over their deques.
+    pub fn feed(&self, items: impl IntoIterator<Item = I>) {
+        self.queues.push(items);
+    }
+
+    /// Ends the feed: job threads exit once the deques are empty, and
+    /// [`Pool::next`] returns `None` after the last item has reported.
+    pub fn close(&self) {
+        self.queues.close();
+    }
+
+    /// Drops every fed item no job thread has taken yet; returns how many.
+    pub fn drop_unstarted(&self) -> usize {
+        self.queues.drop_unstarted()
+    }
+
+    /// Fed items no job thread has taken yet.
+    pub fn unstarted(&self) -> usize {
+        self.queues.unstarted.load(Ordering::SeqCst)
+    }
+
+    /// The next event, waiting for it. `None` once the feed is closed and
+    /// every taken item has reported.
+    pub fn next(&self) -> Option<PoolEvent<I, T>> {
+        self.events.recv().ok()
+    }
+}
+
+/// Ends the feed and drops what is left of it when the consumer returns or
+/// unwinds, so the job threads finish the items they hold and exit.
+struct Release<'q, I>(&'q Queues<I>);
+
+impl<I> Drop for Release<'_, I> {
+    fn drop(&mut self) {
+        self.0.drop_unstarted();
+        self.0.close();
+    }
+}
+
+/// Runs a pool of `threads` job threads (at least one) for as long as
+/// `consume` runs on the calling thread. `consume` feeds items through the
+/// [`Pool`] whenever it has them and reads [`PoolEvent`]s as job threads
+/// take and finish them; a job thread with nothing to do waits for the
+/// next feed until the feed is closed. When `consume` returns, items no
+/// job thread has taken are dropped, the job threads finish the one they
+/// run, and their results are discarded.
+///
+/// With `chunking`, a job thread takes up to
+/// `JobCostEstimate::chunk_size` items per deque visit (see
+/// [`ChunkOptions`]); results still report one by one.
+pub fn with_pool<I, T, F, R>(
+    threads: usize,
+    chunking: &ChunkOptions,
+    job: F,
+    consume: impl FnOnce(&Pool<'_, I, T>) -> R,
+) -> R
+where
+    I: Send,
+    T: Send,
+    F: Fn(&I) -> T + Sync,
+{
+    let threads = threads.max(1);
+    let queues = Queues::new(threads);
+    let estimate = JobCostEstimate::new(chunking.initial_estimate_millis);
+    std::thread::scope(|scope| {
+        let (sender, events) = mpsc::channel();
+        for own in 0..threads {
+            let sender = sender.clone();
+            let (queues, estimate, job) = (&queues, &estimate, &job);
+            scope.spawn(move || job_thread(own, queues, chunking, estimate, job, sender));
+        }
+        drop(sender);
+        let pool = Pool {
+            queues: &queues,
+            events,
+        };
+        let _release = Release(&queues);
+        consume(&pool)
+    })
+}
+
+/// The pool's one worker loop: take a chunk (waiting for the feed when
+/// every deque is empty), run each item under `catch_unwind`, report it.
+fn job_thread<I, T, F>(
+    own: usize,
+    queues: &Queues<I>,
+    chunking: &ChunkOptions,
+    estimate: &JobCostEstimate,
+    job: &F,
+    events: mpsc::Sender<PoolEvent<I, T>>,
+) where
+    F: Fn(&I) -> T,
+{
+    let mut chunk = Vec::new();
+    while queues.take(own, estimate.chunk_size(chunking), &mut chunk) {
+        if events.send(PoolEvent::Started).is_err() {
+            return;
+        }
+        for item in chunk.drain(..) {
+            let started = Instant::now();
+            let outcome = match catch_unwind(AssertUnwindSafe(|| job(&item))) {
+                Ok(value) => JobOutcome::Completed(value),
+                Err(payload) => JobOutcome::Panicked(panic_message(payload)),
+            };
+            estimate.record(started.elapsed().as_secs_f64() * 1_000.0);
+            if events.send(PoolEvent::Finished(item, outcome)).is_err() {
+                // The consumer is gone; the rest of the chunk is abandoned.
+                return;
+            }
+        }
+    }
+}
+
 /// Runs `worker` over every item on a work-stealing pool of `threads`
 /// workers, invoking `on_complete(index, outcome)` on the calling thread as
 /// jobs finish (in completion order, not index order).
@@ -160,10 +420,7 @@ where
     run_work_stealing_chunked(
         items,
         threads,
-        &ChunkOptions {
-            max_chunk: 1,
-            ..ChunkOptions::default()
-        },
+        &ChunkOptions::unchunked(),
         worker,
         on_complete,
     );
@@ -189,96 +446,15 @@ pub fn run_work_stealing_chunked<I, T, F, C>(
     if items.is_empty() {
         return;
     }
-    let threads = threads.clamp(1, items.len());
-    let estimate = JobCostEstimate::new(chunking.initial_estimate_millis);
-
-    // Round-robin initial distribution across per-worker deques.
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..threads)
-        .map(|w| {
-            Mutex::new(
-                (0..items.len())
-                    .filter(|i| i % threads == w)
-                    .collect::<VecDeque<usize>>(),
-            )
-        })
-        .collect();
-
-    let pop_chunk = |own: usize, chunk: &mut Vec<usize>| {
-        let want = estimate.chunk_size(chunking);
-        // Own deque first (front: cache-friendly FIFO of the initial share)…
-        {
-            let mut queue = queues[own].lock().expect("queue lock");
-            while chunk.len() < want {
-                match queue.pop_front() {
-                    Some(idx) => chunk.push(idx),
-                    None => break,
+    let job = |&idx: &usize| worker(idx, &items[idx]);
+    with_pool(threads.clamp(1, items.len()), chunking, job, |pool| {
+        pool.feed(0..items.len());
+        pool.close();
+        while let Some(event) = pool.next() {
+            if let PoolEvent::Finished(idx, outcome) = event {
+                if !on_complete(idx, outcome) {
+                    return;
                 }
-            }
-        }
-        if !chunk.is_empty() {
-            return;
-        }
-        // …then steal from the back of a sibling's deque, preferring the most
-        // loaded one. Every queue is attempted: a single measured victim can
-        // be drained by other thieves between the measurement and the steal,
-        // and bailing out then would retire this worker while work remains.
-        // (No job ever re-enters a queue, so observing every queue empty is a
-        // safe termination condition.)
-        let mut victims: Vec<usize> = (0..queues.len()).filter(|&w| w != own).collect();
-        victims.sort_by_key(|&w| std::cmp::Reverse(queues[w].lock().expect("queue lock").len()));
-        for w in victims {
-            let mut queue = queues[w].lock().expect("queue lock");
-            while chunk.len() < want {
-                match queue.pop_back() {
-                    Some(idx) => chunk.push(idx),
-                    None => break,
-                }
-            }
-            if !chunk.is_empty() {
-                return;
-            }
-        }
-    };
-
-    std::thread::scope(|scope| {
-        let (sender, receiver) = mpsc::channel::<(usize, JobOutcome<T>)>();
-        for w in 0..threads {
-            let sender = sender.clone();
-            let worker = &worker;
-            let items_ref = items;
-            let pop_chunk = &pop_chunk;
-            let estimate = &estimate;
-            scope.spawn(move || {
-                let mut chunk: Vec<usize> = Vec::new();
-                'outer: loop {
-                    chunk.clear();
-                    pop_chunk(w, &mut chunk);
-                    if chunk.is_empty() {
-                        break;
-                    }
-                    for &idx in &chunk {
-                        let started = Instant::now();
-                        let outcome =
-                            match catch_unwind(AssertUnwindSafe(|| worker(idx, &items_ref[idx]))) {
-                                Ok(value) => JobOutcome::Completed(value),
-                                Err(payload) => JobOutcome::Panicked(panic_message(payload)),
-                            };
-                        estimate.record(started.elapsed().as_secs_f64() * 1_000.0);
-                        if sender.send((idx, outcome)).is_err() {
-                            // Consumer hung up; nothing useful left to do
-                            // (the rest of the chunk is abandoned too).
-                            break 'outer;
-                        }
-                    }
-                }
-            });
-        }
-        drop(sender);
-        for (idx, outcome) in receiver {
-            if !on_complete(idx, outcome) {
-                // Dropping the receiver makes every worker's next send fail,
-                // so the pool drains promptly without starting new jobs.
-                break;
             }
         }
     });
@@ -563,6 +739,163 @@ mod tests {
             executed.load(Ordering::Relaxed) < 400,
             "cancellation must not run the whole grid"
         );
+    }
+
+    /// Feeds `batches` one after another, pausing between them so the job
+    /// threads go idle and must wait for the next feed, then closes; returns
+    /// every finished item with its outcome.
+    fn feed_in_batches<T: Send>(
+        threads: usize,
+        batches: &[std::ops::Range<usize>],
+        job: impl Fn(&usize) -> T + Sync,
+    ) -> Vec<(usize, JobOutcome<T>)> {
+        with_pool(threads, &ChunkOptions::unchunked(), job, |pool| {
+            let mut finished = Vec::new();
+            for batch in batches {
+                let expected = finished.len() + batch.len();
+                pool.feed(batch.clone());
+                while finished.len() < expected {
+                    match pool.next() {
+                        Some(PoolEvent::Finished(item, outcome)) => finished.push((item, outcome)),
+                        Some(PoolEvent::Started) => {}
+                        None => panic!("the pool ended before its feed was closed"),
+                    }
+                }
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            }
+            pool.close();
+            while let Some(event) = pool.next() {
+                if let PoolEvent::Finished(item, outcome) = event {
+                    finished.push((item, outcome));
+                }
+            }
+            finished
+        })
+    }
+
+    #[test]
+    fn a_fed_pool_runs_every_fed_item_exactly_once() {
+        let executed = AtomicUsize::new(0);
+        let finished = feed_in_batches(3, &[0..7, 7..8, 8..40], |&v| {
+            executed.fetch_add(1, Ordering::Relaxed);
+            v * 2
+        });
+        let mut seen = [false; 40];
+        for (item, outcome) in finished {
+            assert!(!seen[item], "item {item} finished twice");
+            seen[item] = true;
+            assert_eq!(outcome, JobOutcome::Completed(item * 2));
+        }
+        assert!(seen.iter().all(|&s| s));
+        assert_eq!(executed.load(Ordering::Relaxed), 40);
+    }
+
+    #[test]
+    fn a_fed_pool_isolates_a_panic_and_keeps_taking_feeds() {
+        let finished = feed_in_batches(2, &[0..4, 4..9], |&v| {
+            if v == 2 {
+                panic!("item {v} exploded");
+            }
+            v
+        });
+        assert_eq!(finished.len(), 9);
+        for (item, outcome) in finished {
+            match outcome {
+                JobOutcome::Panicked(msg) => {
+                    assert_eq!(item, 2);
+                    assert!(msg.contains("exploded"), "{msg}");
+                }
+                JobOutcome::Completed(v) => assert_eq!(v, item),
+            }
+        }
+    }
+
+    #[test]
+    fn a_fed_pool_never_uses_more_than_its_threads() {
+        use std::collections::HashSet;
+        use std::sync::atomic::AtomicIsize;
+        let ids = Mutex::new(HashSet::new());
+        let live = AtomicIsize::new(0);
+        let peak = AtomicIsize::new(0);
+        let finished = feed_in_batches(3, &[0..10, 10..11, 11..30, 30..31], |_| {
+            ids.lock().unwrap().insert(std::thread::current().id());
+            let now = live.fetch_add(1, Ordering::SeqCst) + 1;
+            peak.fetch_max(now, Ordering::SeqCst);
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            live.fetch_sub(1, Ordering::SeqCst);
+        });
+        assert_eq!(finished.len(), 31);
+        assert!(ids.lock().unwrap().len() <= 3, "{:?}", ids.lock().unwrap());
+        assert!(peak.load(Ordering::SeqCst) <= 3);
+    }
+
+    #[test]
+    fn a_fed_pool_stops_promptly_when_the_consumer_returns() {
+        let executed = AtomicUsize::new(0);
+        let started = Instant::now();
+        let delivered = with_pool(
+            2,
+            &ChunkOptions::unchunked(),
+            |_: &usize| {
+                executed.fetch_add(1, Ordering::Relaxed);
+                std::thread::sleep(std::time::Duration::from_millis(2));
+            },
+            |pool| {
+                pool.feed(0..500);
+                let mut delivered = 0;
+                while let Some(event) = pool.next() {
+                    if let PoolEvent::Finished(..) = event {
+                        delivered += 1;
+                        if delivered == 5 {
+                            break;
+                        }
+                    }
+                }
+                delivered
+            },
+        );
+        assert_eq!(delivered, 5);
+        // The feed was never closed: returning alone let the threads go,
+        // each after the item it held (plus the few results that finished
+        // while the consumer read the fifth).
+        let total = executed.load(Ordering::Relaxed);
+        assert!(total < 20, "ran {total} of 500 items");
+        assert!(started.elapsed() < std::time::Duration::from_secs(1));
+    }
+
+    #[test]
+    fn dropping_unstarted_items_leaves_the_running_ones() {
+        let release = std::sync::atomic::AtomicBool::new(false);
+        let finished = with_pool(
+            1,
+            &ChunkOptions::unchunked(),
+            |&v: &usize| {
+                while v == 0 && !release.load(Ordering::SeqCst) {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+                v
+            },
+            |pool| {
+                pool.feed(0..4);
+                // Item 0 holds the only job thread; 1..4 wait unstarted.
+                while pool.unstarted() > 3 {
+                    assert!(matches!(pool.next(), Some(PoolEvent::Started)));
+                }
+                assert_eq!(pool.drop_unstarted(), 3);
+                assert_eq!(pool.unstarted(), 0);
+                release.store(true, Ordering::SeqCst);
+                pool.feed([9]);
+                pool.close();
+                let mut finished = Vec::new();
+                while let Some(event) = pool.next() {
+                    if let PoolEvent::Finished(item, _) = event {
+                        finished.push(item);
+                    }
+                }
+                finished
+            },
+        );
+        assert_eq!(finished, vec![0, 9]);
     }
 
     #[test]

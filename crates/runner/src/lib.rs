@@ -67,8 +67,8 @@ pub use campaign::{
     deadline_from_env, run_campaign, run_campaign_with, CampaignOutcome, RunOptions,
 };
 pub use executor::{
-    default_threads, parallel_map, run_work_stealing, run_work_stealing_chunked, ChunkOptions,
-    JobOutcome,
+    default_threads, parallel_map, run_work_stealing, run_work_stealing_chunked, with_pool,
+    ChunkOptions, JobOutcome, Pool, PoolEvent,
 };
 pub use fingerprint::{job_fingerprint, point_fingerprint, point_fingerprint_ignoring_rng};
 pub use manifest::{manifest_path, ManifestRecord, ShardManifest};

@@ -183,6 +183,11 @@ impl ShardQueues {
     pub fn lease(&self, job: usize) -> Option<&Lease> {
         self.leases.get(&job)
     }
+
+    /// Whether `worker` holds any lease.
+    pub fn holds_lease(&self, worker: &str) -> bool {
+        self.leases.values().any(|lease| lease.worker == worker)
+    }
 }
 
 #[cfg(test)]

@@ -10,6 +10,9 @@
 
 use std::net::TcpListener;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 use surepath::core::{run_campaign, run_job, CampaignSpec, TopologySpec};
 use surepath::dist::{
     read_message, run_worker, serve, write_message, Reply, Request, ServeOptions, WorkerOptions,
@@ -60,24 +63,44 @@ fn local_bytes(spec: &CampaignSpec, name: &str) -> Vec<u8> {
 
 /// Serves `spec` over loopback TCP with `workers` in-process workers, all
 /// running the real simulation bridge.
+///
+/// Every worker holds its jobs until all `workers` have started one, as
+/// `serve_with_workers` in the dist crate's tests does: otherwise the first
+/// workers could drain the 8-job grid and the coordinator return before a
+/// worker thread the host started late dials in, and that worker would
+/// spend its reconnect budget on a closed port. Holding at most two jobs
+/// each, four workers can each take two while the others wait.
 fn distributed_bytes(spec: &CampaignSpec, name: &str, workers: usize) -> Vec<u8> {
     let path = temp_store(name);
     clean(&path);
     let jobs = spec.expand().unwrap();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
+    let joined = Arc::new(AtomicUsize::new(0));
     let handles: Vec<_> = (0..workers)
         .map(|i| {
             let addr = addr.clone();
+            let joined = Arc::clone(&joined);
             std::thread::spawn(move || {
+                let first_job = AtomicBool::new(true);
                 run_worker(
                     &addr,
                     &format!("int-worker-{i}"),
                     &WorkerOptions {
                         threads: Some(2),
+                        chunk: Some(2),
                         ..WorkerOptions::default()
                     },
-                    run_job,
+                    |job| {
+                        if first_job.swap(false, Ordering::SeqCst) {
+                            joined.fetch_add(1, Ordering::SeqCst);
+                        }
+                        let deadline = Instant::now() + Duration::from_secs(30);
+                        while joined.load(Ordering::SeqCst) < workers && Instant::now() < deadline {
+                            std::thread::sleep(Duration::from_millis(1));
+                        }
+                        run_job(job)
+                    },
                 )
             })
         })
