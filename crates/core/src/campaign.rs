@@ -22,7 +22,7 @@
 use crate::experiment::{Experiment, RootPlacement, TrafficSpec};
 use crate::scenario::FaultScenario;
 use hyperx_routing::{MechanismSpec, NetworkView};
-use hyperx_sim::{PacketTracer, RngContract, SimConfig};
+use hyperx_sim::{PacketTracer, RngContract, SimConfig, Simulator};
 use serde::Value;
 use std::collections::HashMap;
 use std::path::Path;
@@ -35,7 +35,8 @@ use surepath_runner::{
 /// not carry its own, matching the CLI `--batch` default.
 pub const DEFAULT_SAMPLE_WINDOW: u64 = 1_000;
 
-/// A campaign-scoped cache of built network views.
+/// A campaign-scoped cache of built network views, and of the simulators of
+/// finished jobs.
 ///
 /// A [`NetworkView`] is the expensive part of simulator construction
 /// (topology build, fault application, distance tables) and is immutable
@@ -49,9 +50,18 @@ pub const DEFAULT_SAMPLE_WINDOW: u64 = 1_000;
 /// Builds are single-flight: each key owns a [`OnceLock`] cell, so threads
 /// that miss the same key while it is being built wait for that one build
 /// instead of repeating it, and builds of different keys run in parallel.
+///
+/// A job also takes an idle simulator from the cache, if there is one, and
+/// resets it for its own view, mechanism, pattern and configuration
+/// ([`Simulator::reset`]); it gives the simulator back when it returns. So a
+/// campaign keeps at most one simulator per executor thread, and a job of
+/// the same shape as the last one reuses its engine arrays. A reset
+/// simulator is indistinguishable from a new one, so this cannot perturb
+/// results either. A job that panics drops its simulator.
 #[derive(Default)]
 pub struct ViewCache {
     views: Mutex<HashMap<String, Arc<OnceLock<Arc<NetworkView>>>>>,
+    idle: Mutex<Vec<Simulator>>,
 }
 
 impl ViewCache {
@@ -88,6 +98,28 @@ impl ViewCache {
         // the key's own cell.
         let cell = self.cells().entry(key).or_default().clone();
         cell.get_or_init(build).clone()
+    }
+
+    /// The simulator of `experiment` over `view`: an idle one reset in
+    /// place, or a new one if none is idle.
+    fn simulator(&self, experiment: &Experiment, view: Arc<NetworkView>) -> Simulator {
+        // Push and pop cannot panic halfway, so a poisoned lock is safe.
+        let idle = self.idle.lock().unwrap_or_else(|e| e.into_inner()).pop();
+        match idle {
+            Some(mut sim) => {
+                experiment.reset_simulator(&mut sim, view);
+                sim
+            }
+            None => experiment.build_simulator_with_view(view),
+        }
+    }
+
+    /// Keeps the simulator of a job that returned, for the next job.
+    fn release(&self, sim: Simulator) {
+        self.idle
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(sim);
     }
 }
 
@@ -167,19 +199,34 @@ pub fn job_experiment(job: &JobSpec) -> Result<Experiment, String> {
 /// attached to the result as a sibling `counters` key. Counters are
 /// observations of a deterministic run, so the key is itself deterministic —
 /// and the engine's zero-perturbation contract guarantees the value is
-/// byte-identical whether a tracer was attached or not.
+/// byte-identical whether a tracer was attached or not. With a cache in
+/// `tuning`, the simulator comes from it and goes back to it once the job
+/// returns.
 fn run_job_inner(
     job: &JobSpec,
     tracer: Option<PacketTracer>,
     tuning: &RunTuning<'_>,
 ) -> Result<(Value, Option<PacketTracer>), String> {
     let experiment = job_experiment(job)?;
-    let view = match tuning.views {
-        Some(cache) => cache.get_or_build(view_cache_key(job), || experiment.build_view()),
-        None => experiment.build_view(),
+    let mut sim = match tuning.views {
+        Some(cache) => {
+            let view = cache.get_or_build(view_cache_key(job), || experiment.build_view());
+            cache.simulator(&experiment, view)
+        }
+        None => experiment.build_simulator(),
     };
-    let mut sim = experiment.build_simulator_with_view(view);
     sim.set_tracer(tracer);
+    let value = run_simulator(&mut sim, job);
+    let tracer = sim.take_tracer();
+    if let Some(cache) = tuning.views {
+        cache.release(sim);
+    }
+    Ok((value?, tracer))
+}
+
+/// Runs `sim` as `job` describes and returns its metrics, with the engine's
+/// counters attached.
+fn run_simulator(sim: &mut Simulator, job: &JobSpec) -> Result<Value, String> {
     let mut value = match job.kind.as_str() {
         "rate" => {
             let load = job.load.ok_or("rate jobs need a load")?;
@@ -203,7 +250,7 @@ fn run_job_inner(
         Value::Object(fields) => fields.push(("counters".to_string(), counters)),
         _ => return Err("simulation metrics serialize to an object".to_string()),
     }
-    Ok((value, sim.take_tracer()))
+    Ok(value)
 }
 
 /// Executes one campaign job. Understands kind `"rate"` (open-loop
@@ -228,7 +275,8 @@ pub struct RunTuning<'a> {
     /// field stays only for code that still sets it, and goes once nothing
     /// does.
     pub partitions: usize,
-    /// Shared view cache; `None` builds each job's view from scratch.
+    /// Shared cache of views and idle simulators; `None` builds each job's
+    /// view and simulator from scratch.
     pub views: Option<&'a ViewCache>,
 }
 
@@ -573,6 +621,93 @@ mod tests {
         // Both jobs share sides/scenario/root, so one view served all runs.
         assert_eq!(views.len(), 1);
         assert!(!views.is_empty());
+    }
+
+    #[test]
+    fn reused_simulators_reproduce_fresh_jobs() {
+        // 4x4 rate jobs and 4x4x4 batch jobs at two VC budgets, interleaved,
+        // so a simulator taken from the cache has just run a job of another
+        // shape, mode or VC count. One job is traced.
+        let rate = CampaignSpec {
+            name: "reuse-rate".into(),
+            topologies: vec![TopologySpec {
+                sides: vec![4, 4],
+                concentration: Some(4),
+            }],
+            mechanisms: Some(vec!["omnisp".into(), "polsp".into()]),
+            traffics: Some(vec!["uniform".into()]),
+            scenarios: Some(vec!["none".into(), "random:3:2".into()]),
+            vc_counts: Some(vec![3, 4]),
+            loads: Some(vec![0.4]),
+            seeds: Some(vec![5]),
+            warmup: Some(100),
+            measure: Some(300),
+            ..CampaignSpec::default()
+        };
+        let batch = CampaignSpec {
+            name: "reuse-batch".into(),
+            kind: Some("batch".into()),
+            topologies: vec![TopologySpec {
+                sides: vec![4, 4, 4],
+                concentration: Some(2),
+            }],
+            scenarios: Some(vec!["none".into()]),
+            loads: None,
+            packets_per_server: Some(5),
+            sample_window: Some(200),
+            ..rate.clone()
+        };
+        let (rate, batch) = (rate.expand().unwrap(), batch.expand().unwrap());
+        let mut jobs = Vec::new();
+        for i in 0..rate.len().max(batch.len()) {
+            jobs.extend(rate.get(i).cloned());
+            jobs.extend(batch.get(i).cloned());
+        }
+        const TRACED: usize = 3;
+        let capacity = PacketTracer::DEFAULT_CAPACITY;
+        let fresh: Vec<String> = jobs
+            .iter()
+            .map(|job| serde_json::to_string(&run_job(job).unwrap()).unwrap())
+            .collect();
+        let (_, fresh_trace) = run_job_traced(&jobs[TRACED], capacity).unwrap();
+        for threads in [1, 2] {
+            let views = ViewCache::new();
+            let tuning = RunTuning {
+                views: Some(&views),
+                ..RunTuning::default()
+            };
+            let mut trace = Vec::new();
+            surepath_runner::run_work_stealing(
+                &jobs,
+                threads,
+                |index, job| {
+                    if index == TRACED {
+                        run_job_traced_tuned(job, capacity, &tuning).map(|(v, t)| (v, Some(t)))
+                    } else {
+                        run_job_tuned(job, &tuning).map(|v| (v, None))
+                    }
+                },
+                |index, outcome| {
+                    let (value, records) = outcome.unwrap_completed().unwrap();
+                    assert_eq!(
+                        serde_json::to_string(&value).unwrap(),
+                        fresh[index],
+                        "{} at {threads} thread(s)",
+                        jobs[index].label()
+                    );
+                    trace.extend(records);
+                    true
+                },
+            );
+            assert_eq!(trace.len(), 1, "{threads} thread(s)");
+            assert!(
+                trace[0] == fresh_trace,
+                "{threads} thread(s): trace drifted"
+            );
+            // Jobs gave their simulators back: one per thread at most.
+            let idle = views.idle.lock().unwrap().len();
+            assert!((1..=threads).contains(&idle), "{idle} idle simulators");
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! faults + simulation parameters, bundled into a single runnable value.
 
 use crate::scenario::FaultScenario;
-use hyperx_routing::{MechanismSpec, NetworkView};
+use hyperx_routing::{MechanismSpec, NetworkView, RoutingMechanism};
 use hyperx_sim::traffic::{
     DimensionComplementReverse, NeighbourShift, RandomServerPermutation,
     RegularPermutationToNeighbour, ServerLayout, TrafficPattern, Transpose, UniformTraffic,
@@ -398,13 +398,36 @@ impl Experiment {
     /// would build ([`Experiment::build_view`]); passing a mismatched view is
     /// a logic error.
     pub fn build_simulator_with_view(&self, view: Arc<NetworkView>) -> Simulator {
+        let (mechanism, pattern, cfg) = self.simulator_parts(&view);
+        Simulator::new(view, mechanism, pattern, cfg)
+    }
+
+    /// Turns `sim` into the simulator [`Experiment::build_simulator_with_view`]
+    /// would build, in place ([`Simulator::reset`]): a job that reuses the
+    /// simulator of a finished one keeps its memory instead of allocating
+    /// and faulting in a new one.
+    pub(crate) fn reset_simulator(&self, sim: &mut Simulator, view: Arc<NetworkView>) {
+        let (mechanism, pattern, cfg) = self.simulator_parts(&view);
+        sim.reset(view, mechanism, pattern, cfg);
+    }
+
+    /// The routing mechanism, traffic pattern and engine configuration of
+    /// this experiment's simulator over `view`.
+    fn simulator_parts(
+        &self,
+        view: &Arc<NetworkView>,
+    ) -> (
+        Box<dyn RoutingMechanism>,
+        Box<dyn TrafficPattern>,
+        SimConfig,
+    ) {
         let mechanism = self.mechanism.build(view.clone(), self.num_vcs);
         let layout = ServerLayout::new(view.hyperx(), self.concentration);
         let pattern = self.traffic.build(&layout, self.sim.seed);
-        let mut sim_cfg = self.sim.clone();
-        sim_cfg.servers_per_switch = self.concentration;
-        sim_cfg.num_vcs = self.num_vcs;
-        Simulator::new(view, mechanism, pattern, sim_cfg)
+        let mut cfg = self.sim.clone();
+        cfg.servers_per_switch = self.concentration;
+        cfg.num_vcs = self.num_vcs;
+        (mechanism, pattern, cfg)
     }
 
     /// Runs the open-loop experiment at the given offered load.

@@ -13,9 +13,12 @@
 //! When the routing algorithm has nothing to offer (a *forced hop*: deroutes
 //! exhausted in front of a faulty link, a Ladder-less algorithm stuck, ...)
 //! the escape candidates are the only ones left, so the packet still makes
-//! progress as long as the network is connected. The escape subnetwork's
-//! monotonically decreasing Up/Down distance provides deadlock freedom with a
-//! single escape VC.
+//! progress as long as the network is connected. The paper claims that the
+//! escape subnetwork's monotonically decreasing Up/Down distance provides
+//! deadlock freedom with a single escape VC. This reproduction has not
+//! established that claim: the escape rule here offers every hop that lowers
+//! the Up/Down distance, including Up hops after Down hops, and some
+//! batch runs stall (open item 1 of `ROADMAP.md`).
 //!
 //! Rule 1 is [`RoutingMechanism::candidates_into`] and rule 2 is
 //! [`RoutingMechanism::escape_into`], whose candidates all cost at least

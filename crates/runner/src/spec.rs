@@ -11,6 +11,13 @@
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
+/// The most jobs one campaign may expand to. [`CampaignSpec::expand`]
+/// materializes every job, and the runner fingerprints each before the
+/// first one runs: at a few hundred bytes per job, a million jobs already
+/// hold hundreds of megabytes. The figure grids of this reproduction expand
+/// to a few thousand jobs at most.
+const MAX_JOBS: u128 = 1_000_000;
+
 /// One topology of a campaign: HyperX sides plus an optional concentration
 /// (servers per switch; callers default it to the first side).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -365,6 +372,17 @@ impl CampaignSpec {
         if self.vcs.is_some() && self.vc_counts.is_some() {
             return Err("`vcs` and `vc_counts` are mutually exclusive".to_string());
         }
+        match self.job_count() {
+            Some(jobs) if jobs <= MAX_JOBS => {}
+            jobs => {
+                let jobs = jobs.map_or(format!("more than {}", u128::MAX), |n| n.to_string());
+                return Err(format!(
+                    "campaign `{}`: the grid expands to {jobs} jobs, above the limit of \
+                     {MAX_JOBS} per campaign (split it into several campaigns)",
+                    self.name
+                ));
+            }
+        }
         if self.packets_per_server == Some(0) {
             return Err("`packets_per_server` must be at least 1".to_string());
         }
@@ -386,6 +404,25 @@ impl CampaignSpec {
             }
         }
         Ok(())
+    }
+
+    /// The number of jobs [`expand`](Self::expand) yields: the product of
+    /// every dimension's length, `None` if even a `u128` cannot hold it.
+    fn job_count(&self) -> Option<u128> {
+        let len = |dim: Option<usize>| dim.unwrap_or(1) as u128;
+        let seeds = self.replicas.or_else(|| self.seeds.as_ref().map(Vec::len));
+        [
+            self.topologies.len() as u128,
+            len(self.mechanisms.as_ref().map(Vec::len)),
+            len(self.traffics.as_ref().map(Vec::len)),
+            len(self.scenarios.as_ref().map(Vec::len)),
+            len(self.roots.as_ref().map(Vec::len)),
+            len(self.vc_counts.as_ref().map(Vec::len)),
+            len(self.loads.as_ref().map(Vec::len)),
+            len(seeds),
+        ]
+        .into_iter()
+        .try_fold(1u128, u128::checked_mul)
     }
 
     /// The effective seed list of the grid: the derived consecutive replica
@@ -707,6 +744,38 @@ mod tests {
         let err = s.expand().unwrap_err();
         assert!(err.contains("campaign `quick`"), "{err}");
         assert!(err.contains("at least 1"), "{err}");
+    }
+
+    #[test]
+    fn grids_above_the_job_limit_are_rejected_with_their_count() {
+        // `replicas = usize::MAX` used to panic with `capacity overflow`
+        // while the seeds were materialized.
+        let mut s = quick_spec();
+        s.seeds = None;
+        s.replicas = Some(usize::MAX);
+        let err = s.expand().unwrap_err();
+        // 1 topology x 2 mechanisms x 2 scenarios x 2 loads x usize::MAX.
+        let jobs = 8 * u128::from(u64::MAX);
+        assert!(err.contains(&format!("expands to {jobs} jobs")), "{err}");
+        assert!(err.contains("campaign `quick`"), "{err}");
+        // Dimensions whose product overflows even a u128: 700^7 x usize::MAX.
+        s.topologies = vec![s.topologies[0].clone(); 700];
+        s.mechanisms = Some(vec!["polsp".into(); 700]);
+        s.traffics = Some(vec!["uniform".into(); 700]);
+        s.scenarios = Some(vec!["none".into(); 700]);
+        s.roots = Some(vec!["suggested".into(); 700]);
+        s.vc_counts = Some(vec![4; 700]);
+        s.loads = Some(vec![0.5; 700]);
+        let err = s.validate().unwrap_err();
+        assert!(err.contains(&format!("more than {}", u128::MAX)), "{err}");
+        // The limit itself is allowed, one more job is not.
+        let mut s = quick_spec();
+        s.seeds = None;
+        s.replicas = Some(MAX_JOBS as usize / 8);
+        assert!(s.validate().is_ok());
+        s.replicas = Some(MAX_JOBS as usize / 8 + 1);
+        let err = s.validate().unwrap_err();
+        assert!(err.contains("expands to 1000008 jobs"), "{err}");
     }
 
     #[test]

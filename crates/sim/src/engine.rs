@@ -84,7 +84,8 @@ const EJECT: u32 = u32::MAX - 1;
 const DEAD: u32 = u32::MAX;
 
 /// The candidate cache of one input VC. `valid` is cleared at every pop, so
-/// a valid list always belongs to the current head.
+/// a valid list always belongs to the current head, and the pop that empties
+/// the VC also returns its buffer: an empty VC holds neither.
 #[derive(Debug, Default)]
 struct VcCache {
     /// The head's routing part, then (once appended) its escape part.
@@ -105,7 +106,7 @@ struct VcCache {
 /// insertion is O(1) amortised (pending insertions merge in one in-place
 /// backward merge per cycle), iteration is the sorted list, and removal
 /// happens during the caller's sweep. No allocations at steady state.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct ActiveSet {
     /// Membership bitmap; prevents duplicate insertions.
     member: Vec<bool>,
@@ -116,12 +117,11 @@ struct ActiveSet {
 }
 
 impl ActiveSet {
-    fn new(n: usize) -> Self {
-        ActiveSet {
-            member: vec![false; n],
-            list: Vec::with_capacity(n),
-            added: Vec::with_capacity(n),
-        }
+    /// Empties the set over the domain `0..n`, with room for all of it.
+    fn reset(&mut self, n: usize) {
+        refill(&mut self.member, n, false);
+        make_room(&mut self.list, n);
+        make_room(&mut self.added, n);
     }
 
     /// Marks `idx` active; no-op if it already is.
@@ -216,12 +216,26 @@ impl PacketArena {
     fn release(&mut self, idx: u32) {
         self.free.push(idx);
     }
+
+    /// Drops every packet, keeping the capacity: the next allocations
+    /// return indices 0, 1, 2, … as in a new arena.
+    fn clear(&mut self) {
+        self.id.clear();
+        self.src_server.clear();
+        self.dst_server.clear();
+        self.dst_switch.clear();
+        self.created_at.clear();
+        self.injected_at.clear();
+        self.state.clear();
+        self.escape_hops.clear();
+        self.free.clear();
+    }
 }
 
 /// All per-step scratch, folded into one reusable arena: request lists,
 /// sort keys, grant counters and the v2 sampler's output. Sized to its
 /// bounds up front, so no allocations at steady state.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct StepArena {
     /// Requests of the switch being allocated.
     requests: Vec<Request>,
@@ -236,17 +250,50 @@ struct StepArena {
 }
 
 impl StepArena {
-    /// Scratch sized for the largest step: one request per input VC of a
-    /// switch, one injector per server.
-    fn with_bounds(num_ports: usize, num_vcs: usize, num_servers: usize) -> Self {
+    /// Empties the scratch, with room for the largest step: one request per
+    /// input VC of a switch, one injector per server.
+    fn reset(&mut self, num_ports: usize, num_vcs: usize, num_servers: usize) {
         let slots = num_ports * num_vcs;
-        StepArena {
-            requests: Vec::with_capacity(slots),
-            keyed: Vec::with_capacity(slots),
-            out_grants: Vec::with_capacity(num_ports),
-            in_grants: Vec::with_capacity(num_ports),
-            sampled: Vec::with_capacity(num_servers),
-        }
+        make_room(&mut self.requests, slots);
+        make_room(&mut self.keyed, slots);
+        make_room(&mut self.out_grants, num_ports);
+        make_room(&mut self.in_grants, num_ports);
+        make_room(&mut self.sampled, num_servers);
+    }
+}
+
+/// Empties `v` with room for `len` entries, freeing its allocation first
+/// when that is too small.
+fn make_room<T>(v: &mut Vec<T>, len: usize) {
+    if v.capacity() < len {
+        *v = Vec::new();
+    }
+    v.clear();
+    v.reserve(len);
+}
+
+/// Sets `v` to `len` copies of `value`, in the allocation it already has
+/// when that is large enough. Otherwise the old allocation is freed first;
+/// a new one of zeros comes from the allocator's zeroed pages, which the
+/// kernel faults in only when they are first touched.
+fn refill<T: Copy>(v: &mut Vec<T>, len: usize, value: T) {
+    if v.capacity() < len {
+        *v = Vec::new();
+        *v = vec![value; len];
+    } else {
+        v.clear();
+        v.resize(len, value);
+    }
+}
+
+/// Sizes ring storage to `len` entries, keeping the entries it has (a ring
+/// never reads an entry it has not written since the reset) and zeroing
+/// only the new ones.
+fn resize_ring<T: Copy + Default>(v: &mut Vec<T>, len: usize) {
+    if v.capacity() < len {
+        refill(v, len, T::default());
+    } else {
+        v.resize(len, T::default());
     }
 }
 
@@ -275,7 +322,7 @@ pub struct Simulator {
     escape_floor: Option<u16>,
     pattern: Box<dyn TrafficPattern>,
     layout: ServerLayout,
-    // --- geometry (cached off cfg/topology; fixed after `new`) ---
+    // --- geometry (cached off cfg/topology by `init`) ---
     radix: usize,
     num_ports: usize,
     num_vcs: usize,
@@ -379,7 +426,8 @@ pub struct Simulator {
 
 impl Simulator {
     /// Builds a simulator over `view` with the given routing mechanism and
-    /// traffic pattern.
+    /// traffic pattern: an empty simulator, brought to its first cycle by
+    /// the same re-initialisation as [`Simulator::reset`].
     ///
     /// # Panics
     /// Panics if the mechanism's VC count disagrees with the configuration,
@@ -391,6 +439,105 @@ impl Simulator {
         pattern: Box<dyn TrafficPattern>,
         cfg: SimConfig,
     ) -> Self {
+        let layout = Self::checked_layout(&view, mechanism.as_ref(), &cfg);
+        let mut sim = Simulator {
+            rng: ChaCha8Rng::seed_from_u64(0),
+            cfg,
+            view,
+            escape_floor: None,
+            mechanism,
+            pattern,
+            layout,
+            radix: 0,
+            num_ports: 0,
+            num_vcs: 0,
+            cap_in: 0,
+            cap_out: 0,
+            cap_src: 0,
+            in_words: 0,
+            stg_words: 0,
+            pkt: PacketArena::default(),
+            in_q: Vec::new(),
+            in_head: Vec::new(),
+            in_len: Vec::new(),
+            in_used: Vec::new(),
+            in_mask: Vec::new(),
+            vc_cache: Vec::new(),
+            spare_lists: Vec::new(),
+            down: Vec::new(),
+            stg_pkt: Vec::new(),
+            stg_vc: Vec::new(),
+            stg_ready: Vec::new(),
+            stg_head: Vec::new(),
+            stg_len: Vec::new(),
+            stg_mask: Vec::new(),
+            link_busy: Vec::new(),
+            srv_q: Vec::new(),
+            srv_head: Vec::new(),
+            srv_len: Vec::new(),
+            srv_busy: Vec::new(),
+            srv_quota: Vec::new(),
+            wheel: Vec::new(),
+            cycle: 0,
+            next_packet_id: 0,
+            packets_alive: 0,
+            total_generated: 0,
+            total_delivered: 0,
+            counters: MeasuredCounters::default(),
+            measuring: false,
+            generation: GenerationMode::Rate { offered_load: 0.0 },
+            last_progress: 0,
+            progress_this_cycle: false,
+            stalled: false,
+            window_delivered_phits: 0,
+            alloc_active: ActiveSet::default(),
+            xmit_active: ActiveSet::default(),
+            server_live: ActiveSet::default(),
+            server_live_dirty: true,
+            sampled_at: Vec::new(),
+            binomial_cache: None,
+            step: StepArena::default(),
+            obs: CounterRegistry::new(),
+            tracer: None,
+        };
+        sim.init();
+        sim
+    }
+
+    /// Turns this simulator into the one [`Simulator::new`] would build from
+    /// the same arguments, in place: every array is re-initialised inside
+    /// the allocation it already has, so a simulator reused across jobs of
+    /// one shape allocates no engine array, and memory is never held
+    /// twice. The result is indistinguishable from a new build (packet
+    /// indices, event wheel, active sets, counters, RNG stream, no tracer);
+    /// the engine corpus's reuse pass checks every case on a simulator that
+    /// has just run another one.
+    ///
+    /// # Panics
+    /// As [`Simulator::new`]; a reset that panics leaves the simulator as it
+    /// was.
+    pub fn reset(
+        &mut self,
+        view: Arc<NetworkView>,
+        mechanism: Box<dyn RoutingMechanism>,
+        pattern: Box<dyn TrafficPattern>,
+        cfg: SimConfig,
+    ) {
+        self.layout = Self::checked_layout(&view, mechanism.as_ref(), &cfg);
+        self.view = view;
+        self.mechanism = mechanism;
+        self.pattern = pattern;
+        self.cfg = cfg;
+        self.init();
+    }
+
+    /// Checks that the parts fit together and fit the engine, and returns
+    /// their server layout.
+    fn checked_layout(
+        view: &NetworkView,
+        mechanism: &dyn RoutingMechanism,
+        cfg: &SimConfig,
+    ) -> ServerLayout {
         cfg.validate();
         assert_eq!(
             mechanism.num_vcs(),
@@ -399,103 +546,125 @@ impl Simulator {
             mechanism.num_vcs(),
             cfg.num_vcs
         );
-        let hx = view.hyperx();
-        let layout = ServerLayout::new(hx, cfg.servers_per_switch);
-        let radix = hx.switch_radix();
-        let num_ports = radix + cfg.servers_per_switch;
-        let num_switches = hx.num_switches();
-        let num_servers = layout.num_servers();
-        let num_vcs = cfg.num_vcs;
-        let (cap_in, cap_out, cap_src) = (
-            cfg.input_buffer_packets,
-            cfg.output_buffer_packets,
-            cfg.source_queue_packets,
-        );
         assert!(
-            cap_in <= u16::MAX as usize
-                && cap_out <= u16::MAX as usize
-                && cap_src <= u16::MAX as usize,
+            cfg.input_buffer_packets <= u16::MAX as usize
+                && cfg.output_buffer_packets <= u16::MAX as usize
+                && cfg.source_queue_packets <= u16::MAX as usize,
             "buffer capacities must fit the ring-index width"
         );
-        if let Err(e) = Self::check_widths(num_switches, num_ports, num_vcs) {
+        let hx = view.hyperx();
+        let num_ports = hx.switch_radix() + cfg.servers_per_switch;
+        if let Err(e) = Self::check_widths(hx.num_switches(), num_ports, cfg.num_vcs) {
             panic!("{e}");
         }
-        let nslots = num_switches * num_ports * num_vcs;
-        let nports = num_switches * num_ports;
-        let mut down = Vec::with_capacity(nports);
+        ServerLayout::new(hx, cfg.servers_per_switch)
+    }
+
+    /// Brings the engine state to cycle 0 of the installed view, mechanism,
+    /// pattern and configuration, reusing every allocation that is large
+    /// enough. Ring storage (`in_q`, `stg_pkt`, `stg_vc`, `stg_ready`,
+    /// `srv_q`) keeps stale entries: a ring reads only the entries between
+    /// its head and its length, and every one of those is written after the
+    /// reset.
+    fn init(&mut self) {
+        // Only an occupied input VC holds a valid list or a list buffer: the
+        // pop that empties a slot invalidates it and returns its buffer. So
+        // the last run's occupied slots (its `in_mask`, in its geometry)
+        // are the only ones to clear.
+        let per_switch = self.num_ports * self.num_vcs;
+        let span = 64 * self.in_words;
+        for bit in set_bits(&self.in_mask) {
+            let cache = &mut self.vc_cache[bit / span * per_switch + bit % span];
+            cache.valid = false;
+            if cache.list.capacity() > 0 {
+                self.spare_lists.push(std::mem::take(&mut cache.list));
+            }
+        }
+        debug_assert!(self
+            .vc_cache
+            .iter()
+            .all(|c| !c.valid && c.list.capacity() == 0));
+
+        let hx = self.view.hyperx();
+        let num_switches = hx.num_switches();
+        let num_servers = self.layout.num_servers();
+        self.radix = hx.switch_radix();
+        self.num_ports = self.radix + self.cfg.servers_per_switch;
+        self.num_vcs = self.cfg.num_vcs;
+        self.cap_in = self.cfg.input_buffer_packets;
+        self.cap_out = self.cfg.output_buffer_packets;
+        self.cap_src = self.cfg.source_queue_packets;
+        self.in_words = (self.num_ports * self.num_vcs).div_ceil(64);
+        self.stg_words = self.num_ports.div_ceil(64);
+        self.escape_floor = self.mechanism.escape_floor();
+        let nslots = num_switches * self.num_ports * self.num_vcs;
+        let nports = num_switches * self.num_ports;
+
+        self.pkt.clear();
+        resize_ring(&mut self.in_q, nslots * self.cap_in);
+        refill(&mut self.in_head, nslots, 0);
+        refill(&mut self.in_len, nslots, 0);
+        refill(&mut self.in_used, nslots, 0);
+        refill(&mut self.in_mask, num_switches * self.in_words, 0);
+        if self.vc_cache.capacity() < nslots {
+            // Every entry is empty by now: free them before allocating more.
+            self.vc_cache = Vec::new();
+        }
+        self.vc_cache.resize_with(nslots, VcCache::default);
+        make_room(&mut self.down, nports);
         for s in 0..num_switches {
-            for p in 0..radix {
-                down.push(match view.network().neighbor(s, p) {
-                    Some(nb) => (nb.switch * num_ports + nb.reverse_port) as u32,
+            for p in 0..self.radix {
+                self.down.push(match self.view.network().neighbor(s, p) {
+                    Some(nb) => (nb.switch * self.num_ports + nb.reverse_port) as u32,
                     None => DEAD,
                 });
             }
-            down.extend(std::iter::repeat_n(EJECT, cfg.servers_per_switch));
+            self.down
+                .extend(std::iter::repeat_n(EJECT, self.cfg.servers_per_switch));
         }
-        let in_words = (num_ports * num_vcs).div_ceil(64);
-        let stg_words = num_ports.div_ceil(64);
-        let wheel_len = (cfg.packet_length + cfg.link_latency + cfg.crossbar_latency + 4) as usize;
-        let counters = MeasuredCounters::new(num_servers);
-        Simulator {
-            rng: ChaCha8Rng::seed_from_u64(cfg.seed),
-            cfg,
-            view,
-            escape_floor: mechanism.escape_floor(),
-            mechanism,
-            pattern,
-            layout,
-            radix,
-            num_ports,
-            num_vcs,
-            cap_in,
-            cap_out,
-            cap_src,
-            in_words,
-            stg_words,
-            pkt: PacketArena::default(),
-            in_q: vec![0; nslots * cap_in],
-            in_head: vec![0; nslots],
-            in_len: vec![0; nslots],
-            in_used: vec![0; nslots],
-            in_mask: vec![0; num_switches * in_words],
-            vc_cache: (0..nslots).map(|_| VcCache::default()).collect(),
-            spare_lists: Vec::new(),
-            down,
-            stg_pkt: vec![0; nports * cap_out],
-            stg_vc: vec![0; nports * cap_out],
-            stg_ready: vec![0; nports * cap_out],
-            stg_head: vec![0; nports],
-            stg_len: vec![0; nports],
-            stg_mask: vec![0; num_switches * stg_words],
-            link_busy: vec![0; nports],
-            srv_q: vec![0; num_servers * cap_src],
-            srv_head: vec![0; num_servers],
-            srv_len: vec![0; num_servers],
-            srv_busy: vec![0; num_servers],
-            srv_quota: vec![u64::MAX; num_servers],
-            wheel: (0..wheel_len).map(|_| Vec::new()).collect(),
-            cycle: 0,
-            next_packet_id: 0,
-            packets_alive: 0,
-            total_generated: 0,
-            total_delivered: 0,
-            counters,
-            measuring: false,
-            generation: GenerationMode::Rate { offered_load: 0.0 },
-            last_progress: 0,
-            progress_this_cycle: false,
-            stalled: false,
-            window_delivered_phits: 0,
-            alloc_active: ActiveSet::new(num_switches),
-            xmit_active: ActiveSet::new(num_switches),
-            server_live: ActiveSet::new(num_servers),
-            server_live_dirty: true,
-            sampled_at: vec![0; num_servers],
-            binomial_cache: None,
-            step: StepArena::with_bounds(num_ports, num_vcs, num_servers),
-            obs: CounterRegistry::new(),
-            tracer: None,
-        }
+        resize_ring(&mut self.stg_pkt, nports * self.cap_out);
+        resize_ring(&mut self.stg_vc, nports * self.cap_out);
+        resize_ring(&mut self.stg_ready, nports * self.cap_out);
+        refill(&mut self.stg_head, nports, 0);
+        refill(&mut self.stg_len, nports, 0);
+        refill(&mut self.stg_mask, num_switches * self.stg_words, 0);
+        refill(&mut self.link_busy, nports, 0);
+        resize_ring(&mut self.srv_q, num_servers * self.cap_src);
+        refill(&mut self.srv_head, num_servers, 0);
+        refill(&mut self.srv_len, num_servers, 0);
+        refill(&mut self.srv_busy, num_servers, 0);
+        refill(&mut self.srv_quota, num_servers, u64::MAX);
+
+        let wheel_len =
+            (self.cfg.packet_length + self.cfg.link_latency + self.cfg.crossbar_latency + 4)
+                as usize;
+        self.wheel.iter_mut().for_each(Vec::clear);
+        self.wheel.resize_with(wheel_len, Vec::new);
+        self.rng = ChaCha8Rng::seed_from_u64(self.cfg.seed);
+        self.cycle = 0;
+        self.next_packet_id = 0;
+        self.packets_alive = 0;
+        self.total_generated = 0;
+        self.total_delivered = 0;
+        self.counters = MeasuredCounters::new(num_servers);
+        self.measuring = false;
+        self.generation = GenerationMode::Rate { offered_load: 0.0 };
+        self.last_progress = 0;
+        self.progress_this_cycle = false;
+        self.stalled = false;
+        self.window_delivered_phits = 0;
+        self.alloc_active.reset(num_switches);
+        self.xmit_active.reset(num_switches);
+        self.server_live.reset(num_servers);
+        self.server_live_dirty = true;
+        // The v2 sampler's stamps are cycle numbers: a stale one would mark
+        // a server as sampled in the new run.
+        refill(&mut self.sampled_at, num_servers, 0);
+        // Cached per offered load only, not per server count.
+        self.binomial_cache = None;
+        self.step.reset(self.num_ports, self.num_vcs, num_servers);
+        self.obs.reset();
+        self.tracer = None;
     }
 
     /// Checks that `num_switches` switches of `num_ports` ports (radix plus

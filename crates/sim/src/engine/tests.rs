@@ -196,7 +196,147 @@ fn congested_batch_sim(spec: MechanismSpec) -> Simulator {
 /// Packets per server of the congested closed-loop case.
 const CONGESTED_PACKETS: u64 = 12;
 
+/// What [`Simulator::new`] and [`Simulator::reset`] take.
+type Parts = (
+    Arc<NetworkView>,
+    Box<dyn RoutingMechanism>,
+    Box<dyn TrafficPattern>,
+    SimConfig,
+);
+
 mod corpus;
+
+/// Everything a reset must restore, formatted: geometry, the packet arena,
+/// every state array except ring storage (a ring reads only what it wrote
+/// since the reset), each input VC's `valid` flag (its list buffer and
+/// `escape_pending` are read only while `valid`), the event wheel, every
+/// scalar, the counters, the active sets, the scratch, the RNG and the
+/// tracer's absence.
+fn engine_state(sim: &Simulator) -> String {
+    let valid: Vec<bool> = sim.vc_cache.iter().map(|c| c.valid).collect();
+    let geometry = [
+        sim.radix,
+        sim.num_ports,
+        sim.num_vcs,
+        sim.cap_in,
+        sim.cap_out,
+        sim.cap_src,
+        sim.in_words,
+        sim.stg_words,
+    ];
+    let clock = [
+        sim.cycle,
+        sim.next_packet_id,
+        sim.packets_alive,
+        sim.total_generated,
+        sim.total_delivered,
+        sim.last_progress,
+        sim.window_delivered_phits,
+    ];
+    let flags = [
+        sim.measuring,
+        sim.progress_this_cycle,
+        sim.stalled,
+        sim.server_live_dirty,
+        sim.tracer.is_some(),
+    ];
+    let fields: [(&str, &dyn std::fmt::Debug); 24] = [
+        ("layout", &sim.layout),
+        ("geometry", &geometry),
+        ("escape floor", &sim.escape_floor),
+        ("packets", &sim.pkt),
+        ("in_head", &sim.in_head),
+        ("in_len", &sim.in_len),
+        ("in_used", &sim.in_used),
+        ("in_mask", &sim.in_mask),
+        ("valid", &valid),
+        ("down", &sim.down),
+        ("stg", &(&sim.stg_head, &sim.stg_len, &sim.stg_mask)),
+        ("link_busy", &sim.link_busy),
+        ("srv", &(&sim.srv_head, &sim.srv_len, &sim.srv_busy)),
+        ("srv_quota", &sim.srv_quota),
+        ("sampled_at", &sim.sampled_at),
+        ("wheel", &sim.wheel),
+        ("clock", &clock),
+        ("flags", &flags),
+        ("generation", &sim.generation),
+        ("counters", &sim.counters),
+        (
+            "active",
+            &(&sim.alloc_active, &sim.xmit_active, &sim.server_live),
+        ),
+        ("binomial", &sim.binomial_cache),
+        ("scratch", &(&sim.step, &sim.obs)),
+        ("rng", &sim.rng),
+    ];
+    fields
+        .iter()
+        .map(|(name, value)| format!("{name}: {value:?}\n"))
+        .collect()
+}
+
+#[test]
+fn reset_restores_the_state_of_a_new_build() {
+    // Simulators left mid-run (packets in flight, events on the wheel,
+    // quotas spent, sampler stamps, a cached binomial, a tracer) are reset
+    // to another shape, VC count, contract and mechanism, and to their own
+    // shape; each must equal a new build of the same parts.
+    let mid_batch = || {
+        let mut sim = congested_batch_sim(MechanismSpec::OmniSP);
+        sim.begin_batch(CONGESTED_PACKETS);
+        sim
+    };
+    let mid_rate = || {
+        let mut cfg = SimConfig::quick(2, 4);
+        cfg.rng_contract = RngContract::V2Counting;
+        let mut sim = build_sim(MechanismSpec::OmniSP, cfg);
+        sim.generation = GenerationMode::Rate { offered_load: 0.7 };
+        sim
+    };
+    let grid = |spec: MechanismSpec, num_vcs| -> Parts {
+        let view = Arc::new(NetworkView::healthy(HyperX::regular(2, 4), 0));
+        let mut cfg = SimConfig::quick(2, num_vcs);
+        cfg.seed = 17;
+        cfg.rng_contract = RngContract::V1PerServer;
+        let layout = ServerLayout::new(view.hyperx(), cfg.servers_per_switch);
+        let mech = spec.build(view.clone(), num_vcs);
+        (view, mech, Box::new(UniformTraffic::new(&layout)), cfg)
+    };
+    let cube = || -> Parts {
+        let sim = congested_batch_sim(MechanismSpec::PolSP);
+        (sim.view, sim.mechanism, sim.pattern, sim.cfg)
+    };
+    let targets: [(&str, &dyn Fn() -> Parts); 3] = [
+        ("a 4x4 with 2 VCs", &|| grid(MechanismSpec::Valiant, 2)),
+        ("the cube", &cube),
+        ("a 4x4 with 4 VCs", &|| grid(MechanismSpec::PolSP, 4)),
+    ];
+    for (name, predecessor) in [
+        ("batch", &mid_batch as &dyn Fn() -> Simulator),
+        ("rate", &mid_rate),
+    ] {
+        for (target, parts) in targets {
+            let mut sim = predecessor();
+            for _ in 0..400 {
+                sim.step();
+            }
+            sim.set_tracer(Some(PacketTracer::with_capacity(64)));
+            assert!(
+                sim.packets_alive() > 0,
+                "{name}: the run must be mid-flight"
+            );
+            let (view, mech, pattern, cfg) = parts();
+            sim.reset(view, mech, pattern, cfg);
+            let (view, mech, pattern, cfg) = parts();
+            let fresh = Simulator::new(view, mech, pattern, cfg);
+            assert_eq!(
+                engine_state(&sim),
+                engine_state(&fresh),
+                "{name} run reset to {target}"
+            );
+        }
+    }
+}
 
 #[test]
 fn congested_batch_completes_with_cache_hits_and_escape_grants() {

@@ -24,6 +24,9 @@
 //! axis (RSP, DCR, transpose and shift on a 4×4 with 4 servers per switch,
 //! RPN batch runs on a 4×4×4), healthy and faulted, under both contracts.
 //!
+//! A second pass runs every case on one simulator, reset between cases
+//! ([`Simulator::reset`]), and must match the same digests.
+//!
 //! To regenerate after a *deliberate* behaviour change:
 //!
 //! ```text
@@ -235,12 +238,13 @@ impl Case {
         )
     }
 
-    fn build(&self) -> Simulator {
+    /// What a simulator of this case is built, or reset, from.
+    fn parts(&self) -> Parts {
         let view = self.net.view();
         let layout = ServerLayout::new(view.hyperx(), self.cfg.servers_per_switch);
         let mechanism = self.mechanism.build(view.clone(), self.cfg.num_vcs);
         let pattern = self.traffic.build(layout, self.cfg.seed);
-        Simulator::new(view, mechanism, pattern, self.cfg.clone())
+        (view, mechanism, pattern, self.cfg.clone())
     }
 }
 
@@ -304,14 +308,29 @@ fn observe_run(sim: &mut Simulator, run: Run) -> Vec<(&'static str, u64)> {
     }
 }
 
-/// Every digest of one case, in fixture order.
-fn observe(case: &Case) -> Vec<(&'static str, u64)> {
-    let mut digests = observe_run(&mut case.build(), case.run);
+/// Every digest of one case, in fixture order. Each run gets a new
+/// simulator, or `reused`, reset for the case.
+fn observe(case: &Case, mut reused: Option<&mut Simulator>) -> Vec<(&'static str, u64)> {
+    let mut run = |tracer: Option<PacketTracer>| {
+        let (view, mechanism, pattern, cfg) = case.parts();
+        let mut fresh;
+        let sim = match reused.as_deref_mut() {
+            Some(sim) => {
+                sim.reset(view, mechanism, pattern, cfg);
+                sim
+            }
+            None => {
+                fresh = Simulator::new(view, mechanism, pattern, cfg);
+                &mut fresh
+            }
+        };
+        sim.set_tracer(tracer);
+        (observe_run(sim, case.run), sim.take_tracer())
+    };
+    let (mut digests, _) = run(None);
     if case.trace {
-        let mut sim = case.build();
-        sim.set_tracer(Some(PacketTracer::with_capacity(1 << 16)));
-        observe_run(&mut sim, case.run);
-        let tracer = sim.take_tracer().expect("the tracer was installed");
+        let (_, tracer) = run(Some(PacketTracer::with_capacity(1 << 16)));
+        let tracer = tracer.expect("the tracer was installed");
         digests.push((
             "trace",
             digest(format_args!(
@@ -452,18 +471,23 @@ fn cases() -> Vec<Case> {
     cases
 }
 
-/// The corpus as the engine produces it today: one line per case, the
-/// case name followed by `observable=digest` pairs.
-fn render_corpus() -> String {
-    let mut out = String::new();
-    for case in cases() {
-        out.push_str(&case.name());
-        for (observable, digest) in observe(&case) {
-            write!(out, " {observable}={digest:016x}").expect("writing to a String");
-        }
-        out.push('\n');
+/// One corpus line: the case name followed by `observable=digest` pairs.
+fn corpus_line(case: &Case, digests: &[(&'static str, u64)]) -> String {
+    let mut line = case.name();
+    for (observable, digest) in digests {
+        write!(line, " {observable}={digest:016x}").expect("writing to a String");
     }
-    out
+    line.push('\n');
+    line
+}
+
+/// The corpus as the engine produces it today, every run on a new
+/// simulator.
+fn render_corpus() -> String {
+    cases()
+        .iter()
+        .map(|case| corpus_line(case, &observe(case, None)))
+        .collect()
 }
 
 /// Case name → `(observable, digest)` pairs of a corpus text.
@@ -488,12 +512,12 @@ fn cases_have_unique_names() {
     assert_eq!(names.len(), cases.len());
 }
 
-#[test]
-fn engine_matches_the_digest_corpus() {
+/// Where `current` (a rendered corpus) differs from the committed one.
+fn drift_from_committed(current: &str) -> Vec<String> {
     let committed = std::fs::read_to_string(CORPUS_PATH)
         .unwrap_or_else(|e| panic!("corpus committed under {CORPUS_PATH}: {e}"));
     let committed = parse_corpus(&committed);
-    let current = parse_corpus(&render_corpus());
+    let current = parse_corpus(current);
     let mut drift = Vec::new();
     for (name, digests) in &current {
         let Some(expected) = committed.get(name) else {
@@ -513,11 +537,73 @@ fn engine_matches_the_digest_corpus() {
     for name in committed.keys().filter(|name| !current.contains_key(*name)) {
         drift.push(format!("{name}: committed but no longer run"));
     }
+    drift
+}
+
+#[test]
+fn engine_matches_the_digest_corpus() {
+    let drift = drift_from_committed(&render_corpus());
     assert!(
         drift.is_empty(),
         "the engine drifted from the digest corpus in {} place(s):\n  {}\n\
          If the change is deliberate, regenerate with `cargo test -p hyperx-sim --lib \
          -- --ignored regenerate_engine_corpus` and explain it in the change description",
+        drift.len(),
+        drift.join("\n  ")
+    );
+}
+
+#[test]
+fn a_reset_simulator_matches_the_digest_corpus() {
+    // One simulator runs the whole corpus backwards, after a first run of
+    // case 0: every case starts on a simulator that has just run the next
+    // case of the fixture, and a traced case's second run follows its
+    // first. Every transition the pass makes is recorded, so the pass
+    // cannot lose one of the state changes it is meant to cover.
+    let cases = cases();
+    let (view, mechanism, pattern, cfg) = cases[0].parts();
+    let sim = &mut Simulator::new(view, mechanism, pattern, cfg);
+    observe_run(sim, cases[0].run);
+    let mut previous = &cases[0];
+    let mut covered = std::collections::BTreeSet::new();
+    let mut lines = Vec::new();
+    for case in cases.iter().rev() {
+        let switches = sim.view().hyperx().num_switches();
+        for (what, differs) in [
+            ("network", previous.net.key() != case.net.key()),
+            (
+                "concentration",
+                previous.cfg.servers_per_switch != case.cfg.servers_per_switch,
+            ),
+            ("mechanism", previous.mechanism != case.mechanism),
+            ("vcs", previous.cfg.num_vcs != case.cfg.num_vcs),
+            (
+                "rng contract",
+                previous.cfg.rng_contract != case.cfg.rng_contract,
+            ),
+            (
+                "mode",
+                std::mem::discriminant(&previous.run) != std::mem::discriminant(&case.run),
+            ),
+            ("after a stall", sim.stalled()),
+            ("after an undrained run", sim.packets_alive() > 0),
+        ] {
+            if differs {
+                covered.insert(what);
+            }
+        }
+        lines.push(corpus_line(case, &observe(case, Some(sim))));
+        if sim.view().hyperx().num_switches() != switches {
+            covered.insert("size");
+        }
+        previous = case;
+    }
+    assert_eq!(covered.len(), 9, "the reuse pass covers only {covered:?}");
+    lines.reverse();
+    let drift = drift_from_committed(&lines.concat());
+    assert!(
+        drift.is_empty(),
+        "a reset simulator drifted from the digest corpus in {} place(s):\n  {}",
         drift.len(),
         drift.join("\n  ")
     );

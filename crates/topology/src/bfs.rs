@@ -37,6 +37,10 @@ pub fn bfs_distances(net: &Network, source: SwitchId) -> Vec<u16> {
 pub struct DistanceMatrix {
     n: usize,
     d: Vec<u16>,
+    /// Whether every search reached every switch.
+    connected: bool,
+    /// The largest finite distance: the deepest level any search reached.
+    deepest: u16,
 }
 
 impl DistanceMatrix {
@@ -49,11 +53,15 @@ impl DistanceMatrix {
     /// adjacency advances all 64 searches by a level, so the whole matrix
     /// costs `⌈n/64⌉ · levels · links` word operations plus one write per
     /// reachable pair. Beyond the matrix it needs three `u64` per switch
-    /// and one compressed adjacency list of the alive links.
+    /// and one compressed adjacency list of the alive links. The searches
+    /// also record whether each reached every switch and how deep the
+    /// deepest went, so connectivity and the diameter cost nothing later.
     pub fn compute(net: &Network) -> Self {
         let n = net.num_switches();
         let adj = net.adjacency();
         let mut d = vec![UNREACHABLE; n * n];
+        let mut connected = true;
+        let mut deepest = 0u16;
         let mut visited = vec![0u64; n];
         let mut frontier = vec![0u64; n];
         let mut next = vec![0u64; n];
@@ -97,8 +105,17 @@ impl DistanceMatrix {
                 }
                 std::mem::swap(&mut frontier, &mut next);
             }
+            // The last level advanced nothing; the one before it was the
+            // deepest of this batch.
+            deepest = deepest.max(level - 1);
+            connected &= visited.iter().all(|&seen| seen == all);
         }
-        DistanceMatrix { n, d }
+        DistanceMatrix {
+            n,
+            d,
+            connected,
+            deepest,
+        }
     }
 
     /// Number of switches.
@@ -118,29 +135,23 @@ impl DistanceMatrix {
         &self.d[a * self.n..(a + 1) * self.n]
     }
 
-    /// Whether every pair of switches is mutually reachable.
+    /// Whether every pair of switches is mutually reachable. O(1): recorded
+    /// by [`compute`](Self::compute).
     pub fn is_connected(&self) -> bool {
-        !self.d.contains(&UNREACHABLE)
+        self.connected
     }
 
     /// Largest finite distance, or `usize::MAX` if the network is
     /// disconnected (see [`diameter_checked`](Self::diameter_checked) for
-    /// the `Option` form).
+    /// the `Option` form). O(1).
     pub fn diameter(&self) -> usize {
-        if !self.is_connected() {
-            return usize::MAX;
-        }
-        self.d.iter().copied().max().unwrap_or(0) as usize
+        self.diameter_checked().unwrap_or(usize::MAX)
     }
 
     /// Like [`diameter`](Self::diameter) but returns `None` when disconnected,
     /// which is how Figure 1 terminates each fault sequence.
     pub fn diameter_checked(&self) -> Option<usize> {
-        if self.is_connected() {
-            Some(self.d.iter().copied().max().unwrap_or(0) as usize)
-        } else {
-            None
-        }
+        self.connected.then_some(usize::from(self.deepest))
     }
 
     /// Mean distance over all ordered pairs of distinct switches.

@@ -1,5 +1,6 @@
 //! Property-based tests of the topology substrate.
 
+use hyperx_topology::bfs::UNREACHABLE;
 use hyperx_topology::{
     bfs_distances, diameter_under_fault_sequence, edge_disjoint_paths, shortest_path_count,
     survivability_under_faults, CoordinateSystem, DistanceHistogram, DistanceMatrix, FaultSet,
@@ -77,6 +78,28 @@ proptest! {
         for s in 0..net.num_switches() {
             prop_assert_eq!(d.row(s), &bfs_distances(&net, s)[..], "row {}", s);
         }
+    }
+
+    #[test]
+    fn connectivity_and_diameter_equal_a_full_scan(
+        sides in word_boundary_sides_strategy(),
+        fault_count in 0usize..400,
+        seed in 0u64..1000,
+    ) {
+        // `compute` records both answers while its searches run; a scan of
+        // all n² entries is the definition. Large fault counts disconnect
+        // the network, and up to three batches of 64 sources must agree.
+        let hx = HyperX::new(&sides);
+        let mut net = hx.network().clone();
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        FaultSet::random_sequence(&net, fault_count.min(net.num_links()), &mut rng).apply(&mut net);
+        let d = DistanceMatrix::compute(&net);
+        let entries = || (0..net.num_switches()).flat_map(|s| d.row(s).iter().copied());
+        let connected = entries().all(|x| x != UNREACHABLE);
+        let deepest = entries().filter(|&x| x != UNREACHABLE).max().unwrap_or(0) as usize;
+        prop_assert_eq!(d.is_connected(), connected);
+        prop_assert_eq!(d.diameter_checked(), connected.then_some(deepest));
+        prop_assert_eq!(d.diameter(), if connected { deepest } else { usize::MAX });
     }
 
     #[test]
