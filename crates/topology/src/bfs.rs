@@ -7,6 +7,7 @@
 //! topology analyses of Figure 1 and Table 3.
 
 use crate::graph::{Network, SwitchId};
+use crate::lanes::{Lanes, LevelCounts, WIDTH};
 
 /// Distance value meaning "unreachable".
 pub const UNREACHABLE: u16 = u16::MAX;
@@ -47,34 +48,47 @@ impl DistanceMatrix {
     /// Computes all-pairs distances with a multi-source bit-parallel BFS
     /// (Then et al., "The More the Merrier", VLDB 2014).
     ///
-    /// Sources go in batches of 64, one bit per source: each switch carries
-    /// a `u64` of the sources that have reached it (`visited`) and of those
-    /// that reached it on the previous level (`frontier`). One pass over the
-    /// adjacency advances all 64 searches by a level, so the whole matrix
-    /// costs `⌈n/64⌉ · levels · links` word operations plus one write per
-    /// reachable pair. Beyond the matrix it needs three `u64` per switch
-    /// and one compressed adjacency list of the alive links. The searches
-    /// also record whether each reached every switch and how deep the
-    /// deepest went, so connectivity and the diameter cost nothing later.
+    /// Sources go in batches of 256, one lane each: every switch carries
+    /// the sources that have reached it (`visited`) and those that reached
+    /// it on the previous level (`frontier`), four words each. One pass
+    /// over the adjacency advances all 256 searches by a level. Before each
+    /// level, a switch that some source has not yet reached adds the ones
+    /// that have to a bit-sliced count, so once the batch stops, `d(v, s)`
+    /// is the number of levels counted at `v` minus the count of `s`, or
+    /// [`UNREACHABLE`] where `s` never arrived. The distances are symmetric,
+    /// so each switch then writes its own row's 256-entry segment once.
+    ///
+    /// The whole matrix costs `⌈n/256⌉ · levels · links` lane operations
+    /// plus one contiguous write per pair. Beyond the matrix it needs
+    /// `O(n · log₂ levels)` lanes and one compressed adjacency list of the
+    /// alive links. The searches also record whether each reached every
+    /// switch and how deep the deepest went, so connectivity and the
+    /// diameter cost nothing later.
     pub fn compute(net: &Network) -> Self {
         let n = net.num_switches();
         let adj = net.adjacency();
-        let mut d = vec![UNREACHABLE; n * n];
+        // Every entry is written once below, so the zeroed allocation is
+        // never filled up front.
+        let mut d = vec![0u16; n * n];
         let mut connected = true;
         let mut deepest = 0u16;
-        let mut visited = vec![0u64; n];
-        let mut frontier = vec![0u64; n];
-        let mut next = vec![0u64; n];
-        for base in (0..n).step_by(64) {
-            let batch = (n - base).min(64);
-            let all = u64::MAX >> (64 - batch);
-            visited.fill(0);
-            frontier.fill(0);
+        let mut visited = vec![Lanes::ZERO; n];
+        let mut frontier = vec![Lanes::ZERO; n];
+        let mut next = vec![Lanes::ZERO; n];
+        // Levels counted at each switch: the level its last source reached
+        // it, or every level of the batch if some source never did.
+        let mut counted = vec![0u16; n];
+        let mut counts = LevelCounts::new(n);
+        for base in (0..n).step_by(WIDTH) {
+            let batch = (n - base).min(WIDTH);
+            let all = Lanes::first(batch);
+            visited.fill(Lanes::ZERO);
+            frontier.fill(Lanes::ZERO);
+            counted.fill(0);
+            counts.clear();
             for i in 0..batch {
-                let s = base + i;
-                visited[s] = 1 << i;
-                frontier[s] = 1 << i;
-                d[s * n + s] = 0;
+                visited[base + i] = Lanes::single(i);
+                frontier[base + i] = Lanes::single(i);
             }
             let mut level = 0u16;
             let mut advanced = true;
@@ -84,23 +98,20 @@ impl DistanceMatrix {
                 for v in 0..n {
                     let seen = visited[v];
                     if seen == all {
-                        next[v] = 0;
+                        next[v] = Lanes::ZERO;
                         continue;
                     }
+                    counts.add(v, seen);
+                    counted[v] += 1;
                     let reached = adj
                         .neighbors(v)
                         .iter()
-                        .fold(0u64, |acc, &u| acc | frontier[u]);
-                    let mut fresh = reached & !seen;
+                        .fold(Lanes::ZERO, |acc, &u| acc | frontier[u]);
+                    let fresh = reached.and_not(seen);
                     next[v] = fresh;
-                    if fresh != 0 {
+                    if !fresh.is_zero() {
                         visited[v] = seen | fresh;
                         advanced = true;
-                        while fresh != 0 {
-                            let i = fresh.trailing_zeros() as usize;
-                            d[(base + i) * n + v] = level;
-                            fresh &= fresh - 1;
-                        }
                     }
                 }
                 std::mem::swap(&mut frontier, &mut next);
@@ -108,7 +119,15 @@ impl DistanceMatrix {
             // The last level advanced nothing; the one before it was the
             // deepest of this batch.
             deepest = deepest.max(level - 1);
-            connected &= visited.iter().all(|&seen| seen == all);
+            for (v, row) in d.chunks_exact_mut(n).enumerate() {
+                let segment = &mut row[base..base + batch];
+                segment.fill(counted[v]);
+                counts.subtract_from(v, segment, 1);
+                for i in all.and_not(visited[v]).ones() {
+                    segment[i] = UNREACHABLE;
+                    connected = false;
+                }
+            }
         }
         DistanceMatrix {
             n,

@@ -37,6 +37,7 @@ pub mod coordinates;
 pub mod faults;
 pub mod graph;
 pub mod hamming;
+mod lanes;
 pub mod properties;
 pub mod rootsel;
 pub mod updown;

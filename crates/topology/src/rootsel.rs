@@ -8,7 +8,7 @@
 //! escape subnetwork". This module implements that advice as a family of
 //! selectable policies, used by the root-placement ablation benchmark.
 
-use crate::bfs::{bfs_distances, DistanceMatrix, UNREACHABLE};
+use crate::bfs::{DistanceMatrix, UNREACHABLE};
 use crate::graph::{Network, SwitchId};
 use serde::{Deserialize, Serialize};
 
@@ -75,35 +75,29 @@ impl RootPolicy {
             RootPolicy::MaxAliveDegree => (0..n)
                 .max_by_key(|&s| (net.degree(s), std::cmp::Reverse(s)))
                 .expect("non-empty network"),
-            RootPolicy::MinEccentricity => select_by_distance_score(net, |dist| {
-                dist.iter()
-                    .map(|&d| if d == UNREACHABLE { u64::MAX } else { d as u64 })
-                    .max()
-                    .unwrap_or(0)
-            }),
-            RootPolicy::MinTotalDistance => select_by_distance_score(net, |dist| {
-                dist.iter().fold(0u64, |acc, &d| {
-                    if d == UNREACHABLE {
-                        u64::MAX
-                    } else {
-                        acc.saturating_add(d as u64)
-                    }
-                })
-            }),
+            RootPolicy::MinEccentricity | RootPolicy::MinTotalDistance => {
+                self.select_with_distances(net, &DistanceMatrix::compute(net))
+            }
         }
     }
 
-    /// Selects the root using a precomputed all-pairs distance matrix (avoids
-    /// recomputing BFS when the caller already has one).
+    /// Selects the root using a precomputed all-pairs distance matrix of
+    /// `net`, which [`select`](Self::select) computes for the distance
+    /// policies. A switch that cannot reach every other one scores worse
+    /// than any that can; ties go to the lowest switch id.
     pub fn select_with_distances(&self, net: &Network, dm: &DistanceMatrix) -> SwitchId {
         match self {
+            // `UNREACHABLE` is the largest `u16`, so it is the largest
+            // eccentricity too.
             RootPolicy::MinEccentricity => (0..net.num_switches())
                 .min_by_key(|&s| (dm.eccentricity(s), s))
                 .expect("non-empty network"),
             RootPolicy::MinTotalDistance => (0..net.num_switches())
                 .min_by_key(|&s| {
-                    let total: u64 = dm.row(s).iter().map(|&d| d as u64).sum();
-                    (total, s)
+                    let total = dm.row(s).iter().try_fold(0u64, |total, &d| {
+                        (d != UNREACHABLE).then(|| total + u64::from(d))
+                    });
+                    (total.unwrap_or(u64::MAX), s)
                 })
                 .expect("non-empty network"),
             _ => self.select(net),
@@ -119,25 +113,6 @@ impl RootPolicy {
             RootPolicy::MinTotalDistance,
         ]
     }
-}
-
-/// Picks the switch minimising `score(bfs distances from that switch)`, ties
-/// broken by the lowest switch id.
-fn select_by_distance_score<F>(net: &Network, score: F) -> SwitchId
-where
-    F: Fn(&[u16]) -> u64,
-{
-    let mut best = 0usize;
-    let mut best_score = u64::MAX;
-    for s in 0..net.num_switches() {
-        let dist = bfs_distances(net, s);
-        let sc = score(&dist);
-        if sc < best_score {
-            best_score = sc;
-            best = s;
-        }
-    }
-    best
 }
 
 #[cfg(test)]
@@ -207,21 +182,43 @@ mod tests {
     #[test]
     fn select_with_distances_agrees_with_select() {
         let hx = HyperX::regular(2, 4);
-        let mut net = hx.network().clone();
+        let mut faulted = hx.network().clone();
         let shape = FaultShape::Cross {
             center: vec![1, 1],
             margin: 1,
         };
-        FaultSet::from_shape(&shape, &hx).apply(&mut net);
-        let dm = DistanceMatrix::compute(&net);
-        for policy in RootPolicy::ablation_lineup() {
-            assert_eq!(
-                policy.select(&net),
-                policy.select_with_distances(&net, &dm),
-                "policy {}",
-                policy.name()
-            );
+        FaultSet::from_shape(&shape, &hx).apply(&mut faulted);
+        // The path 0–1–2–3 and an isolated switch 4: every row holds an
+        // unreachable entry, so both distance policies give every switch
+        // their worst score and take switch 0.
+        let mut split = crate::complete::complete_graph(5);
+        for a in 0..5usize {
+            for b in (a + 1)..5 {
+                if b != a + 1 || b == 4 {
+                    split.remove_link(a, b);
+                }
+            }
         }
+        for net in [&faulted, &split] {
+            let dm = DistanceMatrix::compute(net);
+            for policy in RootPolicy::ablation_lineup() {
+                assert_eq!(
+                    policy.select(net),
+                    policy.select_with_distances(net, &dm),
+                    "policy {}",
+                    policy.name()
+                );
+            }
+        }
+        let dm = DistanceMatrix::compute(&split);
+        assert_eq!(
+            RootPolicy::MinTotalDistance.select_with_distances(&split, &dm),
+            0
+        );
+        assert_eq!(
+            RootPolicy::MinEccentricity.select_with_distances(&split, &dm),
+            0
+        );
     }
 
     #[test]

@@ -17,6 +17,7 @@
 
 use crate::bfs::{bfs_distances, UNREACHABLE};
 use crate::graph::{Adjacency, Network, PortId, SwitchId};
+use crate::lanes::{Lanes, LevelCounts, WIDTH};
 use serde::{Deserialize, Serialize};
 
 /// Classification of a live link with respect to the escape root.
@@ -48,10 +49,12 @@ pub struct EscapeCandidate {
 ///
 /// Rebuild the structure (with [`UpDownEscape::new`]) whenever the set of
 /// alive links changes. The construction is one BFS from the root (levels
-/// and link classes) plus, per destination, one level-order sweep over the
-/// parent links: `O(n · (n + parent links))` time, BFS-like work in the
+/// and link classes) plus, per batch of 256 destinations, one sweep per
+/// level over the parent links: `⌈n/256⌉ · depth · (n + parent links)`
+/// lane operations and one contiguous write per pair, BFS-like work in the
 /// spirit of the paper's cost for recomputing Minimal routing tables, with
-/// `O(n + parent links)` scratch beyond the `n × n` distance table.
+/// `O(n · log₂ depth)` lanes of scratch beyond the `n × n` distance table
+/// (see `compute_updown_distances`).
 #[derive(Clone, Debug)]
 pub struct UpDownEscape {
     root: SwitchId,
@@ -108,18 +111,23 @@ impl UpDownEscape {
         }
     }
 
-    /// Up/Down distances, one level-order sweep per destination.
+    /// Up/Down distances, 256 destinations per batch.
     ///
     /// `UpReach(x)` is the set of switches reachable from `x` using only Up
     /// hops. The Up/Down distance is
     /// `ud(x, y) = level(x) + level(y) − 2·max{ level(z) : z ∈ UpReach(x) ∩ UpReach(y) }`,
     /// always defined because the root belongs to every `UpReach` set.
     ///
-    /// For a fixed `y`, the sweep computes the same quantity as a shortest
-    /// Up-then-Down path: with `a(x) = level(y) − level(x)` for
-    /// `x ∈ UpReach(y)` and ∞ otherwise, visiting switches in increasing
-    /// level gives `ud(x, y) = min(a(x), 1 + min over parents p of ud(p, y))`.
-    /// Each sweep touches every switch and parent link once.
+    /// For a batch, one reverse sweep of the switches by level, each
+    /// pushing its set to its parents, gives `M(z)`: the batch's
+    /// destinations at or below `z`. Then, per level `L ≥ 1`, the switches
+    /// of level `L` start from `M` and every deeper switch ORs its parents'
+    /// sets, giving `B_L(x)`: the destinations that share an ancestor with
+    /// `x` at level `L`. A shared ancestor's parent is shared too, so the
+    /// sets are nested, `B_L(x) ⊆ B_{L−1}(x)`, and the deepest shared level
+    /// is `#{L ≥ 1 : y ∈ B_L(x)}`, the count a bit-sliced counter per switch
+    /// holds. The table is symmetric, so each switch writes its own row's
+    /// 256-entry segment once: `level(x) + level(y) − 2·count`.
     fn compute_updown_distances(net: &Network, levels: &[u16]) -> Vec<u16> {
         let n = net.num_switches();
         let parents = Adjacency::from_fn(n, |s| {
@@ -127,29 +135,58 @@ impl UpDownEscape {
                 .map(|(_, nb)| nb.switch)
                 .filter(move |&t| levels[t] + 1 == levels[s])
         });
-        // Every (switch, parent) pair, switches in increasing level.
-        let mut sweep: Vec<(SwitchId, SwitchId)> = (0..n)
-            .flat_map(|x| parents.neighbors(x).iter().map(move |&p| (x, p)))
+        // Switches in increasing level; those of level `l` and deeper are
+        // `order[from[l]..]`.
+        let mut order: Vec<SwitchId> = (0..n).collect();
+        order.sort_by_key(|&s| levels[s]);
+        let depth = levels.iter().copied().max().unwrap_or(0);
+        let from: Vec<usize> = (0..=depth + 1)
+            .map(|l| order.partition_point(|&s| levels[s] < l))
             .collect();
-        sweep.sort_by_key(|&(x, _)| levels[x]);
 
+        // Every entry is written once below, so the zeroed allocation is
+        // never filled up front.
         let mut out = vec![0u16; n * n];
-        let mut stack = Vec::with_capacity(n);
-        for (y, row) in out.chunks_exact_mut(n).enumerate() {
-            // a(x) for x ∈ UpReach(y); the row doubles as the visited mark.
-            row.fill(UNREACHABLE);
-            row[y] = 0;
-            stack.push(y);
-            while let Some(x) = stack.pop() {
+        let mut below = vec![Lanes::ZERO; n];
+        let mut shared = vec![Lanes::ZERO; n];
+        let mut counts = LevelCounts::new(n);
+        for base in (0..n).step_by(WIDTH) {
+            let batch = (n - base).min(WIDTH);
+            below.fill(Lanes::ZERO);
+            for i in 0..batch {
+                below[base + i] = Lanes::single(i);
+            }
+            for &x in order.iter().rev() {
+                let mine = below[x];
                 for &p in parents.neighbors(x) {
-                    if row[p] == UNREACHABLE {
-                        row[p] = levels[y] - levels[p];
-                        stack.push(p);
-                    }
+                    below[p] |= mine;
                 }
             }
-            for &(x, p) in &sweep {
-                row[x] = row[x].min(row[p] + 1);
+            counts.clear();
+            for level in 1..=usize::from(depth) {
+                let at = &order[from[level]..from[level + 1]];
+                let deeper = &order[from[level + 1]..];
+                for &x in at {
+                    shared[x] = below[x];
+                    counts.add(x, below[x]);
+                }
+                for &x in deeper {
+                    let common = parents
+                        .neighbors(x)
+                        .iter()
+                        .fold(Lanes::ZERO, |acc, &p| acc | shared[p]);
+                    shared[x] = common;
+                    counts.add(x, common);
+                }
+            }
+            let batch_levels = &levels[base..base + batch];
+            for (x, row) in out.chunks_exact_mut(n).enumerate() {
+                let segment = &mut row[base..base + batch];
+                // Wrapping, as the subtraction is: exact whenever `ud` fits.
+                for (entry, &level) in segment.iter_mut().zip(batch_levels) {
+                    *entry = levels[x].wrapping_add(level);
+                }
+                counts.subtract_from(x, segment, 2);
             }
         }
         out

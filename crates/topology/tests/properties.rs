@@ -4,11 +4,12 @@ use hyperx_topology::bfs::UNREACHABLE;
 use hyperx_topology::{
     bfs_distances, diameter_under_fault_sequence, edge_disjoint_paths, shortest_path_count,
     survivability_under_faults, CoordinateSystem, DistanceHistogram, DistanceMatrix, FaultSet,
-    FaultShape, HyperX, Network, RootPolicy, UpDownEscape,
+    FaultShape, HyperX, LinkId, Network, RootPolicy, UpDownEscape,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::collections::HashSet;
 
 /// Strategy: HyperX sides with 1 to 3 dimensions of side 2..=6, capped in total size.
 fn sides_strategy() -> impl Strategy<Value = Vec<usize>> {
@@ -18,12 +19,17 @@ fn sides_strategy() -> impl Strategy<Value = Vec<usize>> {
 }
 
 /// Strategy: HyperX sides whose switch count sits just below, on or just
-/// above a multiple of 64, where the all-pairs passes change word or batch.
+/// above a multiple of 64, where a batch of the all-pairs passes changes word.
 fn word_boundary_sides_strategy() -> impl Strategy<Value = Vec<usize>> {
     prop::collection::vec(2usize..=16, 1..=3).prop_filter("n near a word boundary", |sides| {
         [63, 64, 65, 100, 126, 128, 130].contains(&sides.iter().product::<usize>())
     })
 }
+
+/// HyperX sides whose switch count sits just below, on or just above 256
+/// and 512, where the all-pairs passes start a new batch of sources.
+const BATCH_BOUNDARY_SIDES: [&[usize]; 5] =
+    [&[7, 6, 6], &[16, 16], &[13, 20], &[8, 8, 8], &[5, 8, 13]];
 
 /// Brute-force Up/Down distances straight from the definition:
 /// `level(x) + level(y) − 2·max{ level(z) : z ∈ UpReach(x) ∩ UpReach(y) }`,
@@ -45,18 +51,166 @@ fn updown_oracle(net: &Network, root: usize) -> Vec<u16> {
             }
         }
     }
+    // Each up-reach set listed deepest first, so the first member of
+    // UpReach(x) that is also in UpReach(y) is the deepest common one.
+    let deepest_first: Vec<Vec<usize>> = up_reach
+        .iter()
+        .map(|reach| order.iter().rev().copied().filter(|&z| reach[z]).collect())
+        .collect();
     let mut out = vec![0u16; n * n];
     for x in 0..n {
         for y in 0..n {
-            let deepest_common = (0..n)
-                .filter(|&z| up_reach[x][z] && up_reach[y][z])
-                .map(|z| levels[z])
-                .max()
+            let deepest_common = deepest_first[x]
+                .iter()
+                .find(|&&z| up_reach[y][z])
+                .map(|&z| levels[z])
                 .expect("the root is in every up-reach set");
             out[x * n + y] = levels[x] + levels[y] - 2 * deepest_common;
         }
     }
     out
+}
+
+/// Checks every row of the distance matrix of `net` against a single-source
+/// BFS, and its connectivity and diameter against a scan of the entries.
+fn check_distances(net: &Network, what: &str) {
+    let d = DistanceMatrix::compute(net);
+    let mut deepest = 0;
+    for s in 0..net.num_switches() {
+        let row = bfs_distances(net, s);
+        assert_eq!(d.row(s), &row[..], "{what}: row {s}");
+        deepest = row
+            .iter()
+            .copied()
+            .filter(|&x| x != UNREACHABLE)
+            .fold(deepest, u16::max);
+    }
+    let connected = net.is_connected();
+    assert_eq!(d.is_connected(), connected, "{what}");
+    assert_eq!(
+        d.diameter_checked(),
+        connected.then_some(usize::from(deepest)),
+        "{what}"
+    );
+}
+
+/// Checks the Up/Down table of `net` rooted at `root` against the oracle.
+fn check_updown(net: &Network, root: usize, what: &str) {
+    let n = net.num_switches();
+    let esc = UpDownEscape::new(net, root);
+    let oracle = updown_oracle(net, root);
+    for x in 0..n {
+        for y in 0..n {
+            assert_eq!(
+                esc.updown_distance(x, y),
+                oracle[x * n + y],
+                "{what}: ({x}, {y})"
+            );
+        }
+    }
+}
+
+/// A random fault sequence over every link of `hx`, and the length of its
+/// shortest prefix that disconnects the network.
+fn sequence_to_disconnection(hx: &HyperX, seed: u64) -> (FaultSet, usize) {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let all = FaultSet::random_sequence(hx.network(), hx.network().num_links(), &mut rng);
+    let connected = |count: usize| {
+        let mut net = hx.network().clone();
+        all.prefix(count).apply(&mut net);
+        net.is_connected()
+    };
+    // Removing links never reconnects, so bisect on the prefix length.
+    let (mut lo, mut hi) = (0, all.len());
+    while hi - lo > 1 {
+        let mid = (lo + hi) / 2;
+        if connected(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    (all, hi)
+}
+
+/// `hx` faulted down to one Hamiltonian path: every link fails except those
+/// between consecutive switches of `path`.
+fn faulted_to_path(hx: &HyperX, path: &[usize]) -> Network {
+    assert_eq!(path.len(), hx.num_switches());
+    let kept: HashSet<LinkId> = path.windows(2).map(|w| LinkId::new(w[0], w[1])).collect();
+    let mut net = hx.network().clone();
+    let failed = net
+        .links()
+        .into_iter()
+        .filter(|l| !kept.contains(l))
+        .collect();
+    FaultSet::from_links(failed).apply(&mut net);
+    net
+}
+
+#[test]
+fn distance_matrix_equals_per_source_bfs_up_to_disconnection() {
+    // Halfway to disconnection, one fault before it and once disconnected,
+    // on both sides of a batch boundary.
+    for (i, sides) in BATCH_BOUNDARY_SIDES.iter().enumerate() {
+        let hx = HyperX::new(sides);
+        let (faults, cut) = sequence_to_disconnection(&hx, i as u64);
+        for count in [cut / 2, cut - 1, cut] {
+            let mut net = hx.network().clone();
+            faults.prefix(count).apply(&mut net);
+            check_distances(&net, &format!("{sides:?} with {count} faults"));
+        }
+    }
+}
+
+#[test]
+fn updown_distances_equal_the_oracle_on_both_sides_of_a_batch_boundary() {
+    // Healthy, halfway to disconnection and one fault before it.
+    for (i, sides) in BATCH_BOUNDARY_SIDES.iter().enumerate() {
+        let hx = HyperX::new(sides);
+        let n = hx.num_switches();
+        let (faults, cut) = sequence_to_disconnection(&hx, i as u64);
+        for count in [0, cut / 2, cut - 1] {
+            let mut net = hx.network().clone();
+            faults.prefix(count).apply(&mut net);
+            let root = (count * 7 + i) % n;
+            check_updown(&net, root, &format!("{sides:?} with {count} faults"));
+        }
+    }
+}
+
+#[test]
+fn tables_of_hamiltonian_paths_carry_into_high_count_planes() {
+    // Rooted at one end, switch path[i] sits at level i, so the distance
+    // matrix counts up to n − 1 levels per batch and the Up/Down pass up to
+    // n − 1 shared levels: nine planes for these lengths. Along a path both
+    // distances are |i − j|.
+    let line = HyperX::new(&[257]);
+    let line_path: Vec<usize> = (0..257).collect();
+    let grid = HyperX::new(&[16, 17]);
+    let snake: Vec<usize> = (0..17)
+        .flat_map(|row| (0..16).map(move |i| [if row % 2 == 0 { i } else { 15 - i }, row]))
+        .map(|coords| grid.switch_id(&coords))
+        .collect();
+    for (hx, path) in [(&line, line_path), (&grid, snake)] {
+        let net = faulted_to_path(hx, &path);
+        let n = net.num_switches();
+        let d = DistanceMatrix::compute(&net);
+        let esc = UpDownEscape::new(&net, path[0]);
+        assert_eq!(d.diameter_checked(), Some(n - 1));
+        for (i, &a) in path.iter().enumerate() {
+            assert_eq!(usize::from(esc.level(a)), i);
+            for (j, &b) in path.iter().enumerate() {
+                let along = i.abs_diff(j) as u16;
+                assert_eq!(d.get(a, b), along, "d({a}, {b}) on {n} switches");
+                assert_eq!(
+                    esc.updown_distance(a, b),
+                    along,
+                    "ud({a}, {b}) on {n} switches"
+                );
+            }
+        }
+    }
 }
 
 proptest! {
@@ -88,7 +242,7 @@ proptest! {
     ) {
         // `compute` records both answers while its searches run; a scan of
         // all n² entries is the definition. Large fault counts disconnect
-        // the network, and up to three batches of 64 sources must agree.
+        // the network, and up to three words of a batch's lanes must agree.
         let hx = HyperX::new(&sides);
         let mut net = hx.network().clone();
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
