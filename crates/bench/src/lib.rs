@@ -201,9 +201,9 @@ pub fn run_campaigns_to_store(
 
 /// The `--distributed` execution path: a loopback coordinator plus
 /// `workers` in-process worker threads, all running `run_job`. The
-/// coordinator's machinery (shard partitioning, leases, the manifest
-/// sidecar) is exactly what a multi-host run uses — only the transport
-/// distance differs.
+/// coordinator's machinery (the lease queue, the manifest sidecar) is
+/// exactly what a multi-host run uses — only the transport distance
+/// differs.
 fn run_campaign_distributed(
     campaign: &CampaignSpec,
     store_path: &std::path::Path,

@@ -101,10 +101,10 @@ pub const CAMPAIGN_USAGE: &str = "usage: surepath campaign <spec.toml|spec.json>
 
   Distributed campaigns (coordinator/worker over TCP):
   --serve ADDR         serve the spec's grid to workers connecting on ADDR
-                       (e.g. 0.0.0.0:7777); jobs partition by fingerprint
-                       prefix into shards, fast workers steal slow workers'
-                       tails, lost workers' leases are re-offered, and the
-                       finalized store is byte-identical to a local run
+                       (e.g. 0.0.0.0:7777); workers take jobs from one queue
+                       in grid order, lost workers' leases are re-offered
+                       first, and the finalized store is byte-identical to a
+                       local run
   --worker ADDR        run jobs for the coordinator at ADDR until drained;
                        transport failures trigger auto-reconnect with capped
                        exponential backoff, and the campaign fingerprint in
@@ -121,11 +121,10 @@ pub const CAMPAIGN_USAGE: &str = "usage: surepath campaign <spec.toml|spec.json>
                        --threads sets each worker's pool size (default:
                        the machine's cores split across the N workers)
   --lease-secs N       re-offer jobs not delivered within N seconds (60)
-  --shards N           static fingerprint-prefix partitions (8)
   --chunk N            max jobs per worker fetch (8)
   --metrics-addr ADDR  with --serve/--spawn-local: also serve live fleet
                        metrics (Prometheus text format) on ADDR — jobs
-                       pending/leased per shard, worker liveness,
+                       pending/leased, worker liveness,
                        reconnects, lease reclaims; read-only, no effect
                        on scheduling or the store
   Assignments are journalled to <store>.manifest.jsonl so --report can tell
@@ -389,8 +388,6 @@ pub enum CampaignCommand {
         threads: Option<usize>,
         /// Lease duration in seconds before a job is re-offered.
         lease_secs: u64,
-        /// Static fingerprint-prefix shard count (`None` = default).
-        shards: Option<usize>,
         /// Max jobs per worker fetch (`None` = default).
         chunk: Option<usize>,
         /// Serve live fleet metrics (Prometheus text format) on this
@@ -492,7 +489,6 @@ pub fn parse_campaign_args(args: &[String]) -> Result<CampaignCommand, String> {
     let mut worker: Option<String> = None;
     let mut spawn_local: Option<usize> = None;
     let mut lease_secs: Option<u64> = None;
-    let mut shards: Option<usize> = None;
     let mut chunk: Option<usize> = None;
     let mut reconnect_retries: Option<usize> = None;
     let mut backoff_ms: Option<u64> = None;
@@ -537,7 +533,12 @@ pub fn parse_campaign_args(args: &[String]) -> Result<CampaignCommand, String> {
             "--lease-secs" => {
                 lease_secs = Some(positive("--lease-secs", value("--lease-secs")?)? as u64)
             }
-            "--shards" => shards = Some(positive("--shards", value("--shards")?)?),
+            "--shards" => {
+                return Err(
+                    "--shards was removed: the coordinator serves one queue in grid order"
+                        .to_string(),
+                )
+            }
             "--chunk" => chunk = Some(positive("--chunk", value("--chunk")?)?),
             "--reconnect-retries" => {
                 reconnect_retries = Some(positive(
@@ -555,11 +556,8 @@ pub fn parse_campaign_args(args: &[String]) -> Result<CampaignCommand, String> {
             positional => positionals.push(positional.to_string()),
         }
     }
-    let distributed_flags = serve.is_some()
-        || spawn_local.is_some()
-        || lease_secs.is_some()
-        || shards.is_some()
-        || chunk.is_some();
+    let distributed_flags =
+        serve.is_some() || spawn_local.is_some() || lease_secs.is_some() || chunk.is_some();
     if let Some(addr) = worker {
         if distributed_flags
             || report
@@ -609,7 +607,7 @@ pub fn parse_campaign_args(args: &[String]) -> Result<CampaignCommand, String> {
         {
             return Err(
                 "--serve/--spawn-local only combine with --store, --quiet, --lease-secs, \
-                 --shards, --chunk and --metrics-addr"
+                 --chunk and --metrics-addr"
                     .to_string(),
             );
         }
@@ -635,7 +633,6 @@ pub fn parse_campaign_args(args: &[String]) -> Result<CampaignCommand, String> {
             spawn_local,
             threads,
             lease_secs: lease_secs.unwrap_or(60),
-            shards,
             chunk,
             metrics_addr,
             quiet,
@@ -833,7 +830,6 @@ pub fn run_campaign_command(cmd: &CampaignCommand) -> Result<CommandOutput, Stri
             spawn_local,
             threads,
             lease_secs,
-            shards,
             chunk,
             metrics_addr,
             quiet,
@@ -844,7 +840,6 @@ pub fn run_campaign_command(cmd: &CampaignCommand) -> Result<CommandOutput, Stri
             *spawn_local,
             *threads,
             *lease_secs,
-            *shards,
             *chunk,
             metrics_addr.as_deref(),
             *quiet,
@@ -968,13 +963,15 @@ pub fn run_campaign_command(cmd: &CampaignCommand) -> Result<CommandOutput, Stri
                 .map_err(|e| format!("cannot open store {}: {e}", store_path.display()))?;
             let mut out = preamble;
             out.push_str(&surepath_core::report_store(&store));
-            // Shard manifests (distributed campaigns): label incomplete
+            // Assignment manifests (distributed campaigns): label incomplete
             // points as in-flight/assigned rather than leaving them to look
             // missing. Reported per input store — each coordinator writes
             // its own sidecar.
             for input in &stores {
                 let manifest_file = surepath_runner::manifest_path(std::path::Path::new(input));
-                if let Ok(manifest) = surepath_core::ShardManifest::open_read_only(&manifest_file) {
+                if let Ok(manifest) =
+                    surepath_core::AssignmentManifest::open_read_only(&manifest_file)
+                {
                     out.push_str(&format!("[{input}] "));
                     out.push_str(&surepath_core::format_manifest_status(&manifest, &store));
                 }
@@ -1109,7 +1106,6 @@ fn run_serve(
     spawn_local: Option<usize>,
     worker_threads: Option<usize>,
     lease_secs: u64,
-    shards: Option<usize>,
     chunk: Option<usize>,
     metrics_addr: Option<&str>,
     quiet: bool,
@@ -1175,16 +1171,13 @@ fn run_serve(
         }
     }
 
+    let defaults = surepath_dist::ServeOptions::default();
     let opts = surepath_dist::ServeOptions {
         lease: std::time::Duration::from_secs(lease_secs),
+        chunk: chunk.unwrap_or(defaults.chunk),
         quiet,
         metrics_addr: metrics_addr.map(str::to_string),
-        ..surepath_dist::ServeOptions::default()
-    };
-    let opts = surepath_dist::ServeOptions {
-        shards: shards.unwrap_or(opts.shards),
-        chunk: chunk.unwrap_or(opts.chunk),
-        ..opts
+        ..defaults
     };
     let served = surepath_dist::serve(listener, &spec.name, &jobs, &store_path, &opts);
     let worker_failures = reap_workers(children);
@@ -1690,7 +1683,6 @@ mod tests {
                 spawn_local: None,
                 threads: None,
                 lease_secs: 60,
-                shards: None,
                 chunk: None,
                 metrics_addr: None,
                 quiet: true,
@@ -1705,8 +1697,6 @@ mod tests {
                 "out.jsonl",
                 "--lease-secs",
                 "5",
-                "--shards",
-                "4",
                 "--chunk",
                 "2",
             ]))
@@ -1718,7 +1708,6 @@ mod tests {
                 spawn_local: Some(3),
                 threads: None,
                 lease_secs: 5,
-                shards: Some(4),
                 chunk: Some(2),
                 metrics_addr: None,
                 quiet: false,

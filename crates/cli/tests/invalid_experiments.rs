@@ -1,7 +1,8 @@
 //! Experiments whose traffic pattern the topology cannot carry, switches
 //! too wide for the engine, and `--batch 0` are refused up front: a single
 //! run exits 2 with a message instead of panicking, and a campaign exits 2
-//! naming the job before any job runs.
+//! naming the job before any job runs. The removed `--shards` option exits
+//! 2 too, before any worker starts.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -163,4 +164,43 @@ concentration = 70000
     assert!(err.contains("campaign `too-wide` job #0"), "{err}");
     assert!(err.contains("16-bit port index"), "{err}");
     assert!(!store.exists(), "no job ran, so no store was written");
+}
+
+#[test]
+fn the_removed_shards_option_is_refused_before_any_worker_starts() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let spec = dir.join("shards_refused.toml");
+    let store = dir.join("shards_refused.results.jsonl");
+    let _ = std::fs::remove_file(&store);
+    std::fs::write(
+        &spec,
+        r#"name = "shards-refused"
+mechanisms = ["minimal"]
+loads = [0.1]
+warmup = 1
+measure = 1
+
+[[topologies]]
+sides = [4, 4]
+"#,
+    )
+    .unwrap();
+    let output = surepath(&[
+        "campaign",
+        spec.to_str().unwrap(),
+        "--store",
+        store.to_str().unwrap(),
+        "--spawn-local",
+        "2",
+        "--shards",
+        "4",
+    ]);
+    let err = stderr(&output);
+    assert_eq!(output.status.code(), Some(2), "{err}");
+    assert!(
+        err.contains("--shards was removed: the coordinator serves one queue in grid order"),
+        "{err}"
+    );
+    assert!(!err.contains("serving campaign"), "{err}");
+    assert!(!store.exists(), "no worker ran, so no store was written");
 }

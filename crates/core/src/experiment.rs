@@ -369,18 +369,22 @@ impl Experiment {
     pub fn build_view(&self) -> Arc<NetworkView> {
         let hx = self.topology();
         let faults = self.scenario.faults(&hx);
-        let root = match self.root {
-            RootPlacement::Suggested => self.scenario.suggested_root(&hx),
-            RootPlacement::Switch(s) => s,
+        let view = match self.root {
+            RootPlacement::Suggested => {
+                let root = self.scenario.suggested_root(&hx);
+                NetworkView::with_faults(hx, &faults, root)
+            }
+            RootPlacement::Switch(s) => NetworkView::with_faults(hx, &faults, s),
+            // Evaluate the policy on the faulty network so it can react to
+            // the failures (the whole point of the §6 advice), over the
+            // distances the view computes anyway.
             RootPlacement::Policy(policy) => {
-                // Evaluate the policy on the faulty network so it can react to
-                // the failures (the whole point of the §6 advice).
-                let mut faulted = hx.network().clone();
-                faults.apply(&mut faulted);
-                policy.select(&faulted)
+                NetworkView::with_faults_rooted(hx, &faults, |net, dm| {
+                    policy.select_with_distances(net, dm)
+                })
             }
         };
-        Arc::new(NetworkView::with_faults(hx, &faults, root))
+        Arc::new(view)
     }
 
     /// Builds the simulator ready to run.
@@ -547,6 +551,36 @@ mod tests {
         let center = view.hyperx().switch_id(&[4, 4, 4]);
         assert_ne!(view.escape_root(), center);
         assert!(view.network().degree(view.escape_root()) > 3);
+    }
+
+    #[test]
+    fn policy_roots_are_picked_from_the_views_own_distances() {
+        let hx = Experiment::paper_3d(MechanismSpec::PolSP, TrafficSpec::Uniform).topology();
+        for scenario in [
+            FaultScenario::star_3d(),
+            FaultScenario::Random { count: 60, seed: 3 },
+        ] {
+            let faults = scenario.faults(&hx);
+            let mut faulted = hx.network().clone();
+            faults.apply(&mut faulted);
+            for policy in RootPolicy::ablation_lineup() {
+                let view = Experiment::paper_3d(MechanismSpec::PolSP, TrafficSpec::Uniform)
+                    .with_scenario(scenario.clone())
+                    .with_root(RootPlacement::Policy(policy))
+                    .build_view();
+                let root = policy.select(&faulted);
+                assert_eq!(view.escape_root(), root, "{}", policy.name());
+                let reference = NetworkView::with_faults(hx.clone(), &faults, root);
+                for s in 0..hx.num_switches() {
+                    assert_eq!(
+                        view.distances().row(s),
+                        reference.distances().row(s),
+                        "{} row {s}",
+                        policy.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

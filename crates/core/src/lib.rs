@@ -62,5 +62,6 @@ pub use hyperx_routing::{EscapePolicy, MechanismSpec, NetworkView, RoutingMechan
 pub use hyperx_sim::{BatchMetrics, LatencyHistogram, RateMetrics, SimConfig};
 pub use hyperx_topology::{FaultSet, FaultShape, HyperX, RootPolicy, TopologyReport};
 pub use surepath_runner::{
-    CampaignOutcome, CampaignSpec, JobSpec, ResultStore, ShardManifest, TimingRecord, TopologySpec,
+    AssignmentManifest, CampaignOutcome, CampaignSpec, JobSpec, ResultStore, TimingRecord,
+    TopologySpec,
 };

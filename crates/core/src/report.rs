@@ -12,7 +12,8 @@ use hyperx_routing::MechanismSpec;
 use hyperx_sim::{BatchMetrics, Counter, CounterRegistry, LatencyHistogram, RateMetrics};
 use serde::{Deserialize, Serialize};
 use surepath_runner::{
-    group_replicas, JobSpec, ResultStore, ShardManifest, StoreRecord, TimingRecord, TraceRecord,
+    group_replicas, AssignmentManifest, JobSpec, ResultStore, StoreRecord, TimingRecord,
+    TraceRecord,
 };
 
 /// A generic row of a report table: a label and a set of named columns.
@@ -1035,12 +1036,12 @@ pub fn format_timings_table(records: &[TimingRecord], top: usize) -> String {
     out
 }
 
-/// Summarises a shard manifest against its store: how many fingerprints are
+/// Summarises an assignment manifest against its store: how many fingerprints are
 /// assigned to workers but not yet complete — "in flight / assigned
 /// elsewhere", as opposed to *missing* (never assigned anywhere). This is
 /// what lets a `--report` over a mid-campaign distributed store label
 /// incomplete points honestly.
-pub fn format_manifest_status(manifest: &ShardManifest, store: &ResultStore) -> String {
+pub fn format_manifest_status(manifest: &AssignmentManifest, store: &ResultStore) -> String {
     let in_flight = manifest.in_flight(&|fp: &str| store.is_complete(fp));
     let done = manifest
         .records_in_order()
@@ -1054,8 +1055,8 @@ pub fn format_manifest_status(manifest: &ShardManifest, store: &ResultStore) -> 
     const SHOWN: usize = 10;
     for record in in_flight.iter().take(SHOWN) {
         out.push_str(&format!(
-            "  in flight: {} (shard {}, assigned to `{}`)\n",
-            record.fp, record.shard, record.worker
+            "  in flight: {} (assigned to `{}`)\n",
+            record.fp, record.worker
         ));
     }
     if in_flight.len() > SHOWN {
@@ -2381,20 +2382,18 @@ mod tests {
         let mut store = ResultStore::open(&store_path).unwrap();
         let done_job = rate_job("polsp", 0.3, 1);
         store.append_ok(&done_job, rate_result(0.7, 80.0)).unwrap();
-        let mut manifest = ShardManifest::open(&manifest_path).unwrap();
+        let mut manifest = AssignmentManifest::open(&manifest_path).unwrap();
         let done_fp = surepath_runner::job_fingerprint(&done_job);
-        manifest.record_assigned(&done_fp, 0, "w1").unwrap();
-        manifest.record_done(&done_fp, 0, "w1").unwrap();
-        manifest
-            .record_assigned("feedbeef00000000", 3, "w2")
-            .unwrap();
+        manifest.record_assigned(&done_fp, "w1").unwrap();
+        manifest.record_done(&done_fp, "w1").unwrap();
+        manifest.record_assigned("feedbeef00000000", "w2").unwrap();
         let status = format_manifest_status(&manifest, &store);
         assert!(
             status.contains("2 assignment(s), 1 delivered, 1 in flight"),
             "{status}"
         );
         assert!(
-            status.contains("feedbeef00000000 (shard 3, assigned to `w2`)"),
+            status.contains("feedbeef00000000 (assigned to `w2`)"),
             "{status}"
         );
         let _ = std::fs::remove_file(&store_path);

@@ -1,4 +1,4 @@
-//! The campaign coordinator: expand once, serve shard queues over TCP,
+//! The campaign coordinator: expand once, serve one lease queue over TCP,
 //! fold streamed results into one byte-deterministic store.
 //!
 //! The coordinator owns the three artefacts of a distributed run:
@@ -8,23 +8,23 @@
 //!   grid order, exactly like a local `run_campaign`. Same records, same
 //!   finalize: the finished store is **byte-identical to a local run**,
 //!   whatever the worker count, join order, or mid-run losses were;
-//! * the **shard manifest** (`<store>.manifest.jsonl`) — every lease and
+//! * the **assignment manifest** (`<store>.manifest.jsonl`) — every lease and
 //!   every delivery is journalled, so `--report` can tell "missing" from
 //!   "assigned elsewhere / in-flight" and a coordinator restarted after a
 //!   crash re-offers only unfinished fingerprints;
 //! * the **timings sidecar** (`<store>.timings.jsonl`) — workers report
 //!   per-job wall-clock with each delivery; it never touches the store.
 //!
-//! Scheduling is [`ShardQueues`]: jobs partition statically by fingerprint
-//! prefix, workers drain their home shard first and steal from the most
-//! loaded sibling's tail. A worker that disconnects (or sits on a lease past
-//! its deadline) has its jobs re-offered; duplicate deliveries — a slow
-//! worker finishing after its lease was re-offered and re-run — are folded
-//! idempotently (results are deterministic functions of the job, so both
-//! copies carry the same bytes; `ok` is never downgraded). A coordinator
-//! restarted after a crash keeps accepting for a grace period after the
-//! grid drains, so the workers of its predecessor, which are still in their
-//! reconnect loops, hear `Drained` instead of a refused connection.
+//! Scheduling is one queue of pending jobs in grid order: a `Fetch` takes
+//! the next jobs from its front. A worker that disconnects (or sits on a
+//! lease past its deadline) has its jobs put back at the front and
+//! re-offered; duplicate deliveries — a slow worker finishing after its
+//! lease was re-offered and re-run — are folded idempotently (results are
+//! deterministic functions of the job, so both copies carry the same bytes;
+//! `ok` is never downgraded). A coordinator restarted after a crash keeps
+//! accepting for a grace period after the grid drains, so the workers of
+//! its predecessor, which are still in their reconnect loops, hear
+//! `Drained` instead of a refused connection.
 //!
 //! A `Fetch` that finds nothing to hand out is answered at once when its
 //! connection still holds leases (that worker asks again after its next
@@ -34,6 +34,7 @@
 //! result lands instead of after a backoff.
 
 use crate::protocol::{write_message, Reply, Request, DRAIN_LINGER_MILLIS, WAIT_BACKOFF_MILLIS};
+use crate::queue::LeaseQueue;
 use crate::session::{campaign_fingerprint, session_nonce, ReconnectPolicy};
 use std::collections::{HashMap, HashSet};
 use std::io::BufReader;
@@ -43,25 +44,20 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use surepath_runner::{
-    job_fingerprint, log_info, log_warn, manifest_path, queue::shard_of_fingerprint, timings_path,
-    JobSpec, ResultStore, ShardManifest, ShardQueues, StoreRecord, TimingRecord, TimingsLog,
+    job_fingerprint, log_info, log_warn, manifest_path, timings_path, AssignmentManifest, JobSpec,
+    ResultStore, StoreRecord, TimingRecord, TimingsLog,
 };
 
 /// One pending job with the identity the coordinator computed for it once,
-/// at serve start: its fingerprint and its shard.
+/// at serve start: its fingerprint.
 struct PendingJob {
     job: JobSpec,
     fp: String,
-    shard: usize,
 }
 
 /// Tuning knobs of [`serve`].
 #[derive(Clone, Debug)]
 pub struct ServeOptions {
-    /// Static shard count (fingerprint-prefix partitions). More shards than
-    /// workers is fine — extra shards are drained by stealing; workers past
-    /// the shard count share home shards round-robin.
-    pub shards: usize,
     /// Lease duration: a job not delivered within this window is re-offered.
     pub lease: Duration,
     /// Max jobs handed out per `Fetch`.
@@ -84,7 +80,6 @@ pub struct ServeOptions {
 impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
-            shards: 8,
             lease: Duration::from_secs(60),
             chunk: 8,
             quiet: false,
@@ -131,13 +126,13 @@ struct Shared {
     pending: Vec<PendingJob>,
     /// Fingerprint → index into `pending`.
     by_fp: HashMap<String, usize>,
-    /// Shard queues + leases over `pending` indices. Leases are keyed by
+    /// The lease queue over `pending` indices. Leases are keyed by
     /// *connection name* (`worker#N`), not worker id: a reconnecting
     /// worker's new leases must never be released by its dead connection's
     /// late cleanup.
-    queues: ShardQueues,
+    queue: LeaseQueue,
     store: ResultStore,
-    manifest: ShardManifest,
+    manifest: AssignmentManifest,
     timings: TimingsLog,
     /// Indices of `pending` jobs whose result has been folded in.
     delivered: Vec<bool>,
@@ -145,10 +140,8 @@ struct Shared {
     failed: usize,
     /// Every worker id that ever introduced itself.
     worker_ids: HashSet<String>,
-    /// Worker id → (connection name, home shard) currently speaking for it.
-    live_conns: HashMap<String, (String, usize)>,
-    /// Live connections homed per shard (drives least-loaded assignment).
-    home_counts: Vec<usize>,
+    /// Worker id → the connection name currently speaking for it.
+    live_conns: HashMap<String, String>,
     /// Monotonic connection counter (uniquifies lease names).
     connections: usize,
     reoffered: usize,
@@ -170,43 +163,29 @@ impl Shared {
         self.is_done() || self.stopped
     }
 
-    /// Releases every lease `conn` holds back to its shard queue,
-    /// journalling each reclaim, and forgets the connection's home-shard
-    /// slot. Safe against reconnect races: lease names are unique per
-    /// connection, so a dead connection can only ever release its own.
-    fn reclaim_connection(&mut self, worker: &str, conn: &str, home_shard: usize) -> usize {
-        let released = self.queues.release_worker(conn);
+    /// Puts every lease `conn` holds back at the front of the queue,
+    /// journalling each reclaim, and forgets the connection if it still
+    /// speaks for `worker`. Safe against reconnect races: lease names are
+    /// unique per connection, so a dead connection can only ever release
+    /// its own, and its late cleanup after a re-Hello leaves the new
+    /// connection registered.
+    fn reclaim_connection(&mut self, worker: &str, conn: &str) -> usize {
+        let released = self.queue.release(conn);
         for &idx in &released {
-            let job = &self.pending[idx];
-            let _ = self.manifest.record_reclaimed(&job.fp, job.shard, worker);
+            let _ = self
+                .manifest
+                .record_reclaimed(&self.pending[idx].fp, worker);
         }
         self.reoffered += released.len();
-        // The home-shard slot is freed exactly once per connection: a dead
-        // connection's own (late) cleanup after a re-Hello already reclaimed
-        // it must not decrement a second time.
-        if self.live_conns.get(worker).map(|(c, _)| c.as_str()) == Some(conn) {
+        if self.live_conns.get(worker).map(String::as_str) == Some(conn) {
             self.live_conns.remove(worker);
-            self.home_counts[home_shard] = self.home_counts[home_shard].saturating_sub(1);
         }
         released.len()
-    }
-
-    /// The home shard for a joining connection: the one with the fewest
-    /// live connections homed on it, ties broken by the lowest shard index
-    /// — deterministic, and immune to the join-counter drift a
-    /// reconnecting fleet would otherwise accumulate.
-    fn least_loaded_shard(&self) -> usize {
-        self.home_counts
-            .iter()
-            .enumerate()
-            .min_by_key(|&(idx, &count)| (count, idx))
-            .map(|(idx, _)| idx)
-            .unwrap_or(0)
     }
 }
 
 /// The shared state and the signal that it changed in a way a held `Fetch`
-/// or the serving thread waits for: leases came back to the queues, the
+/// or the serving thread waits for: leases came back to the queue, the
 /// grid drained, or the stop hook tripped.
 struct State {
     shared: Mutex<Shared>,
@@ -220,8 +199,8 @@ impl State {
 
     /// [`Shared::reclaim_connection`], waking held fetches when leases came
     /// back.
-    fn reclaim(&self, worker: &str, conn: &str, home_shard: usize) -> usize {
-        let released = self.lock().reclaim_connection(worker, conn, home_shard);
+    fn reclaim(&self, worker: &str, conn: &str) -> usize {
+        let released = self.lock().reclaim_connection(worker, conn);
         if released > 0 {
             self.changed.notify_all();
         }
@@ -230,7 +209,7 @@ impl State {
 }
 
 /// Renders one Prometheus-style text snapshot of fleet state: overall job
-/// accounting, per-shard queue depth and outstanding leases, worker
+/// accounting, queue depth and outstanding leases, worker
 /// liveness, reconnects and lease reclaims. Read-only — the metrics thread
 /// takes the state lock for the duration of this render and nothing else.
 fn render_metrics(shared: &Shared) -> String {
@@ -246,17 +225,12 @@ fn render_metrics(shared: &Shared) -> String {
     out.push_str("# TYPE surepath_jobs_failed gauge\n");
     out.push_str(&format!("surepath_jobs_failed {}\n", shared.failed));
     out.push_str("# TYPE surepath_jobs_pending gauge\n");
-    for (shard, queued) in shared.queues.queued_per_shard().iter().enumerate() {
-        out.push_str(&format!(
-            "surepath_jobs_pending{{shard=\"{shard}\"}} {queued}\n"
-        ));
-    }
+    out.push_str(&format!(
+        "surepath_jobs_pending {}\n",
+        shared.queue.queued()
+    ));
     out.push_str("# TYPE surepath_jobs_leased gauge\n");
-    for (shard, leased) in shared.queues.leased_per_shard().iter().enumerate() {
-        out.push_str(&format!(
-            "surepath_jobs_leased{{shard=\"{shard}\"}} {leased}\n"
-        ));
-    }
+    out.push_str(&format!("surepath_jobs_leased {}\n", shared.queue.leased()));
     out.push_str("# TYPE surepath_workers_live gauge\n");
     out.push_str(&format!(
         "surepath_workers_live {}\n",
@@ -433,15 +407,15 @@ fn handle_connection(
     // keys manifest/timing rows. Keeping them separate is what makes
     // re-Hello reclaim safe: releasing `worker#3` can never touch the
     // leases `worker#4` (the same worker, reconnected) holds.
-    let (conn, shard) = {
+    let conn = {
         let mut shared = state.lock();
         shared.connections += 1;
         let conn = format!("{worker}#{}", shared.connections);
         // A previous connection still speaking for this worker id is dead
         // weight (the worker would not re-Hello otherwise): reclaim its
         // leases now instead of waiting for EOF detection or lease expiry.
-        if let Some((old_conn, old_shard)) = shared.live_conns.get(&worker).cloned() {
-            let released = shared.reclaim_connection(&worker, &old_conn, old_shard);
+        if let Some(old_conn) = shared.live_conns.get(&worker).cloned() {
+            let released = shared.reclaim_connection(&worker, &old_conn);
             if released > 0 {
                 state.changed.notify_all();
                 if !shared.quiet {
@@ -453,11 +427,7 @@ fn handle_connection(
                 }
             }
         }
-        let shard = shared.least_loaded_shard();
-        shared.home_counts[shard] += 1;
-        shared
-            .live_conns
-            .insert(worker.clone(), (conn.clone(), shard));
+        shared.live_conns.insert(worker.clone(), conn.clone());
         let fresh = shared.worker_ids.insert(worker.clone());
         let resumed = resumed_session.as_deref() == Some(session);
         if !fresh {
@@ -466,7 +436,7 @@ fn handle_connection(
         if !shared.quiet {
             log_info!(
                 "dist",
-                "worker `{worker}` {} (home shard {shard})",
+                "worker `{worker}` {}",
                 if fresh {
                     "joined"
                 } else if resumed {
@@ -476,20 +446,19 @@ fn handle_connection(
                 }
             );
         }
-        (conn, shard)
+        conn
     };
     if write_message(
         &mut writer,
         &Reply::Welcome {
             campaign: campaign.to_string(),
-            shard,
             session: session.to_string(),
             fingerprint: fingerprint.to_string(),
         },
     )
     .is_err()
     {
-        state.reclaim(&worker, &conn, shard);
+        state.reclaim(&worker, &conn);
         return;
     }
     let quiet = state.lock().quiet;
@@ -502,7 +471,7 @@ fn handle_connection(
             // its leases re-offer like any other lost connection.
             ReadOutcome::Malformed(line) => {
                 let _ = write_message(&mut writer, &malformed_reply(&line));
-                let released = state.reclaim(&worker, &conn, shard);
+                let released = state.reclaim(&worker, &conn);
                 if !quiet {
                     log_warn!(
                         "dist",
@@ -517,7 +486,7 @@ fn handle_connection(
             // immediately instead of waiting for the deadline; on
             // completion there are no leases left to release.
             ReadOutcome::Disconnected => {
-                let released = state.reclaim(&worker, &conn, shard);
+                let released = state.reclaim(&worker, &conn);
                 if released > 0 && !quiet {
                     log_warn!(
                         "dist",
@@ -532,7 +501,7 @@ fn handle_connection(
         // goodbye, so workers exercise their real reconnect path instead of
         // receiving a polite `Drained` no crashed process could send.
         if state.lock().stopped {
-            state.reclaim(&worker, &conn, shard);
+            state.reclaim(&worker, &conn);
             return;
         }
         let reply = match request {
@@ -540,7 +509,7 @@ fn handle_connection(
                 message: "duplicate Hello".into(),
             },
             Request::Fetch { max } => {
-                match answer_fetch(state, &worker, &conn, shard, max.clamp(1, chunk), quiet) {
+                match answer_fetch(state, &worker, &conn, max.clamp(1, chunk), quiet) {
                     Some(reply) => reply,
                     None => return,
                 }
@@ -560,7 +529,7 @@ fn handle_connection(
                         if shared.stopped {
                             // The delivery that tripped the budget is safely
                             // folded; now "crash" — sever without an ack.
-                            shared.reclaim_connection(&worker, &conn, shard);
+                            shared.reclaim_connection(&worker, &conn);
                             return;
                         }
                         if shared.is_done() {
@@ -578,36 +547,30 @@ fn handle_connection(
         };
         let done = matches!(reply, Reply::Drained);
         if write_message(&mut writer, &reply).is_err() || done {
-            state.reclaim(&worker, &conn, shard);
+            state.reclaim(&worker, &conn);
             return;
         }
     }
 }
 
 /// Answers one `Fetch` of up to `max` jobs from connection `conn`: `Assign`
-/// when jobs are queued, `Drained` once the grid is, and otherwise `Wait`
-/// — at once for a connection that holds leases, after holding the request
-/// for up to [`WAIT_BACKOFF_MILLIS`] for one that holds none. `None` means
-/// the stop hook tripped: the connection is severed without a reply.
-fn answer_fetch(
-    state: &State,
-    worker: &str,
-    conn: &str,
-    shard: usize,
-    max: usize,
-    quiet: bool,
-) -> Option<Reply> {
+/// of the next queued jobs when there are any, `Drained` once the grid is,
+/// and otherwise `Wait` — at once for a connection that holds leases, after
+/// holding the request for up to [`WAIT_BACKOFF_MILLIS`] for one that holds
+/// none. `None` means the stop hook tripped: the connection is severed
+/// without a reply.
+fn answer_fetch(state: &State, worker: &str, conn: &str, max: usize, quiet: bool) -> Option<Reply> {
     let deadline = Instant::now() + Duration::from_millis(WAIT_BACKOFF_MILLIS);
     let mut shared = state.lock();
     loop {
         // Crash emulation, as for any request: a stop that trips while the
         // fetch is held severs it too.
         if shared.stopped {
-            shared.reclaim_connection(worker, conn, shard);
+            shared.reclaim_connection(worker, conn);
             return None;
         }
         let now = Instant::now();
-        let reaped = shared.queues.reap_expired(now);
+        let reaped = shared.queue.reap_expired(now);
         if reaped > 0 {
             shared.reoffered += reaped;
             state.changed.notify_all();
@@ -617,25 +580,18 @@ fn answer_fetch(
         }
         // Both sides bound the batch: the worker's appetite and the
         // coordinator's `--chunk` cap (small chunks keep expensive tails
-        // spread across workers).
-        let taken = shared.queues.pop_for(conn, shard, max, now);
-        // A re-queued copy of a job that was meanwhile delivered by its
-        // original (slow) worker must not run again: release the fresh lease
-        // and drop it here.
-        let fields = &mut *shared;
-        let mut jobs = Vec::with_capacity(taken.len());
-        for idx in taken {
-            if fields.delivered[idx] {
-                fields.queues.complete(idx);
-                continue;
-            }
-            let pending = &fields.pending[idx];
-            let _ = fields
-                .manifest
-                .record_assigned(&pending.fp, pending.shard, worker);
-            jobs.push(pending.job.clone());
-        }
-        if !jobs.is_empty() {
+        // spread across workers). The queue holds only undelivered jobs.
+        let taken = shared.queue.take(conn, max, now);
+        if !taken.is_empty() {
+            let fields = &mut *shared;
+            let jobs = taken
+                .into_iter()
+                .map(|idx| {
+                    let pending = &fields.pending[idx];
+                    let _ = fields.manifest.record_assigned(&pending.fp, worker);
+                    pending.job.clone()
+                })
+                .collect();
             return Some(Reply::Assign { jobs });
         }
         if shared.is_done() {
@@ -644,7 +600,7 @@ fn answer_fetch(
         // Everything is leased out elsewhere. A worker still holding leases
         // asks again after its next delivery; one holding none is held until
         // there is something to say, or the backoff passes.
-        if now >= deadline || shared.queues.holds_lease(conn) {
+        if now >= deadline || shared.queue.holds_lease(conn) {
             return Some(Reply::Wait { millis: 0 });
         }
         shared = state
@@ -685,7 +641,6 @@ fn fold_delivery(
             });
         }
     };
-    shared.queues.complete(idx);
     if shared.delivered[idx] {
         // A slow worker delivering after re-offer + re-delivery: results are
         // deterministic per job, so the copy adds nothing. Drop it.
@@ -696,11 +651,10 @@ fn fold_delivery(
         .store
         .append_delivered(record)
         .map_err(|e| format!("cannot persist result: {e}"))?;
+    shared.queue.complete(idx);
     let pending = &shared.pending[idx];
     let label = pending.job.label();
-    let _ = shared
-        .manifest
-        .record_done(&pending.fp, pending.shard, worker);
+    let _ = shared.manifest.record_done(&pending.fp, worker);
     let _ = shared.timings.append(&TimingRecord {
         fp: pending.fp.clone(),
         label: label.clone(),
@@ -745,15 +699,15 @@ pub fn serve(
     opts: &ServeOptions,
 ) -> std::io::Result<ServeOutcome> {
     let store = ResultStore::open(store_path)?;
-    let manifest = ShardManifest::open(&manifest_path(store_path))?;
+    let manifest = AssignmentManifest::open(&manifest_path(store_path))?;
     let timings = TimingsLog::open(&timings_path(store_path))?;
 
-    // Each job is fingerprinted once, here: the resume filter, the shard
-    // queues, `by_fp`, the manifest rows, the campaign fingerprint and the
-    // final rewrite all read these.
+    // Each job is fingerprinted once, here: the resume filter, `by_fp`,
+    // the manifest rows, the campaign fingerprint and the final rewrite all
+    // read these.
     let fps: Vec<String> = jobs.iter().map(job_fingerprint).collect();
-    let mut queues = ShardQueues::new(opts.shards.max(1), opts.lease);
-    // Only unfinished fingerprints are (re-)offered — the resume contract.
+    // Only unfinished fingerprints are (re-)offered — the resume contract —
+    // in grid order.
     let pending: Vec<PendingJob> = jobs
         .iter()
         .zip(&fps)
@@ -761,17 +715,15 @@ pub fn serve(
         .map(|(job, fp)| PendingJob {
             job: job.clone(),
             fp: fp.clone(),
-            shard: shard_of_fingerprint(fp, queues.shards()),
         })
         .collect();
     let skipped = jobs.len() - pending.len();
     let total = jobs.len();
-
-    let mut by_fp = HashMap::with_capacity(pending.len());
-    for (idx, job) in pending.iter().enumerate() {
-        queues.push(job.shard, idx);
-        by_fp.insert(job.fp.clone(), idx);
-    }
+    let by_fp: HashMap<String, usize> = pending
+        .iter()
+        .enumerate()
+        .map(|(idx, job)| (job.fp.clone(), idx))
+        .collect();
 
     // An earlier serve of this store worked on this grid and left jobs
     // pending: it crashed (or was stopped), and its workers may still be
@@ -782,13 +734,11 @@ pub fn serve(
             .records_in_order()
             .any(|record| grid.contains(record.fp.as_str()))
     };
-    let pending_len = pending.len();
-    let shard_count = queues.shards();
     let shared = Mutex::new(Shared {
-        delivered: vec![false; pending_len],
+        delivered: vec![false; pending.len()],
+        queue: LeaseQueue::new(pending.len(), opts.lease),
         pending,
         by_fp,
-        queues,
         store,
         manifest,
         timings,
@@ -796,7 +746,6 @@ pub fn serve(
         failed: 0,
         worker_ids: HashSet::new(),
         live_conns: HashMap::new(),
-        home_counts: vec![0; shard_count],
         connections: 0,
         reoffered: 0,
         reconnects: 0,

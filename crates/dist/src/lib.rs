@@ -10,11 +10,10 @@
 //! * [`protocol`] — the JSONL-over-TCP wire format: a worker-driven
 //!   `Hello` / `Fetch` / `Deliver` conversation with `Assign` / `Wait` /
 //!   `Drained` replies;
-//! * [`coordinator`] — [`serve`]: partitions pending jobs **statically by
-//!   fingerprint prefix** into shard queues, then work-steals across them
-//!   so fast workers drain slow workers' tails; journals every assignment
-//!   to the `<store>.manifest.jsonl` sidecar; leases expire and lost
-//!   workers' jobs are re-offered;
+//! * [`coordinator`] — [`serve`]: deals pending jobs from **one queue in
+//!   grid order**, each `Fetch` taking the next jobs; journals every
+//!   assignment to the `<store>.manifest.jsonl` sidecar; leases expire and
+//!   lost workers' jobs go back to the front of the queue;
 //! * [`worker`] — [`run_worker`]: pulls jobs, runs them on one pool of the
 //!   runner's work-stealing executor that lasts the whole campaign (panic
 //!   isolation included), streams store-format records back with per-job
@@ -59,6 +58,7 @@
 pub mod coordinator;
 pub mod faultnet;
 pub mod protocol;
+mod queue;
 pub mod session;
 pub mod worker;
 

@@ -83,13 +83,11 @@ pub enum Request {
 /// What the coordinator replies.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum Reply {
-    /// Answer to `Hello`: the campaign being served and the worker's home
-    /// shard (its preferred queue; stealing crosses shards automatically).
+    /// Answer to `Hello`: the campaign being served, the coordinator's
+    /// session and the grid's fingerprint.
     Welcome {
         /// Name of the campaign whose grid is being served.
         campaign: String,
-        /// The worker's home shard index.
-        shard: usize,
         /// This coordinator process's session nonce. A reconnecting worker
         /// seeing a new nonce knows the coordinator restarted (informational
         /// — the campaign fingerprint is what gates resumption).
@@ -219,7 +217,6 @@ mod tests {
         let replies = vec![
             Reply::Welcome {
                 campaign: "fig06".into(),
-                shard: 3,
                 session: "pid-1234-0".into(),
                 fingerprint: "cafe0000cafe0000".into(),
             },

@@ -319,7 +319,6 @@ fn run_session(
             campaign,
             session: nonce,
             fingerprint,
-            ..
         } => {
             // The fingerprint is the resume gate: same grid resumes, a
             // different grid on the same address is a fatal mix-up.

@@ -15,8 +15,8 @@ use surepath_dist::{
     WorkerOptions,
 };
 use surepath_runner::{
-    job_fingerprint, manifest_path, run_campaign_with, CampaignSpec, JobSpec, ResultStore,
-    RunOptions, ShardManifest, TopologySpec,
+    job_fingerprint, manifest_path, run_campaign_with, AssignmentManifest, CampaignSpec, JobSpec,
+    ResultStore, RunOptions, TopologySpec,
 };
 
 fn spec(name: &str) -> CampaignSpec {
@@ -157,7 +157,7 @@ fn distributed_stores_are_byte_identical_to_local_for_any_worker_count() {
             "{workers}-worker distributed store must match the local bytes"
         );
         // The manifest records every job as done.
-        let manifest = ShardManifest::open_read_only(&manifest_path(&path)).unwrap();
+        let manifest = AssignmentManifest::open_read_only(&manifest_path(&path)).unwrap();
         assert_eq!(manifest.len(), 24);
         assert!(manifest
             .records_in_order()
@@ -437,7 +437,7 @@ fn manifest_distinguishes_in_flight_from_missing() {
     let _: Reply = read_message(&mut reader).unwrap().unwrap();
 
     // Mid-campaign: 4 assigned, 1 done → 3 in flight, the rest missing.
-    let manifest = ShardManifest::open_read_only(&manifest_path(&path)).unwrap();
+    let manifest = AssignmentManifest::open_read_only(&manifest_path(&path)).unwrap();
     let store = ResultStore::open_read_only(&path).unwrap();
     assert_eq!(manifest.len(), 4);
     let in_flight = manifest.in_flight(&|fp: &str| store.is_complete(fp));
@@ -818,9 +818,9 @@ fn serve_after_an_earlier_serve(
 ) {
     let path = temp_store(&s.name);
     clean(&path);
-    ShardManifest::open(&manifest_path(&path))
+    AssignmentManifest::open(&manifest_path(&path))
         .unwrap()
-        .record_assigned(fp, 0, worker)
+        .record_assigned(fp, worker)
         .unwrap();
     let jobs = s.expand().unwrap();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -1032,5 +1032,36 @@ fn a_fetch_from_a_connection_holding_leases_is_answered_at_once() {
         let _ = ask(&mut reader, &mut writer, &delivery(job));
     }
     assert!(server.join().unwrap().is_complete());
+    clean(&path);
+}
+
+/// A `Fetch` takes the next jobs in grid order, and jobs taken back from a
+/// lost connection are offered again before the untouched tail.
+#[test]
+fn fetches_take_the_grid_in_order_and_reoffer_lost_jobs_first() {
+    let (addr, jobs, server, path) = serve_whole_grid_chunks("dist-grid-order");
+    let fetch =
+        |reader: &mut std::io::BufReader<TcpStream>, writer: &mut TcpStream, max: usize| match ask(
+            reader,
+            writer,
+            &Request::Fetch { max },
+        ) {
+            Reply::Assign { jobs } => jobs,
+            other => panic!("expected an assignment, got {other:?}"),
+        };
+    let (mut first_reader, mut first_writer) = hello(&addr, "w");
+    assert_eq!(fetch(&mut first_reader, &mut first_writer, 4), jobs[..4]);
+    // The same worker introduces itself again: its first connection's four
+    // leases go back to the front of the queue.
+    let (mut reader, mut writer) = hello(&addr, "w");
+    assert_eq!(fetch(&mut reader, &mut writer, 6), jobs[..6]);
+    assert_eq!(fetch(&mut reader, &mut writer, jobs.len()), jobs[6..]);
+    for job in &jobs {
+        let _ = ask(&mut reader, &mut writer, &delivery(job));
+    }
+    drop((first_reader, first_writer));
+    let outcome = server.join().unwrap();
+    assert!(outcome.is_complete(), "{outcome:?}");
+    assert_eq!((outcome.executed, outcome.reoffered), (jobs.len(), 4));
     clean(&path);
 }

@@ -30,7 +30,6 @@ fn job(seed: u64) -> JobSpec {
 fn welcome() -> Reply {
     Reply::Welcome {
         campaign: "scripted".into(),
-        shard: 0,
         session: "scripted-session".into(),
         fingerprint: "0123456789abcdef".into(),
     }

@@ -33,19 +33,25 @@ pub struct NetworkView {
 impl NetworkView {
     /// Builds a view of the healthy HyperX with the escape subnetwork rooted at `escape_root`.
     pub fn healthy(hyperx: HyperX, escape_root: SwitchId) -> Self {
-        Self::from_hyperx(hyperx, escape_root)
+        Self::with_faults(hyperx, &FaultSet::empty(), escape_root)
     }
 
     /// Applies `faults` to a copy of `hyperx` and builds the view, recomputing
     /// distances and the escape subnetwork over the surviving links.
-    pub fn with_faults(mut hyperx: HyperX, faults: &FaultSet, escape_root: SwitchId) -> Self {
-        faults.apply(hyperx.network_mut());
-        Self::from_hyperx(hyperx, escape_root)
+    pub fn with_faults(hyperx: HyperX, faults: &FaultSet, escape_root: SwitchId) -> Self {
+        Self::with_faults_rooted(hyperx, faults, |_, _| escape_root)
     }
 
-    fn from_hyperx(hyperx: HyperX, escape_root: SwitchId) -> Self {
+    /// [`NetworkView::with_faults`] with the escape root picked by `root`
+    /// from the faulty network and its all-pairs distances, so a root
+    /// policy that reads distances reuses the view's matrix instead of
+    /// computing its own.
+    pub fn with_faults_rooted(
+        mut hyperx: HyperX,
+        faults: &FaultSet,
+        root: impl FnOnce(&Network, &DistanceMatrix) -> SwitchId,
+    ) -> Self {
         let n = hyperx.num_switches();
-        assert!(escape_root < n, "escape root out of range");
         let radix = hyperx.switch_radix();
         // Candidates carry 16-bit ports (and so, through the radix, 16-bit
         // coordinates); neighbor rows carry 32-bit switch ids.
@@ -57,6 +63,10 @@ impl NetworkView {
             n < DEAD_PORT as usize,
             "{n} switches do not fit a 32-bit id"
         );
+        faults.apply(hyperx.network_mut());
+        let distances = DistanceMatrix::compute(hyperx.network());
+        let escape_root = root(hyperx.network(), &distances);
+        assert!(escape_root < n, "escape root out of range");
         let net = hyperx.network();
         let neighbors = (0..n)
             .flat_map(|s| {
@@ -67,7 +77,6 @@ impl NetworkView {
             .flat_map(|s| hyperx.switch_coords(s))
             .map(|c| c as u16)
             .collect();
-        let distances = DistanceMatrix::compute(hyperx.network());
         let escape = if distances.is_connected() {
             Some(UpDownEscape::new(hyperx.network(), escape_root))
         } else {

@@ -22,11 +22,9 @@
 //!   fingerprinted and already-completed jobs are skipped on restart.
 //! * [`campaign`] — the driver tying the three together, with progress
 //!   reporting, an optional global deadline and the timings sidecar.
-//! * [`queue`] — shard queues + leases: the scheduling core the distributed
-//!   driver (`surepath-dist`) builds on (static fingerprint-prefix
-//!   partitioning, work stealing across shards, lease expiry).
-//! * [`manifest`] — the `<store>.manifest.jsonl` shard-assignment sidecar:
-//!   distinguishes "missing" from "assigned elsewhere / in-flight".
+//! * [`manifest`] — the `<store>.manifest.jsonl` assignment sidecar of a
+//!   distributed campaign (`surepath-dist`): distinguishes "missing" from
+//!   "assigned elsewhere / in-flight".
 //! * [`timings`] — the `<store>.timings.jsonl` per-job wall-clock sidecar
 //!   (host observations never enter the deterministic store).
 //! * [`trace`] — the `<store>.trace.jsonl` packet-lifecycle sidecar (same
@@ -56,7 +54,6 @@ pub mod fingerprint;
 pub mod manifest;
 pub mod obs;
 pub mod progress;
-pub mod queue;
 pub mod spec;
 pub mod store;
 pub mod timings;
@@ -71,8 +68,7 @@ pub use executor::{
     ChunkOptions, JobOutcome, Pool, PoolEvent,
 };
 pub use fingerprint::{job_fingerprint, point_fingerprint, point_fingerprint_ignoring_rng};
-pub use manifest::{manifest_path, ManifestRecord, ShardManifest};
-pub use queue::{shard_of_fingerprint, Lease, ShardQueues};
+pub use manifest::{manifest_path, AssignmentManifest, ManifestRecord};
 pub use spec::{load_spec_file, CampaignSpec, JobSpec, TopologySpec};
 pub use store::{
     group_replicas, merge_stores, MergeSummary, ResultStore, StoreRecord, STORE_SCHEMA_VERSION,

@@ -1,16 +1,18 @@
-//! Shard-assignment manifests: the `<store>.manifest.jsonl` sidecar of a
+//! Assignment manifests: the `<store>.manifest.jsonl` sidecar of a
 //! distributed campaign.
 //!
 //! The result store records *finished* jobs; the manifest records
-//! *assignments* — which worker/shard each job fingerprint was handed to,
-//! and whether a result came back. That distinction is what lets `--report`
+//! *assignments* — which worker each job fingerprint was handed to, and
+//! whether a result came back. That distinction is what lets `--report`
 //! tell **missing** (never assigned anywhere) from **assigned elsewhere /
-//! in-flight**, and lets a coordinator restarted after a crash re-offer
-//! only unfinished fingerprints while keeping their shard affinity.
+//! in-flight**, and lets a coordinator restarted after a crash tell that an
+//! earlier serve of the grid left work behind.
 //!
 //! Like the store, the manifest is append-only JSONL, flushed per record,
 //! tolerant of a truncated final line, and indexed last-writer-wins on
-//! reopen (`done` beats `assigned`).
+//! reopen (`done` beats `assigned`). Unknown keys are ignored, so lines
+//! written by older coordinators, which carried one more column, still
+//! load.
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -24,7 +26,8 @@ pub const MANIFEST_ASSIGNED: &str = "assigned";
 pub const MANIFEST_DONE: &str = "done";
 /// A lease taken back before delivery — the worker's connection died or it
 /// re-introduced itself (re-Hello) while the lease was still live. The job
-/// is back in its shard queue; a later `assigned` line supersedes this.
+/// is back in the coordinator's queue; a later `assigned` line supersedes
+/// this.
 pub const MANIFEST_RECLAIMED: &str = "reclaimed";
 
 /// One manifest line: a job fingerprint's latest assignment.
@@ -32,8 +35,6 @@ pub const MANIFEST_RECLAIMED: &str = "reclaimed";
 pub struct ManifestRecord {
     /// The job fingerprint (see [`crate::fingerprint`]).
     pub fp: String,
-    /// The static shard the fingerprint partitions into.
-    pub shard: usize,
     /// The worker the job was handed to (or that delivered the result).
     pub worker: String,
     /// `"assigned"` or `"done"`.
@@ -46,9 +47,9 @@ pub fn manifest_path(store: &Path) -> PathBuf {
     store.with_extension("manifest.jsonl")
 }
 
-/// An append-only, fingerprint-indexed shard-assignment manifest.
+/// An append-only, fingerprint-indexed assignment manifest.
 #[derive(Debug)]
-pub struct ShardManifest {
+pub struct AssignmentManifest {
     path: PathBuf,
     /// `None` for read-only manifests.
     writer: Option<BufWriter<File>>,
@@ -60,7 +61,7 @@ pub struct ShardManifest {
     pub corrupt_lines: usize,
 }
 
-impl ShardManifest {
+impl AssignmentManifest {
     fn index(
         path: &Path,
         tolerate_missing: bool,
@@ -108,7 +109,7 @@ impl ShardManifest {
             }
         }
         let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(ShardManifest {
+        Ok(AssignmentManifest {
             path: path.to_path_buf(),
             writer: Some(BufWriter::new(file)),
             records,
@@ -120,7 +121,7 @@ impl ShardManifest {
     /// Opens the manifest read-only; a missing file is an error.
     pub fn open_read_only(path: &Path) -> std::io::Result<Self> {
         let (records, order, corrupt_lines) = Self::index(path, false)?;
-        Ok(ShardManifest {
+        Ok(AssignmentManifest {
             path: path.to_path_buf(),
             writer: None,
             records,
@@ -161,37 +162,29 @@ impl ShardManifest {
         Ok(())
     }
 
-    /// Records that `fp` was handed to `worker` on `shard`.
-    pub fn record_assigned(&mut self, fp: &str, shard: usize, worker: &str) -> std::io::Result<()> {
+    /// Records that `fp` was handed to `worker`.
+    pub fn record_assigned(&mut self, fp: &str, worker: &str) -> std::io::Result<()> {
         self.append(ManifestRecord {
             fp: fp.to_string(),
-            shard,
             worker: worker.to_string(),
             status: MANIFEST_ASSIGNED.to_string(),
         })
     }
 
     /// Records that `worker` delivered `fp`'s result.
-    pub fn record_done(&mut self, fp: &str, shard: usize, worker: &str) -> std::io::Result<()> {
+    pub fn record_done(&mut self, fp: &str, worker: &str) -> std::io::Result<()> {
         self.append(ManifestRecord {
             fp: fp.to_string(),
-            shard,
             worker: worker.to_string(),
             status: MANIFEST_DONE.to_string(),
         })
     }
 
     /// Records that `fp`'s lease to `worker` was taken back undelivered
-    /// (disconnect or re-Hello reclaim) and the job re-queued on `shard`.
-    pub fn record_reclaimed(
-        &mut self,
-        fp: &str,
-        shard: usize,
-        worker: &str,
-    ) -> std::io::Result<()> {
+    /// (disconnect or re-Hello reclaim) and the job re-queued.
+    pub fn record_reclaimed(&mut self, fp: &str, worker: &str) -> std::io::Result<()> {
         self.append(ManifestRecord {
             fp: fp.to_string(),
-            shard,
             worker: worker.to_string(),
             status: MANIFEST_RECLAIMED.to_string(),
         })
@@ -251,21 +244,21 @@ mod tests {
         let path = temp_manifest("reopen");
         let _ = std::fs::remove_file(&path);
         {
-            let mut m = ShardManifest::open(&path).unwrap();
-            m.record_assigned("aaaa", 0, "w1").unwrap();
-            m.record_assigned("bbbb", 1, "w2").unwrap();
-            m.record_done("aaaa", 0, "w1").unwrap();
+            let mut m = AssignmentManifest::open(&path).unwrap();
+            m.record_assigned("aaaa", "w1").unwrap();
+            m.record_assigned("bbbb", "w2").unwrap();
+            m.record_done("aaaa", "w1").unwrap();
             // A re-offer after lease expiry: the new worker's assignment wins.
-            m.record_assigned("bbbb", 1, "w3").unwrap();
+            m.record_assigned("bbbb", "w3").unwrap();
         }
-        let m = ShardManifest::open(&path).unwrap();
+        let m = AssignmentManifest::open(&path).unwrap();
         assert_eq!(m.len(), 2);
         assert_eq!(m.record("aaaa").unwrap().status, MANIFEST_DONE);
         assert_eq!(m.record("bbbb").unwrap().worker, "w3");
         // `done` is terminal: a stale assignment replayed later cannot
         // resurrect an in-flight state.
-        let mut m = ShardManifest::open(&path).unwrap();
-        m.record_assigned("aaaa", 0, "w9").unwrap();
+        let mut m = AssignmentManifest::open(&path).unwrap();
+        m.record_assigned("aaaa", "w9").unwrap();
         assert_eq!(m.record("aaaa").unwrap().status, MANIFEST_DONE);
         let _ = std::fs::remove_file(&path);
     }
@@ -275,24 +268,24 @@ mod tests {
         let path = temp_manifest("reclaimed");
         let _ = std::fs::remove_file(&path);
         {
-            let mut m = ShardManifest::open(&path).unwrap();
-            m.record_assigned("aaaa", 0, "w1").unwrap();
-            m.record_assigned("bbbb", 0, "w1").unwrap();
-            m.record_done("bbbb", 0, "w1").unwrap();
+            let mut m = AssignmentManifest::open(&path).unwrap();
+            m.record_assigned("aaaa", "w1").unwrap();
+            m.record_assigned("bbbb", "w1").unwrap();
+            m.record_done("bbbb", "w1").unwrap();
             // The worker's connection died: `aaaa` is reclaimed, `bbbb` was
             // already delivered and must stay done.
-            m.record_reclaimed("aaaa", 0, "w1").unwrap();
-            m.record_reclaimed("bbbb", 0, "w1").unwrap();
+            m.record_reclaimed("aaaa", "w1").unwrap();
+            m.record_reclaimed("bbbb", "w1").unwrap();
         }
-        let m = ShardManifest::open(&path).unwrap();
+        let m = AssignmentManifest::open(&path).unwrap();
         assert_eq!(m.record("aaaa").unwrap().status, MANIFEST_RECLAIMED);
         assert_eq!(m.record("bbbb").unwrap().status, MANIFEST_DONE);
         // A reclaimed job is not in flight (it sits in a queue, unassigned).
         let nothing_complete = |_: &str| false;
         assert!(m.in_flight(&nothing_complete).is_empty());
         // A re-offer puts it back in flight under the new worker.
-        let mut m = ShardManifest::open(&path).unwrap();
-        m.record_assigned("aaaa", 0, "w2").unwrap();
+        let mut m = AssignmentManifest::open(&path).unwrap();
+        m.record_assigned("aaaa", "w2").unwrap();
         let in_flight = m.in_flight(&nothing_complete);
         assert_eq!(in_flight.len(), 1);
         assert_eq!(in_flight[0].worker, "w2");
@@ -303,11 +296,11 @@ mod tests {
     fn in_flight_consults_the_store_for_lost_done_lines() {
         let path = temp_manifest("in-flight");
         let _ = std::fs::remove_file(&path);
-        let mut m = ShardManifest::open(&path).unwrap();
-        m.record_assigned("aaaa", 0, "w1").unwrap();
-        m.record_assigned("bbbb", 0, "w1").unwrap();
-        m.record_assigned("cccc", 1, "w2").unwrap();
-        m.record_done("bbbb", 0, "w1").unwrap();
+        let mut m = AssignmentManifest::open(&path).unwrap();
+        m.record_assigned("aaaa", "w1").unwrap();
+        m.record_assigned("bbbb", "w1").unwrap();
+        m.record_assigned("cccc", "w2").unwrap();
+        m.record_done("bbbb", "w1").unwrap();
         // The store knows `cccc` completed even though no `done` line landed
         // (coordinator crashed between the two writes).
         let complete = |fp: &str| fp == "cccc";
@@ -322,17 +315,39 @@ mod tests {
         let path = temp_manifest("truncated");
         let _ = std::fs::remove_file(&path);
         {
-            let mut m = ShardManifest::open(&path).unwrap();
-            m.record_assigned("aaaa", 0, "w1").unwrap();
+            let mut m = AssignmentManifest::open(&path).unwrap();
+            m.record_assigned("aaaa", "w1").unwrap();
         }
         {
             use std::io::Write as _;
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            f.write_all(b"{\"fp\":\"bbbb\",\"sh").unwrap();
+            f.write_all(b"{\"fp\":\"bbbb\",\"wor").unwrap();
         }
-        let m = ShardManifest::open(&path).unwrap();
+        let m = AssignmentManifest::open(&path).unwrap();
         assert_eq!(m.len(), 1);
         assert_eq!(m.corrupt_lines, 1);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn manifests_with_the_old_shard_column_still_load() {
+        let path = temp_manifest("old-column");
+        std::fs::write(
+            &path,
+            "{\"fp\":\"aaaa\",\"shard\":3,\"worker\":\"w1\",\"status\":\"assigned\"}\n",
+        )
+        .unwrap();
+        let mut m = AssignmentManifest::open(&path).unwrap();
+        assert_eq!(m.corrupt_lines, 0);
+        assert_eq!(m.record("aaaa").unwrap().worker, "w1");
+        m.record_done("aaaa", "w1").unwrap();
+        drop(m);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let appended = text.lines().nth(1).unwrap();
+        assert!(!appended.contains("shard"), "{appended}");
+        let m = AssignmentManifest::open_read_only(&path).unwrap();
+        assert_eq!((m.len(), m.corrupt_lines), (1, 0));
+        assert_eq!(m.record("aaaa").unwrap().status, MANIFEST_DONE);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -341,15 +356,15 @@ mod tests {
         let path = temp_manifest("read-only");
         let _ = std::fs::remove_file(&path);
         {
-            let mut m = ShardManifest::open(&path).unwrap();
-            m.record_assigned("aaaa", 0, "w1").unwrap();
+            let mut m = AssignmentManifest::open(&path).unwrap();
+            m.record_assigned("aaaa", "w1").unwrap();
         }
-        let mut ro = ShardManifest::open_read_only(&path).unwrap();
+        let mut ro = AssignmentManifest::open_read_only(&path).unwrap();
         assert_eq!(ro.len(), 1);
-        assert!(ro.record_assigned("bbbb", 0, "w1").is_err());
+        assert!(ro.record_assigned("bbbb", "w1").is_err());
         let missing = temp_manifest("read-only-missing");
         let _ = std::fs::remove_file(&missing);
-        assert!(ShardManifest::open_read_only(&missing).is_err());
+        assert!(AssignmentManifest::open_read_only(&missing).is_err());
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -1,14 +1,13 @@
-//! Property tests of the shard-manifest sidecar: any generated sequence of
-//! assignment/delivery events must survive a write → reopen round trip with
-//! the same indexed state, `done` must stay terminal, and the fingerprint
-//! partition must be stable and total.
+//! Property tests of the assignment-manifest sidecar: any generated
+//! sequence of assignment/delivery events must survive a write → reopen
+//! round trip with the same indexed state, and `done` must stay terminal.
 
 use proptest::prelude::*;
 use std::path::PathBuf;
 use surepath_runner::manifest::{
     ManifestRecord, MANIFEST_ASSIGNED, MANIFEST_DONE, MANIFEST_RECLAIMED,
 };
-use surepath_runner::{shard_of_fingerprint, ShardManifest};
+use surepath_runner::AssignmentManifest;
 
 fn temp_manifest(tag: u64) -> PathBuf {
     let dir = std::env::temp_dir().join("surepath-runner-manifest-props");
@@ -40,16 +39,15 @@ proptest! {
     fn manifest_round_trips_through_reopen(raw in events(), tag in 0u64..u64::MAX) {
         let path = temp_manifest(tag);
         let _ = std::fs::remove_file(&path);
-        let mut live = ShardManifest::open(&path).unwrap();
+        let mut live = AssignmentManifest::open(&path).unwrap();
         for &event in &raw {
             let (job, worker, kind) = decode(event);
             let fp = event_fp(job);
-            let shard = shard_of_fingerprint(&fp, 4);
             let worker = format!("w{worker}");
             match kind {
-                1 => live.record_done(&fp, shard, &worker).unwrap(),
-                2 => live.record_reclaimed(&fp, shard, &worker).unwrap(),
-                _ => live.record_assigned(&fp, shard, &worker).unwrap(),
+                1 => live.record_done(&fp, &worker).unwrap(),
+                2 => live.record_reclaimed(&fp, &worker).unwrap(),
+                _ => live.record_assigned(&fp, &worker).unwrap(),
             }
         }
         let live_records: Vec<ManifestRecord> =
@@ -57,14 +55,14 @@ proptest! {
         drop(live);
 
         // Reopen: identical index, identical order, no corruption.
-        let reopened = ShardManifest::open_read_only(&path).unwrap();
+        let reopened = AssignmentManifest::open_read_only(&path).unwrap();
         let reopened_records: Vec<ManifestRecord> =
             reopened.records_in_order().cloned().collect();
         prop_assert_eq!(&reopened_records, &live_records);
         prop_assert_eq!(reopened.corrupt_lines, 0);
 
-        // Invariants of the indexed state: done is terminal, statuses are
-        // canonical, shards match the fingerprint partition.
+        // Invariants of the indexed state: done is terminal and statuses
+        // are canonical.
         for record in &reopened_records {
             prop_assert!(
                 record.status == MANIFEST_ASSIGNED
@@ -73,7 +71,6 @@ proptest! {
                 "unexpected status {:?}",
                 record.status
             );
-            prop_assert_eq!(record.shard, shard_of_fingerprint(&record.fp, 4));
             let fp_done = raw.iter().any(|&event| {
                 let (job, _, kind) = decode(event);
                 kind == 1 && event_fp(job) == record.fp
@@ -88,13 +85,5 @@ proptest! {
             }
         }
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn fingerprint_sharding_is_total_and_stable(job in 0u64..u64::MAX, shards in 1usize..32) {
-        let fp = format!("{job:016x}");
-        let shard = shard_of_fingerprint(&fp, shards);
-        prop_assert!(shard < shards);
-        prop_assert_eq!(shard, shard_of_fingerprint(&fp, shards));
     }
 }

@@ -13,7 +13,7 @@
 //! * [`runner`] (`surepath-runner`) — declarative campaign specs, the
 //!   work-stealing executor and the resumable JSONL result store.
 //! * [`dist`] (`surepath-dist`) — the distributed campaign driver:
-//!   coordinator/worker fan-out over TCP with shard manifests.
+//!   coordinator/worker fan-out over TCP with assignment manifests.
 //! * [`core`] (`surepath-core`) — experiments, scenarios, sweeps and the
 //!   campaign → experiment bridge.
 //! * [`cli`] (`surepath-cli`) — the `surepath` command line.

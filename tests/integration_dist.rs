@@ -123,7 +123,8 @@ fn distributed_bytes(spec: &CampaignSpec, name: &str, workers: usize) -> Vec<u8>
     assert_eq!(outcome.workers, workers);
     let bytes = std::fs::read(&path).unwrap();
     // The manifest sidecar exists and covers the executed grid.
-    let manifest = surepath::runner::ShardManifest::open_read_only(&manifest_path(&path)).unwrap();
+    let manifest =
+        surepath::runner::AssignmentManifest::open_read_only(&manifest_path(&path)).unwrap();
     assert_eq!(manifest.len(), outcome.executed);
     clean(&path);
     bytes
@@ -278,9 +279,10 @@ fn metrics_endpoint_serves_live_fleet_state_without_perturbing_bytes() {
     );
     assert!(before.contains("surepath_workers_live 0"), "{before}");
     assert!(
-        before.contains("surepath_jobs_pending{shard=\"0\"}"),
+        before.contains(&format!("surepath_jobs_pending {}", jobs.len())),
         "{before}"
     );
+    assert!(before.contains("surepath_jobs_leased 0"), "{before}");
     assert!(
         before.contains("surepath_lease_reclaims_total 0"),
         "{before}"
