@@ -20,9 +20,12 @@
 //! The cases span all ten mechanisms × three loads × both RNG contracts on
 //! a healthy 4×4, random link faults across seeds, switches whose
 //! occupancy masks span several words, batch runs with a drain, the
-//! congested closed-loop case, per-cycle state streams, and the traffic
-//! axis (RSP, DCR, transpose and shift on a 4×4 with 4 servers per switch,
-//! RPN batch runs on a 4×4×4), healthy and faulted, under both contracts.
+//! congested closed-loop case, per-cycle state streams, the traffic axis
+//! (RSP, DCR, transpose and shift on a 4×4 with 4 servers per switch, RPN
+//! batch runs on a 4×4×4), healthy and faulted, under both contracts, and
+//! router timings other than Table 2's (packet lengths, crossbar latency
+//! and speedup, link latency, 1-packet buffers), which move the cycles at
+//! which ports and servers can act.
 //!
 //! A second pass runs every case on one simulator, reset between cases
 //! ([`Simulator::reset`]), and must match the same digests.
@@ -218,7 +221,7 @@ impl Case {
     }
 
     /// The case's unique name: run, traffic, network and concentration,
-    /// mechanism, RNG contract, seed and windows.
+    /// mechanism, RNG contract, seed and windows, then the timing.
     fn name(&self) -> String {
         let run = match self.run {
             Run::Rate(load) => format!("rate{load}"),
@@ -226,7 +229,7 @@ impl Case {
             Run::Stream { load, cycles } => format!("stream{load}x{cycles}"),
         };
         format!(
-            "{run}/{}/{}c{}/{}/{}/s{}/w{}+{}",
+            "{run}/{}/{}c{}/{}/{}/s{}/w{}+{}{}",
             self.traffic.key(),
             self.net.key(),
             self.cfg.servers_per_switch,
@@ -235,7 +238,44 @@ impl Case {
             self.cfg.seed,
             self.cfg.warmup_cycles,
             self.cfg.measure_cycles,
+            self.timing(),
         )
+    }
+
+    /// Every timing parameter that differs from Table 2, as `/key value`
+    /// pairs (empty under Table 2 timing).
+    fn timing(&self) -> String {
+        let (cfg, table2) = (&self.cfg, SimConfig::paper_defaults(1, 1));
+        let fields = [
+            ("len", cfg.packet_length, table2.packet_length),
+            ("xbar", cfg.crossbar_latency, table2.crossbar_latency),
+            (
+                "speedup",
+                cfg.crossbar_speedup as u64,
+                table2.crossbar_speedup as u64,
+            ),
+            ("link", cfg.link_latency, table2.link_latency),
+            (
+                "in",
+                cfg.input_buffer_packets as u64,
+                table2.input_buffer_packets as u64,
+            ),
+            (
+                "out",
+                cfg.output_buffer_packets as u64,
+                table2.output_buffer_packets as u64,
+            ),
+            (
+                "src",
+                cfg.source_queue_packets as u64,
+                table2.source_queue_packets as u64,
+            ),
+        ];
+        fields
+            .iter()
+            .filter(|(_, value, default)| value != default)
+            .map(|(key, value, _)| format!("/{key}{value}"))
+            .collect()
     }
 
     /// What a simulator of this case is built, or reset, from.
@@ -359,6 +399,9 @@ fn config(
     cfg
 }
 
+/// A change to Table 2 timing.
+type Retiming = fn(&mut SimConfig);
+
 /// The pinned cases, in fixture order.
 fn cases() -> Vec<Case> {
     use MechanismSpec::{Dor, Minimal, OmniSP, PolSP, Valiant};
@@ -465,6 +508,62 @@ fn cases() -> Vec<Case> {
                 let net = Net::Cube { cross };
                 let case = Case::new(mechanism, net, Traffic::Rpn, cfg, Run::Batch(4));
                 cases.push(case.traced());
+            }
+        }
+    }
+    // Router timings other than Table 2's, where the crossbar (9 cycles)
+    // always beats the link (16): short and odd packet lengths, a crossbar
+    // slower than the link, one grant per output, links without latency,
+    // and 1-packet buffers, under which servers wait on credits.
+    let timings: [(&str, Retiming); 6] = [
+        ("len1", |cfg| cfg.packet_length = 1),
+        ("len5", |cfg| cfg.packet_length = 5),
+        ("slow crossbar", |cfg| {
+            cfg.crossbar_latency = 20;
+            cfg.crossbar_speedup = 1;
+        }),
+        ("speedup1", |cfg| cfg.crossbar_speedup = 1),
+        ("link0", |cfg| cfg.link_latency = 0),
+        ("buffers1", |cfg| {
+            cfg.input_buffer_packets = 1;
+            cfg.output_buffer_packets = 1;
+            cfg.source_queue_packets = 1;
+        }),
+    ];
+    for contract in CONTRACTS {
+        for (_, set) in timings {
+            let mut cfg = config(2, 4, contract, 21, (200, 600));
+            set(&mut cfg);
+            cases.push(Case::new(
+                OmniSP,
+                grid,
+                Traffic::Uniform,
+                cfg,
+                Run::Rate(0.7),
+            ));
+        }
+    }
+    for (name, set) in timings {
+        let mut cfg = config(2, 4, RngContract::V2Counting, 5, (1_000, 2_000));
+        set(&mut cfg);
+        let net = Net::Grid { faults: 2 };
+        let case = Case::new(PolSP, net, Traffic::Uniform, cfg, Run::Batch(6));
+        cases.push(if name == "slow crossbar" {
+            case.traced()
+        } else {
+            case
+        });
+    }
+    for contract in CONTRACTS {
+        for (name, set) in timings {
+            if name == "len1" || name == "buffers1" {
+                let mut cfg = config(2, 4, contract, 13, (1_000, 2_000));
+                set(&mut cfg);
+                let run = Run::Stream {
+                    load: 0.5,
+                    cycles: 800,
+                };
+                cases.push(Case::new(Valiant, grid, Traffic::Uniform, cfg, run));
             }
         }
     }
@@ -581,6 +680,7 @@ fn a_reset_simulator_matches_the_digest_corpus() {
                 "rng contract",
                 previous.cfg.rng_contract != case.cfg.rng_contract,
             ),
+            ("timing", previous.timing() != case.timing()),
             (
                 "mode",
                 std::mem::discriminant(&previous.run) != std::mem::discriminant(&case.run),
@@ -598,7 +698,7 @@ fn a_reset_simulator_matches_the_digest_corpus() {
         }
         previous = case;
     }
-    assert_eq!(covered.len(), 9, "the reuse pass covers only {covered:?}");
+    assert_eq!(covered.len(), 10, "the reuse pass covers only {covered:?}");
     lines.reverse();
     let drift = drift_from_committed(&lines.concat());
     assert!(
