@@ -1208,7 +1208,8 @@ fn run_serve(
 /// [`DRAIN_LINGER_MILLIS`](surepath_dist::protocol::DRAIN_LINGER_MILLIS)
 /// has nothing left to deliver (one that dialed after the grid drained
 /// would redial a closed port until its reconnect budget ran out), so it is
-/// stopped, and not counted.
+/// stopped, and not counted. The standard library has no wait with a
+/// timeout, so this polls every millisecond.
 fn reap_workers(mut children: Vec<std::process::Child>) -> usize {
     let linger = std::time::Duration::from_millis(surepath_dist::protocol::DRAIN_LINGER_MILLIS);
     let deadline = std::time::Instant::now() + linger;
@@ -1234,7 +1235,7 @@ fn reap_workers(mut children: Vec<std::process::Child>) -> usize {
         if children.is_empty() {
             return failures;
         }
-        std::thread::sleep(std::time::Duration::from_millis(10));
+        std::thread::sleep(std::time::Duration::from_millis(1));
     }
 }
 

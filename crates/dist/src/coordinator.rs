@@ -32,13 +32,17 @@
 //! [`WAIT_BACKOFF_MILLIS`], until a lease reclaim gives it work or the
 //! grid drains, so an idle worker hears `Drained` the moment the last
 //! result lands instead of after a backoff.
+//!
+//! The acceptor and the live-metrics endpoint block in `accept`. When the
+//! serve ends, it sets a stop flag and dials each listener once, so the
+//! thread returns at once instead of polling.
 
 use crate::protocol::{write_message, Reply, Request, DRAIN_LINGER_MILLIS, WAIT_BACKOFF_MILLIS};
 use crate::queue::LeaseQueue;
 use crate::session::{campaign_fingerprint, session_nonce, ReconnectPolicy};
 use std::collections::{HashMap, HashSet};
 use std::io::BufReader;
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -260,7 +264,6 @@ fn render_metrics(shared: &Shared) -> String {
 /// a misbehaving scraper must never disturb the campaign.
 fn answer_metrics_request(mut stream: TcpStream, body: &str) {
     use std::io::{Read as _, Write as _};
-    let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
     let mut scratch = [0u8; 1024];
     let _ = stream.read(&mut scratch);
@@ -271,6 +274,19 @@ fn answer_metrics_request(mut stream: TcpStream, body: &str) {
     );
     let _ = stream.write_all(response.as_bytes());
     let _ = stream.flush();
+}
+
+/// Wakes a thread blocked in `accept` on a listener bound to `addr`, by
+/// dialing it once (loopback when it is bound to an unspecified address).
+/// The thread reads the stop flag, set before this call, and returns. A
+/// refused dial means the listener is closed already.
+fn wake_acceptor(addr: SocketAddr) {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    let _ = TcpStream::connect(SocketAddr::new(ip, addr.port()));
 }
 
 /// What one polled read produced. A malformed frame is deliberately *not*
@@ -771,30 +787,22 @@ pub fn serve(
     let metrics_thread = match &opts.metrics_addr {
         Some(addr) => {
             let metrics_listener = TcpListener::bind(addr)?;
+            let metrics_addr = metrics_listener.local_addr()?;
             if !opts.quiet {
-                log_info!(
-                    "dist",
-                    "metrics endpoint listening on {}",
-                    metrics_listener.local_addr()?
-                );
+                log_info!("dist", "metrics endpoint listening on {metrics_addr}");
             }
-            metrics_listener.set_nonblocking(true)?;
             let metrics_state = Arc::clone(&state);
             let metrics_stop = Arc::clone(&stop);
-            Some(std::thread::spawn(move || {
-                while !metrics_stop.load(Ordering::SeqCst) {
-                    match metrics_listener.accept() {
-                        Ok((stream, _)) => {
-                            let body = render_metrics(&metrics_state.lock());
-                            answer_metrics_request(stream, &body);
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(10));
-                        }
-                        Err(_) => break,
+            let handle = std::thread::spawn(move || {
+                while let Ok((stream, _)) = metrics_listener.accept() {
+                    if metrics_stop.load(Ordering::SeqCst) {
+                        break;
                     }
+                    let body = render_metrics(&metrics_state.lock());
+                    answer_metrics_request(stream, &body);
                 }
-            }))
+            });
+            Some((handle, metrics_addr))
         }
         None => None,
     };
@@ -808,30 +816,24 @@ pub fn serve(
     let session = session_nonce();
     let fingerprint = campaign_fingerprint(campaign, &fps);
     let chunk = opts.chunk.max(1);
-    listener.set_nonblocking(true)?;
+    listener.set_nonblocking(false)?;
+    let listen_addr = listener.local_addr()?;
     // The accept loop runs on its own thread so the main thread can watch
     // for completion; handler threads are detached and guarded by the
     // delivered flags (late deliveries after completion are no-ops).
     let acceptor = std::thread::spawn(move || {
         let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !accept_stop.load(Ordering::SeqCst) {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    // Blocking I/O per connection from here on.
-                    let _ = stream.set_nonblocking(false);
-                    let state = Arc::clone(&accept_state);
-                    let campaign = campaign_name.clone();
-                    let session = session.clone();
-                    let fingerprint = fingerprint.clone();
-                    handlers.push(std::thread::spawn(move || {
-                        handle_connection(stream, &campaign, &fingerprint, &session, &state, chunk);
-                    }));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(_) => break,
+        while let Ok((stream, _)) = listener.accept() {
+            if accept_stop.load(Ordering::SeqCst) {
+                break;
             }
+            let state = Arc::clone(&accept_state);
+            let campaign = campaign_name.clone();
+            let session = session.clone();
+            let fingerprint = fingerprint.clone();
+            handlers.push(std::thread::spawn(move || {
+                handle_connection(stream, &campaign, &fingerprint, &session, &state, chunk);
+            }));
         }
         for h in handlers {
             let _ = h.join();
@@ -870,8 +872,10 @@ pub fn serve(
         }
     }
     stop.store(true, Ordering::SeqCst);
+    wake_acceptor(listen_addr);
     let _ = acceptor.join();
-    if let Some(handle) = metrics_thread {
+    if let Some((handle, metrics_addr)) = metrics_thread {
+        wake_acceptor(metrics_addr);
         let _ = handle.join();
     }
 

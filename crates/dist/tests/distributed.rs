@@ -1065,3 +1065,53 @@ fn fetches_take_the_grid_in_order_and_reoffer_lost_jobs_first() {
     assert_eq!((outcome.executed, outcome.reoffered), (jobs.len(), 4));
     clean(&path);
 }
+
+/// A serve stopped by its stop hook returns although nothing dials it
+/// after the stop: it wakes its own blocking acceptor and metrics
+/// listener. Both are bound to unspecified addresses here, so the wake
+/// dials loopback.
+#[test]
+fn a_serve_stopped_by_its_hook_returns_with_no_connection_after_the_stop() {
+    let s = spec("dist-stop-wake");
+    let path = temp_store(&s.name);
+    clean(&path);
+    let jobs = s.expand().unwrap();
+    let listener = TcpListener::bind("0.0.0.0:0").unwrap();
+    let addr = format!("127.0.0.1:{}", listener.local_addr().unwrap().port());
+    let opts = ServeOptions {
+        stop_after_deliveries: Some(2),
+        metrics_addr: Some("0.0.0.0:0".into()),
+        ..quiet_opts()
+    };
+    let (returned, outcome) = std::sync::mpsc::channel();
+    let server = {
+        let path = path.clone();
+        std::thread::spawn(move || {
+            let _ = returned.send(serve(listener, &s.name, &jobs, &path, &opts).unwrap());
+        })
+    };
+    let (mut reader, mut writer) = hello(&addr, "only");
+    let leased = match ask(&mut reader, &mut writer, &Request::Fetch { max: 4 }) {
+        Reply::Assign { jobs } => jobs,
+        other => panic!("expected an assignment, got {other:?}"),
+    };
+    assert_eq!(
+        ask(&mut reader, &mut writer, &delivery(&leased[0])),
+        Reply::Wait { millis: 0 }
+    );
+    // The second delivery trips the hook: it is stored, and the connection
+    // is severed without a reply.
+    write_message(&mut writer, &delivery(&leased[1])).unwrap();
+    assert!(matches!(
+        read_message::<Reply>(&mut reader),
+        Ok(None) | Err(_)
+    ));
+    drop((reader, writer));
+    let outcome = outcome
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the stopped serve returns without another connection");
+    server.join().unwrap();
+    assert!(outcome.stopped, "{outcome:?}");
+    assert_eq!(outcome.executed, 2);
+    clean(&path);
+}

@@ -27,13 +27,35 @@
 //! each input VC caches its head's candidate list as the 8-byte
 //! [`Candidate`]s the routing algorithm wrote there (the escape part appended
 //! only when it can win), and all per-step scratch lives in one reusable
-//! `StepArena`. Each switch keeps two occupancy bitmasks —
-//! non-empty input VCs (bit `port·num_vcs + vc`) and non-empty staging
-//! buffers (bit `port`) — so the allocation and transmit sweeps visit only
+//! `StepArena`. Each switch keeps an occupancy bitmask of its non-empty
+//! input VCs (bit `port·num_vcs + vc`), so the allocation sweep visits only
 //! occupied slots, in ascending order. A digest corpus recorded from the
 //! per-switch-struct engine this layout replaced, while both engines ran
 //! (the `corpus` tests, `tests/fixtures/engine_corpus.txt`), pins RNG draw
 //! order, metrics bytes, counters and traces.
+//!
+//! # Due lists
+//!
+//! A staged packet waits for the crossbar and for its link (9 and 16 cycles
+//! under Table 2 timing), and a server waits for its link and for a credit.
+//! Instead of checking every staged port and backlogged server on every
+//! cycle, the engine lists each output port and each server under the
+//! cycle it can next act, on a timing wheel (`DueLists`; Varghese &
+//! Lauck, SOSP 1987):
+//!
+//! * a port is due at the later of its `link_busy` and its head packet's
+//!   `stg_ready`: a grant into an empty staging buffer lists it, and each
+//!   send lists it again while packets remain;
+//! * a server with a queued packet is due at the later of its `srv_busy`
+//!   and the cycle its head was admitted; one whose injection finds no
+//!   credit waits, and the pop that frees the credit lists it for the next
+//!   cycle.
+//!
+//! Each stage acts on exactly the entries due in the current cycle, in
+//! ascending index order: the order in which a scan of every port or
+//! server each cycle would act. The digest corpus pins that equivalence
+//! under Table 2 timing and under other packet lengths, latencies,
+//! speedups and buffer sizes.
 //!
 //! Every phase runs sequentially on the calling thread. Campaigns get their
 //! parallelism from running whole jobs side by side.
@@ -97,12 +119,12 @@ struct VcCache {
     escape_pending: bool,
 }
 
-/// A deterministic dirty set of indices (switches, or servers for the
-/// generation stage).
+/// A deterministic dirty set of switch indices: the switches the allocation
+/// stage visits.
 ///
-/// The active-set scheduler must visit members in exactly the order the
-/// exhaustive scan would (ascending index — RNG draws happen per member in
-/// that order), so this is a sorted list plus a membership bitmap:
+/// The allocator must visit members in exactly the order the exhaustive
+/// scan would (ascending index — RNG draws happen per member in that
+/// order), so this is a sorted list plus a membership bitmap:
 /// insertion is O(1) amortised (pending insertions merge in one in-place
 /// backward merge per cycle), iteration is the sorted list, and removal
 /// happens during the caller's sweep. No allocations at steady state.
@@ -159,6 +181,54 @@ impl ActiveSet {
             self.list[k] = self.added[j];
         }
         self.added.clear();
+    }
+}
+
+/// Indices (output ports or servers) listed under the cycle they can next
+/// act, on a wheel of buckets indexed by `cycle % len` like the event
+/// wheel. Every listed cycle lies less than `len` cycles ahead of the
+/// current one, so a bucket only ever holds entries of one cycle.
+#[derive(Debug, Default)]
+struct DueLists {
+    buckets: Vec<Vec<u32>>,
+}
+
+impl DueLists {
+    /// Empties every bucket and sizes the wheel to `len` buckets.
+    fn reset(&mut self, len: usize) {
+        self.buckets.iter_mut().for_each(Vec::clear);
+        self.buckets.resize_with(len, Vec::new);
+    }
+
+    fn bucket(&self, cycle: u64) -> usize {
+        (cycle % self.buckets.len() as u64) as usize
+    }
+
+    /// Lists `idx` under `cycle`.
+    #[inline]
+    fn push(&mut self, cycle: u64, idx: usize) {
+        let bucket = self.bucket(cycle);
+        self.buckets[bucket].push(idx as u32);
+    }
+
+    /// Takes the entries listed under `cycle`, in ascending order; hand the
+    /// buffer back with `put_back` so its capacity is reused.
+    fn take_sorted(&mut self, cycle: u64) -> Vec<u32> {
+        let bucket = self.bucket(cycle);
+        let mut due = std::mem::take(&mut self.buckets[bucket]);
+        due.sort_unstable();
+        due
+    }
+
+    /// Returns the emptied buffer of `cycle`'s bucket.
+    fn put_back(&mut self, cycle: u64, mut due: Vec<u32>) {
+        due.clear();
+        let bucket = self.bucket(cycle);
+        debug_assert!(
+            self.buckets[bucket].is_empty(),
+            "listed into a taken bucket"
+        );
+        self.buckets[bucket] = due;
     }
 }
 
@@ -331,8 +401,6 @@ pub struct Simulator {
     cap_src: usize,
     /// Words per switch of `in_mask` (`ceil(num_ports·num_vcs / 64)`).
     in_words: usize,
-    /// Words per switch of `stg_mask` (`ceil(num_ports / 64)`).
-    stg_words: usize,
     // --- packet storage ---
     pkt: PacketArena,
     // --- input VC state, indexed by `slot = (switch·num_ports + port)·num_vcs + vc` ---
@@ -365,10 +433,15 @@ pub struct Simulator {
     stg_ready: Vec<u64>,
     stg_head: Vec<u16>,
     stg_len: Vec<u16>,
-    /// Non-empty staging buffers: switch `s` owns words `s·stg_words ..`,
-    /// bit `port`. Set by grants, cleared by transmits.
-    stg_mask: Vec<u64>,
     link_busy: Vec<u64>,
+    /// Output ports listed under the cycle they can next send: the later of
+    /// `link_busy` and the head's `stg_ready`. A port is listed exactly
+    /// once while it holds a staged packet, and never while it holds none.
+    port_due: DueLists,
+    /// Staged packets per switch.
+    stg_count: Vec<u32>,
+    /// Switches holding a staged packet (a non-zero `stg_count`).
+    stg_switches: u64,
     // --- server state ---
     /// Source-queue ring storage: `srv_q[server·cap_src ..][..cap_src]`.
     srv_q: Vec<u32>,
@@ -376,6 +449,16 @@ pub struct Simulator {
     srv_len: Vec<u16>,
     srv_busy: Vec<u64>,
     srv_quota: Vec<u64>,
+    /// Servers listed under the cycle their link can next inject: the later
+    /// of `srv_busy` and the cycle the head was admitted. A server with
+    /// queued packets is either listed once or waiting on a credit.
+    server_due: DueLists,
+    /// Servers whose injection found no credit in their switch input VC:
+    /// the pop that frees one lists them for the next cycle.
+    srv_waiting: Vec<bool>,
+    /// Batch mode: the servers with quota left, ascending (the servers
+    /// that try to admit a packet every cycle).
+    quota_left: Vec<u32>,
     // --- time, randomness, bookkeeping ---
     /// Event wheel indexed by `cycle % wheel.len()`.
     wheel: Vec<Vec<Ev>>,
@@ -397,17 +480,6 @@ pub struct Simulator {
     /// Switches with at least one buffered input packet (a non-zero
     /// `in_mask`): the only switches the allocator needs to visit.
     alloc_active: ActiveSet,
-    /// Switches with at least one staged packet (a non-zero `stg_mask`):
-    /// the only switches the transmit stage needs to visit.
-    xmit_active: ActiveSet,
-    /// Servers with generation work or source-queue backlog: the only
-    /// servers batch mode and rate contract v2 visit. (Rate contract v1
-    /// scans every server — its per-server draw order is the frozen
-    /// contract.)
-    server_live: ActiveSet,
-    /// Rebuild `server_live` from scratch before the next batch-mode cycle
-    /// (set whenever quotas are handed out or zeroed).
-    server_live_dirty: bool,
     /// Rate contract v2: per-server cycle stamp marking membership in this
     /// cycle's sampled injector set (`cycle + 1`; never needs clearing).
     sampled_at: Vec<u64>,
@@ -455,7 +527,6 @@ impl Simulator {
             cap_out: 0,
             cap_src: 0,
             in_words: 0,
-            stg_words: 0,
             pkt: PacketArena::default(),
             in_q: Vec::new(),
             in_head: Vec::new(),
@@ -470,13 +541,18 @@ impl Simulator {
             stg_ready: Vec::new(),
             stg_head: Vec::new(),
             stg_len: Vec::new(),
-            stg_mask: Vec::new(),
             link_busy: Vec::new(),
+            port_due: DueLists::default(),
+            stg_count: Vec::new(),
+            stg_switches: 0,
             srv_q: Vec::new(),
             srv_head: Vec::new(),
             srv_len: Vec::new(),
             srv_busy: Vec::new(),
             srv_quota: Vec::new(),
+            server_due: DueLists::default(),
+            srv_waiting: Vec::new(),
+            quota_left: Vec::new(),
             wheel: Vec::new(),
             cycle: 0,
             next_packet_id: 0,
@@ -491,9 +567,6 @@ impl Simulator {
             stalled: false,
             window_delivered_phits: 0,
             alloc_active: ActiveSet::default(),
-            xmit_active: ActiveSet::default(),
-            server_live: ActiveSet::default(),
-            server_live_dirty: true,
             sampled_at: Vec::new(),
             binomial_cache: None,
             step: StepArena::default(),
@@ -595,7 +668,6 @@ impl Simulator {
         self.cap_out = self.cfg.output_buffer_packets;
         self.cap_src = self.cfg.source_queue_packets;
         self.in_words = (self.num_ports * self.num_vcs).div_ceil(64);
-        self.stg_words = self.num_ports.div_ceil(64);
         self.escape_floor = self.mechanism.escape_floor();
         let nslots = num_switches * self.num_ports * self.num_vcs;
         let nports = num_switches * self.num_ports;
@@ -627,19 +699,27 @@ impl Simulator {
         resize_ring(&mut self.stg_ready, nports * self.cap_out);
         refill(&mut self.stg_head, nports, 0);
         refill(&mut self.stg_len, nports, 0);
-        refill(&mut self.stg_mask, num_switches * self.stg_words, 0);
         refill(&mut self.link_busy, nports, 0);
+        refill(&mut self.stg_count, num_switches, 0);
+        self.stg_switches = 0;
         resize_ring(&mut self.srv_q, num_servers * self.cap_src);
         refill(&mut self.srv_head, num_servers, 0);
         refill(&mut self.srv_len, num_servers, 0);
         refill(&mut self.srv_busy, num_servers, 0);
         refill(&mut self.srv_quota, num_servers, u64::MAX);
+        refill(&mut self.srv_waiting, num_servers, false);
+        self.quota_left.clear();
 
+        // Events land at most `packet_length + link_latency` cycles ahead,
+        // ports are due at most `crossbar_latency + packet_length` ahead and
+        // servers at most `packet_length` ahead.
         let wheel_len =
             (self.cfg.packet_length + self.cfg.link_latency + self.cfg.crossbar_latency + 4)
                 as usize;
         self.wheel.iter_mut().for_each(Vec::clear);
         self.wheel.resize_with(wheel_len, Vec::new);
+        self.port_due.reset(wheel_len);
+        self.server_due.reset(wheel_len);
         self.rng = ChaCha8Rng::seed_from_u64(self.cfg.seed);
         self.cycle = 0;
         self.next_packet_id = 0;
@@ -654,9 +734,6 @@ impl Simulator {
         self.stalled = false;
         self.window_delivered_phits = 0;
         self.alloc_active.reset(num_switches);
-        self.xmit_active.reset(num_switches);
-        self.server_live.reset(num_servers);
-        self.server_live_dirty = true;
         // The v2 sampler's stamps are cycle numbers: a stale one would mark
         // a server as sampled in the new run.
         refill(&mut self.sampled_at, num_servers, 0);
@@ -850,7 +927,8 @@ impl Simulator {
         for quota in &mut self.srv_quota {
             *quota = packets_per_server;
         }
-        self.server_live_dirty = true;
+        self.quota_left.clear();
+        self.quota_left.extend(0..self.layout.num_servers() as u32);
         self.begin_measurement();
     }
 
@@ -864,7 +942,7 @@ impl Simulator {
         for quota in &mut self.srv_quota {
             *quota = 0;
         }
-        self.server_live_dirty = true;
+        self.quota_left.clear();
         let deadline = self.cycle + max_cycles;
         while self.packets_alive > 0 && self.cycle < deadline && !self.stalled {
             self.step();
@@ -881,12 +959,15 @@ impl Simulator {
 
     /// Advances the simulation by one cycle.
     ///
-    /// The scheduler is **active-set based**: allocation only visits switches
-    /// with buffered input packets, transmission only visits switches with
-    /// staged packets, and generation only visits live servers, each in
-    /// ascending order — the order an exhaustive scan would take. The
-    /// observable behaviour (RNG draw order, metrics, counters, traces,
-    /// event timing) is pinned by the digest corpus; see the `corpus` tests.
+    /// Each stage visits only what can act: allocation the switches with
+    /// buffered input packets, injection and transmission the servers and
+    /// output ports due this cycle (see the module docs' "Due lists"), each
+    /// in ascending order — the order an exhaustive scan would take.
+    /// Admission draws for every server under rate contract v1, for the
+    /// sampled servers under v2 and for the servers with quota left in
+    /// batch mode. The observable behaviour (RNG draw order, metrics,
+    /// counters, traces, event timing) is pinned by the digest corpus; see
+    /// the `corpus` tests.
     pub fn step(&mut self) {
         self.progress_this_cycle = false;
         self.process_events();
@@ -1054,98 +1135,62 @@ impl Simulator {
         self.wheel[wheel_slot] = events;
     }
 
+    /// Generation, then injection. Admission keeps the draw order of its
+    /// contract; then the servers due this cycle inject, in ascending order.
+    /// A server's admission still precedes its injection, and injection
+    /// draws nothing, so this is the order of a per-server sweep.
     fn generate_and_inject(&mut self) {
-        let packet_length = self.cfg.packet_length;
         match self.generation {
             GenerationMode::Rate { offered_load } => match self.cfg.rng_contract {
                 // Contract v1 (frozen): one Bernoulli trial per server per
                 // cycle, in ascending server order. The draw order is the
-                // contract, so this path scans every server.
+                // contract, so this path draws for every server.
                 RngContract::V1PerServer => {
-                    for server in 0..self.layout.num_servers() {
-                        self.generate_and_inject_server(server, packet_length);
+                    if offered_load > 0.0 {
+                        let p = offered_load / self.cfg.packet_length as f64;
+                        for server in 0..self.layout.num_servers() {
+                            if self.rng.gen::<f64>() < p {
+                                self.admit_packet(server);
+                            }
+                        }
                     }
                 }
                 // Contract v2: one binomial draw counts the cycle's
                 // arrivals, a without-replacement sample places them, and
-                // only live servers (sampled or backlogged) are visited —
-                // O(traffic) instead of O(network).
+                // only the sampled servers admit — O(traffic) instead of
+                // O(network).
                 RngContract::V2Counting => {
                     self.sample_injectors_v2(offered_load);
-                    self.sweep_live_servers(packet_length, Self::rate_v2_server_body, |sim, s| {
-                        sim.srv_len[s] > 0
-                    });
+                    for i in 0..self.step.sampled.len() {
+                        self.admit_packet(self.step.sampled[i]);
+                    }
                 }
             },
-            // Batch mode: a server without quota or queued packets draws no
-            // randomness and injects nothing, so only live servers are
-            // visited. Activity is monotone decreasing mid-run (nothing
-            // refills a quota), so the retain sweep suffices.
+            // Batch mode: every server with quota left admits a packet when
+            // its source queue has room, and draws nothing otherwise.
             GenerationMode::Batch { .. } => {
-                if self.server_live_dirty {
-                    self.rebuild_server_live();
-                }
-                self.sweep_live_servers(
-                    packet_length,
-                    Self::generate_and_inject_server,
-                    |sim, s| !sim.server_drained(s),
-                );
+                let mut quota_left = std::mem::take(&mut self.quota_left);
+                quota_left.retain(|&server| {
+                    self.admit_packet(server as usize);
+                    self.srv_quota[server as usize] > 0
+                });
+                self.quota_left = quota_left;
             }
         }
-    }
-
-    /// Whether `server` has neither queued packets nor remaining batch quota.
-    fn server_drained(&self, server: usize) -> bool {
-        self.srv_len[server] == 0 && self.srv_quota[server] == 0
-    }
-
-    /// Rebuilds the live-server set from scratch (after batch quotas are
-    /// handed out or zeroed).
-    fn rebuild_server_live(&mut self) {
-        self.server_live.member.iter_mut().for_each(|m| *m = false);
-        self.server_live.list.clear();
-        self.server_live.added.clear();
-        for s in 0..self.layout.num_servers() {
-            if !self.server_drained(s) {
-                self.server_live.member[s] = true;
-                self.server_live.list.push(s);
-            }
+        let due = self.server_due.take_sorted(self.cycle);
+        for &server in &due {
+            self.inject_server(server as usize);
         }
-        self.server_live_dirty = false;
+        self.server_due.put_back(self.cycle, due);
     }
 
-    /// The shared visitation helper of batch mode and rate contract v2:
-    /// folds pending insertions into the live set, visits the live servers
-    /// in ascending order running `body` on each, and drops the ones
-    /// `retain` rejects afterwards.
-    fn sweep_live_servers(
-        &mut self,
-        packet_length: u64,
-        body: fn(&mut Self, usize, u64),
-        retain: fn(&Self, usize) -> bool,
-    ) {
-        self.server_live.merge_added();
-        let mut live = std::mem::take(&mut self.server_live.list);
-        let mut keep = 0;
-        for k in 0..live.len() {
-            let server = live[k];
-            body(self, server, packet_length);
-            if retain(self, server) {
-                live[keep] = server;
-                keep += 1;
-            } else {
-                self.server_live.member[server] = false;
-            }
-        }
-        live.truncate(keep);
-        self.server_live.list = live;
-    }
-
-    /// Rate contract v2, step 1: draws `k ~ Binomial(n_servers, p)`, samples
-    /// the `k` injecting servers without replacement (stamping `sampled_at`
-    /// with `cycle + 1`), and marks them live so the sweep visits them.
+    /// Rate contract v2, step 1: draws `k ~ Binomial(n_servers, p)` and
+    /// samples the `k` injecting servers without replacement into
+    /// `step.sampled`, ascending (stamping `sampled_at` with `cycle + 1`).
+    /// At load 0 the sample is empty.
     fn sample_injectors_v2(&mut self, offered_load: f64) {
         if offered_load <= 0.0 {
+            self.step.sampled.clear();
             return;
         }
         let n = self.layout.num_servers();
@@ -1165,35 +1210,6 @@ impl Simulator {
             self.cycle + 1,
             &mut self.step.sampled,
         );
-        for i in 0..self.step.sampled.len() {
-            let server = self.step.sampled[i];
-            self.server_live.insert(server);
-        }
-    }
-
-    /// Rate contract v2, step 2 (per live server): generation happens only
-    /// on the servers the counting sampler picked this cycle; injection runs
-    /// for every live server.
-    fn rate_v2_server_body(&mut self, server: usize, packet_length: u64) {
-        if self.sampled_at[server] == self.cycle + 1 {
-            self.admit_packet(server);
-        }
-        self.inject_server(server, packet_length);
-    }
-
-    /// Generation + injection of one server: the per-server body shared by
-    /// batch mode and rate contract v1.
-    fn generate_and_inject_server(&mut self, server: usize, packet_length: u64) {
-        let wants_packet = match self.generation {
-            GenerationMode::Rate { offered_load } => {
-                offered_load > 0.0 && self.rng.gen::<f64>() < offered_load / packet_length as f64
-            }
-            GenerationMode::Batch { .. } => self.srv_quota[server] > 0,
-        };
-        if wants_packet {
-            self.admit_packet(server);
-        }
-        self.inject_server(server, packet_length);
     }
 
     /// Admits one new packet into `server`'s source queue, drawing its
@@ -1239,22 +1255,31 @@ impl Simulator {
                 pos -= self.cap_src;
             }
             self.srv_q[server * self.cap_src + pos] = packet;
+            if self.srv_len[server] == 0 {
+                // The new head can leave once the link is free: this cycle
+                // at the earliest, since injection follows admission.
+                let due = self.srv_busy[server].max(self.cycle);
+                self.server_due.push(due, server);
+            }
             self.srv_len[server] += 1;
         } else if self.measuring {
             self.counters.generation_blocked += 1;
         }
     }
 
-    /// Injection of `server`'s head packet over its server-to-switch link
-    /// (no randomness: every server has a dedicated switch input port).
-    fn inject_server(&mut self, server: usize, packet_length: u64) {
-        if self.srv_busy[server] > self.cycle || self.srv_len[server] == 0 {
-            return;
-        }
+    /// Injection of a due server's head packet over its server-to-switch
+    /// link (no randomness: every server has a dedicated switch input
+    /// port). Without a credit the server waits for the pop that frees one;
+    /// otherwise it is listed again while packets remain.
+    fn inject_server(&mut self, server: usize) {
+        debug_assert!(self.srv_busy[server] <= self.cycle && self.srv_len[server] > 0);
+        debug_assert!(!self.srv_waiting[server]);
+        let packet_length = self.cfg.packet_length;
         let sw = self.layout.server_switch(server);
         let in_port = self.radix + self.layout.server_offset(server);
         let slot = self.slot(sw, in_port, 0);
         if self.in_free(slot) == 0 {
+            self.srv_waiting[server] = true;
             return;
         }
         let packet = self.srv_q[server * self.cap_src + self.srv_head[server] as usize];
@@ -1264,6 +1289,9 @@ impl Simulator {
         self.pkt.injected_at[packet as usize] = self.cycle;
         self.in_used[slot] += 1;
         self.srv_busy[server] = self.cycle + packet_length;
+        if self.srv_len[server] > 0 {
+            self.server_due.push(self.srv_busy[server], server);
+        }
         let arrive = self.cycle + packet_length + self.cfg.link_latency;
         self.schedule(
             arrive,
@@ -1486,6 +1514,15 @@ impl Simulator {
             // Commit: move the packet from the input VC to the output staging buffer.
             let slot = self.slot(switch, in_port, req.in_vc as usize);
             let packet = self.in_pop(slot);
+            if in_port >= self.radix {
+                // The pop freed a credit of this server's link: a server
+                // waiting on it injects next cycle.
+                let server = self.layout.server_at(switch, in_port - self.radix);
+                if self.srv_waiting[server] {
+                    self.srv_waiting[server] = false;
+                    self.server_due.push(self.cycle + 1, server);
+                }
+            }
             let cache = &mut self.vc_cache[slot];
             cache.valid = false;
             if self.in_len[slot] == 0 && cache.list.capacity() > 0 {
@@ -1522,10 +1559,14 @@ impl Simulator {
             self.stg_vc[g] = req.out_vc as u16;
             self.stg_ready[g] = self.cycle + crossbar_time;
             if self.stg_len[flat_out] == 0 {
-                self.stg_mask[switch * self.stg_words + out_port / 64] |= 1 << (out_port % 64);
+                let due = self.link_busy[flat_out].max(self.stg_ready[g]);
+                self.port_due.push(due, flat_out);
             }
             self.stg_len[flat_out] += 1;
-            self.xmit_active.insert(switch);
+            if self.stg_count[switch] == 0 {
+                self.stg_switches += 1;
+            }
+            self.stg_count[switch] += 1;
             out_grants[out_port] += 1;
             in_grants[in_port] += 1;
             self.progress_this_cycle = true;
@@ -1591,80 +1632,58 @@ impl Simulator {
         self.alloc_active.list = active;
     }
 
-    /// Transmit stage: puts the ready staged packets onto their links.
-    /// Visits only the switches with staged packets, in ascending switch
-    /// order, and within a switch only the set bits of its `stg_mask`, in
-    /// ascending port order — so the event wheel receives arrivals in the
-    /// order an exhaustive sweep would schedule them. Every packet sent this
-    /// cycle lands at `cycle + packet_length + link_latency`, so all of them
-    /// go into one wheel slot. Switches left without staged packets drop
-    /// out of the active set.
+    /// Transmit stage: puts the packets of the ports due this cycle onto
+    /// their links, in ascending flat port order — so the event wheel
+    /// receives arrivals in the order a sweep over every staged port would
+    /// schedule them. Every packet sent this cycle lands at `cycle +
+    /// packet_length + link_latency`, so all of them go into one wheel slot.
+    /// A port that still holds packets is listed again.
     fn transmit(&mut self) {
-        self.xmit_active.merge_added();
-        self.obs.add(
-            Counter::XmitSwitchVisits,
-            self.xmit_active.list.len() as u64,
-        );
-        if self.xmit_active.list.is_empty() {
-            return;
-        }
+        self.obs.add(Counter::XmitSwitchVisits, self.stg_switches);
         let (cycle, packet_length) = (self.cycle, self.cfg.packet_length);
-        let arrive = cycle + packet_length + self.cfg.link_latency;
-        debug_assert!(arrive - cycle < self.wheel.len() as u64);
-        let wheel_slot = self.wheel_slot(arrive);
-        let mut events = std::mem::take(&mut self.wheel[wheel_slot]);
-        let mut active = std::mem::take(&mut self.xmit_active.list);
-        let (num_ports, words, cap_out) = (self.num_ports, self.stg_words, self.cap_out);
-        let mut keep = 0;
-        for k in 0..active.len() {
-            let switch = active[k];
-            let switch_words = switch * words..(switch + 1) * words;
-            for w in switch_words.clone() {
-                let mut bits = self.stg_mask[w];
-                while bits != 0 {
-                    let bit = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let flat = switch * num_ports + (w - switch_words.start) * 64 + bit;
-                    if self.link_busy[flat] > cycle {
-                        continue;
-                    }
-                    let head = self.stg_head[flat] as usize;
-                    let g = flat * cap_out + head;
-                    if self.stg_ready[g] > cycle {
-                        continue;
-                    }
-                    let next = head + 1;
-                    self.stg_head[flat] = if next == cap_out { 0 } else { next as u16 };
-                    self.stg_len[flat] -= 1;
-                    if self.stg_len[flat] == 0 {
-                        self.stg_mask[w] &= !(1 << bit);
-                    }
-                    self.link_busy[flat] = cycle + packet_length;
-                    let packet = self.stg_pkt[g];
-                    let down = self.down[flat];
-                    if down < EJECT {
-                        let dslot = down as usize * self.num_vcs + self.stg_vc[g] as usize;
-                        events.push(Ev::Arrival {
-                            slot: dslot as u32,
-                            packet,
-                        });
-                    } else {
-                        debug_assert_eq!(down, EJECT, "dead ports never receive grants");
-                        events.push(Ev::Delivery { packet });
-                    }
-                    self.progress_this_cycle = true;
+        let due = self.port_due.take_sorted(cycle);
+        if !due.is_empty() {
+            let arrive = cycle + packet_length + self.cfg.link_latency;
+            debug_assert!(arrive - cycle < self.wheel.len() as u64);
+            let wheel_slot = self.wheel_slot(arrive);
+            let mut events = std::mem::take(&mut self.wheel[wheel_slot]);
+            let cap_out = self.cap_out;
+            for &flat in &due {
+                let flat = flat as usize;
+                let head = self.stg_head[flat] as usize;
+                let g = flat * cap_out + head;
+                debug_assert!(self.stg_len[flat] > 0, "an empty port was due");
+                debug_assert!(self.link_busy[flat] <= cycle && self.stg_ready[g] <= cycle);
+                let next = head + 1;
+                self.stg_head[flat] = if next == cap_out { 0 } else { next as u16 };
+                self.stg_len[flat] -= 1;
+                self.link_busy[flat] = cycle + packet_length;
+                if self.stg_len[flat] > 0 {
+                    let ready = self.stg_ready[flat * cap_out + self.stg_head[flat] as usize];
+                    self.port_due.push(ready.max(self.link_busy[flat]), flat);
+                }
+                let switch = flat / self.num_ports;
+                self.stg_count[switch] -= 1;
+                if self.stg_count[switch] == 0 {
+                    self.stg_switches -= 1;
+                }
+                let packet = self.stg_pkt[g];
+                let down = self.down[flat];
+                if down < EJECT {
+                    let dslot = down as usize * self.num_vcs + self.stg_vc[g] as usize;
+                    events.push(Ev::Arrival {
+                        slot: dslot as u32,
+                        packet,
+                    });
+                } else {
+                    debug_assert_eq!(down, EJECT, "dead ports never receive grants");
+                    events.push(Ev::Delivery { packet });
                 }
             }
-            if self.stg_mask[switch_words].iter().any(|&w| w != 0) {
-                active[keep] = switch;
-                keep += 1;
-            } else {
-                self.xmit_active.member[switch] = false;
-            }
+            self.progress_this_cycle = true;
+            self.wheel[wheel_slot] = events;
         }
-        active.truncate(keep);
-        self.xmit_active.list = active;
-        self.wheel[wheel_slot] = events;
+        self.port_due.put_back(cycle, due);
     }
 }
 

@@ -39,7 +39,7 @@ fn single_packet_end_to_end_latency() {
         *quota = 0;
     }
     sim.srv_quota[0] = 1;
-    sim.server_live_dirty = true;
+    sim.quota_left = vec![0];
     sim.begin_measurement();
     for _ in 0..400 {
         sim.step();
@@ -209,9 +209,9 @@ mod corpus;
 /// Everything a reset must restore, formatted: geometry, the packet arena,
 /// every state array except ring storage (a ring reads only what it wrote
 /// since the reset), each input VC's `valid` flag (its list buffer and
-/// `escape_pending` are read only while `valid`), the event wheel, every
-/// scalar, the counters, the active sets, the scratch, the RNG and the
-/// tracer's absence.
+/// `escape_pending` are read only while `valid`), the event wheel, the due
+/// lists, every scalar, the counters, the active set, the scratch, the RNG
+/// and the tracer's absence.
 fn engine_state(sim: &Simulator) -> String {
     let valid: Vec<bool> = sim.vc_cache.iter().map(|c| c.valid).collect();
     let geometry = [
@@ -222,7 +222,6 @@ fn engine_state(sim: &Simulator) -> String {
         sim.cap_out,
         sim.cap_src,
         sim.in_words,
-        sim.stg_words,
     ];
     let clock = [
         sim.cycle,
@@ -237,10 +236,9 @@ fn engine_state(sim: &Simulator) -> String {
         sim.measuring,
         sim.progress_this_cycle,
         sim.stalled,
-        sim.server_live_dirty,
         sim.tracer.is_some(),
     ];
-    let fields: [(&str, &dyn std::fmt::Debug); 24] = [
+    let fields: [(&str, &dyn std::fmt::Debug); 29] = [
         ("layout", &sim.layout),
         ("geometry", &geometry),
         ("escape floor", &sim.escape_floor),
@@ -251,20 +249,22 @@ fn engine_state(sim: &Simulator) -> String {
         ("in_mask", &sim.in_mask),
         ("valid", &valid),
         ("down", &sim.down),
-        ("stg", &(&sim.stg_head, &sim.stg_len, &sim.stg_mask)),
+        ("stg", &(&sim.stg_head, &sim.stg_len)),
         ("link_busy", &sim.link_busy),
+        ("port_due", &sim.port_due),
+        ("stg_count", &(&sim.stg_count, sim.stg_switches)),
         ("srv", &(&sim.srv_head, &sim.srv_len, &sim.srv_busy)),
         ("srv_quota", &sim.srv_quota),
+        ("server_due", &sim.server_due),
+        ("srv_waiting", &sim.srv_waiting),
+        ("quota_left", &sim.quota_left),
         ("sampled_at", &sim.sampled_at),
         ("wheel", &sim.wheel),
         ("clock", &clock),
         ("flags", &flags),
         ("generation", &sim.generation),
         ("counters", &sim.counters),
-        (
-            "active",
-            &(&sim.alloc_active, &sim.xmit_active, &sim.server_live),
-        ),
+        ("active", &sim.alloc_active),
         ("binomial", &sim.binomial_cache),
         ("scratch", &(&sim.step, &sim.obs)),
         ("rng", &sim.rng),
@@ -360,12 +360,112 @@ fn congested_batch_completes_with_cache_hits_and_escape_grants() {
     }
 }
 
+/// Checks the due lists against the buffers they schedule, between two
+/// steps:
+///
+/// * every port with staged packets is listed exactly once, under the later
+///   of its `link_busy` and its head's ready cycle, and no empty port is
+///   listed; the per-switch staged counts match the staging buffers;
+/// * every server with queued packets is either listed exactly once, under
+///   the later of its `srv_busy`, its head's admission cycle and the current
+///   cycle (a server woken by a credit is listed for the cycle after the
+///   pop), or waiting on a credit its input VC does not have, never both;
+///   no other server is listed or waiting;
+/// * in batch mode, the servers with quota left are the ones that admit.
+///
+/// Returns how many servers wait on a credit.
+fn check_due_lists(sim: &Simulator, what: &str) -> usize {
+    let len = sim.wheel.len() as u64;
+    let listed = |lists: &DueLists, n: usize| {
+        assert_eq!(lists.buckets.len() as u64, len, "{what}: wheel length");
+        let mut at = vec![Vec::new(); n];
+        for (bucket, entries) in lists.buckets.iter().enumerate() {
+            for &idx in entries {
+                at[idx as usize].push(bucket as u64);
+            }
+        }
+        at
+    };
+    // The bucket of `due`, which must lie within the wheel's horizon.
+    let bucket = |due: u64, which: &str| {
+        assert!(
+            due >= sim.cycle && due - sim.cycle < len,
+            "{what}: {which} due at {due}, cycle {}",
+            sim.cycle
+        );
+        vec![due % len]
+    };
+    let ports = listed(&sim.port_due, sim.stg_len.len());
+    for (flat, listed_at) in ports.iter().enumerate() {
+        if sim.stg_len[flat] == 0 {
+            assert!(listed_at.is_empty(), "{what}: empty port {flat} is due");
+            continue;
+        }
+        let head = flat * sim.cap_out + sim.stg_head[flat] as usize;
+        let due = sim.link_busy[flat].max(sim.stg_ready[head]);
+        assert_eq!(listed_at, &bucket(due, "port"), "{what}: port {flat}");
+    }
+    let staged: Vec<u32> = sim
+        .stg_len
+        .chunks(sim.num_ports)
+        .map(|ports| ports.iter().map(|&l| u32::from(l)).sum())
+        .collect();
+    assert_eq!(sim.stg_count, staged, "{what}: staged packets per switch");
+    let holding = staged.iter().filter(|&&n| n > 0).count() as u64;
+    assert_eq!(
+        sim.stg_switches, holding,
+        "{what}: switches holding a packet"
+    );
+
+    let servers = listed(&sim.server_due, sim.srv_len.len());
+    let mut waiting = 0;
+    for (server, listed_at) in servers.iter().enumerate() {
+        let is_waiting = sim.srv_waiting[server];
+        if sim.srv_len[server] == 0 {
+            assert!(listed_at.is_empty(), "{what}: idle server {server} is due");
+            assert!(!is_waiting, "{what}: idle server {server} waits");
+            continue;
+        }
+        if is_waiting {
+            assert!(
+                listed_at.is_empty(),
+                "{what}: server {server} waits and is due"
+            );
+            let sw = sim.layout.server_switch(server);
+            let slot = sim.slot(sw, sim.radix + sim.layout.server_offset(server), 0);
+            assert_eq!(
+                sim.in_free(slot),
+                0,
+                "{what}: server {server} waits with a credit"
+            );
+            waiting += 1;
+            continue;
+        }
+        let head = sim.srv_q[server * sim.cap_src + sim.srv_head[server] as usize] as usize;
+        let due = sim.srv_busy[server]
+            .max(sim.pkt.created_at[head])
+            .max(sim.cycle);
+        assert_eq!(listed_at, &bucket(due, "server"), "{what}: server {server}");
+    }
+    if let GenerationMode::Batch { .. } = sim.generation {
+        let with_quota: Vec<u32> = (0..sim.srv_quota.len() as u32)
+            .filter(|&s| sim.srv_quota[s as usize] > 0)
+            .collect();
+        assert_eq!(
+            sim.quota_left, with_quota,
+            "{what}: servers with quota left"
+        );
+    }
+    waiting
+}
+
 #[test]
 fn wide_switches_keep_multi_word_masks_in_step() {
     // A 1-D HyperX of side 34 with 32 servers per switch: 65 ports and
-    // 260 VC slots per switch, so both occupancy masks span several 64-bit
-    // words (every 4x4 case fits in one). After a saturated run, a mask bit
-    // must be set exactly where its buffer holds packets.
+    // 260 VC slots per switch, so the input occupancy mask spans several
+    // 64-bit words (every 4x4 case fits in one). After a saturated run, a
+    // mask bit must be set exactly where its buffer holds packets, and the
+    // due lists must agree with the staging buffers and source queues.
     let view = Arc::new(NetworkView::healthy(HyperX::regular(1, 34), 0));
     let mut cfg = SimConfig::quick(32, 4);
     cfg.warmup_cycles = 60;
@@ -380,7 +480,7 @@ fn wide_switches_keep_multi_word_masks_in_step() {
         cfg,
     );
     assert_eq!(sim.num_ports, 65);
-    assert!(sim.in_words > 1 && sim.stg_words > 1);
+    assert!(sim.in_words > 1);
     let m = sim.run_rate(0.9);
     assert!(!m.stalled);
     assert!(m.delivered_packets > 0);
@@ -396,15 +496,89 @@ fn wide_switches_keep_multi_word_masks_in_step() {
             "input slot {slot}"
         );
     }
-    for flat in 0..sim.stg_len.len() {
-        let (switch, port) = (flat / sim.num_ports, flat % sim.num_ports);
-        let word = sim.stg_mask[switch * sim.stg_words + port / 64];
-        assert_eq!(
-            word & (1 << (port % 64)) != 0,
-            sim.stg_len[flat] > 0,
-            "port {flat}"
-        );
+    check_due_lists(&sim, "the wide switches");
+}
+
+/// `cfg` under Table 2 timing, and with 1-packet buffers, short packets
+/// and no link latency, under which servers wait on credits.
+fn due_list_timings(cfg: &SimConfig) -> [(&'static str, SimConfig); 2] {
+    let tight = SimConfig {
+        packet_length: 3,
+        link_latency: 0,
+        input_buffer_packets: 1,
+        output_buffer_packets: 1,
+        source_queue_packets: 1,
+        ..cfg.clone()
+    };
+    [("Table 2", cfg.clone()), ("1-packet buffers", tight)]
+}
+
+#[test]
+fn due_lists_hold_every_port_and_server_that_can_act_in_rate_runs() {
+    let mut waited = 0;
+    for contract in [RngContract::V1PerServer, RngContract::V2Counting] {
+        let mut cfg = SimConfig::quick(2, 4);
+        (cfg.rng_contract, cfg.seed) = (contract, 6);
+        (cfg.warmup_cycles, cfg.measure_cycles) = (100, 300);
+        for (timing, cfg) in due_list_timings(&cfg) {
+            let mut sim = build_sim(MechanismSpec::OmniSP, cfg);
+            sim.generation = GenerationMode::Rate { offered_load: 0.8 };
+            for cycle in 0..300 {
+                sim.step();
+                let what = format!("{contract} {timing}, cycle {cycle}");
+                waited += check_due_lists(&sim, &what);
+            }
+            let m = sim.run_rate(0.8);
+            assert!(!m.stalled, "{contract} {timing}");
+            check_due_lists(&sim, &format!("{contract} {timing}, after the run"));
+        }
     }
+    assert!(waited > 0, "no server ever waited on a credit");
+}
+
+#[test]
+fn due_lists_hold_every_port_and_server_that_can_act_in_batch_runs_and_drains() {
+    let congested = congested_batch_sim(MechanismSpec::OmniSP).cfg;
+    for (timing, cfg) in due_list_timings(&congested) {
+        let sim = congested_batch_sim(MechanismSpec::OmniSP);
+        let mut sim = Simulator::new(sim.view, sim.mechanism, sim.pattern, cfg);
+        sim.begin_batch(CONGESTED_PACKETS);
+        let expected = CONGESTED_PACKETS * sim.layout.num_servers() as u64;
+        // Checks made while some servers still had quota left.
+        let mut admitting = 0;
+        while sim.total_delivered() < expected / 2 {
+            sim.step();
+            assert!(!sim.stalled(), "{timing}: stalled");
+            if sim.cycle().is_multiple_of(7) {
+                check_due_lists(&sim, &format!("{timing}, mid-batch cycle {}", sim.cycle()));
+                admitting += usize::from(!sim.quota_left.is_empty());
+            }
+        }
+        assert!(admitting > 0, "{timing}");
+        assert!(sim.drain(100_000), "{timing}: did not drain");
+        check_due_lists(&sim, &format!("{timing}, after the drain"));
+    }
+}
+
+#[test]
+fn a_v2_run_at_load_zero_admits_nothing() {
+    // The sampled servers admit straight from the sample list: a list left
+    // over from the last cycle at a non-zero load would admit again.
+    let mut cfg = SimConfig::quick(2, 4);
+    cfg.rng_contract = RngContract::V2Counting;
+    let mut sim = build_sim(MechanismSpec::OmniSP, cfg);
+    sim.generation = GenerationMode::Rate { offered_load: 0.9 };
+    while sim.step.sampled.is_empty() {
+        sim.step();
+    }
+    sim.generation = GenerationMode::Rate { offered_load: 0.0 };
+    let generated = sim.total_generated();
+    for _ in 0..200 {
+        sim.step();
+    }
+    assert_eq!(sim.total_generated(), generated);
+    assert_eq!(sim.packets_alive(), 0, "everything in flight was delivered");
+    check_due_lists(&sim, "load 0");
 }
 
 /// The zero-perturbation contract of the observability layer: counters

@@ -41,7 +41,8 @@ pub enum Counter {
     EscapeGrants = 5,
     /// Switches visited by the allocation stage (active-set size per cycle).
     AllocSwitchVisits = 6,
-    /// Switches visited by the transmit stage (active-set size per cycle).
+    /// Switches holding a staged packet when the transmit stage runs,
+    /// summed over cycles.
     XmitSwitchVisits = 7,
     /// Binomial draws of the rate contract v2 counting sampler.
     BinomialDraws = 8,
