@@ -573,8 +573,8 @@ mod tests {
                 let reference = NetworkView::with_faults(hx.clone(), &faults, root);
                 for s in 0..hx.num_switches() {
                     assert_eq!(
-                        view.distances().row(s),
-                        reference.distances().row(s),
+                        view.distances().row(s).iter().collect::<Vec<_>>(),
+                        reference.distances().row(s).iter().collect::<Vec<_>>(),
                         "{} row {s}",
                         policy.name()
                     );

@@ -24,7 +24,9 @@
 //! `ok` is never downgraded). A coordinator restarted after a crash keeps
 //! accepting for a grace period after the grid drains, so the workers of
 //! its predecessor, which are still in their reconnect loops, hear
-//! `Drained` instead of a refused connection.
+//! `Drained` instead of a refused connection. A manifest left beside a
+//! newer store (one that lacks a result the manifest marks delivered) is
+//! replaced instead, with no grace.
 //!
 //! A `Fetch` that finds nothing to hand out is answered at once when its
 //! connection still holds leases (that worker asks again after its next
@@ -47,6 +49,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+use surepath_runner::manifest::MANIFEST_DONE;
 use surepath_runner::{
     job_fingerprint, log_info, log_warn, manifest_path, timings_path, AssignmentManifest, JobSpec,
     ResultStore, StoreRecord, TimingRecord, TimingsLog,
@@ -705,8 +708,10 @@ fn fold_delivery(
 /// names jobs of this grid and some are still pending, an earlier serve
 /// crashed: this one then keeps accepting, and answering `Drained`, for
 /// [`ReconnectPolicy::longest_delay`] of the default policy after the grid
-/// drains. The caller is responsible for having validated the jobs (the
-/// coordinator never executes one).
+/// drains. A manifest that marks a grid job delivered while the store holds
+/// no line for it is older than the store; it is replaced by a new one,
+/// with a warning, and arms no grace. The caller is responsible for having
+/// validated the jobs (the coordinator never executes one).
 pub fn serve(
     listener: TcpListener,
     campaign: &str,
@@ -715,7 +720,7 @@ pub fn serve(
     opts: &ServeOptions,
 ) -> std::io::Result<ServeOutcome> {
     let store = ResultStore::open(store_path)?;
-    let manifest = AssignmentManifest::open(&manifest_path(store_path))?;
+    let mut manifest = AssignmentManifest::open(&manifest_path(store_path))?;
     let timings = TimingsLog::open(&timings_path(store_path))?;
 
     // Each job is fingerprinted once, here: the resume filter, `by_fp`,
@@ -741,15 +746,35 @@ pub fn serve(
         .map(|(idx, job)| (job.fp.clone(), idx))
         .collect();
 
-    // An earlier serve of this store worked on this grid and left jobs
-    // pending: it crashed (or was stopped), and its workers may still be
-    // redialing.
-    let restarted = !pending.is_empty() && {
+    // A `done` row is written only after its record is in the store
+    // (`fold_delivery`), so a manifest marking done a grid job the store
+    // holds no line for was written beside an older store: the store was
+    // deleted or replaced since, and no worker of that serve is waiting.
+    // Otherwise, a manifest naming jobs of this grid while some are pending
+    // was left by an earlier serve that crashed (or was stopped), and its
+    // workers may still be redialing.
+    let (stale, restarted) = {
         let grid: HashSet<&str> = fps.iter().map(String::as_str).collect();
-        manifest
+        let mut rows = manifest
             .records_in_order()
-            .any(|record| grid.contains(record.fp.as_str()))
+            .filter(|record| grid.contains(record.fp.as_str()))
+            .peekable();
+        let named = rows.peek().is_some();
+        let stale = rows.any(|record| record.status == MANIFEST_DONE && !store.holds(&record.fp));
+        (stale, !stale && named && !pending.is_empty())
     };
+    if stale {
+        if !opts.quiet {
+            log_warn!(
+                "dist",
+                "{} marks jobs delivered that {} does not hold; starting a new manifest",
+                manifest.path().display(),
+                store_path.display()
+            );
+        }
+        drop(manifest);
+        manifest = AssignmentManifest::create(&manifest_path(store_path))?;
+    }
     let shared = Mutex::new(Shared {
         delivered: vec![false; pending.len()],
         queue: LeaseQueue::new(pending.len(), opts.lease),

@@ -888,6 +888,42 @@ fn a_serve_after_another_campaign_returns_when_the_grid_drains() {
     clean(&path);
 }
 
+#[test]
+fn a_manifest_left_beside_a_deleted_store_is_replaced_without_a_grace() {
+    let s = spec("dist-stale-manifest");
+    let path = temp_store(&s.name);
+    clean(&path);
+    let jobs = s.expand().unwrap();
+    let serve_and_drain = || {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let (campaign, jobs, store) = (s.name.clone(), jobs.clone(), path.clone());
+        let server = std::thread::spawn(move || {
+            serve(listener, &campaign, &jobs, &store, &quiet_opts()).unwrap()
+        });
+        let drained = drain_with_one_worker(&addr);
+        let outcome = server.join().unwrap();
+        assert!(outcome.is_complete(), "{outcome:?}");
+        drained.elapsed()
+    };
+    serve_and_drain();
+    // The store goes; its manifest, which marks every job delivered, stays.
+    std::fs::remove_file(&path).unwrap();
+    let waited = serve_and_drain();
+    assert!(waited < Duration::from_secs(1), "{waited:?}");
+    // One assignment and one delivery per job, all from the second serve.
+    let manifest = manifest_path(&path);
+    let rows = std::fs::read_to_string(&manifest).unwrap().lines().count();
+    assert_eq!(rows, 2 * jobs.len());
+    let manifest = AssignmentManifest::open_read_only(&manifest).unwrap();
+    assert_eq!(manifest.len(), jobs.len());
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        local_store_bytes(&s, "dist-stale-manifest-local")
+    );
+    clean(&path);
+}
+
 /// Says `Hello` as `worker` on a fresh connection to `addr` and reads the
 /// `Welcome`.
 fn hello(addr: &str, worker: &str) -> (std::io::BufReader<TcpStream>, TcpStream) {

@@ -36,9 +36,9 @@ impl MinimalRouting {
     ) {
         // Distances are symmetric, so row `target` holds every distance read here.
         let to_target = view.distances().row(target);
-        let here = to_target[current];
+        let here = to_target.get(current);
         for (port, nb) in view.live_ports(current) {
-            if to_target[nb] < here {
+            if to_target.get(nb) < here {
                 out.push(Candidate {
                     port,
                     penalty: SHORTEST_PATH,

@@ -77,12 +77,12 @@ impl RouteAlgorithm for PolarizedRouting {
         // the source and the destination hold every distance read here.
         let from_s = self.view.distances().row(state.source);
         let from_t = self.view.distances().row(state.dest);
-        let ds_c = from_s[current] as i32;
-        let dt_c = from_t[current] as i32;
+        let ds_c = i32::from(from_s.get(current));
+        let dt_c = i32::from(from_t.get(current));
         let allow_zero_gain = state.hops < self.zero_gain_hop_limit;
         for (port, nb) in self.view.live_ports(current) {
-            let ds_n = from_s[nb] as i32;
-            let dt_n = from_t[nb] as i32;
+            let ds_n = i32::from(from_s.get(nb));
+            let dt_n = i32::from(from_t.get(nb));
             let delta_s = ds_n - ds_c;
             let delta_t = dt_n - dt_c;
             let delta_mu = delta_s - delta_t;

@@ -118,6 +118,15 @@ impl AssignmentManifest {
         })
     }
 
+    /// Starts a new, empty manifest at `path` for appending, discarding the
+    /// lines of any earlier one.
+    pub fn create(path: &Path) -> std::io::Result<Self> {
+        match std::fs::remove_file(path) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e),
+            _ => Self::open(path),
+        }
+    }
+
     /// Opens the manifest read-only; a missing file is an error.
     pub fn open_read_only(path: &Path) -> std::io::Result<Self> {
         let (records, order, corrupt_lines) = Self::index(path, false)?;

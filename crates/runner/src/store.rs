@@ -263,6 +263,11 @@ impl ResultStore {
             .is_some_and(|&i| self.entries[i].status == Status::Ok)
     }
 
+    /// Whether the store holds a line for this fingerprint, `ok` or failed.
+    pub fn holds(&self, fingerprint: &str) -> bool {
+        self.index.contains_key(fingerprint)
+    }
+
     /// Number of successfully completed records.
     pub fn completed_count(&self) -> usize {
         self.entries

@@ -27,9 +27,13 @@
 //! each input VC caches its head's candidate list as the 8-byte
 //! [`Candidate`]s the routing algorithm wrote there (the escape part appended
 //! only when it can win), and all per-step scratch lives in one reusable
-//! `StepArena`. Each switch keeps an occupancy bitmask of its non-empty
-//! input VCs (bit `port·num_vcs + vc`), so the allocation sweep visits only
-//! occupied slots, in ascending order. A digest corpus recorded from the
+//! `StepArena`. The lists live in one pool of buffers that emptied VCs
+//! return to; a VC finds its buffer through a `u32` index and a flag byte,
+//! zeroed arrays that only occupied VCs write, so a new simulator faults in
+//! the pages of the VCs its run occupies, not one record per VC. Each
+//! switch keeps an occupancy bitmask of its non-empty input VCs (bit
+//! `port·num_vcs + vc`), so the allocation sweep visits only occupied
+//! slots, in ascending order. A digest corpus recorded from the
 //! per-switch-struct engine this layout replaced, while both engines ran
 //! (the `corpus` tests, `tests/fixtures/engine_corpus.txt`), pins RNG draw
 //! order, metrics bytes, counters and traces.
@@ -105,19 +109,14 @@ const EJECT: u32 = u32::MAX - 1;
 /// `down` entry of a dead port. Every value below [`EJECT`] is a live link.
 const DEAD: u32 = u32::MAX;
 
-/// The candidate cache of one input VC. `valid` is cleared at every pop, so
-/// a valid list always belongs to the current head, and the pop that empties
-/// the VC also returns its buffer: an empty VC holds neither.
-#[derive(Debug, Default)]
-struct VcCache {
-    /// The head's routing part, then (once appended) its escape part.
-    list: Vec<Candidate>,
-    /// Whether `list` belongs to the current head (false: never filled, or
-    /// the head was popped since).
-    valid: bool,
-    /// Whether the head's escape part is not in `list` yet.
-    escape_pending: bool,
-}
+/// `vc_flags` bit: the input VC holds a candidate-list buffer,
+/// `lists[vc_list[slot]]`.
+const HAS_LIST: u8 = 1;
+/// `vc_flags` bit: the buffer holds the current head's list, its routing
+/// part and then, once appended, its escape part. Cleared at every pop.
+const LIST_VALID: u8 = 2;
+/// `vc_flags` bit: the head's escape part is not in its list yet.
+const ESCAPE_PENDING: u8 = 4;
 
 /// A deterministic dirty set of switch indices: the switches the allocation
 /// stage visits.
@@ -356,10 +355,10 @@ fn refill<T: Copy>(v: &mut Vec<T>, len: usize, value: T) {
     }
 }
 
-/// Sizes ring storage to `len` entries, keeping the entries it has (a ring
-/// never reads an entry it has not written since the reset) and zeroing
-/// only the new ones.
-fn resize_ring<T: Copy + Default>(v: &mut Vec<T>, len: usize) {
+/// Sizes `v` to `len` entries, keeping the entries it has and zeroing only
+/// the new ones: for ring storage, which never reads an entry it has not
+/// written since the reset, and for arrays the reset has already cleared.
+fn resize_keeping<T: Copy + Default>(v: &mut Vec<T>, len: usize) {
     if v.capacity() < len {
         refill(v, len, T::default());
     } else {
@@ -415,14 +414,21 @@ pub struct Simulator {
     /// Non-empty input VCs: switch `s` owns words `s·in_words ..`, bit
     /// `port·num_vcs + vc`. Maintained by `in_push`/`in_pop`.
     in_mask: Vec<u64>,
-    /// Candidate cache of each slot's head. A slot that empties pushes its
-    /// list buffer onto `spare_lists`, and the next fill of a slot without a
-    /// buffer pops the most recently returned one — so the buffers in use
-    /// never exceed the peak number of occupied slots, and a fill usually
-    /// writes memory that is still in cache.
-    vc_cache: Vec<VcCache>,
-    /// Candidate-list buffers returned by emptied slots.
-    spare_lists: Vec<Vec<Candidate>>,
+    /// Candidate cache of each slot's head: [`HAS_LIST`], [`LIST_VALID`]
+    /// and [`ESCAPE_PENDING`]. Only an occupied slot sets any, so the
+    /// allocation stays zeroed where no packet has been.
+    vc_flags: Vec<u8>,
+    /// The slot's buffer in `lists`, read only while the slot
+    /// [`HAS_LIST`]. A slot that empties returns its buffer to
+    /// `spare_lists`, and the next fill of a slot without one takes the
+    /// most recently returned — so the buffers in use never exceed the
+    /// peak number of occupied slots, and a fill usually writes memory
+    /// that is still in cache.
+    vc_list: Vec<u32>,
+    /// Every candidate-list buffer this simulator has made.
+    lists: Vec<Vec<Candidate>>,
+    /// The buffers of `lists` no slot holds, most recently returned last.
+    spare_lists: Vec<u32>,
     // --- output port state, indexed by `flat = switch·num_ports + port` ---
     /// Where each output port leads: the flat downstream input port
     /// `next_switch·num_ports + next_input_port`, or [`EJECT`] / [`DEAD`].
@@ -533,7 +539,9 @@ impl Simulator {
             in_len: Vec::new(),
             in_used: Vec::new(),
             in_mask: Vec::new(),
-            vc_cache: Vec::new(),
+            vc_flags: Vec::new(),
+            vc_list: Vec::new(),
+            lists: Vec::new(),
             spare_lists: Vec::new(),
             down: Vec::new(),
             stg_pkt: Vec::new(),
@@ -640,23 +648,21 @@ impl Simulator {
     /// its head and its length, and every one of those is written after the
     /// reset.
     fn init(&mut self) {
-        // Only an occupied input VC holds a valid list or a list buffer: the
-        // pop that empties a slot invalidates it and returns its buffer. So
-        // the last run's occupied slots (its `in_mask`, in its geometry)
+        // Only an occupied input VC sets a flag or holds a list buffer: the
+        // pop that empties a slot clears its flags and returns its buffer.
+        // So the last run's occupied slots (its `in_mask`, in its geometry)
         // are the only ones to clear.
         let per_switch = self.num_ports * self.num_vcs;
         let span = 64 * self.in_words;
         for bit in set_bits(&self.in_mask) {
-            let cache = &mut self.vc_cache[bit / span * per_switch + bit % span];
-            cache.valid = false;
-            if cache.list.capacity() > 0 {
-                self.spare_lists.push(std::mem::take(&mut cache.list));
+            let slot = bit / span * per_switch + bit % span;
+            if self.vc_flags[slot] & HAS_LIST != 0 {
+                self.spare_lists.push(self.vc_list[slot]);
             }
+            self.vc_flags[slot] = 0;
         }
-        debug_assert!(self
-            .vc_cache
-            .iter()
-            .all(|c| !c.valid && c.list.capacity() == 0));
+        debug_assert!(self.vc_flags.iter().all(|&flags| flags == 0));
+        debug_assert_eq!(self.spare_lists.len(), self.lists.len());
 
         let hx = self.view.hyperx();
         let num_switches = hx.num_switches();
@@ -673,16 +679,13 @@ impl Simulator {
         let nports = num_switches * self.num_ports;
 
         self.pkt.clear();
-        resize_ring(&mut self.in_q, nslots * self.cap_in);
+        resize_keeping(&mut self.in_q, nslots * self.cap_in);
         refill(&mut self.in_head, nslots, 0);
         refill(&mut self.in_len, nslots, 0);
         refill(&mut self.in_used, nslots, 0);
         refill(&mut self.in_mask, num_switches * self.in_words, 0);
-        if self.vc_cache.capacity() < nslots {
-            // Every entry is empty by now: free them before allocating more.
-            self.vc_cache = Vec::new();
-        }
-        self.vc_cache.resize_with(nslots, VcCache::default);
+        resize_keeping(&mut self.vc_flags, nslots);
+        resize_keeping(&mut self.vc_list, nslots);
         make_room(&mut self.down, nports);
         for s in 0..num_switches {
             for p in 0..self.radix {
@@ -694,15 +697,15 @@ impl Simulator {
             self.down
                 .extend(std::iter::repeat_n(EJECT, self.cfg.servers_per_switch));
         }
-        resize_ring(&mut self.stg_pkt, nports * self.cap_out);
-        resize_ring(&mut self.stg_vc, nports * self.cap_out);
-        resize_ring(&mut self.stg_ready, nports * self.cap_out);
+        resize_keeping(&mut self.stg_pkt, nports * self.cap_out);
+        resize_keeping(&mut self.stg_vc, nports * self.cap_out);
+        resize_keeping(&mut self.stg_ready, nports * self.cap_out);
         refill(&mut self.stg_head, nports, 0);
         refill(&mut self.stg_len, nports, 0);
         refill(&mut self.link_busy, nports, 0);
         refill(&mut self.stg_count, num_switches, 0);
         self.stg_switches = 0;
-        resize_ring(&mut self.srv_q, num_servers * self.cap_src);
+        resize_keeping(&mut self.srv_q, num_servers * self.cap_src);
         refill(&mut self.srv_head, num_servers, 0);
         refill(&mut self.srv_len, num_servers, 0);
         refill(&mut self.srv_busy, num_servers, 0);
@@ -1319,7 +1322,8 @@ impl Simulator {
             // Routing: reuse the head's candidate list or compute it. The
             // cache is reset whenever the head is popped, so a valid list
             // belongs to the current head and a hit reads no packet state.
-            if self.vc_cache[slot].valid {
+            let flags = self.vc_flags[slot];
+            if flags & LIST_VALID != 0 {
                 self.obs.incr(Counter::CandCacheHits);
             } else {
                 let head = self.in_front(slot);
@@ -1352,39 +1356,38 @@ impl Simulator {
                 // Compute the routing part and leave the escape part
                 // pending. A slot without a buffer (never filled, or
                 // emptied since) takes the most recently returned one.
-                let cache = &mut self.vc_cache[slot];
-                if cache.list.capacity() == 0 {
-                    if let Some(buffer) = self.spare_lists.pop() {
-                        cache.list = buffer;
-                    }
+                if flags & HAS_LIST == 0 {
+                    self.vc_list[slot] = self.spare_lists.pop().unwrap_or_else(|| {
+                        self.lists.push(Vec::new());
+                        (self.lists.len() - 1) as u32
+                    });
                 }
-                cache.list.clear();
+                let list = &mut self.lists[self.vc_list[slot] as usize];
+                list.clear();
                 self.mechanism
-                    .candidates_into(&self.pkt.state[head], switch, &mut cache.list);
-                cache.valid = true;
-                cache.escape_pending = true;
+                    .candidates_into(&self.pkt.state[head], switch, list);
+                self.vc_flags[slot] = HAS_LIST | LIST_VALID | ESCAPE_PENDING;
             }
             // Single request to the best candidate that satisfies flow
             // control.
-            let list = &self.vc_cache[slot].list;
-            let mut best = self.best_request(list, first_port, in_port, in_vc, None);
+            let list = self.vc_list[slot] as usize;
+            let mut best = self.best_request(&self.lists[list], first_port, in_port, in_vc, None);
             // The escape part follows the routing part and costs at least
             // the floor, and only a strictly lower score replaces `best`:
             // it can change the request only when no routing candidate
             // scored at or below the floor, so only then is it built (at
             // most once per head).
-            if self.vc_cache[slot].escape_pending
+            if self.vc_flags[slot] & ESCAPE_PENDING != 0
                 && self
                     .escape_floor
                     .is_some_and(|f| best.is_none_or(|b| b.score > u64::from(f)))
             {
                 let head = self.in_front(slot);
-                let cache = &mut self.vc_cache[slot];
-                let routing_len = cache.list.len();
+                let routing_len = self.lists[list].len();
                 self.mechanism
-                    .escape_into(&self.pkt.state[head], switch, &mut cache.list);
-                cache.escape_pending = false;
-                let escape = &self.vc_cache[slot].list[routing_len..];
+                    .escape_into(&self.pkt.state[head], switch, &mut self.lists[list]);
+                self.vc_flags[slot] &= !ESCAPE_PENDING;
+                let escape = &self.lists[list][routing_len..];
                 best = self.best_request(escape, first_port, in_port, in_vc, best);
             }
             if let Some(req) = best {
@@ -1523,10 +1526,14 @@ impl Simulator {
                     self.server_due.push(self.cycle + 1, server);
                 }
             }
-            let cache = &mut self.vc_cache[slot];
-            cache.valid = false;
-            if self.in_len[slot] == 0 && cache.list.capacity() > 0 {
-                self.spare_lists.push(std::mem::take(&mut cache.list));
+            let flags = &mut self.vc_flags[slot];
+            if self.in_len[slot] > 0 {
+                *flags &= HAS_LIST;
+            } else {
+                if *flags & HAS_LIST != 0 {
+                    self.spare_lists.push(self.vc_list[slot]);
+                }
+                *flags = 0;
             }
             if network {
                 let next_switch = req.down as usize / self.num_ports;

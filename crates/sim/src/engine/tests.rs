@@ -208,12 +208,11 @@ mod corpus;
 
 /// Everything a reset must restore, formatted: geometry, the packet arena,
 /// every state array except ring storage (a ring reads only what it wrote
-/// since the reset), each input VC's `valid` flag (its list buffer and
-/// `escape_pending` are read only while `valid`), the event wheel, the due
+/// since the reset), each input VC's candidate-cache flags (its buffer
+/// index is read only while it holds a buffer), the event wheel, the due
 /// lists, every scalar, the counters, the active set, the scratch, the RNG
 /// and the tracer's absence.
 fn engine_state(sim: &Simulator) -> String {
-    let valid: Vec<bool> = sim.vc_cache.iter().map(|c| c.valid).collect();
     let geometry = [
         sim.radix,
         sim.num_ports,
@@ -247,7 +246,7 @@ fn engine_state(sim: &Simulator) -> String {
         ("in_len", &sim.in_len),
         ("in_used", &sim.in_used),
         ("in_mask", &sim.in_mask),
-        ("valid", &valid),
+        ("vc_flags", &sim.vc_flags),
         ("down", &sim.down),
         ("stg", &(&sim.stg_head, &sim.stg_len)),
         ("link_busy", &sim.link_busy),

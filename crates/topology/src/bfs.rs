@@ -7,7 +7,7 @@
 //! topology analyses of Figure 1 and Table 3.
 
 use crate::graph::{Network, SwitchId};
-use crate::lanes::{Lanes, LevelCounts, WIDTH};
+use crate::lanes::{Hop, HopRow, HopTable, Lanes, LevelCounts, NARROW_MAX, WIDTH};
 
 /// Distance value meaning "unreachable".
 pub const UNREACHABLE: u16 = u16::MAX;
@@ -33,11 +33,12 @@ pub fn bfs_distances(net: &Network, source: SwitchId) -> Vec<u16> {
     dist
 }
 
-/// All-pairs shortest-path distances, stored as a flat `n × n` array of `u16`.
+/// All-pairs shortest-path distances, stored as a flat `n × n` array of
+/// one byte per entry (255 for unreachable) when every finite distance fits
+/// in 254, and of `u16`s otherwise. Reads yield `u16`s either way.
 #[derive(Clone, Debug)]
 pub struct DistanceMatrix {
-    n: usize,
-    d: Vec<u16>,
+    d: HopTable,
     /// Whether every search reached every switch.
     connected: bool,
     /// The largest finite distance: the deepest level any search reached.
@@ -64,12 +65,38 @@ impl DistanceMatrix {
     /// alive links. The searches also record whether each reached every
     /// switch and how deep the deepest went, so connectivity and the
     /// diameter cost nothing later.
+    ///
+    /// The entry width is chosen before the matrix is allocated, from a
+    /// bound on the largest finite distance: `n − 1` on up to 255
+    /// switches, otherwise twice the eccentricity of switch 0 when one BFS
+    /// finds that it reaches every switch (any two switches are that close
+    /// through it). A deeper or disconnected network keeps two bytes.
     pub fn compute(net: &Network) -> Self {
         let n = net.num_switches();
-        let adj = net.adjacency();
+        let largest = if n <= NARROW_MAX + 1 {
+            n.saturating_sub(1)
+        } else {
+            match bfs_distances(net, 0).into_iter().max() {
+                Some(ecc) if ecc != UNREACHABLE => 2 * usize::from(ecc),
+                _ => usize::MAX,
+            }
+        };
         // Every entry is written once below, so the zeroed allocation is
         // never filled up front.
-        let mut d = vec![0u16; n * n];
+        let mut d = HopTable::zeroed(n, largest);
+        let (connected, deepest) = d.write(|d| Self::fill(net, d), |d| Self::fill(net, d));
+        DistanceMatrix {
+            d,
+            connected,
+            deepest,
+        }
+    }
+
+    /// Writes every entry of the `n × n` matrix `d`; returns whether every
+    /// search reached every switch, and the deepest level any reached.
+    fn fill<E: Hop>(net: &Network, d: &mut [E]) -> (bool, u16) {
+        let n = net.num_switches();
+        let adj = net.adjacency();
         let mut connected = true;
         let mut deepest = 0u16;
         let mut visited = vec![Lanes::ZERO; n];
@@ -121,37 +148,38 @@ impl DistanceMatrix {
             deepest = deepest.max(level - 1);
             for (v, row) in d.chunks_exact_mut(n).enumerate() {
                 let segment = &mut row[base..base + batch];
-                segment.fill(counted[v]);
+                segment.fill(E::wrap(counted[v]));
                 counts.subtract_from(v, segment, 1);
                 for i in all.and_not(visited[v]).ones() {
-                    segment[i] = UNREACHABLE;
+                    segment[i] = E::UNREACHABLE;
                     connected = false;
                 }
             }
         }
-        DistanceMatrix {
-            n,
-            d,
-            connected,
-            deepest,
-        }
+        (connected, deepest)
     }
 
     /// Number of switches.
     pub fn num_switches(&self) -> usize {
-        self.n
+        self.d.n()
+    }
+
+    /// Bytes each entry takes: 1 when every finite distance was known to
+    /// fit in 254 before the matrix was built, 2 otherwise.
+    pub fn bytes_per_entry(&self) -> usize {
+        self.d.bytes_per_entry()
     }
 
     /// Distance from `a` to `b` ([`UNREACHABLE`] if disconnected).
     #[inline]
     pub fn get(&self, a: SwitchId, b: SwitchId) -> u16 {
-        self.d[a * self.n + b]
+        self.row(a).get(b)
     }
 
     /// The row of distances from `a` to every switch.
     #[inline]
-    pub fn row(&self, a: SwitchId) -> &[u16] {
-        &self.d[a * self.n..(a + 1) * self.n]
+    pub fn row(&self, a: SwitchId) -> HopRow<'_> {
+        self.d.row(a)
     }
 
     /// Whether every pair of switches is mutually reachable. O(1): recorded
@@ -180,16 +208,17 @@ impl DistanceMatrix {
         if !self.is_connected() {
             return f64::INFINITY;
         }
-        if self.n < 2 {
+        let n = self.num_switches();
+        if n < 2 {
             return 0.0;
         }
-        let total: u64 = self.d.iter().map(|&x| x as u64).sum();
-        total as f64 / (self.n as f64 * (self.n as f64 - 1.0))
+        let total: u64 = (0..n).flat_map(|a| self.row(a).iter()).map(u64::from).sum();
+        total as f64 / (n as f64 * (n as f64 - 1.0))
     }
 
     /// Largest distance from switch `s` to any other switch.
     pub fn eccentricity(&self, s: SwitchId) -> u16 {
-        self.row(s).iter().copied().max().unwrap_or(0)
+        self.row(s).iter().max().unwrap_or(0)
     }
 }
 
@@ -266,7 +295,7 @@ mod tests {
         for a in 0..9 {
             let row = d.row(a);
             for b in 0..9 {
-                assert_eq!(row[b], d.get(a, b));
+                assert_eq!(row.get(b), d.get(a, b));
             }
         }
     }

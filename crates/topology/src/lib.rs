@@ -52,6 +52,7 @@ pub use coordinates::{CoordinateSystem, Coordinates};
 pub use faults::{FaultSet, FaultShape};
 pub use graph::{LinkId, Network, PortId, SwitchId, INVALID_PORT};
 pub use hamming::HyperX;
+pub use lanes::HopRow;
 pub use properties::{diameter_under_fault_sequence, DiameterSample, TopologyReport};
 pub use rootsel::RootPolicy;
 pub use updown::{LinkClass, UpDownEscape};

@@ -94,7 +94,7 @@ impl RootPolicy {
                 .expect("non-empty network"),
             RootPolicy::MinTotalDistance => (0..net.num_switches())
                 .min_by_key(|&s| {
-                    let total = dm.row(s).iter().try_fold(0u64, |total, &d| {
+                    let total = dm.row(s).iter().try_fold(0u64, |total, d| {
                         (d != UNREACHABLE).then(|| total + u64::from(d))
                     });
                     (total.unwrap_or(u64::MAX), s)

@@ -14,10 +14,15 @@
 //! Up/Down distance to the destination — exactly the table rule described in
 //! the paper ("each entry with a value greater than 0 representing a valid
 //! candidate").
+//!
+//! The all-pairs Up/Down table stores one byte per entry whenever twice
+//! the tree's depth fits in 254, which the root BFS tells before the table
+//! is allocated, and two bytes otherwise; [`UpDownEscape::updown_distance`]
+//! and [`UpDownEscape::escape_candidates`] read `u16`s either way.
 
 use crate::bfs::{bfs_distances, UNREACHABLE};
 use crate::graph::{Adjacency, Network, PortId, SwitchId};
-use crate::lanes::{Lanes, LevelCounts, WIDTH};
+use crate::lanes::{Hop, HopTable, Lanes, LevelCounts, WIDTH};
 use serde::{Deserialize, Serialize};
 
 /// Classification of a live link with respect to the escape root.
@@ -54,7 +59,9 @@ pub struct EscapeCandidate {
 /// lane operations and one contiguous write per pair, BFS-like work in the
 /// spirit of the paper's cost for recomputing Minimal routing tables, with
 /// `O(n · log₂ depth)` lanes of scratch beyond the `n × n` distance table
-/// (see `compute_updown_distances`).
+/// (see `compute_updown_distances`). No Up/Down distance exceeds twice the
+/// depth of the tree, so the table takes one byte per entry when that is
+/// at most 254 and two bytes otherwise.
 #[derive(Clone, Debug)]
 pub struct UpDownEscape {
     root: SwitchId,
@@ -64,9 +71,8 @@ pub struct UpDownEscape {
     links: Vec<Option<(u32, LinkClass)>>,
     /// Ports per switch row of `links` (the network's largest port count).
     stride: usize,
-    /// Flat `n × n` matrix of Up/Down distances.
-    updown: Vec<u16>,
-    n: usize,
+    /// Flat `n × n` matrix of Up/Down distances, one or two bytes each.
+    updown: HopTable,
 }
 
 impl UpDownEscape {
@@ -100,14 +106,20 @@ impl UpDownEscape {
             }
         }
 
-        let updown = Self::compute_updown_distances(net, &levels);
+        let depth = levels.iter().copied().max().unwrap_or(0);
+        // Every entry is written once, so the zeroed allocation is never
+        // filled up front.
+        let mut updown = HopTable::zeroed(n, 2 * usize::from(depth));
+        updown.write(
+            |out| Self::compute_updown_distances(net, &levels, depth, out),
+            |out| Self::compute_updown_distances(net, &levels, depth, out),
+        );
         UpDownEscape {
             root,
             levels,
             links,
             stride,
             updown,
-            n,
         }
     }
 
@@ -127,8 +139,8 @@ impl UpDownEscape {
     /// sets are nested, `B_L(x) ⊆ B_{L−1}(x)`, and the deepest shared level
     /// is `#{L ≥ 1 : y ∈ B_L(x)}`, the count a bit-sliced counter per switch
     /// holds. The table is symmetric, so each switch writes its own row's
-    /// 256-entry segment once: `level(x) + level(y) − 2·count`.
-    fn compute_updown_distances(net: &Network, levels: &[u16]) -> Vec<u16> {
+    /// 256-entry segment of `out` once: `level(x) + level(y) − 2·count`.
+    fn compute_updown_distances<E: Hop>(net: &Network, levels: &[u16], depth: u16, out: &mut [E]) {
         let n = net.num_switches();
         let parents = Adjacency::from_fn(n, |s| {
             net.neighbors(s)
@@ -139,14 +151,10 @@ impl UpDownEscape {
         // `order[from[l]..]`.
         let mut order: Vec<SwitchId> = (0..n).collect();
         order.sort_by_key(|&s| levels[s]);
-        let depth = levels.iter().copied().max().unwrap_or(0);
         let from: Vec<usize> = (0..=depth + 1)
             .map(|l| order.partition_point(|&s| levels[s] < l))
             .collect();
 
-        // Every entry is written once below, so the zeroed allocation is
-        // never filled up front.
-        let mut out = vec![0u16; n * n];
         let mut below = vec![Lanes::ZERO; n];
         let mut shared = vec![Lanes::ZERO; n];
         let mut counts = LevelCounts::new(n);
@@ -184,12 +192,11 @@ impl UpDownEscape {
                 let segment = &mut row[base..base + batch];
                 // Wrapping, as the subtraction is: exact whenever `ud` fits.
                 for (entry, &level) in segment.iter_mut().zip(batch_levels) {
-                    *entry = levels[x].wrapping_add(level);
+                    *entry = E::wrap(levels[x].wrapping_add(level));
                 }
                 counts.subtract_from(x, segment, 2);
             }
         }
-        out
     }
 
     /// The root switch of the escape subnetwork.
@@ -210,7 +217,13 @@ impl UpDownEscape {
     /// Up/Down distance between two switches.
     #[inline]
     pub fn updown_distance(&self, a: SwitchId, b: SwitchId) -> u16 {
-        self.updown[a * self.n + b]
+        self.updown.row(a).get(b)
+    }
+
+    /// Bytes each Up/Down distance takes: 1 when twice the tree's depth
+    /// fits in 254, 2 otherwise.
+    pub fn bytes_per_entry(&self) -> usize {
+        self.updown.bytes_per_entry()
     }
 
     /// The escape candidates offered at `current` for a packet heading to `dest`:
@@ -227,12 +240,12 @@ impl UpDownEscape {
         // Up/Down distances are symmetric, so row `dest` holds every
         // distance read here. At the destination `here` is 0, so nothing
         // can reduce it.
-        let to_dest = &self.updown[dest * self.n..(dest + 1) * self.n];
-        let here = to_dest[current];
+        let to_dest = self.updown.row(dest);
+        let here = to_dest.get(current);
         let row = &self.links[current * self.stride..(current + 1) * self.stride];
         row.iter().enumerate().filter_map(move |(port, link)| {
             let (neighbor, class) = (*link)?;
-            let there = to_dest[neighbor as usize];
+            let there = to_dest.get(neighbor as usize);
             (there < here).then(|| EscapeCandidate {
                 port,
                 neighbor: neighbor as SwitchId,
@@ -246,7 +259,7 @@ impl UpDownEscape {
     /// `escape_anatomy` example.
     pub fn class_census(&self, net: &Network) -> ClassCensus {
         let mut census = ClassCensus::default();
-        for s in 0..self.n {
+        for s in 0..self.levels.len() {
             for (p, nb) in net.neighbors(s) {
                 if s < nb.switch {
                     match self.link_class(s, p).unwrap() {

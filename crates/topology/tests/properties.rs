@@ -78,7 +78,7 @@ fn check_distances(net: &Network, what: &str) {
     let mut deepest = 0;
     for s in 0..net.num_switches() {
         let row = bfs_distances(net, s);
-        assert_eq!(d.row(s), &row[..], "{what}: row {s}");
+        assert_eq!(d.row(s).iter().collect::<Vec<_>>(), row, "{what}: row {s}");
         deepest = row
             .iter()
             .copied()
@@ -213,6 +213,58 @@ fn tables_of_hamiltonian_paths_carry_into_high_count_planes() {
     }
 }
 
+#[test]
+fn each_table_takes_one_byte_exactly_when_its_entries_fit() {
+    // Along a path of 255 switches the largest distance is 254, and of
+    // 256 switches 255. Rooted in the middle, the escape trees are 127 and
+    // 128 deep, and their largest Up/Down distances are 254 and 255 too.
+    for (n, bytes) in [(255, 1), (256, 2)] {
+        let path: Vec<usize> = (0..n).collect();
+        let net = faulted_to_path(&HyperX::new(&[n]), &path);
+        let d = DistanceMatrix::compute(&net);
+        let esc = UpDownEscape::new(&net, n / 2);
+        assert_eq!(d.bytes_per_entry(), bytes, "distances on {n} switches");
+        assert_eq!(esc.level(0), (n / 2) as u16);
+        assert_eq!(esc.bytes_per_entry(), bytes, "escape on {n} switches");
+        for a in 0..n {
+            for b in 0..n {
+                let along = a.abs_diff(b) as u16;
+                assert_eq!(d.get(a, b), along, "d({a}, {b}) on {n} switches");
+                assert_eq!(esc.updown_distance(a, b), along, "ud({a}, {b})");
+            }
+        }
+        assert_eq!(d.get(0, n - 1), (n - 1) as u16);
+        assert_eq!(esc.updown_distance(n - 1, 0), (n - 1) as u16);
+    }
+}
+
+#[test]
+fn disconnected_pairs_read_unreachable_in_both_widths() {
+    // A path cut in the middle: on 255 switches every finite distance
+    // still fits one byte; on 256 the search from switch 0 misses half.
+    for (n, bytes) in [(255, 1), (256, 2)] {
+        let path: Vec<usize> = (0..n).collect();
+        let mut net = faulted_to_path(&HyperX::new(&[n]), &path);
+        net.remove_link(n / 2 - 1, n / 2);
+        let d = DistanceMatrix::compute(&net);
+        assert_eq!(d.bytes_per_entry(), bytes, "{n} switches");
+        assert_eq!(d.get(0, n - 1), UNREACHABLE);
+        assert_eq!(d.get(n - 1, 0), UNREACHABLE);
+        check_distances(&net, &format!("a cut path of {n} switches"));
+    }
+}
+
+#[test]
+fn the_fault_sweep_view_of_the_table_fixture_takes_one_byte() {
+    // `12x12x12/random:200:1` of `table_digests.rs`, rooted at switch 0.
+    let hx = HyperX::regular(3, 12);
+    let mut rng = ChaCha8Rng::seed_from_u64(1);
+    let mut net = hx.network().clone();
+    FaultSet::random_sequence(hx.network(), 200, &mut rng).apply(&mut net);
+    assert_eq!(DistanceMatrix::compute(&net).bytes_per_entry(), 1);
+    assert_eq!(UpDownEscape::new(&net, 0).bytes_per_entry(), 1);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -230,7 +282,7 @@ proptest! {
         FaultSet::random_sequence(&net, fault_count.min(net.num_links()), &mut rng).apply(&mut net);
         let d = DistanceMatrix::compute(&net);
         for s in 0..net.num_switches() {
-            prop_assert_eq!(d.row(s), &bfs_distances(&net, s)[..], "row {}", s);
+            prop_assert_eq!(d.row(s).iter().collect::<Vec<_>>(), bfs_distances(&net, s), "row {}", s);
         }
     }
 
@@ -248,7 +300,7 @@ proptest! {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         FaultSet::random_sequence(&net, fault_count.min(net.num_links()), &mut rng).apply(&mut net);
         let d = DistanceMatrix::compute(&net);
-        let entries = || (0..net.num_switches()).flat_map(|s| d.row(s).iter().copied());
+        let entries = || (0..net.num_switches()).flat_map(|s| d.row(s).iter());
         let connected = entries().all(|x| x != UNREACHABLE);
         let deepest = entries().filter(|&x| x != UNREACHABLE).max().unwrap_or(0) as usize;
         prop_assert_eq!(d.is_connected(), connected);

@@ -113,7 +113,7 @@ fn render() -> String {
         let d = DistanceMatrix::compute(&case.net);
         let mut distances = Fnv::new();
         for s in 0..n {
-            d.row(s).iter().for_each(|&x| distances.entry(x));
+            d.row(s).iter().for_each(|x| distances.entry(x));
         }
         let updown = if d.is_connected() {
             let esc = UpDownEscape::new(&case.net, case.root);
