@@ -1,8 +1,11 @@
 //! Criterion micro-benchmarks of the topology substrate: HyperX construction,
-//! all-pairs BFS, Up/Down escape construction and fault-shape expansion.
+//! all-pairs BFS, Up/Down escape construction, fault-shape expansion and
+//! escape-root selection.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use hyperx_topology::{DistanceMatrix, FaultSet, FaultShape, HyperX, Network, UpDownEscape};
+use hyperx_topology::{
+    DistanceMatrix, FaultSet, FaultShape, HyperX, Network, RootPolicy, UpDownEscape,
+};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
@@ -101,11 +104,28 @@ fn bench_fault_models(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_root_selection(c: &mut Criterion) {
+    let mut group = c.benchmark_group("topology/root_selection");
+    group.sample_size(10);
+    let hx = HyperX::regular(3, 8);
+    let mut net = hx.network().clone();
+    let mut rng = ChaCha8Rng::seed_from_u64(5);
+    FaultSet::random_sequence(&net, 100, &mut rng).apply(&mut net);
+    group.bench_function("max_alive_degree_8x8x8", |bch| {
+        bch.iter(|| black_box(RootPolicy::MaxAliveDegree.select(&net)))
+    });
+    group.bench_function("min_eccentricity_8x8x8", |bch| {
+        bch.iter(|| black_box(RootPolicy::MinEccentricity.select(&net)))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_construction,
     bench_distances,
     bench_escape_tables,
-    bench_fault_models
+    bench_fault_models,
+    bench_root_selection
 );
 criterion_main!(benches);

@@ -5,7 +5,7 @@
 //! all-pairs BFS stays cheap.
 //!
 //! Ported onto the campaign runner with a custom `diameter` job kind: one
-//! job per fault sequence, run in parallel on the work-stealing pool and
+//! job per fault sequence, run in parallel on the bounded thread pool and
 //! streamed to a resumable JSONL store — a worked example of a non-simulation
 //! analysis campaign (the runner is domain-agnostic; the closure below gives
 //! `diameter` jobs their meaning).

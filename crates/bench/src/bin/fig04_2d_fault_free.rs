@@ -4,7 +4,7 @@
 //! Complement Reverse traffic.
 //!
 //! Ported onto the campaign runner: the whole (mechanism × traffic × load)
-//! grid is one declarative [`CampaignSpec`] executed on the work-stealing
+//! grid is one declarative [`CampaignSpec`] executed on the bounded thread
 //! pool and streamed to a resumable JSONL store, and the tables below are
 //! rendered **from the store** — `surepath campaign --report` reproduces
 //! them without re-simulating.

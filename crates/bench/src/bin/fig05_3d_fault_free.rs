@@ -2,7 +2,7 @@
 //! Figure 4 plus the Regular Permutation to Neighbour pattern that separates
 //! Omnidimensional routes from Polarized routes.
 //!
-//! Runs as one declarative campaign on the work-stealing pool with a
+//! Runs as one declarative campaign on the bounded thread pool with a
 //! resumable store; the tables are rendered from the store (see fig04).
 
 use hyperx_bench::{

@@ -4,7 +4,7 @@
 //! escape), the configuration the paper highlights as a 33% VC saving.
 //!
 //! Ported onto the campaign runner: the whole grid is one declarative
-//! [`CampaignSpec`] per network, executed on a bounded work-stealing pool
+//! [`CampaignSpec`] per network, executed on a bounded thread pool
 //! and streamed to a resumable JSONL store (`--store`, default
 //! `results/fig06_<scale>.jsonl`). Re-running the binary skips every
 //! fingerprint-complete point, so an interrupted `--full` run resumes where

@@ -5,7 +5,7 @@
 //!
 //! Ported onto the campaign runner: faulty shapes and the healthy reference
 //! are one declarative grid (the scenario strings carry explicit shape
-//! coordinates, `FaultScenario::key()`), executed on the work-stealing pool
+//! coordinates, `FaultScenario::key()`), executed on the bounded thread pool
 //! with a resumable store and rendered from the store.
 
 use hyperx_bench::{

@@ -3,7 +3,7 @@
 //! Ported onto the campaign runner with a custom `topology` job kind (like
 //! fig01's `diameter` kind): one job per network, each computing a
 //! [`TopologyReport`] (the all-pairs BFS behind the diameter and average
-//! distance columns) on the work-stealing pool. Results are fingerprinted
+//! distance columns) on the bounded thread pool. Results are fingerprinted
 //! and cached in the store, so re-rendering the table is instant.
 
 use hyperx_bench::HarnessOptions;

@@ -15,7 +15,7 @@
 //! * `--csv <path>` — additionally write the results as CSV.
 //!
 //! Every experiment binary executes on the **campaign runner**: it builds a
-//! declarative [`CampaignSpec`], runs it on the bounded work-stealing pool
+//! declarative [`CampaignSpec`], runs it on the bounded thread pool
 //! (`--threads`) against a resumable JSONL result store (`--store`), and
 //! renders its figure/table **from the store** — so re-running skips every
 //! fingerprint-complete point, and `surepath campaign --report <store>`

@@ -79,7 +79,7 @@ pub const CAMPAIGN_USAGE: &str = "usage: surepath campaign <spec.toml|spec.json>
   Runs (or resumes) a declarative experiment campaign: the spec's
   topology x mechanism x traffic x scenario x root x VCs x load x seed
   cross-product (with `replicas = N`, each point runs N seeds) is executed
-  on a bounded work-stealing thread pool and streamed to a resumable JSONL
+  in grid order on a bounded thread pool and streamed to a resumable JSONL
   result store. Already-completed jobs (matched by fingerprint) are
   skipped, so re-running a finished campaign is instant.
 
@@ -95,9 +95,10 @@ pub const CAMPAIGN_USAGE: &str = "usage: surepath campaign <spec.toml|spec.json>
                        deliver/block) to <store>.trace.jsonl; the store
                        bytes are identical with and without it (render
                        with `surepath trace <store>`)
-  A global wall-clock budget (SUREPATH_DEADLINE_SECS env var or the spec's
-  `deadline_secs` field) stops dequeuing when exhausted, finalizes the
-  partial store cleanly and exits with code 3; re-running resumes the rest.
+  A global wall-clock budget in whole seconds, at least 1
+  (SUREPATH_DEADLINE_SECS env var or the spec's `deadline_secs` field)
+  stops dequeuing when exhausted, finalizes the partial store cleanly and
+  exits with code 3; re-running resumes the rest.
 
   Distributed campaigns (coordinator/worker over TCP):
   --serve ADDR         serve the spec's grid to workers connecting on ADDR

@@ -8,7 +8,7 @@
 //! surepath --sides 8x8x8 --mechanism omnisp --traffic rpn --faults star --batch 500 --json
 //! ```
 //!
-//! Declarative campaigns (experiment matrices on a work-stealing pool with a
+//! Declarative campaigns (experiment matrices on a bounded thread pool with a
 //! resumable result store):
 //!
 //! ```text

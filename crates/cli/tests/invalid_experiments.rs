@@ -2,7 +2,8 @@
 //! too wide for the engine, and `--batch 0` are refused up front: a single
 //! run exits 2 with a message instead of panicking, and a campaign exits 2
 //! naming the job before any job runs. The removed `--shards` option exits
-//! 2 too, before any worker starts.
+//! 2 too, before any worker starts, and so does a `SUREPATH_DEADLINE_SECS`
+//! that is not a whole number of seconds, before the store is opened.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -203,4 +204,42 @@ sides = [4, 4]
     );
     assert!(!err.contains("serving campaign"), "{err}");
     assert!(!store.exists(), "no worker ran, so no store was written");
+}
+
+#[test]
+fn a_malformed_deadline_in_the_environment_is_refused_before_the_store_opens() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let spec = dir.join("deadline_env.toml");
+    std::fs::write(
+        &spec,
+        r#"name = "deadline-env"
+mechanisms = ["minimal"]
+loads = [0.1]
+warmup = 1
+measure = 1
+
+[[topologies]]
+sides = [4, 4]
+"#,
+    )
+    .unwrap();
+    for value in ["90s", "0"] {
+        let store = dir.join(format!("deadline_env_{value}.results.jsonl"));
+        let _ = std::fs::remove_file(&store);
+        let output = Command::new(env!("CARGO_BIN_EXE_surepath"))
+            .args(["campaign", spec.to_str().unwrap(), "--quiet", "--store"])
+            .arg(&store)
+            .env("SUREPATH_DEADLINE_SECS", value)
+            .output()
+            .expect("the surepath binary runs");
+        let err = stderr(&output);
+        assert_eq!(output.status.code(), Some(2), "{value}: {err}");
+        assert!(
+            err.contains(&format!(
+                "SUREPATH_DEADLINE_SECS must be a whole number of seconds, at least 1; got `{value}`"
+            )),
+            "{err}"
+        );
+        assert!(!store.exists(), "{value}: no store was opened");
+    }
 }

@@ -11,8 +11,8 @@
 //! * [`run_job`] — executes one job and returns its metrics as a JSON value
 //!   ready for the result store;
 //! * [`run_campaign`] — the full pipeline: expand, skip completed
-//!   fingerprints, execute on the work-stealing pool, stream to the JSONL
-//!   store.
+//!   fingerprints, execute in grid order on the runner's pool, stream to
+//!   the JSONL store.
 //!
 //! Determinism: a job's result depends only on the job itself. The
 //! simulator, the traffic permutation draw and the fault sequence are all
@@ -677,7 +677,7 @@ mod tests {
                 ..RunTuning::default()
             };
             let mut trace = Vec::new();
-            surepath_runner::run_work_stealing(
+            surepath_runner::run_pool(
                 &jobs,
                 threads,
                 |index, job| {

@@ -190,7 +190,7 @@ pub struct ReplicatedPoint {
 }
 
 /// Runs `experiment` at `offered_load` once per seed, in parallel on the
-/// runner's bounded work-stealing pool, and summarises the headline metrics.
+/// runner's bounded thread pool, and summarises the headline metrics.
 pub fn replicate(experiment: &Experiment, offered_load: f64, seeds: &[u64]) -> ReplicatedPoint {
     assert!(!seeds.is_empty(), "at least one seed is required");
     let runs: Vec<RateMetrics> = surepath_runner::parallel_map(seeds, None, |&seed| {

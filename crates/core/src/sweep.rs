@@ -1,5 +1,5 @@
 //! Offered-load sweeps and mechanism comparisons, parallelised on the
-//! campaign runner's bounded work-stealing pool (`surepath-runner`) rather
+//! campaign runner's bounded thread pool (`surepath-runner`) rather
 //! than one OS thread per simulation.
 
 use crate::experiment::{Experiment, TrafficSpec};
@@ -25,7 +25,7 @@ pub struct SweepPoint {
 }
 
 /// Runs one experiment at every offered load of `loads`, in parallel on the
-/// runner's work-stealing pool (bounded by the core count, not by the number
+/// runner's thread pool (bounded by the core count, not by the number
 /// of loads). Panics if a simulation panics, preserving the pre-runner
 /// fail-fast behaviour.
 pub fn sweep_loads(experiment: &Experiment, loads: &[f64]) -> Vec<SweepPoint> {

@@ -14,9 +14,9 @@
 //!   grid order**, each `Fetch` taking the next jobs; journals every
 //!   assignment to the `<store>.manifest.jsonl` sidecar; leases expire and
 //!   lost workers' jobs go back to the front of the queue;
-//! * [`worker`] — [`run_worker`]: pulls jobs, runs them on one pool of the
-//!   runner's work-stealing executor that lasts the whole campaign (panic
-//!   isolation included), streams store-format records back with per-job
+//! * [`worker`] — [`run_worker`]: pulls jobs, runs them in the order it
+//!   fetched them on one pool of the runner's executor that lasts the whole
+//!   campaign (panic isolation included), streams store-format records back with per-job
 //!   wall-clock; transport failures send it through
 //!   [`session::ReconnectPolicy`]'s backoff loop and it resumes the
 //!   campaign (the fingerprint in `Welcome` gates resumption).

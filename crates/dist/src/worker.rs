@@ -1,5 +1,5 @@
 //! The campaign worker: pull jobs over TCP, run them on one pool of the
-//! runner's work-stealing executor, stream store-format results back.
+//! runner's executor, stream store-format results back.
 //!
 //! The worker is domain-agnostic like the runner: the caller supplies the
 //! closure that turns one [`JobSpec`] into one JSON result (the CLI and the
@@ -40,8 +40,8 @@ use std::io::BufReader;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 use surepath_runner::{
-    job_fingerprint, log_info, log_warn, with_pool, ChunkOptions, JobOutcome, JobSpec, Pool,
-    PoolEvent, StoreRecord,
+    job_fingerprint, log_info, log_warn, with_pool, JobOutcome, JobSpec, Pool, PoolEvent,
+    StoreRecord,
 };
 
 /// Tuning knobs of [`run_worker`].
@@ -173,9 +173,9 @@ type JobPool<'q> = Pool<'q, (usize, JobSpec), (Result<Value, String>, u64)>;
 /// Runs a worker against the coordinator at `addr` until the campaign is
 /// drained. `worker_id` names this worker in leases, manifests and timing
 /// records — it must be unique among concurrent workers (host + pid is the
-/// CLI's choice). Jobs run on one pool of the runner's work-stealing
-/// executor with `opts.threads` job threads, kept for the whole campaign;
-/// results stream back one by one as they finish. Transport failures
+/// CLI's choice). Jobs run in the order they were fetched on one pool of
+/// the runner's executor with `opts.threads` job threads, kept for the
+/// whole campaign; results stream back one by one as they finish. Transport failures
 /// trigger the reconnect loop described in the module docs; only a
 /// non-transient error, a campaign-fingerprint mismatch, or an exhausted
 /// [`ReconnectPolicy`] make the worker give up.
@@ -198,7 +198,7 @@ where
         let result = job_fn(job);
         (result, started.elapsed().as_millis() as u64)
     };
-    with_pool(threads, &ChunkOptions::unchunked(), run, |pool| {
+    with_pool(threads, run, |pool| {
         work_until_drained(addr, worker_id, opts, pool, threads, chunk)
     })
 }

@@ -1,11 +1,11 @@
 //! The campaign driver: spec → jobs → executor → store.
 
-use crate::executor::{run_work_stealing_chunked, ChunkOptions, JobOutcome};
+use crate::executor::{run_pool, JobOutcome};
 use crate::fingerprint::job_fingerprint;
 use crate::progress::ProgressReporter;
 use crate::spec::{CampaignSpec, JobSpec};
 use crate::store::ResultStore;
-use crate::timings::{load_timings, timings_path, TimingRecord, TimingsLog};
+use crate::timings::{timings_path, TimingRecord, TimingsLog};
 use serde::Value;
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -58,19 +58,31 @@ impl Default for RunOptions {
     }
 }
 
-/// The deadline from `SUREPATH_DEADLINE_SECS`, if set and parseable.
-pub fn deadline_from_env() -> Option<Duration> {
-    std::env::var("SUREPATH_DEADLINE_SECS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|&secs| secs > 0)
-        .map(Duration::from_secs)
+/// The environment variable whose budget overrides a spec's `deadline_secs`.
+const DEADLINE_ENV: &str = "SUREPATH_DEADLINE_SECS";
+
+/// The deadline from `SUREPATH_DEADLINE_SECS`: `None` when it is unset, and
+/// an error naming the variable and its value when it is set to anything
+/// but a whole number of seconds, at least 1.
+pub fn deadline_from_env() -> Result<Option<Duration>, String> {
+    std::env::var_os(DEADLINE_ENV)
+        .map(|raw| parse_deadline_secs(&raw.to_string_lossy()))
+        .transpose()
+}
+
+fn parse_deadline_secs(raw: &str) -> Result<Duration, String> {
+    match raw.parse::<u64>() {
+        Ok(secs) if secs > 0 => Ok(Duration::from_secs(secs)),
+        _ => Err(format!(
+            "{DEADLINE_ENV} must be a whole number of seconds, at least 1; got `{raw}`"
+        )),
+    }
 }
 
 /// Runs (or resumes) a campaign.
 ///
 /// Expands `spec`, skips every job whose fingerprint is already complete in
-/// the store at `store_path`, and executes the rest on a work-stealing pool
+/// the store at `store_path`, and executes the rest in grid order on a pool
 /// of `threads` workers (`None` = all cores). Each pending job is passed to
 /// `job_fn`; `Ok(value)` is streamed to the store as a success, `Err` (and
 /// any panic) as a retryable failure. On completion the store is rewritten
@@ -110,22 +122,23 @@ pub fn run_campaign_with<F>(
 where
     F: Fn(&JobSpec) -> Result<Value, String> + Sync,
 {
-    let jobs = spec
-        .expand()
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
+    let invalid = |e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e);
+    let jobs = spec.expand().map_err(invalid)?;
+    // Env beats the spec field: an operator reclaiming a machine overrides
+    // whatever budget the spec author wrote.
+    let budget = match opts.deadline {
+        Some(budget) => Some(budget),
+        None => deadline_from_env()
+            .map_err(invalid)?
+            .or(spec.deadline_secs.map(Duration::from_secs)),
+    };
     let mut store = ResultStore::open(store_path)?;
     let mut timings = if opts.timings {
         Some(TimingsLog::open(&timings_path(store_path))?)
     } else {
         None
     };
-    // Env beats the spec field: an operator reclaiming a machine overrides
-    // whatever budget the spec author wrote.
-    let deadline = opts
-        .deadline
-        .or_else(deadline_from_env)
-        .or(spec.deadline_secs.map(Duration::from_secs))
-        .map(|budget| Instant::now() + budget);
+    let deadline = budget.map(|budget| Instant::now() + budget);
 
     let pending: Vec<JobSpec> = jobs
         .iter()
@@ -137,26 +150,10 @@ where
     let mut progress = ProgressReporter::new(jobs.len(), skipped, !opts.quiet);
     let mut io_error: Option<std::io::Error> = None;
     let mut deadline_hit = false;
-    // Adaptive chunking: tiny jobs amortise per-job dispatch overhead. The
-    // cost estimate is seeded from the timings sidecar of a previous run
-    // (resumed campaigns start with the right chunk size immediately) and
-    // tracks the workload as jobs finish. Results still stream per job and
-    // the store is finalized in canonical order, so store bytes are
-    // unaffected by the chunk size.
-    let chunking = ChunkOptions {
-        initial_estimate_millis: load_timings(&timings_path(store_path))
-            .ok()
-            .filter(|records| !records.is_empty())
-            .map(|records| {
-                records.iter().map(|r| r.millis as f64).sum::<f64>() / records.len() as f64
-            }),
-        ..ChunkOptions::default()
-    };
-    run_work_stealing_chunked(
+    run_pool(
         &pending,
         opts.threads
             .unwrap_or_else(crate::executor::default_threads),
-        &chunking,
         |_, job| {
             let started = Instant::now();
             let result = job_fn(job);
@@ -399,44 +396,6 @@ mod tests {
     }
 
     #[test]
-    fn chunk_seeding_from_the_sidecar_leaves_store_bytes_unchanged() {
-        // First run: no sidecar, chunk = 1 until samples arrive. Second run:
-        // the sidecar seeds the estimate, so workers pull whole chunks of
-        // these microsecond jobs from the start. The stores must agree byte
-        // for byte — chunking only changes dispatch granularity.
-        let path_a = temp_store("chunk-seed-a");
-        let path_b = temp_store("chunk-seed-b");
-        let sidecar_a = crate::timings::timings_path(&path_a);
-        let sidecar_b = crate::timings::timings_path(&path_b);
-        for p in [&path_a, &path_b, &sidecar_a, &sidecar_b] {
-            let _ = std::fs::remove_file(p);
-        }
-        let s = spec("chunk-seed");
-        run_campaign(&s, &path_a, Some(4), true, fake_result).unwrap();
-        // Prime b's sidecar with a cheap estimate (1 ms/job -> whole chunks
-        // of these microsecond jobs from the first pull), then run b fresh.
-        {
-            let mut log = crate::timings::TimingsLog::open(&sidecar_b).unwrap();
-            log.append(&TimingRecord {
-                fp: "seed".into(),
-                label: "prior run".into(),
-                millis: 1,
-                worker: "local".into(),
-            })
-            .unwrap();
-        }
-        run_campaign(&s, &path_b, Some(4), true, fake_result).unwrap();
-        assert_eq!(
-            std::fs::read(&path_a).unwrap(),
-            std::fs::read(&path_b).unwrap(),
-            "a seeded chunk estimate must not change store bytes"
-        );
-        for p in [&path_a, &path_b, &sidecar_a, &sidecar_b] {
-            let _ = std::fs::remove_file(p);
-        }
-    }
-
-    #[test]
     fn deadline_stops_dequeuing_finalizes_and_resumes() {
         let path = temp_store("deadline");
         let _ = std::fs::remove_file(&path);
@@ -510,6 +469,16 @@ mod tests {
         );
         assert!(!outcome.is_complete());
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn deadline_env_values_must_be_whole_seconds_of_at_least_one() {
+        assert_eq!(parse_deadline_secs("3600"), Ok(Duration::from_secs(3600)));
+        for raw in ["90s", "0", "-1", "1.5", ""] {
+            let err = parse_deadline_secs(raw).unwrap_err();
+            assert!(err.contains("SUREPATH_DEADLINE_SECS"), "{err}");
+            assert!(err.contains(&format!("got `{raw}`")), "{err}");
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! # surepath-runner
 //!
 //! The campaign subsystem of the SurePath reproduction: describe a whole
-//! grid of experiments *declaratively*, execute it on a bounded
-//! work-stealing thread pool, and stream results to a resumable JSONL store.
+//! grid of experiments *declaratively*, execute it on a bounded thread
+//! pool, and stream results to a resumable JSONL store.
 //!
 //! The crate is deliberately **domain-agnostic**: it knows nothing about
 //! topologies or simulators. A campaign is a cross-product of string/number
@@ -16,8 +16,8 @@
 //!
 //! * [`spec`] — [`CampaignSpec`], deserializable from TOML or JSON, expanded
 //!   into a deterministic flat job list.
-//! * [`executor`] — a fixed-size work-stealing thread pool (per-worker
-//!   deques + stealing, not thread-per-job) with panic isolation.
+//! * [`executor`] — a fixed-size thread pool (one job queue in feed order,
+//!   not thread-per-job) with panic isolation.
 //! * [`store`] — the append-only JSONL result store; every job is
 //!   fingerprinted and already-completed jobs are skipped on restart.
 //! * [`campaign`] — the driver tying the three together, with progress
@@ -64,8 +64,7 @@ pub use campaign::{
     deadline_from_env, run_campaign, run_campaign_with, CampaignOutcome, RunOptions,
 };
 pub use executor::{
-    default_threads, parallel_map, run_work_stealing, run_work_stealing_chunked, with_pool,
-    ChunkOptions, JobOutcome, Pool, PoolEvent,
+    default_threads, parallel_map, run_pool, with_pool, JobOutcome, Pool, PoolEvent,
 };
 pub use fingerprint::{job_fingerprint, point_fingerprint, point_fingerprint_ignoring_rng};
 pub use manifest::{manifest_path, AssignmentManifest, ManifestRecord};

@@ -19,16 +19,12 @@
 //! * [`updown`] — the opportunistic Up/Down escape subnetwork of SurePath:
 //!   link colouring from a BFS root, Up/Down distances, and the escape
 //!   candidate tables described in Section 3.2 of the paper.
-//! * [`analysis`] — structural resiliency analysis (shortest-path counts,
-//!   edge-disjoint path diversity, distance histograms, survivability under
-//!   fault sets), backing the paper's §2 robustness argument.
 //! * [`rootsel`] — escape-root selection policies, including the
 //!   "avoid a switch with many faulty links" advice of §6.
 //!
 //! The crate is deliberately free of any simulator or flow-control notion;
 //! it only answers questions about graphs.
 
-pub mod analysis;
 pub mod bfs;
 pub mod builder;
 pub mod cartesian;
@@ -42,10 +38,6 @@ pub mod properties;
 pub mod rootsel;
 pub mod updown;
 
-pub use analysis::{
-    dimension_bisection_links, edge_disjoint_paths, shortest_path_count,
-    survivability_under_faults, DistanceHistogram, PairSurvivability, SurvivabilityReport,
-};
 pub use bfs::{bfs_distances, DistanceMatrix};
 pub use builder::NetworkBuilder;
 pub use coordinates::{CoordinateSystem, Coordinates};

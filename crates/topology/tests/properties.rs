@@ -2,8 +2,7 @@
 
 use hyperx_topology::bfs::UNREACHABLE;
 use hyperx_topology::{
-    bfs_distances, diameter_under_fault_sequence, edge_disjoint_paths, shortest_path_count,
-    survivability_under_faults, CoordinateSystem, DistanceHistogram, DistanceMatrix, FaultSet,
+    bfs_distances, diameter_under_fault_sequence, CoordinateSystem, DistanceMatrix, FaultSet,
     FaultShape, HyperX, LinkId, Network, RootPolicy, UpDownEscape,
 };
 use proptest::prelude::*;
@@ -306,6 +305,11 @@ proptest! {
         prop_assert_eq!(d.is_connected(), connected);
         prop_assert_eq!(d.diameter_checked(), connected.then_some(deepest));
         prop_assert_eq!(d.diameter(), if connected { deepest } else { usize::MAX });
+        if connected {
+            let n = net.num_switches() as f64;
+            let total: u64 = entries().map(u64::from).sum();
+            prop_assert_eq!(d.average_distance(), total as f64 / (n * (n - 1.0)));
+        }
     }
 
     #[test]
@@ -525,93 +529,6 @@ proptest! {
         let esc = UpDownEscape::new(hx.network(), root);
         let census = esc.class_census(hx.network());
         prop_assert_eq!(census.updown + census.horizontal, hx.network().num_links());
-    }
-
-    #[test]
-    fn shortest_path_count_is_product_of_factorial_like_terms(sides in sides_strategy(), pair_seed in 0u64..1000) {
-        // In a Hamming graph a pair differing in d dimensions has exactly d!
-        // shortest paths (one single-hop correction per dimension, in any order).
-        let hx = HyperX::new(&sides);
-        let n = hx.num_switches();
-        let a = (pair_seed as usize) % n;
-        let b = (pair_seed as usize * 31 + 7) % n;
-        let d = hx.coords().hamming_distance(a, b);
-        let factorial: u64 = (1..=d as u64).product::<u64>().max(1);
-        prop_assert_eq!(shortest_path_count(hx.network(), a, b), factorial);
-    }
-
-    #[test]
-    fn edge_disjoint_paths_equal_radix_in_healthy_hyperx(sides in sides_strategy(), pair_seed in 0u64..1000) {
-        // Hamming graphs are maximally edge-connected (edge connectivity = degree).
-        let hx = HyperX::new(&sides);
-        let n = hx.num_switches();
-        prop_assume!(n >= 2);
-        let a = (pair_seed as usize) % n;
-        let b = (pair_seed as usize * 17 + 3) % n;
-        prop_assume!(a != b);
-        prop_assert_eq!(edge_disjoint_paths(hx.network(), a, b), hx.switch_radix());
-    }
-
-    #[test]
-    fn edge_disjoint_paths_never_exceed_min_alive_degree(
-        sides in sides_strategy(),
-        fault_count in 0usize..20,
-        seed in 0u64..1000,
-    ) {
-        let hx = HyperX::new(&sides);
-        let mut net = hx.network().clone();
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        FaultSet::random_sequence(&net, fault_count.min(net.num_links()), &mut rng).apply(&mut net);
-        let n = hx.num_switches();
-        let a = (seed as usize) % n;
-        let b = (seed as usize * 13 + 5) % n;
-        prop_assume!(a != b);
-        let paths = edge_disjoint_paths(&net, a, b);
-        prop_assert!(paths <= net.degree(a).min(net.degree(b)));
-        // Menger lower bound sanity: connected pairs have at least one path.
-        let d = DistanceMatrix::compute(&net);
-        prop_assert_eq!(paths > 0, d.get(a, b) != u16::MAX);
-    }
-
-    #[test]
-    fn distance_histogram_is_consistent_with_matrix(sides in sides_strategy(), fault_count in 0usize..15, seed in 0u64..1000) {
-        let hx = HyperX::new(&sides);
-        let mut net = hx.network().clone();
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        FaultSet::random_sequence(&net, fault_count.min(net.num_links()), &mut rng).apply(&mut net);
-        let dm = DistanceMatrix::compute(&net);
-        let hist = DistanceHistogram::from_matrix(&dm);
-        let n = hx.num_switches() as u64;
-        prop_assert_eq!(hist.reachable_pairs() + hist.unreachable_pairs, n * (n - 1) / 2);
-        if dm.is_connected() {
-            prop_assert_eq!(hist.max_distance(), Some(dm.diameter()));
-            let mean = hist.mean_distance().unwrap();
-            prop_assert!((mean - dm.average_distance()).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn survivability_report_bounds(sides in sides_strategy(), fault_count in 0usize..20, seed in 0u64..1000) {
-        let hx = HyperX::new(&sides);
-        let healthy = hx.network().clone();
-        let mut faulty = healthy.clone();
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        FaultSet::random_sequence(&faulty, fault_count.min(faulty.num_links()), &mut rng).apply(&mut faulty);
-        let report = survivability_under_faults(&healthy, &faulty, Some(50), &mut rng);
-        prop_assert!(report.survival_ratio() >= 0.0 && report.survival_ratio() <= 1.0);
-        prop_assert!(report.stretched_ratio() >= 0.0 && report.stretched_ratio() <= 1.0);
-        for p in &report.pairs {
-            // Faults can only lengthen routes.
-            if p.survives() {
-                prop_assert!(p.faulty_distance >= p.healthy_distance);
-            }
-            prop_assert!(p.healthy_paths >= 1);
-        }
-        if fault_count == 0 {
-            prop_assert_eq!(report.survival_ratio(), 1.0);
-            prop_assert_eq!(report.max_stretch(), 0);
-            prop_assert!((report.mean_path_retention() - 1.0).abs() < 1e-12);
-        }
     }
 
     #[test]

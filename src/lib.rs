@@ -11,7 +11,7 @@
 //! * [`routing`] (`hyperx-routing`) — routing algorithms and mechanisms.
 //! * [`sim`] (`hyperx-sim`) — the cycle-level simulator.
 //! * [`runner`] (`surepath-runner`) — declarative campaign specs, the
-//!   work-stealing executor and the resumable JSONL result store.
+//!   bounded job executor and the resumable JSONL result store.
 //! * [`dist`] (`surepath-dist`) — the distributed campaign driver:
 //!   coordinator/worker fan-out over TCP with assignment manifests.
 //! * [`core`] (`surepath-core`) — experiments, scenarios, sweeps and the
