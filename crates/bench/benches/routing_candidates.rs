@@ -4,9 +4,11 @@
 //! Each cell builds every listed packet's full candidate list
 //! (`all_candidates_into`: routing part, then escape part) into one output
 //! list kept across calls, the allocation-free form the engine uses. The
-//! `16x16c16` group, the `rate-2d-paper` shape, also times the routing part
-//! alone (`candidates_into`), which is all the engine builds while a
-//! routing candidate beats the escape floor.
+//! `16x16c16` group, the `rate-2d-paper` shape, and the faulted 8x8x8 group
+//! also time the routing part alone (`candidates_into`), which is all the
+//! engine builds while a routing candidate beats the escape floor, and its
+//! cheap part (`cheap_into`), which is all it builds while a cheap
+//! candidate beats the deroute floor.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hyperx_routing::{Candidate, MechanismSpec, NetworkView, PacketState, RoutingMechanism};
@@ -60,6 +62,12 @@ fn bench_candidates_under_faults(c: &mut Criterion) {
             let mut out: Vec<Candidate> = Vec::with_capacity(64);
             b.iter(|| black_box(list_all(mech.as_ref(), &states, &mut out, Part::Full)))
         });
+        for (part, label) in [(Part::Cheap, "cheap"), (Part::Routing, "routing")] {
+            group.bench_function(&format!("{}/{label}", spec.name()), |b| {
+                let mut out: Vec<Candidate> = Vec::with_capacity(64);
+                b.iter(|| black_box(list_all(mech.as_ref(), &states, &mut out, part)))
+            });
+        }
     }
     group.finish();
 }
@@ -67,6 +75,8 @@ fn bench_candidates_under_faults(c: &mut Criterion) {
 /// Which part of each packet's candidate list a cell builds.
 #[derive(Clone, Copy)]
 enum Part {
+    /// `cheap_into` alone.
+    Cheap,
     /// `candidates_into` alone.
     Routing,
     /// `all_candidates_into`: the routing part, then the escape part.
@@ -85,6 +95,7 @@ fn list_all(
     for (current, state) in states {
         out.clear();
         match part {
+            Part::Cheap => mech.cheap_into(state, *current, out),
             Part::Routing => mech.candidates_into(state, *current, out),
             Part::Full => mech.all_candidates_into(state, *current, out),
         }
@@ -108,7 +119,11 @@ fn bench_candidates_16x16(c: &mut Criterion) {
             .filter(|(current, dest)| current != dest)
             .map(|(current, dest)| (current, mech.init_packet(current, dest, &mut rng)))
             .collect();
-        for (part, label) in [(Part::Routing, "routing"), (Part::Full, "full")] {
+        for (part, label) in [
+            (Part::Cheap, "cheap"),
+            (Part::Routing, "routing"),
+            (Part::Full, "full"),
+        ] {
             group.bench_function(&format!("{}/{label}", spec.name()), |b| {
                 let mut out: Vec<Candidate> = Vec::with_capacity(64);
                 b.iter(|| black_box(list_all(mech.as_ref(), &states, &mut out, part)))

@@ -3,12 +3,13 @@
 //!
 //! Two checks, both with a counting global allocator:
 //!
-//! * every routing mechanism computes the routing part of a list
-//!   (`candidates_into`), appends the escape part onto it (`escape_into`, as
-//!   the engine does when a head's routing candidates lose to the escape
-//!   floor) and updates packet state (`note_hop`) without touching the heap
-//!   once its output list is warm — no coordinate vectors, no
-//!   escape-candidate vectors;
+//! * every routing mechanism computes the cheap part of a list
+//!   (`cheap_into`), the whole routing part in its place (`candidates_into`,
+//!   as the engine does when the cheap best loses to the deroute floor),
+//!   appends the escape part onto it (`escape_into`, as the engine does when
+//!   a head's routing candidates lose to the escape floor) and updates
+//!   packet state (`note_hop`) without touching the heap once its output
+//!   list is warm — no coordinate vectors, no escape-candidate vectors;
 //! * a warmed `Simulator` steps without allocating: per-slot candidate
 //!   caches, request lists, event-wheel buffers and the packet arena all
 //!   reuse their capacity.
@@ -81,9 +82,9 @@ fn faulted_view(sides: &[usize], faults: usize) -> Arc<NetworkView> {
     view
 }
 
-/// One pass of `candidates_into`, an `escape_into` appended onto the same
-/// list, and a `note_hop` on the first candidate over every (current, dest)
-/// pair.
+/// One pass of `cheap_into`, a `candidates_into` in its place, an
+/// `escape_into` appended onto the same list, and a `note_hop` on the first
+/// candidate over every (current, dest) pair.
 fn route_every_pair(
     view: &NetworkView,
     mech: &dyn RoutingMechanism,
@@ -92,6 +93,9 @@ fn route_every_pair(
 ) -> usize {
     let mut offered = 0;
     for &(current, state) in states {
+        out.clear();
+        mech.cheap_into(&state, current, out);
+        offered += out.len();
         out.clear();
         mech.candidates_into(&state, current, out);
         mech.escape_into(&state, current, out);
@@ -146,8 +150,8 @@ fn routing_and_engine_steady_state_do_not_allocate() {
         assert_eq!(offered, warm, "{spec:?}: candidates are a pure function");
         assert_eq!(
             made, 0,
-            "{spec:?}: candidates_into + escape_into + note_hop made {made} allocations \
-             on a warm list"
+            "{spec:?}: cheap_into + candidates_into + escape_into + note_hop made {made} \
+             allocations on a warm list"
         );
     }
 

@@ -223,15 +223,20 @@ sides = [4, 4]
 "#,
     )
     .unwrap();
-    for value in ["90s", "0"] {
-        let store = dir.join(format!("deadline_env_{value}.results.jsonl"));
+    for (value, traced) in [("90s", false), ("0", false), ("90s", true)] {
+        let store = dir.join(format!("deadline_env_{value}_{traced}.results.jsonl"));
+        let sidecar = surepath_runner::trace_path(&store);
         let _ = std::fs::remove_file(&store);
-        let output = Command::new(env!("CARGO_BIN_EXE_surepath"))
+        let _ = std::fs::remove_file(&sidecar);
+        let mut command = Command::new(env!("CARGO_BIN_EXE_surepath"));
+        command
             .args(["campaign", spec.to_str().unwrap(), "--quiet", "--store"])
             .arg(&store)
-            .env("SUREPATH_DEADLINE_SECS", value)
-            .output()
-            .expect("the surepath binary runs");
+            .env("SUREPATH_DEADLINE_SECS", value);
+        if traced {
+            command.arg("--trace");
+        }
+        let output = command.output().expect("the surepath binary runs");
         let err = stderr(&output);
         assert_eq!(output.status.code(), Some(2), "{value}: {err}");
         assert!(
@@ -241,5 +246,6 @@ sides = [4, 4]
             "{err}"
         );
         assert!(!store.exists(), "{value}: no store was opened");
+        assert!(!sidecar.exists(), "{value}: no trace sidecar was created");
     }
 }

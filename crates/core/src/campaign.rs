@@ -402,24 +402,38 @@ pub fn run_campaign_traced(
 ) -> std::io::Result<CampaignOutcome> {
     validate_campaign(spec)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
-    let log = Mutex::new(TraceLog::open(&trace_path(store_path))?);
+    let sidecar = trace_path(store_path);
+    // Opened by the first job to finish, after the runner has checked the
+    // deadline and opened the store, so a refused run leaves no sidecar.
+    let log: Mutex<Option<TraceLog>> = Mutex::new(None);
     let views = ViewCache::new();
     let tuning = RunTuning {
         views: Some(&views),
         ..RunTuning::default()
     };
-    surepath_runner::run_campaign(spec, store_path, threads, quiet, |job| {
+    let outcome = surepath_runner::run_campaign(spec, store_path, threads, quiet, |job| {
         let (value, records) = run_job_traced_tuned(job, PacketTracer::DEFAULT_CAPACITY, &tuning)?;
         // One lock per job, not per event: jobs append their whole batch
         // atomically, so lifecycles are contiguous within the sidecar.
         if let Ok(mut log) = log.lock() {
-            for record in &records {
-                let _ = log.append(record);
+            if log.is_none() {
+                *log = TraceLog::open(&sidecar).ok();
             }
-            let _ = log.flush();
+            if let Some(log) = log.as_mut() {
+                for record in &records {
+                    let _ = log.append(record);
+                }
+                let _ = log.flush();
+            }
         }
         Ok(value)
-    })
+    })?;
+    // A run that executed nothing still leaves the (possibly empty)
+    // sidecar, and one that could not open it reports why.
+    if log.into_inner().map_or(true, |log| log.is_none()) {
+        TraceLog::open(&sidecar)?;
+    }
+    Ok(outcome)
 }
 
 #[cfg(test)]

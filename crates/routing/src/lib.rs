@@ -72,6 +72,29 @@ pub trait RouteAlgorithm: Send + Sync {
         out: &mut Vec<Candidate>,
     );
 
+    /// Appends the *cheap part* of [`candidates`](RouteAlgorithm::candidates):
+    /// exactly the candidates whose penalty lies below
+    /// [`deroute_floor`](RouteAlgorithm::deroute_floor), in the same order,
+    /// so every candidate it leaves out costs at least the floor. The
+    /// default appends the whole list.
+    fn cheap_candidates(
+        &self,
+        state: &PacketState,
+        current: usize,
+        vcs: VcRange,
+        out: &mut Vec<Candidate>,
+    ) {
+        self.candidates(state, current, vcs, out);
+    }
+
+    /// The penalty that splits [`candidates`](RouteAlgorithm::candidates)
+    /// into its cheap part and the rest, or `None` when
+    /// [`cheap_candidates`](RouteAlgorithm::cheap_candidates) leaves nothing
+    /// out.
+    fn deroute_floor(&self) -> Option<u16> {
+        None
+    }
+
     /// Updates per-packet state after the packet moves from `current` to `next`.
     fn update(&self, state: &mut PacketState, current: usize, next: usize);
 
@@ -112,6 +135,29 @@ pub trait RoutingMechanism: Send + Sync {
     /// packet stays at the head of its VC. Neither allocates once `out` is
     /// warm.
     fn candidates_into(&self, state: &PacketState, current: usize, out: &mut Vec<Candidate>);
+
+    /// Appends the cheap part of the routing part: exactly the candidates of
+    /// [`candidates_into`](RoutingMechanism::candidates_into) whose penalty
+    /// lies below [`deroute_floor`](RoutingMechanism::deroute_floor), in the
+    /// same order (all of them when the floor is `None`).
+    ///
+    /// The allocator relies on that contract as it does on the escape
+    /// floor's: every left-out candidate costs at least the floor, and the
+    /// cheap part is a subsequence of the routing part, so a cheap best that
+    /// scores below the floor is the routing part's best. It fills and
+    /// scores this part first and replaces it with the whole routing part
+    /// only when its best request is missing or scores at or above the
+    /// floor. Pure and allocation-free like the other parts.
+    fn cheap_into(&self, state: &PacketState, current: usize, out: &mut Vec<Candidate>) {
+        self.candidates_into(state, current, out);
+    }
+
+    /// The lowest penalty [`candidates_into`](RoutingMechanism::candidates_into)
+    /// can append that [`cheap_into`](RoutingMechanism::cheap_into) leaves
+    /// out, or `None` when the cheap part is the whole routing part.
+    fn deroute_floor(&self) -> Option<u16> {
+        None
+    }
 
     /// Appends the escape part of the candidate list (SurePath's rule 2),
     /// which follows the routing part. Mechanisms without an escape

@@ -109,6 +109,16 @@ impl RoutingMechanism for LadderMechanism {
         }
     }
 
+    fn cheap_into(&self, state: &PacketState, current: usize, out: &mut Vec<Candidate>) {
+        if let Some(vcs) = self.step.vcs_for_hop(state.hops, self.num_vcs) {
+            self.algo.cheap_candidates(state, current, vcs, out);
+        }
+    }
+
+    fn deroute_floor(&self) -> Option<u16> {
+        self.algo.deroute_floor()
+    }
+
     fn escape_into(&self, _state: &PacketState, _current: usize, _out: &mut Vec<Candidate>) {}
 
     fn escape_floor(&self) -> Option<u16> {

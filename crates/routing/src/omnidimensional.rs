@@ -6,6 +6,8 @@
 //! remaining ones are *deroutes* (penalty 64), limited globally to `m`
 //! non-minimal hops per packet. The paper always uses `m = n` (the deroute
 //! budget equals the number of dimensions, shared globally across dimensions).
+//! The aligned hops are the cheap part
+//! ([`RouteAlgorithm::cheap_candidates`]) below a 64-phit deroute floor.
 //!
 //! Note the deliberate restriction the paper leans on for the Regular
 //! Permutation to Neighbour analysis: if source and destination share a row,
@@ -97,6 +99,41 @@ impl RouteAlgorithm for OmnidimensionalRouting {
                 }
             }
         }
+    }
+
+    /// The aligned port of each unaligned dimension, when live: one lookup
+    /// per dimension, no port scan.
+    fn cheap_candidates(
+        &self,
+        state: &PacketState,
+        current: usize,
+        vcs: VcRange,
+        out: &mut Vec<Candidate>,
+    ) {
+        if current == state.dest {
+            return;
+        }
+        let hx = self.view.hyperx();
+        let row = self.view.neighbor_row(current);
+        let there = self.view.coord_row(state.dest);
+        for (d, (&own, &target)) in self.view.coord_row(current).iter().zip(there).enumerate() {
+            if own == target {
+                continue;
+            }
+            let aligned = hx.dim_port(d, own.into(), target.into());
+            if row[aligned] != DEAD_PORT {
+                out.push(Candidate {
+                    port: aligned as u16,
+                    penalty: OMNI_MINIMAL,
+                    vcs,
+                    kind: CandidateKind::Minimal,
+                });
+            }
+        }
+    }
+
+    fn deroute_floor(&self) -> Option<u16> {
+        Some(OMNI_DEROUTE)
     }
 
     fn update(&self, state: &mut PacketState, current: usize, next: usize) {

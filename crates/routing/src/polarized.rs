@@ -5,14 +5,16 @@
 //! candidates are the neighbours with `Δµ ≥ 0`; candidates with `Δµ = 0` are
 //! additionally filtered by whether the packet is still closer to its source
 //! than to its destination (the paper's header bit), which breaks potential
-//! cycles. Priorities follow Δµ: 2 → no penalty, 1 → 64 phits, 0 → 80 phits.
+//! cycles. Priorities follow Δµ: 2 → no penalty, 1 → 64 phits, 0 → 80 phits,
+//! so the Δµ = 2 hops are the cheap part
+//! ([`RouteAlgorithm::cheap_candidates`]) below a 64-phit deroute floor.
 //!
 //! Because the routes are computed from BFS distance tables, Polarized keeps
 //! working after failures (the tables are simply recomputed), which is one of
 //! the reasons the paper pairs it with SurePath.
 
 use crate::candidate::{Candidate, CandidateKind, PacketState, VcRange};
-use crate::penalties::polarized_penalty;
+use crate::penalties::{polarized_penalty, POLARIZED_BEST, POLARIZED_MID};
 use crate::view::NetworkView;
 use crate::RouteAlgorithm;
 use rand::RngCore;
@@ -74,15 +76,17 @@ impl RouteAlgorithm for PolarizedRouting {
             return;
         }
         // Distances are symmetric (links are bidirectional), so the rows of
-        // the source and the destination hold every distance read here.
+        // the source and the destination hold every distance read here. A
+        // switch and a live neighbour are both reachable from a switch or
+        // both not, so the unwidened entries give the same differences.
         let from_s = self.view.distances().row(state.source);
         let from_t = self.view.distances().row(state.dest);
-        let ds_c = i32::from(from_s.get(current));
-        let dt_c = i32::from(from_t.get(current));
+        let ds_c = i32::from(from_s.unwidened(current));
+        let dt_c = i32::from(from_t.unwidened(current));
         let allow_zero_gain = state.hops < self.zero_gain_hop_limit;
         for (port, nb) in self.view.live_ports(current) {
-            let ds_n = i32::from(from_s.get(nb));
-            let dt_n = i32::from(from_t.get(nb));
+            let ds_n = i32::from(from_s.unwidened(nb));
+            let dt_n = i32::from(from_t.unwidened(nb));
             let delta_s = ds_n - ds_c;
             let delta_t = dt_n - dt_c;
             let delta_mu = delta_s - delta_t;
@@ -120,6 +124,39 @@ impl RouteAlgorithm for PolarizedRouting {
                 },
             });
         }
+    }
+
+    /// The Δµ = 2 hops: a live neighbour one hop closer to the destination
+    /// (whose row is read first) and one hop further from the source.
+    fn cheap_candidates(
+        &self,
+        state: &PacketState,
+        current: usize,
+        vcs: VcRange,
+        out: &mut Vec<Candidate>,
+    ) {
+        if current == state.dest {
+            return;
+        }
+        let from_s = self.view.distances().row(state.source);
+        let from_t = self.view.distances().row(state.dest);
+        let ds_c = from_s.unwidened(current);
+        let dt_c = from_t.unwidened(current);
+        for (port, nb) in self.view.live_ports(current) {
+            // Neighbours' distances differ by at most one hop.
+            if from_t.unwidened(nb) < dt_c && from_s.unwidened(nb) > ds_c {
+                out.push(Candidate {
+                    port,
+                    penalty: POLARIZED_BEST,
+                    vcs,
+                    kind: CandidateKind::Minimal,
+                });
+            }
+        }
+    }
+
+    fn deroute_floor(&self) -> Option<u16> {
+        Some(POLARIZED_MID)
     }
 
     fn update(&self, state: &mut PacketState, current: usize, next: usize) {

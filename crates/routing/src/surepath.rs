@@ -25,7 +25,10 @@
 //! [`EscapeTables::floor`]: 48 phits with shortcuts, 96 without. The
 //! simulator builds the escape part of a head's list only when no routing
 //! candidate scored at or below that floor, since none of it could win
-//! otherwise.
+//! otherwise. By the same argument it fills and scores only the routing
+//! part's cheap part ([`RoutingMechanism::cheap_into`]: Omnidimensional's
+//! aligned hops, Polarized's Δµ = 2 hops) while its best request scores
+//! below [`RoutingMechanism::deroute_floor`], 64 phits for both.
 
 use crate::candidate::{Candidate, PacketState, VcRange};
 use crate::updown_escape::{EscapePolicy, EscapeTables};
@@ -129,6 +132,17 @@ impl RoutingMechanism for SurePathMechanism {
         if !state.in_escape {
             self.algo.candidates(state, current, self.routing_vcs, out);
         }
+    }
+
+    fn cheap_into(&self, state: &PacketState, current: usize, out: &mut Vec<Candidate>) {
+        if !state.in_escape {
+            self.algo
+                .cheap_candidates(state, current, self.routing_vcs, out);
+        }
+    }
+
+    fn deroute_floor(&self) -> Option<u16> {
+        self.algo.deroute_floor()
     }
 
     fn escape_into(&self, state: &PacketState, current: usize, out: &mut Vec<Candidate>) {

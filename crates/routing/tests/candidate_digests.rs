@@ -18,7 +18,10 @@
 //! cargo test -p hyperx-routing --test candidate_digests -- --ignored regenerate
 //! ```
 
-use hyperx_routing::{Candidate, MechanismSpec, NetworkView, PacketState, RoutingMechanism};
+mod common;
+
+use common::{state, ALL_MECHANISMS, STATES};
+use hyperx_routing::{Candidate, NetworkView, PacketState, RoutingMechanism};
 use hyperx_topology::{FaultSet, HyperX};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -30,32 +33,6 @@ const FIXTURE_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/fixtures/candidate_digests.txt"
 );
-
-const ALL_MECHANISMS: [MechanismSpec; 10] = [
-    MechanismSpec::Minimal,
-    MechanismSpec::Valiant,
-    MechanismSpec::OmniWAR,
-    MechanismSpec::Polarized,
-    MechanismSpec::OmniSP,
-    MechanismSpec::PolSP,
-    MechanismSpec::Dor,
-    MechanismSpec::Dal,
-    MechanismSpec::OmniSPTree,
-    MechanismSpec::PolSPTree,
-];
-
-/// The packet states each case applies at every `(current, dest)` pair.
-const STATES: [&str; 9] = [
-    "fresh",
-    "deroutes-exhausted",
-    "in-escape",
-    "valiant-phase1",
-    "midway-closer-to-source",
-    "midway-closer-to-dest",
-    "zero-gain-limit",
-    "dal-dim0-derouted",
-    "dal-all-derouted",
-];
 
 /// FNV-1a 64 over everything formatted into it.
 struct Fnv(u64);
@@ -102,45 +79,6 @@ fn full_list(
 ) {
     out.clear();
     mech.all_candidates_into(state, current, out);
-}
-
-/// The state `name` of a packet at `current` heading to `dest`.
-fn state(
-    name: &str,
-    view: &NetworkView,
-    mech: &dyn RoutingMechanism,
-    current: usize,
-    dest: usize,
-    rng: &mut ChaCha8Rng,
-) -> PacketState {
-    let n = view.hyperx().num_switches();
-    let dims = view.dims();
-    let mut st = mech.init_packet(current, dest, rng);
-    match name {
-        "fresh" => {}
-        "deroutes-exhausted" => st.deroutes = dims as u16,
-        "in-escape" => st.in_escape = true,
-        "valiant-phase1" => {
-            st.intermediate = (dest * 7 + 3) % n;
-            st.phase2 = false;
-        }
-        "midway-closer-to-source" | "midway-closer-to-dest" => {
-            st.source = (current * 5 + 1) % n;
-            st.hops = 1;
-            st.closer_to_source = name == "midway-closer-to-source";
-        }
-        "zero-gain-limit" => st.hops = (2 * view.diameter()) as u16,
-        "dal-dim0-derouted" => {
-            st.derouted_dims = 0b1;
-            st.deroutes = 1;
-        }
-        "dal-all-derouted" => {
-            st.derouted_dims = (1u8 << dims) - 1;
-            st.deroutes = dims as u16;
-        }
-        other => unreachable!("unknown state {other}"),
-    }
-    st
 }
 
 /// `name digest` lines of every case.

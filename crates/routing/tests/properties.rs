@@ -1,5 +1,7 @@
 //! Property-based tests of the routing algorithms and the SurePath mechanism.
 
+mod common;
+
 use hyperx_routing::dal::DalRouting;
 use hyperx_routing::minimal::MinimalRouting;
 use hyperx_routing::omnidimensional::OmnidimensionalRouting;
@@ -291,6 +293,52 @@ proptest! {
         escape.clear();
         ladder.escape_into(&state, 0, &mut escape);
         prop_assert!(escape.is_empty());
+    }
+
+    #[test]
+    fn cheap_parts_are_the_routing_parts_below_the_deroute_floor(
+        sides in sides_strategy(),
+        faults in 0usize..15,
+        seed in 0u64..500,
+    ) {
+        // The allocator scores a head's cheap part first and fills the
+        // whole routing part only when the cheap best is missing or scores
+        // at or above `deroute_floor()`. That is exact only if the cheap
+        // part is the routing part's subsequence below the floor, in order,
+        // so every candidate it leaves out costs at least the floor.
+        let view = faulty_view(&sides, faults, seed);
+        let n = view.hyperx().num_switches();
+        let mut routing = Vec::new();
+        let mut cheap = Vec::new();
+        for spec in common::ALL_MECHANISMS {
+            let mech = spec.build(view.clone(), spec.faulty_num_vcs(view.dims()));
+            let floor = mech.deroute_floor();
+            for name in common::STATES {
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                // Every current switch, towards a few destinations each.
+                for current in 0..n {
+                    for dest in (0..4).map(|k| (current * 7 + k * 13 + seed as usize) % n) {
+                        let state = common::state(name, &view, mech.as_ref(), current, dest, &mut rng);
+                        routing.clear();
+                        mech.candidates_into(&state, current, &mut routing);
+                        cheap.clear();
+                        mech.cheap_into(&state, current, &mut cheap);
+                        let below = |c: &&Candidate| floor.is_none_or(|f| c.penalty < f);
+                        let expected: Vec<Candidate> = routing.iter().filter(below).copied().collect();
+                        prop_assert_eq!(
+                            &cheap, &expected,
+                            "{} {} at {} to {}", spec, name, current, dest
+                        );
+                        for left_out in routing.iter().filter(|c| !below(c)) {
+                            prop_assert!(
+                                floor.is_some_and(|f| left_out.penalty >= f),
+                                "{} left out {:?} below its floor {:?}", spec, left_out, floor
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -117,6 +117,12 @@ const HAS_LIST: u8 = 1;
 const LIST_VALID: u8 = 2;
 /// `vc_flags` bit: the head's escape part is not in its list yet.
 const ESCAPE_PENDING: u8 = 4;
+/// `vc_flags` bit: the head's list holds only the cheap part of its routing
+/// part ([`RoutingMechanism::cheap_into`]), the rest is not in it yet.
+const DEROUTE_PENDING: u8 = 8;
+/// The fill predictor's state from which a miss fills the whole routing
+/// part at once; its states run from 0 to 3.
+const FILL_WHOLE: u8 = 2;
 
 /// A deterministic dirty set of switch indices: the switches the allocation
 /// stage visits.
@@ -237,22 +243,18 @@ impl DueLists {
 #[derive(Debug, Default)]
 struct PacketArena {
     id: Vec<u64>,
-    src_server: Vec<u32>,
     dst_server: Vec<u32>,
     dst_switch: Vec<u32>,
     created_at: Vec<u64>,
-    injected_at: Vec<u64>,
     state: Vec<PacketState>,
     escape_hops: Vec<u16>,
     free: Vec<u32>,
 }
 
 impl PacketArena {
-    #[allow(clippy::too_many_arguments)]
     fn alloc(
         &mut self,
         id: u64,
-        src_server: usize,
         dst_server: usize,
         dst_switch: usize,
         created_at: u64,
@@ -261,21 +263,17 @@ impl PacketArena {
         if let Some(idx) = self.free.pop() {
             let i = idx as usize;
             self.id[i] = id;
-            self.src_server[i] = src_server as u32;
             self.dst_server[i] = dst_server as u32;
             self.dst_switch[i] = dst_switch as u32;
             self.created_at[i] = created_at;
-            self.injected_at[i] = 0;
             self.state[i] = state;
             self.escape_hops[i] = 0;
             idx
         } else {
             self.id.push(id);
-            self.src_server.push(src_server as u32);
             self.dst_server.push(dst_server as u32);
             self.dst_switch.push(dst_switch as u32);
             self.created_at.push(created_at);
-            self.injected_at.push(0);
             self.state.push(state);
             self.escape_hops.push(0);
             (self.id.len() - 1) as u32
@@ -290,11 +288,9 @@ impl PacketArena {
     /// return indices 0, 1, 2, … as in a new arena.
     fn clear(&mut self) {
         self.id.clear();
-        self.src_server.clear();
         self.dst_server.clear();
         self.dst_switch.clear();
         self.created_at.clear();
-        self.injected_at.clear();
         self.state.clear();
         self.escape_hops.clear();
         self.free.clear();
@@ -389,6 +385,14 @@ pub struct Simulator {
     mechanism: Box<dyn RoutingMechanism>,
     /// The mechanism's escape floor (see [`RoutingMechanism::escape_floor`]).
     escape_floor: Option<u16>,
+    /// The mechanism's deroute floor (see [`RoutingMechanism::deroute_floor`]).
+    deroute_floor: Option<u16>,
+    /// The fill predictor: a 2-bit saturating counter, up by one for each
+    /// cache miss whose best request needed the whole routing part (none
+    /// below the deroute floor) and down by one for each that did not. At
+    /// [`FILL_WHOLE`] or above a miss fills the whole routing part at once,
+    /// since filling the cheap part first would be filling twice.
+    fill_predictor: u8,
     pattern: Box<dyn TrafficPattern>,
     layout: ServerLayout,
     // --- geometry (cached off cfg/topology by `init`) ---
@@ -414,9 +418,9 @@ pub struct Simulator {
     /// Non-empty input VCs: switch `s` owns words `s·in_words ..`, bit
     /// `port·num_vcs + vc`. Maintained by `in_push`/`in_pop`.
     in_mask: Vec<u64>,
-    /// Candidate cache of each slot's head: [`HAS_LIST`], [`LIST_VALID`]
-    /// and [`ESCAPE_PENDING`]. Only an occupied slot sets any, so the
-    /// allocation stays zeroed where no packet has been.
+    /// Candidate cache of each slot's head: [`HAS_LIST`], [`LIST_VALID`],
+    /// [`ESCAPE_PENDING`] and [`DEROUTE_PENDING`]. Only an occupied slot
+    /// sets any, so the allocation stays zeroed where no packet has been.
     vc_flags: Vec<u8>,
     /// The slot's buffer in `lists`, read only while the slot
     /// [`HAS_LIST`]. A slot that empties returns its buffer to
@@ -523,6 +527,8 @@ impl Simulator {
             cfg,
             view,
             escape_floor: None,
+            deroute_floor: None,
+            fill_predictor: 0,
             mechanism,
             pattern,
             layout,
@@ -675,6 +681,8 @@ impl Simulator {
         self.cap_src = self.cfg.source_queue_packets;
         self.in_words = (self.num_ports * self.num_vcs).div_ceil(64);
         self.escape_floor = self.mechanism.escape_floor();
+        self.deroute_floor = self.mechanism.deroute_floor();
+        self.fill_predictor = 0;
         let nslots = num_switches * self.num_ports * self.num_vcs;
         let nports = num_switches * self.num_ports;
 
@@ -1231,9 +1239,7 @@ impl Simulator {
                 .mechanism
                 .init_packet(src_switch, dst_switch, &mut self.rng);
             let id = self.next_packet_id;
-            let packet = self
-                .pkt
-                .alloc(id, server, dst, dst_switch, self.cycle, state);
+            let packet = self.pkt.alloc(id, dst, dst_switch, self.cycle, state);
             self.next_packet_id += 1;
             self.packets_alive += 1;
             self.total_generated += 1;
@@ -1289,7 +1295,6 @@ impl Simulator {
         let next = self.srv_head[server] as usize + 1;
         self.srv_head[server] = if next == self.cap_src { 0 } else { next as u16 };
         self.srv_len[server] -= 1;
-        self.pkt.injected_at[packet as usize] = self.cycle;
         self.in_used[slot] += 1;
         self.srv_busy[server] = self.cycle + packet_length;
         if self.srv_len[server] > 0 {
@@ -1323,7 +1328,8 @@ impl Simulator {
             // cache is reset whenever the head is popped, so a valid list
             // belongs to the current head and a hit reads no packet state.
             let flags = self.vc_flags[slot];
-            if flags & LIST_VALID != 0 {
+            let filled = flags & LIST_VALID == 0;
+            if !filled {
                 self.obs.incr(Counter::CandCacheHits);
             } else {
                 let head = self.in_front(slot);
@@ -1353,9 +1359,11 @@ impl Simulator {
                     continue;
                 }
                 self.obs.incr(Counter::CandCacheMisses);
-                // Compute the routing part and leave the escape part
-                // pending. A slot without a buffer (never filled, or
-                // emptied since) takes the most recently returned one.
+                // Compute the routing part, or only its cheap part unless
+                // the fill predictor expects the rest to be needed, and
+                // leave the escape part pending. A slot without a buffer
+                // (never filled, or emptied since) takes the most recently
+                // returned one.
                 if flags & HAS_LIST == 0 {
                     self.vc_list[slot] = self.spare_lists.pop().unwrap_or_else(|| {
                         self.lists.push(Vec::new());
@@ -1364,14 +1372,50 @@ impl Simulator {
                 }
                 let list = &mut self.lists[self.vc_list[slot] as usize];
                 list.clear();
-                self.mechanism
-                    .candidates_into(&self.pkt.state[head], switch, list);
-                self.vc_flags[slot] = HAS_LIST | LIST_VALID | ESCAPE_PENDING;
+                let state = &self.pkt.state[head];
+                if self.deroute_floor.is_some() && self.fill_predictor < FILL_WHOLE {
+                    self.mechanism.cheap_into(state, switch, list);
+                    self.vc_flags[slot] = HAS_LIST | LIST_VALID | ESCAPE_PENDING | DEROUTE_PENDING;
+                } else {
+                    self.mechanism.candidates_into(state, switch, list);
+                    self.vc_flags[slot] = HAS_LIST | LIST_VALID | ESCAPE_PENDING;
+                }
             }
             // Single request to the best candidate that satisfies flow
             // control.
             let list = self.vc_list[slot] as usize;
             let mut best = self.best_request(&self.lists[list], first_port, in_port, in_vc, None);
+            // The cheap part keeps the routing part's order and leaves out
+            // only candidates that cost at least the deroute floor, and
+            // only a strictly lower score replaces `best`: a best below the
+            // floor is the whole routing part's best. Otherwise the whole
+            // routing part replaces the list and is scored from scratch,
+            // and the escape part, no longer in the list, is pending again.
+            // Each new list tells the fill predictor whether it needed the
+            // whole routing part.
+            let cheap_only = self.vc_flags[slot] & DEROUTE_PENDING != 0;
+            if filled || cheap_only {
+                if let Some(floor) = self.deroute_floor {
+                    let needs_rest = best.is_none_or(|b| b.score >= u64::from(floor));
+                    if filled {
+                        self.fill_predictor = if needs_rest {
+                            (self.fill_predictor + 1).min(3)
+                        } else {
+                            self.fill_predictor.saturating_sub(1)
+                        };
+                    }
+                    if cheap_only && needs_rest {
+                        let head = self.in_front(slot);
+                        let routing = &mut self.lists[list];
+                        routing.clear();
+                        self.mechanism
+                            .candidates_into(&self.pkt.state[head], switch, routing);
+                        self.vc_flags[slot] = HAS_LIST | LIST_VALID | ESCAPE_PENDING;
+                        let routing = &self.lists[list];
+                        best = self.best_request(routing, first_port, in_port, in_vc, None);
+                    }
+                }
+            }
             // The escape part follows the routing part and costs at least
             // the floor, and only a strictly lower score replaces `best`:
             // it can change the request only when no routing candidate

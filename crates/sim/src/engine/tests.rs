@@ -237,10 +237,12 @@ fn engine_state(sim: &Simulator) -> String {
         sim.stalled,
         sim.tracer.is_some(),
     ];
-    let fields: [(&str, &dyn std::fmt::Debug); 29] = [
+    let fields: [(&str, &dyn std::fmt::Debug); 31] = [
         ("layout", &sim.layout),
         ("geometry", &geometry),
         ("escape floor", &sim.escape_floor),
+        ("deroute floor", &sim.deroute_floor),
+        ("fill predictor", &sim.fill_predictor),
         ("packets", &sim.pkt),
         ("in_head", &sim.in_head),
         ("in_len", &sim.in_len),
@@ -356,6 +358,151 @@ fn congested_batch_completes_with_cache_hits_and_escape_grants() {
         );
         assert!(sim.drain(100_000), "{spec:?} did not drain");
         assert_eq!(sim.packets_in_switches(), 0, "{spec:?}");
+    }
+}
+
+/// A mechanism with its cheap part switched off: every list is filled
+/// with the whole routing part at once.
+struct WholeLists(Box<dyn RoutingMechanism>);
+
+impl RoutingMechanism for WholeLists {
+    fn name(&self) -> String {
+        self.0.name()
+    }
+
+    fn num_vcs(&self) -> usize {
+        self.0.num_vcs()
+    }
+
+    fn escape_vc(&self) -> Option<usize> {
+        self.0.escape_vc()
+    }
+
+    fn init_packet(&self, source: usize, dest: usize, rng: &mut dyn rand::RngCore) -> PacketState {
+        self.0.init_packet(source, dest, rng)
+    }
+
+    fn candidates_into(&self, state: &PacketState, current: usize, out: &mut Vec<Candidate>) {
+        self.0.candidates_into(state, current, out);
+    }
+
+    fn escape_into(&self, state: &PacketState, current: usize, out: &mut Vec<Candidate>) {
+        self.0.escape_into(state, current, out);
+    }
+
+    fn escape_floor(&self) -> Option<u16> {
+        self.0.escape_floor()
+    }
+
+    fn note_hop(&self, state: &mut PacketState, current: usize, next: usize, cand: &Candidate) {
+        self.0.note_hop(state, current, next, cand);
+    }
+}
+
+#[test]
+fn cheap_first_requests_equal_whole_requests_under_any_occupancy() {
+    // Heads whose cached lists are scored again and again against random
+    // occupancy, most of it light, so a cheap best lands in every range:
+    // below the escape floor, between the escape floor and the deroute
+    // floor (a 20-phit packet behind three others scores 60), at or above
+    // the deroute floor, or blocked. Every round, each head must request
+    // exactly what a whole fill requests, and now and then a head leaves
+    // and a new one arrives with a random routing state.
+    use MechanismSpec::{Dal, OmniSP, OmniSPTree, OmniWAR, PolSP, PolSPTree, Polarized};
+    let hx = HyperX::regular(3, 4);
+    let mut frng = ChaCha8Rng::seed_from_u64(4);
+    let faults = FaultSet::random_connected_sequence(hx.network(), 30, &mut frng);
+    let view = Arc::new(NetworkView::with_faults(hx, &faults, 0));
+    let n = view.hyperx().num_switches();
+    for spec in [
+        OmniSP, PolSP, OmniSPTree, PolSPTree, OmniWAR, Polarized, Dal,
+    ] {
+        for packet_length in [16, 20] {
+            let build = |whole: bool| {
+                let mut cfg = SimConfig::quick(2, spec.faulty_num_vcs(3));
+                cfg.packet_length = packet_length;
+                let mechanism = spec.build(view.clone(), cfg.num_vcs);
+                let mechanism: Box<dyn RoutingMechanism> = if whole {
+                    Box::new(WholeLists(mechanism))
+                } else {
+                    mechanism
+                };
+                let layout = ServerLayout::new(view.hyperx(), cfg.servers_per_switch);
+                Simulator::new(
+                    view.clone(),
+                    mechanism,
+                    Box::new(UniformTraffic::new(&layout)),
+                    cfg,
+                )
+            };
+            let mut sims = [build(false), build(true)];
+            let mut rng = ChaCha8Rng::seed_from_u64(packet_length);
+            let switch = 21;
+            let radix = sims[0].radix;
+            for round in 0..3000 {
+                for in_port in 0..4 {
+                    let slot = sims[0].slot(switch, in_port, 0);
+                    if sims[0].in_len[slot] > 0 && rng.gen_range(0..8) > 0 {
+                        continue;
+                    }
+                    let dest = (switch + 1 + rng.gen_range(0..n - 1)) % n;
+                    let mut state = sims[0].mechanism.init_packet(
+                        rng.gen_range(0..n),
+                        dest,
+                        &mut ChaCha8Rng::seed_from_u64(round),
+                    );
+                    state.hops = rng.gen_range(0..4);
+                    state.deroutes = rng.gen_range(0..4);
+                    state.closer_to_source = rng.gen();
+                    state.in_escape = spec.is_surepath() && rng.gen_range(0..10) == 0;
+                    for sim in &mut sims {
+                        if sim.in_len[slot] > 0 {
+                            // The old head leaves, as a grant pops it.
+                            sim.pkt.release(sim.in_front(slot) as u32);
+                            sim.in_len[slot] = 0;
+                            let (word, bit) = sim.in_mask_bit(slot);
+                            sim.in_mask[word] &= !bit;
+                            sim.vc_flags[slot] &= HAS_LIST;
+                        }
+                        let packet = sim.pkt.alloc(0, dest * 2, dest, 0, state);
+                        sim.in_push(slot, packet);
+                    }
+                }
+                // Occupancy: each output's staging and each downstream input
+                // VC is empty three times in four, otherwise random.
+                let light = |rng: &mut ChaCha8Rng, cap: usize| {
+                    if rng.gen_range(0..4) == 0 {
+                        rng.gen_range(1..cap + 1) as u16
+                    } else {
+                        0
+                    }
+                };
+                let first_port = switch * sims[0].num_ports;
+                for port in 0..radix {
+                    let staged = light(&mut rng, sims[0].cap_out);
+                    let down = sims[0].down[first_port + port];
+                    let used: Vec<u16> = (0..sims[0].num_vcs)
+                        .map(|_| light(&mut rng, sims[0].cap_in))
+                        .collect();
+                    for sim in &mut sims {
+                        sim.stg_len[first_port + port] = staged;
+                        if down < EJECT {
+                            let base = down as usize * sim.num_vcs;
+                            sim.in_used[base..base + sim.num_vcs].copy_from_slice(&used);
+                        }
+                    }
+                }
+                let [cheap_first, whole] = sims.each_mut().map(|sim| {
+                    let mut requests = Vec::new();
+                    sim.collect_requests_into(switch, &mut requests);
+                    format!("{requests:?}")
+                });
+                assert_eq!(
+                    cheap_first, whole,
+                    "{spec:?}, {packet_length}-phit packets, round {round}"
+                );
+            }
+        }
     }
 }
 

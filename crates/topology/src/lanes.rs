@@ -11,7 +11,9 @@
 //! Both tables are a [`HopTable`]: one byte per entry when every finite
 //! entry fits in [`NARROW_MAX`], which the caller bounds before the table
 //! is allocated, and two bytes otherwise. Every reader goes through
-//! [`HopRow`], which yields `u16`s with [`UNREACHABLE`] whatever the width.
+//! [`HopRow`], which yields `u16`s with [`UNREACHABLE`] whatever the width,
+//! or, for readers that only subtract and compare the entries of a live
+//! link's two ends, the stored entries unwidened.
 
 use crate::bfs::UNREACHABLE;
 use std::ops::{BitAnd, BitOr, BitOrAssign, BitXor};
@@ -299,6 +301,19 @@ impl<'a> HopRow<'a> {
     pub fn get(self, b: usize) -> u16 {
         match self.0 {
             RowEntries::Narrow(row) => WIDEN[usize::from(row[b])],
+            RowEntries::Wide(row) => row[b],
+        }
+    }
+
+    /// The entry of column `b` as stored, not widened: an unreachable entry
+    /// reads 255 in a one-byte table. Two entries that are both finite or
+    /// both unreachable, as those of the two ends of a live link are, differ
+    /// and compare exactly as [`get`](HopRow::get) reads them, without its
+    /// lookup.
+    #[inline]
+    pub fn unwidened(self, b: usize) -> u16 {
+        match self.0 {
+            RowEntries::Narrow(row) => u16::from(row[b]),
             RowEntries::Wide(row) => row[b],
         }
     }

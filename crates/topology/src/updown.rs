@@ -18,7 +18,8 @@
 //! The all-pairs Up/Down table stores one byte per entry whenever twice
 //! the tree's depth fits in 254, which the root BFS tells before the table
 //! is allocated, and two bytes otherwise; [`UpDownEscape::updown_distance`]
-//! and [`UpDownEscape::escape_candidates`] read `u16`s either way.
+//! reads `u16`s either way, and [`UpDownEscape::escape_candidates`], which
+//! only subtracts and compares finite entries, reads them unwidened.
 
 use crate::bfs::{bfs_distances, UNREACHABLE};
 use crate::graph::{Adjacency, Network, PortId, SwitchId};
@@ -239,13 +240,14 @@ impl UpDownEscape {
     ) -> impl Iterator<Item = EscapeCandidate> + '_ {
         // Up/Down distances are symmetric, so row `dest` holds every
         // distance read here. At the destination `here` is 0, so nothing
-        // can reduce it.
+        // can reduce it. The tree spans a connected network, so every
+        // entry is finite and reads the same unwidened.
         let to_dest = self.updown.row(dest);
-        let here = to_dest.get(current);
+        let here = to_dest.unwidened(current);
         let row = &self.links[current * self.stride..(current + 1) * self.stride];
         row.iter().enumerate().filter_map(move |(port, link)| {
             let (neighbor, class) = (*link)?;
-            let there = to_dest.get(neighbor as usize);
+            let there = to_dest.unwidened(neighbor as usize);
             (there < here).then(|| EscapeCandidate {
                 port,
                 neighbor: neighbor as SwitchId,

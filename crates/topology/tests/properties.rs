@@ -253,6 +253,65 @@ fn disconnected_pairs_read_unreachable_in_both_widths() {
     }
 }
 
+/// Checks that every row of `d` reads the two ends of each live link of
+/// `net` unwidened with the difference and the order `get` gives them.
+fn check_unwidened_reads(net: &Network, d: &DistanceMatrix, what: &str) {
+    let n = net.num_switches();
+    for r in 0..n {
+        let row = d.row(r);
+        for a in 0..n {
+            for (_, nb) in net.neighbors(a) {
+                let b = nb.switch;
+                let (ua, ub) = (row.unwidened(a), row.unwidened(b));
+                let (ga, gb) = (row.get(a), row.get(b));
+                assert_eq!(
+                    i32::from(ua) - i32::from(ub),
+                    i32::from(ga) - i32::from(gb),
+                    "row {r}, link ({a}, {b}) on {what}"
+                );
+                assert_eq!(
+                    ua.cmp(&ub),
+                    ga.cmp(&gb),
+                    "row {r}, link ({a}, {b}) on {what}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn unwidened_reads_of_live_links_match_get_in_both_widths() {
+    // Paths of 255 and 257 switches with the last one cut off: the rest
+    // spans 253 and 255 hops, one and two bytes per entry, and every row
+    // holds unreachable entries, which read 255 unwidened in one byte.
+    for (n, bytes, unreachable) in [(255, 1, 255), (257, 2, UNREACHABLE)] {
+        let path: Vec<usize> = (0..n).collect();
+        let mut net = faulted_to_path(&HyperX::new(&[n]), &path);
+        net.remove_link(n - 2, n - 1);
+        let d = DistanceMatrix::compute(&net);
+        assert_eq!(d.bytes_per_entry(), bytes, "{n} switches");
+        assert_eq!(d.get(0, n - 1), UNREACHABLE);
+        assert_eq!(d.row(0).unwidened(n - 1), unreachable);
+        check_unwidened_reads(&net, &d, &format!("a path of {n} switches"));
+    }
+    // A faulted 5x5 whose switch 0 lost every link.
+    let hx = HyperX::regular(2, 5);
+    let mut net = hx.network().clone();
+    let mut rng = ChaCha8Rng::seed_from_u64(3);
+    FaultSet::random_sequence(hx.network(), 12, &mut rng).apply(&mut net);
+    for nb in net
+        .neighbors(0)
+        .map(|(_, nb)| nb.switch)
+        .collect::<Vec<_>>()
+    {
+        net.remove_link(0, nb);
+    }
+    let d = DistanceMatrix::compute(&net);
+    assert_eq!(d.bytes_per_entry(), 1);
+    assert_eq!(d.get(1, 0), UNREACHABLE);
+    check_unwidened_reads(&net, &d, "a 5x5 with an isolated switch");
+}
+
 #[test]
 fn the_fault_sweep_view_of_the_table_fixture_takes_one_byte() {
     // `12x12x12/random:200:1` of `table_digests.rs`, rooted at switch 0.
